@@ -4,6 +4,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -46,82 +48,158 @@ struct StageTasks {
   std::vector<std::uint64_t> identity; // task_key() for seed derivation
 };
 
-/// Execute one stage's uncached tasks in batches, filling `docs` (one
-/// result document per task, cache hits included). Returns false when the
-/// batch budget ran out with work still pending; `docs` is then only
-/// partially filled and the campaign must stop.
-bool run_stage(sim::Network& net, const CampaignSpec& spec, const RunControl& control,
-               ResultCache& cache, Budget& budget, StageStats& stats,
-               std::unique_ptr<scenario::ParallelExecutor>& exec, std::string_view stage,
-               const StageTasks& tasks, std::uint64_t salt,
-               const std::function<bool(std::string_view)>& validate,
-               const std::function<std::string(sim::Network&, std::size_t)>& execute,
-               std::vector<std::string>& docs) {
+/// What every stage of one site runs against.
+struct StageContext {
+  sim::Network& net;
+  const CampaignSpec& spec;
+  const RunControl& control;
+  ResultCache& cache;
+  Budget& budget;
+  const std::string& code;
+  std::vector<CampaignRecord>& records;
+  std::unique_ptr<scenario::ParallelExecutor> exec;  // lazy, shared by stages
+};
+
+void stage_span(obs::Observer* observer, const std::string& country,
+                std::string_view stage, std::size_t task_count) {
+  if (observer == nullptr) return;
+  // Span boundaries must be run-invariant (span counts and contents show
+  // up in deterministic snapshots), so the "duration" encodes the task
+  // count rather than any execution timing.
+  observer->tracer().complete("campaign:" + country + ":" + std::string(stage),
+                              "campaign", 0, static_cast<SimTime>(task_count));
+}
+
+/// Run one stage and return every task's decoded report in task order,
+/// cache hits and fresh results alike (each decoded exactly once).
+///
+/// The stage is cut into checkpoint batches of spec.batch_size tasks. A
+/// planning pass walks them in order, serves cache hits, and stops at the
+/// first batch with uncached work that the batch budget no longer allows.
+/// Every uncached task of the planned batches then runs in ONE executor
+/// dispatch, so every worker stays busy. Workers encode and decode their
+/// own results; a batch is put + flushed by the worker that completes it,
+/// as soon as it and every earlier batch have finished. The cache file
+/// therefore receives the same bytes in the same order at every thread
+/// count, and a killed run loses only the batches still in flight.
+///
+/// Returns nullopt when the budget ran out with work still pending (the
+/// campaign must stop; the planned batches are durable). On success the
+/// stage's records are appended to the site's output.
+template <typename Report>
+std::optional<std::vector<Report>> run_stage(
+    StageContext& ctx, StageStats& stats, std::string_view stage, const StageTasks& tasks,
+    std::uint64_t salt, std::optional<Report> (*decode)(std::string_view),
+    const std::function<std::string(sim::Network&, std::size_t)>& execute) {
   const std::size_t n = tasks.ids.size();
   stats.tasks += n;
-  docs.assign(n, std::string());
-  if (n == 0) return true;
+  std::vector<std::string> docs(n);
+  std::vector<Report> reports(n);
 
-  // Seeds always derive over the FULL task list: the cache state must
-  // never be able to change which substream a task runs under.
-  const std::vector<std::uint64_t> seeds =
-      scenario::derive_task_seeds(net.seed(), salt, tasks.identity);
-
-  const auto batch = static_cast<std::size_t>(spec.batch_size);
+  // Plan. A task is a hit when the cache holds a record for its key that
+  // still decodes (a hand-edited or damaged record is re-executed), or
+  // when an earlier planned batch executes the same key: its result is
+  // copied over after the dispatch, as a batch-at-a-time loop would have
+  // found it in the cache.
+  std::vector<std::size_t> pending;    // uncached task indices, batch by batch
+  std::vector<std::size_t> batch_end;  // end offset in `pending` per planned batch
+  std::vector<std::pair<std::size_t, std::size_t>> copies;  // (task, executed task)
+  std::map<std::string_view, std::size_t> planned;           // key -> last executed task
+  bool stopped = false;
+  const auto batch = static_cast<std::size_t>(ctx.spec.batch_size);
   for (std::size_t start = 0; start < n; start += batch) {
     const std::size_t end = std::min(start + batch, n);
-    std::vector<std::size_t> missing;
+    const std::size_t first = pending.size();
     for (std::size_t i = start; i < end; ++i) {
-      const std::string* hit = cache.find(tasks.cache_keys[i]);
-      // A cached record that no longer decodes (hand-edited file, torn
-      // write that still parsed) is treated as absent and re-executed.
-      if (hit != nullptr && validate(*hit)) {
+      auto src = planned.find(tasks.cache_keys[i]);
+      if (src != planned.end()) {
+        copies.emplace_back(i, src->second);
+        ++stats.cache_hits;
+        continue;
+      }
+      const std::string* hit = ctx.cache.find(tasks.cache_keys[i]);
+      std::optional<Report> rep = hit != nullptr ? decode(*hit) : std::nullopt;
+      if (rep) {
         docs[i] = *hit;
+        reports[i] = std::move(*rep);
         ++stats.cache_hits;
       } else {
-        missing.push_back(i);
+        pending.push_back(i);
       }
     }
-    if (missing.empty()) continue;
-    if (budget.exhausted()) return false;
+    if (pending.size() == first) continue;
+    if (ctx.budget.exhausted()) {
+      pending.resize(first);
+      stopped = true;
+      break;
+    }
+    for (std::size_t p = first; p < pending.size(); ++p) {
+      planned[tasks.cache_keys[pending[p]]] = pending[p];
+    }
+    batch_end.push_back(pending.size());
+    ++ctx.budget.used;
+    ++stats.batches;
+    stats.executed += pending.size() - first;
+  }
 
-    if (control.threads == 0) {
+  if (!pending.empty()) {
+    // Seeds always derive over the FULL task list: the cache state must
+    // never be able to change which substream a task runs under.
+    const std::vector<std::uint64_t> seeds =
+        scenario::derive_task_seeds(ctx.net.seed(), salt, tasks.identity);
+    std::vector<std::size_t> batch_of(pending.size());
+    std::vector<std::size_t> unfinished(batch_end.size());
+    for (std::size_t b = 0, p = 0; b < batch_end.size(); ++b) {
+      unfinished[b] = batch_end[b] - p;
+      for (; p < batch_end[b]; ++p) batch_of[p] = b;
+    }
+    std::mutex write_mu;
+    std::size_t written = 0;  // batches durable on disk, in order
+    auto run_task = [&](sim::Network& worker, std::size_t p) {
+      const std::size_t i = pending[p];
+      docs[i] = execute(worker, i);
+      reports[i] = decode(docs[i]).value();
+      std::lock_guard<std::mutex> lock(write_mu);
+      if (--unfinished[batch_of[p]] != 0) return;
+      for (; written < batch_end.size() && unfinished[written] == 0; ++written) {
+        for (std::size_t q = written == 0 ? 0 : batch_end[written - 1]; q < batch_end[written];
+             ++q) {
+          const std::size_t t = pending[q];
+          ctx.cache.put(tasks.cache_keys[t], stage, tasks.ids[t], docs[t]);
+        }
+        ctx.cache.flush();  // batch boundary == crash-checkpoint boundary
+      }
+    };
+    if (ctx.control.threads == 0) {
       // Inline hermetic path: the scenario network itself, reset to the
       // task's epoch before each measurement — same substreams the pool
       // replicas would use.
-      for (std::size_t i : missing) {
-        net.reset_epoch(seeds[i]);
-        docs[i] = execute(net, i);
+      for (std::size_t p = 0; p < pending.size(); ++p) {
+        ctx.net.reset_epoch(seeds[pending[p]]);
+        run_task(ctx.net, p);
       }
     } else {
-      if (exec == nullptr) {
-        exec = std::make_unique<scenario::ParallelExecutor>(net, control.threads);
-        if (control.exec_batch > 0) {
-          exec->set_batch(static_cast<std::size_t>(control.exec_batch));
-        }
-        if (control.observer != nullptr) exec->set_perf_tracking(true);
+      if (ctx.exec == nullptr) {
+        ctx.exec = std::make_unique<scenario::ParallelExecutor>(ctx.net, ctx.control.threads);
+        if (ctx.control.observer != nullptr) ctx.exec->set_perf_tracking(true);
       }
       std::vector<std::uint64_t> sub_seeds;
-      sub_seeds.reserve(missing.size());
-      for (std::size_t i : missing) sub_seeds.push_back(seeds[i]);
-      std::vector<std::string> fresh(missing.size());
-      exec->run(sub_seeds, [&](sim::Network& replica, std::size_t j) {
-        fresh[j] = execute(replica, missing[j]);
-      });
-      for (std::size_t j = 0; j < missing.size(); ++j) {
-        docs[missing[j]] = std::move(fresh[j]);
-      }
+      sub_seeds.reserve(pending.size());
+      for (std::size_t i : pending) sub_seeds.push_back(seeds[i]);
+      ctx.exec->run(sub_seeds, run_task);
     }
-
-    for (std::size_t i : missing) {
-      cache.put(tasks.cache_keys[i], stage, tasks.ids[i], docs[i]);
-    }
-    cache.flush();  // batch boundary == crash-checkpoint boundary
-    ++budget.used;
-    ++stats.batches;
-    stats.executed += missing.size();
   }
-  return true;
+  if (stopped) return std::nullopt;
+
+  for (const auto& [i, src] : copies) {
+    docs[i] = docs[src];
+    reports[i] = reports[src];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ctx.records.push_back({std::string(stage), tasks.ids[i], ctx.code, std::move(docs[i])});
+  }
+  stage_span(ctx.control.observer, ctx.code, stage, n);
+  return reports;
 }
 
 std::vector<std::string> sampled(const std::vector<std::string>& all, int cap) {
@@ -175,16 +253,6 @@ Site build_world_site(const CampaignSpec& spec) {
   site.control_domain = std::move(ws.control_domain);
   site.network = std::move(ws.network);
   return site;
-}
-
-void stage_span(obs::Observer* observer, const std::string& country,
-                std::string_view stage, std::size_t task_count) {
-  if (observer == nullptr) return;
-  // Span boundaries must be run-invariant (span counts and contents show
-  // up in deterministic snapshots), so the "duration" encodes the task
-  // count rather than any execution timing.
-  observer->tracer().complete("campaign:" + country + ":" + std::string(stage),
-                              "campaign", 0, static_cast<SimTime>(task_count));
 }
 
 }  // namespace
@@ -241,7 +309,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     net.set_fault_plan(spec.faults);
     const std::uint64_t net_fp = net.fingerprint();
     const std::string& code = site.code;
-    std::unique_ptr<scenario::ParallelExecutor> exec;  // lazy, shared by stages
+    StageContext ctx{net, spec, control, cache, budget, code, result.records, nullptr};
 
     // ---- Stage 1: CenTrace over (endpoint × domain × protocol). ----
     std::vector<net::Ipv4Address> endpoints;
@@ -310,36 +378,23 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
                                                         t.opts->fingerprint() ^ plan_fp));
       }
     }
-    std::vector<std::string> trace_docs;
-    if (!run_stage(
-            net, spec, control, cache, budget, result.trace, exec, "trace", trace_stage,
-            kTraceStageSalt,
-            [](std::string_view doc) { return report::trace_report_from_json(doc).has_value(); },
-            [&](sim::Network& worker, std::size_t i) {
-              const TraceTask& t = trace_tasks[i];
-              trace::TraceRunOptions ropts;
-              ropts.client = site.client;
-              ropts.endpoint = t.endpoint;
-              ropts.test_domain = *t.domain;
-              ropts.control_domain = site.control_domain;
-              ropts.trace = *t.opts;
-              ropts.degradation = plan;
-              trace::CenTraceReport rep = trace::run(worker, ropts);
-              return report::to_json(rep);
-            },
-            trace_docs)) {
-      return result;  // budget exhausted: incomplete, resume via the cache
-    }
-
+    const std::optional<std::vector<trace::CenTraceReport>> traced = run_stage(
+        ctx, result.trace, "trace", trace_stage, kTraceStageSalt,
+        report::trace_report_from_json, [&](sim::Network& worker, std::size_t i) {
+          const TraceTask& t = trace_tasks[i];
+          trace::TraceRunOptions ropts;
+          ropts.client = site.client;
+          ropts.endpoint = t.endpoint;
+          ropts.test_domain = *t.domain;
+          ropts.control_domain = site.control_domain;
+          ropts.trace = *t.opts;
+          ropts.degradation = plan;
+          return report::to_json(trace::run(worker, ropts));
+        });
+    if (!traced) return result;  // budget exhausted: incomplete, resume via the cache
     // Every downstream decision runs off DECODED records — identical
     // whether the record was fresh or cached.
-    std::vector<trace::CenTraceReport> traces;
-    traces.reserve(trace_docs.size());
-    for (std::size_t i = 0; i < trace_docs.size(); ++i) {
-      traces.push_back(*report::trace_report_from_json(trace_docs[i]));
-      result.records.push_back({"trace", trace_stage.ids[i], code, trace_docs[i]});
-    }
-    stage_span(observer, code, "trace", trace_stage.ids.size());
+    const std::vector<trace::CenTraceReport>& traces = *traced;
 
     // ---- Stage 2: CenProbe every distinct in-path blocking-hop IP. ----
     std::set<std::uint32_t> device_ips;
@@ -360,25 +415,17 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
             task_cache_key(net_fp, spec.seed, fault_fp, "probe", probe_stage.ids.back(), 0));
       }
     }
-    std::vector<std::string> probe_docs;
-    if (!run_stage(
-            net, spec, control, cache, budget, result.probe, exec, "probe", probe_stage,
-            kProbeStageSalt,
-            [](std::string_view doc) { return report::probe_report_from_json(doc).has_value(); },
-            [&](sim::Network& worker, std::size_t i) {
-              probe::DeviceProbeReport rep =
-                  probe::run(worker, probe::ProbeRunOptions{net::Ipv4Address(probe_targets[i])});
-              return report::to_json(rep);
-            },
-            probe_docs)) {
-      return result;
-    }
+    std::optional<std::vector<probe::DeviceProbeReport>> probed = run_stage(
+        ctx, result.probe, "probe", probe_stage, kProbeStageSalt,
+        report::probe_report_from_json, [&](sim::Network& worker, std::size_t i) {
+          return report::to_json(
+          probe::run(worker, probe::ProbeRunOptions{net::Ipv4Address(probe_targets[i])}));
+        });
+    if (!probed) return result;
     std::map<std::uint32_t, probe::DeviceProbeReport> device_probes;
-    for (std::size_t i = 0; i < probe_docs.size(); ++i) {
-      device_probes.emplace(probe_targets[i], *report::probe_report_from_json(probe_docs[i]));
-      result.records.push_back({"probe", probe_stage.ids[i], code, probe_docs[i]});
+    for (std::size_t i = 0; i < probed->size(); ++i) {
+      device_probes.emplace(probe_targets[i], std::move((*probed)[i]));
     }
-    stage_span(observer, code, "probe", probe_stage.ids.size());
 
     // ---- Stage 3: CenFuzz blocked endpoints (first blocked trace per
     // endpoint is the representative, as in the pipeline). ----
@@ -407,31 +454,23 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
             net_fp, spec.seed, fault_fp, "fuzz", fuzz_stage.ids.back(), spec.fuzz.fingerprint()));
       }
     }
-    std::vector<std::string> fuzz_docs;
-    if (!run_stage(
-            net, spec, control, cache, budget, result.fuzz, exec, "fuzz", fuzz_stage,
-            kFuzzStageSalt,
-            [](std::string_view doc) { return report::fuzz_report_from_json(doc).has_value(); },
-            [&](sim::Network& worker, std::size_t i) {
-              const trace::CenTraceReport* rep = blocked_by_endpoint.at(fuzz_targets[i]);
-              fuzz::FuzzRunOptions ropts;
-              ropts.client = site.client;
-              ropts.endpoint = net::Ipv4Address(fuzz_targets[i]);
-              ropts.test_domain = rep->test_domain;
-              ropts.control_domain = site.control_domain;
-              ropts.fuzz = spec.fuzz;
-              fuzz::CenFuzzReport fz = fuzz::run(worker, ropts);
-              return report::to_json(fz);
-            },
-            fuzz_docs)) {
-      return result;
-    }
+    std::optional<std::vector<fuzz::CenFuzzReport>> fuzzed = run_stage(
+        ctx, result.fuzz, "fuzz", fuzz_stage, kFuzzStageSalt,
+        report::fuzz_report_from_json, [&](sim::Network& worker, std::size_t i) {
+          const trace::CenTraceReport* rep = blocked_by_endpoint.at(fuzz_targets[i]);
+          fuzz::FuzzRunOptions ropts;
+          ropts.client = site.client;
+          ropts.endpoint = net::Ipv4Address(fuzz_targets[i]);
+          ropts.test_domain = rep->test_domain;
+          ropts.control_domain = site.control_domain;
+          ropts.fuzz = spec.fuzz;
+          return report::to_json(fuzz::run(worker, ropts));
+        });
+    if (!fuzzed) return result;
     std::map<std::uint32_t, fuzz::CenFuzzReport> fuzz_by_endpoint;
-    for (std::size_t i = 0; i < fuzz_docs.size(); ++i) {
-      fuzz_by_endpoint.emplace(fuzz_targets[i], *report::fuzz_report_from_json(fuzz_docs[i]));
-      result.records.push_back({"fuzz", fuzz_stage.ids[i], code, fuzz_docs[i]});
+    for (std::size_t i = 0; i < fuzzed->size(); ++i) {
+      fuzz_by_endpoint.emplace(fuzz_targets[i], std::move((*fuzzed)[i]));
     }
-    stage_span(observer, code, "fuzz", fuzz_stage.ids.size());
 
     // ---- Stage 3b: CenAmbig the blocked endpoints — reassembly-ambiguity
     // fingerprinting for deployments whose banners are dark. ----
@@ -451,30 +490,22 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
             spec.ambig.fingerprint()));
       }
     }
-    std::vector<std::string> ambig_docs;
-    if (!run_stage(
-            net, spec, control, cache, budget, result.ambig, exec, "ambig", ambig_stage,
-            kAmbigStageSalt,
-            [](std::string_view doc) { return report::ambig_report_from_json(doc).has_value(); },
-            [&](sim::Network& worker, std::size_t i) {
-              ambig::AmbigRunOptions ropts;
-              ropts.client = site.client;
-              ropts.endpoint = net::Ipv4Address(ambig_targets[i]);
-              ropts.test_domain = blocked_by_endpoint.at(ambig_targets[i])->test_domain;
-              ropts.control_domain = site.control_domain;
-              ropts.ambig = spec.ambig;
-              ambig::AmbigReport rep = ambig::run(worker, ropts);
-              return report::to_json(rep);
-            },
-            ambig_docs)) {
-      return result;
-    }
+    std::optional<std::vector<ambig::AmbigReport>> ambiguities = run_stage(
+        ctx, result.ambig, "ambig", ambig_stage, kAmbigStageSalt,
+        report::ambig_report_from_json, [&](sim::Network& worker, std::size_t i) {
+          ambig::AmbigRunOptions ropts;
+          ropts.client = site.client;
+          ropts.endpoint = net::Ipv4Address(ambig_targets[i]);
+          ropts.test_domain = blocked_by_endpoint.at(ambig_targets[i])->test_domain;
+          ropts.control_domain = site.control_domain;
+          ropts.ambig = spec.ambig;
+          return report::to_json(ambig::run(worker, ropts));
+        });
+    if (!ambiguities) return result;
     std::map<std::uint32_t, ambig::AmbigReport> ambig_by_endpoint;
-    for (std::size_t i = 0; i < ambig_docs.size(); ++i) {
-      ambig_by_endpoint.emplace(ambig_targets[i], *report::ambig_report_from_json(ambig_docs[i]));
-      result.records.push_back({"ambig", ambig_stage.ids[i], code, ambig_docs[i]});
+    for (std::size_t i = 0; i < ambiguities->size(); ++i) {
+      ambig_by_endpoint.emplace(ambig_targets[i], std::move((*ambiguities)[i]));
     }
-    stage_span(observer, code, "ambig", ambig_stage.ids.size());
 
     // ---- Stage 4: bundle one measurement per blocked endpoint. ----
     for (const auto& [ep, rep] : blocked_by_endpoint) {
@@ -495,19 +526,8 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
 
     // Executor overhead + replica path-cache stats for this country's
     // pool (if one was created) — wall domain, --perf-report only.
-    if (observer != nullptr && exec != nullptr) {
-      obs::Registry& m = observer->metrics();
-      const scenario::ExecutorPerf& p = exec->perf();
-      m.counter("perf.clone_ns", obs::Domain::kWall)
-          .inc(p.clone_ns.load(std::memory_order_relaxed));
-      m.counter("perf.reset_ns", obs::Domain::kWall)
-          .inc(p.reset_ns.load(std::memory_order_relaxed));
-      m.counter("perf.tasks", obs::Domain::kWall)
-          .inc(p.tasks.load(std::memory_order_relaxed));
-      m.counter("perf.batches", obs::Domain::kWall)
-          .inc(p.batches.load(std::memory_order_relaxed));
-      m.counter("pathcache.hits", obs::Domain::kWall).inc(exec->path_cache_hits());
-      m.counter("pathcache.misses", obs::Domain::kWall).inc(exec->path_cache_misses());
+    if (observer != nullptr && ctx.exec != nullptr) {
+      scenario::export_exec_perf(*observer, *ctx.exec);
     }
   }
 

@@ -4,8 +4,8 @@
 // CenTrace over every (endpoint, domain, protocol), CenProbe over every
 // discovered in-path device IP, CenFuzz over every blocked endpoint (under
 // the fuzz cap), then feature extraction + DBSCAN clustering — and
-// executes it in batches over the hermetic ParallelExecutor. Three
-// contracts, all covered by tests/test_campaign.cpp:
+// executes it over the hermetic ParallelExecutor, one dispatch per stage.
+// Three contracts, all covered by tests/test_campaign.cpp:
 //
 //  * Thread identity: per-task seeds derive from the task identity alone
 //    (derive_task_seeds over the FULL task list), so the output is
@@ -15,11 +15,14 @@
 //    fault-plan fingerprint, stage, task identity, tool options). Editing
 //    one knob re-executes exactly the invalidated tasks; a no-op re-run
 //    executes zero tool tasks.
-//  * Crash-safe resume: the cache file is flushed after every batch. A
-//    killed campaign resumes from the last completed batch, and because
-//    every downstream stage consumes *decoded* records (fresh and cached
-//    alike) and outputs are rendered from records in task-identity order,
-//    the resumed output is byte-identical to an uninterrupted run.
+//  * Crash-safe resume: a stage's tasks are grouped into checkpoint
+//    batches of spec.batch_size. Each batch is appended to the cache file
+//    and flushed as soon as it and every earlier batch have finished, so
+//    the file's bytes are the same at every thread count and a killed
+//    campaign loses only the batches in flight. Because every downstream
+//    stage consumes *decoded* records (fresh and cached alike) and outputs
+//    are rendered from records in task-identity order, the resumed output
+//    is byte-identical to an uninterrupted run.
 #pragma once
 
 #include <cstdint>
@@ -43,16 +46,14 @@ struct RunControl {
   /// reset_epoch to its task seed), >= 1 = a pool of that many workers.
   /// Results are byte-identical for every value.
   int threads = -1;
-  /// Executor dispatch-chunk size (batched epochs) for the pool path.
-  /// 0 = the executor default. Scheduling only — never results.
-  int exec_batch = 0;
   /// Result-cache / checkpoint JSONL path. Empty = in-memory only (no
   /// persistence; within-run dedup still applies).
   std::string cache_path;
-  /// Stop after this many *executed* batches (batches fully served from
-  /// cache are free and never counted). -1 = unlimited. A stopped run
-  /// returns complete = false; re-running with the same cache resumes
-  /// where it left off.
+  /// Stop after this many *executed* checkpoint batches (batches fully
+  /// served from cache are free and never counted). A stage dispatches
+  /// only the batches the remaining budget allows. -1 = unlimited. A
+  /// stopped run returns complete = false; re-running with the same cache
+  /// resumes where it left off.
   int max_batches = -1;
   /// Observability sink (see docs/CAMPAIGN.md for the domain split:
   /// record-derived metrics are sim-domain and run-invariant; cache/batch

@@ -1,6 +1,9 @@
 #include "scenario/executor.hpp"
 
+#include <algorithm>
 #include <chrono>
+
+#include "obs/observer.hpp"
 
 namespace cen::scenario {
 
@@ -11,7 +14,16 @@ std::uint64_t now_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// Chunks per worker a dispatch is cut into (when the chunk cap allows),
+/// so a worker that drew slow tasks is balanced by the others.
+constexpr std::size_t kChunksPerWorker = 4;
 }  // namespace
+
+std::size_t dispatch_chunk(std::size_t tasks, int workers) {
+  const std::size_t slots = kChunksPerWorker * static_cast<std::size_t>(std::max(workers, 1));
+  return std::clamp<std::size_t>((tasks + slots - 1) / slots, 1, kMaxDispatchChunk);
+}
 
 int resolve_threads(int requested) {
   if (requested >= 1) return requested;
@@ -82,7 +94,7 @@ void ParallelExecutor::run(const std::vector<std::uint64_t>& seeds,
                            const std::function<void(sim::Network&, std::size_t)>& fn) {
   const bool track = perf_tracking_;
   pool_.parallel_for_chunked(
-      seeds.size(), batch_,
+      seeds.size(), dispatch_chunk(seeds.size(), threads()),
       [&](int worker, std::size_t begin, std::size_t end) {
         sim::Network& replica = *replicas_[static_cast<std::size_t>(worker)];
         for (std::size_t i = begin; i < end; ++i) {
@@ -98,6 +110,17 @@ void ParallelExecutor::run(const std::vector<std::uint64_t>& seeds,
         perf_.tasks.fetch_add(end - begin, std::memory_order_relaxed);
         perf_.batches.fetch_add(1, std::memory_order_relaxed);
       });
+}
+
+void export_exec_perf(obs::Observer& observer, const ParallelExecutor& exec) {
+  obs::Registry& m = observer.metrics();
+  const ExecutorPerf& p = exec.perf();
+  m.counter("perf.clone_ns", obs::Domain::kWall).inc(p.clone_ns.load(std::memory_order_relaxed));
+  m.counter("perf.reset_ns", obs::Domain::kWall).inc(p.reset_ns.load(std::memory_order_relaxed));
+  m.counter("perf.tasks", obs::Domain::kWall).inc(p.tasks.load(std::memory_order_relaxed));
+  m.counter("perf.batches", obs::Domain::kWall).inc(p.batches.load(std::memory_order_relaxed));
+  m.counter("pathcache.hits", obs::Domain::kWall).inc(exec.path_cache_hits());
+  m.counter("pathcache.misses", obs::Domain::kWall).inc(exec.path_cache_misses());
 }
 
 }  // namespace cen::scenario

@@ -20,7 +20,22 @@
 #include "core/thread_pool.hpp"
 #include "netsim/engine.hpp"
 
+namespace cen::obs {
+class Observer;
+}
+
 namespace cen::scenario {
+
+/// Largest number of tasks a worker claims per cursor bump.
+inline constexpr std::size_t kMaxDispatchChunk = 16;
+
+/// Tasks claimed per cursor bump for a dispatch of `tasks` tasks over
+/// `workers` workers: clamp(ceil(tasks / (4 x workers)), 1, 16). Small
+/// dispatches get small chunks, so every worker can claim one whenever
+/// tasks >= workers; large ones amortise the cursor bump over up to 16
+/// tasks. Scheduling only — each task still runs in its own hermetic
+/// sub-epoch, so results never depend on the chunk.
+std::size_t dispatch_chunk(std::size_t tasks, int workers);
 
 /// Resolve a PipelineOptions::threads value to a concrete worker count:
 /// -1 (or any negative) = one worker per hardware thread, >= 1 = exactly
@@ -69,13 +84,6 @@ struct ExecutorPerf {
 
 class ParallelExecutor {
  public:
-  /// Tasks claimed per dispatch (batched epochs): one cursor bump and one
-  /// replica-pointer load per batch instead of per task. Purely a
-  /// scheduling granularity — every task still gets its own hermetic
-  /// sub-epoch (reset_epoch is a cheap RNG re-seed + dirty-state
-  /// rollback), so results are byte-identical for ANY batch size.
-  static constexpr std::size_t kDefaultBatch = 16;
-
   /// Clone one replica of `prototype` per worker. The prototype is only
   /// read during construction; afterwards workers touch only their own
   /// replica.
@@ -86,11 +94,6 @@ class ParallelExecutor {
   /// Attach (or detach with nullptr) a PoolStats sink on the underlying
   /// pool. Must not be called while a run() is in flight.
   void set_stats(PoolStats* stats) { pool_.set_stats(stats); }
-
-  /// Override the batch size (0 is clamped to 1). Affects scheduling
-  /// only, never results.
-  void set_batch(std::size_t batch) { batch_ = batch == 0 ? 1 : batch; }
-  std::size_t batch() const { return batch_; }
 
   /// Enable per-task reset_epoch timing (disabled by default; the
   /// --perf-report path turns it on).
@@ -105,16 +108,25 @@ class ParallelExecutor {
   /// Run one hermetic task per seed: task i executes fn(replica, i) on a
   /// worker-private replica freshly reset_epoch(seeds[i]). fn must write
   /// its result into a caller-owned per-index slot (no shared mutable
-  /// state). Blocks until every task completed.
+  /// state). Workers claim dispatch_chunk(seeds.size(), threads()) tasks
+  /// at a time. Blocks until every task completed; the first exception a
+  /// task throws is rethrown here.
   void run(const std::vector<std::uint64_t>& seeds,
            const std::function<void(sim::Network&, std::size_t)>& fn);
 
  private:
   ThreadPool pool_;
   std::vector<std::unique_ptr<sim::Network>> replicas_;
-  std::size_t batch_ = kDefaultBatch;
   bool perf_tracking_ = false;
   ExecutorPerf perf_;
 };
+
+/// Export the executor's overhead accounting (perf.clone_ns, perf.reset_ns,
+/// perf.tasks, perf.batches) and its replicas' path-cache traffic
+/// (pathcache.hits, pathcache.misses) as wall-domain counters. Every
+/// caller exports through here, so one registry can see pipeline,
+/// fan-out and campaign executors without a metric kind clash; repeated
+/// exports accumulate.
+void export_exec_perf(obs::Observer& observer, const ParallelExecutor& exec);
 
 }  // namespace cen::scenario

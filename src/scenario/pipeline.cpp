@@ -146,27 +146,6 @@ void export_pool_stats(obs::Observer& o, const PoolStats& ps, int workers) {
       .set_max(static_cast<std::int64_t>(ps.wall_ns.load(std::memory_order_relaxed)));
 }
 
-/// Export executor overhead accounting and the replicas' aggregate ECMP
-/// path-cache statistics. Everything here depends on scheduling and the
-/// host clock, so it is wall-domain only — excluded from deterministic
-/// snapshots, surfaced by `--perf-report`.
-void export_exec_perf(obs::Observer& o, const ParallelExecutor& exec) {
-  obs::Registry& m = o.metrics();
-  const ExecutorPerf& p = exec.perf();
-  m.gauge("perf.clone_ns", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(p.clone_ns.load(std::memory_order_relaxed)));
-  m.gauge("perf.reset_ns", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(p.reset_ns.load(std::memory_order_relaxed)));
-  m.gauge("perf.tasks", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(p.tasks.load(std::memory_order_relaxed)));
-  m.gauge("perf.batches", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(p.batches.load(std::memory_order_relaxed)));
-  m.gauge("pathcache.hits", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(exec.path_cache_hits()));
-  m.gauge("pathcache.misses", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(exec.path_cache_misses()));
-}
-
 trace::CenTraceOptions trace_options(const PipelineOptions& options,
                                      trace::ProbeProtocol protocol) {
   trace::CenTraceOptions o;
@@ -302,7 +281,6 @@ PipelineResult run_hermetic(const PipelineInput& in, const PipelineOptions& opti
   if (options.transient_loss > 0.0) net.set_transient_loss(options.transient_loss);
 
   ParallelExecutor exec(net, options.threads);
-  if (options.batch > 0) exec.set_batch(static_cast<std::size_t>(options.batch));
   ShardMerger merger(options.observer);
   PoolStats pool_stats;
   if (options.observer != nullptr) {
@@ -538,7 +516,7 @@ std::vector<trace::CenTraceReport> run_trace_fanout(
     const std::vector<net::Ipv4Address>& endpoints,
     const std::vector<std::string>& domains, const std::string& control_domain,
     const trace::CenTraceOptions& trace_opts, int threads, obs::Observer* observer,
-    const trace::DegradationPlan* plan, int batch) {
+    const trace::DegradationPlan* plan) {
   struct Task {
     net::Ipv4Address endpoint;
     const std::string* domain;
@@ -597,7 +575,6 @@ std::vector<trace::CenTraceReport> run_trace_fanout(
     net.set_observer(prev);
   } else {
     ParallelExecutor exec(net, threads);
-    if (batch > 0) exec.set_batch(static_cast<std::size_t>(batch));
     PoolStats pool_stats;
     if (observer != nullptr) {
       exec.set_stats(&pool_stats);

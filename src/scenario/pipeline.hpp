@@ -51,10 +51,6 @@ struct PipelineOptions {
   ///       reset to an epoch derived from the task identity alone, so
   ///       scheduling cannot influence results.
   int threads = -1;
-  /// Tasks claimed per dispatch on the hermetic path (batched epochs).
-  /// 0 = the executor default (ParallelExecutor::kDefaultBatch). Purely a
-  /// scheduling knob — results are byte-identical for every batch size.
-  int batch = 0;
   /// Observability sink (see src/obs/). On the hermetic path every task
   /// records into a private per-task shard; shards are merged into this
   /// observer in task-identity order, so the sim-domain metrics, spans
@@ -121,15 +117,12 @@ ConsistencyStats localisation_consistency(const PipelineResult& result);
 /// blocked verdicts to multi-vantage tomography. The plan participates in
 /// each task's work (not its seed), so identity across `threads` holds
 /// for any fixed plan.
-/// `batch` sets the executor's chunked-dispatch size (0 = default);
-/// scheduling only, never results.
 std::vector<trace::CenTraceReport> run_trace_fanout(
     sim::Network& net, sim::NodeId client,
     const std::vector<net::Ipv4Address>& endpoints,
     const std::vector<std::string>& domains, const std::string& control_domain,
     const trace::CenTraceOptions& trace_options, int threads,
-    obs::Observer* observer = nullptr, const trace::DegradationPlan* plan = nullptr,
-    int batch = 0);
+    obs::Observer* observer = nullptr, const trace::DegradationPlan* plan = nullptr);
 
 /// Indices of an even stride sample of `cap` items out of [0, n). Pure
 /// integer arithmetic — index i maps to (i*n)/cap — so the indices are

@@ -1,8 +1,10 @@
 // Campaign engine acceptance: golden determinism across thread counts,
-// crash-safe resume identity, per-component cache invalidation and the
-// warm-cache zero-execution guarantee (docs/CAMPAIGN.md).
+// crash-safe resume identity, checkpoints streamed in task order,
+// per-component cache invalidation and the warm-cache zero-execution
+// guarantee (docs/CAMPAIGN.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -12,6 +14,7 @@
 #include "obs/observer.hpp"
 #include "report/json_report.hpp"
 #include "scenario/country.hpp"
+#include "scenario/pipeline.hpp"
 
 using namespace cen;
 
@@ -34,6 +37,32 @@ std::string temp_cache(const std::string& name) {
   std::string path = ::testing::TempDir() + "cendevice_campaign_" + name + ".jsonl";
   std::remove(path.c_str());
   return path;
+}
+
+std::string read_file(const std::string& path) {
+  std::string text;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return text;
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  return text;
+}
+
+/// The first `lines` newline-terminated lines of `text`.
+std::string first_lines(const std::string& text, std::size_t lines) {
+  std::size_t end = 0;
+  for (std::size_t i = 0; i < lines; ++i) {
+    end = text.find('\n', end);
+    if (end == std::string::npos) return text;
+    ++end;
+  }
+  return text.substr(0, end);
+}
+
+std::size_t count_lines(const std::string& text) {
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
 }
 
 }  // namespace
@@ -290,15 +319,8 @@ TEST(Campaign, CorruptedResultBytesAreInvalidatedBySum) {
 
   // Tamper with one record: change one digit inside its result value. The
   // line still parses as JSON — only the digest can catch this.
-  std::string text;
-  {
-    std::FILE* f = std::fopen(cache.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[1 << 16];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-    std::fclose(f);
-  }
+  std::string text = read_file(cache);
+  ASSERT_FALSE(text.empty());
   bool tampered = false;
   std::size_t line_start = 0;
   while (line_start < text.size() && !tampered) {
@@ -333,4 +355,163 @@ TEST(Campaign, CorruptedResultBytesAreInvalidatedBySum) {
   EXPECT_EQ(warm.to_jsonl(), cold.to_jsonl());
   EXPECT_EQ(warm.summary_json(), cold.summary_json());
   std::remove(cache.c_str());
+}
+
+// ------------------------------------------------ streamed checkpoints
+
+TEST(Campaign, CacheFileBytesIdenticalAcrossThreads) {
+  // Checkpoint batches are written in task order by whichever worker
+  // completes them, so the journal itself — not just the rendered output —
+  // is the same at every thread count.
+  const campaign::CampaignSpec spec = small_spec();
+  std::string bytes[3];
+  const int threads[3] = {0, 1, 4};
+  for (int t = 0; t < 3; ++t) {
+    const std::string cache = temp_cache("bytes_" + std::to_string(threads[t]));
+    campaign::RunControl control;
+    control.threads = threads[t];
+    control.cache_path = cache;
+    ASSERT_TRUE(campaign::run(spec, control).complete);
+    bytes[t] = read_file(cache);
+    std::remove(cache.c_str());
+  }
+  EXPECT_FALSE(bytes[0].empty());
+  EXPECT_EQ(bytes[0], bytes[1]);
+  EXPECT_EQ(bytes[0], bytes[2]);
+}
+
+TEST(Campaign, BudgetStopLeavesExactlyTheFirstBatches) {
+  const campaign::CampaignSpec spec = small_spec();
+  const std::string full_path = temp_cache("budget_full");
+  campaign::RunControl full_control;
+  full_control.threads = 0;
+  full_control.cache_path = full_path;
+  const campaign::CampaignResult golden = campaign::run(spec, full_control);
+  ASSERT_TRUE(golden.complete);
+  const std::string full = read_file(full_path);
+  std::remove(full_path.c_str());
+
+  // k batches fit inside the first stage (trace), whose tasks all miss on
+  // a cold cache, so exactly k * batch_size records may be on disk: the
+  // dispatch is capped at what the budget allows even though one dispatch
+  // now carries many batches.
+  const int k = 3;
+  ASSERT_GT(golden.trace.tasks, static_cast<std::size_t>(k * spec.batch_size));
+  const std::string cache = temp_cache("budget_k");
+  campaign::RunControl control;
+  control.threads = 4;
+  control.cache_path = cache;
+  control.max_batches = k;
+  const campaign::CampaignResult stopped = campaign::run(spec, control);
+  EXPECT_FALSE(stopped.complete);
+  EXPECT_EQ(stopped.trace.batches, static_cast<std::size_t>(k));
+  EXPECT_EQ(stopped.trace.executed, static_cast<std::size_t>(k * spec.batch_size));
+  const std::string partial = read_file(cache);
+  EXPECT_EQ(count_lines(partial), static_cast<std::size_t>(k * spec.batch_size));
+  EXPECT_EQ(partial, first_lines(full, static_cast<std::size_t>(k * spec.batch_size)));
+
+  // Resuming without a budget appends the rest in order: the journal ends
+  // up byte-identical to the uninterrupted one, and so does the output.
+  control.max_batches = -1;
+  const campaign::CampaignResult resumed = campaign::run(spec, control);
+  ASSERT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.trace.cache_hits, static_cast<std::size_t>(k * spec.batch_size));
+  EXPECT_EQ(resumed.to_jsonl(), golden.to_jsonl());
+  EXPECT_EQ(resumed.summary_json(), golden.summary_json());
+  EXPECT_EQ(read_file(cache), full);
+  std::remove(cache.c_str());
+}
+
+TEST(Campaign, ThrowingTaskLeavesEarlierBatchesDurable) {
+  // An SNI longer than a ClientHello can carry makes every HTTPS trace of
+  // that domain throw. With one task per batch and the oversized domain
+  // second in the HTTPS list, task 3 (endpoint 0) is the first to throw:
+  // batches 0-2 finished before it and must be on disk, and nothing
+  // after it may be (task order), at every thread count.
+  campaign::CampaignSpec spec = small_spec();
+  spec.max_endpoints = 2;
+  spec.batch_size = 1;
+  spec.https_domains = {"ok.example", std::string(70000, 'x') + ".example"};
+  std::string bytes[2];
+  const int threads[2] = {0, 4};
+  for (int t = 0; t < 2; ++t) {
+    const std::string cache = temp_cache("throw_" + std::to_string(threads[t]));
+    campaign::RunControl control;
+    control.threads = threads[t];
+    control.cache_path = cache;
+    EXPECT_ANY_THROW(campaign::run(spec, control)) << threads[t] << " threads";
+    bytes[t] = read_file(cache);
+    campaign::ResultCache reloaded(cache);
+    EXPECT_EQ(reloaded.load(), 3u) << threads[t] << " threads";
+    std::remove(cache.c_str());
+  }
+  EXPECT_EQ(count_lines(bytes[0]), 3u);
+  EXPECT_EQ(bytes[0], bytes[1]);
+}
+
+TEST(Campaign, DuplicateTasksFollowBatchOrder) {
+  // A task whose key repeats (a domain listed twice) hits the cache when
+  // an earlier checkpoint batch executed it, and executes again when the
+  // duplicate shares its batch — the semantics of running one batch at a
+  // time, kept although the whole stage is one dispatch.
+  campaign::CampaignSpec spec = small_spec();
+  spec.max_endpoints = 2;
+  spec.max_domains = -1;
+  spec.http_domains = {"dup.example", "dup.example"};
+  spec.https_domains = {"other.example"};
+  spec.stages.probe = spec.stages.fuzz = false;
+  struct Case {
+    int batch_size;
+    std::size_t executed;
+  };
+  // Trace tasks per endpoint: dup, dup, other. Batch size 1: each second
+  // dup is a hit. Batch size 2: [dup dup] [other dup] [dup other] — the
+  // first pair both execute, the last dup hits the one executed before it.
+  for (const Case c : {Case{1, 4}, Case{2, 5}}) {
+    spec.batch_size = c.batch_size;
+    std::string bytes[2];
+    std::string jsonl[2];
+    const int threads[2] = {0, 4};
+    for (int t = 0; t < 2; ++t) {
+      const std::string cache = temp_cache("dup_" + std::to_string(threads[t]));
+      campaign::RunControl control;
+      control.threads = threads[t];
+      control.cache_path = cache;
+      const campaign::CampaignResult r = campaign::run(spec, control);
+      ASSERT_TRUE(r.complete);
+      EXPECT_EQ(r.trace.tasks, 6u);
+      EXPECT_EQ(r.trace.executed, c.executed) << "batch size " << c.batch_size;
+      EXPECT_EQ(r.trace.cache_hits, 6u - c.executed) << "batch size " << c.batch_size;
+      bytes[t] = read_file(cache);
+      jsonl[t] = r.to_jsonl();
+      std::remove(cache.c_str());
+    }
+    EXPECT_EQ(count_lines(bytes[0]), c.executed);
+    EXPECT_EQ(bytes[0], bytes[1]);
+    EXPECT_EQ(jsonl[0], jsonl[1]);
+  }
+}
+
+TEST(Campaign, SharesOneObserverWithThePipeline) {
+  // Regression: the pipeline exported perf.* / pathcache.* as gauges and
+  // the campaign as counters under the same names, so one registry fed by
+  // both threw "metric kind mismatch".
+  obs::Observer observer;
+  scenario::CountryScenario sc =
+      scenario::make_country(scenario::Country::kKZ, scenario::Scale::kSmall);
+  scenario::PipelineOptions options;
+  options.centrace_repetitions = 3;
+  options.max_endpoints = 2;
+  options.max_domains = 1;
+  options.run_fuzz = false;
+  options.threads = 2;
+  options.observer = &observer;
+  EXPECT_NO_THROW(scenario::run_country_pipeline(sc, options));
+
+  campaign::RunControl control;
+  control.threads = 2;
+  control.observer = &observer;
+  EXPECT_NO_THROW(campaign::run(small_spec(), control));
+  EXPECT_NE(observer.metrics().to_json(/*include_wall=*/true).find("perf.tasks"),
+            std::string::npos);
 }

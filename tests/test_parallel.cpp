@@ -188,6 +188,28 @@ TEST(Executor, HashedKeyFormIsBitIdentical) {
   }
 }
 
+TEST(Executor, DispatchChunkKeepsEveryWorkerBusy) {
+  // Whenever a dispatch has at least one task per worker, the chunk must
+  // leave at least one chunk for every worker to claim — otherwise one
+  // worker runs the whole dispatch while the rest wait — and it never
+  // exceeds the cap.
+  for (int workers = 1; workers <= 16; ++workers) {
+    for (std::size_t n = 0; n <= 2000; ++n) {
+      const std::size_t chunk = dispatch_chunk(n, workers);
+      ASSERT_GE(chunk, 1u);
+      ASSERT_LE(chunk, kMaxDispatchChunk);
+      if (n >= static_cast<std::size_t>(workers)) {
+        ASSERT_GE((n + chunk - 1) / chunk, static_cast<std::size_t>(workers))
+            << n << " tasks over " << workers << " workers, chunk " << chunk;
+      }
+    }
+  }
+  // Large dispatches amortise the cursor bump over the full cap.
+  EXPECT_EQ(dispatch_chunk(100000, 4), kMaxDispatchChunk);
+  // The campaign's old 8-task checkpoint dispatch now spreads over 4 workers.
+  EXPECT_EQ(dispatch_chunk(8, 4), 1u);
+}
+
 // ------------------------------------------------- pipeline determinism
 
 namespace {
@@ -211,9 +233,11 @@ std::string pipeline_json(Country country, const PipelineOptions& options) {
 }  // namespace
 
 TEST(ParallelPipeline, ByteIdenticalAcrossThreadCounts) {
+  // The worker count also sets the dispatch chunk (dispatch_chunk), so this
+  // sweep covers scheduling granularity as well.
   const std::string reference = pipeline_json(Country::kKZ, parallel_opts(1));
   EXPECT_FALSE(reference.empty());
-  for (int threads : {2, 4, 8}) {
+  for (int threads : {2, 3, 4, 8}) {
     EXPECT_EQ(reference, pipeline_json(Country::kKZ, parallel_opts(threads)))
         << "thread count " << threads << " changed the result";
   }
@@ -252,24 +276,11 @@ TEST(ParallelPipeline, HermeticResultIsValidJson) {
   EXPECT_TRUE(json_valid(pipeline_json(Country::kKZ, parallel_opts(2))));
 }
 
-TEST(ParallelPipeline, BatchSizeNeverChangesResults) {
-  // Batched epochs are a dispatch-granularity knob only: every task still
-  // runs in its own hermetic sub-epoch, so any batch size must reproduce
-  // the single-task-dispatch reference byte for byte.
-  const std::string reference = pipeline_json(Country::kKZ, parallel_opts(1));
-  for (int batch : {1, 3, 16, 1000}) {
-    PipelineOptions o = parallel_opts(4);
-    o.batch = batch;
-    EXPECT_EQ(reference, pipeline_json(Country::kKZ, o))
-        << "batch size " << batch << " changed the result";
-  }
-}
-
-TEST(TraceFanout, ByteIdenticalAcrossThreadsAndBatches) {
+TEST(TraceFanout, ByteIdenticalAcrossThreads) {
   // The fan-out contract includes threads = 0 (inline-hermetic on the
-  // prototype network itself — no pool, no replicas): every thread count
-  // and every batch size must produce the same reports.
-  auto fanout_json = [](int threads, int batch) {
+  // prototype network itself — no pool, no replicas): every thread count,
+  // and so every dispatch chunk, must produce the same reports.
+  auto fanout_json = [](int threads) {
     CountryScenario s = make_country(Country::kKZ, Scale::kSmall);
     std::vector<net::Ipv4Address> endpoints(
         s.remote_endpoints.begin(),
@@ -281,20 +292,16 @@ TEST(TraceFanout, ByteIdenticalAcrossThreadsAndBatches) {
     opts.repetitions = 3;
     std::vector<trace::CenTraceReport> reports =
         run_trace_fanout(*s.network, s.remote_client, endpoints, domains,
-                         s.control_domain, opts, threads, nullptr, nullptr, batch);
+                         s.control_domain, opts, threads);
     std::string out;
     for (const trace::CenTraceReport& r : reports) out += report::to_json(r);
     return out;
   };
-  const std::string reference = fanout_json(1, 0);
+  const std::string reference = fanout_json(1);
   EXPECT_FALSE(reference.empty());
-  for (int threads : {0, 2, 8}) {
-    EXPECT_EQ(reference, fanout_json(threads, 0))
+  for (int threads : {0, 2, 3, 8}) {
+    EXPECT_EQ(reference, fanout_json(threads))
         << "fan-out thread count " << threads << " changed the result";
-  }
-  for (int batch : {1, 4, 1000}) {
-    EXPECT_EQ(reference, fanout_json(2, batch))
-        << "fan-out batch size " << batch << " changed the result";
   }
 }
 
