@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/fingerprint.hpp"
 #include "core/json.hpp"
 #include "core/thread_pool.hpp"
 #include "report/json_report.hpp"
@@ -41,7 +42,7 @@ struct Run {
   double wall_ms = 0.0;
   std::size_t remote_traces = 0;
   std::size_t blocked = 0;
-  std::size_t checksum = 0;  // JSON length: cheap cross-run identity check
+  std::uint64_t json_digest = 0;  // content digest of the report JSON
 };
 
 Run run_once(int threads) {
@@ -57,7 +58,7 @@ Run run_once(int threads) {
   out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   out.remote_traces = r.remote_traces.size();
   out.blocked = r.blocked_remote();
-  out.checksum = report::to_json(r).size();
+  out.json_digest = FingerprintBuilder().mix(report::to_json(r)).digest();
   return out;
 }
 
@@ -87,7 +88,7 @@ int main(int argc, char** argv) {
 
   bool identical = true;
   for (const Run& r : runs) {
-    if (r.checksum != runs.front().checksum) identical = false;
+    if (r.json_digest != runs.front().json_digest) identical = false;
     std::printf("%8d %12.1f %9.2fx %8zu %8zu\n", r.threads, r.wall_ms,
                 base_ms / r.wall_ms, r.remote_traces, r.blocked);
   }

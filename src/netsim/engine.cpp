@@ -34,7 +34,7 @@ Network::Network(Topology topology, geo::IpMetadataDb geodb, std::uint64_t seed)
       faults_(mix64(seed ^ kFaultSeedSalt)) {}
 
 Network::Network(const Network& other, CloneTag)
-    : topology_(other.topology_),  // shares the frozen ECMP path snapshot
+    : topology_(other.topology_),  // shares the frozen ECMP paths and trees
       geodb_(other.geodb_),        // immutable, shared by reference
       seed_(other.seed_),
       rng_(other.seed_),
@@ -52,9 +52,10 @@ Network::Network(const Network& other, CloneTag)
 }
 
 std::unique_ptr<Network> Network::clone() const {
-  // Publish the prototype's computed ECMP paths as an immutable snapshot
-  // so every replica starts warm instead of deep-copying (or recomputing)
-  // the path cache — the dominant cost of the old clone().
+  // Publish the prototype's computed ECMP paths and shortest-path trees
+  // as an immutable snapshot, so every replica starts warm instead of
+  // deep-copying the caches or re-running a BFS for a source the
+  // prototype has already seen.
   topology_.freeze_paths();
   return std::unique_ptr<Network>(new Network(*this, CloneTag{}));
 }

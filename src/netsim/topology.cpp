@@ -1,7 +1,7 @@
 #include "netsim/topology.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <limits>
 #include <stdexcept>
 
 #include "core/fingerprint.hpp"
@@ -31,8 +31,9 @@ NodeId Topology::add_node(std::string name, net::Ipv4Address ip, RouterProfile p
   ip_index_.emplace(ip.value(), nodes_.back().id);
   // Invalidate locally only: replicas sharing a frozen snapshot keep
   // their own (still-valid-for-them) reference.
-  frozen_paths_.reset();
+  frozen_.reset();
   local_paths_.clear();
+  local_trees_.clear();
   return nodes_.back().id;
 }
 
@@ -43,8 +44,9 @@ void Topology::add_link(NodeId a, NodeId b) {
   if (a >= nodes_.size() || b >= nodes_.size()) throw std::out_of_range("bad node id");
   adjacency_[a].push_back(b);
   adjacency_[b].push_back(a);
-  frozen_paths_.reset();
+  frozen_.reset();
   local_paths_.clear();
+  local_trees_.clear();
 }
 
 const Node& Topology::node(NodeId id) const {
@@ -98,22 +100,70 @@ std::span<const NodeId> Topology::neighbors(NodeId id) const {
   return std::span<const NodeId>(nbrs.data(), nbrs.size());
 }
 
+namespace {
+
+/// Breadth-first hop counts from src into `dist`; the largest value of
+/// Dist marks an unreached node. Returns false as soon as a hop count
+/// would collide with that sentinel, so the caller can retry wider.
+template <class Dist>
+bool bfs_depths(const Topology& t, NodeId src, std::vector<Dist>& dist) {
+  constexpr Dist kUnreached = std::numeric_limits<Dist>::max();
+  dist.assign(t.node_count(), kUnreached);
+  std::vector<NodeId> queue;
+  queue.reserve(t.node_count());
+  dist[src] = 0;
+  queue.push_back(src);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    for (NodeId v : t.neighbors(u)) {
+      if (dist[v] != kUnreached) continue;
+      if (dist[u] == kUnreached - 1) return false;
+      dist[v] = static_cast<Dist>(dist[u] + 1);
+      queue.push_back(v);
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 void Topology::freeze_paths() const {
-  if (local_paths_.empty() && frozen_paths_ != nullptr) return;
-  auto merged = std::make_shared<PathMap>();
-  if (frozen_paths_ != nullptr) *merged = *frozen_paths_;
-  merged->reserve(merged->size() + local_paths_.size());
-  for (const auto& [key, paths] : local_paths_) merged->insert_or_assign(key, paths);
-  frozen_paths_ = std::move(merged);
+  if (local_paths_.empty() && local_trees_.empty() && frozen_ != nullptr) return;
+  auto merged = std::make_shared<Snapshot>();
+  if (frozen_ != nullptr) *merged = *frozen_;
+  merged->paths.reserve(merged->paths.size() + local_paths_.size());
+  for (const auto& [key, paths] : local_paths_) merged->paths.insert_or_assign(key, paths);
+  for (const auto& [src, tree] : local_trees_) merged->trees.insert_or_assign(src, tree);
+  frozen_ = std::move(merged);
   local_paths_.clear();
+  local_trees_.clear();
+}
+
+const Topology::SourceTree& Topology::source_tree(NodeId src) const {
+  if (frozen_ != nullptr) {
+    auto it = frozen_->trees.find(src);
+    if (it != frozen_->trees.end()) return *it->second;
+  }
+  auto it = local_trees_.find(src);
+  if (it != local_trees_.end()) return *it->second;
+
+  auto tree = std::make_shared<SourceTree>();
+  if (!bfs_depths(*this, src, tree->narrow)) {
+    std::vector<std::uint16_t>().swap(tree->narrow);
+    bfs_depths(*this, src, tree->wide);
+  }
+  ++path_trees_built_;
+  const SourceTree& ref = *tree;
+  local_trees_.emplace(src, std::move(tree));
+  return ref;
 }
 
 const std::vector<std::vector<NodeId>>& Topology::equal_cost_paths(NodeId src,
                                                                    NodeId dst) const {
   const PathKey key{src, dst};
-  if (frozen_paths_ != nullptr) {
-    auto it = frozen_paths_->find(key);
-    if (it != frozen_paths_->end()) {
+  if (frozen_ != nullptr) {
+    auto it = frozen_->paths.find(key);
+    if (it != frozen_->paths.end()) {
       ++path_cache_hits_;
       return *it->second;
     }
@@ -125,25 +175,11 @@ const std::vector<std::vector<NodeId>>& Topology::equal_cost_paths(NodeId src,
   }
   ++path_cache_misses_;
 
-  // BFS from src recording distances, then enumerate all shortest paths by
-  // walking the BFS DAG from dst back to src.
-  std::vector<int> dist(node_count(), -1);
-  std::deque<NodeId> queue;
-  dist[src] = 0;
-  queue.push_back(src);
-  while (!queue.empty()) {
-    NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId v : neighbors(u)) {
-      if (dist[v] == -1) {
-        dist[v] = dist[u] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-
+  // Enumerate all shortest paths by walking src's BFS tree from dst back
+  // to src.
+  const SourceTree& tree = source_tree(src);
   std::vector<std::vector<NodeId>> paths;
-  if (dist[dst] != -1) {
+  if (tree.depth(dst) != SourceTree::kUnreached) {
     // Iterative DFS over predecessors on shortest paths.
     std::vector<std::vector<NodeId>> stack;
     stack.push_back({dst});
@@ -158,14 +194,21 @@ const std::vector<std::vector<NodeId>>& Topology::equal_cost_paths(NodeId src,
       }
       // Deterministic order: ascending neighbour id.
       std::vector<NodeId> preds;
+      const std::uint32_t pred_depth = tree.depth(head) - 1;
       for (NodeId v : neighbors(head)) {
-        if (dist[v] == dist[head] - 1) preds.push_back(v);
+        if (tree.depth(v) == pred_depth) preds.push_back(v);
       }
       std::sort(preds.begin(), preds.end(), std::greater<NodeId>());
-      for (NodeId v : preds) {
+      for (std::size_t i = 0; i + 1 < preds.size(); ++i) {
         std::vector<NodeId> next = partial;
-        next.push_back(v);
+        next.push_back(preds[i]);
         stack.push_back(std::move(next));
+      }
+      // The last extension reuses `partial`, so a single-path walk costs
+      // O(hops) instead of O(hops^2).
+      if (!preds.empty()) {
+        partial.push_back(preds.back());
+        stack.push_back(std::move(partial));
       }
     }
     std::sort(paths.begin(), paths.end());

@@ -101,8 +101,11 @@ class Topology {
   std::span<const NodeId> neighbors(NodeId id) const;
 
   /// All shortest paths src→dst (inclusive of both), capped at
-  /// kMaxEcmpPaths, in a deterministic order. Cached; the cache is
-  /// invalidated by add_link/add_node.
+  /// kMaxEcmpPaths, in a deterministic order. Cached per (src, dst). A
+  /// miss walks the predecessors of dst in src's shortest-path tree: one
+  /// BFS per source, built on the source's first miss and kept, so every
+  /// later destination from the same source costs only the walk. Both
+  /// caches are invalidated by add_link/add_node.
   const std::vector<std::vector<NodeId>>& equal_cost_paths(NodeId src, NodeId dst) const;
 
   /// Pick the path a given flow hash rides.
@@ -119,13 +122,15 @@ class Topology {
   /// inflation digest identically.
   std::uint64_t fingerprint() const;
 
-  /// Promote every locally cached (src, dst) path list into an immutable
-  /// shared snapshot. Copies of this topology (worker replicas) then share
-  /// the snapshot by reference instead of deep-copying the cache — the
-  /// dominant cost of the old Network::clone(). Logically const: the path
-  /// cache is memoization, not topology state. Safe to share across
-  /// threads because the snapshot is never mutated after creation; paths
-  /// computed *after* the freeze land in the instance-local cache.
+  /// Promote every locally cached (src, dst) path list and every
+  /// per-source shortest-path tree into an immutable shared snapshot.
+  /// Copies of this topology (worker replicas) then share the snapshot by
+  /// reference instead of deep-copying the caches, and never rebuild a
+  /// tree the snapshot holds. Logically const: both caches are
+  /// memoization, not topology state. Safe to share across threads
+  /// because the snapshot and its trees are never mutated after creation;
+  /// paths and trees computed *after* the freeze land in the
+  /// instance-local caches.
   void freeze_paths() const;
 
   /// Path-cache effectiveness counters (host-scheduling dependent on
@@ -133,9 +138,12 @@ class Topology {
   /// snapshots).
   std::uint64_t path_cache_hits() const { return path_cache_hits_; }
   std::uint64_t path_cache_misses() const { return path_cache_misses_; }
-  /// Entries in the shared frozen snapshot (0 before the first freeze).
+  /// Shortest-path trees (full BFS runs) this instance has built; a copy
+  /// starts from its original's count. Same wall-domain caveat.
+  std::uint64_t path_trees_built() const { return path_trees_built_; }
+  /// Path lists in the shared frozen snapshot (0 before the first freeze).
   std::size_t frozen_path_entries() const {
-    return frozen_paths_ ? frozen_paths_->size() : 0;
+    return frozen_ != nullptr ? frozen_->paths.size() : 0;
   }
 
  private:
@@ -146,17 +154,43 @@ class Topology {
   /// the (immutable) path lists instead of duplicating them.
   using PathMap = core::FlatMap<PathKey, std::shared_ptr<const EcmpPaths>>;
 
+  /// Hop distance from one source to every node — the BFS layers of the
+  /// source's shortest-path tree. Stored as uint16_t (2 bytes per node, 2
+  /// MB on a million-node world); a graph too deep for that falls back to
+  /// uint32_t instead of truncating.
+  struct SourceTree {
+    static constexpr std::uint32_t kUnreached = 0xffffffffu;
+    std::vector<std::uint16_t> narrow;  // 0xffff = unreached; empty if wide
+    std::vector<std::uint32_t> wide;    // kUnreached = unreached
+    std::uint32_t depth(NodeId v) const {
+      if (!wide.empty()) return wide[v];
+      return narrow[v] == 0xffffu ? kUnreached : narrow[v];
+    }
+  };
+  using TreeMap = core::FlatMap<NodeId, std::shared_ptr<const SourceTree>>;
+  /// What freeze_paths() publishes.
+  struct Snapshot {
+    PathMap paths;
+    TreeMap trees;
+  };
+
+  /// src's shortest-path tree: from the snapshot, the local cache, or a
+  /// fresh BFS (counted in path_trees_built_).
+  const SourceTree& source_tree(NodeId src) const;
+
   std::vector<Node> nodes_;
   std::vector<std::vector<NodeId>> adjacency_;
   core::FlatMap<std::uint32_t, NodeId> ip_index_;
   /// Compact backend; when set, nodes_/adjacency_/ip_index_ stay empty.
   std::shared_ptr<const CompactTopology> compact_;
   /// Immutable shared snapshot (read-only, shareable across replicas).
-  mutable std::shared_ptr<const PathMap> frozen_paths_;
+  mutable std::shared_ptr<const Snapshot> frozen_;
   /// Instance-local additions since the last freeze.
   mutable PathMap local_paths_;
+  mutable TreeMap local_trees_;
   mutable std::uint64_t path_cache_hits_ = 0;
   mutable std::uint64_t path_cache_misses_ = 0;
+  mutable std::uint64_t path_trees_built_ = 0;
 };
 
 }  // namespace cen::sim

@@ -90,6 +90,14 @@ std::uint64_t ParallelExecutor::path_cache_misses() const {
   return total;
 }
 
+std::uint64_t ParallelExecutor::path_trees_built() const {
+  std::uint64_t total = 0;
+  for (const auto& replica : replicas_) {
+    total += replica->topology().path_trees_built();
+  }
+  return total;
+}
+
 void ParallelExecutor::run(const std::vector<std::uint64_t>& seeds,
                            const std::function<void(sim::Network&, std::size_t)>& fn) {
   const bool track = perf_tracking_;
@@ -121,6 +129,7 @@ void export_exec_perf(obs::Observer& observer, const ParallelExecutor& exec) {
   m.counter("perf.batches", obs::Domain::kWall).inc(p.batches.load(std::memory_order_relaxed));
   m.counter("pathcache.hits", obs::Domain::kWall).inc(exec.path_cache_hits());
   m.counter("pathcache.misses", obs::Domain::kWall).inc(exec.path_cache_misses());
+  m.counter("pathcache.trees", obs::Domain::kWall).inc(exec.path_trees_built());
 }
 
 }  // namespace cen::scenario

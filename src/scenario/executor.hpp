@@ -104,6 +104,8 @@ class ParallelExecutor {
   /// (scheduling-dependent — wall-domain reporting only).
   std::uint64_t path_cache_hits() const;
   std::uint64_t path_cache_misses() const;
+  /// Shortest-path trees (one full BFS each) built, summed over replicas.
+  std::uint64_t path_trees_built() const;
 
   /// Run one hermetic task per seed: task i executes fn(replica, i) on a
   /// worker-private replica freshly reset_epoch(seeds[i]). fn must write
@@ -123,10 +125,10 @@ class ParallelExecutor {
 
 /// Export the executor's overhead accounting (perf.clone_ns, perf.reset_ns,
 /// perf.tasks, perf.batches) and its replicas' path-cache traffic
-/// (pathcache.hits, pathcache.misses) as wall-domain counters. Every
-/// caller exports through here, so one registry can see pipeline,
-/// fan-out and campaign executors without a metric kind clash; repeated
-/// exports accumulate.
+/// (pathcache.hits, pathcache.misses, pathcache.trees) as wall-domain
+/// counters. Every caller exports through here, so one registry can see
+/// pipeline, fan-out and campaign executors without a metric kind clash;
+/// repeated exports accumulate.
 void export_exec_perf(obs::Observer& observer, const ParallelExecutor& exec);
 
 }  // namespace cen::scenario

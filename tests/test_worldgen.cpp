@@ -18,6 +18,7 @@
 #include "core/rng.hpp"
 #include "netsim/compact.hpp"
 #include "netsim/engine.hpp"
+#include "obs/observer.hpp"
 #include "report/json_report.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/world.hpp"
@@ -330,6 +331,30 @@ TEST(WorldGen, CampaignGoldenAcrossThreads) {
   }
   EXPECT_FALSE(jsonl[0].empty());
   ASSERT_EQ(campaign::run(spec, {}).countries, std::vector<std::string>{"world-tiny"});
+}
+
+TEST(WorldGen, CampaignBuildsOneShortestPathTreePerWorker) {
+  // Every task of a world campaign routes from the site's one client, so
+  // each worker replica runs at most one full BFS over the whole campaign.
+  campaign::CampaignSpec spec;
+  spec.name = "world-trees";
+  spec.world = *worldgen::WorldSpec::tier("1k");
+  spec.seed = 11;
+  spec.trace.repetitions = 2;
+  spec.max_endpoints = 12;
+  spec.max_domains = 1;
+  spec.fuzz_max_endpoints = 2;
+
+  obs::Observer observer;
+  campaign::RunControl control;
+  control.threads = 4;
+  control.observer = &observer;
+  ASSERT_TRUE(campaign::run(spec, control).complete);
+  obs::Registry& m = observer.metrics();
+  const std::uint64_t trees = m.counter("pathcache.trees", obs::Domain::kWall).value();
+  EXPECT_GE(trees, 1u);
+  EXPECT_LE(trees, 4u);
+  EXPECT_GT(m.counter("pathcache.misses", obs::Domain::kWall).value(), trees);
 }
 
 TEST(WorldGen, CampaignSpecWorldFingerprintAndJson) {

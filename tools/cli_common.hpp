@@ -116,9 +116,9 @@ inline int write_observability(const Args& args, const cen::obs::Observer& obs) 
 /// --perf-report [FILE]: metrics snapshot INCLUDING the wall-domain
 /// series the deterministic sinks exclude (counters perf.clone_ns /
 /// perf.reset_ns / perf.tasks / perf.batches, pathcache.hits /
-/// pathcache.misses; gauges pool.workers / pool.busy_ns / pool.wall_ns). Host-clock and
-/// scheduling-dependent by design — never byte-stable across runs, so it
-/// lives in its own sink. Written to FILE, or stdout when the flag is
+/// pathcache.misses / pathcache.trees; gauges pool.workers / pool.busy_ns /
+/// pool.wall_ns). Host-clock and scheduling-dependent by design — never
+/// byte-stable across runs, so it lives in its own sink. Written to FILE, or stdout when the flag is
 /// passed bare. Returns 0, or 1 on I/O error.
 inline int write_perf_report(const Args& args, const cen::obs::Observer& obs) {
   if (!args.has("perf-report")) return 0;
