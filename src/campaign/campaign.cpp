@@ -1,6 +1,7 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
@@ -68,6 +69,18 @@ void stage_span(obs::Observer* observer, const std::string& country,
   // count rather than any execution timing.
   observer->tracer().complete("campaign:" + country + ":" + std::string(stage),
                               "campaign", 0, static_cast<SimTime>(task_count));
+}
+
+/// Add the host time since `start` to a wall-domain counter (host timing:
+/// --perf-report only, never in deterministic snapshots).
+void add_wall_ns(obs::Observer* observer, const char* name,
+                 std::chrono::steady_clock::time_point start) {
+  if (observer == nullptr) return;
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::steady_clock::now() - start);
+  observer->metrics()
+      .counter(name, obs::Domain::kWall)
+      .inc(static_cast<std::uint64_t>(ns.count()));
 }
 
 /// Run one stage and return every task's decoded report in task order,
@@ -289,8 +302,10 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
   for (std::size_t site_index = 0; site_index < site_count; ++site_index) {
     // Sites are built one at a time, so at most one scenario network is
     // resident (matters for 1M-endpoint worlds).
+    const auto build_start = std::chrono::steady_clock::now();
     Site site = world_mode ? build_world_site(spec)
                            : build_country_site(countries[site_index], spec);
+    add_wall_ns(observer, "campaign.site_build_ns", build_start);
     sim::Network& net = *site.network;
     if (spec.evolution && spec.evolution_epoch > 0) {
       // Replay censor evolution up to the spec's epoch on the fresh
@@ -307,7 +322,9 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
                               spec.evolution_epoch, pool);
     }
     net.set_fault_plan(spec.faults);
+    const auto fingerprint_start = std::chrono::steady_clock::now();
     const std::uint64_t net_fp = net.fingerprint();
+    add_wall_ns(observer, "campaign.fingerprint_ns", fingerprint_start);
     const std::string& code = site.code;
     StageContext ctx{net, spec, control, cache, budget, code, result.records, nullptr};
 

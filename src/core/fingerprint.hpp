@@ -14,12 +14,33 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
 #include "core/rng.hpp"
 
 namespace cen {
+
+namespace detail {
+/// Feed a string to `sink` as its length, then its bytes packed big-endian
+/// into 64-bit words (a short tail word is left-padded with zero bytes).
+template <class Sink>
+void mix_string(Sink& sink, std::string_view s) {
+  sink.mix(static_cast<std::uint64_t>(s.size()));
+  std::uint64_t word = 0;
+  int n = 0;
+  for (char c : s) {
+    word = (word << 8) | static_cast<unsigned char>(c);
+    if (++n == 8) {
+      sink.mix(word);
+      word = 0;
+      n = 0;
+    }
+  }
+  if (n > 0) sink.mix(word);
+}
+}  // namespace detail
 
 class FingerprintBuilder {
  public:
@@ -34,18 +55,7 @@ class FingerprintBuilder {
     return mix(std::bit_cast<std::uint64_t>(v));
   }
   FingerprintBuilder& mix(std::string_view s) {
-    mix(static_cast<std::uint64_t>(s.size()));
-    std::uint64_t word = 0;
-    int n = 0;
-    for (char c : s) {
-      word = (word << 8) | static_cast<unsigned char>(c);
-      if (++n == 8) {
-        mix(word);
-        word = 0;
-        n = 0;
-      }
-    }
-    if (n > 0) mix(word);
+    detail::mix_string(*this, s);
     return *this;
   }
 
@@ -53,6 +63,50 @@ class FingerprintBuilder {
 
  private:
   std::uint64_t h_ = 0x243f6a8885a308d3ull;  // pi, arbitrary non-zero start
+};
+
+/// A FingerprintBuilder split into four independent lanes for digests
+/// over millions of words: word i goes to lane i mod 4, and digest()
+/// folds the word count and the four lane digests. One builder is one
+/// serial chain of mix64 calls; here every fourth word mixes a whole row
+/// into the four lanes at once, four chains the CPU overlaps. Order
+/// sensitive like the builder (a word's lane and its place within the
+/// lane both matter), but a different digest: pick one of the two per
+/// value and keep it.
+class LaneFingerprint {
+ public:
+  LaneFingerprint& mix(std::uint64_t v) {
+    row_[count_++ % kLanes] = v;
+    if (count_ % kLanes == 0) {
+      // Written out, not looped: GCC then keeps the four lanes in registers.
+      lanes_[0].mix(row_[0]);
+      lanes_[1].mix(row_[1]);
+      lanes_[2].mix(row_[2]);
+      lanes_[3].mix(row_[3]);
+    }
+    return *this;
+  }
+  LaneFingerprint& mix(std::string_view s) {
+    detail::mix_string(*this, s);
+    return *this;
+  }
+
+  std::uint64_t digest() const {
+    FingerprintBuilder fold;
+    fold.mix(count_);
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      FingerprintBuilder lane = lanes_[k];
+      if (k < count_ % kLanes) lane.mix(row_[k]);  // the partial last row
+      fold.mix(lane.digest());
+    }
+    return fold.digest();
+  }
+
+ private:
+  static constexpr std::size_t kLanes = 4;  // mix() names each lane
+  FingerprintBuilder lanes_[kLanes];
+  std::uint64_t row_[kLanes] = {};
+  std::uint64_t count_ = 0;
 };
 
 }  // namespace cen

@@ -2,18 +2,6 @@
 
 namespace cen {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t v) {
-  std::uint64_t s = v;
-  return splitmix64(s);
-}
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& lane : s_) lane = splitmix64(s);

@@ -37,8 +37,14 @@ class Rng {
 };
 
 /// SplitMix64 step, used for seeding and for stateless hash mixing.
-std::uint64_t splitmix64(std::uint64_t& state);
+/// Inline: every fingerprint word costs two of these.
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 /// Stateless 64-bit mix of a value (finalizer of SplitMix64).
-std::uint64_t mix64(std::uint64_t v);
+inline std::uint64_t mix64(std::uint64_t v) { return splitmix64(v); }
 
 }  // namespace cen

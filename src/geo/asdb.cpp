@@ -1,5 +1,7 @@
 #include "geo/asdb.hpp"
 
+#include "core/fingerprint.hpp"
+
 namespace cen::geo {
 
 namespace {
@@ -56,6 +58,20 @@ std::optional<AsInfo> IpMetadataDb::lookup(net::Ipv4Address ip, MetadataSource s
   const Route* r = best_match(ip, source);
   if (r == nullptr) return std::nullopt;
   return r->info;
+}
+
+std::uint64_t IpMetadataDb::fingerprint() const {
+  FingerprintBuilder fp;
+  fp.mix(static_cast<std::uint64_t>(routes_.size()));
+  for (const Route& r : routes_) {
+    fp.mix(static_cast<std::uint64_t>(r.base));
+    fp.mix(static_cast<std::uint64_t>(r.prefix_len));
+    fp.mix(static_cast<std::uint64_t>(r.source));
+    fp.mix(static_cast<std::uint64_t>(r.info.asn));
+    fp.mix(r.info.name);
+    fp.mix(r.info.country);
+  }
+  return fp.digest();
 }
 
 }  // namespace cen::geo

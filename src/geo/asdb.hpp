@@ -43,6 +43,11 @@ class IpMetadataDb {
   std::size_t disagreements() const { return disagreements_; }
   std::size_t size() const { return routes_.size(); }
 
+  /// Digest of every route in stored order (base, prefix length, source,
+  /// asn, name, country) — a campaign cache-key component, since CenTrace
+  /// reports carry the AS labels of the blocking hop.
+  std::uint64_t fingerprint() const;
+
  private:
   struct Route {
     std::uint32_t base = 0;

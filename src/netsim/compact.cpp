@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/fingerprint.hpp"
-
 namespace cen::sim {
 
 const std::vector<censor::ServiceBanner>& CompactTopology::services(NodeId id) const {
@@ -19,36 +17,6 @@ std::optional<NodeId> CompactTopology::find_by_ip(net::Ipv4Address ip) const {
       std::pair<std::uint32_t, NodeId>{ip.value(), 0});
   if (it == ip_index_.end() || it->first != ip.value()) return std::nullopt;
   return it->second;
-}
-
-std::uint64_t CompactTopology::fingerprint() const {
-  // Mirrors Topology::fingerprint() field for field — the two backends
-  // must digest identically for equivalent content (campaign cache keys).
-  FingerprintBuilder fp;
-  fp.mix(static_cast<std::uint64_t>(node_count()));
-  for (NodeId id = 0; id < node_count(); ++id) {
-    const RouterProfile& p = profiles_[id];
-    fp.mix(name(id));
-    fp.mix(static_cast<std::uint64_t>(ips_[id]));
-    fp.mix(p.responds_icmp);
-    fp.mix(static_cast<std::uint64_t>(p.quote_policy));
-    fp.mix(p.rewrite_tos.has_value());
-    if (p.rewrite_tos) fp.mix(static_cast<std::uint64_t>(*p.rewrite_tos));
-    fp.mix(p.clears_df_flag);
-    const auto& svcs = services(id);
-    fp.mix(static_cast<std::uint64_t>(svcs.size()));
-    for (const censor::ServiceBanner& s : svcs) {
-      fp.mix(static_cast<std::uint64_t>(s.port));
-      fp.mix(s.protocol);
-      fp.mix(s.banner);
-    }
-  }
-  for (NodeId id = 0; id < node_count(); ++id) {
-    std::span<const NodeId> nbrs = neighbors(id);
-    fp.mix(static_cast<std::uint64_t>(nbrs.size()));
-    for (NodeId nb : nbrs) fp.mix(static_cast<std::uint64_t>(nb));
-  }
-  return fp.digest();
 }
 
 std::size_t CompactTopology::bytes() const {
@@ -81,7 +49,7 @@ Topology CompactTopology::inflate() const {
     }
   }
   // Replaying links in insertion order reproduces the exact adjacency-list
-  // order of a classic build, so the fingerprints match bit-for-bit.
+  // order of a classic build, so the fingerprints match.
   for (const auto& [a, b] : links_) t.add_link(a, b);
   return t;
 }

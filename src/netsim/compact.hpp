@@ -19,10 +19,10 @@
 // replicas refcount-bump cheap under the COW clone()/reset_epoch()
 // contract: a compact-backed `Topology` copies as two shared_ptr bumps.
 //
-// fingerprint() reproduces Topology::fingerprint() bit-for-bit for
-// equivalent content, so campaign cache keys do not depend on which
-// backend built the network; inflate() materializes a classic Topology
-// for the randomized equivalence tests.
+// fingerprint() and Topology::fingerprint() are one definition (in
+// topology.cpp), fed the same word stream by both backends, so campaign
+// cache keys do not depend on which backend built the network; inflate()
+// materializes a classic Topology for the randomized equivalence tests.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +59,8 @@ class CompactTopology {
   /// Links in insertion order (undirected, as given to the builder).
   const std::vector<std::pair<NodeId, NodeId>>& links() const { return links_; }
 
-  /// Bit-identical to Topology::fingerprint() over equivalent content.
+  /// Topology::fingerprint()'s one definition, fed from these arrays: equal
+  /// to the classic digest over equivalent content.
   std::uint64_t fingerprint() const;
 
   /// Resident bytes of the arrays (capacity-based, heap children included).

@@ -1,5 +1,6 @@
 #include "netsim/engine.hpp"
 #include <algorithm>
+#include <unordered_map>
 
 #include "core/fingerprint.hpp"
 #include "obs/observer.hpp"
@@ -91,6 +92,7 @@ void mix_device(FingerprintBuilder& fp, const censor::DeviceConfig& c) {
   mix_ruleset(fp, c.dns_rules);
   fp.mix(c.dns_sinkhole.has_value());
   if (c.dns_sinkhole) fp.mix(static_cast<std::uint64_t>(c.dns_sinkhole->value()));
+  fp.mix(static_cast<std::uint64_t>(c.http_quirks.method_allowlist.size()));
   for (const std::string& m : c.http_quirks.method_allowlist) fp.mix(m);
   fp.mix(c.http_quirks.method_case_insensitive);
   fp.mix(static_cast<std::uint64_t>(c.http_quirks.version_check));
@@ -98,9 +100,11 @@ void mix_device(FingerprintBuilder& fp, const censor::DeviceConfig& c) {
   fp.mix(static_cast<std::uint64_t>(c.http_quirks.host_word_check));
   fp.mix(c.http_quirks.requires_crlf);
   fp.mix(c.http_quirks.url_includes_path);
+  fp.mix(static_cast<std::uint64_t>(c.tls_quirks.parses_versions.size()));
   for (net::TlsVersion v : c.tls_quirks.parses_versions) {
     fp.mix(static_cast<std::uint64_t>(v));
   }
+  fp.mix(static_cast<std::uint64_t>(c.tls_quirks.blind_cipher_suites.size()));
   for (std::uint16_t suite : c.tls_quirks.blind_cipher_suites) {
     fp.mix(static_cast<std::uint64_t>(suite));
   }
@@ -137,7 +141,9 @@ void mix_device(FingerprintBuilder& fp, const censor::DeviceConfig& c) {
   fp.mix(static_cast<std::uint64_t>(c.stack.rst_ttl));
 }
 
-void mix_endpoint(FingerprintBuilder& fp, const EndpointProfile& p) {
+std::uint64_t profile_digest(const EndpointProfile& p) {
+  FingerprintBuilder fp;
+  fp.mix(static_cast<std::uint64_t>(p.hosted_domains.size()));
   for (const std::string& d : p.hosted_domains) fp.mix(d);
   fp.mix(static_cast<std::uint64_t>(p.open_ports.size()));
   for (std::uint16_t port : p.open_ports) fp.mix(static_cast<std::uint64_t>(port));
@@ -156,6 +162,25 @@ void mix_endpoint(FingerprintBuilder& fp, const EndpointProfile& p) {
   }
   fp.mix(p.static_payload.has_value());
   if (p.static_payload) fp.mix(*p.static_payload);
+  return fp.digest();
+}
+
+/// The endpoint table as (ip, profile digest) per host. A profile is
+/// digested once per distinct shared_ptr; the digest reads content only,
+/// so a host holding an equal copy hashes like one holding the shared
+/// template, and no pointer value reaches the result.
+template <class EndpointMap>
+std::uint64_t endpoints_digest(const EndpointMap& endpoints) {
+  std::unordered_map<const EndpointProfile*, std::uint64_t> digests;
+  LaneFingerprint fp;
+  fp.mix(static_cast<std::uint64_t>(endpoints.size()));
+  for (const auto& [ip, host] : endpoints) {
+    auto [it, fresh] = digests.try_emplace(host.profile_ptr().get(), 0);
+    if (fresh) it->second = profile_digest(host.profile());
+    fp.mix(static_cast<std::uint64_t>(ip));
+    fp.mix(it->second);
+  }
+  return fp.digest();
 }
 
 }  // namespace
@@ -163,12 +188,9 @@ void mix_endpoint(FingerprintBuilder& fp, const EndpointProfile& p) {
 std::uint64_t Network::fingerprint() const {
   FingerprintBuilder fp;
   fp.mix(topology_.fingerprint());
+  fp.mix(geodb_->fingerprint());
   fp.mix(seed_);
-  fp.mix(static_cast<std::uint64_t>(endpoints_->size()));
-  for (const auto& [ip, host] : *endpoints_) {
-    fp.mix(static_cast<std::uint64_t>(ip));
-    mix_endpoint(fp, host.profile());
-  }
+  fp.mix(endpoints_digest(*endpoints_));
   fp.mix(static_cast<std::uint64_t>(devices_.size()));
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     fp.mix(static_cast<std::uint64_t>(device_nodes_[i]));

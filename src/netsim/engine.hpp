@@ -159,9 +159,12 @@ class Network {
   std::uint64_t seed() const { return seed_; }
 
   /// Digest of everything that determines measurement outcomes on this
-  /// network: topology, construction seed, endpoints, deployed devices
-  /// and the installed fault plan. Clones fingerprint identically to the
-  /// original; runtime state (clock, ports, observers) is excluded.
+  /// network: topology, IP metadata (geodb), construction seed,
+  /// endpoints, deployed devices and the installed fault plan. Clones
+  /// fingerprint identically to the original; runtime state (clock,
+  /// ports, observers) is excluded. Each distinct endpoint profile is
+  /// digested once, so a million hosts sharing a few templates cost one
+  /// (ip, profile digest) pair each.
   std::uint64_t fingerprint() const;
 
   Topology& topology() { return topology_; }

@@ -235,30 +235,106 @@ const std::vector<NodeId>& Topology::route(NodeId src, NodeId dst,
   return route(src, dst, salt == 0 ? flow_hash : mix64(flow_hash ^ salt));
 }
 
-std::uint64_t Topology::fingerprint() const {
-  if (compact_ != nullptr) return compact_->fingerprint();
-  FingerprintBuilder fp;
-  fp.mix(static_cast<std::uint64_t>(nodes_.size()));
-  for (const Node& n : nodes_) {
-    fp.mix(n.name);
-    fp.mix(static_cast<std::uint64_t>(n.ip.value()));
-    fp.mix(n.profile.responds_icmp);
-    fp.mix(static_cast<std::uint64_t>(n.profile.quote_policy));
-    fp.mix(n.profile.rewrite_tos.has_value());
-    if (n.profile.rewrite_tos) fp.mix(static_cast<std::uint64_t>(*n.profile.rewrite_tos));
-    fp.mix(n.profile.clears_df_flag);
-    fp.mix(static_cast<std::uint64_t>(n.services.size()));
-    for (const censor::ServiceBanner& s : n.services) {
-      fp.mix(static_cast<std::uint64_t>(s.port));
-      fp.mix(s.protocol);
-      fp.mix(s.banner);
+namespace {
+
+/// ip + RouterProfile as one digest word: ip in bits 0-31, quote policy
+/// in 32-39, the TOS rewrite in 40-48 (value plus a presence bit), then
+/// the ICMP and DF flags, and whether a name and a services block follow
+/// (most worldgen hosts have neither, so they cost no words).
+std::uint64_t node_word(net::Ipv4Address ip, const RouterProfile& p, bool named,
+                        bool has_services) {
+  std::uint64_t w = ip.value();
+  w |= static_cast<std::uint64_t>(p.quote_policy) << 32;
+  if (p.rewrite_tos) w |= (std::uint64_t{0x100} | *p.rewrite_tos) << 40;
+  w |= static_cast<std::uint64_t>(p.responds_icmp) << 49;
+  w |= static_cast<std::uint64_t>(p.clears_df_flag) << 50;
+  w |= static_cast<std::uint64_t>(named) << 51;
+  w |= static_cast<std::uint64_t>(has_services) << 52;
+  return w;
+}
+
+/// Per-node views of the two backends for digest_topology().
+struct ClassicNodes {
+  const std::vector<Node>& nodes;
+  const std::vector<std::vector<NodeId>>& adjacency;
+
+  net::Ipv4Address ip(NodeId id) const { return nodes[id].ip; }
+  const RouterProfile& profile(NodeId id) const { return nodes[id].profile; }
+  std::string_view name(NodeId id) const { return nodes[id].name; }
+  std::span<const censor::ServiceBanner> services(NodeId id) const {
+    return nodes[id].services;
+  }
+  std::span<const NodeId> neighbors(NodeId id) const { return adjacency[id]; }
+};
+
+struct CompactNodes {
+  using ServiceMap = core::FlatMap<NodeId, std::vector<censor::ServiceBanner>>;
+
+  const CompactTopology& topo;
+  /// Cursor over the sorted sparse service map; services() must be asked
+  /// for every id in ascending order, as digest_topology() does.
+  ServiceMap::const_iterator next_service;
+  ServiceMap::const_iterator services_end;
+
+  net::Ipv4Address ip(NodeId id) const { return topo.ip(id); }
+  const RouterProfile& profile(NodeId id) const { return topo.profile(id); }
+  std::string_view name(NodeId id) const { return topo.name(id); }
+  std::span<const censor::ServiceBanner> services(NodeId id) {
+    if (next_service == services_end || next_service->first != id) return {};
+    return (next_service++)->second;
+  }
+  std::span<const NodeId> neighbors(NodeId id) const { return topo.neighbors(id); }
+};
+
+/// The topology digest — one definition for both backends. Per node, in
+/// id order: the ip+profile word, the name and the services (each only
+/// when present, as node_word() records), and the CSR offset where the
+/// node's adjacency row ends; the adjacency rows are streamed alongside,
+/// two neighbour ids per word. The words go through four hash lanes.
+template <class Nodes>
+std::uint64_t digest_topology(std::size_t count, Nodes nodes) {
+  LaneFingerprint fp;
+  fp.mix(static_cast<std::uint64_t>(count));
+  std::uint64_t offset = 0;
+  std::uint64_t held = 0;  // neighbour id waiting for the second half of its word
+  bool holding = false;
+  for (NodeId id = 0; id < count; ++id) {
+    const std::string_view name = nodes.name(id);
+    const std::span<const censor::ServiceBanner> svcs = nodes.services(id);
+    fp.mix(node_word(nodes.ip(id), nodes.profile(id), !name.empty(), !svcs.empty()));
+    if (!name.empty()) fp.mix(name);
+    if (!svcs.empty()) {
+      fp.mix(static_cast<std::uint64_t>(svcs.size()));
+      for (const censor::ServiceBanner& s : svcs) {
+        fp.mix(static_cast<std::uint64_t>(s.port));
+        fp.mix(s.protocol);
+        fp.mix(s.banner);
+      }
+    }
+    const std::span<const NodeId> nbrs = nodes.neighbors(id);
+    offset += nbrs.size();
+    fp.mix(offset);
+    for (NodeId nb : nbrs) {
+      if (holding) fp.mix((held << 32) | nb);
+      held = nb;
+      holding = !holding;
     }
   }
-  for (const std::vector<NodeId>& nbrs : adjacency_) {
-    fp.mix(static_cast<std::uint64_t>(nbrs.size()));
-    for (NodeId nb : nbrs) fp.mix(static_cast<std::uint64_t>(nb));
-  }
+  if (holding) fp.mix((held << 32) | kInvalidNode);
   return fp.digest();
+}
+
+}  // namespace
+
+std::uint64_t Topology::fingerprint() const {
+  if (compact_ != nullptr) return compact_->fingerprint();
+  return digest_topology(nodes_.size(), ClassicNodes{nodes_, adjacency_});
+}
+
+// Defined here, beside Topology::fingerprint(), so both backends share
+// digest_topology().
+std::uint64_t CompactTopology::fingerprint() const {
+  return digest_topology(node_count(), CompactNodes{*this, services_.begin(), services_.end()});
 }
 
 }  // namespace cen::sim

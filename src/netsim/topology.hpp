@@ -23,6 +23,8 @@
 // node_services, span-returning neighbors) work on both; the mutable
 // node() reference and add_node/add_link are classic-only and throw
 // std::logic_error on a compact backend.
+// fingerprint() has one definition that reads either backend through
+// the same per-node word stream.
 #pragma once
 
 #include <cstdint>
@@ -118,8 +120,9 @@ class Topology {
 
   /// Structural digest over nodes (name, IP, router profile, services)
   /// and links — a campaign cache-key component: any topology edit must
-  /// change it. Backend-independent: a compact topology and its classic
-  /// inflation digest identically.
+  /// change it. One definition for both backends (CompactTopology's
+  /// fingerprint() is the same function), so a compact topology and its
+  /// classic inflation digest identically.
   std::uint64_t fingerprint() const;
 
   /// Promote every locally cached (src, dst) path list and every

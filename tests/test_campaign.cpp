@@ -515,3 +515,20 @@ TEST(Campaign, SharesOneObserverWithThePipeline) {
   EXPECT_NE(observer.metrics().to_json(/*include_wall=*/true).find("perf.tasks"),
             std::string::npos);
 }
+
+TEST(Campaign, ExportsSerialSiteWorkAsWallCounters) {
+  obs::Observer observer;
+  campaign::RunControl control;
+  control.threads = 2;
+  control.observer = &observer;
+  ASSERT_TRUE(campaign::run(small_spec(), control).complete);
+  const obs::Registry& m = observer.metrics();
+  EXPECT_GT(m.counter_value("campaign.site_build_ns"), 0u);
+  EXPECT_GT(m.counter_value("campaign.fingerprint_ns"), 0u);
+  const std::string with_wall = m.to_json(/*include_wall=*/true);
+  EXPECT_NE(with_wall.find("campaign.site_build_ns"), std::string::npos);
+  EXPECT_NE(with_wall.find("campaign.fingerprint_ns"), std::string::npos);
+  const std::string deterministic = m.to_json();
+  EXPECT_EQ(deterministic.find("campaign.site_build_ns"), std::string::npos);
+  EXPECT_EQ(deterministic.find("campaign.fingerprint_ns"), std::string::npos);
+}

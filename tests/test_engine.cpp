@@ -311,3 +311,104 @@ TEST(Engine, OpenPortListConfigurable) {
   Connection on_80 = ln.net->open_connection(ln.client, net::Ipv4Address(10, 0, 9, 3), 80);
   EXPECT_EQ(on_80.connect(), ConnectResult::kReset);
 }
+
+// ---------------------------------------------------------------------------
+// Network::fingerprint sensitivity: the endpoint table digests each distinct
+// profile once, so these pin that sharing is invisible and content is not.
+
+namespace {
+
+constexpr int kStarHosts = 6;
+
+/// A hub router with kStarHosts leaves; `as_name` labels the 10/8 route.
+std::unique_ptr<Network> star_network(const std::string& as_name = "TESTNET") {
+  Topology topo;
+  NodeId hub = topo.add_node("hub", net::Ipv4Address(10, 0, 0, 1));
+  for (int i = 0; i < kStarHosts; ++i) {
+    NodeId leaf = topo.add_node("", net::Ipv4Address(10, 0, 1, static_cast<std::uint8_t>(i + 1)));
+    topo.add_link(hub, leaf);
+  }
+  geo::IpMetadataDb db;
+  db.add_route(net::Ipv4Address(10, 0, 0, 0), 8, {64512, as_name, "XX"});
+  return std::make_unique<Network>(std::move(topo), std::move(db));
+}
+
+EndpointProfile template_profile(const std::string& domain) {
+  EndpointProfile p;
+  p.hosted_domains = {domain};
+  p.reject_unknown_host = true;
+  return p;
+}
+
+NodeId leaf(int i) { return static_cast<NodeId>(i + 1); }
+
+}  // namespace
+
+TEST(NetworkFingerprint, SharedTemplateEqualsEqualCopies) {
+  auto tpl = std::make_shared<const EndpointProfile>(template_profile("tpl.example"));
+  auto shared = star_network();
+  auto copies = star_network();
+  for (int i = 0; i < kStarHosts; ++i) {
+    shared->add_endpoint_shared(leaf(i), tpl);
+    copies->add_endpoint(leaf(i), *tpl);
+  }
+  EXPECT_EQ(shared->fingerprint(), copies->fingerprint());
+  EXPECT_EQ(shared->clone()->fingerprint(), shared->fingerprint());
+}
+
+TEST(NetworkFingerprint, OneHostProfileFieldMovesIt) {
+  auto tpl = std::make_shared<const EndpointProfile>(template_profile("tpl.example"));
+  auto base = star_network();
+  auto edited = star_network();
+  for (int i = 0; i < kStarHosts; ++i) {
+    base->add_endpoint_shared(leaf(i), tpl);
+    if (i == 3) {
+      EndpointProfile changed = *tpl;
+      changed.strict_http = true;
+      edited->add_endpoint(leaf(i), changed);
+    } else {
+      edited->add_endpoint_shared(leaf(i), tpl);
+    }
+  }
+  EXPECT_NE(base->fingerprint(), edited->fingerprint());
+}
+
+TEST(NetworkFingerprint, SwappingTwoHostsProfilesMovesIt) {
+  auto a = std::make_shared<const EndpointProfile>(template_profile("a.example"));
+  auto b = std::make_shared<const EndpointProfile>(template_profile("b.example"));
+  auto base = star_network();
+  auto swapped = star_network();
+  for (int i = 0; i < kStarHosts; ++i) {
+    base->add_endpoint_shared(leaf(i), i == 1 ? b : a);
+    swapped->add_endpoint_shared(leaf(i), i == 2 ? b : a);
+  }
+  EXPECT_NE(base->fingerprint(), swapped->fingerprint());
+}
+
+TEST(NetworkFingerprint, Regression_GeodbAsNameMovesIt) {
+  // CenTrace reports carry the blocking hop's AS number, name and country
+  // from the geodb, so two sites differing only in an AS label must not
+  // share cache keys.
+  auto a = star_network("TESTNET");
+  auto b = star_network("OTHERNET");
+  EXPECT_NE(a->fingerprint(), b->fingerprint());
+  EXPECT_EQ(a->fingerprint(), star_network("TESTNET")->fingerprint());
+}
+
+TEST(NetworkFingerprint, Regression_DeviceQuirkListsAreDelimited) {
+  // The TLS version list and the blind-suite list were mixed back to back
+  // without their lengths, so moving the last version code into the suite
+  // list left the word stream, and the cache keys, unchanged.
+  censor::DeviceConfig versions;
+  versions.id = "dpi";
+  versions.tls_quirks.parses_versions = {net::TlsVersion::kTls12};
+  censor::DeviceConfig suites = versions;
+  suites.tls_quirks.parses_versions.clear();
+  suites.tls_quirks.blind_cipher_suites = {
+      static_cast<std::uint16_t>(net::TlsVersion::kTls12)};
+  auto a = star_network();
+  auto b = star_network();
+  a->attach_device(0, std::make_shared<censor::Device>(versions));
+  b->attach_device(0, std::make_shared<censor::Device>(suites));
+  EXPECT_NE(a->fingerprint(), b->fingerprint());
+}

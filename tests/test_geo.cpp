@@ -84,3 +84,22 @@ TEST(IpMetadataDb, Slash32ExactHost) {
   EXPECT_TRUE(db.lookup(Ipv4Address(10, 0, 0, 7)));
   EXPECT_FALSE(db.lookup(Ipv4Address(10, 0, 0, 8)));
 }
+
+TEST(IpMetadataDb, FingerprintCoversEveryRouteField) {
+  auto one = [](Ipv4Address base, int len, AsInfo info, MetadataSource source) {
+    IpMetadataDb db;
+    db.add_route(base, len, std::move(info), source);
+    return db.fingerprint();
+  };
+  const Ipv4Address base(10, 1, 0, 0);
+  const AsInfo info{200, "SMALL", "DE"};
+  const std::uint64_t fp = one(base, 16, info, MetadataSource::kMaxmindLike);
+  EXPECT_EQ(fp, one(base, 16, info, MetadataSource::kMaxmindLike));
+  EXPECT_NE(fp, one(Ipv4Address(10, 2, 0, 0), 16, info, MetadataSource::kMaxmindLike));
+  EXPECT_NE(fp, one(base, 24, info, MetadataSource::kMaxmindLike));
+  EXPECT_NE(fp, one(base, 16, info, MetadataSource::kRouteviewsLike));
+  EXPECT_NE(fp, one(base, 16, {201, "SMALL", "DE"}, MetadataSource::kMaxmindLike));
+  EXPECT_NE(fp, one(base, 16, {200, "SMALLER", "DE"}, MetadataSource::kMaxmindLike));
+  EXPECT_NE(fp, one(base, 16, {200, "SMALL", "FR"}, MetadataSource::kMaxmindLike));
+  EXPECT_NE(fp, IpMetadataDb().fingerprint());
+}

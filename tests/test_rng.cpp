@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "core/fingerprint.hpp"
 #include "core/rng.hpp"
 
 using namespace cen;
@@ -104,4 +105,62 @@ TEST(Mix64, StatelessAndSpread) {
   int diff = __builtin_popcountll(mix64(0x1000) ^ mix64(0x1001));
   EXPECT_GT(diff, 16);
   EXPECT_LT(diff, 48);
+}
+
+// Known answers for the hash primitives. Every substream seed, fault
+// stream and cache key derives from these functions, so a change to any
+// of them silently changes every simulated measurement.
+
+TEST(HashKnownAnswers, Mix64) {
+  EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(mix64(1), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(mix64(12345), 0x22118258a9d111a0ULL);
+  EXPECT_EQ(mix64(~0ULL), 0xe4d971771b652c20ULL);
+}
+
+TEST(HashKnownAnswers, SplitMix64FromZero) {
+  std::uint64_t state = 0;
+  EXPECT_EQ(splitmix64(state), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(splitmix64(state), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(splitmix64(state), 0x06c45d188009454fULL);
+  EXPECT_EQ(splitmix64(state), 0xf88bb8a8724c81ecULL);
+}
+
+TEST(HashKnownAnswers, RngSeedOneAndFork) {
+  Rng rng(1);
+  EXPECT_EQ(rng.next(), 0xb3f2af6d0fc710c5ULL);
+  EXPECT_EQ(rng.next(), 0x853b559647364ceaULL);
+  EXPECT_EQ(rng.next(), 0x92f89756082a4514ULL);
+  EXPECT_EQ(rng.next(), 0x642e1c7bc266a3a7ULL);
+  EXPECT_EQ(Rng(1).fork().next(), 0x371e6c95a18ba1dcULL);
+}
+
+TEST(HashKnownAnswers, FingerprintBuilderDigest) {
+  // u64, both bools, -0.0 and a double, then strings of 0, 7, 8 and 9
+  // bytes (empty, a short tail word, exactly one word, one word + tail).
+  FingerprintBuilder fp;
+  fp.mix(std::uint64_t{42}).mix(true).mix(false).mix(-0.0).mix(3.5);
+  fp.mix(std::string_view("")).mix(std::string_view("abcdefg"));
+  fp.mix(std::string_view("abcdefgh")).mix(std::string_view("abcdefghi"));
+  EXPECT_EQ(fp.digest(), 0xa6fd12469811812fULL);
+}
+
+TEST(LaneFingerprint, LaneAndOrderSensitive) {
+  auto digest = [](std::initializer_list<std::uint64_t> words) {
+    LaneFingerprint fp;
+    for (std::uint64_t w : words) fp.mix(w);
+    return fp.digest();
+  };
+  const std::uint64_t base = digest({1, 2, 3, 4, 5, 6, 7, 8});
+  EXPECT_EQ(base, digest({1, 2, 3, 4, 5, 6, 7, 8}));
+  // Swap within one lane (words 0 and 4), across lanes, and extend.
+  EXPECT_NE(base, digest({5, 2, 3, 4, 1, 6, 7, 8}));
+  EXPECT_NE(base, digest({2, 1, 3, 4, 5, 6, 7, 8}));
+  EXPECT_NE(base, digest({1, 2, 3, 4, 5, 6, 7, 8, 0}));
+  EXPECT_NE(digest({}), digest({0}));
+  // Strings are length-prefixed word streams, as in FingerprintBuilder.
+  LaneFingerprint a, b;
+  a.mix(std::string_view("ab")).mix(std::string_view("c"));
+  b.mix(std::string_view("a")).mix(std::string_view("bc"));
+  EXPECT_NE(a.digest(), b.digest());
 }

@@ -137,6 +137,56 @@ TEST(CompactTopology, FingerprintMatchesClassicAndInflate) {
   }
 }
 
+namespace {
+
+enum class TopologyEdit { kNone, kMoveBanner, kRewriteTos, kSwapLinkOrder };
+
+/// A small compact topology (hub, routers r1-r4 and a host) with one
+/// optional edit applied: the banner on r1 moved to r2, r3's TOS rewrite
+/// changed, or the hub's two links inserted in the other order (which
+/// reorders the hub's adjacency row, and so its ECMP path order).
+std::shared_ptr<const sim::CompactTopology> edited_topology(TopologyEdit edit) {
+  sim::CompactTopologyBuilder b;
+  sim::RouterProfile tos;
+  tos.rewrite_tos = edit == TopologyEdit::kRewriteTos ? 0x40 : 0x20;
+  const sim::NodeId hub = b.add_node("hub", net::Ipv4Address(10, 0, 0, 1));
+  const sim::NodeId r1 = b.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
+  const sim::NodeId r2 = b.add_node("r2", net::Ipv4Address(10, 0, 2, 1));
+  const sim::NodeId r3 = b.add_node("r3", net::Ipv4Address(10, 0, 3, 1), tos);
+  const sim::NodeId r4 = b.add_node("r4", net::Ipv4Address(10, 0, 4, 1));
+  const sim::NodeId host = b.add_node("", net::Ipv4Address(10, 0, 9, 1));
+  if (edit == TopologyEdit::kSwapLinkOrder) {
+    b.add_link(hub, r2);
+    b.add_link(hub, r1);
+  } else {
+    b.add_link(hub, r1);
+    b.add_link(hub, r2);
+  }
+  b.add_link(r1, r3);
+  b.add_link(r2, r3);
+  b.add_link(r3, r4);
+  b.add_link(r4, host);
+  b.add_service(edit == TopologyEdit::kMoveBanner ? r2 : r1,
+                {22, "ssh", "SSH-2.0-OpenSSH_8.2p1"});
+  return b.build();
+}
+
+}  // namespace
+
+TEST(CompactTopology, FingerprintMovesOnEveryEditOnBothBackends) {
+  const auto base = edited_topology(TopologyEdit::kNone);
+  const std::uint64_t base_fp = base->fingerprint();
+  EXPECT_EQ(base->inflate().fingerprint(), base_fp);
+  for (TopologyEdit edit : {TopologyEdit::kMoveBanner, TopologyEdit::kRewriteTos,
+                            TopologyEdit::kSwapLinkOrder}) {
+    const auto edited = edited_topology(edit);
+    EXPECT_NE(edited->fingerprint(), base_fp) << static_cast<int>(edit);
+    EXPECT_NE(edited->inflate().fingerprint(), base_fp) << static_cast<int>(edit);
+    EXPECT_EQ(edited->inflate().fingerprint(), edited->fingerprint())
+        << static_cast<int>(edit);
+  }
+}
+
 TEST(CompactTopology, StructureMatchesClassic) {
   TwinTopologies t = make_twins(99);
   const sim::CompactTopology& c = *t.compact;
