@@ -16,6 +16,8 @@ void append_hex64(std::string& out, std::uint64_t v) {
   }
 }
 
+}  // namespace
+
 /// Byte span [begin, end) of the value of top-level member `name` inside
 /// `line`, which must already have parsed as a JSON object. Matching is on
 /// the raw key token, so a key written with escape sequences is treated as
@@ -115,8 +117,6 @@ std::string record_sum(std::string_view key, std::string_view result_json) {
   append_hex64(sum, fp.digest());
   return sum;
 }
-
-}  // namespace
 
 std::string task_cache_key(std::uint64_t network_fingerprint, std::uint64_t campaign_seed,
                            std::uint64_t fault_fingerprint, std::string_view stage,

@@ -33,6 +33,16 @@ std::string task_cache_key(std::uint64_t network_fingerprint, std::uint64_t camp
                            std::uint64_t fault_fingerprint, std::string_view stage,
                            std::string_view task_id, std::uint64_t options_fingerprint);
 
+/// The integrity digest (16 hex chars) a record's "sum" member carries:
+/// binds its key to its exact result bytes.
+std::string record_sum(std::string_view key, std::string_view result_json);
+
+/// Byte span [begin, end) of the value of top-level member `name` in a
+/// JSON object line that is already known to be valid. Member names match
+/// on their raw token, so a name spelled with escape sequences is absent.
+bool member_value_span(std::string_view line, std::string_view name,
+                       std::size_t& begin, std::size_t& end);
+
 class ResultCache {
  public:
   /// A cache over `path` (empty = in-memory only: no persistence, but

@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
+#include "core/json.hpp"
 #include "obs/observer.hpp"
 #include "report/json_report.hpp"
 #include "scenario/country.hpp"
@@ -63,6 +68,193 @@ std::string first_lines(const std::string& text, std::size_t lines) {
 
 std::size_t count_lines(const std::string& text) {
   return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
+/// The rule ResultCache::load applied before it validated lines without a
+/// DOM: json_parse every durable line, read key and sum through the DOM
+/// (member names and string values decoded), take the result's exact
+/// bytes with member_value_span, keep the last record per key. The
+/// DOM-free load must accept exactly the lines this accepts, with the same
+/// bytes — except lines that spell a member name with escape sequences,
+/// which it skips (a re-execution, never a wrong answer).
+std::map<std::string, std::string> reference_load(std::string_view text, std::size_t& loaded) {
+  std::map<std::string, std::string> records;
+  loaded = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) break;  // torn tail
+    const std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
+    if (line.empty()) continue;
+    auto doc = json_parse(line);
+    if (doc == nullptr || !doc->is_object()) continue;
+    std::string key = doc->get_string("key", "");
+    const JsonValue* result = doc->find("result");
+    if (key.size() != 32 || result == nullptr || !result->is_object()) continue;
+    std::size_t rb = 0;
+    std::size_t re = 0;
+    if (!campaign::member_value_span(line, "result", rb, re)) continue;
+    std::string result_text(line.substr(rb, re - rb));
+    if (doc->get_string("sum", "") != campaign::record_sum(key, result_text)) continue;
+    records[key] = std::move(result_text);
+    ++loaded;
+  }
+  return records;
+}
+
+/// Write `text` as the cache file at `path` and load it.
+campaign::ResultCache load_text(const std::string& path, const std::string& text,
+                                std::size_t& loaded) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f != nullptr) {
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  }
+  campaign::ResultCache cache(path);
+  loaded = cache.load();
+  return cache;
+}
+
+std::string json_string(std::string_view s) { return "\"" + std::string(s) + "\""; }
+
+/// `s` with its first character written as a \\u escape.
+std::string escape_first(std::string_view s) {
+  char esc[8];
+  std::snprintf(esc, sizeof(esc), "\\u%04x", static_cast<unsigned char>(s.front()));
+  return esc + std::string(s.substr(1));
+}
+
+/// One acceptance-table line: what it exercises, its bytes, whether the
+/// reference rule accepts it, and whether it spells a member name with
+/// escape sequences (the one case the DOM-free load may treat differently).
+struct CacheLine {
+  std::string what;
+  std::string line;
+  bool accepted = false;
+  bool escaped_name = false;
+};
+
+std::vector<CacheLine> cache_line_corpus() {
+  const std::string key = campaign::task_cache_key(1, 2, 3, "trace", "KZ:trace:t", 4);
+  const std::string other_key = campaign::task_cache_key(5, 6, 7, "trace", "KZ:trace:u", 8);
+  const std::string result =
+      R"({"tool":"centrace","hops":[{"ttl":1,"ip":"10.0.0.1"}],"note":"a\"b \u00e9"})";
+  const std::string sum = campaign::record_sum(key, result);
+  const std::string k = json_string(key);
+  const std::string s = json_string(sum);
+  const std::string r = result;
+  // {"key":K,"sum":S,"result":R} with the given pieces substituted.
+  auto rec = [&](const std::string& kk, const std::string& ss, const std::string& rr) {
+    return "{\"key\":" + kk + ",\"sum\":" + ss + ",\"result\":" + rr + "}";
+  };
+  auto summed = [&](std::string_view key_text, std::string_view result_text) {
+    return json_string(campaign::record_sum(key_text, result_text));
+  };
+  auto nested = [](int depth) {  // a result object holding `depth` nested arrays
+    return "{\"a\":" + std::string(depth, '[') + std::string(depth, ']') + "}";
+  };
+  std::string upper_sum = sum;
+  for (char& c : upper_sum) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  const std::string key31 = key.substr(0, 31);
+  const std::string key33 = key + "0";
+  const std::string quote_key = key.substr(0, 31) + "\"";  // 32 chars once decoded
+  const std::string cr_result = r + "\r";
+
+  std::vector<CacheLine> rows = {
+      // Member order and whitespace.
+      {"writer order", "{\"key\":" + k + ",\"sum\":" + s +
+                           ",\"stage\":\"trace\",\"task\":\"KZ:trace:t\",\"result\":" + r + "}",
+       true},
+      {"result first", "{\"result\":" + r + ",\"key\":" + k + ",\"sum\":" + s +
+                           ",\"stage\":\"trace\",\"task\":\"t\"}",
+       true},
+      {"sum last", "{\"result\":" + r + ",\"key\":" + k + ",\"sum\":" + s + "}", true},
+      {"key last", "{\"sum\":" + s + ",\"result\":" + r + ",\"key\":" + k + "}", true},
+      {"task value spells members",
+       "{\"task\":\"\\\"key\\\":\\\"" + std::string(32, '0') + "\\\",\\\"result\\\":{}\",\"key\":" +
+           k + ",\"sum\":" + s + ",\"result\":" + r + "}",
+       true},
+      {"extra whitespace", " \t{ \"key\" :\t" + k + " , \"sum\": " + s + "\t,\r\"result\" :  " + r +
+                               " \t}\r ",
+       true},
+      {"whitespace and CR after sum", "{\"key\":" + k + ",\"sum\":" + s + " \r,\"result\":" + r + "}",
+       true},
+      {"CR after result, sum over bare bytes", rec(k, s, cr_result), false},
+      {"CR after result, sum over CR bytes", rec(k, summed(key, cr_result), cr_result), true},
+      {"no other members", rec(k, s, r), true},
+      // Duplicate members: the first one counts.
+      {"duplicate key, first matches",
+       "{\"key\":" + k + ",\"key\":" + json_string(other_key) + ",\"sum\":" + s + ",\"result\":" + r + "}",
+       true},
+      {"duplicate key, first stale",
+       "{\"key\":" + json_string(other_key) + ",\"key\":" + k + ",\"sum\":" + s + ",\"result\":" + r + "}",
+       false},
+      {"duplicate result, first matches",
+       "{\"key\":" + k + ",\"sum\":" + s + ",\"result\":" + r + ",\"result\":{}}", true},
+      {"duplicate result, first other",
+       "{\"key\":" + k + ",\"sum\":" + s + ",\"result\":{},\"result\":" + r + "}", false},
+      {"duplicate sum, first matches",
+       "{\"key\":" + k + ",\"sum\":" + s + ",\"sum\":\"0000000000000000\",\"result\":" + r + "}",
+       true},
+      {"duplicate sum, first stale",
+       "{\"key\":" + k + ",\"sum\":\"0000000000000000\",\"sum\":" + s + ",\"result\":" + r + "}",
+       false},
+      // The integrity digest.
+      {"missing sum", "{\"key\":" + k + ",\"result\":" + r + "}", false},
+      {"stale sum", rec(k, summed(key, "{}"), r), false},
+      {"sum over another key", rec(k, summed(other_key, r), r), false},
+      {"numeric sum", rec(k, "1234", r), false},
+      {"upper-case sum", rec(k, json_string(upper_sum), r), false},
+      {"escaped sum value", rec(k, json_string(escape_first(sum)), r), true},
+      // The key.
+      {"missing key", "{\"sum\":" + s + ",\"result\":" + r + "}", false},
+      {"numeric key", rec("123", s, r), false},
+      {"null key", rec("null", s, r), false},
+      {"array key", rec("[" + k + "]", s, r), false},
+      {"31-char key", rec(json_string(key31), summed(key31, r), r), false},
+      {"33-char key", rec(json_string(key33), summed(key33, r), r), false},
+      {"escaped key value", rec(json_string(escape_first(key)), s, r), true},
+      {"key decoding to 32 chars", rec(json_string(key.substr(0, 31) + "\\\""), summed(quote_key, r), r),
+       true},
+      // The result.
+      {"missing result", "{\"key\":" + k + ",\"sum\":" + s + "}", false},
+      {"array result", rec(k, summed(key, "[1]"), "[1]"), false},
+      {"string result", rec(k, summed(key, "\"x\""), "\"x\""), false},
+      {"null result", rec(k, summed(key, "null"), "null"), false},
+      {"number result", rec(k, summed(key, "7"), "7"), false},
+      {"empty object result", rec(k, summed(key, "{}"), "{}"), true},
+      // UTF-8 and string syntax.
+      {"invalid UTF-8 in task",
+       "{\"key\":" + k + ",\"sum\":" + s + ",\"task\":\"t\xff\",\"result\":" + r + "}", false},
+      {"overlong UTF-8 in result", rec(k, summed(key, "{\"s\":\"\xc0\xaf\"}"), "{\"s\":\"\xc0\xaf\"}"),
+       false},
+      {"raw UTF-8 in result", rec(k, summed(key, "{\"s\":\"\xc3\xa9\"}"), "{\"s\":\"\xc3\xa9\"}"),
+       true},
+      {"raw control char in string",
+       "{\"key\":" + k + ",\"sum\":" + s + ",\"task\":\"a\tb\",\"result\":" + r + "}", false},
+      // Nesting: the line is depth 1, the result object depth 2.
+      {"nesting at depth 64", rec(k, summed(key, nested(62)), nested(62)), true},
+      {"nesting past depth 64", rec(k, summed(key, nested(63)), nested(63)), false},
+      // Not one JSON object.
+      {"empty line", "", false},
+      {"whitespace-only line", " \t", false},
+      {"array line", "[1,2]", false},
+      {"string line", "\"x\"", false},
+      {"garbage", "not json at all", false},
+      {"unterminated", "{\"key\":" + k, false},
+      {"trailing comma", "{\"key\":" + k + ",\"sum\":" + s + ",\"result\":" + r + ",}", false},
+      {"trailing content", rec(k, s, r) + " x", false},
+      {"two objects", rec(k, s, r) + rec(k, s, r), false},
+      // Member names spelled with escapes.
+      {"escaped member name: key", "{\"k\\u0065y\":" + k + ",\"sum\":" + s + ",\"result\":" + r + "}",
+       true, true},
+      {"escaped member name: sum", "{\"key\":" + k + ",\"\\u0073um\":" + s + ",\"result\":" + r + "}",
+       true, true},
+      {"escaped member name: result",
+       "{\"key\":" + k + ",\"sum\":" + s + ",\"r\\u0065sult\":" + r + "}", false, true},
+  };
+  return rows;
 }
 
 }  // namespace
@@ -286,6 +478,76 @@ TEST(Campaign, CacheToleratesTornTail) {
   const std::string* doc = cache.find(campaign::task_cache_key(1, 2, 3, "trace", "t1", 4));
   ASSERT_NE(doc, nullptr);
   EXPECT_EQ(*doc, "{\"tool\":\"centrace\"}");
+  std::remove(path.c_str());
+}
+
+TEST(Campaign, CacheLoadAcceptsWhatTheDomRuleAccepts) {
+  const std::string path = temp_cache("accept");
+  // The corpus's first line is the writer's own rendering of the record.
+  {
+    campaign::ResultCache writer(path);
+    const std::string key = campaign::task_cache_key(1, 2, 3, "trace", "KZ:trace:t", 4);
+    writer.put(key, "trace", "KZ:trace:t",
+               R"({"tool":"centrace","hops":[{"ttl":1,"ip":"10.0.0.1"}],"note":"a\"b \u00e9"})");
+    writer.flush();
+  }
+  const std::vector<CacheLine> corpus = cache_line_corpus();
+  ASSERT_EQ(read_file(path), corpus.front().line + "\n");
+
+  for (const CacheLine& row : corpus) {
+    SCOPED_TRACE(row.what);
+    const std::string text = row.line + "\n";
+    std::size_t ref_loaded = 0;
+    const std::map<std::string, std::string> ref = reference_load(text, ref_loaded);
+    ASSERT_EQ(ref_loaded, row.accepted ? 1u : 0u) << "corpus row mislabelled";
+    std::size_t loaded = 0;
+    const campaign::ResultCache cache = load_text(path, text, loaded);
+    if (row.escaped_name && loaded == 0) {
+      EXPECT_EQ(cache.size(), 0u);
+      continue;
+    }
+    EXPECT_EQ(loaded, ref_loaded);
+    ASSERT_EQ(cache.size(), ref.size());
+    for (const auto& [key, bytes] : ref) {
+      const std::string* got = cache.find(key);
+      ASSERT_NE(got, nullptr);
+      EXPECT_EQ(*got, bytes);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Campaign, CacheLoadMatchesTheDomRuleOverOneFile) {
+  // The whole corpus in one file, then the same key twice (the last
+  // record wins) and a torn tail (skipped).
+  const std::string key = campaign::task_cache_key(9, 9, 9, "fuzz", "KZ:fuzz:x", 9);
+  std::string text;
+  for (const CacheLine& row : cache_line_corpus()) {
+    if (!row.escaped_name) text += row.line + "\n";
+  }
+  for (const char* result : {R"({"n":1})", R"({"n":2})"}) {
+    text += "{\"key\":\"" + key + "\",\"sum\":\"" + campaign::record_sum(key, result) +
+            "\",\"result\":" + result + "}\n";
+  }
+  const std::string torn_key = campaign::task_cache_key(8, 8, 8, "fuzz", "KZ:fuzz:y", 8);
+  text += "{\"key\":\"" + torn_key + "\",\"sum\":\"" + campaign::record_sum(torn_key, "{}") +
+          "\",\"result\":{}}";
+
+  std::size_t ref_loaded = 0;
+  const std::map<std::string, std::string> ref = reference_load(text, ref_loaded);
+  ASSERT_EQ(ref.at(key), R"({"n":2})");
+  ASSERT_EQ(ref.count(torn_key), 0u);
+
+  const std::string path = temp_cache("accept_file");
+  std::size_t loaded = 0;
+  const campaign::ResultCache cache = load_text(path, text, loaded);
+  EXPECT_EQ(loaded, ref_loaded);
+  ASSERT_EQ(cache.size(), ref.size());
+  for (const auto& [k, bytes] : ref) {
+    const std::string* got = cache.find(k);
+    ASSERT_NE(got, nullptr) << k;
+    EXPECT_EQ(*got, bytes) << k;
+  }
   std::remove(path.c_str());
 }
 
