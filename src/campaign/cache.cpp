@@ -1,6 +1,8 @@
 #include "campaign/cache.hpp"
 
 #include <cstdio>
+#include <memory>
+#include <optional>
 
 #include "core/fingerprint.hpp"
 #include "core/json.hpp"
@@ -16,17 +18,31 @@ void append_hex64(std::string& out, std::uint64_t v) {
   }
 }
 
+/// The text a JSON string token denotes, or nullopt when `token` (a value
+/// span from a validated line, possibly with trailing whitespace; empty
+/// when the member is absent) is not a string. Escape-free tokens — all the writer emits — are sliced in
+/// place; an escaped one is decoded into `storage`.
+std::optional<std::string_view> string_token(std::string_view token, std::string& storage) {
+  while (!token.empty() && (token.back() == ' ' || token.back() == '\t' ||
+                            token.back() == '\r' || token.back() == '\n')) {
+    token.remove_suffix(1);
+  }
+  if (token.size() < 2 || token.front() != '"') return std::nullopt;
+  if (token.find('\\') == std::string_view::npos) return token.substr(1, token.size() - 2);
+  const std::unique_ptr<JsonValue> doc = json_parse(token);
+  if (doc == nullptr || !doc->is_string()) return std::nullopt;
+  storage = std::move(doc->string);
+  return std::string_view(storage);
+}
+
 }  // namespace
 
-/// Byte span [begin, end) of the value of top-level member `name` inside
-/// `line`, which must already have parsed as a JSON object. Matching is on
-/// the raw key token, so a key written with escape sequences is treated as
-/// absent — the caller then skips the record (a re-execution, never a wrong
-/// answer). Searching for the literal `"name":` substring is NOT safe here:
-/// the same bytes can occur inside an earlier string value (e.g. a task id),
-/// and members may appear in any order.
-bool member_value_span(std::string_view line, std::string_view name,
-                       std::size_t& begin, std::size_t& end) {
+// A member name written with escape sequences is treated as absent: the
+// loader then skips the record (a re-execution, never a wrong answer).
+// Searching for the literal `"name":` substring is NOT safe here: the same
+// bytes can occur inside an earlier string value (e.g. a task id), and
+// members may appear in any order.
+std::string_view member_value_span(std::string_view line, std::string_view name) {
   auto skip_ws = [&](std::size_t& p) {
     while (p < line.size() && (line[p] == ' ' || line[p] == '\t' ||
                                line[p] == '\n' || line[p] == '\r')) {
@@ -49,16 +65,16 @@ bool member_value_span(std::string_view line, std::string_view name,
   };
   std::size_t p = 0;
   skip_ws(p);
-  if (p >= line.size() || line[p] != '{') return false;
+  if (p >= line.size() || line[p] != '{') return {};
   ++p;
   for (;;) {
     skip_ws(p);
-    if (p >= line.size() || line[p] == '}') return false;  // member absent
+    if (p >= line.size() || line[p] == '}') return {};  // member absent
     const std::size_t key_start = p;
     skip_string(p);
     const std::string_view key = line.substr(key_start, p - key_start);
     skip_ws(p);
-    if (p >= line.size() || line[p] != ':') return false;
+    if (p >= line.size() || line[p] != ':') return {};
     ++p;
     skip_ws(p);
     const std::size_t val_start = p;
@@ -91,12 +107,10 @@ bool member_value_span(std::string_view line, std::string_view name,
     }
     if (key.size() == name.size() + 2 && key.front() == '"' && key.back() == '"' &&
         key.substr(1, name.size()) == name) {
-      begin = val_start;
-      end = val_end;
-      return end > begin;
+      return line.substr(val_start, val_end - val_start);
     }
     skip_ws(p);
-    if (p >= line.size() || line[p] != ',') return false;  // was the last member
+    if (p >= line.size() || line[p] != ',') return {};  // was the last member
     ++p;
   }
 }
@@ -147,14 +161,22 @@ std::size_t ResultCache::load() {
   if (path_.empty()) return 0;
   std::FILE* f = std::fopen(path_.c_str(), "rb");
   if (f == nullptr) return 0;
+  // One sized read: the buffer is allocated once at the file's length
+  // instead of doubling through appends.
   std::string text;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  if (std::fseek(f, 0, SEEK_END) == 0) {
+    const long size = std::ftell(f);
+    if (size > 0 && std::fseek(f, 0, SEEK_SET) == 0) {
+      text.resize(static_cast<std::size_t>(size));
+      text.resize(std::fread(text.data(), 1, text.size(), f));
+    }
+  }
   std::fclose(f);
 
   std::size_t loaded = 0;
   std::size_t pos = 0;
+  std::string key_storage;
+  std::string sum_storage;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
     // A record is only durable once its newline hit the disk: a trailing
@@ -162,23 +184,21 @@ std::size_t ResultCache::load() {
     if (eol == std::string::npos) break;
     std::string_view line(text.data() + pos, eol - pos);
     pos = eol + 1;
-    if (line.empty()) continue;
-    auto doc = json_parse(line);
-    if (doc == nullptr || !doc->is_object()) continue;
-    std::string key = doc->get_string("key", "");
-    const JsonValue* result = doc->find("result");
-    if (key.size() != 32 || result == nullptr || !result->is_object()) continue;
-    // The stored document must be the exact bytes the emitter produced (it
-    // is spliced verbatim into campaign output), so extract the member's
-    // precise span from the already-validated line rather than re-rendering.
-    std::size_t rb = 0;
-    std::size_t re = 0;
-    if (!member_value_span(line, "result", rb, re)) continue;
-    std::string result_text(line.substr(rb, re - rb));
+    // Validate without building a DOM, then take the three members as raw
+    // spans: the stored result must be the exact bytes the emitter
+    // produced (it is spliced verbatim into campaign output). The record's
+    // own decoder builds the only DOM, once, when a stage serves the hit.
+    if (line.empty() || !json_valid(line)) continue;
+    const std::optional<std::string_view> key =
+        string_token(member_value_span(line, "key"), key_storage);
+    const std::string_view result = member_value_span(line, "result");
+    if (!key || key->size() != 32 || result.empty() || result.front() != '{') continue;
     // Verify the record's integrity digest; records without one (older
     // cache files) or with a stale one are invalidated, never served.
-    if (doc->get_string("sum", "") != record_sum(key, result_text)) continue;
-    records_[key] = std::move(result_text);
+    const std::optional<std::string_view> sum =
+        string_token(member_value_span(line, "sum"), sum_storage);
+    if (!sum || *sum != record_sum(*key, result)) continue;
+    records_.insert_or_assign(std::string(*key), std::string(result));
     ++loaded;
   }
   return loaded;

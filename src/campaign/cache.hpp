@@ -37,11 +37,11 @@ std::string task_cache_key(std::uint64_t network_fingerprint, std::uint64_t camp
 /// binds its key to its exact result bytes.
 std::string record_sum(std::string_view key, std::string_view result_json);
 
-/// Byte span [begin, end) of the value of top-level member `name` in a
-/// JSON object line that is already known to be valid. Member names match
-/// on their raw token, so a name spelled with escape sequences is absent.
-bool member_value_span(std::string_view line, std::string_view name,
-                       std::size_t& begin, std::size_t& end);
+/// The exact bytes of the value of top-level member `name` in a JSON
+/// object line that already passed json_valid; empty when the member is
+/// absent. The first of duplicate members counts. Names match on their
+/// raw token, so a name spelled with escape sequences is absent.
+std::string_view member_value_span(std::string_view line, std::string_view name);
 
 class ResultCache {
  public:
@@ -49,9 +49,10 @@ class ResultCache {
   /// within-run dedup still works).
   explicit ResultCache(std::string path) : path_(std::move(path)) {}
 
-  /// Load existing records from the file. Unparseable lines (a crash's
-  /// truncated tail, stray garbage) are skipped, not fatal. Returns the
-  /// number of records loaded.
+  /// Load existing records from the file. Lines that are not a valid
+  /// record (a crash's truncated tail, stray garbage, a stale "sum") are
+  /// skipped, not fatal; docs/CAMPAIGN.md lists the acceptance rules.
+  /// Builds no DOM. Returns the number of records loaded.
   std::size_t load();
 
   /// The cached result document for a key, or nullptr.

@@ -74,13 +74,17 @@ void stage_span(obs::Observer* observer, const std::string& country,
 /// Add the host time since `start` to a wall-domain counter (host timing:
 /// --perf-report only, never in deterministic snapshots).
 void add_wall_ns(obs::Observer* observer, const char* name,
-                 std::chrono::steady_clock::time_point start) {
+                 std::chrono::steady_clock::duration elapsed) {
   if (observer == nullptr) return;
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::steady_clock::now() - start);
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed);
   observer->metrics()
       .counter(name, obs::Domain::kWall)
       .inc(static_cast<std::uint64_t>(ns.count()));
+}
+
+void add_wall_ns(obs::Observer* observer, const char* name,
+                 std::chrono::steady_clock::time_point start) {
+  add_wall_ns(observer, name, std::chrono::steady_clock::now() - start);
 }
 
 /// Run one stage and return every task's decoded report in task order,
@@ -119,6 +123,7 @@ std::optional<std::vector<Report>> run_stage(
   std::vector<std::pair<std::size_t, std::size_t>> copies;  // (task, executed task)
   std::map<std::string_view, std::size_t> planned;           // key -> last executed task
   bool stopped = false;
+  std::chrono::steady_clock::duration hit_decode{};  // campaign.hit_decode_ns
   const auto batch = static_cast<std::size_t>(ctx.spec.batch_size);
   for (std::size_t start = 0; start < n; start += batch) {
     const std::size_t end = std::min(start + batch, n);
@@ -131,7 +136,12 @@ std::optional<std::vector<Report>> run_stage(
         continue;
       }
       const std::string* hit = ctx.cache.find(tasks.cache_keys[i]);
-      std::optional<Report> rep = hit != nullptr ? decode(*hit) : std::nullopt;
+      std::optional<Report> rep;
+      if (hit != nullptr) {
+        const auto decode_start = std::chrono::steady_clock::now();
+        rep = decode(*hit);
+        hit_decode += std::chrono::steady_clock::now() - decode_start;
+      }
       if (rep) {
         docs[i] = *hit;
         reports[i] = std::move(*rep);
@@ -154,6 +164,7 @@ std::optional<std::vector<Report>> run_stage(
     ++stats.batches;
     stats.executed += pending.size() - first;
   }
+  add_wall_ns(ctx.control.observer, "campaign.hit_decode_ns", hit_decode);
 
   if (!pending.empty()) {
     // Seeds always derive over the FULL task list: the cache state must
@@ -284,10 +295,12 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     }
   }
 
-  ResultCache cache(control.cache_path);
-  const std::size_t preloaded = cache.load();
-  Budget budget{control.max_batches, 0};
   obs::Observer* observer = control.observer;
+  ResultCache cache(control.cache_path);
+  const auto load_start = std::chrono::steady_clock::now();
+  const std::size_t preloaded = cache.load();
+  add_wall_ns(observer, "campaign.cache_load_ns", load_start);
+  Budget budget{control.max_batches, 0};
   if (observer != nullptr) {
     // Cache/batch bookkeeping depends on the run history, not the spec —
     // wall domain, excluded from deterministic snapshots.
@@ -530,10 +543,12 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
       m.endpoint_id = net::Ipv4Address(ep).str();
       m.country = code;
       m.trace = *rep;
+      // Each blocked endpoint owns its fuzz and ambig reports (probe
+      // reports are shared by every endpoint behind one device: copied).
       auto fz = fuzz_by_endpoint.find(ep);
-      if (fz != fuzz_by_endpoint.end()) m.fuzz = fz->second;
+      if (fz != fuzz_by_endpoint.end()) m.fuzz = std::move(fz->second);
       auto am = ambig_by_endpoint.find(ep);
-      if (am != ambig_by_endpoint.end()) m.ambig = am->second;
+      if (am != ambig_by_endpoint.end()) m.ambig = std::move(am->second);
       if (rep->blocking_hop_ip) {
         auto pb = device_probes.find(rep->blocking_hop_ip->value());
         if (pb != device_probes.end()) m.banner = pb->second;

@@ -13,11 +13,14 @@
 #include <filesystem>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "check/engines.hpp"
 #include "core/bytes.hpp"
+#include "core/json.hpp"
 
 namespace cen::check {
 
@@ -97,7 +100,7 @@ void corrupt(std::string& text, Rng& rng) {
   for (std::size_t i = 0; i + 1 < text.size(); ++i) {
     if (text[i] == '\n') line_starts.push_back(i + 1);
   }
-  switch (rng.uniform(7)) {
+  switch (rng.uniform(9)) {
     case 0:  // truncate mid-record (torn tail of a crash)
       text.resize(rng.index(text.size()) + 1);
       break;
@@ -151,6 +154,33 @@ void corrupt(std::string& text, Rng& rng) {
       for (std::size_t i = 0; i < len; ++i) {
         text[at + i] = static_cast<char>(rng.uniform(256));
       }
+      break;
+    }
+    case 7: {  // re-render one record with its members reordered: result
+               // first, original sum kept — still a valid record
+      const std::size_t begin = line_starts[rng.index(line_starts.size())];
+      const std::size_t end = std::min(text.find('\n', begin), text.size());
+      const std::string_view line(text.data() + begin, end - begin);
+      if (!json_valid(line)) break;
+      std::string reordered;
+      for (const char* name : {"result", "key", "sum", "stage", "task"}) {
+        const std::string_view value = campaign::member_value_span(line, name);
+        if (value.empty()) return;
+        reordered += reordered.empty() ? "{\"" : ",\"";
+        reordered += name;
+        reordered += "\":";
+        reordered += value;
+      }
+      text.replace(begin, end - begin, reordered + "}");
+      break;
+    }
+    case 8: {  // escape one letter of the "key" member name — a record the
+               // loader skips, so its task re-executes
+      const std::size_t begin = line_starts[rng.index(line_starts.size())];
+      if (text.compare(begin, 7, "{\"key\":") != 0) break;
+      static constexpr const char* kEscapes[] = {"\\u006b", "\\u0065", "\\u0079"};
+      const std::size_t letter = rng.uniform(3);
+      text.replace(begin + 2 + letter, 1, kEscapes[letter]);
       break;
     }
   }

@@ -117,7 +117,8 @@ inline int write_observability(const Args& args, const cen::obs::Observer& obs) 
 /// series the deterministic sinks exclude (counters perf.clone_ns /
 /// perf.reset_ns / perf.tasks / perf.batches, pathcache.hits /
 /// pathcache.misses / pathcache.trees, campaign.site_build_ns /
-/// campaign.fingerprint_ns; gauges pool.workers / pool.busy_ns /
+/// campaign.fingerprint_ns / campaign.cache_load_ns /
+/// campaign.hit_decode_ns; gauges pool.workers / pool.busy_ns /
 /// pool.wall_ns). Host-clock and scheduling-dependent by design — never
 /// byte-stable across runs, so it lives in its own sink. Written to FILE, or stdout when the flag is
 /// passed bare. Returns 0, or 1 on I/O error.
