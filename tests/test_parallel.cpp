@@ -7,12 +7,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
+#include "core/fingerprint.hpp"
 #include "core/json.hpp"
 #include "core/thread_pool.hpp"
+#include "obs/observer.hpp"
 #include "report/json_report.hpp"
 #include "scenario/executor.hpp"
 #include "scenario/pipeline.hpp"
@@ -224,6 +227,17 @@ PipelineOptions parallel_opts(int threads) {
   return o;
 }
 
+PipelineOptions faulty_opts(int threads) {
+  PipelineOptions o = parallel_opts(threads);
+  o.transient_loss = 0.05;
+  o.faults.transient_loss = 0.05;
+  o.faults.default_link.duplicate = 0.02;
+  o.faults.default_link.reorder = 0.02;
+  o.faults.default_node.icmp_rate_per_sec = 2.0;
+  o.centrace_retry_backoff = kSecond;
+  return o;
+}
+
 std::string pipeline_json(Country country, const PipelineOptions& options) {
   CountryScenario s = make_country(country, Scale::kSmall);
   PipelineResult r = run_country_pipeline(s, options);
@@ -246,19 +260,9 @@ TEST(ParallelPipeline, ByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelPipeline, ByteIdenticalUnderNonInertFaultPlan) {
-  auto faulty = [](int threads) {
-    PipelineOptions o = parallel_opts(threads);
-    o.transient_loss = 0.05;
-    o.faults.transient_loss = 0.05;
-    o.faults.default_link.duplicate = 0.02;
-    o.faults.default_link.reorder = 0.02;
-    o.faults.default_node.icmp_rate_per_sec = 2.0;
-    o.centrace_retry_backoff = kSecond;
-    return o;
-  };
-  const std::string reference = pipeline_json(Country::kAZ, faulty(1));
+  const std::string reference = pipeline_json(Country::kAZ, faulty_opts(1));
   for (int threads : {2, 5}) {
-    EXPECT_EQ(reference, pipeline_json(Country::kAZ, faulty(threads)))
+    EXPECT_EQ(reference, pipeline_json(Country::kAZ, faulty_opts(threads)))
         << "thread count " << threads << " changed the faulty-run result";
   }
 }
@@ -316,4 +320,98 @@ TEST(ParallelPipeline, WorldPipelineIdenticalAcrossThreadCounts) {
   };
   const std::string reference = world_json(1);
   EXPECT_EQ(reference, world_json(4));
+}
+
+// ------------------------------------------------------- pinned digests
+//
+// Content digests of the pipeline and fan-out outputs at threads = 1,
+// committed as constants. The identity tests above only compare thread
+// counts with each other, so a change that shifted every count the same
+// way (a shard-merge or seeding change, say) would pass them; these pins
+// catch it. A deliberate output change updates the constants and says so
+// in CHANGES.md.
+
+namespace {
+
+std::uint64_t digest(std::string_view s) { return FingerprintBuilder().mix(s).digest(); }
+
+struct Pin {
+  const char* name;
+  std::uint64_t expected;
+  std::uint64_t actual;
+};
+
+void expect_pins(const std::vector<Pin>& pins) {
+  for (const Pin& p : pins) {
+    char hex[19];
+    std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(p.actual));
+    EXPECT_EQ(p.expected, p.actual) << p.name << " digest is now " << hex;
+  }
+}
+
+}  // namespace
+
+TEST(PinnedDigests, PipelineResults) {
+  WorldScenario world = make_world(Scale::kSmall);
+  PipelineOptions world_opts;
+  world_opts.centrace_repetitions = 3;
+  world_opts.run_fuzz = false;
+  world_opts.threads = 1;
+  expect_pins({
+      {"AZ", 0xd2d9412a3c15790fULL, digest(pipeline_json(Country::kAZ, parallel_opts(1)))},
+      {"BY", 0x542f4c05a5f1ff4bULL, digest(pipeline_json(Country::kBY, parallel_opts(1)))},
+      {"KZ", 0xf7d49a0fdb22cd60ULL, digest(pipeline_json(Country::kKZ, parallel_opts(1)))},
+      {"RU", 0x1707319190c3a04dULL, digest(pipeline_json(Country::kRU, parallel_opts(1)))},
+      {"AZ faulty", 0xb93a6701bff3a222ULL, digest(pipeline_json(Country::kAZ, faulty_opts(1)))},
+      {"world", 0x75e9d9c3dc28f5feULL, digest(report::to_json(run_world_pipeline(world, world_opts)))},
+  });
+}
+
+TEST(PinnedDigests, ObservedPipelineSnapshot) {
+  obs::Observer observer;
+  PipelineOptions o = parallel_opts(1);
+  o.observer = &observer;
+  CountryScenario s = make_country(Country::kKZ, Scale::kSmall);
+  run_country_pipeline(s, o);
+  expect_pins({
+      {"KZ metrics", 0x186358a666cdeb94ULL, digest(report::to_json(observer))},
+      {"KZ trace", 0xb4cbfd0917e0c5eeULL, digest(observer.tracer().to_chrome_json())},
+      {"KZ journal", 0xaf3e8251f74b555fULL, digest(observer.journal().to_json())},
+  });
+}
+
+TEST(PinnedDigests, TraceFanoutSnapshots) {
+  auto snapshot = [](bool faulty) {
+    CountryScenario s = make_country(Country::kKZ, Scale::kSmall);
+    trace::CenTraceOptions opts;
+    opts.repetitions = 3;
+    if (faulty) {
+      sim::FaultPlan plan;
+      plan.transient_loss = 0.05;
+      plan.default_link.duplicate = 0.02;
+      plan.default_node.icmp_rate_per_sec = 2.0;
+      s.network->set_fault_plan(plan);
+      opts.retry_backoff = kSecond;
+    }
+    std::vector<net::Ipv4Address> endpoints(s.remote_endpoints.begin(),
+                                            s.remote_endpoints.begin() + 2);
+    std::vector<std::string> domains(s.http_test_domains.begin(),
+                                     s.http_test_domains.begin() + 2);
+    obs::Observer observer;
+    std::string out;
+    for (const trace::CenTraceReport& r :
+         run_trace_fanout(*s.network, s.remote_client, endpoints, domains, s.control_domain,
+                          opts, 1, &observer)) {
+      out += report::to_json(r, /*include_sweeps=*/true);
+      out += '\n';
+    }
+    out += report::to_json(observer);
+    out += observer.tracer().to_chrome_json();
+    out += observer.journal().to_json();
+    return digest(out);
+  };
+  expect_pins({
+      {"fan-out clean", 0x8df85da43e7a8573ULL, snapshot(false)},
+      {"fan-out faulty", 0x93d3c42ba35a8b27ULL, snapshot(true)},
+  });
 }
