@@ -13,6 +13,7 @@
 #include "campaign/cache.hpp"
 #include "centrace/degrade.hpp"
 #include "core/json.hpp"
+#include "core/seed_salts.hpp"
 #include "ml/dbscan.hpp"
 #include "obs/observer.hpp"
 #include "report/from_json.hpp"
@@ -25,15 +26,6 @@
 namespace cen::campaign {
 
 namespace {
-
-// The pipeline's per-stage substream salts (scenario/pipeline.cpp). The
-// campaign derives its seeds with the same salts and identity keys, so a
-// campaign trace of (endpoint, domain, protocol) is the same measurement
-// the pipeline would have produced for that task.
-constexpr std::uint64_t kTraceStageSalt = 0x747261636531ULL;  // "trace1"
-constexpr std::uint64_t kProbeStageSalt = 0x70726f626532ULL;  // "probe2"
-constexpr std::uint64_t kFuzzStageSalt = 0x66757a7a33ULL;     // "fuzz3"
-constexpr std::uint64_t kAmbigStageSalt = 0x616d62696734ULL;  // "ambig4"
 
 /// Campaign-wide executed-batch budget (RunControl::max_batches).
 struct Budget {
@@ -194,24 +186,14 @@ std::optional<std::vector<Report>> run_stage(
         ctx.cache.flush();  // batch boundary == crash-checkpoint boundary
       }
     };
-    if (ctx.control.threads == 0) {
-      // Inline hermetic path: the scenario network itself, reset to the
-      // task's epoch before each measurement — same substreams the pool
-      // replicas would use.
-      for (std::size_t p = 0; p < pending.size(); ++p) {
-        ctx.net.reset_epoch(seeds[pending[p]]);
-        run_task(ctx.net, p);
-      }
-    } else {
-      if (ctx.exec == nullptr) {
-        ctx.exec = std::make_unique<scenario::ParallelExecutor>(ctx.net, ctx.control.threads);
-        if (ctx.control.observer != nullptr) ctx.exec->set_perf_tracking(true);
-      }
-      std::vector<std::uint64_t> sub_seeds;
-      sub_seeds.reserve(pending.size());
-      for (std::size_t i : pending) sub_seeds.push_back(seeds[i]);
-      ctx.exec->run(sub_seeds, run_task);
+    if (ctx.exec == nullptr) {
+      ctx.exec = std::make_unique<scenario::ParallelExecutor>(ctx.net, ctx.control.threads);
+      ctx.exec->set_perf_tracking(ctx.control.observer != nullptr);
     }
+    std::vector<std::uint64_t> sub_seeds;
+    sub_seeds.reserve(pending.size());
+    for (std::size_t i : pending) sub_seeds.push_back(seeds[i]);
+    ctx.exec->run(sub_seeds, run_task);
   }
   if (stopped) return std::nullopt;
 
@@ -409,7 +391,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
       }
     }
     const std::optional<std::vector<trace::CenTraceReport>> traced = run_stage(
-        ctx, result.trace, "trace", trace_stage, kTraceStageSalt,
+        ctx, result.trace, "trace", trace_stage, salts::kTraceStage,
         report::trace_report_from_json, [&](sim::Network& worker, std::size_t i) {
           const TraceTask& t = trace_tasks[i];
           trace::TraceRunOptions ropts;
@@ -446,7 +428,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
       }
     }
     std::optional<std::vector<probe::DeviceProbeReport>> probed = run_stage(
-        ctx, result.probe, "probe", probe_stage, kProbeStageSalt,
+        ctx, result.probe, "probe", probe_stage, salts::kProbeStage,
         report::probe_report_from_json, [&](sim::Network& worker, std::size_t i) {
           return report::to_json(
           probe::run(worker, probe::ProbeRunOptions{net::Ipv4Address(probe_targets[i])}));
@@ -485,7 +467,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
       }
     }
     std::optional<std::vector<fuzz::CenFuzzReport>> fuzzed = run_stage(
-        ctx, result.fuzz, "fuzz", fuzz_stage, kFuzzStageSalt,
+        ctx, result.fuzz, "fuzz", fuzz_stage, salts::kFuzzStage,
         report::fuzz_report_from_json, [&](sim::Network& worker, std::size_t i) {
           const trace::CenTraceReport* rep = blocked_by_endpoint.at(fuzz_targets[i]);
           fuzz::FuzzRunOptions ropts;
@@ -521,7 +503,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
       }
     }
     std::optional<std::vector<ambig::AmbigReport>> ambiguities = run_stage(
-        ctx, result.ambig, "ambig", ambig_stage, kAmbigStageSalt,
+        ctx, result.ambig, "ambig", ambig_stage, salts::kAmbigStage,
         report::ambig_report_from_json, [&](sim::Network& worker, std::size_t i) {
           ambig::AmbigRunOptions ropts;
           ropts.client = site.client;

@@ -4,6 +4,7 @@
 
 #include "censor/vendors.hpp"
 #include "core/fingerprint.hpp"
+#include "core/seed_salts.hpp"
 #include "net/http.hpp"
 #include "obs/observer.hpp"
 
@@ -22,10 +23,6 @@ std::uint64_t DegradationPlan::fingerprint() const {
 }
 
 namespace {
-
-/// Stage salt for the tomography scheduler's substreams (disjoint from
-/// the pipeline's kTraceStageSalt/kProbeStageSalt/kFuzzStageSalt).
-constexpr std::uint64_t kTomographySalt = 0x746f6d6f3176ull;
 
 enum class EndToEndVerdict { kBlocked, kClean, kSilent };
 
@@ -87,7 +84,7 @@ void escalate_tomography(sim::Network& network, sim::NodeId client,
   tomo::ObservationMatrix matrix;
   for (std::size_t vi = 0; vi < vantages.size(); ++vi) {
     const std::vector<SimTime> delays =
-        tomo::probe_round_delays(network.seed(), kTomographySalt, static_cast<int>(vi),
+        tomo::probe_round_delays(network.seed(), salts::kTomography, static_cast<int>(vi),
                                  plan.rounds, plan.round_spacing);
     for (SimTime delay : delays) {
       // The jittered advance walks probes across route-flap epochs, and

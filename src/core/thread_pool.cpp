@@ -14,6 +14,15 @@ std::uint64_t now_ns() {
 }
 }  // namespace
 
+void PoolStats::record_job(std::size_t count) {
+  jobs.fetch_add(1, std::memory_order_relaxed);
+  tasks.fetch_add(count, std::memory_order_relaxed);
+  std::uint64_t peak = peak_pending.load(std::memory_order_relaxed);
+  while (count > peak &&
+         !peak_pending.compare_exchange_weak(peak, count, std::memory_order_relaxed)) {
+  }
+}
+
 void ThreadPool::set_stats(PoolStats* stats) {
   std::lock_guard<std::mutex> lock(mu_);
   stats_ = stats;
@@ -69,12 +78,7 @@ void ThreadPool::parallel_for_chunked(
     stats = stats_;
   }
   if (stats != nullptr) {
-    stats->jobs.fetch_add(1, std::memory_order_relaxed);
-    stats->tasks.fetch_add(count, std::memory_order_relaxed);
-    std::uint64_t peak = stats->peak_pending.load(std::memory_order_relaxed);
-    while (count > peak && !stats->peak_pending.compare_exchange_weak(
-                               peak, count, std::memory_order_relaxed)) {
-    }
+    stats->record_job(count);
     t0 = now_ns();
   }
   start_cv_.notify_all();

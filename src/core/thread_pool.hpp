@@ -35,6 +35,9 @@ struct PoolStats {
   std::atomic<std::uint64_t> peak_pending{0};  // largest single job
   std::atomic<std::uint64_t> busy_ns{0};       // summed task execution time
   std::atomic<std::uint64_t> wall_ns{0};       // summed parallel_for wall time
+
+  /// Count one submitted job of `count` indices (jobs, tasks, peak).
+  void record_job(std::size_t count);
 };
 
 class ThreadPool {

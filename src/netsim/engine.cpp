@@ -3,13 +3,12 @@
 #include <unordered_map>
 
 #include "core/fingerprint.hpp"
+#include "core/seed_salts.hpp"
 #include "obs/observer.hpp"
 
 namespace cen::sim {
 
 namespace {
-/// Salt folded into a seed to derive the fault-layer RNG stream.
-constexpr std::uint64_t kFaultSeedSalt = 0x66616c7453696dULL;
 
 /// Reply packet from the endpoint toward the client, acking `pkt`.
 net::Packet endpoint_reply(const net::Packet& pkt, std::uint8_t flags) {
@@ -32,14 +31,14 @@ Network::Network(Topology topology, geo::IpMetadataDb geodb, std::uint64_t seed)
       geodb_(std::make_shared<const geo::IpMetadataDb>(std::move(geodb))),
       seed_(seed),
       rng_(seed),
-      faults_(mix64(seed ^ kFaultSeedSalt)) {}
+      faults_(mix64(seed ^ salts::kFaultSeed)) {}
 
 Network::Network(const Network& other, CloneTag)
     : topology_(other.topology_),  // shares the frozen ECMP paths and trees
       geodb_(other.geodb_),        // immutable, shared by reference
       seed_(other.seed_),
       rng_(other.seed_),
-      faults_(mix64(other.seed_ ^ kFaultSeedSalt)),
+      faults_(mix64(other.seed_ ^ salts::kFaultSeed)),
       endpoints_(other.endpoints_) {  // COW-shared (detached on mutation)
   faults_.set_plan(other.faults_.plan());
   attachments_.reserve(other.attachments_.size());
@@ -203,7 +202,7 @@ std::uint64_t Network::fingerprint() const {
 void Network::reset_epoch(std::uint64_t substream_seed) {
   clock_.reset();
   rng_ = Rng(substream_seed);
-  faults_.reset_state(mix64(substream_seed ^ kFaultSeedSalt));
+  faults_.reset_state(mix64(substream_seed ^ salts::kFaultSeed));
   next_ephemeral_port_ = kEphemeralPortFloor;
   for (const auto& dev : devices_) dev->reset_state();
 }

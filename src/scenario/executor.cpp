@@ -26,9 +26,7 @@ std::size_t dispatch_chunk(std::size_t tasks, int workers) {
 }
 
 int resolve_threads(int requested) {
-  if (requested >= 1) return requested;
-  if (requested == 0) return 1;
-  return ThreadPool::hardware_threads();
+  return requested >= 0 ? requested : ThreadPool::hardware_threads();
 }
 
 std::uint64_t domain_hash(std::string_view domain) {
@@ -64,60 +62,85 @@ std::vector<std::uint64_t> derive_task_seeds(std::uint64_t network_seed,
   return seeds;
 }
 
-ParallelExecutor::ParallelExecutor(const sim::Network& prototype, int threads)
-    : pool_(resolve_threads(threads)) {
+ParallelExecutor::ParallelExecutor(sim::Network& prototype, int threads)
+    : prototype_(prototype) {
+  const int workers = resolve_threads(threads);
+  if (workers == 0) return;
   const std::uint64_t t0 = now_ns();
-  replicas_.reserve(static_cast<std::size_t>(pool_.size()));
-  for (int i = 0; i < pool_.size(); ++i) {
+  replicas_.reserve(static_cast<std::size_t>(workers));
+  for (int i = 0; i < workers; ++i) {
     replicas_.push_back(prototype.clone());
   }
   perf_.clone_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+  pool_.emplace(workers);
+}
+
+void ParallelExecutor::set_perf_tracking(bool enabled) {
+  perf_tracking_ = enabled;
+  if (pool_) pool_->set_stats(enabled ? &perf_.pool : nullptr);
+}
+
+std::uint64_t ParallelExecutor::sum_topologies(
+    std::uint64_t (sim::Topology::*counter)() const) const {
+  if (!pool_) return (prototype_.topology().*counter)();
+  std::uint64_t total = 0;
+  for (const auto& replica : replicas_) total += (replica->topology().*counter)();
+  return total;
 }
 
 std::uint64_t ParallelExecutor::path_cache_hits() const {
-  std::uint64_t total = 0;
-  for (const auto& replica : replicas_) {
-    total += replica->topology().path_cache_hits();
-  }
-  return total;
+  return sum_topologies(&sim::Topology::path_cache_hits);
 }
 
 std::uint64_t ParallelExecutor::path_cache_misses() const {
-  std::uint64_t total = 0;
-  for (const auto& replica : replicas_) {
-    total += replica->topology().path_cache_misses();
-  }
-  return total;
+  return sum_topologies(&sim::Topology::path_cache_misses);
 }
 
 std::uint64_t ParallelExecutor::path_trees_built() const {
-  std::uint64_t total = 0;
-  for (const auto& replica : replicas_) {
-    total += replica->topology().path_trees_built();
-  }
-  return total;
+  return sum_topologies(&sim::Topology::path_trees_built);
 }
 
 void ParallelExecutor::run(const std::vector<std::uint64_t>& seeds,
                            const std::function<void(sim::Network&, std::size_t)>& fn) {
   const bool track = perf_tracking_;
-  pool_.parallel_for_chunked(
-      seeds.size(), dispatch_chunk(seeds.size(), threads()),
-      [&](int worker, std::size_t begin, std::size_t end) {
-        sim::Network& replica = *replicas_[static_cast<std::size_t>(worker)];
-        for (std::size_t i = begin; i < end; ++i) {
-          if (track) {
-            const std::uint64_t t0 = now_ns();
-            replica.reset_epoch(seeds[i]);
-            perf_.reset_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
-          } else {
-            replica.reset_epoch(seeds[i]);
-          }
-          fn(replica, i);
-        }
-        perf_.tasks.fetch_add(end - begin, std::memory_order_relaxed);
-        perf_.batches.fetch_add(1, std::memory_order_relaxed);
-      });
+  auto run_range = [&](sim::Network& net, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (track) {
+        const std::uint64_t t0 = now_ns();
+        net.reset_epoch(seeds[i]);
+        perf_.reset_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+      } else {
+        net.reset_epoch(seeds[i]);
+      }
+      fn(net, i);
+    }
+    perf_.tasks.fetch_add(end - begin, std::memory_order_relaxed);
+    perf_.batches.fetch_add(1, std::memory_order_relaxed);
+  };
+  if (pool_) {
+    pool_->parallel_for_chunked(seeds.size(), dispatch_chunk(seeds.size(), threads()),
+                                [&](int worker, std::size_t begin, std::size_t end) {
+                                  run_range(*replicas_[static_cast<std::size_t>(worker)],
+                                            begin, end);
+                                });
+    return;
+  }
+  // Inline mode: one chunk on the calling thread, accounted as the pool
+  // would account a job. Tasks record into their own observers, as they
+  // do on a replica, so the caller's attachment is set aside meanwhile.
+  if (seeds.empty()) return;
+  const std::uint64_t t0 = track ? now_ns() : 0;
+  if (track) perf_.pool.record_job(seeds.size());
+  {
+    sim::ScopedObserver restore(prototype_, nullptr);
+    prototype_.set_observer(nullptr);
+    run_range(prototype_, 0, seeds.size());
+  }
+  if (track) {
+    const std::uint64_t elapsed = now_ns() - t0;
+    perf_.pool.busy_ns.fetch_add(elapsed, std::memory_order_relaxed);
+    perf_.pool.wall_ns.fetch_add(elapsed, std::memory_order_relaxed);
+  }
 }
 
 void export_exec_perf(obs::Observer& observer, const ParallelExecutor& exec) {
@@ -130,6 +153,11 @@ void export_exec_perf(obs::Observer& observer, const ParallelExecutor& exec) {
   m.counter("pathcache.hits", obs::Domain::kWall).inc(exec.path_cache_hits());
   m.counter("pathcache.misses", obs::Domain::kWall).inc(exec.path_cache_misses());
   m.counter("pathcache.trees", obs::Domain::kWall).inc(exec.path_trees_built());
+  m.gauge("pool.workers", obs::Domain::kWall).set_max(exec.threads());
+  m.gauge("pool.busy_ns", obs::Domain::kWall)
+      .set_max(static_cast<std::int64_t>(p.pool.busy_ns.load(std::memory_order_relaxed)));
+  m.gauge("pool.wall_ns", obs::Domain::kWall)
+      .set_max(static_cast<std::int64_t>(p.pool.wall_ns.load(std::memory_order_relaxed)));
 }
 
 }  // namespace cen::scenario

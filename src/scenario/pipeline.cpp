@@ -1,10 +1,11 @@
 #include "scenario/pipeline.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <functional>
 #include <set>
 
 #include "centrace/degrade.hpp"
+#include "core/seed_salts.hpp"
 #include "obs/observer.hpp"
 #include "scenario/executor.hpp"
 
@@ -44,11 +45,6 @@ std::vector<std::size_t> stride_sample_indices(std::size_t n, int cap) {
 
 namespace {
 
-// Stage salts separating the substream universes of the three fan-outs.
-constexpr std::uint64_t kTraceStageSalt = 0x747261636531ULL;  // "trace1"
-constexpr std::uint64_t kProbeStageSalt = 0x70726f626532ULL;  // "probe2"
-constexpr std::uint64_t kFuzzStageSalt = 0x66757a7a33ULL;     // "fuzz3"
-
 std::vector<net::Ipv4Address> sample(const std::vector<net::Ipv4Address>& v, int cap) {
   std::vector<net::Ipv4Address> out;
   for (std::size_t idx : stride_sample_indices(v.size(), cap)) out.push_back(v[idx]);
@@ -72,9 +68,9 @@ struct PipelineInput {
   std::string country;
 };
 
-/// Per-task observability shards for one hermetic stage, merged into the
+/// Per-task observability shards for the hermetic stages, merged into the
 /// pipeline-level observer in task-identity order. Each task records into
-/// a private Observer (attached to its replica for the task's duration),
+/// a private Observer (attached to its network for the task's duration),
 /// so no lock sits on any hot path; the merge then lays the per-task
 /// timelines end to end on one synthetic axis — task i's spans/journal
 /// entries are offset by the summed sim durations of tasks 0..i-1 and
@@ -85,66 +81,40 @@ class ShardMerger {
  public:
   explicit ShardMerger(obs::Observer* sink) : sink_(sink) {}
 
-  bool enabled() const { return sink_ != nullptr; }
-
-  /// Allocate one shard per task of the upcoming stage. No-op when no
-  /// sink is attached (shard() then returns nullptr for every index).
-  void begin_stage(std::size_t n_tasks) {
-    shards_.clear();
-    ends_.assign(n_tasks, 0);
-    shards_.resize(n_tasks);
-    if (!enabled()) return;
-    for (auto& s : shards_) s = std::make_unique<obs::Observer>();
-  }
-
-  obs::Observer* shard(std::size_t i) { return shards_[i].get(); }
-
-  /// Record the task-local sim clock at task completion (its duration,
-  /// since every hermetic task starts at sim time 0).
-  void record_end(std::size_t i, SimTime end) { ends_[i] = end; }
-
-  /// Merge the stage's shards in index order and wrap them in one
-  /// aggregate stage span named `stage_name`.
-  void merge_stage(const char* stage_name) {
-    if (!enabled()) return;
-    const SimTime stage_begin = offset_;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      sink_->merge_from(*shards_[i], next_tid_, offset_, ends_[i]);
-      ++next_tid_;
-      offset_ += ends_[i];
+  /// Run one stage, task(network, i) per seed, on `exec`, then merge the
+  /// task shards under one aggregate stage span named `stage_name`.
+  /// Without a sink the tasks run unobserved.
+  void run_stage(ParallelExecutor& exec, const std::vector<std::uint64_t>& seeds,
+                 const char* stage_name,
+                 const std::function<void(sim::Network&, std::size_t)>& task) {
+    if (sink_ == nullptr) {
+      exec.run(seeds, task);
+      return;
     }
-    if (!shards_.empty()) {
+    std::vector<obs::Observer> shards(seeds.size());
+    std::vector<SimTime> ends(seeds.size(), 0);
+    exec.run(seeds, [&](sim::Network& net, std::size_t i) {
+      net.set_observer(&shards[i]);
+      task(net, i);
+      // Every hermetic task starts at sim time 0: its end is its duration.
+      ends[i] = net.now();
+      net.set_observer(nullptr);
+    });
+    const SimTime stage_begin = offset_;
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      sink_->merge_from(shards[i], next_tid_++, offset_, ends[i]);
+      offset_ += ends[i];
+    }
+    if (!shards.empty()) {
       sink_->tracer().complete(stage_name, "pipeline", stage_begin, offset_);
     }
-    shards_.clear();
-    ends_.clear();
   }
 
  private:
   obs::Observer* sink_;
-  std::vector<std::unique_ptr<obs::Observer>> shards_;
-  std::vector<SimTime> ends_;
   std::uint32_t next_tid_ = 0;
   SimTime offset_ = 0;
 };
-
-/// Export pool scheduling statistics into the observer's registry. The
-/// submission-side numbers (jobs, tasks, peak pending) are deterministic
-/// and live in the sim domain; worker count and host-clock timings vary
-/// with the machine and thread count, so they are wall-domain gauges and
-/// excluded from deterministic snapshots.
-void export_pool_stats(obs::Observer& o, const PoolStats& ps, int workers) {
-  obs::Registry& m = o.metrics();
-  m.counter("pool.jobs").inc(ps.jobs.load(std::memory_order_relaxed));
-  m.counter("pool.tasks").inc(ps.tasks.load(std::memory_order_relaxed));
-  m.gauge("pool.peak_pending")
-      .set_max(static_cast<std::int64_t>(ps.peak_pending.load(std::memory_order_relaxed)));
-  m.gauge("pool.workers", obs::Domain::kWall).set_max(workers);
-  m.gauge("pool.busy_ns", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(ps.busy_ns.load(std::memory_order_relaxed)));
-  m.gauge("pool.wall_ns", obs::Domain::kWall)
-      .set_max(static_cast<std::int64_t>(ps.wall_ns.load(std::memory_order_relaxed)));
-}
 
 trace::CenTraceOptions trace_options(const PipelineOptions& options,
                                      trace::ProbeProtocol protocol) {
@@ -156,7 +126,7 @@ trace::CenTraceOptions trace_options(const PipelineOptions& options,
   return o;
 }
 
-// ---- Stage 4: bundle (shared by the serial and hermetic paths). ----
+// ---- Stage 4: bundle. ----
 void bundle(PipelineResult& result, const std::string& country,
             const std::map<std::uint32_t, const trace::CenTraceReport*>& blocked_by_endpoint,
             const std::map<std::uint32_t, fuzz::CenFuzzReport>& fuzz_by_endpoint) {
@@ -175,104 +145,10 @@ void bundle(PipelineResult& result, const std::string& country,
   }
 }
 
-/// The historical single-network path (threads = 0): every measurement
-/// shares one network whose RNG/clock/port state flows through the whole
-/// campaign. Byte-for-byte the pre-parallel behaviour.
-PipelineResult run_serial(const PipelineInput& in, const PipelineOptions& options) {
-  PipelineResult result;
-  result.country = in.country;
-  sim::Network& net = *in.network;
-  net.set_fault_plan(options.faults);
-  if (options.transient_loss > 0.0) net.set_transient_loss(options.transient_loss);
-  // Single shared network: the observer rides the shared clock directly
-  // (no shards to merge). Restore whatever was attached before.
-  obs::Observer* prev_observer = net.observer();
-  if (options.observer != nullptr) net.set_observer(options.observer);
-
-  trace::CenTraceOptions http_opts = trace_options(options, trace::ProbeProtocol::kHttp);
-  trace::CenTraceOptions https_opts = trace_options(options, trace::ProbeProtocol::kHttps);
-
-  std::vector<std::string> http_domains = take(in.http_domains, options.max_domains);
-  std::vector<std::string> https_domains = take(in.https_domains, options.max_domains);
-
-  // ---- Stage 1a: remote CenTrace. ----
-  trace::CenTrace ct_http(net, in.remote_client, http_opts);
-  trace::CenTrace ct_https(net, in.remote_client, https_opts);
-  for (net::Ipv4Address endpoint : sample(in.remote_endpoints, options.max_endpoints)) {
-    for (const std::string& domain : http_domains) {
-      result.remote_traces.push_back(ct_http.measure(endpoint, domain, in.control_domain));
-    }
-    for (const std::string& domain : https_domains) {
-      result.remote_traces.push_back(ct_https.measure(endpoint, domain, in.control_domain));
-    }
-  }
-
-  // ---- Stage 1b: in-country CenTrace against the genuine servers. ----
-  if (in.incountry_client != sim::kInvalidNode && !in.foreign_endpoints.empty()) {
-    trace::CenTrace ic_http(net, in.incountry_client, http_opts);
-    trace::CenTrace ic_https(net, in.incountry_client, https_opts);
-    std::size_t idx = 0;
-    for (const std::string& domain : in.http_domains) {
-      if (idx >= in.foreign_endpoints.size()) break;
-      result.incountry_traces.push_back(
-          ic_http.measure(in.foreign_endpoints[idx++], domain, in.control_domain));
-    }
-    for (const std::string& domain : in.https_domains) {
-      if (idx >= in.foreign_endpoints.size()) break;
-      result.incountry_traces.push_back(
-          ic_https.measure(in.foreign_endpoints[idx++], domain, in.control_domain));
-    }
-  }
-
-  // ---- Representative blocked trace per endpoint. ----
-  std::map<std::uint32_t, const trace::CenTraceReport*> blocked_by_endpoint;
-  for (const trace::CenTraceReport& r : result.remote_traces) {
-    if (r.blocked) blocked_by_endpoint.emplace(r.endpoint.value(), &r);
-  }
-
-  // ---- Stage 2: CenProbe every distinct in-path blocking-hop IP. ----
-  if (options.run_banner) {
-    for (const trace::CenTraceReport& r : result.remote_traces) {
-      // Only in-path devices have a probeable IP (§5.1); on-path taps are
-      // invisible to the management plane.
-      if (!r.blocked || !r.blocking_hop_ip ||
-          r.placement == trace::DevicePlacement::kOnPath) {
-        continue;
-      }
-      std::uint32_t key = r.blocking_hop_ip->value();
-      if (result.device_probes.count(key) != 0) continue;
-      result.device_probes.emplace(
-          key, probe::run(net, probe::ProbeRunOptions{*r.blocking_hop_ip}));
-    }
-  }
-
-  // ---- Stage 3: CenFuzz blocked endpoints (sampled under the cap). ----
-  std::vector<std::uint32_t> blocked_eps;
-  for (const auto& [ip, report] : blocked_by_endpoint) blocked_eps.push_back(ip);
-  std::vector<std::uint32_t> fuzz_targets;
-  for (std::size_t idx :
-       stride_sample_indices(blocked_eps.size(), options.fuzz_max_endpoints)) {
-    fuzz_targets.push_back(blocked_eps[idx]);
-  }
-  std::map<std::uint32_t, fuzz::CenFuzzReport> fuzz_by_endpoint;
-  if (options.run_fuzz) {
-    fuzz::CenFuzz fuzzer(net, in.remote_client);
-    for (std::uint32_t ep : fuzz_targets) {
-      const trace::CenTraceReport* rep = blocked_by_endpoint.at(ep);
-      fuzz_by_endpoint.emplace(
-          ep, fuzzer.run(net::Ipv4Address(ep), rep->test_domain, in.control_domain));
-    }
-  }
-
-  bundle(result, in.country, blocked_by_endpoint, fuzz_by_endpoint);
-  if (options.observer != nullptr) net.set_observer(prev_observer);
-  return result;
-}
-
-/// The hermetic parallel path (threads >= 1 or auto): every measurement
-/// runs on a worker-private replica reset to a task-derived epoch, so the
-/// merged result is identical for every worker count.
-PipelineResult run_hermetic(const PipelineInput& in, const PipelineOptions& options) {
+/// Every measurement runs as a hermetic executor task on a network reset
+/// to a task-derived epoch, so the merged result is identical for every
+/// worker count, inline (threads = 0) included.
+PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
   PipelineResult result;
   result.country = in.country;
   sim::Network& net = *in.network;
@@ -281,12 +157,8 @@ PipelineResult run_hermetic(const PipelineInput& in, const PipelineOptions& opti
   if (options.transient_loss > 0.0) net.set_transient_loss(options.transient_loss);
 
   ParallelExecutor exec(net, options.threads);
+  exec.set_perf_tracking(options.observer != nullptr);
   ShardMerger merger(options.observer);
-  PoolStats pool_stats;
-  if (options.observer != nullptr) {
-    exec.set_stats(&pool_stats);
-    exec.set_perf_tracking(true);
-  }
 
   const trace::CenTraceOptions http_opts =
       trace_options(options, trace::ProbeProtocol::kHttp);
@@ -348,20 +220,12 @@ PipelineResult run_hermetic(const PipelineInput& in, const PipelineOptions& opti
     trace_keys.push_back(task_key_hashed(t.endpoint.value(), t.dhash, tag));
   }
   std::vector<trace::CenTraceReport> reports(tasks.size());
-  merger.begin_stage(tasks.size());
-  exec.run(derive_task_seeds(net.seed(), kTraceStageSalt, trace_keys),
-           [&](sim::Network& replica, std::size_t i) {
-             const TraceTask& t = tasks[i];
-             obs::Observer* shard = merger.shard(i);
-             if (shard != nullptr) replica.set_observer(shard);
-             trace::CenTrace ct(replica, t.client, *t.opts);
-             reports[i] = ct.measure(t.endpoint, *t.domain, in.control_domain);
-             if (shard != nullptr) {
-               merger.record_end(i, replica.now());
-               replica.set_observer(nullptr);
-             }
-           });
-  merger.merge_stage("stage:centrace");
+  merger.run_stage(exec, derive_task_seeds(net.seed(), salts::kTraceStage, trace_keys),
+                   "stage:centrace", [&](sim::Network& replica, std::size_t i) {
+                     const TraceTask& t = tasks[i];
+                     trace::CenTrace ct(replica, t.client, *t.opts);
+                     reports[i] = ct.measure(t.endpoint, *t.domain, in.control_domain);
+                   });
   for (std::size_t i = 0; i < reports.size(); ++i) {
     (i < n_remote ? result.remote_traces : result.incountry_traces)
         .push_back(std::move(reports[i]));
@@ -392,18 +256,10 @@ PipelineResult run_hermetic(const PipelineInput& in, const PipelineOptions& opti
       probe_keys.push_back(task_key(ip.value(), {}, 0x10));
     }
     std::vector<probe::DeviceProbeReport> probes(probe_ips.size());
-    merger.begin_stage(probe_ips.size());
-    exec.run(derive_task_seeds(net.seed(), kProbeStageSalt, probe_keys),
-             [&](sim::Network& replica, std::size_t i) {
-               obs::Observer* shard = merger.shard(i);
-               if (shard != nullptr) replica.set_observer(shard);
-               probes[i] = probe::run(replica, probe::ProbeRunOptions{probe_ips[i]});
-               if (shard != nullptr) {
-                 merger.record_end(i, replica.now());
-                 replica.set_observer(nullptr);
-               }
-             });
-    merger.merge_stage("stage:cenprobe");
+    merger.run_stage(exec, derive_task_seeds(net.seed(), salts::kProbeStage, probe_keys),
+                     "stage:cenprobe", [&](sim::Network& replica, std::size_t i) {
+                       probes[i] = probe::run(replica, probe::ProbeRunOptions{probe_ips[i]});
+                     });
     for (std::size_t i = 0; i < probe_ips.size(); ++i) {
       result.device_probes.emplace(probe_ips[i].value(), std::move(probes[i]));
     }
@@ -425,21 +281,14 @@ PipelineResult run_hermetic(const PipelineInput& in, const PipelineOptions& opti
       fuzz_keys.push_back(task_key(ep, blocked_by_endpoint.at(ep)->test_domain, 0x20));
     }
     std::vector<fuzz::CenFuzzReport> fuzzes(fuzz_targets.size());
-    merger.begin_stage(fuzz_targets.size());
-    exec.run(derive_task_seeds(net.seed(), kFuzzStageSalt, fuzz_keys),
-             [&](sim::Network& replica, std::size_t i) {
-               const trace::CenTraceReport* rep = blocked_by_endpoint.at(fuzz_targets[i]);
-               obs::Observer* shard = merger.shard(i);
-               if (shard != nullptr) replica.set_observer(shard);
-               fuzz::CenFuzz fuzzer(replica, in.remote_client);
-               fuzzes[i] = fuzzer.run(net::Ipv4Address(fuzz_targets[i]), rep->test_domain,
-                                      in.control_domain);
-               if (shard != nullptr) {
-                 merger.record_end(i, replica.now());
-                 replica.set_observer(nullptr);
-               }
-             });
-    merger.merge_stage("stage:cenfuzz");
+    merger.run_stage(exec, derive_task_seeds(net.seed(), salts::kFuzzStage, fuzz_keys),
+                     "stage:cenfuzz", [&](sim::Network& replica, std::size_t i) {
+                       const trace::CenTraceReport* rep =
+                           blocked_by_endpoint.at(fuzz_targets[i]);
+                       fuzz::CenFuzz fuzzer(replica, in.remote_client);
+                       fuzzes[i] = fuzzer.run(net::Ipv4Address(fuzz_targets[i]),
+                                              rep->test_domain, in.control_domain);
+                     });
     for (std::size_t i = 0; i < fuzz_targets.size(); ++i) {
       fuzz_by_endpoint.emplace(fuzz_targets[i], std::move(fuzzes[i]));
     }
@@ -447,16 +296,17 @@ PipelineResult run_hermetic(const PipelineInput& in, const PipelineOptions& opti
 
   bundle(result, in.country, blocked_by_endpoint, fuzz_by_endpoint);
   if (options.observer != nullptr) {
-    export_pool_stats(*options.observer, pool_stats, exec.threads());
+    // What was dispatched is a function of the task lists alone, so these
+    // pool counts are sim domain, the same at every worker count.
+    const PoolStats& pool = exec.perf().pool;
+    obs::Registry& m = options.observer->metrics();
+    m.counter("pool.jobs").inc(pool.jobs.load(std::memory_order_relaxed));
+    m.counter("pool.tasks").inc(pool.tasks.load(std::memory_order_relaxed));
+    m.gauge("pool.peak_pending")
+        .set_max(static_cast<std::int64_t>(pool.peak_pending.load(std::memory_order_relaxed)));
     export_exec_perf(*options.observer, exec);
-    exec.set_stats(nullptr);
   }
   return result;
-}
-
-PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
-  if (options.threads == 0) return run_serial(in, options);
-  return run_hermetic(in, options);
 }
 
 }  // namespace
@@ -543,62 +393,19 @@ std::vector<trace::CenTraceReport> run_trace_fanout(
     keys.push_back(task_key_hashed(t.endpoint.value(), t.dhash,
                                    static_cast<std::uint64_t>(trace_opts.protocol)));
   }
-  const std::vector<std::uint64_t> seeds =
-      derive_task_seeds(net.seed(), kTraceStageSalt, keys);
-
   std::vector<trace::CenTraceReport> reports(tasks.size());
-  ShardMerger merger(observer);
-  merger.begin_stage(tasks.size());
-  auto run_task = [&](sim::Network& replica, std::size_t i) {
-    obs::Observer* shard = merger.shard(i);
-    if (shard != nullptr) replica.set_observer(shard);
-    reports[i] = trace::measure_with_degradation(replica, client, tasks[i].endpoint,
-                                                 *tasks[i].domain, control_domain,
-                                                 trace_opts, plan);
-    if (shard != nullptr) {
-      merger.record_end(i, replica.now());
-      replica.set_observer(nullptr);
-    }
-  };
-
-  if (threads == 0) {
-    // Inline-hermetic: run every task on `net` itself, reset to the same
-    // task-derived epoch a pool replica would use. Identical results to
-    // the pool path by construction. The caller's observer attachment is
-    // saved around the loop (tasks record into their own shards).
-    obs::Observer* prev = net.observer();
-    net.set_observer(nullptr);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      net.reset_epoch(seeds[i]);
-      run_task(net, i);
-    }
-    net.set_observer(prev);
-  } else {
-    ParallelExecutor exec(net, threads);
-    PoolStats pool_stats;
-    if (observer != nullptr) {
-      exec.set_stats(&pool_stats);
-      exec.set_perf_tracking(true);
-    }
-    exec.run(seeds, run_task);
-    if (observer != nullptr) {
-      // Deliberately NOT exported into sim-domain metrics here: the
-      // inline path (threads = 0) has no pool, and the identity contract
-      // across {0, 1, N} must hold for the default snapshot. Wall-domain
-      // gauges only.
-      obs::Registry& m = observer->metrics();
-      m.gauge("pool.workers", obs::Domain::kWall).set_max(exec.threads());
-      m.gauge("pool.busy_ns", obs::Domain::kWall)
-          .set_max(static_cast<std::int64_t>(
-              pool_stats.busy_ns.load(std::memory_order_relaxed)));
-      m.gauge("pool.wall_ns", obs::Domain::kWall)
-          .set_max(static_cast<std::int64_t>(
-              pool_stats.wall_ns.load(std::memory_order_relaxed)));
-      export_exec_perf(*observer, exec);
-      exec.set_stats(nullptr);
-    }
-  }
-  merger.merge_stage("stage:centrace");
+  ParallelExecutor exec(net, threads);
+  exec.set_perf_tracking(observer != nullptr);
+  ShardMerger(observer).run_stage(
+      exec, derive_task_seeds(net.seed(), salts::kTraceStage, keys), "stage:centrace",
+      [&](sim::Network& replica, std::size_t i) {
+        reports[i] = trace::measure_with_degradation(replica, client, tasks[i].endpoint,
+                                                     *tasks[i].domain, control_domain,
+                                                     trace_opts, plan);
+      });
+  // Wall domain only: the fan-out's deterministic snapshots carry no pool
+  // counts (their bytes are pinned by the tests).
+  if (observer != nullptr) export_exec_perf(*observer, exec);
   return reports;
 }
 

@@ -43,21 +43,18 @@ struct PipelineOptions {
   int centrace_adaptive_retries = 6;
   /// Worker threads for the measurement stages.
   ///   -1  one worker per hardware thread (default);
-  ///    0  the legacy serial path — a single shared network, byte-for-byte
-  ///       the historical pre-parallel behaviour;
-  ///   >=1 the hermetic parallel path with that many workers. Results are
-  ///       identical for EVERY value >= 1 (1 is the serial reference the
-  ///       golden tests compare against): each task runs on a replica
-  ///       reset to an epoch derived from the task identity alone, so
-  ///       scheduling cannot influence results.
+  ///    0  inline: no pool, every task runs on the scenario network itself;
+  ///   >=1 a pool of that many workers, each on its own replica.
+  /// Results are identical for EVERY value: each task runs on a network
+  /// reset to an epoch derived from the task identity alone, so
+  /// scheduling cannot influence results.
   int threads = -1;
-  /// Observability sink (see src/obs/). On the hermetic path every task
-  /// records into a private per-task shard; shards are merged into this
-  /// observer in task-identity order, so the sim-domain metrics, spans
-  /// and journal are byte-identical for every worker count >= 1 — the
-  /// same contract the measurement results obey. The serial legacy path
-  /// (threads = 0) attaches the observer directly to the shared network.
-  /// nullptr disables all instrumentation (near-zero cost).
+  /// Observability sink (see src/obs/). Every task records into a private
+  /// per-task shard; shards are merged into this observer in
+  /// task-identity order, so the sim-domain metrics, spans and journal
+  /// are byte-identical for every `threads` value — the same contract the
+  /// measurement results obey. nullptr disables all instrumentation
+  /// (near-zero cost).
   obs::Observer* observer = nullptr;
 };
 
@@ -99,19 +96,12 @@ struct ConsistencyStats {
 ConsistencyStats localisation_consistency(const PipelineResult& result);
 
 /// CenTrace fan-out over every (endpoint × domain) pair with the same
-/// hermetic per-task seeding the pipeline's parallel path uses. Backs
+/// hermetic per-task seeding as the pipeline's trace stage. Backs
 /// `centrace_cli --threads`: the task seeds depend only on the task
 /// identity (endpoint, domain, protocol) and the network's construction
 /// seed, so the reports — and, when `observer` is non-null, the merged
 /// sim-domain metrics/spans/journal — are byte-identical for every
-/// `threads` value. `threads` semantics:
-///   0   inline-hermetic: each task runs on `net` itself after a
-///       reset_epoch() to its task seed (no pool, no replicas);
-///   >=1 hermetic pool with that many workers (replicas of `net`);
-///   -1  hermetic pool with one worker per hardware thread.
-/// Note threads = 0 here is NOT the pipeline's legacy shared-state serial
-/// path: fan-out tasks are independent by definition, so the inline path
-/// can afford full hermeticity and join the identity contract.
+/// `threads` value (same semantics as PipelineOptions::threads).
 /// `plan` (optional) enables degradation-aware measurement: every task
 /// runs through trace::measure_with_degradation, escalating unlocalized
 /// blocked verdicts to multi-vantage tomography. The plan participates in

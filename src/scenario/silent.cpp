@@ -3,16 +3,10 @@
 #include <algorithm>
 
 #include "core/rng.hpp"
+#include "core/seed_salts.hpp"
 #include "scenario/builder.hpp"
 
 namespace cen::scenario {
-
-namespace {
-
-/// Substream salt for the blackhole draw ("silent").
-constexpr std::uint64_t kSilentSalt = 0x73696c656e74ull;
-
-}  // namespace
 
 SilentScenario make_silent(const SilentOptions& options, std::uint64_t seed) {
   SilentScenario out;
@@ -84,7 +78,7 @@ SilentScenario make_silent(const SilentOptions& options, std::uint64_t seed) {
   // Seeded blackhole draw, order-stable over on_path_routers.
   sim::FaultPlan plan;
   plan.route_flap_period = options.route_flap_period;
-  Rng rng(mix64(seed ^ kSilentSalt));
+  Rng rng(mix64(seed ^ salts::kSilent));
   for (sim::NodeId node : out.on_path_routers) {
     if (!rng.chance(options.blackhole_probability)) continue;
     plan.node_overrides[node].icmp_blackhole = true;

@@ -6,6 +6,7 @@
 
 #include "core/fingerprint.hpp"
 #include "core/rng.hpp"
+#include "core/seed_salts.hpp"
 #include "obs/observer.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/world.hpp"
@@ -13,13 +14,6 @@
 namespace cen::worldgen {
 
 namespace {
-
-// Phase-isolated RNG substream salts: editing one generation phase never
-// shifts the draws of another.
-constexpr std::uint64_t kTopoSalt = 0x776c64746f706fULL;      // "wldtopo"
-constexpr std::uint64_t kRegimeSalt = 0x776c64726567ULL;      // "wldreg"
-constexpr std::uint64_t kEndpointSalt = 0x776c646570ULL;      // "wldep"
-constexpr std::uint64_t kNetworkSalt = 0x776f726c64ULL;       // "world"
 
 /// First address of the worldgen allocation plan: 11.0.0.0 upward (the
 /// hand-built scenarios live in 10.0.0.0/8, so the pools never collide).
@@ -267,7 +261,7 @@ World generate(const WorldSpec& spec, std::uint64_t seed, obs::Observer* observe
 
   // Regime realization: which stub ASes host a device, which vendor, and
   // where in the §5.2 exposure funnel it sits.
-  Rng regime_rng(mix64(seed ^ kRegimeSalt));
+  Rng regime_rng(mix64(seed ^ salts::kWorldRegime));
   int dev_counter = 0;
   std::vector<bool> as_has_device(total_as, false);
   for (std::uint32_t idx = 1 + nT + nR; idx < total_as; ++idx) {
@@ -296,7 +290,7 @@ World generate(const WorldSpec& spec, std::uint64_t seed, obs::Observer* observe
   }
 
   // ---- Phase 2: topology (routers, intra-AS chains, AS graph, hosts). ----
-  Rng topo_rng(mix64(seed ^ kTopoSalt));
+  Rng topo_rng(mix64(seed ^ salts::kWorldTopology));
   sim::CompactTopologyBuilder tb;
   {
     std::uint64_t node_hint = 1;  // client
@@ -424,7 +418,7 @@ World generate(const WorldSpec& spec, std::uint64_t seed, obs::Observer* observe
   w.topology = tb.build();
 
   // ---- Phase 3: endpoint profile templates. ----
-  Rng ep_rng(mix64(seed ^ kEndpointSalt));
+  Rng ep_rng(mix64(seed ^ salts::kWorldEndpoint));
   w.templates.reserve(spec.profile_templates);
   for (std::uint32_t t = 0; t < spec.profile_templates; ++t) {
     sim::EndpointProfile profile = scenario::org_endpoint_profile(
@@ -470,7 +464,7 @@ GeneratedScenario instantiate(const World& world, std::int64_t max_endpoints) {
   GeneratedScenario s;
   sim::Topology topo = sim::Topology::from_compact(world.topology);
   auto network = std::make_unique<sim::Network>(std::move(topo), world.geodb,
-                                                mix64(world.seed ^ kNetworkSalt));
+                                                mix64(world.seed ^ salts::kWorldNetwork));
 
   const std::uint64_t total = world.endpoint_ips.size();
   const std::uint64_t n =

@@ -305,6 +305,7 @@ struct PipelineSnapshot {
   std::string result_json;
   std::string metrics_json;
   std::string trace_json;
+  std::string journal_json;
 };
 
 PipelineSnapshot observed_pipeline(Country country, int threads, bool faulty) {
@@ -313,8 +314,8 @@ PipelineSnapshot observed_pipeline(Country country, int threads, bool faulty) {
   if (faulty) add_faults(o);
   CountryScenario s = make_country(country, Scale::kSmall);
   PipelineResult r = run_country_pipeline(s, o);
-  return {report::to_json(r), report::to_json(observer),
-          observer.tracer().to_chrome_json()};
+  return {report::to_json(r), report::to_json(observer), observer.tracer().to_chrome_json(),
+          observer.journal().to_json()};
 }
 
 }  // namespace
@@ -371,11 +372,12 @@ TEST(Observer, PipelineSnapshotsByteIdenticalAcrossThreadCounts) {
   const PipelineSnapshot ref = observed_pipeline(Country::kKZ, 1, false);
   EXPECT_TRUE(json_valid(ref.metrics_json));
   EXPECT_TRUE(json_valid(ref.trace_json));
-  for (int threads : {2, 4}) {
+  for (int threads : {0, 2, 4}) {
     PipelineSnapshot got = observed_pipeline(Country::kKZ, threads, false);
     EXPECT_EQ(ref.result_json, got.result_json) << threads << " threads";
     EXPECT_EQ(ref.metrics_json, got.metrics_json) << threads << " threads";
     EXPECT_EQ(ref.trace_json, got.trace_json) << threads << " threads";
+    EXPECT_EQ(ref.journal_json, got.journal_json) << threads << " threads";
   }
 }
 
@@ -383,11 +385,12 @@ TEST(Observer, PipelineSnapshotsByteIdenticalUnderFaults) {
   const PipelineSnapshot ref = observed_pipeline(Country::kAZ, 1, true);
   // The fault plan actually fires (the snapshot is not vacuous).
   EXPECT_NE(ref.metrics_json.find("faults."), std::string::npos);
-  for (int threads : {2, 5}) {
+  for (int threads : {0, 2, 5}) {
     PipelineSnapshot got = observed_pipeline(Country::kAZ, threads, true);
     EXPECT_EQ(ref.result_json, got.result_json) << threads << " threads";
     EXPECT_EQ(ref.metrics_json, got.metrics_json) << threads << " threads";
     EXPECT_EQ(ref.trace_json, got.trace_json) << threads << " threads";
+    EXPECT_EQ(ref.journal_json, got.journal_json) << threads << " threads";
   }
 }
 
@@ -400,6 +403,7 @@ struct FanoutSnapshot {
   std::string metrics_json;
   std::string trace_json;
   std::string journal_json;
+  std::string perf_report;  // wall domain included, as --perf-report writes it
 };
 
 FanoutSnapshot fanout(int threads, bool faulty) {
@@ -430,6 +434,7 @@ FanoutSnapshot fanout(int threads, bool faulty) {
   snap.metrics_json = report::to_json(observer);
   snap.trace_json = observer.tracer().to_chrome_json();
   snap.journal_json = observer.journal().to_json();
+  snap.perf_report = observer.metrics().to_json(/*include_wall=*/true);
   return snap;
 }
 
@@ -444,6 +449,12 @@ TEST(TraceFanout, ByteIdenticalAcrossThreadsIncludingInline) {
     EXPECT_TRUE(json_valid(ref.metrics_json));
     EXPECT_TRUE(json_valid(ref.trace_json));
     EXPECT_NE(ref.trace_json.find("stage:centrace"), std::string::npos);
+    // The inline run dispatches through the executor too, so the perf
+    // report carries its executor and path-cache counters.
+    for (const char* name : {"perf.tasks", "perf.reset_ns", "pathcache.hits", "pathcache.misses",
+                             "pool.wall_ns"}) {
+      EXPECT_NE(ref.perf_report.find(name), std::string::npos) << name;
+    }
     for (int threads : {1, 4}) {
       FanoutSnapshot got = fanout(threads, faulty);
       EXPECT_EQ(ref.reports_json, got.reports_json)

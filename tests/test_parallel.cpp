@@ -1,8 +1,9 @@
 // Determinism contract of the parallel measurement pipeline: the merged
-// PipelineResult must be byte-identical (as JSON) for every worker count
-// >= 1, with threads=1 as the serial reference — on clean networks AND
-// under a non-inert fault plan. Also unit-covers the ThreadPool and the
-// integer stride sampler. This suite is the one the TSan preset runs.
+// PipelineResult must be byte-identical (as JSON) for every worker count,
+// inline (threads = 0) included, with threads = 1 as the reference — on
+// clean networks AND under a non-inert fault plan. Also unit-covers the
+// ThreadPool, the executor's inline mode and the integer stride sampler.
+// This suite is the one the TSan preset runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -213,6 +214,56 @@ TEST(Executor, DispatchChunkKeepsEveryWorkerBusy) {
   EXPECT_EQ(dispatch_chunk(8, 4), 1u);
 }
 
+TEST(Executor, InlineModeRunsOnThePrototype) {
+  CountryScenario s = make_country(Country::kKZ, Scale::kSmall);
+  sim::Network& prototype = *s.network;
+  obs::Observer caller;
+  prototype.set_observer(&caller);
+  ParallelExecutor exec(prototype, 0);
+  EXPECT_EQ(exec.threads(), 0);
+
+  const std::vector<std::uint64_t> seeds = {11, 22, 33};
+  std::vector<std::size_t> order;
+  exec.run(seeds, [&](sim::Network& net, std::size_t i) {
+    EXPECT_EQ(&net, &prototype);  // no clone
+    EXPECT_EQ(net.observer(), nullptr);  // the caller's sink is set aside
+    EXPECT_EQ(net.now(), SimTime{0});  // reset to the task's epoch
+    net.clock().advance(kSecond);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(prototype.observer(), &caller);
+  EXPECT_EQ(exec.perf().clone_ns.load(), 0u);
+  EXPECT_EQ(exec.perf().tasks.load(), 3u);
+
+  // A throwing task propagates, and the caller's observer still returns.
+  EXPECT_THROW(exec.run(seeds,
+                        [](sim::Network&, std::size_t i) {
+                          if (i == 1) throw std::runtime_error("task failed");
+                        }),
+               std::runtime_error);
+  EXPECT_EQ(prototype.observer(), &caller);
+  prototype.set_observer(nullptr);
+}
+
+TEST(Executor, InlineModeCountsDispatchesLikeThePool) {
+  // pool.jobs / pool.tasks / pool.peak_pending are sim-domain metrics, so
+  // the inline mode must account a dispatch exactly as the pool does,
+  // including an empty dispatch, which neither counts.
+  auto counts = [](int threads) {
+    CountryScenario s = make_country(Country::kKZ, Scale::kSmall);
+    ParallelExecutor exec(*s.network, threads);
+    exec.set_perf_tracking(true);
+    for (std::size_t n : {std::size_t{5}, std::size_t{0}, std::size_t{9}}) {
+      exec.run(std::vector<std::uint64_t>(n, 7), [](sim::Network&, std::size_t) {});
+    }
+    const PoolStats& p = exec.perf().pool;
+    return std::vector<std::uint64_t>{p.jobs.load(), p.tasks.load(), p.peak_pending.load()};
+  };
+  EXPECT_EQ(counts(0), (std::vector<std::uint64_t>{2, 14, 9}));
+  EXPECT_EQ(counts(0), counts(3));
+}
+
 // ------------------------------------------------- pipeline determinism
 
 namespace {
@@ -267,13 +318,15 @@ TEST(ParallelPipeline, ByteIdenticalUnderNonInertFaultPlan) {
   }
 }
 
-TEST(ParallelPipeline, SerialLegacyPathIsStableAndFlagged) {
-  // threads = 0 keeps the historical shared-network behaviour; it need not
-  // match the hermetic path, but it must be deterministic with itself.
-  PipelineOptions o = parallel_opts(0);
-  const std::string a = pipeline_json(Country::kBY, o);
-  const std::string b = pipeline_json(Country::kBY, o);
-  EXPECT_EQ(a, b);
+TEST(ParallelPipeline, ThreadsZeroMatchesThePool) {
+  // threads = 0 runs the same hermetic tasks inline on the scenario
+  // network: no pool, no replicas, the same result.
+  for (Country country : {Country::kBY, Country::kKZ}) {
+    EXPECT_EQ(pipeline_json(country, parallel_opts(1)), pipeline_json(country, parallel_opts(0)))
+        << country_code(country);
+  }
+  EXPECT_EQ(pipeline_json(Country::kAZ, faulty_opts(1)),
+            pipeline_json(Country::kAZ, faulty_opts(0)));
 }
 
 TEST(ParallelPipeline, HermeticResultIsValidJson) {
@@ -319,6 +372,7 @@ TEST(ParallelPipeline, WorldPipelineIdenticalAcrossThreadCounts) {
     return report::to_json(run_world_pipeline(s, o));
   };
   const std::string reference = world_json(1);
+  EXPECT_EQ(reference, world_json(0));
   EXPECT_EQ(reference, world_json(4));
 }
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "core/fingerprint.hpp"
 #include "core/rng.hpp"
+#include "core/seed_salts.hpp"
+#include "scenario/executor.hpp"
 
 using namespace cen;
 
@@ -143,6 +146,19 @@ TEST(HashKnownAnswers, FingerprintBuilderDigest) {
   fp.mix(std::string_view("")).mix(std::string_view("abcdefg"));
   fp.mix(std::string_view("abcdefgh")).mix(std::string_view("abcdefghi"));
   EXPECT_EQ(fp.digest(), 0xa6fd12469811812fULL);
+}
+
+TEST(HashKnownAnswers, StageSaltTaskSeeds) {
+  // One row per measurement-stage salt: the seeds two tasks of a stage
+  // run under. Moving or retyping a salt must not change them.
+  const std::vector<std::uint64_t> keys = {scenario::task_key(42, "blocked.example", 1),
+                                           scenario::task_key(43, "blocked.example", 1)};
+  auto seeds = [&](std::uint64_t salt) { return scenario::derive_task_seeds(7, salt, keys); };
+  using Seeds = std::vector<std::uint64_t>;
+  EXPECT_EQ(seeds(salts::kTraceStage), (Seeds{0x8002d01ab1199749ULL, 0x3f4a64152252a3daULL}));
+  EXPECT_EQ(seeds(salts::kProbeStage), (Seeds{0x6207bb6db9ad6365ULL, 0x3482b5980ce9a238ULL}));
+  EXPECT_EQ(seeds(salts::kFuzzStage), (Seeds{0x6b8092d60a0ec236ULL, 0x5867867584b29831ULL}));
+  EXPECT_EQ(seeds(salts::kAmbigStage), (Seeds{0x189ed11eeab2ae48ULL, 0x942fcae2630d2f2bULL}));
 }
 
 TEST(LaneFingerprint, LaneAndOrderSensitive) {

@@ -192,10 +192,10 @@ inline cen::trace::ProbeProtocol parse_protocol(const std::string& proto) {
 /// cencampaign.
 struct CommonOptions {
   cen::scenario::Scale scale = cen::scenario::Scale::kFull;
-  /// --threads N: -1 = one worker per hardware thread; 0 = the tool's
-  /// serial (or inline-hermetic) path; >= 1 = pool of N. `has_threads`
-  /// records whether the flag was passed at all (centrace keeps its
-  /// legacy serial path when it wasn't).
+  /// --threads N: -1 = one worker per hardware thread; 0 = inline (no
+  /// pool, the same output); >= 1 = pool of N. `has_threads` records
+  /// whether the flag was passed at all (centrace keeps its legacy serial
+  /// path when it wasn't).
   int threads = -1;
   bool has_threads = false;
   /// --retries N / --backoff MS: CenTrace adaptive-retry budget and
@@ -217,7 +217,8 @@ struct CommonOptions {
 inline constexpr const char* kCommonUsage =
     "common flags:\n"
     "  --scale full|small    scenario size (default full)\n"
-    "  --threads N           workers: -1 hardware, 0 serial, N pool\n"
+    "  --threads N           workers: -1 hardware, N pool,\n"
+    "                        0 inline: no pool, same output\n"
     "  --retries N           adaptive retry budget under faults (default 6)\n"
     "  --backoff MS          simulated retry backoff (default 0)\n"
     "  --seed N              deterministic measurement-epoch seed\n"
