@@ -19,7 +19,11 @@
 #include "obs/observer.hpp"
 #include "report/json_report.hpp"
 #include "scenario/executor.hpp"
+#include "scenario/ambig.hpp"
 #include "scenario/pipeline.hpp"
+#include "scenario/silent.hpp"
+#include "scenario/variance.hpp"
+#include "worldgen/spec.hpp"
 
 using namespace cen;
 using namespace cen::scenario;
@@ -467,5 +471,30 @@ TEST(PinnedDigests, TraceFanoutSnapshots) {
   expect_pins({
       {"fan-out clean", 0x8df85da43e7a8573ULL, snapshot(false)},
       {"fan-out faulty", 0x93d3c42ba35a8b27ULL, snapshot(true)},
+  });
+}
+
+// Topology fingerprints are campaign cache-key inputs: a moved value
+// re-executes every cached task of that site.
+TEST(PinnedDigests, TopologyFingerprints) {
+  auto topology_fp = [](const auto& scenario) {
+    return scenario.network->topology().fingerprint();
+  };
+  auto country_fp = [&](Country c, Scale scale) { return topology_fp(make_country(c, scale)); };
+  expect_pins({
+      {"AZ small", 0xf83b8e613a243ce6ULL, country_fp(Country::kAZ, Scale::kSmall)},
+      {"BY small", 0x8713e069f5e0a6a9ULL, country_fp(Country::kBY, Scale::kSmall)},
+      {"KZ small", 0x3ee07b27da51bb9bULL, country_fp(Country::kKZ, Scale::kSmall)},
+      {"RU small", 0x4dee37c7fb2d0840ULL, country_fp(Country::kRU, Scale::kSmall)},
+      {"AZ full", 0xe88ad91fdaf7311dULL, country_fp(Country::kAZ, Scale::kFull)},
+      {"BY full", 0x7badf19043bb5bf5ULL, country_fp(Country::kBY, Scale::kFull)},
+      {"KZ full", 0x8f96eac3f9fc2b26ULL, country_fp(Country::kKZ, Scale::kFull)},
+      {"RU full", 0xaad2b9b3f55e237aULL, country_fp(Country::kRU, Scale::kFull)},
+      {"world small", 0x91d7b46d7f90fa2bULL, topology_fp(make_world(Scale::kSmall))},
+      {"world 1k", 0xfc7a4e5ef073dfe4ULL,
+       topology_fp(make_world(*worldgen::WorldSpec::tier("1k"), 7))},
+      {"silent", 0x0b110a4ad6f6d721ULL, topology_fp(make_silent())},
+      {"variance", 0x6e6aca2fce99ad64ULL, topology_fp(make_variance_world())},
+      {"ambig", 0x9dd6d2c5ac10af0aULL, topology_fp(make_ambig())},
   });
 }

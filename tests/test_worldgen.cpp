@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "cenprobe/fingerprints.hpp"
 #include "censor/vendors.hpp"
 #include "centrace/centrace.hpp"
+#include "core/fingerprint.hpp"
 #include "core/rng.hpp"
 #include "netsim/compact.hpp"
 #include "netsim/engine.hpp"
@@ -244,6 +246,39 @@ TEST(CompactTopology, TraceAndProbeReportsMatchClassic) {
     probe::DeviceProbeReport pa = probe::run(compact_net, probe::ProbeRunOptions{dev_ip});
     probe::DeviceProbeReport pb = probe::run(classic_net, probe::ProbeRunOptions{dev_ip});
     EXPECT_EQ(report::to_json(pa), report::to_json(pb)) << "seed " << seed;
+  }
+}
+
+// The reports the twin measurement above produces, pinned: they must not
+// move when the twin's construction changes.
+TEST(PinnedDigests, TwinTraceAndProbeReports) {
+  auto reports = [](std::uint64_t seed) {
+    TwinTopologies t = make_twins(seed);
+    sim::Network net(sim::Topology::from_compact(t.compact), twin_geodb(), 42);
+    net.add_endpoint(t.server, twin_endpoint());
+    scenario::deploy(net, t.mid_router, twin_device());
+    trace::TraceRunOptions opts;
+    opts.client = t.client;
+    opts.endpoint = net.topology().node_ip(t.server);
+    opts.test_domain = "www.blockedexample.com";
+    opts.control_domain = "www.example.com";
+    opts.trace.repetitions = 3;
+    const net::Ipv4Address dev_ip = net.topology().node_ip(t.mid_router);
+    return FingerprintBuilder()
+        .mix(report::to_json(trace::run(net, opts)))
+        .mix(report::to_json(probe::run(net, probe::ProbeRunOptions{dev_ip})))
+        .digest();
+  };
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {
+      {3, 0x192107895490aa56ULL},
+      {17, 0x482f4f205b10d033ULL},
+      {2026, 0xb4fbd9b480cc63c1ULL},
+  };
+  for (const auto& [seed, expected] : pins) {
+    const std::uint64_t actual = reports(seed);
+    char hex[19];
+    std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(actual));
+    EXPECT_EQ(expected, actual) << "seed " << seed << " digest is now " << hex;
   }
 }
 
