@@ -23,7 +23,7 @@ namespace {
 /// catching only traffic that came through the clean a4).
 struct EcmpNet {
   explicit EcmpNet(std::uint64_t seed) {
-    sim::Topology topo;
+    sim::CompactTopologyBuilder topo;
     client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
     sim::NodeId r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
     topo.add_link(client, r1);
@@ -39,7 +39,7 @@ struct EcmpNet {
     topo.add_link(b, server);
     geo::IpMetadataDb db;
     db.add_route(net::Ipv4Address(10, 0, 0, 0), 16, {64512, "ECMP-AS", "XX"});
-    net = std::make_unique<sim::Network>(std::move(topo), std::move(db), seed);
+    net = std::make_unique<sim::Network>(sim::Topology(topo.build()), std::move(db), seed);
     sim::EndpointProfile profile;
     profile.hosted_domains = {"www.example.org"};
     net->add_endpoint(server, profile);

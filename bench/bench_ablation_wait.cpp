@@ -17,7 +17,7 @@ int main() {
   rule();
   for (int wait_s : {0, 5, 30, 60, 120}) {
     // Fresh network per setting: residual state must not leak across runs.
-    sim::Topology topo;
+    sim::CompactTopologyBuilder topo;
     sim::NodeId client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
     sim::NodeId r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
     sim::NodeId r2 = topo.add_node("r2", net::Ipv4Address(10, 0, 2, 1));
@@ -29,7 +29,7 @@ int main() {
     topo.add_link(r3, server);
     geo::IpMetadataDb db;
     db.add_route(net::Ipv4Address(10, 0, 0, 0), 16, {64512, "X", "XX"});
-    sim::Network net(std::move(topo), std::move(db));
+    sim::Network net(sim::Topology(topo.build()), std::move(db));
     sim::EndpointProfile profile;
     profile.hosted_domains = {"www.example.org"};
     net.add_endpoint(server, profile);

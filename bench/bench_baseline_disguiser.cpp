@@ -18,14 +18,22 @@ namespace {
 constexpr const char* kStaticPayload = "DISGUISER-CONTROL-PAYLOAD-4711";
 
 /// Attach a control server next to the hosting router of the scenario's
-/// foreign endpoints (i.e. beyond the national censors on the egress path).
+/// foreign endpoints (i.e. beyond the national censors on the egress path):
+/// the scenario network, rebuilt with one more host.
 net::Ipv4Address deploy_control_server(scenario::CountryScenario& s) {
-  sim::Topology& topo = s.network->topology();
+  const sim::Topology& topo = s.network->topology();
+  sim::CompactTopologyBuilder b;
+  for (sim::NodeId id = 0; id < topo.node_count(); ++id) {
+    b.add_node(topo.node_name(id), topo.node_ip(id), topo.node_profile(id));
+    for (const censor::ServiceBanner& svc : topo.node_services(id)) b.add_service(id, svc);
+  }
+  for (const auto& [x, y] : topo.links()) b.add_link(x, y);
   sim::NodeId foreign = *topo.find_by_ip(s.foreign_endpoints.front());
   sim::NodeId hosting_router = topo.neighbors(foreign).front();
   net::Ipv4Address ip(203, 0, 113, 7);
-  sim::NodeId ctl = topo.add_node("control-server", ip);
-  topo.add_link(hosting_router, ctl);
+  sim::NodeId ctl = b.add_node("control-server", ip);
+  b.add_link(hosting_router, ctl);
+  s.network = s.network->clone_with(sim::Topology(b.build()));
   sim::EndpointProfile profile;
   profile.hosted_domains = {"control.invalid"};
   profile.static_payload = kStaticPayload;

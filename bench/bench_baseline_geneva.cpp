@@ -18,7 +18,7 @@ namespace {
 
 struct Lab {
   explicit Lab(const std::string& vendor) {
-    sim::Topology topo;
+    sim::CompactTopologyBuilder topo;
     client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
     sim::NodeId r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
     sim::NodeId r2 = topo.add_node("r2", net::Ipv4Address(10, 0, 2, 1));
@@ -26,7 +26,7 @@ struct Lab {
     topo.add_link(client, r1);
     topo.add_link(r1, r2);
     topo.add_link(r2, server);
-    net = std::make_unique<sim::Network>(std::move(topo), geo::IpMetadataDb{});
+    net = std::make_unique<sim::Network>(sim::Topology(topo.build()), geo::IpMetadataDb{});
     sim::EndpointProfile p;
     p.hosted_domains = {"blocked.example", "www.example.org"};
     p.serves_subdomains = true;

@@ -14,7 +14,7 @@ using namespace bench;
 int main() {
   header("Extension: CenTrace over DNS (paper §8 future work)");
 
-  sim::Topology topo;
+  sim::CompactTopologyBuilder topo;
   sim::NodeId client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
   sim::NodeId r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
   sim::NodeId r2 = topo.add_node("r2", net::Ipv4Address(10, 0, 2, 1));
@@ -26,7 +26,7 @@ int main() {
   topo.add_link(r3, resolver);
   geo::IpMetadataDb db;
   db.add_route(net::Ipv4Address(10, 0, 0, 0), 16, {64512, "NATIONAL-ISP", "XX"});
-  sim::Network net(std::move(topo), std::move(db));
+  sim::Network net(sim::Topology(topo.build()), std::move(db));
   sim::EndpointProfile profile;
   profile.hosted_domains = {"resolver.example"};
   profile.is_dns_resolver = true;
@@ -76,7 +76,7 @@ int main() {
   // classic national-DNS-injection signature that DNS-over-TCP can't show.
   header("DNS over UDP: the on-path injection race");
   {
-    sim::Topology topo2;
+    sim::CompactTopologyBuilder topo2;
     sim::NodeId c2 = topo2.add_node("client", net::Ipv4Address(10, 1, 0, 1));
     sim::NodeId ra = topo2.add_node("ra", net::Ipv4Address(10, 1, 1, 1));
     sim::NodeId rb = topo2.add_node("rb", net::Ipv4Address(10, 1, 2, 1));
@@ -86,7 +86,7 @@ int main() {
     topo2.add_link(rb, res2);
     geo::IpMetadataDb db2;
     db2.add_route(net::Ipv4Address(10, 1, 0, 0), 16, {64513, "UDP-ISP", "XX"});
-    sim::Network net2(std::move(topo2), std::move(db2));
+    sim::Network net2(sim::Topology(topo2.build()), std::move(db2));
     sim::EndpointProfile rp;
     rp.hosted_domains = {"resolver.example"};
     rp.is_dns_resolver = true;

@@ -28,7 +28,7 @@ struct Cell {
 /// Line topology; with `ecmp`, hop 2 gets an equal-cost twin so route
 /// flapping has an alternative path (both reconverge before the device).
 std::unique_ptr<sim::Network> make_net(std::uint64_t seed, bool ecmp) {
-  sim::Topology topo;
+  sim::CompactTopologyBuilder topo;
   sim::NodeId client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
   sim::NodeId prev = client;
   sim::NodeId device_router = sim::kInvalidNode;
@@ -50,7 +50,7 @@ std::unique_ptr<sim::Network> make_net(std::uint64_t seed, bool ecmp) {
   topo.add_link(prev, server);
   geo::IpMetadataDb db;
   db.add_route(net::Ipv4Address(10, 0, 0, 0), 16, {64512, "TRANSIT-AS", "XX"});
-  auto net = std::make_unique<sim::Network>(std::move(topo), std::move(db), seed);
+  auto net = std::make_unique<sim::Network>(sim::Topology(topo.build()), std::move(db), seed);
   sim::EndpointProfile profile;
   profile.hosted_domains = {"www.example.org"};
   net->add_endpoint(server, profile);

@@ -12,7 +12,7 @@ namespace {
 
 struct DemoNet {
   DemoNet() {
-    sim::Topology topo;
+    sim::CompactTopologyBuilder topo;
     client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
     for (int i = 0; i < 4; ++i) {
       routers[i] = topo.add_node("R" + std::to_string(i + 1),
@@ -24,7 +24,7 @@ struct DemoNet {
     topo.add_link(routers[3], server);
     geo::IpMetadataDb db;
     db.add_route(net::Ipv4Address(10, 0, 0, 0), 16, {64512, "DEMO-AS", "XX"});
-    net = std::make_unique<sim::Network>(std::move(topo), std::move(db));
+    net = std::make_unique<sim::Network>(sim::Topology(topo.build()), std::move(db));
     sim::EndpointProfile profile;
     profile.hosted_domains = {"www.example.org"};
     net->add_endpoint(server, profile);

@@ -39,7 +39,7 @@ constexpr int kMeasurements = 6;   // CenTrace measurements per round
 constexpr double kBudget = 0.02;   // disabled-sink overhead budget (2%)
 
 std::unique_ptr<sim::Network> make_net() {
-  sim::Topology topo;
+  sim::CompactTopologyBuilder topo;
   sim::NodeId client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
   sim::NodeId prev = client;
   for (int i = 0; i < 10; ++i) {
@@ -52,7 +52,7 @@ std::unique_ptr<sim::Network> make_net() {
   topo.add_link(prev, server);
   geo::IpMetadataDb db;
   db.add_route(net::Ipv4Address(10, 0, 0, 0), 16, {64512, "PERF", "XX"});
-  auto net = std::make_unique<sim::Network>(std::move(topo), std::move(db));
+  auto net = std::make_unique<sim::Network>(sim::Topology(topo.build()), std::move(db));
   sim::EndpointProfile p;
   p.hosted_domains = {"www.example.org"};
   net->add_endpoint(server, p);

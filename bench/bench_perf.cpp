@@ -121,7 +121,7 @@ namespace {
 
 struct PerfNet {
   PerfNet() {
-    sim::Topology topo;
+    sim::CompactTopologyBuilder topo;
     client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
     sim::NodeId prev = client;
     for (int i = 0; i < 10; ++i) {
@@ -134,7 +134,7 @@ struct PerfNet {
     topo.add_link(prev, server);
     geo::IpMetadataDb db;
     db.add_route(net::Ipv4Address(10, 0, 0, 0), 16, {64512, "PERF", "XX"});
-    net = std::make_unique<sim::Network>(std::move(topo), std::move(db));
+    net = std::make_unique<sim::Network>(sim::Topology(topo.build()), std::move(db));
     sim::EndpointProfile p;
     p.hosted_domains = {"www.example.org"};
     net->add_endpoint(server, p);

@@ -41,8 +41,8 @@ trace::DegradationPlan scenario_plan(const scenario::SilentScenario& s) {
 bool candidates_contain_true_link(const trace::CenTraceReport& r,
                                   const scenario::SilentScenario& s) {
   const sim::Topology& topo = s.network->topology();
-  const net::Ipv4Address a = topo.node(s.true_link.a).ip;
-  const net::Ipv4Address b = topo.node(s.true_link.b).ip;
+  const net::Ipv4Address a = topo.node_ip(s.true_link.a);
+  const net::Ipv4Address b = topo.node_ip(s.true_link.b);
   for (const trace::BlamedLink& link : r.degradation.candidate_links) {
     if ((link.ip_a == a && link.ip_b == b) || (link.ip_a == b && link.ip_b == a)) {
       return true;
@@ -84,8 +84,7 @@ int main(int argc, char** argv) {
         trace::CenTrace plain(*s.network, s.vantages[0], fast_opts());
         trace::CenTraceReport r =
             plain.measure(s.endpoint, s.test_domain, s.control_domain);
-        const net::Ipv4Address censor_ip =
-            s.network->topology().node(s.censor_node).ip;
+        const net::Ipv4Address censor_ip = s.network->topology().node_ip(s.censor_node);
         full_ok =
             r.blocked && r.blocking_hop_ip.has_value() && *r.blocking_hop_ip == censor_ip;
       }

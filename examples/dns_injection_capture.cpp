@@ -14,7 +14,7 @@ using namespace cen;
 int main() {
   // client - r1 - r2 - r3 - resolver, with a national DNS injector on the
   // link into r2 forging sinkhole answers for blocked.example queries.
-  sim::Topology topo;
+  sim::CompactTopologyBuilder topo;
   sim::NodeId client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
   sim::NodeId r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
   sim::NodeId r2 = topo.add_node("r2", net::Ipv4Address(10, 0, 2, 1));
@@ -26,7 +26,7 @@ int main() {
   topo.add_link(r3, resolver);
   geo::IpMetadataDb db;
   db.add_route(net::Ipv4Address(10, 0, 0, 0), 16, {64512, "NATIONAL-ISP", "XX"});
-  sim::Network net(std::move(topo), std::move(db));
+  sim::Network net(sim::Topology(topo.build()), std::move(db));
   sim::EndpointProfile profile;
   profile.hosted_domains = {"resolver.example"};
   profile.is_dns_resolver = true;

@@ -14,7 +14,7 @@ using namespace cen;
 namespace {
 
 fuzz::CenFuzzReport fuzz_vendor(const std::string& vendor) {
-  sim::Topology topo;
+  sim::CompactTopologyBuilder topo;
   sim::NodeId client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
   sim::NodeId r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
   sim::NodeId r2 = topo.add_node("r2", net::Ipv4Address(10, 0, 2, 1));
@@ -24,7 +24,7 @@ fuzz::CenFuzzReport fuzz_vendor(const std::string& vendor) {
   topo.add_link(r2, server);
   geo::IpMetadataDb db;
   db.add_route(net::Ipv4Address(10, 0, 0, 0), 8, {64512, "LAB", "XX"});
-  sim::Network net(std::move(topo), std::move(db));
+  sim::Network net(sim::Topology(topo.build()), std::move(db));
   sim::EndpointProfile profile;
   profile.hosted_domains = {"blocked.example", "www.example.org"};
   profile.serves_subdomains = true;

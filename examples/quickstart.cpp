@@ -15,7 +15,7 @@ using namespace cen;
 int main() {
   // 1. A five-hop path: client -> r1 -> r2 -> r3 -> server, with a Fortinet
   //    device on the link into r3 blocking blocked.example.
-  sim::Topology topo;
+  sim::CompactTopologyBuilder topo;
   geo::IpMetadataDb geodb;
   geo::AsInfo isp{64512, "EXAMPLE-ISP", "XX"};
   geodb.add_route(net::Ipv4Address(10, 0, 0, 0), 8, isp);
@@ -30,7 +30,7 @@ int main() {
   topo.add_link(r2, r3);
   topo.add_link(r3, server);
 
-  sim::Network network(std::move(topo), std::move(geodb));
+  sim::Network network(sim::Topology(topo.build()), std::move(geodb));
 
   // Optional: attach an observer — every tool run below then feeds the
   // metrics registry, span tracer and measurement journal (src/obs/).

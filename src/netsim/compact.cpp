@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/fingerprint.hpp"
+
 namespace cen::sim {
 
 const std::vector<censor::ServiceBanner>& CompactTopology::services(NodeId id) const {
@@ -39,19 +41,63 @@ std::size_t CompactTopology::bytes() const {
   return total;
 }
 
-Topology CompactTopology::inflate() const {
-  Topology t;
-  for (NodeId id = 0; id < node_count(); ++id) {
-    NodeId got = t.add_node(std::string(name(id)), ip(id), profiles_[id]);
-    (void)got;
-    for (const censor::ServiceBanner& s : services(id)) {
-      t.node(id).services.push_back(s);
+namespace {
+
+/// ip + RouterProfile as one digest word: ip in bits 0-31, quote policy
+/// in 32-39, the TOS rewrite in 40-48 (value plus a presence bit), then
+/// the ICMP and DF flags, and whether a name and a services block follow
+/// (most worldgen hosts have neither, so they cost no words).
+std::uint64_t node_word(net::Ipv4Address ip, const RouterProfile& p, bool named,
+                        bool has_services) {
+  std::uint64_t w = ip.value();
+  w |= static_cast<std::uint64_t>(p.quote_policy) << 32;
+  if (p.rewrite_tos) w |= (std::uint64_t{0x100} | *p.rewrite_tos) << 40;
+  w |= static_cast<std::uint64_t>(p.responds_icmp) << 49;
+  w |= static_cast<std::uint64_t>(p.clears_df_flag) << 50;
+  w |= static_cast<std::uint64_t>(named) << 51;
+  w |= static_cast<std::uint64_t>(has_services) << 52;
+  return w;
+}
+
+}  // namespace
+
+/// Per node, in id order: the ip+profile word, the name and the services
+/// (each only when present, as node_word() records), and the CSR offset
+/// where the node's adjacency row ends; the adjacency rows are streamed
+/// alongside, two neighbour ids per word. The words go through four hash
+/// lanes.
+std::uint64_t CompactTopology::fingerprint() const {
+  const std::size_t count = node_count();
+  LaneFingerprint fp;
+  fp.mix(static_cast<std::uint64_t>(count));
+  auto next_service = services_.begin();  // the sorted sparse map, walked once
+  std::uint64_t held = 0;  // neighbour id waiting for the second half of its word
+  bool holding = false;
+  for (NodeId id = 0; id < count; ++id) {
+    const std::string_view nm = name(id);
+    std::span<const censor::ServiceBanner> svcs;
+    if (next_service != services_.end() && next_service->first == id) {
+      svcs = (next_service++)->second;
+    }
+    fp.mix(node_word(ip(id), profiles_[id], !nm.empty(), !svcs.empty()));
+    if (!nm.empty()) fp.mix(nm);
+    if (!svcs.empty()) {
+      fp.mix(static_cast<std::uint64_t>(svcs.size()));
+      for (const censor::ServiceBanner& s : svcs) {
+        fp.mix(static_cast<std::uint64_t>(s.port));
+        fp.mix(s.protocol);
+        fp.mix(s.banner);
+      }
+    }
+    fp.mix(static_cast<std::uint64_t>(adj_off_[id + 1]));
+    for (NodeId nb : neighbors(id)) {
+      if (holding) fp.mix((held << 32) | nb);
+      held = nb;
+      holding = !holding;
     }
   }
-  // Replaying links in insertion order reproduces the exact adjacency-list
-  // order of a classic build, so the fingerprints match.
-  for (const auto& [a, b] : links_) t.add_link(a, b);
-  return t;
+  if (holding) fp.mix((held << 32) | kInvalidNode);
+  return fp.digest();
 }
 
 void CompactTopologyBuilder::reserve(std::size_t nodes, std::size_t link_hint) {
@@ -67,29 +113,15 @@ NodeId CompactTopologyBuilder::add_node(std::string_view name, net::Ipv4Address 
   if (ips_.size() >= max_nodes_) {
     throw std::length_error("CompactTopologyBuilder: 32-bit node id space exhausted");
   }
+  if (name_arena_.size() + name.size() > 0xffffffffull) {
+    throw std::length_error("CompactTopologyBuilder: name arena overflows 32 bits");
+  }
   const NodeId id = static_cast<NodeId>(ips_.size());
   ips_.push_back(ip.value());
   profiles_.push_back(profile);
-  if (name.empty()) {
-    name_off_.push_back(0);
-    name_len_.push_back(0);
-  } else {
-    // Intern: identical names share one arena slice.
-    auto it = interned_.find(std::string(name));
-    std::uint32_t off;
-    if (it != interned_.end()) {
-      off = it->second;
-    } else {
-      if (name_arena_.size() + name.size() > 0xffffffffull) {
-        throw std::length_error("CompactTopologyBuilder: name arena overflows 32 bits");
-      }
-      off = static_cast<std::uint32_t>(name_arena_.size());
-      name_arena_.append(name);
-      interned_.emplace(std::string(name), off);
-    }
-    name_off_.push_back(off);
-    name_len_.push_back(static_cast<std::uint32_t>(name.size()));
-  }
+  name_off_.push_back(static_cast<std::uint32_t>(name_arena_.size()));
+  name_len_.push_back(static_cast<std::uint32_t>(name.size()));
+  name_arena_.append(name);
   return id;
 }
 
@@ -111,6 +143,14 @@ void CompactTopologyBuilder::add_service(NodeId id, censor::ServiceBanner banner
   services_[id].push_back(std::move(banner));
 }
 
+net::Ipv4Address CompactTopologyBuilder::ip(NodeId id) const {
+  return net::Ipv4Address(ips_.at(id));
+}
+
+void CompactTopologyBuilder::force_responds_icmp(NodeId id) {
+  profiles_.at(id).responds_icmp = true;
+}
+
 std::shared_ptr<const CompactTopology> CompactTopologyBuilder::build() {
   auto topo = std::make_shared<CompactTopology>();
   const std::size_t n = ips_.size();
@@ -121,9 +161,8 @@ std::shared_ptr<const CompactTopology> CompactTopologyBuilder::build() {
   topo->name_arena_ = std::move(name_arena_);
   topo->services_ = std::move(services_);
 
-  // CSR: count degrees, prefix-sum, then fill in link order — which
-  // appends b to a's row and a to b's row exactly as the classic
-  // add_link() does, so neighbour order (and the fingerprint) match.
+  // CSR: count degrees, prefix-sum, then fill in link order, appending b
+  // to a's row and a to b's row — neighbour order is call order.
   std::vector<std::uint32_t> degree(n, 0);
   for (const auto& [a, b] : links_) {
     ++degree[a];
@@ -142,10 +181,8 @@ std::shared_ptr<const CompactTopology> CompactTopologyBuilder::build() {
   topo->ip_index_.reserve(n);
   for (NodeId id = 0; id < n; ++id) topo->ip_index_.emplace_back(topo->ips_[id], id);
   // Sort by (ip, id): lower_bound then lands on the earliest-added node
-  // for a duplicated ip, matching the classic index's first-wins emplace.
+  // for a duplicated ip.
   std::sort(topo->ip_index_.begin(), topo->ip_index_.end());
-
-  interned_.clear();
   return topo;
 }
 

@@ -1,42 +1,58 @@
-// Compact structure-of-arrays topology backend (ISSUE 8).
+// The one topology storage: an immutable structure-of-arrays network.
 //
-// The classic `Topology` stores a `Node` struct per router — a heap
-// string, a services vector and a per-node adjacency vector. At the
-// worldgen scales (a million endpoint hosts, thousands of ASes) that
-// representation costs hundreds of bytes per node and scatters the hot
-// per-hop lookups across the heap. `CompactTopology` flattens the same
-// information into contiguous parallel arrays:
+// Every network the simulator runs — the hand-built country scenarios,
+// the test fixtures and the million-host worldgen worlds alike — is
+// assembled through `CompactTopologyBuilder` and frozen into a
+// `CompactTopology`. The per-node data lives in contiguous parallel
+// arrays:
 //
 //   ips_[id]          4 B   node address
 //   profiles_[id]     8 B   RouterProfile (POD, no indirection)
-//   name_off/len_[id] 8 B   slice into one interned string arena
+//   name_off/len_[id] 8 B   slice into one name arena
 //   adj_off_[id]      4 B   CSR row start; neighbours live in adj_
 //   services_         sparse FlatMap (most nodes expose nothing)
 //
 // All ids are 32-bit (`NodeId`); the builder guards the id and link-count
-// overflow edges explicitly. The finished object is immutable and shared
-// via shared_ptr<const CompactTopology>, which is what keeps worker
-// replicas refcount-bump cheap under the COW clone()/reset_epoch()
-// contract: a compact-backed `Topology` copies as two shared_ptr bumps.
-//
-// fingerprint() and Topology::fingerprint() are one definition (in
-// topology.cpp), fed the same word stream by both backends, so campaign
-// cache keys do not depend on which backend built the network; inflate()
-// materializes a classic Topology for the randomized equivalence tests.
+// overflow edges explicitly. The finished object is shared as
+// shared_ptr<const CompactTopology>: `sim::Topology` (netsim/topology.hpp)
+// wraps it with the ECMP path cache, and copying a Topology — a worker
+// replica under the clone()/reset_epoch() contract — bumps a refcount.
+// fingerprint() is the structural digest campaign cache keys use.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "censor/device.hpp"  // ServiceBanner, for router management planes
 #include "core/flat_map.hpp"
-#include "netsim/topology.hpp"
+#include "net/icmp.hpp"
+#include "net/ipv4.hpp"
 
 namespace cen::sim {
+
+using NodeId = std::uint32_t;
+constexpr NodeId kInvalidNode = 0xffffffffu;
+
+/// Each router carries a profile controlling the ICMP behaviours the paper
+/// measures: whether it answers TTL exhaustion at all, how much of the
+/// original datagram it quotes (RFC 792 vs RFC 1812), and whether it
+/// rewrites the IP TOS / flags of transiting packets (§4.3 observes TOS
+/// deltas in 32% of quoted packets).
+struct RouterProfile {
+  bool responds_icmp = true;
+  net::QuotePolicy quote_policy = net::QuotePolicy::kRfc792;
+  /// If set, the router rewrites the TOS byte of packets it forwards.
+  std::optional<std::uint8_t> rewrite_tos;
+  /// Quirky gear that clears the DF flag of transiting packets.
+  bool clears_df_flag = false;
+};
 
 class CompactTopology {
  public:
@@ -52,42 +68,41 @@ class CompactTopology {
     return std::span<const NodeId>(adj_.data() + adj_off_[id],
                                    adj_off_[id + 1] - adj_off_[id]);
   }
-  /// Management services; returns a shared empty vector for the (vast)
-  /// majority of nodes that expose none.
+  /// Management services (most routers expose none; some answer
+  /// SSH/Telnet with generic banners — the paper's 68-of-163 "has open
+  /// ports but no vendor label" population). Returns a shared empty
+  /// vector for the (vast) majority of nodes that expose nothing.
   const std::vector<censor::ServiceBanner>& services(NodeId id) const;
+  /// The earliest-added node with this address.
   std::optional<NodeId> find_by_ip(net::Ipv4Address ip) const;
   /// Links in insertion order (undirected, as given to the builder).
   const std::vector<std::pair<NodeId, NodeId>>& links() const { return links_; }
 
-  /// Topology::fingerprint()'s one definition, fed from these arrays: equal
-  /// to the classic digest over equivalent content.
+  /// Structural digest over nodes (name, IP, router profile, services)
+  /// and links — a campaign cache-key component: any topology edit must
+  /// change it.
   std::uint64_t fingerprint() const;
 
   /// Resident bytes of the arrays (capacity-based, heap children included).
   std::size_t bytes() const;
-
-  /// Materialize an equivalent classic (pointer-based) Topology — the
-  /// reference object the equivalence tests diff this backend against.
-  Topology inflate() const;
 
  private:
   friend class CompactTopologyBuilder;
 
   std::vector<std::uint32_t> ips_;
   std::vector<RouterProfile> profiles_;
-  /// Interned names: identical strings share one arena slice.
+  /// Each name is one slice of the arena (empty names take no bytes).
   std::vector<std::uint32_t> name_off_;
   std::vector<std::uint32_t> name_len_;
   std::string name_arena_;
   /// CSR adjacency: neighbours of id are adj_[adj_off_[id] .. adj_off_[id+1]).
   std::vector<std::uint32_t> adj_off_;
   std::vector<NodeId> adj_;
-  /// Original undirected link list (adjacency order + inflate() fidelity).
+  /// Undirected link list in insertion order.
   std::vector<std::pair<NodeId, NodeId>> links_;
   /// Sparse management services (FlatMap: sorted, shareable, cheap to copy).
   core::FlatMap<NodeId, std::vector<censor::ServiceBanner>> services_;
-  /// (ip, id) sorted by ip then id; first entry per ip wins, mirroring the
-  /// classic ip_index_'s first-wins emplace.
+  /// (ip, id) sorted by ip then id; the first entry per ip wins.
   std::vector<std::pair<std::uint32_t, NodeId>> ip_index_;
 };
 
@@ -106,10 +121,17 @@ class CompactTopologyBuilder {
   void reserve(std::size_t nodes, std::size_t link_hint);
   /// Throws std::length_error once the id space (max_nodes) is exhausted.
   NodeId add_node(std::string_view name, net::Ipv4Address ip, RouterProfile profile = {});
+  /// Undirected link; each end's neighbour row grows in call order.
   /// Throws std::out_of_range on unknown ids, std::length_error when the
   /// CSR offset table would overflow 32 bits.
   void add_link(NodeId a, NodeId b);
   void add_service(NodeId id, censor::ServiceBanner banner);
+
+  /// Address of an added node (throws std::out_of_range on unknown ids).
+  net::Ipv4Address ip(NodeId id) const;
+  /// Make an added node answer TTL exhaustion (a router a device sits
+  /// behind must, for CenTrace to localize the device).
+  void force_responds_icmp(NodeId id);
 
   std::size_t node_count() const { return ips_.size(); }
   std::shared_ptr<const CompactTopology> build();
@@ -121,7 +143,6 @@ class CompactTopologyBuilder {
   std::vector<std::uint32_t> name_off_;
   std::vector<std::uint32_t> name_len_;
   std::string name_arena_;
-  core::FlatMap<std::string, std::uint32_t> interned_;
   std::vector<std::pair<NodeId, NodeId>> links_;
   core::FlatMap<NodeId, std::vector<censor::ServiceBanner>> services_;
 };

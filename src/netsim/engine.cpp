@@ -33,8 +33,8 @@ Network::Network(Topology topology, geo::IpMetadataDb geodb, std::uint64_t seed)
       rng_(seed),
       faults_(mix64(seed ^ salts::kFaultSeed)) {}
 
-Network::Network(const Network& other, CloneTag)
-    : topology_(other.topology_),  // shares the frozen ECMP paths and trees
+Network::Network(const Network& other, Topology topology, CloneTag)
+    : topology_(std::move(topology)),
       geodb_(other.geodb_),        // immutable, shared by reference
       seed_(other.seed_),
       rng_(other.seed_),
@@ -57,7 +57,12 @@ std::unique_ptr<Network> Network::clone() const {
   // deep-copying the caches or re-running a BFS for a source the
   // prototype has already seen.
   topology_.freeze_paths();
-  return std::unique_ptr<Network>(new Network(*this, CloneTag{}));
+  // The copy shares the network and the frozen ECMP paths and trees.
+  return std::unique_ptr<Network>(new Network(*this, topology_, CloneTag{}));
+}
+
+std::unique_ptr<Network> Network::clone_with(Topology topology) const {
+  return std::unique_ptr<Network>(new Network(*this, std::move(topology), CloneTag{}));
 }
 
 Network::EndpointMap& Network::mutable_endpoints() {

@@ -138,13 +138,17 @@ class Network {
   /// endpoints, fault plan and construction seed, but *fresh* device
   /// instances (no inherited flow/residual state), a rewound clock, a
   /// reset ephemeral-port pool and no capture sink. Replicas never share
-  /// *mutable* state with the original; immutable data — the geo DB, the
-  /// endpoint map, device configurations and the frozen ECMP path cache —
-  /// is shared by reference, which makes cloning cheap enough to pay per
-  /// worker without flattening the scaling curve. A replica that later
-  /// mutates shared structure (add_endpoint, topology edits) detaches its
-  /// own copy first (copy-on-write), so independence is preserved.
+  /// *mutable* state with the original; immutable data — the topology,
+  /// the geo DB, the endpoint map, device configurations and the frozen
+  /// ECMP path cache — is shared by reference, which makes cloning cheap
+  /// enough to pay per worker without flattening the scaling curve. A
+  /// replica that later mutates shared structure (add_endpoint) detaches
+  /// its own copy first (copy-on-write), so independence is preserved.
   std::unique_ptr<Network> clone() const;
+  /// clone() onto `topology`, which must extend this network's: every
+  /// existing node keeps its id, so devices and endpoints stay where they
+  /// are (a measurement server added next to a built scenario, say).
+  std::unique_ptr<Network> clone_with(Topology topology) const;
 
   /// Reset all mutable simulation state to a deterministic epoch derived
   /// from `substream_seed`: clock to 0, ephemeral ports to the floor,
@@ -167,7 +171,6 @@ class Network {
   /// (ip, profile digest) pair each.
   std::uint64_t fingerprint() const;
 
-  Topology& topology() { return topology_; }
   const Topology& topology() const { return topology_; }
   const geo::IpMetadataDb& geodb() const { return *geodb_; }
   SimClock& clock() { return clock_; }
@@ -256,10 +259,10 @@ class Network {
     std::shared_ptr<censor::Device> device;
   };
 
-  /// Tag-dispatched replica constructor backing clone(): shares immutable
-  /// structure, re-creates mutable runtime state fresh.
+  /// Tag-dispatched replica constructor backing clone() and clone_with():
+  /// shares immutable structure, re-creates mutable runtime state fresh.
   struct CloneTag {};
-  Network(const Network& other, CloneTag);
+  Network(const Network& other, Topology topology, CloneTag);
 
   using EndpointMap = core::FlatMap<std::uint32_t, EndpointHost>;
   /// Copy-on-write access: detaches a private copy when the map is shared

@@ -4,100 +4,13 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/fingerprint.hpp"
 #include "core/rng.hpp"
-#include "netsim/compact.hpp"
 
 namespace cen::sim {
 
-Topology Topology::from_compact(std::shared_ptr<const CompactTopology> compact) {
-  if (compact == nullptr) throw std::invalid_argument("from_compact: null backend");
-  Topology t;
-  t.compact_ = std::move(compact);
-  return t;
-}
-
-NodeId Topology::add_node(std::string name, net::Ipv4Address ip, RouterProfile profile) {
-  if (compact_ != nullptr) {
-    throw std::logic_error("Topology::add_node: compact backend is immutable");
-  }
-  Node n;
-  n.id = static_cast<NodeId>(nodes_.size());
-  n.name = std::move(name);
-  n.ip = ip;
-  n.profile = profile;
-  nodes_.push_back(std::move(n));
-  adjacency_.emplace_back();
-  ip_index_.emplace(ip.value(), nodes_.back().id);
-  // Invalidate locally only: replicas sharing a frozen snapshot keep
-  // their own (still-valid-for-them) reference.
-  frozen_.reset();
-  local_paths_.clear();
-  local_trees_.clear();
-  return nodes_.back().id;
-}
-
-void Topology::add_link(NodeId a, NodeId b) {
-  if (compact_ != nullptr) {
-    throw std::logic_error("Topology::add_link: compact backend is immutable");
-  }
-  if (a >= nodes_.size() || b >= nodes_.size()) throw std::out_of_range("bad node id");
-  adjacency_[a].push_back(b);
-  adjacency_[b].push_back(a);
-  frozen_.reset();
-  local_paths_.clear();
-  local_trees_.clear();
-}
-
-const Node& Topology::node(NodeId id) const {
-  if (compact_ != nullptr) {
-    throw std::logic_error("Topology::node: not available on a compact backend");
-  }
-  return nodes_.at(id);
-}
-
-Node& Topology::node(NodeId id) {
-  if (compact_ != nullptr) {
-    throw std::logic_error("Topology::node: not available on a compact backend");
-  }
-  return nodes_.at(id);
-}
-
-net::Ipv4Address Topology::node_ip(NodeId id) const {
-  if (compact_ != nullptr) return compact_->ip(id);
-  return nodes_.at(id).ip;
-}
-
-const RouterProfile& Topology::node_profile(NodeId id) const {
-  if (compact_ != nullptr) return compact_->profile(id);
-  return nodes_.at(id).profile;
-}
-
-std::string_view Topology::node_name(NodeId id) const {
-  if (compact_ != nullptr) return compact_->name(id);
-  return nodes_.at(id).name;
-}
-
-const std::vector<censor::ServiceBanner>& Topology::node_services(NodeId id) const {
-  if (compact_ != nullptr) return compact_->services(id);
-  return nodes_.at(id).services;
-}
-
-std::size_t Topology::node_count() const {
-  return compact_ != nullptr ? compact_->node_count() : nodes_.size();
-}
-
-std::optional<NodeId> Topology::find_by_ip(net::Ipv4Address ip) const {
-  if (compact_ != nullptr) return compact_->find_by_ip(ip);
-  auto it = ip_index_.find(ip.value());
-  if (it == ip_index_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::span<const NodeId> Topology::neighbors(NodeId id) const {
-  if (compact_ != nullptr) return compact_->neighbors(id);
-  const std::vector<NodeId>& nbrs = adjacency_.at(id);
-  return std::span<const NodeId>(nbrs.data(), nbrs.size());
+Topology::Topology(std::shared_ptr<const CompactTopology> compact)
+    : compact_(std::move(compact)) {
+  if (compact_ == nullptr) throw std::invalid_argument("Topology: null network");
 }
 
 namespace {
@@ -233,108 +146,6 @@ const std::vector<NodeId>& Topology::route(NodeId src, NodeId dst,
                                            std::uint64_t flow_hash,
                                            std::uint64_t salt) const {
   return route(src, dst, salt == 0 ? flow_hash : mix64(flow_hash ^ salt));
-}
-
-namespace {
-
-/// ip + RouterProfile as one digest word: ip in bits 0-31, quote policy
-/// in 32-39, the TOS rewrite in 40-48 (value plus a presence bit), then
-/// the ICMP and DF flags, and whether a name and a services block follow
-/// (most worldgen hosts have neither, so they cost no words).
-std::uint64_t node_word(net::Ipv4Address ip, const RouterProfile& p, bool named,
-                        bool has_services) {
-  std::uint64_t w = ip.value();
-  w |= static_cast<std::uint64_t>(p.quote_policy) << 32;
-  if (p.rewrite_tos) w |= (std::uint64_t{0x100} | *p.rewrite_tos) << 40;
-  w |= static_cast<std::uint64_t>(p.responds_icmp) << 49;
-  w |= static_cast<std::uint64_t>(p.clears_df_flag) << 50;
-  w |= static_cast<std::uint64_t>(named) << 51;
-  w |= static_cast<std::uint64_t>(has_services) << 52;
-  return w;
-}
-
-/// Per-node views of the two backends for digest_topology().
-struct ClassicNodes {
-  const std::vector<Node>& nodes;
-  const std::vector<std::vector<NodeId>>& adjacency;
-
-  net::Ipv4Address ip(NodeId id) const { return nodes[id].ip; }
-  const RouterProfile& profile(NodeId id) const { return nodes[id].profile; }
-  std::string_view name(NodeId id) const { return nodes[id].name; }
-  std::span<const censor::ServiceBanner> services(NodeId id) const {
-    return nodes[id].services;
-  }
-  std::span<const NodeId> neighbors(NodeId id) const { return adjacency[id]; }
-};
-
-struct CompactNodes {
-  using ServiceMap = core::FlatMap<NodeId, std::vector<censor::ServiceBanner>>;
-
-  const CompactTopology& topo;
-  /// Cursor over the sorted sparse service map; services() must be asked
-  /// for every id in ascending order, as digest_topology() does.
-  ServiceMap::const_iterator next_service;
-  ServiceMap::const_iterator services_end;
-
-  net::Ipv4Address ip(NodeId id) const { return topo.ip(id); }
-  const RouterProfile& profile(NodeId id) const { return topo.profile(id); }
-  std::string_view name(NodeId id) const { return topo.name(id); }
-  std::span<const censor::ServiceBanner> services(NodeId id) {
-    if (next_service == services_end || next_service->first != id) return {};
-    return (next_service++)->second;
-  }
-  std::span<const NodeId> neighbors(NodeId id) const { return topo.neighbors(id); }
-};
-
-/// The topology digest — one definition for both backends. Per node, in
-/// id order: the ip+profile word, the name and the services (each only
-/// when present, as node_word() records), and the CSR offset where the
-/// node's adjacency row ends; the adjacency rows are streamed alongside,
-/// two neighbour ids per word. The words go through four hash lanes.
-template <class Nodes>
-std::uint64_t digest_topology(std::size_t count, Nodes nodes) {
-  LaneFingerprint fp;
-  fp.mix(static_cast<std::uint64_t>(count));
-  std::uint64_t offset = 0;
-  std::uint64_t held = 0;  // neighbour id waiting for the second half of its word
-  bool holding = false;
-  for (NodeId id = 0; id < count; ++id) {
-    const std::string_view name = nodes.name(id);
-    const std::span<const censor::ServiceBanner> svcs = nodes.services(id);
-    fp.mix(node_word(nodes.ip(id), nodes.profile(id), !name.empty(), !svcs.empty()));
-    if (!name.empty()) fp.mix(name);
-    if (!svcs.empty()) {
-      fp.mix(static_cast<std::uint64_t>(svcs.size()));
-      for (const censor::ServiceBanner& s : svcs) {
-        fp.mix(static_cast<std::uint64_t>(s.port));
-        fp.mix(s.protocol);
-        fp.mix(s.banner);
-      }
-    }
-    const std::span<const NodeId> nbrs = nodes.neighbors(id);
-    offset += nbrs.size();
-    fp.mix(offset);
-    for (NodeId nb : nbrs) {
-      if (holding) fp.mix((held << 32) | nb);
-      held = nb;
-      holding = !holding;
-    }
-  }
-  if (holding) fp.mix((held << 32) | kInvalidNode);
-  return fp.digest();
-}
-
-}  // namespace
-
-std::uint64_t Topology::fingerprint() const {
-  if (compact_ != nullptr) return compact_->fingerprint();
-  return digest_topology(nodes_.size(), ClassicNodes{nodes_, adjacency_});
-}
-
-// Defined here, beside Topology::fingerprint(), so both backends share
-// digest_topology().
-std::uint64_t CompactTopology::fingerprint() const {
-  return digest_topology(node_count(), CompactNodes{*this, services_.begin(), services_.end()});
 }
 
 }  // namespace cen::sim

@@ -71,7 +71,7 @@ AmbigScenario make_ambig(const AmbigScenarioOptions& options, std::uint64_t seed
     const AmbigVendor& vendor = vendors[static_cast<std::size_t>(i) % vendors.size()];
     d.vendor = vendor.name;
     d.device_id = "ambig-" + vendor.name + "-" + n;
-    d.endpoint = b.topology().node(server).ip;
+    d.endpoint = b.topology().ip(server);
     out.deployments.push_back(std::move(d));
   }
 

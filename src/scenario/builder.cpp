@@ -54,37 +54,35 @@ net::Ipv4Address Builder::next_ip(AsHandle& as) {
   return net::Ipv4Address(base + static_cast<std::uint32_t>(as.next_host++));
 }
 
-sim::NodeId Builder::router(AsHandle& as, const std::string& name) {
-  sim::RouterProfile profile;
-  profile.responds_icmp = !rng_.chance(0.05);
-  profile.quote_policy = rng_.chance(0.576) ? net::QuotePolicy::kRfc792
-                                            : net::QuotePolicy::kRfc1812Full;
-  if (rng_.chance(0.30)) {
-    profile.rewrite_tos = static_cast<std::uint8_t>(rng_.range(1, 3) << 5);  // DSCP-ish
+DrawnRouter draw_router(Rng& rng) {
+  DrawnRouter r;
+  r.profile.responds_icmp = !rng.chance(0.05);
+  r.profile.quote_policy = rng.chance(0.576) ? net::QuotePolicy::kRfc792
+                                             : net::QuotePolicy::kRfc1812Full;
+  if (rng.chance(0.30)) {
+    r.profile.rewrite_tos = static_cast<std::uint8_t>(rng.range(1, 3) << 5);  // DSCP-ish
   }
-  profile.clears_df_flag = rng_.chance(0.02);
-  return router(as, name, profile, /*generic_services=*/rng_.chance(0.40));
+  r.profile.clears_df_flag = rng.chance(0.02);
+  if (rng.chance(0.40)) {
+    r.services.push_back({22, "ssh", "SSH-2.0-OpenSSH_8.2p1"});
+    if (rng.chance(0.5)) r.services.push_back({23, "telnet", "login:"});
+    if (rng.chance(0.3)) {
+      r.services.push_back({161, "snmp", "SNMPv2-MIB::sysDescr Generic Router OS"});
+    }
+  }
+  return r;
 }
 
-sim::NodeId Builder::router(AsHandle& as, const std::string& name,
-                            const sim::RouterProfile& profile, bool generic_services) {
-  sim::NodeId id = topo_.add_node(as.name + ":" + name, next_ip(as), profile);
-  if (generic_services) {
-    sim::Node& node = topo_.node(id);
-    node.services.push_back({22, "ssh", "SSH-2.0-OpenSSH_8.2p1"});
-    if (rng_.chance(0.5)) {
-      node.services.push_back({23, "telnet", "login:"});
-    }
-    if (rng_.chance(0.3)) {
-      node.services.push_back({161, "snmp", "SNMPv2-MIB::sysDescr Generic Router OS"});
-    }
-  }
+sim::NodeId Builder::router(AsHandle& as, const std::string& name) {
+  DrawnRouter drawn = draw_router(rng_);
+  const sim::NodeId id = topo_.add_node(as.name + ":" + name, next_ip(as), drawn.profile);
+  for (censor::ServiceBanner& s : drawn.services) topo_.add_service(id, std::move(s));
   return id;
 }
 
 sim::NodeId Builder::backbone_router(AsHandle& as, const std::string& name) {
   sim::NodeId id = router(as, name);
-  topo_.node(id).profile.responds_icmp = true;
+  topo_.force_responds_icmp(id);
   return id;
 }
 
@@ -105,7 +103,8 @@ Builder::PlacedEndpoint Builder::org_host(AsHandle& as, sim::NodeId attach_to,
 }
 
 std::unique_ptr<sim::Network> Builder::finish(std::uint64_t seed) {
-  return std::make_unique<sim::Network>(std::move(topo_), std::move(geodb_), seed);
+  return std::make_unique<sim::Network>(sim::Topology(topo_.build()), std::move(geodb_),
+                                        seed);
 }
 
 std::shared_ptr<censor::Device> deploy(sim::Network& network, sim::NodeId at,

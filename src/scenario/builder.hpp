@@ -10,6 +10,7 @@
 #include "censor/vendors.hpp"
 #include "core/rng.hpp"
 #include "geo/asdb.hpp"
+#include "netsim/compact.hpp"
 #include "netsim/engine.hpp"
 
 namespace cen::scenario {
@@ -41,13 +42,8 @@ class Builder {
   AsHandle make_as(std::uint32_t asn, std::string name, std::string country);
   net::Ipv4Address next_ip(AsHandle& as);
 
-  /// Add a router in `as` with a randomized-but-realistic ICMP profile:
-  /// ~58% RFC 792 quoting / ~42% RFC 1812 (paper §4.3), ~5% ICMP-silent,
-  /// ~30% rewrite TOS, and ~40% expose generic management banners.
+  /// Add a router in `as` drawn by draw_router().
   sim::NodeId router(AsHandle& as, const std::string& name);
-  /// Router with an explicit profile (no randomization).
-  sim::NodeId router(AsHandle& as, const std::string& name,
-                     const sim::RouterProfile& profile, bool generic_services = false);
   /// Backbone/transit router: randomized like router(), but always answers
   /// TTL exhaustion (national cores and IXes reliably do; the paper found
   /// only one silent-terminating-hop case in 1,430 blocked traces).
@@ -68,18 +64,28 @@ class Builder {
 
   void link(sim::NodeId a, sim::NodeId b) { topo_.add_link(a, b); }
 
-  sim::Topology& topology() { return topo_; }
+  sim::CompactTopologyBuilder& topology() { return topo_; }
   Rng& rng() { return rng_; }
 
   /// Finalize into a Network (builder must not be reused afterwards).
   std::unique_ptr<sim::Network> finish(std::uint64_t seed);
 
  private:
-  sim::Topology topo_;
+  sim::CompactTopologyBuilder topo_;
   geo::IpMetadataDb geodb_;
   Rng rng_{1};
   int as_ordinal_ = 0;
 };
+
+/// A randomized-but-realistic router: ~58% RFC 792 quoting / ~42% RFC
+/// 1812 (paper §4.3), ~5% ICMP-silent, ~30% rewrite TOS, ~2% clear DF, and
+/// ~40% expose generic management banners. The one draw both the
+/// hand-built scenarios and worldgen make per router.
+struct DrawnRouter {
+  sim::RouterProfile profile;
+  std::vector<censor::ServiceBanner> services;
+};
+DrawnRouter draw_router(Rng& rng);
 
 /// Deploy a device at `at` (in-path on the link into the node, or an
 /// on-path tap per the config), assigning the node's IP as management IP

@@ -77,7 +77,7 @@ struct Ctx {
     profile.strict_http = !tolerant;
     profile.default_vhost_for_unknown = tolerant;
     pending_endpoints.push_back({node, std::move(profile)});
-    return b.topology().node(node).ip;
+    return b.topology().ip(node);
   }
 
   /// Infrastructure endpoint in `as` with a randomized web profile; ~8%
@@ -102,7 +102,7 @@ struct Ctx {
       profile.local_filter_rules = std::move(rules);
     }
     pending_endpoints.push_back({node, std::move(profile)});
-    return b.topology().node(node).ip;
+    return b.topology().ip(node);
   }
 
   /// Queue a vendor device deployment at `at` with the given rule domains.
@@ -111,7 +111,7 @@ struct Ctx {
               bool strip_services = false) {
     // A device is only probeable if CenTrace can localize it, which needs
     // the adjacent router to answer TTL exhaustion — ensure it does.
-    b.topology().node(at).profile.responds_icmp = true;
+    b.topology().force_responds_icmp(at);
     censor::DeviceConfig cfg = censor::make_vendor_device(vendor, id);
     cfg.http_rules = make_rules(vendor, rule_domains);
     cfg.sni_rules = make_rules(vendor, rule_domains);
@@ -530,7 +530,7 @@ CountryScenario make_ru(Scale scale, std::uint64_t seed) {
       fin.http_rules = make_rules("Unknown", slice(2));
       fin.sni_rules = make_rules("Unknown", slice(2));
       ctx.pending_devices.push_back({core, std::move(fin), asn});
-      b.topology().node(core).profile.responds_icmp = true;
+      b.topology().force_responds_icmp(core);
     } else if (i == 43) {
       ctx.device(core, "DDoSGuard", "ru-ddosguard-" + tag, slice(2), asn);
     } else if (i == 49) {

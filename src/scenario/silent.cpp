@@ -52,7 +52,7 @@ SilentScenario make_silent(const SilentOptions& options, std::uint64_t seed) {
 
   sim::NodeId server = b.host(hosting, "server");
   b.link(agg, server);
-  out.endpoint = b.topology().node(server).ip;
+  out.endpoint = b.topology().ip(server);
   out.censor_node = spine_b[0];
   out.true_link = tomo::LinkId(spine_a[0], spine_b[0]);
 

@@ -45,7 +45,7 @@ VarianceScenario make_variance_world(std::uint64_t seed) {
     sim::NodeId ep = b.host(h, "ep");
     b.link(prev, ep);
 
-    s.endpoints.push_back(b.topology().node(ep).ip);
+    s.endpoints.push_back(b.topology().ip(ep));
   }
 
   s.network = b.finish(seed ^ 0xF3);

@@ -64,13 +64,12 @@ WorldScenario make_world(Scale scale, std::uint64_t seed) {
     std::uint32_t asn = 45000 + static_cast<std::uint32_t>(i);
     std::string cc = kCountries[i % 12];
     Builder::AsHandle h = b.make_as(asn, "ORG-" + std::to_string(i), cc);
-    sim::NodeId r = b.router(h, "r1");
-    b.topology().node(r).profile.responds_icmp = true;  // devices stay localizable
+    sim::NodeId r = b.backbone_router(h, "r1");  // devices stay localizable
     b.link(transit_r2, r);
     std::string org = "host" + std::to_string(i) + ".org-" + std::to_string(i) + ".net";
     Builder::PlacedEndpoint placed = b.org_host(h, r, "ep", org);
     pending_endpoints.emplace_back(placed.node, std::move(placed.profile));
-    s.endpoints.push_back(b.topology().node(placed.node).ip);
+    s.endpoints.push_back(b.topology().ip(placed.node));
 
     const std::string vendor = kVendors[i % 7];
     censor::DeviceConfig cfg =

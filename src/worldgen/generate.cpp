@@ -89,29 +89,6 @@ std::uint32_t draw_attachment(Rng& rng, const std::vector<std::uint32_t>& degree
   return hi - 1;
 }
 
-/// Randomized router profile matching scenario::Builder::router()'s
-/// ICMP-behaviour mixture (§4.3 distributions).
-sim::RouterProfile draw_router_profile(Rng& rng) {
-  sim::RouterProfile profile;
-  profile.responds_icmp = !rng.chance(0.05);
-  profile.quote_policy = rng.chance(0.576) ? net::QuotePolicy::kRfc792
-                                           : net::QuotePolicy::kRfc1812Full;
-  if (rng.chance(0.30)) {
-    profile.rewrite_tos = static_cast<std::uint8_t>(rng.range(1, 3) << 5);
-  }
-  profile.clears_df_flag = rng.chance(0.02);
-  return profile;
-}
-
-void maybe_generic_services(Rng& rng, sim::CompactTopologyBuilder& tb, sim::NodeId id) {
-  if (!rng.chance(0.40)) return;
-  tb.add_service(id, {22, "ssh", "SSH-2.0-OpenSSH_8.2p1"});
-  if (rng.chance(0.5)) tb.add_service(id, {23, "telnet", "login:"});
-  if (rng.chance(0.3)) {
-    tb.add_service(id, {161, "snmp", "SNMPv2-MIB::sysDescr Generic Router OS"});
-  }
-}
-
 void mix_profile(FingerprintBuilder& fp, const sim::EndpointProfile& p) {
   fp.mix(static_cast<std::uint64_t>(p.hosted_domains.size()));
   for (const std::string& d : p.hosted_domains) fp.mix(d);
@@ -323,18 +300,18 @@ World generate(const WorldSpec& spec, std::uint64_t seed, obs::Observer* observe
     std::uint32_t host_cursor = 1;  // .0 is the network address
     sim::NodeId prev = sim::kInvalidNode;
     for (std::uint32_t r = 0; r < a.router_count; ++r) {
-      sim::RouterProfile profile = draw_router_profile(topo_rng);
+      scenario::DrawnRouter drawn = scenario::draw_router(topo_rng);
       const bool is_border = r == 0;
       // Transit cores always answer TTL exhaustion (backbone behaviour);
       // so do borders carrying a deployed device (localizability, §4.1).
       if (a.tier == AsTier::kTransit || (is_border && a.tier == AsTier::kRegional) ||
           (is_border && as_has_device[idx])) {
-        profile.responds_icmp = true;
+        drawn.profile.responds_icmp = true;
       }
       sim::NodeId id = tb.add_node(as_name + ":r" + std::to_string(r),
                                    net::Ipv4Address(a.prefix_base + host_cursor++),
-                                   profile);
-      maybe_generic_services(topo_rng, tb, id);
+                                   drawn.profile);
+      for (censor::ServiceBanner& s : drawn.services) tb.add_service(id, std::move(s));
       if (r == 0) {
         a.first_router = id;
         as_border[idx] = id;
@@ -462,8 +439,7 @@ GeneratedScenario instantiate(const World& world, std::int64_t max_endpoints) {
     throw std::invalid_argument("worldgen::instantiate: world has no topology");
   }
   GeneratedScenario s;
-  sim::Topology topo = sim::Topology::from_compact(world.topology);
-  auto network = std::make_unique<sim::Network>(std::move(topo), world.geodb,
+  auto network = std::make_unique<sim::Network>(sim::Topology(world.topology), world.geodb,
                                                 mix64(world.seed ^ salts::kWorldNetwork));
 
   const std::uint64_t total = world.endpoint_ips.size();

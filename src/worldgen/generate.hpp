@@ -11,9 +11,9 @@
 // (spec, seed) reproduces a byte-identical world — World::fingerprint()
 // is the cache-key digest campaigns mix in.
 //
-// The topology lands directly in the compact structure-of-arrays backend
+// The topology lands directly in the compact structure-of-arrays storage
 // (netsim/compact.hpp): a million-endpoint world is a few tens of MB and
-// a compact-backed Network clones as refcount bumps.
+// its Network clones as refcount bumps.
 //
 // instantiate(world) turns the immutable World into a runnable
 // sim::Network plus the scenario-shaped bundle (client, endpoint list,
@@ -128,7 +128,7 @@ struct GeneratedScenario {
   std::vector<scenario::DeviceTruth> devices;
 };
 
-/// Materialize the network: compact-backed Topology, every endpoint
+/// Materialize the network: the shared topology, every endpoint
 /// registered against its shared profile template (ascending-IP bulk
 /// load), regime devices deployed with vendor rule sets over the spec's
 /// test domains. `max_endpoints` < 0 registers the full population.

@@ -13,7 +13,7 @@ namespace {
 /// domain (so circumvention is possible) plus the control domain.
 struct FuzzNet {
   explicit FuzzNet(censor::DeviceConfig cfg, bool tolerant_server = true) {
-    sim::Topology topo;
+    sim::CompactTopologyBuilder topo;
     client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
     sim::NodeId r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
     sim::NodeId r2 = topo.add_node("r2", net::Ipv4Address(10, 0, 2, 1));
@@ -23,7 +23,7 @@ struct FuzzNet {
     topo.add_link(r2, server);
     geo::IpMetadataDb db;
     db.add_route(net::Ipv4Address(10, 0, 0, 0), 8, {64512, "X", "XX"});
-    net = std::make_unique<sim::Network>(std::move(topo), std::move(db));
+    net = std::make_unique<sim::Network>(sim::Topology(topo.build()), std::move(db));
 
     sim::EndpointProfile profile;
     profile.hosted_domains = {"blocked.example", "www.example.org"};

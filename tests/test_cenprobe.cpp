@@ -11,13 +11,13 @@ namespace {
 /// Minimal network with one vendor device and one generic-banner router.
 struct ProbeNet {
   ProbeNet() {
-    sim::Topology topo;
+    sim::CompactTopologyBuilder topo;
     sim::NodeId r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
     sim::NodeId r2 = topo.add_node("r2", net::Ipv4Address(10, 0, 2, 1));
     topo.add_link(r1, r2);
-    topo.node(r1).services.push_back({22, "ssh", "SSH-2.0-OpenSSH_8.2p1"});
-    topo.node(r1).services.push_back({23, "telnet", "login:"});
-    net = std::make_unique<sim::Network>(std::move(topo), geo::IpMetadataDb{});
+    topo.add_service(r1, {22, "ssh", "SSH-2.0-OpenSSH_8.2p1"});
+    topo.add_service(r1, {23, "telnet", "login:"});
+    net = std::make_unique<sim::Network>(sim::Topology(topo.build()), geo::IpMetadataDb{});
 
     censor::DeviceConfig cfg = censor::make_vendor_device("Fortinet", "f1");
     cfg.mgmt_ip = net::Ipv4Address(10, 0, 2, 1);
@@ -131,10 +131,10 @@ TEST(ProbeDevice, SilentIpHasNothing) {
 
 TEST(ProbeDevice, EveryCommercialVendorIdentifiable) {
   for (const std::string& vendor : censor::commercial_vendors()) {
-    sim::Topology topo;
+    sim::CompactTopologyBuilder topo;
     sim::NodeId r = topo.add_node("r", net::Ipv4Address(10, 0, 1, 1));
     (void)r;
-    sim::Network net(std::move(topo), geo::IpMetadataDb{});
+    sim::Network net(sim::Topology(topo.build()), geo::IpMetadataDb{});
     censor::DeviceConfig cfg = censor::make_vendor_device(vendor, "d");
     cfg.mgmt_ip = net::Ipv4Address(10, 0, 1, 1);
     net.attach_device(0, std::make_shared<censor::Device>(cfg));

@@ -1,6 +1,9 @@
 // CenTrace behaviour across every device mode of the paper's Fig. 2.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "censor/vendors.hpp"
 #include "centrace/centrace.hpp"
 #include "net/http.hpp"
@@ -10,24 +13,31 @@ using namespace cen::trace;
 
 namespace {
 
-/// client(0) - r1..r5 - server(6); server hosts www.example.org, a second
-/// endpoint ep2 sits behind r5 for local-filter tests.
+/// client(0) - r1..r5 - server(6); server hosts www.example.org.
+/// `profiles` are r1..r5's profiles (missing ones default); `extend` runs
+/// on the builder after the line is laid out (a second endpoint for the
+/// local-filter test).
 struct TraceNet {
-  TraceNet() {
-    sim::Topology topo;
+  using Extend = std::function<void(TraceNet&, sim::CompactTopologyBuilder&)>;
+
+  explicit TraceNet(std::vector<sim::RouterProfile> profiles = {}, const Extend& extend = {}) {
+    profiles.resize(5);
+    sim::CompactTopologyBuilder topo;
     client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
     for (int i = 0; i < 5; ++i) {
       routers[i] = topo.add_node("r" + std::to_string(i + 1),
-                                 net::Ipv4Address(10, 0, static_cast<uint8_t>(i + 1), 1));
+                                 net::Ipv4Address(10, 0, static_cast<uint8_t>(i + 1), 1),
+                                 profiles[static_cast<std::size_t>(i)]);
     }
     server = topo.add_node("server", net::Ipv4Address(10, 0, 9, 1));
     topo.add_link(client, routers[0]);
     for (int i = 0; i + 1 < 5; ++i) topo.add_link(routers[i], routers[i + 1]);
     topo.add_link(routers[4], server);
+    if (extend) extend(*this, topo);
     geo::IpMetadataDb db;
     db.add_route(net::Ipv4Address(10, 0, 0, 0), 16, {64512, "TRANSIT-AS", "XX"});
     db.add_route(net::Ipv4Address(10, 0, 9, 0), 24, {64513, "ENDPOINT-AS", "YY"});
-    net = std::make_unique<sim::Network>(std::move(topo), std::move(db));
+    net = std::make_unique<sim::Network>(sim::Topology(topo.build()), std::move(db));
     sim::EndpointProfile profile;
     profile.hosted_domains = {"www.example.org"};
     net->add_endpoint(server, profile);
@@ -52,6 +62,13 @@ struct TraceNet {
   sim::NodeId routers[5];
   std::unique_ptr<sim::Network> net;
 };
+
+/// A router that never answers TTL exhaustion.
+sim::RouterProfile silent() {
+  sim::RouterProfile p;
+  p.responds_icmp = false;
+  return p;
+}
 
 }  // namespace
 
@@ -158,13 +175,15 @@ TEST(CenTrace, BlockpageInjectorIdentified) {
 }
 
 TEST(CenTrace, AtEndpointLocalFilter) {  // the "At E" population
-  TraceNet tn;
+  sim::NodeId ep2 = sim::kInvalidNode;
+  TraceNet tn({}, [&](TraceNet& t, sim::CompactTopologyBuilder& b) {
+    ep2 = b.add_node("ep2", net::Ipv4Address(10, 0, 9, 2));
+    b.add_link(t.routers[4], ep2);
+  });
   sim::EndpointProfile filtered;
   filtered.hosted_domains = {"www.other.org"};
   filtered.local_filter = sim::LocalFilterAction::kRst;
   filtered.local_filter_rules.add("blocked.example");
-  sim::NodeId ep2 = tn.net->topology().add_node("ep2", net::Ipv4Address(10, 0, 9, 2));
-  tn.net->topology().add_link(tn.routers[4], ep2);
   tn.net->add_endpoint(ep2, filtered);
 
   CenTraceOptions opts;
@@ -182,13 +201,11 @@ TEST(CenTrace, NoIcmpCase) {
   // An RST injector at hop 4 whose router AND predecessor are ICMP-silent:
   // the reset pins the terminating TTL, but no control-path IP exists at or
   // before it — the paper's single "No ICMP" case.
-  TraceNet tn;
+  TraceNet tn({{}, {}, silent(), silent()});
   censor::DeviceConfig cfg;
   cfg.id = "rst";
   cfg.action = censor::BlockAction::kRstInject;
   tn.attach(cfg, 3);  // device at hop 4
-  tn.net->topology().node(tn.routers[3]).profile.responds_icmp = false;
-  tn.net->topology().node(tn.routers[2]).profile.responds_icmp = false;
 
   CenTraceReport r = tn.measure();
   EXPECT_TRUE(r.blocked);
@@ -201,12 +218,11 @@ TEST(CenTrace, SilentDropStillBoundedByPredecessor) {
   // A drop censor behind one silent router: the timeout run starts at the
   // silent hop, but the responding predecessor still bounds the location —
   // NOT a "No ICMP" case under the paper's definition.
-  TraceNet tn;
+  TraceNet tn({{}, {}, silent()});  // hop 3 silent
   censor::DeviceConfig cfg;
   cfg.id = "dropper";
   cfg.action = censor::BlockAction::kDrop;
   tn.attach(cfg, 3);  // device at hop 4
-  tn.net->topology().node(tn.routers[2]).profile.responds_icmp = false;  // hop 3 silent
 
   CenTraceReport r = tn.measure();
   EXPECT_TRUE(r.blocked);
@@ -228,8 +244,9 @@ TEST(CenTrace, HttpsProbesTriggerSniDevices) {
 }
 
 TEST(CenTrace, QuoteDiffsCollectedFromControl) {
-  TraceNet tn;
-  tn.net->topology().node(tn.routers[0]).profile.rewrite_tos = 0x20;
+  sim::RouterProfile tos;
+  tos.rewrite_tos = 0x20;
+  TraceNet tn({tos});
   CenTraceReport r = tn.measure();
   // One diff per distinct responding router.
   EXPECT_EQ(r.quote_diffs.size(), 5u);
@@ -242,7 +259,7 @@ TEST(CenTrace, PathVarianceMajorityVote) {
   // Diamond at hops 2/3: upper branch has a dropper, lower is clean. The
   // per-flow ECMP sends different probes down different branches;
   // majority voting must still converge on a verdict.
-  sim::Topology topo;
+  sim::CompactTopologyBuilder topo;
   sim::NodeId client = topo.add_node("c", net::Ipv4Address(10, 0, 0, 1));
   sim::NodeId r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
   sim::NodeId up = topo.add_node("up", net::Ipv4Address(10, 0, 2, 1));
@@ -257,7 +274,7 @@ TEST(CenTrace, PathVarianceMajorityVote) {
   topo.add_link(r3, server);
   geo::IpMetadataDb db;
   db.add_route(net::Ipv4Address(10, 0, 0, 0), 16, {64512, "X", "XX"});
-  sim::Network net(std::move(topo), std::move(db));
+  sim::Network net(sim::Topology(topo.build()), std::move(db));
   sim::EndpointProfile profile;
   profile.hosted_domains = {"www.example.org"};
   net.add_endpoint(server, profile);
@@ -363,8 +380,7 @@ TEST(CenTrace, CleanRunHasFullConfidence) {
 TEST(CenTrace, ConsistentlySilentRouterKeepsConfidence) {
   // A genuinely ICMP-silent router is *consistent* across sweeps — it must
   // not read as instability (only mixed answer/timeout at one hop should).
-  TraceNet tn;
-  tn.net->topology().node(tn.routers[1]).profile.responds_icmp = false;
+  TraceNet tn({{}, silent()});
   CenTraceReport r = tn.measure();
   EXPECT_EQ(r.confidence.control_path_stability, 1.0);
   EXPECT_FALSE(r.confidence.icmp_rate_limited);
@@ -398,9 +414,7 @@ TEST(CenTraceOptions, ShortTimeoutRunStopMisreadsSilentRun) {
   // start. With no device present the aggregate rejects the "blocked"
   // reading because the control sweeps are truncated the same way and
   // never reach the endpoint (endpoint_hop_distance stays -1).
-  TraceNet tn;
-  tn.net->topology().node(tn.routers[1]).profile.responds_icmp = false;  // hop 2
-  tn.net->topology().node(tn.routers[2]).profile.responds_icmp = false;  // hop 3
+  TraceNet tn({{}, silent(), silent()});  // hops 2 and 3
   CenTraceOptions opts;
   opts.repetitions = 3;
   opts.timeout_run_stop = 2;  // shorter than the 2-hop silent run + margin

@@ -12,7 +12,7 @@ namespace {
 
 struct DnsNet {
   DnsNet() {
-    sim::Topology topo;
+    sim::CompactTopologyBuilder topo;
     client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
     for (int i = 0; i < 3; ++i) {
       routers[i] = topo.add_node("r" + std::to_string(i + 1),
@@ -25,7 +25,7 @@ struct DnsNet {
     topo.add_link(routers[2], resolver);
     geo::IpMetadataDb db;
     db.add_route(net::Ipv4Address(10, 0, 0, 0), 16, {64512, "DNS-AS", "XX"});
-    net = std::make_unique<sim::Network>(std::move(topo), std::move(db));
+    net = std::make_unique<sim::Network>(sim::Topology(topo.build()), std::move(db));
     sim::EndpointProfile profile;
     profile.hosted_domains = {"resolver.example"};
     profile.is_dns_resolver = true;

@@ -26,7 +26,7 @@ constexpr int kDeviceHop = 3;  // ground truth: RST injector at hop 3
 /// reconverge at the device hop, so ground truth is unchanged.
 struct ChaosNet {
   explicit ChaosNet(std::uint64_t seed, bool ecmp = false) {
-    sim::Topology topo;
+    sim::CompactTopologyBuilder topo;
     client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
     sim::NodeId prev = client;
     for (int i = 0; i < 5; ++i) {
@@ -44,7 +44,7 @@ struct ChaosNet {
     topo.add_link(prev, server);
     geo::IpMetadataDb db;
     db.add_route(net::Ipv4Address(10, 0, 0, 0), 16, {64512, "TRANSIT-AS", "XX"});
-    net = std::make_unique<sim::Network>(std::move(topo), std::move(db), seed);
+    net = std::make_unique<sim::Network>(sim::Topology(topo.build()), std::move(db), seed);
     sim::EndpointProfile profile;
     profile.hosted_domains = {"www.example.org"};
     net->add_endpoint(server, profile);

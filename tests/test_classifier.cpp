@@ -22,7 +22,7 @@ namespace {
 /// case); `salt` varies IP space so deployments are distinct.
 ml::EndpointMeasurement measure_lab(const std::string& vendor, bool strip,
                                     std::uint8_t salt) {
-  sim::Topology topo;
+  sim::CompactTopologyBuilder topo;
   sim::NodeId client = topo.add_node("client", net::Ipv4Address(10, salt, 0, 1));
   sim::NodeId r1 = topo.add_node("r1", net::Ipv4Address(10, salt, 1, 1));
   sim::NodeId r2 = topo.add_node("r2", net::Ipv4Address(10, salt, 2, 1));
@@ -32,7 +32,7 @@ ml::EndpointMeasurement measure_lab(const std::string& vendor, bool strip,
   topo.add_link(r2, server);
   geo::IpMetadataDb db;
   db.add_route(net::Ipv4Address(10, 0, 0, 0), 8, {64512, "LAB", "XX"});
-  sim::Network net(std::move(topo), std::move(db), salt);
+  sim::Network net(sim::Topology(topo.build()), std::move(db), salt);
   sim::EndpointProfile profile;
   profile.hosted_domains = {"host.lab.net"};
   net.add_endpoint(server, profile);

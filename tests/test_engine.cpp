@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "censor/vendors.hpp"
 #include "net/http.hpp"
 #include "netsim/engine.hpp"
@@ -10,21 +13,28 @@ using namespace cen::sim;
 namespace {
 
 /// client(0) - r1(1) - r2(2) - r3(3) - server(4), server hosts example.org.
+/// `routers` are r1..r3's profiles (missing ones default); `extend` runs on
+/// the builder after the line is laid out (extra hosts, management
+/// services).
 struct LineNet {
-  LineNet() {
-    Topology topo;
+  using Extend = std::function<void(LineNet&, CompactTopologyBuilder&)>;
+
+  explicit LineNet(std::vector<RouterProfile> routers = {}, const Extend& extend = {}) {
+    routers.resize(3);
+    CompactTopologyBuilder topo;
     client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
-    r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
-    r2 = topo.add_node("r2", net::Ipv4Address(10, 0, 2, 1));
-    r3 = topo.add_node("r3", net::Ipv4Address(10, 0, 3, 1));
+    r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1), routers[0]);
+    r2 = topo.add_node("r2", net::Ipv4Address(10, 0, 2, 1), routers[1]);
+    r3 = topo.add_node("r3", net::Ipv4Address(10, 0, 3, 1), routers[2]);
     server = topo.add_node("server", net::Ipv4Address(10, 0, 9, 1));
     topo.add_link(client, r1);
     topo.add_link(r1, r2);
     topo.add_link(r2, r3);
     topo.add_link(r3, server);
+    if (extend) extend(*this, topo);
     geo::IpMetadataDb db;
     db.add_route(net::Ipv4Address(10, 0, 0, 0), 8, {64512, "TESTNET", "XX"});
-    net = std::make_unique<Network>(std::move(topo), std::move(db));
+    net = std::make_unique<Network>(Topology(topo.build()), std::move(db));
     EndpointProfile profile;
     profile.hosted_domains = {"www.example.org"};
     net->add_endpoint(server, profile);
@@ -110,17 +120,19 @@ TEST(Engine, EndpointRespondsAtItsHopDistance) {
 }
 
 TEST(Engine, SilentRouterProducesTimeout) {
-  LineNet ln;
-  ln.net->topology().node(ln.r2).profile.responds_icmp = false;
+  RouterProfile silent;
+  silent.responds_icmp = false;
+  LineNet ln({RouterProfile{}, silent});
   Connection conn = ln.net->open_connection(ln.client, ln.server_ip);
   ASSERT_EQ(conn.connect(), ConnectResult::kEstablished);
   EXPECT_TRUE(conn.send(ln.get("www.example.org"), 2).empty());
 }
 
 TEST(Engine, QuotePolicyControlsQuoteLength) {
-  LineNet ln;
-  ln.net->topology().node(ln.r1).profile.quote_policy = net::QuotePolicy::kRfc1812Full;
-  ln.net->topology().node(ln.r2).profile.quote_policy = net::QuotePolicy::kRfc792;
+  RouterProfile full, minimal;
+  full.quote_policy = net::QuotePolicy::kRfc1812Full;
+  minimal.quote_policy = net::QuotePolicy::kRfc792;
+  LineNet ln({full, minimal});
   std::size_t quote_len[3] = {0, 0, 0};
   for (int ttl = 1; ttl <= 2; ++ttl) {
     Connection conn = ln.net->open_connection(ln.client, ln.server_ip);
@@ -134,8 +146,9 @@ TEST(Engine, QuotePolicyControlsQuoteLength) {
 }
 
 TEST(Engine, TosRewriteVisibleInDownstreamQuote) {
-  LineNet ln;
-  ln.net->topology().node(ln.r1).profile.rewrite_tos = 0x40;
+  RouterProfile tos;
+  tos.rewrite_tos = 0x40;
+  LineNet ln({tos});
   Connection conn = ln.net->open_connection(ln.client, ln.server_ip);
   ASSERT_EQ(conn.connect(), ConnectResult::kEstablished);
   auto events = conn.send(ln.get("www.example.org"), 2);
@@ -222,13 +235,15 @@ TEST(Engine, TtlCopyInjectionDecaysOnReturn) {
 }
 
 TEST(Engine, LocalFilterDropAtEndpoint) {
-  LineNet ln;
+  NodeId ep2 = kInvalidNode;
+  LineNet ln({}, [&](LineNet& l, CompactTopologyBuilder& b) {
+    ep2 = b.add_node("ep2", net::Ipv4Address(10, 0, 9, 2));
+    b.add_link(l.r3, ep2);
+  });
   EndpointProfile filtered;
   filtered.hosted_domains = {"www.filtered.org"};
   filtered.local_filter = LocalFilterAction::kDrop;
   filtered.local_filter_rules.add("blocked.example");
-  NodeId ep2 = ln.net->topology().add_node("ep2", net::Ipv4Address(10, 0, 9, 2));
-  ln.net->topology().add_link(ln.r3, ep2);
   ln.net->add_endpoint(ep2, filtered);
 
   Connection conn = ln.net->open_connection(ln.client, net::Ipv4Address(10, 0, 9, 2));
@@ -253,11 +268,12 @@ TEST(Engine, TransientLossIsRecoverable) {
 }
 
 TEST(Engine, ScanServicesFindsDeviceAndRouterPlanes) {
-  LineNet ln;
+  LineNet ln({}, [](LineNet& l, CompactTopologyBuilder& b) {
+    b.add_service(l.r1, {22, "ssh", "SSH-2.0-OpenSSH"});
+  });
   censor::DeviceConfig cfg = censor::make_vendor_device("Cisco", "c1");
   cfg.mgmt_ip = net::Ipv4Address(10, 0, 3, 1);
   ln.net->attach_device(ln.r3, std::make_shared<censor::Device>(cfg));
-  ln.net->topology().node(ln.r1).services.push_back({22, "ssh", "SSH-2.0-OpenSSH"});
 
   EXPECT_FALSE(ln.net->scan_services(net::Ipv4Address(10, 0, 3, 1)).empty());
   EXPECT_EQ(ln.net->scan_services(net::Ipv4Address(10, 0, 1, 1)).size(), 1u);
@@ -299,12 +315,14 @@ TEST(Engine, ClosedPortAnswersRst) {
 }
 
 TEST(Engine, OpenPortListConfigurable) {
-  LineNet ln;
+  NodeId ep2 = kInvalidNode;
+  LineNet ln({}, [&](LineNet& l, CompactTopologyBuilder& b) {
+    ep2 = b.add_node("ep2", net::Ipv4Address(10, 0, 9, 3));
+    b.add_link(l.r3, ep2);
+  });
   sim::EndpointProfile custom;
   custom.hosted_domains = {"svc.example"};
   custom.open_ports = {8443};
-  NodeId ep2 = ln.net->topology().add_node("ep2", net::Ipv4Address(10, 0, 9, 3));
-  ln.net->topology().add_link(ln.r3, ep2);
   ln.net->add_endpoint(ep2, custom);
   Connection on_8443 = ln.net->open_connection(ln.client, net::Ipv4Address(10, 0, 9, 3), 8443);
   EXPECT_EQ(on_8443.connect(), ConnectResult::kEstablished);
@@ -322,7 +340,7 @@ constexpr int kStarHosts = 6;
 
 /// A hub router with kStarHosts leaves; `as_name` labels the 10/8 route.
 std::unique_ptr<Network> star_network(const std::string& as_name = "TESTNET") {
-  Topology topo;
+  CompactTopologyBuilder topo;
   NodeId hub = topo.add_node("hub", net::Ipv4Address(10, 0, 0, 1));
   for (int i = 0; i < kStarHosts; ++i) {
     NodeId leaf = topo.add_node("", net::Ipv4Address(10, 0, 1, static_cast<std::uint8_t>(i + 1)));
@@ -330,7 +348,7 @@ std::unique_ptr<Network> star_network(const std::string& as_name = "TESTNET") {
   }
   geo::IpMetadataDb db;
   db.add_route(net::Ipv4Address(10, 0, 0, 0), 8, {64512, as_name, "XX"});
-  return std::make_unique<Network>(std::move(topo), std::move(db));
+  return std::make_unique<Network>(sim::Topology(topo.build()), std::move(db));
 }
 
 EndpointProfile template_profile(const std::string& domain) {

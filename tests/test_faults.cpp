@@ -19,7 +19,7 @@ namespace {
 /// client(0) - r1(1) - r2(2) - r3(3) - server(4); server hosts example.org.
 struct FaultNet {
   explicit FaultNet(std::uint64_t seed = 1) {
-    Topology topo;
+    CompactTopologyBuilder topo;
     client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
     r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
     r2 = topo.add_node("r2", net::Ipv4Address(10, 0, 2, 1));
@@ -29,7 +29,7 @@ struct FaultNet {
     topo.add_link(r1, r2);
     topo.add_link(r2, r3);
     topo.add_link(r3, server);
-    net = std::make_unique<Network>(std::move(topo), geo::IpMetadataDb{}, seed);
+    net = std::make_unique<Network>(sim::Topology(topo.build()), geo::IpMetadataDb{}, seed);
     EndpointProfile profile;
     profile.hosted_domains = {"www.example.org"};
     net->add_endpoint(server, profile);
@@ -246,15 +246,16 @@ TEST(FaultRoute, FlowSaltChangesPerEpochOnly) {
 
 TEST(FaultRoute, SaltedRouteStaysOnEqualCostPathsAndVaries) {
   // Diamond: two equal-cost paths; salting must select among them only.
-  Topology topo;
-  NodeId a = topo.add_node("a", net::Ipv4Address(10, 0, 0, 1));
-  NodeId up = topo.add_node("up", net::Ipv4Address(10, 0, 1, 1));
-  NodeId down = topo.add_node("down", net::Ipv4Address(10, 0, 1, 2));
-  NodeId b = topo.add_node("b", net::Ipv4Address(10, 0, 2, 1));
-  topo.add_link(a, up);
-  topo.add_link(a, down);
-  topo.add_link(up, b);
-  topo.add_link(down, b);
+  CompactTopologyBuilder builder;
+  NodeId a = builder.add_node("a", net::Ipv4Address(10, 0, 0, 1));
+  NodeId up = builder.add_node("up", net::Ipv4Address(10, 0, 1, 1));
+  NodeId down = builder.add_node("down", net::Ipv4Address(10, 0, 1, 2));
+  NodeId b = builder.add_node("b", net::Ipv4Address(10, 0, 2, 1));
+  builder.add_link(a, up);
+  builder.add_link(a, down);
+  builder.add_link(up, b);
+  builder.add_link(down, b);
+  const Topology topo(builder.build());
 
   const auto& paths = topo.equal_cost_paths(a, b);
   ASSERT_EQ(paths.size(), 2u);

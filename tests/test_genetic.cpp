@@ -10,7 +10,7 @@ namespace {
 
 struct EvolveNet {
   explicit EvolveNet(const std::string& vendor) {
-    sim::Topology topo;
+    sim::CompactTopologyBuilder topo;
     client = topo.add_node("client", net::Ipv4Address(10, 0, 0, 1));
     sim::NodeId r1 = topo.add_node("r1", net::Ipv4Address(10, 0, 1, 1));
     sim::NodeId r2 = topo.add_node("r2", net::Ipv4Address(10, 0, 2, 1));
@@ -18,7 +18,7 @@ struct EvolveNet {
     topo.add_link(client, r1);
     topo.add_link(r1, r2);
     topo.add_link(r2, server);
-    net = std::make_unique<sim::Network>(std::move(topo), geo::IpMetadataDb{});
+    net = std::make_unique<sim::Network>(sim::Topology(topo.build()), geo::IpMetadataDb{});
     sim::EndpointProfile p;
     p.hosted_domains = {"blocked.example"};
     p.serves_subdomains = true;
@@ -96,13 +96,13 @@ TEST(Genetic, DeterministicPerSeed) {
 TEST(Genetic, UncensoredPathConvergesImmediately) {
   // No device at all: the baseline already fetches content, generation 1
   // should end the search at full fitness.
-  sim::Topology topo;
+  sim::CompactTopologyBuilder topo;
   sim::NodeId client = topo.add_node("c", net::Ipv4Address(10, 0, 0, 1));
   sim::NodeId r1 = topo.add_node("r", net::Ipv4Address(10, 0, 1, 1));
   sim::NodeId server = topo.add_node("s", net::Ipv4Address(10, 0, 9, 1));
   topo.add_link(client, r1);
   topo.add_link(r1, server);
-  sim::Network net(std::move(topo), geo::IpMetadataDb{});
+  sim::Network net(sim::Topology(topo.build()), geo::IpMetadataDb{});
   sim::EndpointProfile p;
   p.hosted_domains = {"blocked.example"};
   p.serves_subdomains = true;

@@ -61,13 +61,13 @@ TEST(Pcap, WriteFile) {
 }
 
 TEST(Pcap, NetworkCaptureRecordsBothDirections) {
-  sim::Topology topo;
+  sim::CompactTopologyBuilder topo;
   sim::NodeId client = topo.add_node("c", Ipv4Address(10, 0, 0, 1));
   sim::NodeId r1 = topo.add_node("r1", Ipv4Address(10, 0, 1, 1));
   sim::NodeId server = topo.add_node("s", Ipv4Address(10, 0, 9, 1));
   topo.add_link(client, r1);
   topo.add_link(r1, server);
-  sim::Network net(std::move(topo), geo::IpMetadataDb{});
+  sim::Network net(sim::Topology(topo.build()), geo::IpMetadataDb{});
   sim::EndpointProfile p;
   p.hosted_domains = {"www.example.org"};
   net.add_endpoint(server, p);
@@ -94,13 +94,13 @@ TEST(Pcap, NetworkCaptureRecordsBothDirections) {
 }
 
 TEST(Pcap, NetworkCaptureRecordsIcmp) {
-  sim::Topology topo;
+  sim::CompactTopologyBuilder topo;
   sim::NodeId client = topo.add_node("c", Ipv4Address(10, 0, 0, 1));
   sim::NodeId r1 = topo.add_node("r1", Ipv4Address(10, 0, 1, 1));
   sim::NodeId server = topo.add_node("s", Ipv4Address(10, 0, 9, 1));
   topo.add_link(client, r1);
   topo.add_link(r1, server);
-  sim::Network net(std::move(topo), geo::IpMetadataDb{});
+  sim::Network net(sim::Topology(topo.build()), geo::IpMetadataDb{});
   sim::EndpointProfile p;
   p.hosted_domains = {"www.example.org"};
   net.add_endpoint(server, p);

@@ -137,7 +137,7 @@ TEST(Properties, CenTraceInvariantsOnRandomTopologies) {
     int device_hop = static_cast<int>(rng.range(1, n_routers));
     censor::BlockAction action = static_cast<censor::BlockAction>(rng.range(0, 3));
 
-    sim::Topology topo;
+    sim::CompactTopologyBuilder topo;
     sim::NodeId client = topo.add_node("c", net::Ipv4Address(10, 9, 0, 1));
     sim::NodeId prev = client;
     std::vector<sim::NodeId> routers;
@@ -151,7 +151,7 @@ TEST(Properties, CenTraceInvariantsOnRandomTopologies) {
     topo.add_link(prev, server);
     geo::IpMetadataDb db;
     db.add_route(net::Ipv4Address(10, 9, 0, 0), 16, {64512, "PROP", "XX"});
-    sim::Network net(std::move(topo), std::move(db), 100 + static_cast<std::uint64_t>(trial));
+    sim::Network net(sim::Topology(topo.build()), std::move(db), 100 + static_cast<std::uint64_t>(trial));
     sim::EndpointProfile profile;
     profile.hosted_domains = {"www.example.org"};
     net.add_endpoint(server, profile);

@@ -32,7 +32,7 @@ PathObservation row(std::vector<sim::NodeId> path, bool blocked, int vantage = 0
 std::pair<net::Ipv4Address, net::Ipv4Address> true_link_ips(
     const scenario::SilentScenario& s) {
   const sim::Topology& topo = s.network->topology();
-  return {topo.node(s.true_link.a).ip, topo.node(s.true_link.b).ip};
+  return {topo.node_ip(s.true_link.a), topo.node_ip(s.true_link.b)};
 }
 
 bool candidates_contain_true_link(const trace::CenTraceReport& r,
@@ -239,7 +239,7 @@ TEST(Degradation, TomographyRecoversTruthWhereCenTraceFails) {
         trace::CenTraceReport r =
             plain.measure(s.endpoint, s.test_domain, s.control_domain);
         const net::Ipv4Address censor_ip =
-            s.network->topology().node(s.censor_node).ip;
+            s.network->topology().node_ip(s.censor_node);
         const bool localized_truth =
             r.blocked && r.blocking_hop_ip.has_value() && *r.blocking_hop_ip == censor_ip;
         if (localized_truth) continue;  // classic CenTrace handled this trial

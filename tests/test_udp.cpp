@@ -2,6 +2,8 @@
 // resolver answers, forged-answer races, and CenTrace localisation.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "censor/vendors.hpp"
 #include "centrace/centrace.hpp"
 #include "net/dns.hpp"
@@ -47,10 +49,13 @@ TEST(UdpDatagram, RejectsTcp) {
 
 namespace {
 
-/// client - r1 - r2 - r3 - resolver (UDP port 53).
+/// client - r1 - r2 - r3 - resolver (UDP port 53). `extend` runs on the
+/// builder after the line is laid out.
 struct UdpNet {
-  UdpNet() {
-    sim::Topology topo;
+  using Extend = std::function<void(UdpNet&, sim::CompactTopologyBuilder&)>;
+
+  explicit UdpNet(const Extend& extend = {}) {
+    sim::CompactTopologyBuilder topo;
     client = topo.add_node("client", Ipv4Address(10, 0, 0, 1));
     for (int i = 0; i < 3; ++i) {
       routers[i] = topo.add_node("r" + std::to_string(i + 1),
@@ -61,9 +66,10 @@ struct UdpNet {
     topo.add_link(routers[0], routers[1]);
     topo.add_link(routers[1], routers[2]);
     topo.add_link(routers[2], resolver);
+    if (extend) extend(*this, topo);
     geo::IpMetadataDb db;
     db.add_route(Ipv4Address(10, 0, 0, 0), 16, {64512, "UDP-AS", "XX"});
-    net = std::make_unique<sim::Network>(std::move(topo), std::move(db));
+    net = std::make_unique<sim::Network>(sim::Topology(topo.build()), std::move(db));
     sim::EndpointProfile profile;
     profile.hosted_domains = {"resolver.example"};
     profile.is_dns_resolver = true;
@@ -117,11 +123,13 @@ TEST(UdpEngine, TtlExpiryYieldsIcmp) {
 }
 
 TEST(UdpEngine, NonResolverStaysSilent) {
-  UdpNet un;
+  sim::NodeId ep = sim::kInvalidNode;
+  UdpNet un([&](UdpNet& u, sim::CompactTopologyBuilder& b) {
+    ep = b.add_node("web", Ipv4Address(10, 0, 9, 80));
+    b.add_link(u.routers[2], ep);
+  });
   sim::EndpointProfile web;
   web.hosted_domains = {"www.example.org"};  // not a resolver
-  sim::NodeId ep = un.net->topology().add_node("web", Ipv4Address(10, 0, 9, 80));
-  un.net->topology().add_link(un.routers[2], ep);
   un.net->add_endpoint(ep, web);
   EXPECT_TRUE(un.net->send_udp(un.client, Ipv4Address(10, 0, 9, 80), 53,
                                make_dns_query("x").serialize()).empty());
