@@ -7,6 +7,10 @@
 #include <string_view>
 #include <vector>
 
+#include "cenambig/cenambig.hpp"
+#include "cenfuzz/cenfuzz.hpp"
+#include "cenprobe/fingerprints.hpp"
+#include "centrace/centrace.hpp"
 #include "check/check.hpp"
 #include "core/rng.hpp"
 
@@ -45,6 +49,14 @@ struct CaseContext {
 std::uint64_t engine_salt(Engine e);
 
 void run_roundtrip_case(CaseContext& ctx);
+
+/// Random, structurally valid reports of each kind the round-trip engine
+/// feeds the JSON report codecs. Doubles sit on a thousandth grid, so
+/// their %.6g encoding is exact.
+trace::CenTraceReport random_trace_report(Rng& rng);
+fuzz::CenFuzzReport random_fuzz_report(Rng& rng);
+probe::DeviceProbeReport random_probe_report(Rng& rng);
+ambig::AmbigReport random_ambig_report(Rng& rng);
 void run_invariant_case(CaseContext& ctx);
 void run_cache_replay_case(CaseContext& ctx);
 void run_ml_oracle_case(CaseContext& ctx);

@@ -268,21 +268,19 @@ void check_udp(CaseContext& ctx) {
 
 // ---------------------------------------------------------------- ICMP --
 
-net::Packet random_packet(CaseContext& ctx, bool with_options) {
+net::Packet random_packet(Rng& rng, bool with_options) {
   net::Packet p = net::make_tcp_packet(
-      random_ip(ctx.rng), random_ip(ctx.rng),
-      static_cast<std::uint16_t>(ctx.rng.uniform(65536)),
-      static_cast<std::uint16_t>(ctx.rng.uniform(65536)),
-      static_cast<std::uint8_t>(ctx.rng.uniform(64)),
-      static_cast<std::uint32_t>(ctx.rng.next()),
-      static_cast<std::uint32_t>(ctx.rng.next()), random_bytes(ctx.rng, 120),
-      static_cast<std::uint8_t>(1 + ctx.rng.uniform(64)));
-  if (with_options) p.tcp = random_tcp(ctx.rng, true);
+      random_ip(rng), random_ip(rng), static_cast<std::uint16_t>(rng.uniform(65536)),
+      static_cast<std::uint16_t>(rng.uniform(65536)),
+      static_cast<std::uint8_t>(rng.uniform(64)), static_cast<std::uint32_t>(rng.next()),
+      static_cast<std::uint32_t>(rng.next()), random_bytes(rng, 120),
+      static_cast<std::uint8_t>(1 + rng.uniform(64)));
+  if (with_options) p.tcp = random_tcp(rng, true);
   return p;
 }
 
 void check_icmp(CaseContext& ctx) {
-  const net::Packet probe = random_packet(ctx, false);
+  const net::Packet probe = random_packet(ctx.rng, false);
   const Bytes full = probe.serialize();
   const net::QuotePolicy policy = ctx.rng.chance(0.5) ? net::QuotePolicy::kRfc792
                                                       : net::QuotePolicy::kRfc1812Full;
@@ -307,7 +305,7 @@ void check_icmp(CaseContext& ctx) {
 // --------------------------------------------------- Packet / quoting --
 
 void check_packet_prefix(CaseContext& ctx) {
-  const net::Packet p = random_packet(ctx, false);
+  const net::Packet p = random_packet(ctx.rng, false);
   const Bytes full = p.serialize();
   Bytes prefix;
   const std::size_t len = 28 + ctx.rng.uniform(full.size() - 28 + 1);
@@ -673,141 +671,9 @@ void check_report_mutation(CaseContext& ctx, std::string_view target,
   }
 }
 
-trace::CenTraceReport random_trace_report(CaseContext& ctx) {
-  trace::CenTraceReport r;
-  r.test_domain = random_hostname(ctx.rng);
-  r.control_domain = random_hostname(ctx.rng);
-  r.endpoint = random_ip(ctx.rng);
-  r.protocol = static_cast<trace::ProbeProtocol>(ctx.rng.uniform(4));
-  r.blocked = ctx.rng.chance(0.5);
-  r.blocking_type = static_cast<trace::BlockingType>(ctx.rng.uniform(5));
-  r.location = static_cast<trace::BlockingLocation>(ctx.rng.uniform(5));
-  r.placement = static_cast<trace::DevicePlacement>(ctx.rng.uniform(3));
-  r.blocking_hop_ttl = static_cast<int>(ctx.rng.uniform(22)) - 1;
-  if (ctx.rng.chance(0.5)) r.blocking_hop_ip = random_ip(ctx.rng);
-  if (ctx.rng.chance(0.4)) {
-    geo::AsInfo as;
-    as.asn = static_cast<std::uint32_t>(ctx.rng.uniform(70000));
-    as.name = "AS-" + random_hostname(ctx.rng);
-    as.country = ctx.rng.chance(0.5) ? "KZ" : "RU";
-    r.blocking_as = as;
-  }
-  r.endpoint_hop_distance = static_cast<int>(ctx.rng.uniform(20)) - 1;
-  r.ttl_copy_detected = ctx.rng.chance(0.3);
-  if (ctx.rng.chance(0.3)) r.blockpage_vendor = random_hostname(ctx.rng);
-  if (ctx.rng.chance(0.4)) r.injected_packet = random_packet(ctx, false);
-  const std::size_t diffs = ctx.rng.uniform(3);
-  for (std::size_t i = 0; i < diffs; ++i) {
-    trace::QuoteDiff d;
-    d.router = random_ip(ctx.rng);
-    d.parse_ok = ctx.rng.chance(0.9);
-    d.rfc792_minimal = ctx.rng.chance(0.5);
-    d.full_tcp_quoted = !d.rfc792_minimal;
-    d.tos_changed = ctx.rng.chance(0.3);
-    d.ip_flags_changed = ctx.rng.chance(0.3);
-    d.ports_match = ctx.rng.chance(0.9);
-    d.quoted_tos = static_cast<std::uint8_t>(ctx.rng.uniform(256));
-    d.quoted_ip_flags = static_cast<std::uint8_t>(ctx.rng.uniform(8));
-    d.quoted_ttl = static_cast<std::uint8_t>(ctx.rng.uniform(2));
-    d.quoted_payload_bytes = ctx.rng.uniform(120);
-    r.quote_diffs.push_back(d);
-  }
-  // Confidence values are drawn from a thousandth grid so %.6g emission
-  // is exact and the fixed-point comparison is not at the mercy of
-  // decimal-shortening ties.
-  auto grid = [&] { return static_cast<double>(ctx.rng.uniform(1001)) / 1000.0; };
-  r.confidence.overall = grid();
-  r.confidence.response_agreement = grid();
-  r.confidence.ttl_agreement = grid();
-  r.confidence.control_path_stability = grid();
-  r.confidence.icmp_rate_limited = ctx.rng.chance(0.2);
-  r.confidence.path_churn = ctx.rng.chance(0.2);
-  r.confidence.loss_recovered_probes = static_cast<int>(ctx.rng.uniform(10));
-  const std::size_t hops = ctx.rng.uniform(5);
-  for (std::size_t i = 0; i < hops; ++i) r.confidence.hop_confidence.push_back(grid());
-  const std::size_t path = ctx.rng.uniform(5);
-  for (std::size_t i = 0; i < path; ++i) {
-    r.control_path.push_back(ctx.rng.chance(0.8)
-                                 ? std::optional<Ipv4Address>(random_ip(ctx.rng))
-                                 : std::nullopt);
-  }
-  r.degradation.mode = static_cast<trace::DegradationMode>(ctx.rng.uniform(4));
-  r.degradation.icmp_answer_rate = grid();
-  r.degradation.dead_channel_sweeps = static_cast<int>(ctx.rng.uniform(8));
-  r.degradation.vantage_count = 1 + static_cast<int>(ctx.rng.uniform(4));
-  r.degradation.tomography_observations = static_cast<int>(ctx.rng.uniform(40));
-  r.degradation.tomography_solved = ctx.rng.chance(0.4);
-  const std::size_t links = ctx.rng.uniform(4);
-  for (std::size_t i = 0; i < links; ++i) {
-    trace::BlamedLink link;
-    link.ip_a = random_ip(ctx.rng);
-    link.ip_b = random_ip(ctx.rng);
-    link.confidence = grid();
-    link.blocked_paths = static_cast<int>(ctx.rng.uniform(20));
-    link.clean_paths = static_cast<int>(ctx.rng.uniform(20));
-    r.degradation.candidate_links.push_back(link);
-  }
-  return r;
-}
-
-fuzz::CenFuzzReport random_fuzz_report(CaseContext& ctx) {
-  fuzz::CenFuzzReport r;
-  r.endpoint = random_ip(ctx.rng);
-  r.test_domain = random_hostname(ctx.rng);
-  r.control_domain = random_hostname(ctx.rng);
-  r.http_baseline_blocked = ctx.rng.chance(0.5);
-  r.tls_baseline_blocked = ctx.rng.chance(0.5);
-  const std::size_t n = ctx.rng.uniform(5);
-  for (std::size_t i = 0; i < n; ++i) {
-    fuzz::FuzzMeasurement m;
-    m.strategy = "strategy-" + std::to_string(ctx.rng.uniform(12));
-    m.permutation = random_hostname(ctx.rng);
-    m.https = ctx.rng.chance(0.5);
-    m.test_result = static_cast<fuzz::RequestResult>(ctx.rng.uniform(5));
-    m.control_result = static_cast<fuzz::RequestResult>(ctx.rng.uniform(5));
-    m.outcome = static_cast<fuzz::FuzzOutcome>(ctx.rng.uniform(3));
-    m.circumvented = ctx.rng.chance(0.3);
-    m.baseline_failed = ctx.rng.chance(0.1);
-    r.measurements.push_back(std::move(m));
-  }
-  r.total_requests = ctx.rng.uniform(200);
-  r.skipped_strategies = ctx.rng.uniform(5);
-  return r;
-}
-
-probe::DeviceProbeReport random_probe_report(CaseContext& ctx) {
-  probe::DeviceProbeReport r;
-  r.ip = random_ip(ctx.rng);
-  const std::size_t ports = ctx.rng.uniform(4);
-  for (std::size_t i = 0; i < ports; ++i) {
-    r.open_ports.push_back(static_cast<std::uint16_t>(1 + ctx.rng.uniform(65535)));
-  }
-  const std::size_t banners = ctx.rng.uniform(3);
-  for (std::size_t i = 0; i < banners; ++i) {
-    probe::BannerGrab g;
-    g.port = static_cast<std::uint16_t>(1 + ctx.rng.uniform(65535));
-    g.protocol = ctx.rng.chance(0.5) ? "http" : "ssh";
-    g.banner = "banner " + random_hostname(ctx.rng);
-    g.complete = ctx.rng.chance(0.8);
-    g.attempts = static_cast<int>(1 + ctx.rng.uniform(3));
-    r.banners.push_back(std::move(g));
-  }
-  if (ctx.rng.chance(0.4)) r.vendor = random_hostname(ctx.rng);
-  if (ctx.rng.chance(0.5)) {
-    censor::StackFingerprint s;
-    s.synack_ttl = static_cast<std::uint8_t>(ctx.rng.uniform(256));
-    s.synack_window = static_cast<std::uint16_t>(ctx.rng.uniform(65536));
-    s.mss = static_cast<std::uint16_t>(ctx.rng.uniform(65536));
-    s.sack_permitted = ctx.rng.chance(0.5);
-    s.rst_ttl = static_cast<std::uint8_t>(ctx.rng.uniform(256));
-    r.stack = s;
-  }
-  return r;
-}
-
 void check_reports(CaseContext& ctx) {
   {
-    const trace::CenTraceReport r = random_trace_report(ctx);
+    const trace::CenTraceReport r = random_trace_report(ctx.rng);
     const std::string c1 = report::to_json(r, false);
     auto from = [](const std::string& t) { return report::trace_report_from_json(t); };
     auto to = [](const trace::CenTraceReport& x) { return report::to_json(x, false); };
@@ -815,7 +681,7 @@ void check_reports(CaseContext& ctx) {
     check_report_mutation(ctx, "roundtrip/report-trace-mutated", c1, from, to);
   }
   {
-    const fuzz::CenFuzzReport r = random_fuzz_report(ctx);
+    const fuzz::CenFuzzReport r = random_fuzz_report(ctx.rng);
     const std::string c1 = report::to_json(r);
     auto from = [](const std::string& t) { return report::fuzz_report_from_json(t); };
     auto to = [](const fuzz::CenFuzzReport& x) { return report::to_json(x); };
@@ -823,7 +689,7 @@ void check_reports(CaseContext& ctx) {
     check_report_mutation(ctx, "roundtrip/report-fuzz-mutated", c1, from, to);
   }
   {
-    const probe::DeviceProbeReport r = random_probe_report(ctx);
+    const probe::DeviceProbeReport r = random_probe_report(ctx.rng);
     const std::string c1 = report::to_json(r);
     auto from = [](const std::string& t) { return report::probe_report_from_json(t); };
     auto to = [](const probe::DeviceProbeReport& x) { return report::to_json(x); };
@@ -871,6 +737,163 @@ void check_json_core(CaseContext& ctx) {
 }
 
 }  // namespace
+
+trace::CenTraceReport random_trace_report(Rng& rng) {
+  trace::CenTraceReport r;
+  r.test_domain = random_hostname(rng);
+  r.control_domain = random_hostname(rng);
+  r.endpoint = random_ip(rng);
+  r.protocol = static_cast<trace::ProbeProtocol>(rng.uniform(4));
+  r.blocked = rng.chance(0.5);
+  r.blocking_type = static_cast<trace::BlockingType>(rng.uniform(5));
+  r.location = static_cast<trace::BlockingLocation>(rng.uniform(5));
+  r.placement = static_cast<trace::DevicePlacement>(rng.uniform(3));
+  r.blocking_hop_ttl = static_cast<int>(rng.uniform(22)) - 1;
+  if (rng.chance(0.5)) r.blocking_hop_ip = random_ip(rng);
+  if (rng.chance(0.4)) {
+    geo::AsInfo as;
+    as.asn = static_cast<std::uint32_t>(rng.uniform(70000));
+    as.name = "AS-" + random_hostname(rng);
+    as.country = rng.chance(0.5) ? "KZ" : "RU";
+    r.blocking_as = as;
+  }
+  r.endpoint_hop_distance = static_cast<int>(rng.uniform(20)) - 1;
+  r.ttl_copy_detected = rng.chance(0.3);
+  if (rng.chance(0.3)) r.blockpage_vendor = random_hostname(rng);
+  if (rng.chance(0.4)) r.injected_packet = random_packet(rng, false);
+  const std::size_t diffs = rng.uniform(3);
+  for (std::size_t i = 0; i < diffs; ++i) {
+    trace::QuoteDiff d;
+    d.router = random_ip(rng);
+    d.parse_ok = rng.chance(0.9);
+    d.rfc792_minimal = rng.chance(0.5);
+    d.full_tcp_quoted = !d.rfc792_minimal;
+    d.tos_changed = rng.chance(0.3);
+    d.ip_flags_changed = rng.chance(0.3);
+    d.ports_match = rng.chance(0.9);
+    d.quoted_tos = static_cast<std::uint8_t>(rng.uniform(256));
+    d.quoted_ip_flags = static_cast<std::uint8_t>(rng.uniform(8));
+    d.quoted_ttl = static_cast<std::uint8_t>(rng.uniform(2));
+    d.quoted_payload_bytes = rng.uniform(120);
+    r.quote_diffs.push_back(d);
+  }
+  // Confidence values are drawn from a thousandth grid so %.6g emission
+  // is exact and the fixed-point comparison is not at the mercy of
+  // decimal-shortening ties.
+  auto grid = [&] { return static_cast<double>(rng.uniform(1001)) / 1000.0; };
+  r.confidence.overall = grid();
+  r.confidence.response_agreement = grid();
+  r.confidence.ttl_agreement = grid();
+  r.confidence.control_path_stability = grid();
+  r.confidence.icmp_rate_limited = rng.chance(0.2);
+  r.confidence.path_churn = rng.chance(0.2);
+  r.confidence.loss_recovered_probes = static_cast<int>(rng.uniform(10));
+  const std::size_t hops = rng.uniform(5);
+  for (std::size_t i = 0; i < hops; ++i) r.confidence.hop_confidence.push_back(grid());
+  const std::size_t path = rng.uniform(5);
+  for (std::size_t i = 0; i < path; ++i) {
+    r.control_path.push_back(rng.chance(0.8)
+                                 ? std::optional<Ipv4Address>(random_ip(rng))
+                                 : std::nullopt);
+  }
+  r.degradation.mode = static_cast<trace::DegradationMode>(rng.uniform(4));
+  r.degradation.icmp_answer_rate = grid();
+  r.degradation.dead_channel_sweeps = static_cast<int>(rng.uniform(8));
+  r.degradation.vantage_count = 1 + static_cast<int>(rng.uniform(4));
+  r.degradation.tomography_observations = static_cast<int>(rng.uniform(40));
+  r.degradation.tomography_solved = rng.chance(0.4);
+  const std::size_t links = rng.uniform(4);
+  for (std::size_t i = 0; i < links; ++i) {
+    trace::BlamedLink link;
+    link.ip_a = random_ip(rng);
+    link.ip_b = random_ip(rng);
+    link.confidence = grid();
+    link.blocked_paths = static_cast<int>(rng.uniform(20));
+    link.clean_paths = static_cast<int>(rng.uniform(20));
+    r.degradation.candidate_links.push_back(link);
+  }
+  return r;
+}
+
+fuzz::CenFuzzReport random_fuzz_report(Rng& rng) {
+  fuzz::CenFuzzReport r;
+  r.endpoint = random_ip(rng);
+  r.test_domain = random_hostname(rng);
+  r.control_domain = random_hostname(rng);
+  r.http_baseline_blocked = rng.chance(0.5);
+  r.tls_baseline_blocked = rng.chance(0.5);
+  const std::size_t n = rng.uniform(5);
+  for (std::size_t i = 0; i < n; ++i) {
+    fuzz::FuzzMeasurement m;
+    m.strategy = "strategy-" + std::to_string(rng.uniform(12));
+    m.permutation = random_hostname(rng);
+    m.https = rng.chance(0.5);
+    m.test_result = static_cast<fuzz::RequestResult>(rng.uniform(5));
+    m.control_result = static_cast<fuzz::RequestResult>(rng.uniform(5));
+    m.outcome = static_cast<fuzz::FuzzOutcome>(rng.uniform(3));
+    m.circumvented = rng.chance(0.3);
+    m.baseline_failed = rng.chance(0.1);
+    r.measurements.push_back(std::move(m));
+  }
+  r.total_requests = rng.uniform(200);
+  r.skipped_strategies = rng.uniform(5);
+  return r;
+}
+
+probe::DeviceProbeReport random_probe_report(Rng& rng) {
+  probe::DeviceProbeReport r;
+  r.ip = random_ip(rng);
+  const std::size_t ports = rng.uniform(4);
+  for (std::size_t i = 0; i < ports; ++i) {
+    r.open_ports.push_back(static_cast<std::uint16_t>(1 + rng.uniform(65535)));
+  }
+  const std::size_t banners = rng.uniform(3);
+  for (std::size_t i = 0; i < banners; ++i) {
+    probe::BannerGrab g;
+    g.port = static_cast<std::uint16_t>(1 + rng.uniform(65535));
+    g.protocol = rng.chance(0.5) ? "http" : "ssh";
+    g.banner = "banner " + random_hostname(rng);
+    g.complete = rng.chance(0.8);
+    g.attempts = static_cast<int>(1 + rng.uniform(3));
+    r.banners.push_back(std::move(g));
+  }
+  if (rng.chance(0.4)) r.vendor = random_hostname(rng);
+  if (rng.chance(0.5)) {
+    censor::StackFingerprint s;
+    s.synack_ttl = static_cast<std::uint8_t>(rng.uniform(256));
+    s.synack_window = static_cast<std::uint16_t>(rng.uniform(65536));
+    s.mss = static_cast<std::uint16_t>(rng.uniform(65536));
+    s.sack_permitted = rng.chance(0.5);
+    s.rst_ttl = static_cast<std::uint8_t>(rng.uniform(256));
+    r.stack = s;
+  }
+  return r;
+}
+
+ambig::AmbigReport random_ambig_report(Rng& rng) {
+  ambig::AmbigReport r;
+  r.endpoint = random_ip(rng);
+  r.test_domain = random_hostname(rng);
+  r.control_domain = random_hostname(rng);
+  r.baseline_blocked = rng.chance(0.5);
+  r.endpoint_distance = static_cast<int>(rng.uniform(20)) - 1;
+  r.insertion_ttl = static_cast<int>(rng.uniform(20)) - 1;
+  const std::size_t n = rng.uniform(5);
+  for (std::size_t i = 0; i < n; ++i) {
+    ambig::AmbigProbeResult p;
+    p.name = "probe-" + random_hostname(rng);
+    p.test_outcome = static_cast<ambig::ProbeOutcome>(rng.uniform(5));
+    p.control_outcome = static_cast<ambig::ProbeOutcome>(rng.uniform(5));
+    p.repetitions = 1 + static_cast<int>(rng.uniform(5));
+    p.test_blocked_votes = static_cast<int>(rng.uniform(p.repetitions + 1));
+    p.control_clean_votes = static_cast<int>(rng.uniform(p.repetitions + 1));
+    p.discrepant = rng.chance(0.3);
+    p.testable = rng.chance(0.9);
+    r.probes.push_back(std::move(p));
+  }
+  r.total_probes_sent = rng.uniform(400);
+  return r;
+}
 
 void run_roundtrip_case(CaseContext& ctx) {
   check_ipv4(ctx);

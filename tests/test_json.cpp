@@ -2,6 +2,8 @@
 #include <cmath>
 #include <limits>
 
+#include "check/engines.hpp"
+#include "core/fingerprint.hpp"
 #include "core/json.hpp"
 #include "report/from_json.hpp"
 #include "report/json_report.hpp"
@@ -446,4 +448,301 @@ TEST(JsonParse, IntClampAtExtremes) {
   EXPECT_EQ(doc->get_int("big", 0), std::numeric_limits<int>::max());
   EXPECT_EQ(doc->get_int("small", 0), std::numeric_limits<int>::min());
   EXPECT_EQ(doc->get_int("fit", 0), 42);
+}
+
+// ------------------------------------------------ decoder corpus pin --
+
+namespace {
+
+/// Whether a member the decoders narrow to an integer holds a number
+/// outside that integer's range. Such documents stay out of the pinned
+/// corpus; ReportDecoders.IntegerMembersSaturate covers them.
+bool has_out_of_range_int(const JsonValue& v) {
+  struct Range {
+    std::string_view key;
+    double lo, hi;
+  };
+  constexpr double kInt = 2147483647.0, kU8 = 255.0, kU16 = 65535.0;
+  static const Range kRanges[] = {
+      {"blocking_hop_ttl", -kInt - 1, kInt}, {"endpoint_hop_distance", -kInt - 1, kInt},
+      {"loss_recovered_probes", -kInt - 1, kInt}, {"dead_channel_sweeps", -kInt - 1, kInt},
+      {"vantage_count", -kInt - 1, kInt}, {"tomography_observations", -kInt - 1, kInt},
+      {"blocked_paths", -kInt - 1, kInt}, {"clean_paths", -kInt - 1, kInt},
+      {"attempts", -kInt - 1, kInt}, {"endpoint_distance", -kInt - 1, kInt},
+      {"insertion_ttl", -kInt - 1, kInt}, {"test_blocked_votes", -kInt - 1, kInt},
+      {"control_clean_votes", -kInt - 1, kInt}, {"repetitions", -kInt - 1, kInt},
+      {"asn", 0, 4294967295.0}, {"ip_ttl", 0, kU8}, {"ip_flags", 0, kU8},
+      {"ip_tos", 0, kU8}, {"tcp_flags", 0, kU8}, {"synack_ttl", 0, kU8},
+      {"rst_ttl", 0, kU8}, {"ip_id", 0, kU16}, {"tcp_window", 0, kU16},
+      {"port", 0, kU16}, {"synack_window", 0, kU16}, {"mss", 0, kU16},
+      {"total_requests", 0, 1e15}, {"skipped_strategies", 0, 1e15},
+      {"total_probes_sent", 0, 1e15},
+  };
+  auto outside = [](const JsonValue& n, double lo, double hi) {
+    return n.is_number() && !(n.number >= lo && n.number <= hi);
+  };
+  for (const JsonValue& e : v.array) {
+    if (has_out_of_range_int(e)) return true;
+  }
+  for (const auto& [key, m] : v.object) {
+    if (key == "open_ports") {
+      for (const JsonValue& e : m.array) {
+        if (outside(e, 0, kU16)) return true;
+      }
+    }
+    for (const Range& r : kRanges) {
+      if (key == r.key && outside(m, r.lo, r.hi)) return true;
+    }
+    if (has_out_of_range_int(m)) return true;
+  }
+  return false;
+}
+
+/// Random byte-level edits: bit flip, byte rewrite, truncation,
+/// insertion, deletion.
+std::string mutated(std::string s, Rng& rng, int budget) {
+  for (int i = 0; i < budget; ++i) {
+    if (s.empty()) {
+      s.push_back(static_cast<char>(rng.uniform(256)));
+      continue;
+    }
+    const std::size_t at = rng.index(s.size());
+    switch (rng.uniform(5)) {
+      case 0: s[at] = static_cast<char>(s[at] ^ (1 << rng.uniform(8))); break;
+      case 1: s[at] = static_cast<char>(rng.uniform(256)); break;
+      case 2: s.resize(at + 1); break;
+      case 3: s.insert(s.begin() + static_cast<std::ptrdiff_t>(at), static_cast<char>(rng.uniform(256))); break;
+      case 4: s.erase(at, 1); break;
+    }
+  }
+  return s;
+}
+
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+/// Hand-written edge documents around `base` (an encoded report object).
+/// Every member in `members` is spliced in first (so it shadows the
+/// original) and last (so the original wins), with every generic value
+/// and its own specific ones; then escaped keys, unknown members, sweep
+/// arrays, the nesting bound, bad strings in skipped members and trailing
+/// bytes.
+std::vector<std::string> edge_docs(
+    const std::string& base,
+    const std::vector<std::pair<std::string, std::vector<std::string>>>& members) {
+  static const std::vector<std::string> kValues = {
+      "true", "false", "null", "0", "-1", "3", "2.5", "-0", "1e300", "4e9",
+      R"("x")", R"("")", R"("10.1.2.3")", R"("1.2.3")",
+      R"("a\"b\\cé😀\n")", "[]", "{}", R"([1,"a",null,{"k":1}])",
+      R"({"a":1,"a":2})"};
+  std::vector<std::string> out;
+  auto splice = [&](const std::string& member) {
+    out.push_back("{" + member + "," + base.substr(1));
+    out.push_back(base.substr(0, base.size() - 1) + "," + member + "}");
+  };
+  for (const auto& [key, specific] : members) {
+    for (const std::string& v : kValues) splice("\"" + key + "\":" + v);
+    for (const std::string& v : specific) splice("\"" + key + "\":" + v);
+    // Escaped keys match on their decoded text: in place, and as a
+    // shadowing duplicate.
+    char esc[8];
+    std::snprintf(esc, sizeof(esc), "\\u%04x", static_cast<unsigned char>(key[0]));
+    const std::string escaped = "\"" + std::string(esc) + key.substr(1) + "\"";
+    if (const std::size_t at = base.find("\"" + key + "\":"); at != std::string::npos) {
+      out.push_back(base.substr(0, at) + escaped + base.substr(at + key.size() + 2));
+    }
+    if (!specific.empty()) splice(escaped + ":" + specific.front());
+  }
+  for (const std::string& member : {
+           std::string(R"("zzz":{"a":[1,2,{"b":"c"}],"a":null})"),
+           std::string(R"("control_sweeps":[{"domain":"d","terminating_ttl":3,)"
+                       R"("terminating_response":"RST","endpoint_reached":false,"hops":)"
+                       R"([{"ttl":1,"response":"ICMP","icmp_router":"10.0.0.1",)"
+                       R"("tcp_and_icmp":false},{"ttl":2,"response":"none",)"
+                       R"("icmp_router":null,"tcp_and_icmp":true}]}])"),
+           std::string(R"("test_sweeps":[])"),
+           "\"zzz\":" + nested_arrays(63),  // depth 64: accepted
+           "\"zzz\":" + nested_arrays(64),  // depth 65: rejected
+           std::string("\"zzz\":\"\xff\""), std::string("\"zzz\":\"\xc0\xaf\""),
+           std::string("\"zzz\":\"\xed\xa0\x80\""), std::string("\"zzz\":\"\xf4\x90\x80\x80\""),
+           std::string(R"("zzz":"\ud800")"), std::string(R"("zzz":"\udc00x")"),
+           std::string(R"("zzz":"\ud800A")"), std::string(R"("zzz":"😀")"),
+           std::string("\"zzz\":\"tab\there\""), std::string(R"("zzz":"\q")"),
+           std::string(R"("zzz":01)"), std::string(R"("zzz":1.)"), std::string(R"("zzz":-)"),
+           std::string(R"("zzz":tru)"), std::string(R"("zzz":[1,])"),
+           std::string(R"("zzz":{"a":1,})"), std::string(R"("zzz" 1)"),
+       }) {
+    splice(member);
+  }
+  for (const std::string& tail : {std::string(" "), std::string("\n\t\r"), std::string("x"),
+                                  std::string("{}"), std::string(1, '\0'), std::string(","),
+                                  std::string("]")}) {
+    out.push_back(base + tail);
+  }
+  out.push_back(" \n" + base);
+  out.push_back(base.substr(0, base.size() - 1));
+  out.push_back("[" + base + "]");
+  return out;
+}
+
+struct CorpusPin {
+  std::uint64_t digest = 0;
+  std::size_t docs = 0;
+  std::size_t accepted = 0;
+};
+
+/// Decode every document of a fixed-seed corpus (random reports, their
+/// byte mutations and the edge list) and digest each outcome: nullopt,
+/// or the re-encoded report.
+template <typename Gen, typename Decode, typename Encode>
+CorpusPin pin_corpus(
+    std::uint64_t seed, Gen random_report, Decode decode, Encode encode,
+    const std::vector<std::pair<std::string, std::vector<std::string>>>& members) {
+  Rng rng(seed);
+  std::vector<std::string> docs;
+  for (int i = 0; i < 16; ++i) {
+    const std::string doc = encode(random_report(rng));
+    docs.push_back(doc);
+    for (int m = 0; m < 24; ++m) docs.push_back(mutated(doc, rng, 1 + m % 4));
+  }
+  for (std::string& doc : edge_docs(docs.front(), members)) docs.push_back(std::move(doc));
+  FingerprintBuilder fp;
+  CorpusPin pin;
+  for (const std::string& doc : docs) {
+    if (auto dom = json_parse(doc); dom != nullptr && has_out_of_range_int(*dom)) continue;
+    ++pin.docs;
+    const auto decoded = decode(doc);
+    fp.mix(decoded.has_value());
+    if (decoded) {
+      ++pin.accepted;
+      fp.mix(std::string_view(encode(*decoded)));
+    }
+  }
+  pin.digest = fp.digest();
+  return pin;
+}
+
+void expect_pin(const char* what, const CorpusPin& got, std::uint64_t digest,
+                std::size_t docs, std::size_t accepted) {
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "0x%016llx", static_cast<unsigned long long>(got.digest));
+  EXPECT_EQ(got.digest, digest) << what << " digest " << hex;
+  EXPECT_EQ(got.docs, docs) << what;
+  EXPECT_EQ(got.accepted, accepted) << what;
+}
+
+std::string quoted(std::string_view s) { return "\"" + std::string(s) + "\""; }
+
+}  // namespace
+
+TEST(ReportDecoders, PinnedCorpus) {
+  using Members = std::vector<std::pair<std::string, std::vector<std::string>>>;
+  const std::vector<std::string> tools = {R"("centrace")", R"("cenfuzz")", R"("cenprobe")",
+                                          R"("cenambig")"};
+  const std::string mode =
+      quoted(trace::degradation_mode_name(trace::DegradationMode::kTomography));
+  const Members trace_members = {
+      {"tool", tools},
+      {"endpoint", {R"("10.9.8.7")", R"("256.1.1.1")", R"(" 1.2.3.4")"}},
+      {"test_domain", {R"("test")"}},
+      {"control_domain", {}},
+      {"protocol", {quoted(trace::probe_protocol_name(trace::ProbeProtocol::kDnsUdp)),
+                    R"("nope")"}},
+      {"blocked", {}},
+      {"blocking_type", {quoted(trace::blocking_type_name(trace::BlockingType::kRst)),
+                         R"("nope")"}},
+      {"location",
+       {quoted(trace::blocking_location_name(trace::BlockingLocation::kNotBlocked)),
+        R"("nope")"}},
+      {"placement", {quoted(trace::device_placement_name(trace::DevicePlacement::kInPath)),
+                     R"("nope")"}},
+      {"blocking_hop_ttl", {"7.9", "-3"}},
+      {"blocking_hop_ip", {R"("10.0.4.1")"}},
+      {"blocking_as", {R"({"asn":5,"name":"n","country":"KZ","asn":6,"name":7})",
+                       R"({"asn":"x"})"}},
+      {"endpoint_hop_distance", {}},
+      {"ttl_copy_detected", {}},
+      {"blockpage_vendor", {R"("Cisco")"}},
+      {"injected_packet",
+       {R"({"ip_ttl":9,"ip_ttl":1,"ip_id":"x","tcp_window":5.5,"ip_flags":1,"ip_tos":4,"tcp_flags":18})",
+        R"({"ip_id":7})"}},
+      {"confidence",
+       {R"({"overall":0.5,"overall":0.25,"hop_confidence":[1,"x",null,0.5],"path_churn":true})",
+        R"({"loss_recovered_probes":2,"icmp_rate_limited":1,"zzz":)" + nested_arrays(62) + "}",
+        R"({"ttl_agreement":0.5,"zzz":)" + nested_arrays(63) + "}"}},
+      {"degradation",
+       {"{\"mode\":" + mode +
+            R"(,"candidate_links":[{"ip_a":"1.2.3.4","confidence":0.5,"ip_a":"5.6.7.8"},7]})",
+        "{\"mode\":" + mode + R"(,"vantage_count":3,"mode":"nope","tomography_solved":true})",
+        R"({"mode":"nope"})", R"({"icmp_answer_rate":0.5})"}},
+      {"control_path", {R"(["1.2.3.4",null,5,"bad",{}])"}},
+      {"quote_diffs",
+       {R"([{"router":"1.1.1.1","ports_match":false,"parse_ok":true,"parse_ok":false},3])"}},
+  };
+  const Members probe_members = {
+      {"tool", tools},
+      {"ip", {R"("10.9.8.7")", R"("10.0.0")"}},
+      {"open_ports", {R"([22,"x",443.7,null,-0.5])"}},
+      {"banners",
+       {R"([{"port":22,"protocol":"ssh","banner":"b","complete":false,"attempts":2,"port":23},"x"])",
+        R"([{}])"}},
+      {"vendor", {R"("Cisco")"}},
+      {"stack", {R"({"synack_ttl":9,"mss":"x","sack_permitted":true,"synack_ttl":8})",
+                 R"({})"}},
+  };
+  const std::string outcome = quoted(fuzz::fuzz_outcome_name(fuzz::FuzzOutcome::kSuccessful));
+  const Members fuzz_members = {
+      {"tool", tools},
+      {"endpoint", {R"("10.9.8.7")"}},
+      {"test_domain", {}},
+      {"control_domain", {R"("c")"}},
+      {"http_baseline_blocked", {}},
+      {"tls_baseline_blocked", {}},
+      {"total_requests", {"12.7"}},
+      {"skipped_strategies", {"2"}},
+      {"measurements",
+       {"[{\"strategy\":\"s\",\"outcome\":" + outcome +
+            R"(,"https":true,"https":false,"permutation":"p","circumvented":true},5])",
+        R"([{"strategy":"s"}])", R"([{"outcome":"nope"}])",
+        "[{\"outcome\":" + outcome + ",\"outcome\":\"nope\",\"baseline_failed\":true}]"}},
+  };
+  const std::string rst = quoted(ambig::probe_outcome_name(ambig::ProbeOutcome::kRst));
+  const Members ambig_members = {
+      {"tool", tools},
+      {"endpoint", {R"("10.9.8.7")"}},
+      {"test_domain", {}},
+      {"control_domain", {}},
+      {"baseline_blocked", {}},
+      {"endpoint_distance", {"4.5"}},
+      {"insertion_ttl", {"3"}},
+      {"total_probes_sent", {"17"}},
+      {"probes",
+       {"[{\"name\":\"p\",\"test_outcome\":" + rst + ",\"control_outcome\":" + rst +
+            R"(,"testable":false,"repetitions":3,"test_blocked_votes":2,"control_clean_votes":1,"discrepant":true},1])",
+        "[{\"name\":\"p\",\"test_outcome\":" + rst + "}]",
+        R"([{"test_outcome":"nope","control_outcome":"rst"}])"}},
+  };
+
+  const CorpusPin trace_pin = pin_corpus(
+      0x7e57c0de01, check::random_trace_report,
+      [](const std::string& t) { return report::trace_report_from_json(t); },
+      [](const trace::CenTraceReport& r) { return report::to_json(r, false); }, trace_members);
+  const CorpusPin probe_pin = pin_corpus(
+      0x7e57c0de02, check::random_probe_report,
+      [](const std::string& t) { return report::probe_report_from_json(t); },
+      [](const probe::DeviceProbeReport& r) { return report::to_json(r); }, probe_members);
+  const CorpusPin fuzz_pin = pin_corpus(
+      0x7e57c0de03, check::random_fuzz_report,
+      [](const std::string& t) { return report::fuzz_report_from_json(t); },
+      [](const fuzz::CenFuzzReport& r) { return report::to_json(r); }, fuzz_members);
+  const CorpusPin ambig_pin = pin_corpus(
+      0x7e57c0de04, check::random_ambig_report,
+      [](const std::string& t) { return report::ambig_report_from_json(t); },
+      [](const ambig::AmbigReport& r) { return report::to_json(r); }, ambig_members);
+  expect_pin("trace", trace_pin, 0x5f66f8cc20824f12ULL, 1324, 820);
+  expect_pin("probe", probe_pin, 0xf5868e1f121904d6ULL, 720, 294);
+  expect_pin("fuzz", fuzz_pin, 0x700d69eae2e399c4ULL, 833, 405);
+  expect_pin("ambig", ambig_pin, 0x54cef090f4aac25fULL, 827, 405);
 }
