@@ -1,7 +1,6 @@
 #include "campaign/cache.hpp"
 
 #include <cstdio>
-#include <memory>
 #include <optional>
 
 #include "core/fingerprint.hpp"
@@ -20,18 +19,13 @@ void append_hex64(std::string& out, std::uint64_t v) {
 
 /// The text a JSON string token denotes, or nullopt when `token` (a value
 /// span from a validated line, possibly with trailing whitespace; empty
-/// when the member is absent) is not a string. Escape-free tokens — all the writer emits — are sliced in
-/// place; an escaped one is decoded into `storage`.
+/// when the member is absent) is not a string. The text is copied into
+/// `storage`, which the caller reuses from line to line.
 std::optional<std::string_view> string_token(std::string_view token, std::string& storage) {
-  while (!token.empty() && (token.back() == ' ' || token.back() == '\t' ||
-                            token.back() == '\r' || token.back() == '\n')) {
-    token.remove_suffix(1);
-  }
-  if (token.size() < 2 || token.front() != '"') return std::nullopt;
-  if (token.find('\\') == std::string_view::npos) return token.substr(1, token.size() - 2);
-  const std::unique_ptr<JsonValue> doc = json_parse(token);
-  if (doc == nullptr || !doc->is_string()) return std::nullopt;
-  storage = std::move(doc->string);
+  JsonReader in(token);
+  std::string_view text;
+  if (!in.read_string(text) || !in.finish()) return std::nullopt;
+  storage.assign(text);
   return std::string_view(storage);
 }
 
@@ -186,8 +180,9 @@ std::size_t ResultCache::load() {
     pos = eol + 1;
     // Validate without building a DOM, then take the three members as raw
     // spans: the stored result must be the exact bytes the emitter
-    // produced (it is spliced verbatim into campaign output). The record's
-    // own decoder builds the only DOM, once, when a stage serves the hit.
+    // produced (it is spliced verbatim into campaign output). A stage that
+    // serves the hit decodes the record in one more pass, again without a
+    // DOM (report/from_json.hpp).
     if (line.empty() || !json_valid(line)) continue;
     const std::optional<std::string_view> key =
         string_token(member_value_span(line, "key"), key_storage);

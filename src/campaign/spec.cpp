@@ -56,7 +56,7 @@ bool parse_faults(const JsonValue& doc, sim::FaultPlan& plan, std::string* error
   plan.default_node.icmp_rate_per_sec =
       v->get_number("icmp_rate_per_sec", plan.default_node.icmp_rate_per_sec);
   plan.default_node.icmp_burst = v->get_number("icmp_burst", plan.default_node.icmp_burst);
-  plan.route_flap_period = static_cast<SimTime>(
+  plan.route_flap_period = saturate_cast<SimTime>(
       v->get_number("route_flap_period_ms", static_cast<double>(plan.route_flap_period)));
   plan.mgmt_drop = v->get_number("mgmt_drop", plan.mgmt_drop);
   plan.banner_truncate = v->get_number("banner_truncate", plan.banner_truncate);
@@ -224,7 +224,8 @@ std::optional<CampaignSpec> spec_from_json(std::string_view text, std::string* e
     return std::nullopt;
   }
 
-  spec.seed = static_cast<std::uint64_t>(doc->get_number("seed", static_cast<double>(spec.seed)));
+  spec.seed =
+      saturate_cast<std::uint64_t>(doc->get_number("seed", static_cast<double>(spec.seed)));
   spec.max_endpoints = doc->get_int("max_endpoints", spec.max_endpoints);
   spec.max_domains = doc->get_int("max_domains", spec.max_domains);
   spec.fuzz_max_endpoints = doc->get_int("fuzz_max_endpoints", spec.fuzz_max_endpoints);
@@ -251,7 +252,7 @@ std::optional<CampaignSpec> spec_from_json(std::string_view text, std::string* e
     spec.trace.retries = tr->get_int("retries", spec.trace.retries);
     spec.trace.repetitions = tr->get_int("repetitions", spec.trace.repetitions);
     spec.trace.timeout_run_stop = tr->get_int("timeout_run_stop", spec.trace.timeout_run_stop);
-    spec.trace.retry_backoff = static_cast<SimTime>(tr->get_number(
+    spec.trace.retry_backoff = saturate_cast<SimTime>(tr->get_number(
         "retry_backoff_ms", static_cast<double>(spec.trace.retry_backoff)));
     spec.trace.adaptive_max_retries =
         tr->get_int("adaptive_max_retries", spec.trace.adaptive_max_retries);
@@ -279,14 +280,14 @@ std::optional<CampaignSpec> spec_from_json(std::string_view text, std::string* e
   if (const JsonValue* am = doc->find("ambig"); am != nullptr && am->is_object()) {
     spec.ambig.repetitions = am->get_int("repetitions", spec.ambig.repetitions);
     spec.ambig.retries = am->get_int("retries", spec.ambig.retries);
-    spec.ambig.wait_after_blocked = static_cast<SimTime>(
+    spec.ambig.wait_after_blocked = saturate_cast<SimTime>(
         am->get_number("wait_after_blocked_ms", static_cast<double>(spec.ambig.wait_after_blocked)));
-    spec.ambig.wait_after_ok = static_cast<SimTime>(
+    spec.ambig.wait_after_ok = saturate_cast<SimTime>(
         am->get_number("wait_after_ok_ms", static_cast<double>(spec.ambig.wait_after_ok)));
-    spec.ambig.retry_backoff = static_cast<SimTime>(
+    spec.ambig.retry_backoff = saturate_cast<SimTime>(
         am->get_number("retry_backoff_ms", static_cast<double>(spec.ambig.retry_backoff)));
     spec.ambig.max_distance_ttl = am->get_int("max_distance_ttl", spec.ambig.max_distance_ttl);
-    spec.ambig.order_salt = static_cast<std::uint64_t>(
+    spec.ambig.order_salt = saturate_cast<std::uint64_t>(
         am->get_number("order_salt", static_cast<double>(spec.ambig.order_salt)));
   }
 

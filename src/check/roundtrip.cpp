@@ -11,6 +11,7 @@
 //             no silent divergence, no crash, ever).
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "censor/device.hpp"
 #include "check/engines.hpp"
@@ -654,14 +655,14 @@ void check_report_fixed_point(CaseContext& ctx, std::string_view target,
 }
 
 /// Mutated report text must never crash the decoder; whatever decodes
-/// must re-encode without throwing.
+/// must re-encode without throwing. Returns the mutated text.
 template <typename FromJson, typename ToJson>
-void check_report_mutation(CaseContext& ctx, std::string_view target,
-                           const std::string& c1, const FromJson& from,
-                           const ToJson& to) {
+std::string check_report_mutation(CaseContext& ctx, std::string_view target,
+                                  const std::string& c1, const FromJson& from,
+                                  const ToJson& to) {
   Bytes soup = to_bytes(c1);
   mutate(soup, ctx.rng, ctx.budget);
-  const std::string text(soup.begin(), soup.end());
+  std::string text(soup.begin(), soup.end());
   try {
     auto d = from(text);
     ++ctx.checks;
@@ -669,38 +670,45 @@ void check_report_mutation(CaseContext& ctx, std::string_view target,
   } catch (const std::exception& e) {
     ctx.fail(target, std::string("decoder/encoder threw on mutated text: ") + e.what());
   }
+  return text;
 }
 
-void check_reports(CaseContext& ctx) {
+/// The fixed-point and mutation contracts for every report codec; returns
+/// the mutated documents for check_json_core.
+std::vector<std::string> check_reports(CaseContext& ctx) {
+  std::vector<std::string> mutated;
+  auto check = [&](std::string_view kind, const std::string& c1, const auto& from,
+                   const auto& to) {
+    const std::string target = "roundtrip/report-" + std::string(kind);
+    check_report_fixed_point(ctx, target, c1, from, to);
+    mutated.push_back(check_report_mutation(ctx, target + "-mutated", c1, from, to));
+  };
   {
-    const trace::CenTraceReport r = random_trace_report(ctx.rng);
-    const std::string c1 = report::to_json(r, false);
-    auto from = [](const std::string& t) { return report::trace_report_from_json(t); };
     auto to = [](const trace::CenTraceReport& x) { return report::to_json(x, false); };
-    check_report_fixed_point(ctx, "roundtrip/report-trace", c1, from, to);
-    check_report_mutation(ctx, "roundtrip/report-trace-mutated", c1, from, to);
+    check("trace", to(random_trace_report(ctx.rng)),
+          [](const std::string& t) { return report::trace_report_from_json(t); }, to);
   }
   {
-    const fuzz::CenFuzzReport r = random_fuzz_report(ctx.rng);
-    const std::string c1 = report::to_json(r);
-    auto from = [](const std::string& t) { return report::fuzz_report_from_json(t); };
     auto to = [](const fuzz::CenFuzzReport& x) { return report::to_json(x); };
-    check_report_fixed_point(ctx, "roundtrip/report-fuzz", c1, from, to);
-    check_report_mutation(ctx, "roundtrip/report-fuzz-mutated", c1, from, to);
+    check("fuzz", to(random_fuzz_report(ctx.rng)),
+          [](const std::string& t) { return report::fuzz_report_from_json(t); }, to);
   }
   {
-    const probe::DeviceProbeReport r = random_probe_report(ctx.rng);
-    const std::string c1 = report::to_json(r);
-    auto from = [](const std::string& t) { return report::probe_report_from_json(t); };
     auto to = [](const probe::DeviceProbeReport& x) { return report::to_json(x); };
-    check_report_fixed_point(ctx, "roundtrip/report-probe", c1, from, to);
-    check_report_mutation(ctx, "roundtrip/report-probe-mutated", c1, from, to);
+    check("probe", to(random_probe_report(ctx.rng)),
+          [](const std::string& t) { return report::probe_report_from_json(t); }, to);
   }
+  {
+    auto to = [](const ambig::AmbigReport& x) { return report::to_json(x); };
+    check("ambig", to(random_ambig_report(ctx.rng)),
+          [](const std::string& t) { return report::ambig_report_from_json(t); }, to);
+  }
+  return mutated;
 }
 
 // ----------------------------------------------------------- core JSON --
 
-void check_json_core(CaseContext& ctx) {
+void check_json_core(CaseContext& ctx, const std::vector<std::string>& mutated_reports) {
   // Escape property: for ARBITRARY bytes, quoting the escaped form must
   // yield a valid JSON string; for valid UTF-8 the parse must invert it.
   const Bytes raw = random_bytes(ctx.rng, 40);
@@ -734,6 +742,12 @@ void check_json_core(CaseContext& ctx) {
              "roundtrip/json-depth",
              "depth " + std::to_string(depth) + ": parse=" + std::to_string(parse_ok) +
                  " valid=" + std::to_string(valid_ok));
+
+  // The validator and the parser accept exactly the same documents.
+  for (const std::string& t : mutated_reports) {
+    ctx.expect(json_valid(t) == (json_parse(t) != nullptr), "roundtrip/json-valid-parse",
+               "json_valid and json_parse disagree on: " + t);
+  }
 }
 
 }  // namespace
@@ -904,8 +918,7 @@ void run_roundtrip_case(CaseContext& ctx) {
   check_dns(ctx);
   check_http(ctx);
   check_tls(ctx);
-  check_reports(ctx);
-  check_json_core(ctx);
+  check_json_core(ctx, check_reports(ctx));
 }
 
 }  // namespace cen::check

@@ -1,10 +1,10 @@
 #include "core/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 namespace cen {
 
@@ -45,6 +45,24 @@ int hex4(std::string_view t, std::size_t p) {
     v = v * 16 + (h <= '9' ? h - '0' : (std::tolower(h) - 'a' + 10));
   }
   return v;
+}
+
+void append_utf8(std::string& out, std::uint32_t cp) {
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xc0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3f));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xe0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (cp & 0x3f));
+  } else {
+    out += static_cast<char>(0xf0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (cp & 0x3f));
+  }
 }
 
 }  // namespace
@@ -94,441 +112,260 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+JsonValue::Type JsonReader::peek() {
+  skip_ws();
+  if (pos_ >= text_.size()) return JsonValue::Type::kNumber;
+  switch (text_[pos_]) {
+    case '{': return JsonValue::Type::kObject;
+    case '[': return JsonValue::Type::kArray;
+    case '"': return JsonValue::Type::kString;
+    case 't':
+    case 'f': return JsonValue::Type::kBool;
+    case 'n': return JsonValue::Type::kNull;
+    default: return JsonValue::Type::kNumber;
+  }
+}
+
+bool JsonReader::read_string(std::string_view& out) {
+  return expect(JsonValue::Type::kString) && string_token(&out, value_scratch_);
+}
+
+bool JsonReader::read_number(double& out) {
+  if (!expect(JsonValue::Type::kNumber)) return false;
+  const std::size_t start = pos_;
+  if (!number_token()) return false;
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  if (std::from_chars(first, last, out).ec != std::errc()) {
+    // Out of double's range: strtod's ±HUGE_VAL or underflowed value.
+    out = std::strtod(std::string(first, last).c_str(), nullptr);
+  }
+  return true;
+}
+
+bool JsonReader::read_bool(bool& out) {
+  if (!expect(JsonValue::Type::kBool)) return false;
+  out = text_[pos_] == 't';
+  return literal(out ? "true" : "false");
+}
+
+bool JsonReader::read_null() {
+  return expect(JsonValue::Type::kNull) && literal("null");
+}
+
+bool JsonReader::skip() {
+  if (failed_) return false;
+  switch (peek()) {
+    case JsonValue::Type::kObject: return object([](std::string_view) {});
+    case JsonValue::Type::kArray: return array([] {});
+    case JsonValue::Type::kString: return string_token(nullptr, value_scratch_);
+    case JsonValue::Type::kNumber: return number_token();
+    case JsonValue::Type::kBool: {
+      bool b = false;
+      return read_bool(b);
+    }
+    case JsonValue::Type::kNull: return read_null();
+  }
+  return false;
+}
+
+bool JsonReader::finish() {
+  skip_ws();
+  return !failed_ && pos_ == text_.size();
+}
+
+void JsonReader::skip_ws() {
+  while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                                 text_[pos_] == '\n' || text_[pos_] == '\r')) {
+    ++pos_;
+  }
+}
+
+bool JsonReader::expect(JsonValue::Type type) {
+  if (failed_) return false;
+  if (peek() == type) return true;
+  skip();
+  return false;
+}
+
+bool JsonReader::error() {
+  failed_ = true;
+  return false;
+}
+
+bool JsonReader::open(char bracket) {
+  if (!expect(bracket == '{' ? JsonValue::Type::kObject : JsonValue::Type::kArray)) {
+    return false;
+  }
+  // depth_ counts the brackets already open, so the 65th nested container
+  // is the first one rejected. Scalars do not nest: one at depth 64 is as
+  // legal as the empty container there.
+  if (depth_ >= 64) return error();
+  ++depth_;
+  ++pos_;
+  return true;
+}
+
+bool JsonReader::close_if(char bracket) {
+  skip_ws();
+  if (pos_ >= text_.size() || text_[pos_] != bracket) return false;
+  ++pos_;
+  --depth_;
+  return true;
+}
+
+bool JsonReader::more(char bracket) {
+  skip_ws();
+  if (pos_ < text_.size() && text_[pos_] == ',') {
+    ++pos_;
+    return true;
+  }
+  return close_if(bracket) ? false : error();
+}
+
+bool JsonReader::key(std::string_view& out) {
+  skip_ws();
+  if (pos_ >= text_.size() || text_[pos_] != '"') return error();
+  if (!string_token(&out, key_scratch_)) return false;
+  skip_ws();
+  if (pos_ >= text_.size() || text_[pos_] != ':') return error();
+  ++pos_;
+  skip_ws();
+  return true;
+}
+
+bool JsonReader::string_token(std::string_view* out, std::string& scratch) {
+  ++pos_;  // opening quote
+  const std::size_t start = pos_;
+  bool decoding = false;  // set at the first escape when the text is wanted
+  while (pos_ < text_.size()) {
+    // Printable ASCII other than '"' and '\\' stands for itself.
+    const std::size_t run = pos_;
+    while (pos_ < text_.size() && static_cast<unsigned char>(text_[pos_] - 0x20) < 0x60 &&
+           text_[pos_] != '"' && text_[pos_] != '\\') {
+      ++pos_;
+    }
+    if (decoding) scratch.append(text_.data() + run, pos_ - run);
+    if (pos_ >= text_.size()) break;
+    const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+    if (c == '"') {
+      if (out != nullptr) *out = decoding ? std::string_view(scratch) : text_.substr(start, pos_ - start);
+      ++pos_;
+      return true;
+    }
+    if (c < 0x20) break;  // raw control character
+    if (c == '\\') {
+      if (out != nullptr && !decoding) {
+        scratch.assign(text_.data() + start, pos_ - start);
+        decoding = true;
+      }
+      if (!escape(decoding ? &scratch : nullptr)) break;
+      continue;
+    }
+    const std::size_t len = c < 0x80 ? 1 : utf8_sequence_length(text_, pos_);
+    if (len == 0) break;  // raw invalid UTF-8
+    if (decoding) scratch.append(text_.data() + pos_, len);
+    pos_ += len;
+  }
+  return error();  // unterminated or malformed
+}
+
+bool JsonReader::escape(std::string* out) {
+  ++pos_;  // backslash
+  if (pos_ >= text_.size()) return false;
+  const char esc = text_[pos_++];
+  if (esc != 'u') {
+    static constexpr std::string_view kFrom = "\"\\/bfnrt", kTo = "\"\\/\b\f\n\r\t";
+    const std::size_t i = kFrom.find(esc);
+    if (i == std::string_view::npos) return false;
+    if (out != nullptr) *out += kTo[i];
+    return true;
+  }
+  const int unit = hex4(text_, pos_);
+  if (unit < 0 || (unit >= 0xdc00 && unit <= 0xdfff)) return false;  // lone low surrogate
+  pos_ += 4;
+  std::uint32_t cp = static_cast<std::uint32_t>(unit);
+  if (cp >= 0xd800 && cp <= 0xdbff) {
+    // A high surrogate must be followed by an escaped low one (RFC 8259
+    // §7); the pair decodes to one code point, so the text is UTF-8, not
+    // CESU-8.
+    if (text_.substr(pos_, 2) != "\\u") return false;
+    const int low = hex4(text_, pos_ + 2);
+    if (low < 0xdc00 || low > 0xdfff) return false;
+    pos_ += 6;
+    cp = 0x10000 + ((cp - 0xd800) << 10) + (static_cast<std::uint32_t>(low) - 0xdc00);
+  }
+  if (out != nullptr) append_utf8(*out, cp);
+  return true;
+}
+
+bool JsonReader::number_token() {
+  auto digit = [&] {
+    return pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]));
+  };
+  auto digits = [&] {
+    if (!digit()) return false;
+    while (digit()) ++pos_;
+    return true;
+  };
+  if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+  // RFC 8259 int: "0" or a nonzero digit followed by digits (no leading 0s).
+  bool ok = digit();
+  if (ok && text_[pos_] == '0') {
+    ++pos_;
+    ok = !digit();
+  } else if (ok) {
+    digits();
+  }
+  if (ok && pos_ < text_.size() && text_[pos_] == '.') {
+    ++pos_;
+    ok = digits();
+  }
+  if (ok && pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    ++pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
+    ok = digits();
+  }
+  return ok || error();
+}
+
+bool JsonReader::literal(std::string_view word) {
+  if (text_.substr(pos_, word.size()) != word) return error();
+  pos_ += word.size();
+  return true;
+}
+
 namespace {
 
-/// Recursive-descent validator. `pos` advances past the parsed value;
-/// returns false on any grammar violation.
-class JsonValidator {
- public:
-  explicit JsonValidator(std::string_view text) : text_(text) {}
-
-  bool run() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-  bool string() {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control char
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        char esc = text_[pos_];
-        if (esc == 'u') {
-          const int unit = hex4(text_, pos_ + 1);
-          if (unit < 0) return false;
-          pos_ += 4;
-          if (unit >= 0xdc00 && unit <= 0xdfff) return false;  // lone low surrogate
-          if (unit >= 0xd800 && unit <= 0xdbff) {
-            // High surrogate must be followed by an escaped low surrogate.
-            if (pos_ + 2 >= text_.size() || text_[pos_ + 1] != '\\' ||
-                text_[pos_ + 2] != 'u') {
-              return false;
-            }
-            const int low = hex4(text_, pos_ + 3);
-            if (low < 0xdc00 || low > 0xdfff) return false;
-            pos_ += 6;
-          }
-        } else if (std::string_view("\"\\/bfnrt").find(esc) == std::string_view::npos) {
-          return false;
-        }
-        ++pos_;
-        continue;
-      }
-      if (static_cast<unsigned char>(c) >= 0x80) {
-        const std::size_t len = utf8_sequence_length(text_, pos_);
-        if (len == 0) return false;  // raw invalid UTF-8
-        pos_ += len;
-        continue;
-      }
-      ++pos_;
-    }
-    return false;  // unterminated
-  }
-  bool number() {
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    // RFC 8259 int: "0" or a nonzero digit followed by digits (no leading 0s).
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      pos_ = start;
-      return false;
-    }
-    if (text_[pos_] == '0') {
-      ++pos_;
-      if (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return false;  // leading zero
-      }
-    } else {
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return false;
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return false;
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    return true;
-  }
-  bool value() {
-    skip_ws();
-    if (pos_ >= text_.size()) return false;
-    char c = text_[pos_];
-    // Bounded nesting: depth_ counts the brackets already open, so the
-    // 65th nested container is the first one rejected. Scalars do not
-    // nest — one at depth 64 is as legal as the empty container there.
-    if (c == '{' || c == '[') {
-      if (depth_ >= 64) return false;
-    }
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string();
-    if (c == 't') return literal("true");
-    if (c == 'f') return literal("false");
-    if (c == 'n') return literal("null");
-    return number();
-  }
-  bool object() {
-    ++depth_;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      --depth_;
+/// Build the DOM for the next value.
+bool build(JsonReader& in, JsonValue& out) {
+  switch (out.type = in.peek()) {
+    case JsonValue::Type::kObject:
+      return in.object([&](std::string_view key) {
+        out.object.emplace_back(std::string(key), JsonValue());
+        build(in, out.object.back().second);
+      });
+    case JsonValue::Type::kArray:
+      return in.array([&] { build(in, out.array.emplace_back()); });
+    case JsonValue::Type::kString: {
+      std::string_view s;
+      if (!in.read_string(s)) return false;
+      out.string = s;
       return true;
     }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      if (!value()) return false;
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        --depth_;
-        return true;
-      }
-      return false;
-    }
+    case JsonValue::Type::kNumber: return in.read_number(out.number);
+    case JsonValue::Type::kBool: return in.read_bool(out.boolean);
+    case JsonValue::Type::kNull: return in.read_null();
   }
-  bool array() {
-    ++depth_;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      --depth_;
-      return true;
-    }
-    for (;;) {
-      if (!value()) return false;
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        --depth_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
-
-/// Recursive-descent parser producing a JsonValue DOM. Accepts exactly
-/// the grammar JsonValidator accepts; any violation yields failure.
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  bool run(JsonValue& out) {
-    skip_ws();
-    if (!value(out)) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-  static void append_utf8(std::string& out, std::uint32_t cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xc0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3f));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xe0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-      out += static_cast<char>(0x80 | (cp & 0x3f));
-    } else {
-      out += static_cast<char>(0xf0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-      out += static_cast<char>(0x80 | (cp & 0x3f));
-    }
-  }
-  bool string(std::string& out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        char esc = text_[pos_];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            const int unit = hex4(text_, pos_ + 1);
-            if (unit < 0) return false;
-            pos_ += 4;
-            std::uint32_t cp = static_cast<std::uint32_t>(unit);
-            if (cp >= 0xdc00 && cp <= 0xdfff) return false;  // lone low surrogate
-            if (cp >= 0xd800 && cp <= 0xdbff) {
-              // Surrogate pair (RFC 8259 §7): combine into one code point
-              // so the decoded string is UTF-8, not CESU-8.
-              if (pos_ + 2 >= text_.size() || text_[pos_ + 1] != '\\' ||
-                  text_[pos_ + 2] != 'u') {
-                return false;
-              }
-              const int low = hex4(text_, pos_ + 3);
-              if (low < 0xdc00 || low > 0xdfff) return false;
-              pos_ += 6;
-              cp = 0x10000 + ((cp - 0xd800) << 10) +
-                   (static_cast<std::uint32_t>(low) - 0xdc00);
-            }
-            append_utf8(out, cp);
-            break;
-          }
-          default: return false;
-        }
-        ++pos_;
-        continue;
-      }
-      if (static_cast<unsigned char>(c) >= 0x80) {
-        const std::size_t len = utf8_sequence_length(text_, pos_);
-        if (len == 0) return false;  // raw invalid UTF-8
-        out.append(text_.data() + pos_, len);
-        pos_ += len;
-        continue;
-      }
-      out += c;
-      ++pos_;
-    }
-    return false;  // unterminated
-  }
-  bool number(double& out) {
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      pos_ = start;
-      return false;
-    }
-    if (text_[pos_] == '0') {
-      ++pos_;
-      if (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return false;
-      }
-    } else {
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return false;
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return false;
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    out = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(), nullptr);
-    return true;
-  }
-  bool value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return false;
-    char c = text_[pos_];
-    if (c == '{' || c == '[') {
-      if (depth_ >= 64) return false;  // same bound as JsonValidator
-    }
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
-    if (c == '"') {
-      out.type = JsonValue::Type::kString;
-      return string(out.string);
-    }
-    if (c == 't') {
-      out.type = JsonValue::Type::kBool;
-      out.boolean = true;
-      return literal("true");
-    }
-    if (c == 'f') {
-      out.type = JsonValue::Type::kBool;
-      out.boolean = false;
-      return literal("false");
-    }
-    if (c == 'n') {
-      out.type = JsonValue::Type::kNull;
-      return literal("null");
-    }
-    out.type = JsonValue::Type::kNumber;
-    return number(out.number);
-  }
-  bool object(JsonValue& out) {
-    out.type = JsonValue::Type::kObject;
-    ++depth_;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      --depth_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!string(key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      JsonValue member;
-      if (!value(member)) return false;
-      out.object.emplace_back(std::move(key), std::move(member));
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        --depth_;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool array(JsonValue& out) {
-    out.type = JsonValue::Type::kArray;
-    ++depth_;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      --depth_;
-      return true;
-    }
-    for (;;) {
-      JsonValue element;
-      if (!value(element)) return false;
-      out.array.push_back(std::move(element));
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        --depth_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
+  return false;
+}
 
 }  // namespace
 
-bool json_valid(std::string_view text) { return JsonValidator(text).run(); }
+bool json_valid(std::string_view text) {
+  JsonReader in(text);
+  return in.skip() && in.finish();
+}
 
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (type != Type::kObject) return nullptr;
@@ -550,13 +387,7 @@ double JsonValue::get_number(std::string_view key, double fallback) const {
 
 int JsonValue::get_int(std::string_view key, int fallback) const {
   const JsonValue* v = find(key);
-  if (v == nullptr || !v->is_number()) return fallback;
-  // Clamp before casting: double-to-int conversion outside int's range is
-  // undefined behaviour, and hostile documents reach this via from_json.
-  const double d = v->number;
-  if (d >= 2147483647.0) return std::numeric_limits<int>::max();
-  if (d <= -2147483648.0) return std::numeric_limits<int>::min();
-  return static_cast<int>(d);
+  return v != nullptr && v->is_number() ? saturate_cast<int>(v->number) : fallback;
 }
 
 std::string JsonValue::get_string(std::string_view key, std::string_view fallback) const {
@@ -566,7 +397,8 @@ std::string JsonValue::get_string(std::string_view key, std::string_view fallbac
 
 std::unique_ptr<JsonValue> json_parse(std::string_view text) {
   auto out = std::make_unique<JsonValue>();
-  if (!JsonParser(text).run(*out)) return nullptr;
+  JsonReader in(text);
+  if (!build(in, *out) || !in.finish()) return nullptr;
   return out;
 }
 

@@ -1,12 +1,16 @@
-// Minimal streaming JSON writer.
+// Minimal JSON: a streaming writer, one strict pull reader, and a small
+// DOM built through that reader.
 //
 // The measurement tools emit machine-readable reports (the real CenTrace /
-// CenFuzz / CenProbe write JSON lines); this writer produces compact,
+// CenFuzz / CenProbe write JSON lines); JsonWriter produces compact,
 // correctly escaped JSON without a DOM. Scopes are validated: mismatched
 // end_*() or a value without a pending key inside an object throw.
+// JsonReader is the only grammar: json_valid, json_parse and the report
+// decoders (report/from_json.hpp) all read through it.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -23,10 +27,23 @@ std::string json_escape(std::string_view s);
 /// emits and json_parse decodes satisfies this.
 bool utf8_valid(std::string_view s);
 
-/// Strict syntax validation of one JSON document (RFC 8259 grammar, no
-/// trailing content). Used by tests to certify everything the report
-/// serializers and CLIs emit.
+/// Strict syntax validation of one JSON document (JsonReader's grammar:
+/// skip one value, then expect the end of input). Used by tests to
+/// certify everything the report serializers and CLIs emit, and by the
+/// campaign cache loader per line.
 bool json_valid(std::string_view text);
+
+/// A decoded JSON number as an integer of type Int: truncated toward zero
+/// and clamped to Int's range. A plain cast of an out-of-range double is
+/// undefined behaviour, and hostile documents can carry any number.
+template <typename Int>
+Int saturate_cast(double d) {
+  constexpr Int lo = std::numeric_limits<Int>::min();
+  constexpr Int hi = std::numeric_limits<Int>::max();
+  if (!(d > static_cast<double>(lo))) return lo;
+  if (d >= static_cast<double>(hi)) return hi;
+  return static_cast<Int>(d);
+}
 
 /// Parsed JSON document node. Objects keep their members in source order
 /// (the canonical-key-order tests and the campaign cache depend on it);
@@ -64,6 +81,97 @@ class JsonValue {
 /// Parse one strict JSON document (same grammar json_valid accepts).
 /// Returns nullptr on any syntax error or trailing content.
 std::unique_ptr<JsonValue> json_parse(std::string_view text);
+
+/// Strict pull reader over one JSON text, decoding in a single pass with
+/// no DOM. It accepts exactly RFC 8259 with nesting bounded at 64
+/// containers, strict UTF-8 in strings, \u surrogates only as pairs and,
+/// checked by finish(), no trailing content.
+///
+/// Every read consumes exactly one value. A typed read of a value of
+/// another type validates and skips it, leaves `out` alone and returns
+/// false. A syntax error, or fail(), is sticky: every later call returns
+/// false, so a decoder checks once, at finish().
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// The type of the next value, judged by its first byte. A byte that
+  /// starts no value reads as a number, which then fails.
+  JsonValue::Type peek();
+
+  /// Escape-free strings are slices of the input; an escaped one is
+  /// decoded into scratch storage that the next string read reuses.
+  bool read_string(std::string_view& out);
+  bool read_number(double& out);
+  bool read_bool(bool& out);
+  bool read_null();
+  /// Validate and skip one value.
+  bool skip();
+
+  /// Read an object, calling `on_member(key)` with the reader at each
+  /// member's value. A callback that reads nothing has the value skipped
+  /// for it. `key` follows read_string's rules, with its own scratch
+  /// storage reused by the next key. Returns false when the value is not
+  /// an object (it is skipped) or on error.
+  template <typename OnMember>
+  bool object(OnMember&& on_member);
+  /// Read an array, calling `on_element()` at each element; same rules.
+  template <typename OnElement>
+  bool array(OnElement&& on_element);
+
+  /// Reject the text for a caller's own reason (an unknown enum name, say).
+  void fail() { failed_ = true; }
+  /// True when everything read was well formed and only whitespace is left.
+  bool finish();
+
+ private:
+  /// Whether the next value has `type`; a value of another type is skipped.
+  bool expect(JsonValue::Type type);
+  bool error();
+  void skip_ws();
+  bool open(char bracket);
+  bool close_if(char bracket);
+  bool more(char bracket);
+  bool key(std::string_view& out);
+  bool string_token(std::string_view* out, std::string& scratch);
+  bool escape(std::string* out);
+  bool number_token();
+  bool literal(std::string_view word);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int depth_ = 0;
+  bool failed_ = false;
+  std::string key_scratch_;
+  std::string value_scratch_;
+};
+
+template <typename OnMember>
+bool JsonReader::object(OnMember&& on_member) {
+  if (!open('{')) return false;
+  if (close_if('}')) return true;
+  do {
+    std::string_view name;
+    if (!key(name)) return false;
+    const std::size_t at = pos_;
+    on_member(name);
+    if (failed_ || (pos_ == at && !skip())) return false;
+  } while (more('}'));
+  return !failed_;
+}
+
+template <typename OnElement>
+bool JsonReader::array(OnElement&& on_element) {
+  if (!open('[')) return false;
+  if (close_if(']')) return true;
+  do {
+    skip_ws();
+    const std::size_t at = pos_;
+    on_element();
+    if (failed_ || (pos_ == at && !skip())) return false;
+  } while (more(']'));
+  return !failed_;
+}
 
 class JsonWriter {
  public:

@@ -126,7 +126,7 @@ std::optional<EvolutionPlan> evolution_from_doc(const JsonValue& doc,
   };
   if (!doc.is_object()) return fail("evolution: not a JSON object");
   EvolutionPlan plan;
-  plan.seed = static_cast<std::uint64_t>(doc.get_number("seed", 1.0));
+  plan.seed = saturate_cast<std::uint64_t>(doc.get_number("seed", 1.0));
   plan.start_epoch = doc.get_int("start_epoch", 1);
   plan.period = doc.get_int("period", 1);
   plan.rule_add_prob = doc.get_number("rule_add_prob", 0.0);

@@ -8,6 +8,14 @@
 // uninterrupted one. That only works if decoding captures everything the
 // later stages consume: device-IP discovery (CenProbe targeting), blocked
 // endpoints (CenFuzz targeting) and the full Table 3 feature inputs.
+//
+// Each decoder reads its document in one pass through JsonReader, with no
+// DOM, under json_parse's rules: the text must be one strict JSON
+// document; the first of duplicate members wins; keys match on their
+// decoded text; a member of the wrong type takes its fallback; unknown
+// members (sweep arrays included) are validated and skipped; integers
+// saturate at their type's range. A missing required member or an
+// unknown enum name yields nullopt.
 #pragma once
 
 #include <optional>
@@ -17,29 +25,22 @@
 #include "cenfuzz/cenfuzz.hpp"
 #include "cenprobe/fingerprints.hpp"
 #include "centrace/centrace.hpp"
-#include "core/json.hpp"
 
 namespace cen::report {
 
-/// Decode a CenTrace report document (as written by to_json without
-/// sweeps; sweep arrays, if present, are ignored). nullopt when the
-/// document is not a centrace report or a required field is malformed.
-std::optional<trace::CenTraceReport> trace_report_from_json(const JsonValue& doc);
+/// Decode a CenTrace report document (as written by to_json; sweep
+/// arrays, if present, are skipped). nullopt when the text is not a
+/// centrace report or a required field is malformed.
+std::optional<trace::CenTraceReport> trace_report_from_json(std::string_view text);
 
 /// Decode a CenProbe device report document.
-std::optional<probe::DeviceProbeReport> probe_report_from_json(const JsonValue& doc);
+std::optional<probe::DeviceProbeReport> probe_report_from_json(std::string_view text);
 
 /// Decode a CenFuzz report document. Per-request results are not part of
 /// the wire format; only the classification fields round-trip.
-std::optional<fuzz::CenFuzzReport> fuzz_report_from_json(const JsonValue& doc);
+std::optional<fuzz::CenFuzzReport> fuzz_report_from_json(std::string_view text);
 
 /// Decode a CenAmbig report document.
-std::optional<ambig::AmbigReport> ambig_report_from_json(const JsonValue& doc);
-
-/// Convenience wrappers parsing from text.
-std::optional<trace::CenTraceReport> trace_report_from_json(std::string_view text);
-std::optional<probe::DeviceProbeReport> probe_report_from_json(std::string_view text);
-std::optional<fuzz::CenFuzzReport> fuzz_report_from_json(std::string_view text);
 std::optional<ambig::AmbigReport> ambig_report_from_json(std::string_view text);
 
 }  // namespace cen::report

@@ -29,9 +29,7 @@ bool parse_strings(const JsonValue& doc, std::string_view key,
 }
 
 std::uint32_t get_u32(const JsonValue& doc, std::string_view key, std::uint32_t fallback) {
-  double v = doc.get_number(key, static_cast<double>(fallback));
-  if (v < 0) return 0;
-  return static_cast<std::uint32_t>(v);
+  return saturate_cast<std::uint32_t>(doc.get_number(key, static_cast<double>(fallback)));
 }
 
 }  // namespace
@@ -195,7 +193,7 @@ std::optional<WorldSpec> spec_from_doc(const JsonValue& doc, std::string* error)
   spec.routers_per_transit = get_u32(doc, "routers_per_transit", spec.routers_per_transit);
   spec.routers_per_regional = get_u32(doc, "routers_per_regional", spec.routers_per_regional);
   spec.routers_per_stub = get_u32(doc, "routers_per_stub", spec.routers_per_stub);
-  spec.endpoints = static_cast<std::uint64_t>(
+  spec.endpoints = saturate_cast<std::uint64_t>(
       doc.get_number("endpoints", static_cast<double>(spec.endpoints)));
   spec.endpoint_zipf = doc.get_number("endpoint_zipf", spec.endpoint_zipf);
   spec.profile_templates = get_u32(doc, "profile_templates", spec.profile_templates);

@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -451,6 +452,30 @@ TEST(Campaign, SpecJsonRoundTrip) {
   EXPECT_NE(error.find("XX"), std::string::npos);
   EXPECT_FALSE(campaign::spec_from_json("{\"batch_size\":0}", &error).has_value());
   EXPECT_FALSE(campaign::spec_from_json("not json", &error).has_value());
+}
+
+TEST(Campaign, SpecNumbersSaturate) {
+  // Out-of-range numbers clamp to the member's range; a plain cast of such
+  // a double to an integer is undefined behaviour.
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  const std::pair<const char*, std::uint64_t> extremes[] = {
+      {"-1", 0}, {"1e300", max}, {"-1e300", 0}};
+  for (const auto& [x, want] : extremes) {
+    const std::string v(x);
+    auto spec = campaign::spec_from_json(
+        R"({"seed":)" + v + R"(,"trace":{"retry_backoff_ms":)" + v +
+        R"(},"ambig":{"wait_after_blocked_ms":)" + v + R"(,"wait_after_ok_ms":)" + v +
+        R"(,"retry_backoff_ms":)" + v + R"(,"order_salt":)" + v +
+        R"(},"faults":{"route_flap_period_ms":)" + v + "}}");
+    ASSERT_TRUE(spec.has_value()) << x;
+    EXPECT_EQ(spec->seed, want) << x;
+    EXPECT_EQ(spec->trace.retry_backoff, want) << x;
+    EXPECT_EQ(spec->ambig.wait_after_blocked, want) << x;
+    EXPECT_EQ(spec->ambig.wait_after_ok, want) << x;
+    EXPECT_EQ(spec->ambig.retry_backoff, want) << x;
+    EXPECT_EQ(spec->ambig.order_salt, want) << x;
+    EXPECT_EQ(spec->faults.route_flap_period, want) << x;
+  }
 }
 
 TEST(Campaign, CacheToleratesTornTail) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "check/engines.hpp"
 #include "core/fingerprint.hpp"
@@ -745,4 +751,133 @@ TEST(ReportDecoders, PinnedCorpus) {
   expect_pin("probe", probe_pin, 0xf5868e1f121904d6ULL, 720, 294);
   expect_pin("fuzz", fuzz_pin, 0x700d69eae2e399c4ULL, 833, 405);
   expect_pin("ambig", ambig_pin, 0x54cef090f4aac25fULL, 827, 405);
+}
+
+// ------------------------------------------- integer member saturation --
+
+namespace {
+
+constexpr const char* kExtremes[] = {"-1", "1e300", "-1e300"};
+
+/// What an integer member of type T decodes to for each of kExtremes: -1
+/// where T holds it, else the nearest bound.
+template <typename T>
+std::array<T, 3> saturated() {
+  constexpr T lo = std::numeric_limits<T>::min();
+  constexpr T hi = std::numeric_limits<T>::max();
+  return {std::is_signed_v<T> ? static_cast<T>(-1) : T{0}, hi, lo};
+}
+
+/// `get(v)` decodes a document carrying the extreme `v` in one integer
+/// member and returns that member's decoded value.
+template <typename T, typename Get>
+void expect_saturates(const char* field, Get get) {
+  const std::array<T, 3> want = saturated<T>();
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(get(kExtremes[i]), want[i]) << field << " = " << kExtremes[i];
+  }
+}
+
+std::string shadowed(const std::string& doc, const std::string& member) {
+  return "{" + member + "," + doc.substr(1);
+}
+
+}  // namespace
+
+TEST(ReportDecoders, IntegerMembersSaturate) {
+  const std::string trace_doc = report::to_json(trace::CenTraceReport{}, false);
+  auto trace_with = [&](const std::string& member) {
+    return report::trace_report_from_json(shadowed(trace_doc, member)).value();
+  };
+  auto v = [](const char* key, const std::string& value) {
+    return "\"" + std::string(key) + "\":" + value;
+  };
+  expect_saturates<std::uint32_t>("asn", [&](std::string x) {
+    return trace_with(v("blocking_as", "{" + v("asn", x) + "}")).blocking_as->asn;
+  });
+  expect_saturates<int>("blocking_hop_ttl", [&](std::string x) {
+    return trace_with(v("blocking_hop_ttl", x)).blocking_hop_ttl;
+  });
+  expect_saturates<std::uint8_t>("ip_ttl", [&](std::string x) {
+    return trace_with(v("injected_packet", "{" + v("ip_ttl", x) + "}")).injected_packet->ip.ttl;
+  });
+  expect_saturates<std::uint16_t>("tcp_window", [&](std::string x) {
+    return trace_with(v("injected_packet", "{" + v("tcp_window", x) + "}"))
+        .injected_packet->tcp.window;
+  });
+  expect_saturates<int>("loss_recovered_probes", [&](std::string x) {
+    return trace_with(v("confidence", "{" + v("loss_recovered_probes", x) + "}"))
+        .confidence.loss_recovered_probes;
+  });
+
+  const std::string probe_doc = R"({"tool":"cenprobe","ip":"10.0.0.1"})";
+  auto probe_with = [&](const std::string& member) {
+    return report::probe_report_from_json(shadowed(probe_doc, member)).value();
+  };
+  expect_saturates<std::uint16_t>("open_ports", [&](std::string x) {
+    return probe_with(v("open_ports", "[" + x + "]")).open_ports.at(0);
+  });
+  expect_saturates<std::uint16_t>("port", [&](std::string x) {
+    return probe_with(v("banners", "[{" + v("port", x) + "}]")).banners.at(0).port;
+  });
+  expect_saturates<int>("attempts", [&](std::string x) {
+    return probe_with(v("banners", "[{" + v("attempts", x) + "}]")).banners.at(0).attempts;
+  });
+  expect_saturates<std::uint8_t>("synack_ttl", [&](std::string x) {
+    return probe_with(v("stack", "{" + v("synack_ttl", x) + "}")).stack->synack_ttl;
+  });
+  expect_saturates<std::uint16_t>("mss", [&](std::string x) {
+    return probe_with(v("stack", "{" + v("mss", x) + "}")).stack->mss;
+  });
+
+  const std::string fuzz_doc = R"({"tool":"cenfuzz","endpoint":"10.0.0.1"})";
+  auto fuzz_with = [&](const std::string& member) {
+    return report::fuzz_report_from_json(shadowed(fuzz_doc, member)).value();
+  };
+  expect_saturates<std::size_t>("total_requests", [&](std::string x) {
+    return fuzz_with(v("total_requests", x)).total_requests;
+  });
+  expect_saturates<std::size_t>("skipped_strategies", [&](std::string x) {
+    return fuzz_with(v("skipped_strategies", x)).skipped_strategies;
+  });
+
+  const std::string ambig_doc = R"({"tool":"cenambig","endpoint":"10.0.0.1"})";
+  auto ambig_with = [&](const std::string& member) {
+    return report::ambig_report_from_json(shadowed(ambig_doc, member)).value();
+  };
+  auto probe_result = [&](const char* key, const std::string& x) {
+    return ambig_with(v("probes", R"([{"test_outcome":"rst","control_outcome":"rst",)" +
+                                      v(key, x) + "}]"))
+        .probes.at(0);
+  };
+  expect_saturates<int>("endpoint_distance", [&](std::string x) {
+    return ambig_with(v("endpoint_distance", x)).endpoint_distance;
+  });
+  expect_saturates<int>("insertion_ttl", [&](std::string x) {
+    return ambig_with(v("insertion_ttl", x)).insertion_ttl;
+  });
+  expect_saturates<std::size_t>("total_probes_sent", [&](std::string x) {
+    return ambig_with(v("total_probes_sent", x)).total_probes_sent;
+  });
+  expect_saturates<int>("test_blocked_votes", [&](std::string x) {
+    return probe_result("test_blocked_votes", x).test_blocked_votes;
+  });
+  expect_saturates<int>("control_clean_votes", [&](std::string x) {
+    return probe_result("control_clean_votes", x).control_clean_votes;
+  });
+  expect_saturates<int>("repetitions", [&](std::string x) {
+    return probe_result("repetitions", x).repetitions;
+  });
+}
+
+TEST(JsonParse, SaturateCastBounds) {
+  EXPECT_EQ(saturate_cast<int>(2.9), 2);
+  EXPECT_EQ(saturate_cast<int>(-2.9), -2);
+  EXPECT_EQ(saturate_cast<std::uint8_t>(255.5), 255);
+  EXPECT_EQ(saturate_cast<std::uint8_t>(-0.5), 0);
+  EXPECT_EQ(saturate_cast<std::uint64_t>(1.8446744073709552e19),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(saturate_cast<std::int64_t>(-1e300), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(saturate_cast<int>(std::numeric_limits<double>::infinity()),
+            std::numeric_limits<int>::max());
 }

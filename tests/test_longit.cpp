@@ -160,6 +160,17 @@ TEST(Longit, ChurnedEpochsReportGroundTruth) {
   }
 }
 
+TEST(Longit, EvolutionSeedSaturates) {
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  const std::pair<const char*, std::uint64_t> extremes[] = {
+      {"-1", 0}, {"1e300", max}, {"-1e300", 0}};
+  for (const auto& [x, want] : extremes) {
+    auto plan = longit::evolution_from_json(std::string(R"({"seed":)") + x + "}");
+    ASSERT_TRUE(plan.has_value()) << x;
+    EXPECT_EQ(plan->seed, want) << x;
+  }
+}
+
 TEST(Longit, EvolutionJoinsSpecFingerprintAndJson) {
   campaign::CampaignSpec plain = small_spec().base;
   plain.evolution.reset();

@@ -8,8 +8,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -346,6 +348,25 @@ TEST(WorldGen, InstantiateRunsTraceEndToEnd) {
   opts.trace.repetitions = 3;
   trace::CenTraceReport rep = trace::run(*gen.network, opts);
   EXPECT_GT(rep.endpoint_hop_distance, 0);
+}
+
+TEST(WorldGen, SpecNumbersSaturate) {
+  // Out-of-range numbers clamp to the member's range; a plain cast of such
+  // a double to an integer is undefined behaviour.
+  const std::string base = worldgen::to_json(tiny_spec());
+  const std::tuple<const char*, std::uint32_t, std::uint64_t> extremes[] = {
+      {"-1", 0, 0},
+      {"1e300", std::numeric_limits<std::uint32_t>::max(),
+       std::numeric_limits<std::uint64_t>::max()},
+      {"-1e300", 0, 0}};
+  for (const auto& [x, want32, want64] : extremes) {
+    const std::string v(x);
+    auto spec = worldgen::spec_from_json(R"({"regional_ases":)" + v + R"(,"endpoints":)" + v +
+                                         "," + base.substr(1));
+    ASSERT_TRUE(spec.has_value()) << x;
+    EXPECT_EQ(spec->regional_ases, want32) << x;
+    EXPECT_EQ(spec->endpoints, want64) << x;
+  }
 }
 
 TEST(WorldGen, MakeWorldSpecOverloadMatchesInstantiate) {
