@@ -234,8 +234,6 @@ bool JsonReader::key(std::string_view& out) {
 }
 
 bool JsonReader::string_token(std::string_view* out, std::string& scratch) {
-  // The scan runs on a local index: a store to the member before every
-  // byte load (a char may alias it) would cost a fifth of the time.
   const std::size_t start = pos_ + 1;  // past the opening quote
   const std::size_t size = text_.size();
   std::size_t i = start;
@@ -307,7 +305,7 @@ bool JsonReader::escape(std::string* out) {
 }
 
 bool JsonReader::number_token() {
-  std::size_t i = pos_;  // a local index, as in string_token
+  std::size_t i = pos_;
   auto digit = [&] { return i < text_.size() && text_[i] >= '0' && text_[i] <= '9'; };
   auto digits = [&] {
     if (!digit()) return false;

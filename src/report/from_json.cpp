@@ -9,8 +9,9 @@ namespace cen::report {
 namespace {
 
 /// Matches one member's key against the names a decoder tests, in the
-/// order it tests them. The first member with a given name wins: a later
-/// duplicate matches nothing, and JsonReader skips it like an unknown one.
+/// order it tests them (at most 64 per object: one bit of `seen` each).
+/// The first member with a given name wins: a later duplicate matches
+/// nothing, and JsonReader skips it like an unknown one.
 class Key {
  public:
   Key(std::string_view key, std::uint64_t& seen) : key_(key), seen_(seen) {}
@@ -28,8 +29,8 @@ class Key {
   int next_ = 0;
 };
 
-/// Read an object, handing each member to `on_member(is)`; false (and the
-/// value skipped) when it is not an object.
+/// Read an object, handing each member to `on_member(is)`; false when the
+/// value is not an object (it is skipped) or on error.
 template <typename OnMember>
 bool members(JsonReader& in, OnMember&& on_member) {
   std::uint64_t seen = 0;
