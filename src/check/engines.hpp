@@ -49,6 +49,13 @@ struct CaseContext {
 std::uint64_t engine_salt(Engine e);
 
 void run_roundtrip_case(CaseContext& ctx);
+void run_invariant_case(CaseContext& ctx);
+void run_cache_replay_case(CaseContext& ctx);
+void run_ml_oracle_case(CaseContext& ctx);
+void run_worldgen_case(CaseContext& ctx);
+void run_ambig_case(CaseContext& ctx);
+void run_longit_case(CaseContext& ctx);
+void run_selftest_case(CaseContext& ctx);
 
 /// Random, structurally valid reports of each kind the round-trip engine
 /// feeds the JSON report codecs. Doubles sit on a thousandth grid, so
@@ -57,12 +64,5 @@ trace::CenTraceReport random_trace_report(Rng& rng);
 fuzz::CenFuzzReport random_fuzz_report(Rng& rng);
 probe::DeviceProbeReport random_probe_report(Rng& rng);
 ambig::AmbigReport random_ambig_report(Rng& rng);
-void run_invariant_case(CaseContext& ctx);
-void run_cache_replay_case(CaseContext& ctx);
-void run_ml_oracle_case(CaseContext& ctx);
-void run_worldgen_case(CaseContext& ctx);
-void run_ambig_case(CaseContext& ctx);
-void run_longit_case(CaseContext& ctx);
-void run_selftest_case(CaseContext& ctx);
 
 }  // namespace cen::check

@@ -752,6 +752,8 @@ void check_json_core(CaseContext& ctx, const std::vector<std::string>& mutated_r
 
 }  // namespace
 
+// ------------------------------------------------ random report values --
+
 trace::CenTraceReport random_trace_report(Rng& rng) {
   trace::CenTraceReport r;
   r.test_domain = random_hostname(rng);
