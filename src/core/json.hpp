@@ -95,8 +95,9 @@ class JsonReader {
  public:
   explicit JsonReader(std::string_view text) : text_(text) {}
 
-  /// The type of the next value, judged by its first byte. A byte that
-  /// starts no value reads as a number, which then fails.
+  /// The type of the next value, judged by its first byte. Anything that
+  /// starts no value, the end of the text included, reads as a number,
+  /// which then fails.
   JsonValue::Type peek();
 
   /// Escape-free strings are slices of the input; an escaped one is
