@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -842,4 +843,41 @@ TEST(Campaign, ExportsCacheLoadAndHitDecodeAsWallCounters) {
   EXPECT_EQ(deterministic.find("campaign.cache_load_ns"), std::string::npos);
   EXPECT_EQ(deterministic.find("campaign.hit_decode_ns"), std::string::npos);
   std::remove(cache.c_str());
+}
+
+TEST(Campaign, FuzzStageIdenticalAcrossThreads) {
+  // More fuzz tasks than workers, and test domains that repeat across
+  // endpoints, so the workers of one dispatch share the stage's probe
+  // tables (the TSan preset runs this suite).
+  campaign::CampaignSpec spec = small_spec();
+  spec.countries = {scenario::Country::kKZ, scenario::Country::kRU};
+  spec.max_endpoints = -1;
+  spec.max_domains = 1;
+  spec.fuzz_max_endpoints = -1;
+  spec.stages.probe = false;
+  std::string jsonl[3];
+  std::string bytes[3];
+  const int threads[3] = {0, 1, 4};
+  for (int i = 0; i < 3; ++i) {
+    const std::string cache = temp_cache("fuzz_" + std::to_string(threads[i]));
+    campaign::RunControl control;
+    control.threads = threads[i];
+    control.cache_path = cache;
+    const campaign::CampaignResult r = campaign::run(spec, control);
+    ASSERT_TRUE(r.complete);
+    EXPECT_GT(r.fuzz.executed, 8u);
+    std::set<std::string> test_domains;
+    for (const ml::EndpointMeasurement& m : r.measurements) {
+      if (m.fuzz) test_domains.insert(m.fuzz->test_domain);
+    }
+    EXPECT_LT(test_domains.size(), r.fuzz.executed);
+    jsonl[i] = r.to_jsonl();
+    bytes[i] = read_file(cache);
+    std::remove(cache.c_str());
+  }
+  EXPECT_FALSE(jsonl[0].empty());
+  EXPECT_EQ(jsonl[0], jsonl[1]);
+  EXPECT_EQ(jsonl[0], jsonl[2]);
+  EXPECT_EQ(bytes[0], bytes[1]);
+  EXPECT_EQ(bytes[0], bytes[2]);
 }

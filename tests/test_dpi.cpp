@@ -1,6 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "cenfuzz/strategies.hpp"
 #include "censor/dpi.hpp"
+#include "censor/vendors.hpp"
+#include "core/rng.hpp"
+#include "core/strings.hpp"
 #include "net/http.hpp"
 #include "net/tls.hpp"
 
@@ -238,3 +247,167 @@ INSTANTIATE_TEST_SUITE_P(Methods, MethodEngagement,
                                            MethodCase{"", false}, MethodCase{"GE", false},
                                            MethodCase{"XXXX", false},
                                            MethodCase{"get", true}));
+
+// ------------------------------------------- line-split reference parser
+//
+// The HTTP DPI parse as it was written before it walked the payload in
+// place: split into a vector of owned lines, then scan. Kept verbatim as
+// the reference the parser must agree with on every probe payload, on
+// byte mutations of them, and under every vendor's HTTP quirks.
+
+namespace {
+
+std::vector<std::string> reference_dpi_lines(std::string_view raw, bool requires_crlf) {
+  std::vector<std::string> lines;
+  if (requires_crlf) {
+    for (std::string& piece : split(raw, std::string_view("\r\n"))) {
+      lines.push_back(std::move(piece));
+    }
+  } else {
+    for (std::string& piece : split(raw, '\n')) {
+      if (!piece.empty() && piece.back() == '\r') piece.pop_back();
+      lines.push_back(std::move(piece));
+    }
+  }
+  return lines;
+}
+
+bool reference_method_engages(std::string_view method, const HttpQuirks& q) {
+  if (q.method_allowlist.empty()) return !method.empty();
+  for (const std::string& allowed : q.method_allowlist) {
+    bool match = q.method_case_insensitive ? iequals(method, allowed) : method == allowed;
+    if (match) return true;
+  }
+  return false;
+}
+
+bool reference_version_engages(std::string_view version, const HttpQuirks& q) {
+  switch (q.version_check) {
+    case VersionCheck::kNone:
+      return true;
+    case VersionCheck::kPrefixHttp: {
+      if (version.size() < 5) return false;
+      std::string_view prefix = version.substr(0, 5);
+      return q.version_prefix_case_insensitive ? iequals(prefix, "HTTP/") : prefix == "HTTP/";
+    }
+    case VersionCheck::kValidOnly:
+      return version == "HTTP/1.1" || version == "HTTP/1.0";
+  }
+  return false;
+}
+
+bool reference_host_word_engages(std::string_view name, const HttpQuirks& q) {
+  switch (q.host_word_check) {
+    case HostWordCheck::kExactCaseInsensitive:
+      return iequals(name, "Host");
+    case HostWordCheck::kExactCaseSensitive:
+      return name == "Host";
+    case HostWordCheck::kContainsHost:
+      return ascii_lower(name).find("host") != std::string::npos;
+  }
+  return false;
+}
+
+struct ReferenceDpiResult {
+  std::string host;
+  std::string path;
+};
+
+std::optional<ReferenceDpiResult> reference_dpi_parse_http(std::string_view raw,
+                                                           const HttpQuirks& q) {
+  std::vector<std::string> lines = reference_dpi_lines(raw, q.requires_crlf);
+  if (lines.size() < 2) return std::nullopt;
+  if (q.requires_crlf) {
+    for (const std::string& line : lines) {
+      if (line.find('\n') != std::string::npos || line.find('\r') != std::string::npos) {
+        return std::nullopt;
+      }
+    }
+  }
+  const std::string& request_line = lines[0];
+  std::size_t sp1 = request_line.find(' ');
+  if (sp1 == std::string::npos) return std::nullopt;
+  std::size_t sp2 = request_line.find(' ', sp1 + 1);
+  if (sp2 == std::string::npos) return std::nullopt;
+  std::string_view method = std::string_view(request_line).substr(0, sp1);
+  std::string_view path = std::string_view(request_line).substr(sp1 + 1, sp2 - sp1 - 1);
+  std::string_view version = trim(std::string_view(request_line).substr(sp2 + 1));
+  if (!reference_method_engages(method, q)) return std::nullopt;
+  if (!reference_version_engages(version, q)) return std::nullopt;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    if (line.empty()) break;
+    std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    std::string_view name = trim(std::string_view(line).substr(0, colon));
+    if (!reference_host_word_engages(name, q)) continue;
+    ReferenceDpiResult result;
+    result.host = std::string(trim(std::string_view(line).substr(colon + 1)));
+    result.path = std::string(path);
+    return result;
+  }
+  return std::nullopt;
+}
+
+/// Probe payloads plus seeded byte mutations of each: truncations,
+/// inserted "\r", "\n" and "\r\n", and deleted delimiter bytes.
+std::vector<std::string> dpi_corpus() {
+  std::vector<std::string> base;
+  for (const char* domain : {"www.blocked.example", "WwW.BlOcKeD.ExAmPlE", "www.example.com."}) {
+    base.push_back(to_string(fuzz::normal_http_probe(domain).payload));
+    for (const fuzz::FuzzProbe& p : fuzz::http_probes(domain)) base.push_back(to_string(p.payload));
+  }
+  std::vector<std::string> corpus = base;
+  Rng rng(0x5d1f);
+  for (const std::string& s : base) {
+    for (int k = 0; k < 3; ++k) corpus.push_back(s.substr(0, rng.uniform(s.size() + 1)));
+    for (const char* ins : {"\r", "\n", "\r\n"}) {
+      std::string m = s;
+      m.insert(rng.uniform(m.size() + 1), ins);
+      corpus.push_back(std::move(m));
+    }
+    std::vector<std::size_t> delims;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      if (s[i] == '\r' || s[i] == '\n' || s[i] == ' ' || s[i] == ':') delims.push_back(i);
+    }
+    for (int k = 0; k < 2 && !delims.empty(); ++k) {
+      std::string m = s;
+      m.erase(delims[rng.uniform(delims.size())], 1);
+      corpus.push_back(std::move(m));
+    }
+  }
+  // Every truncation of the Normal request.
+  for (std::size_t n = 0; n <= base.front().size(); ++n) corpus.push_back(base.front().substr(0, n));
+  return corpus;
+}
+
+}  // namespace
+
+TEST(DpiHttp, MatchesLineSplitReference) {
+  std::vector<HttpQuirks> quirks;
+  for (const std::string& vendor : known_vendors()) {
+    HttpQuirks q = make_vendor_device(vendor, "ref").http_quirks;
+    for (bool crlf : {true, false}) {
+      q.requires_crlf = crlf;
+      quirks.push_back(q);
+    }
+  }
+  std::size_t engaged = 0;
+  std::size_t checked = 0;
+  for (const std::string& raw : dpi_corpus()) {
+    for (const HttpQuirks& q : quirks) {
+      const auto expected = reference_dpi_parse_http(raw, q);
+      const auto actual = dpi_parse_http(raw, q);
+      ASSERT_EQ(expected.has_value(), actual.has_value()) << testing::PrintToString(raw);
+      if (expected) {
+        EXPECT_EQ(expected->host, actual->host) << testing::PrintToString(raw);
+        EXPECT_EQ(expected->path, actual->path) << testing::PrintToString(raw);
+        ++engaged;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100000u);
+  EXPECT_GT(engaged, checked / 10);  // the corpus exercises both outcomes
+  EXPECT_LT(engaged, checked - checked / 10);
+}

@@ -1,5 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "core/fingerprint.hpp"
+#include "core/rng.hpp"
 #include "net/http.hpp"
 #include "net/tls.hpp"
 #include "netsim/endpoint.hpp"
@@ -195,4 +204,146 @@ TEST(Endpoint, NoLocalFilterAlwaysNone) {
   p.hosted_domains = {"a.com"};
   EXPECT_EQ(make_host(p).local_filter_verdict(get_bytes("anything.example")),
             LocalFilterAction::kNone);
+}
+
+// ------------------------------------------------------ reply-byte pins
+//
+// Every handle_http reply path, with the exact bytes the endpoint must
+// send: what HttpResponse::make(status, http_reason(status), body)
+// serializes. The same replies, with seeded mutations, form the corpus
+// that pins what HttpResponse::parse makes of reply-shaped bytes.
+
+namespace {
+
+struct ReplyPath {
+  const char* name;
+  EndpointProfile profile;
+  std::string request;
+  int status;
+  std::string body;
+};
+
+std::vector<ReplyPath> reply_paths() {
+  EndpointProfile lenient;
+  lenient.hosted_domains = {"www.example.org", "example.net"};
+  EndpointProfile strict = lenient;
+  strict.strict_http = true;
+  EndpointProfile wildcard = lenient;
+  wildcard.serves_subdomains = true;
+  EndpointProfile reject = lenient;
+  reject.reject_unknown_host = true;
+  EndpointProfile default_vhost = lenient;
+  default_vhost.default_vhost_for_unknown = true;
+  EndpointProfile fixed = lenient;
+  fixed.static_payload = "<html>static control page</html>";
+  const std::string ok = "GET / HTTP/1.1\r\nHost: www.example.org\r\n\r\n";
+  return {
+      {"200 vhost", lenient, ok, 200, legitimate_content_for("www.example.org")},
+      {"200 vhost mixed case", lenient, "GET /x HTTP/1.1\r\nHost: WWW.Example.ORG\r\n\r\n", 200,
+       legitimate_content_for("WWW.Example.ORG")},
+      {"200 second vhost", strict, "GET / HTTP/1.0\r\nhost: example.net\r\n\r\n", 200,
+       legitimate_content_for("example.net")},
+      {"200 wildcard subdomain", wildcard, "GET / HTTP/1.1\r\nHost: wiki.Example.NET\r\n\r\n",
+       200, legitimate_content_for("wiki.Example.NET")},
+      {"200 default vhost, no Host", lenient, "GET / HTTP/1.1\r\n\r\n", 200,
+       legitimate_content_for("www.example.org")},
+      {"200 default vhost, unknown Host", default_vhost,
+       "GET / HTTP/1.1\r\nHost: **www.example.org*\r\n\r\n", 200,
+       legitimate_content_for("www.example.org")},
+      {"200 static payload", fixed, "BREW / HTTP/9\r\n\r\n", 200,
+       "<html>static control page</html>"},
+      {"301", lenient, "GET / HTTP/1.1\r\nHost: other.com\r\n\r\n", 301,
+       "<html>Moved to www.example.org</html>"},
+      {"400 unparsable", lenient, "nonsense", 400, "<html>Bad Request</html>"},
+      {"400 no path", strict, "GET  HTTP/1.1\r\nHost: www.example.org\r\n\r\n", 400,
+       "<html>Bad Request</html>"},
+      {"400 bare LF", strict, "GET / HTTP/1.1\nHost: www.example.org\n\n", 400,
+       "<html>Bad Request</html>"},
+      {"400 missing Host", strict, "GET / HTTP/1.1\r\n\r\n", 400,
+       "<html>Bad Request: missing Host</html>"},
+      {"403", reject, "GET / HTTP/1.1\r\nHost: other.com\r\n\r\n", 403, "<html>Forbidden</html>"},
+      {"501", strict, "BREW / HTTP/1.1\r\nHost: www.example.org\r\n\r\n", 501,
+       "<html>Not Implemented</html>"},
+      {"505", strict, "GET / HTTP/9\r\nHost: www.example.org\r\n\r\n", 505,
+       "<html>HTTP Version Not Supported</html>"},
+  };
+}
+
+/// Replies of every path, hand-written edge cases, and seeded mutations:
+/// truncations, inserted delimiters and digits, deleted and replaced bytes.
+std::vector<std::string> response_corpus() {
+  std::vector<std::string> base;
+  for (const ReplyPath& p : reply_paths()) {
+    base.push_back(to_string(make_host(p.profile).handle_payload(to_bytes(p.request)).data));
+  }
+  for (const char* edge : {
+           "", "HTTP/", "HTTP/1.1", "HTTP/1.1 200", "HTTP/1.1 200\r\n", "HTTP/1.1 200 \r\n",
+           "HTTP/1.1  200 OK\r\n\r\nbody", "HTTP/1.1 200  OK  \r\n\r\n", "HTTP/1.1 +200 OK\r\n",
+           "HTTP/1.1 -7 Neg\r\n", "HTTP/1.1 \t42 Tab\r\n", "HTTP/1.1 99999999999 Big\r\n\r\n",
+           "HTTP/1.1 -99999999999 Small\r\n\r\n", "HTTP/1.1 4294967297 Wrap\r\n\r\n",
+           "HTTP/1.1 20x0 Mixed\r\n\r\n", "HTTP/1.1 x OK\r\n\r\n", "HTTP/2 418 I'm a teapot\r\n",
+           "HTTP/1.1 200 OK\r\nA: b\r\nNoColon\r\n : v \r\n\r\nbody\r\n", "HTTP/1.1 200 OK\r\nA: b",
+           "HTTP/1.1 200 OK\r\nA: b\r\n", "HTTP/1.1 200 OK\r\n\r\n", "HTTP/1.1 200 OK\n\nbody",
+           "HTTP/1.1 200 OK\rX\r\n\r\n", "http/1.1 200 OK\r\n\r\n", " HTTP/1.1 200 OK\r\n\r\n",
+           "HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\n\r\n\r\nabc"}) {
+    base.emplace_back(edge);
+  }
+  std::vector<std::string> corpus = base;
+  Rng rng(0x4e5b);
+  const std::string inserts[] = {"\r", "\n", "\r\n", " ", "0", "9", ":"};
+  for (const std::string& s : base) {
+    for (int k = 0; k < 12; ++k) {
+      std::string m = s;
+      switch (rng.uniform(4)) {
+        case 0:
+          m.resize(rng.uniform(m.size() + 1));
+          break;
+        case 1:
+          m.insert(rng.uniform(m.size() + 1), inserts[rng.uniform(std::size(inserts))]);
+          break;
+        case 2:
+          if (!m.empty()) m.erase(rng.uniform(m.size()), 1);
+          break;
+        default:
+          if (!m.empty()) m[rng.uniform(m.size())] = static_cast<char>(rng.uniform(256));
+          break;
+      }
+      corpus.push_back(std::move(m));
+    }
+  }
+  return corpus;
+}
+
+}  // namespace
+
+TEST(EndpointHost, ReplyBytesPinned) {
+  for (const ReplyPath& p : reply_paths()) {
+    const AppReply reply = make_host(p.profile).handle_payload(to_bytes(p.request));
+    ASSERT_EQ(reply.kind, AppReply::Kind::kData) << p.name;
+    const std::string expected =
+        net::HttpResponse::make(p.status, net::http_reason(p.status), p.body).serialize();
+    EXPECT_EQ(to_string(reply.data), expected) << p.name;
+  }
+}
+
+TEST(HttpResponse, ParseCorpus) {
+  FingerprintBuilder fp;
+  std::size_t parsed = 0;
+  const std::vector<std::string> corpus = response_corpus();
+  for (const std::string& raw : corpus) {
+    const std::optional<net::HttpResponse> resp = net::HttpResponse::parse(raw);
+    fp.mix(resp.has_value());
+    if (!resp) continue;
+    ++parsed;
+    fp.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(resp->status)));
+    fp.mix(resp->reason);
+    fp.mix(static_cast<std::uint64_t>(resp->headers.size()));
+    for (const auto& [name, value] : resp->headers) fp.mix(name).mix(value);
+    fp.mix(resp->body);
+  }
+  EXPECT_GT(parsed, corpus.size() / 2);
+  EXPECT_LT(parsed, corpus.size());
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(fp.digest()));
+  EXPECT_EQ(fp.digest(), 0xd7d71047de3a55fcULL) << "parse() corpus digest is now " << hex;
 }

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "cenfuzz/cenfuzz.hpp"
 #include "core/fingerprint.hpp"
 #include "core/json.hpp"
 #include "core/thread_pool.hpp"
@@ -496,5 +497,50 @@ TEST(PinnedDigests, TopologyFingerprints) {
       {"silent", 0x0b110a4ad6f6d721ULL, topology_fp(make_silent())},
       {"variance", 0x6e6aca2fce99ad64ULL, topology_fp(make_variance_world())},
       {"ambig", 0x9dd6d2c5ac10af0aULL, topology_fp(make_ambig())},
+  });
+}
+
+// CenFuzz reports for every blocked endpoint of the four small countries,
+// on a clean network and under a lossy fault plan. The campaign and the
+// pipeline reach fuzz::run through the executor; this pins the tool's own
+// output.
+TEST(PinnedDigests, FuzzReports) {
+  auto fuzz_digest = [](Country country, bool lossy) {
+    CountryScenario s = make_country(country, Scale::kSmall);
+    fuzz::CenFuzzOptions options;
+    if (lossy) {
+      sim::FaultPlan plan;
+      plan.transient_loss = 0.05;
+      plan.default_link.duplicate = 0.02;
+      s.network->set_fault_plan(plan);
+      options.baseline_attempts = 3;
+    }
+    FingerprintBuilder fp;
+    std::size_t blocked = 0;
+    for (std::size_t i = 0; i < s.remote_endpoints.size(); ++i) {
+      fuzz::FuzzRunOptions ropts;
+      ropts.client = s.remote_client;
+      ropts.endpoint = s.remote_endpoints[i];
+      ropts.test_domain = s.http_test_domains[i % s.http_test_domains.size()];
+      ropts.control_domain = s.control_domain;
+      ropts.fuzz = options;
+      ropts.common.seed = 0xf022 + i;
+      const fuzz::CenFuzzReport r = fuzz::run(*s.network, ropts);
+      if (!r.http_baseline_blocked && !r.tls_baseline_blocked) continue;
+      ++blocked;
+      fp.mix(report::to_json(r));
+    }
+    EXPECT_GT(blocked, 0u) << country_code(country);
+    return fp.mix(static_cast<std::uint64_t>(blocked)).digest();
+  };
+  expect_pins({
+      {"AZ", 0xdc148cd78aa5f1d3ULL, fuzz_digest(Country::kAZ, false)},
+      {"BY", 0x7643e38fc7512ee4ULL, fuzz_digest(Country::kBY, false)},
+      {"KZ", 0x9df5525a5d25523dULL, fuzz_digest(Country::kKZ, false)},
+      {"RU", 0xab31a8e663d4129cULL, fuzz_digest(Country::kRU, false)},
+      {"AZ lossy", 0xd522105cce105f05ULL, fuzz_digest(Country::kAZ, true)},
+      {"BY lossy", 0x5daa2320e0073b6fULL, fuzz_digest(Country::kBY, true)},
+      {"KZ lossy", 0xe344b4921cec9fb0ULL, fuzz_digest(Country::kKZ, true)},
+      {"RU lossy", 0xb2b4c61fbda525a2ULL, fuzz_digest(Country::kRU, true)},
   });
 }

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "censor/rules.hpp"
+#include "core/rng.hpp"
+#include "core/strings.hpp"
 
 using namespace cen::censor;
 
@@ -114,3 +121,83 @@ INSTANTIATE_TEST_SUITE_P(
         MutationCase{"moc.elpmaxe.www", false, false, false},     // reversed
         MutationCase{"www.example.comwww.example.com", false, true, true},  // doubled
         MutationCase{"", false, false, false}));                  // empty
+
+// ------------------------------------------------ copy-and-lower reference
+//
+// rule_matches as it was written before it compared in place: copy both
+// names, lowercase the copies through the C library when matching is
+// case-insensitive, then compare. Kept as the reference for every style,
+// both case policies, and hostnames that are empty, shorter than the
+// rule, or carry bytes >= 0x80.
+
+namespace {
+
+std::string reference_lower(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return out;
+}
+
+bool reference_rule_matches(const DomainRule& rule, std::string_view hostname,
+                            bool case_insensitive) {
+  std::string h(hostname);
+  std::string d = rule.domain;
+  if (case_insensitive) {
+    h = reference_lower(h);
+    d = reference_lower(d);
+  }
+  switch (rule.style) {
+    case MatchStyle::kExact:
+      return h == d;
+    case MatchStyle::kSuffix:
+      return h == d || cen::ends_with(h, d);
+    case MatchStyle::kPrefix:
+      return cen::starts_with(h, d);
+    case MatchStyle::kContains:
+      return h.find(d) != std::string::npos;
+  }
+  return false;
+}
+
+}  // namespace
+
+TEST(Rules, MatchesCopyLowerReference) {
+  const std::vector<std::string> domains = {
+      "example.com", "Example.COM", "", "e", "EX", "\xc3\x89xample.com", "EXAMPLE.com\xff",
+      "xn--bcher-kva.example", "a.b"};
+  std::vector<std::string> hosts = {
+      "", "e", "E", "ex", "example.com", "EXAMPLE.COM", "www.example.com", "wWw.ExAmPlE.cOm",
+      "example.com.evil.net", "xexample.comx", "examplE.co", "\xc3\x89xample.com",
+      "\xc3\xa9xample.com", "www.\xc3\x89XAMPLE.COM", "EXAMPLE.com\xff", "example.com\xdf",
+      "\xff\xfe", "XN--BCHER-KVA.EXAMPLE", "a.b", "A.B.", ".a.b"};
+  // Seeded hostnames over an alphabet mixing both cases, dots and high bytes.
+  const std::string alphabet = "aAeExXmMpPlLcCoO.\xc3\x89\xe9\xff-";
+  cen::Rng rng(0x7e1e);
+  for (int i = 0; i < 400; ++i) {
+    std::string h;
+    const std::size_t len = rng.uniform(14);
+    for (std::size_t k = 0; k < len; ++k) h += alphabet[rng.uniform(alphabet.size())];
+    if (rng.chance(0.5)) h += domains[rng.uniform(domains.size())];
+    hosts.push_back(std::move(h));
+  }
+  std::size_t matched = 0;
+  std::size_t checked = 0;
+  for (const std::string& domain : domains) {
+    for (MatchStyle style :
+         {MatchStyle::kExact, MatchStyle::kSuffix, MatchStyle::kPrefix, MatchStyle::kContains}) {
+      const DomainRule rule{domain, style};
+      for (bool ci : {true, false}) {
+        for (const std::string& h : hosts) {
+          const bool expected = reference_rule_matches(rule, h, ci);
+          EXPECT_EQ(expected, rule_matches(rule, h, ci))
+              << match_style_name(style) << " rule " << testing::PrintToString(domain)
+              << " host " << testing::PrintToString(h) << " ci " << ci;
+          matched += expected;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(matched, checked / 20);
+  EXPECT_LT(matched, checked / 2);
+}
