@@ -208,6 +208,32 @@ std::optional<std::vector<Report>> run_stage(
   return reports;
 }
 
+/// The fuzz stage's probe tables, one per distinct domain. The first task
+/// that needs a table builds it, so a stage whose tasks are all cached
+/// builds none; after that every worker of the dispatch reads it shared.
+class ProbeTables {
+ public:
+  explicit ProbeTables(const std::vector<std::string>& domains) {
+    for (const std::string& d : domains) slots_.try_emplace(d);
+  }
+
+  /// The table of `domain`, one of the constructor's domains.
+  std::shared_ptr<const fuzz::ProbeSet> get(const std::string& domain) {
+    Slot& slot = slots_.at(domain);
+    std::call_once(slot.built, [&] {
+      slot.set = std::make_shared<const fuzz::ProbeSet>(fuzz::ProbeSet::build(domain));
+    });
+    return slot.set;
+  }
+
+ private:
+  struct Slot {
+    std::once_flag built;
+    std::shared_ptr<const fuzz::ProbeSet> set;
+  };
+  std::map<std::string, Slot> slots_;  // fixed before any worker reads it
+};
+
 std::vector<std::string> sampled(const std::vector<std::string>& all, int cap) {
   std::vector<std::string> out;
   for (std::size_t idx : scenario::stride_sample_indices(all.size(), cap)) {
@@ -440,7 +466,8 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     }
 
     // ---- Stage 3: CenFuzz blocked endpoints (first blocked trace per
-    // endpoint is the representative, as in the pipeline). ----
+    // endpoint is the representative, as in the pipeline). Every task
+    // shares the stage's probe tables. ----
     std::map<std::uint32_t, const trace::CenTraceReport*> blocked_by_endpoint;
     for (std::size_t i = 0; i < traces.size(); ++i) {
       if (traces[i].blocked) {
@@ -466,6 +493,11 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
             net_fp, spec.seed, fault_fp, "fuzz", fuzz_stage.ids.back(), spec.fuzz.fingerprint()));
       }
     }
+    std::vector<std::string> fuzz_domains{site.control_domain};
+    for (std::uint32_t ep : fuzz_targets) {
+      fuzz_domains.push_back(blocked_by_endpoint.at(ep)->test_domain);
+    }
+    ProbeTables probe_tables(fuzz_domains);
     std::optional<std::vector<fuzz::CenFuzzReport>> fuzzed = run_stage(
         ctx, result.fuzz, "fuzz", fuzz_stage, salts::kFuzzStage,
         report::fuzz_report_from_json, [&](sim::Network& worker, std::size_t i) {
@@ -476,6 +508,8 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
           ropts.test_domain = rep->test_domain;
           ropts.control_domain = site.control_domain;
           ropts.fuzz = spec.fuzz;
+          ropts.test_probes = probe_tables.get(rep->test_domain);
+          ropts.control_probes = probe_tables.get(site.control_domain);
           return report::to_json(fuzz::run(worker, ropts));
         });
     if (!fuzzed) return result;

@@ -232,8 +232,7 @@ ProbeOutcome CenAmbig::issue(net::Ipv4Address endpoint, bool https,
       } else if (tcp->packet.tcp.has(net::TcpFlags::kFin)) {
         o = ProbeOutcome::kFin;
       } else if (!tcp->packet.payload.empty()) {
-        std::string raw = to_string(tcp->packet.payload);
-        if (auto resp = net::HttpResponse::parse(raw);
+        if (auto resp = net::HttpResponse::view(as_text(tcp->packet.payload));
             resp && censor::match_blockpage(resp->body)) {
           o = ProbeOutcome::kBlockpage;
         }

@@ -1,6 +1,9 @@
 #include "cenfuzz/cenfuzz.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
+#include <string_view>
 
 #include "censor/vendors.hpp"
 #include "core/fingerprint.hpp"
@@ -39,6 +42,59 @@ bool request_blocked(RequestResult r) {
 CenFuzz::CenFuzz(sim::Network& network, sim::NodeId client, CenFuzzOptions options)
     : network_(network), client_(client), options_(options) {}
 
+namespace {
+
+/// What a Test request fetched, as the circumvention check reads it.
+std::string describe_reply(BytesView payload, const std::optional<net::HttpResponseView>& http) {
+  if (http) return "HTTP:" + std::to_string(http->status) + ":" + std::string(http->body);
+  if (payload.empty()) return {};
+  if (auto sh = net::ServerHello::parse(payload)) return "TLSCERT:" + sh->certificate_domain;
+  if (net::TlsAlert::parse(payload)) return "TLSALERT";
+  return {};
+}
+
+/// Registrable part of a domain (its last two labels): content served for
+/// a sibling subdomain still counts as the intended resource (§6.3's
+/// wiki.dailymotion.com circumvention example).
+std::string_view registrable_part(std::string_view domain) {
+  const std::size_t last = domain.rfind('.');
+  if (last == std::string_view::npos || last == 0) return domain;
+  const std::size_t prev = domain.rfind('.', last - 1);
+  return prev == std::string_view::npos ? domain : domain.substr(prev + 1);
+}
+
+/// `name` is a subdomain of `parent` ("a.b.c" of "b.c").
+bool is_subdomain_of(std::string_view name, std::string_view parent) {
+  return name.size() > parent.size() && name[name.size() - parent.size() - 1] == '.' &&
+         ends_with(name, parent);
+}
+
+/// Did the successful Test request fetch the intended resource? `body` is
+/// its issue() description.
+bool fetched_legit_content(std::string_view body, std::string_view test_domain,
+                           std::string_view registrable, bool https) {
+  if (https) {
+    if (!starts_with(body, "TLSCERT:")) return false;
+    const std::string_view cert = body.substr(8);
+    return cert == registrable || is_subdomain_of(cert, registrable) ||
+           is_subdomain_of(registrable, cert) || cert == test_domain;
+  }
+  if (!starts_with(body, "HTTP:200:")) return false;
+  return body.find("legitimate content for") != std::string_view::npos &&
+         body.find(registrable) != std::string_view::npos;
+}
+
+/// One protocol's permutation table: the caller's shared one, or one
+/// built into `own` for this run.
+const std::vector<FuzzProbe>& probe_table(const ProbeSet* set, const std::string& domain,
+                                          bool https, std::vector<FuzzProbe>& own) {
+  if (set != nullptr) return https ? set->tls : set->http;
+  own = https ? tls_probes(domain) : http_probes(domain);
+  return own;
+}
+
+}  // namespace
+
 RequestResult CenFuzz::issue(net::Ipv4Address endpoint, const FuzzProbe& probe,
                              std::string* response_body) {
   const std::uint16_t port = probe.https ? 443 : 80;
@@ -63,30 +119,23 @@ RequestResult CenFuzz::issue(net::Ipv4Address endpoint, const FuzzProbe& probe,
     for (const sim::Event& ev : events) {
       const auto* tcp = std::get_if<sim::TcpEvent>(&ev);
       if (tcp == nullptr) continue;
+      const BytesView payload = tcp->packet.payload;
       RequestResult r = RequestResult::kOk;
-      std::string body;
+      std::optional<net::HttpResponseView> http;
       if (tcp->packet.tcp.has(net::TcpFlags::kRst)) {
         r = RequestResult::kRst;
       } else if (tcp->packet.tcp.has(net::TcpFlags::kFin)) {
         r = RequestResult::kFin;
-      } else if (!tcp->packet.payload.empty()) {
-        std::string raw = to_string(tcp->packet.payload);
-        if (auto resp = net::HttpResponse::parse(raw)) {
-          if (censor::match_blockpage(resp->body)) {
-            r = RequestResult::kBlockpage;
-          } else {
-            body = "HTTP:" + std::to_string(resp->status) + ":" + resp->body;
-          }
-        } else if (auto sh = net::ServerHello::parse(tcp->packet.payload)) {
-          body = "TLSCERT:" + sh->certificate_domain;
-        } else if (net::TlsAlert::parse(tcp->packet.payload)) {
-          body = "TLSALERT";
-        }
+      } else if (!payload.empty()) {
+        http = net::HttpResponse::view(as_text(payload));
+        if (http && censor::match_blockpage(http->body)) r = RequestResult::kBlockpage;
       }
       if (rank(r) > best_rank) {
         best_rank = rank(r);
         result = r;
-        if (response_body != nullptr && r == RequestResult::kOk) *response_body = body;
+        if (response_body != nullptr && r == RequestResult::kOk) {
+          *response_body = describe_reply(payload, http);
+        }
       }
     }
     return result;
@@ -94,29 +143,14 @@ RequestResult CenFuzz::issue(net::Ipv4Address endpoint, const FuzzProbe& probe,
   return RequestResult::kDropTimeout;
 }
 
-bool CenFuzz::fetched_legit_content(const std::string& body, const std::string& test_domain,
-                                    bool https) const {
-  // Registrable part of the test domain (last two labels): content served
-  // for a sibling subdomain still counts as the intended resource (§6.3's
-  // wiki.dailymotion.com circumvention example).
-  std::vector<std::string> labels = split(test_domain, '.');
-  std::string registrable = test_domain;
-  if (labels.size() >= 2) {
-    registrable = labels[labels.size() - 2] + "." + labels.back();
-  }
-  if (https) {
-    if (!starts_with(body, "TLSCERT:")) return false;
-    std::string cert = body.substr(8);
-    return cert == registrable || ends_with(cert, "." + registrable) ||
-           ends_with(registrable, "." + cert) || cert == test_domain;
-  }
-  if (!starts_with(body, "HTTP:200:")) return false;
-  return body.find("legitimate content for") != std::string::npos &&
-         body.find(registrable) != std::string::npos;
-}
-
 CenFuzzReport CenFuzz::run(net::Ipv4Address endpoint, const std::string& test_domain,
-                           const std::string& control_domain) {
+                           const std::string& control_domain, const ProbeSet* test_probes,
+                           const ProbeSet* control_probes) {
+  if ((test_probes != nullptr && test_probes->domain != test_domain) ||
+      (control_probes != nullptr && control_probes->domain != control_domain)) {
+    throw std::invalid_argument("CenFuzz::run: probe table built for another domain");
+  }
+  const std::string_view registrable = registrable_part(test_domain);
   CenFuzzReport report;
   report.endpoint = endpoint;
   report.test_domain = test_domain;
@@ -191,10 +225,11 @@ CenFuzzReport CenFuzz::run(net::Ipv4Address endpoint, const std::string& test_do
 
     if (!baseline_blocked) return;  // nothing to fuzz on this protocol
 
-    std::vector<FuzzProbe> test_set =
-        https ? tls_probes(test_domain) : http_probes(test_domain);
-    std::vector<FuzzProbe> control_set =
-        https ? tls_probes(control_domain) : http_probes(control_domain);
+    std::vector<FuzzProbe> own_test;
+    std::vector<FuzzProbe> own_control;
+    const std::vector<FuzzProbe>& test_set = probe_table(test_probes, test_domain, https, own_test);
+    const std::vector<FuzzProbe>& control_set =
+        probe_table(control_probes, control_domain, https, own_control);
 
     for (std::size_t i = 0; i < test_set.size(); ++i) {
       FuzzMeasurement m;
@@ -216,7 +251,7 @@ CenFuzzReport CenFuzz::run(net::Ipv4Address endpoint, const std::string& test_do
         if (o != nullptr) o->tools().fuzz_skipped->inc();
       } else if (!request_blocked(m.test_result)) {
         m.outcome = FuzzOutcome::kSuccessful;
-        m.circumvented = fetched_legit_content(test_body, test_domain, https);
+        m.circumvented = fetched_legit_content(test_body, test_domain, registrable, https);
       } else {
         m.outcome = FuzzOutcome::kNotSuccessful;
       }
@@ -237,7 +272,8 @@ CenFuzzReport run(sim::Network& network, const FuzzRunOptions& options,
   CenFuzzOptions fuzz = options.fuzz;
   fuzz.apply(options.common);
   CenFuzz tool(network, options.client, fuzz);
-  return tool.run(options.endpoint, options.test_domain, options.control_domain);
+  return tool.run(options.endpoint, options.test_domain, options.control_domain,
+                  options.test_probes.get(), options.control_probes.get());
 }
 
 }  // namespace cen::fuzz

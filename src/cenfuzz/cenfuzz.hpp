@@ -15,8 +15,16 @@
 //
 // Blocking is judged conservatively exactly as in §4.1: repeated packet
 // drops, connection resets, or a known blockpage.
+//
+// Every device gets the same permutation tables (Table 2), so a caller
+// that fuzzes many endpoints builds one ProbeSet per domain and passes it
+// to each run (FuzzRunOptions::test_probes / control_probes); without
+// one, a run builds its own. A request costs its packet walk: replies are
+// classified in place (HttpResponse::view), and only Test requests, whose
+// content decides circumvention, describe their reply as a string.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -95,18 +103,20 @@ class CenFuzz {
  public:
   CenFuzz(sim::Network& network, sim::NodeId client, CenFuzzOptions options = {});
 
-  /// Fuzz every strategy against one (endpoint, test domain) pair.
+  /// Fuzz every strategy against one (endpoint, test domain) pair. The
+  /// probe tables of either domain may be passed in (built for that
+  /// domain); a null one is built for this run.
   CenFuzzReport run(net::Ipv4Address endpoint, const std::string& test_domain,
-                    const std::string& control_domain);
+                    const std::string& control_domain, const ProbeSet* test_probes = nullptr,
+                    const ProbeSet* control_probes = nullptr);
 
   /// Issue one request and classify its termination (exposed for tests).
+  /// When `response_body` is given, an application reply is described
+  /// there ("HTTP:<status>:<body>", "TLSCERT:<domain>" or "TLSALERT").
   RequestResult issue(net::Ipv4Address endpoint, const FuzzProbe& probe,
                       std::string* response_body = nullptr);
 
  private:
-  bool fetched_legit_content(const std::string& body, const std::string& test_domain,
-                             bool https) const;
-
   sim::Network& network_;
   sim::NodeId client_;
   CenFuzzOptions options_;
@@ -121,11 +131,16 @@ struct FuzzRunOptions {
   CenFuzzOptions fuzz;
   /// Shared run fields, applied by run() on top of `fuzz`.
   tool::CommonRunOptions common;
+  /// Probe tables for test_domain and control_domain, shared read-only
+  /// between runs (ProbeSet::build). Null = build them for this run.
+  std::shared_ptr<const ProbeSet> test_probes;
+  std::shared_ptr<const ProbeSet> control_probes;
 };
 
 /// Unified entry point (same shape as trace::run / probe::run): run one
 /// fuzzing campaign on `network`, attaching `observer` for its duration
-/// (the previous observer is restored on return, exception-safe).
+/// (the previous observer is restored on return, exception-safe). Throws
+/// std::invalid_argument if a probe table was built for another domain.
 CenFuzzReport run(sim::Network& network, const FuzzRunOptions& options,
                   obs::Observer* observer = nullptr);
 

@@ -518,6 +518,10 @@ std::vector<FuzzProbe> tls_probes(const std::string& domain) {
   return out;
 }
 
+ProbeSet ProbeSet::build(const std::string& domain) {
+  return {domain, http_probes(domain), tls_probes(domain)};
+}
+
 FuzzProbe normal_http_probe(const std::string& domain) {
   return http_probe("Normal", "GET", net::HttpRequest::get(domain));
 }

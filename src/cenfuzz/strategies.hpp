@@ -43,6 +43,16 @@ const std::vector<StrategyInfo>& strategy_catalogue();
 std::vector<FuzzProbe> http_probes(const std::string& domain);
 /// Expand every TLS strategy for a domain (69 probes).
 std::vector<FuzzProbe> tls_probes(const std::string& domain);
+/// Every HTTP and TLS probe for one domain. A fuzz stage builds one per
+/// distinct domain and shares it read-only between its runs.
+struct ProbeSet {
+  std::string domain;
+  std::vector<FuzzProbe> http;  // http_probes(domain)
+  std::vector<FuzzProbe> tls;   // tls_probes(domain)
+
+  static ProbeSet build(const std::string& domain);
+};
+
 /// Expand one named strategy only.
 std::vector<FuzzProbe> probes_for_strategy(const std::string& name, const std::string& domain);
 

@@ -35,8 +35,8 @@ bool Device::payload_triggers_uncached(BytesView payload) const {
       return false;
     }
   }
-  std::optional<HttpDpiResult> http =
-      dpi_parse_http(to_string(payload), config_->http_quirks);
+  const std::optional<HttpDpiResult> http =
+      dpi_parse_http(as_text(payload), config_->http_quirks);
   if (!http) return false;
   const DomainRule* rule = config_->http_rules.first_match(http->host);
   if (rule == nullptr) return false;
@@ -92,7 +92,7 @@ bool Device::message_complete(BytesView data) {
   // Plaintext/HTTP: the blank line ends the header block. Every payload the
   // request serializer emits carries one, so unsegmented traffic always
   // classifies inline (the historical behaviour).
-  std::string_view s(reinterpret_cast<const char*>(data.data()), data.size());
+  const std::string_view s = as_text(data);
   return s.find("\r\n\r\n") != std::string_view::npos ||
          s.find("\n\n") != std::string_view::npos;
 }

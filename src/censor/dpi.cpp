@@ -9,24 +9,43 @@ namespace cen::censor {
 
 namespace {
 
-/// Split into lines under the device's delimiter discipline. Strict (CRLF)
-/// parsers recognise only "\r\n"; tolerant ones accept "\n" and trim "\r".
-std::vector<std::string> dpi_lines(std::string_view raw, bool requires_crlf) {
-  std::vector<std::string> lines;
-  if (requires_crlf) {
-    for (std::string& piece : split(raw, std::string_view("\r\n"))) {
-      lines.push_back(std::move(piece));
-    }
-    // If no CRLF is present at all, the strict tokenizer yields a single
-    // segment (the whole buffer) — the caller treats that as disengaged.
-  } else {
-    for (std::string& piece : split(raw, '\n')) {
-      if (!piece.empty() && piece.back() == '\r') piece.pop_back();
-      lines.push_back(std::move(piece));
-    }
+/// Strict (CRLF) tokenizers split on "\r\n" only, so a CR or LF that is not
+/// part of a "\r\n" pair ends up inside a line. True if `raw` has one.
+bool has_bare_cr_or_lf(std::string_view raw) {
+  for (std::size_t i = raw.find_first_of("\r\n"); i != std::string_view::npos;
+       i = raw.find_first_of("\r\n", i + 1)) {
+    if (raw[i] == '\n' || i + 1 == raw.size() || raw[i + 1] != '\n') return true;
+    ++i;  // the pair's LF
   }
-  return lines;
+  return false;
 }
+
+/// Walks the payload line by line under the device's delimiter discipline.
+/// Strict (CRLF) parsers recognise only "\r\n"; tolerant ones split on
+/// "\n" and drop one trailing "\r" from each line. Like a split that keeps
+/// empty fields, n delimiters give n + 1 lines, the last one possibly empty.
+class LineWalker {
+ public:
+  LineWalker(std::string_view raw, bool requires_crlf)
+      : raw_(raw), delim_(requires_crlf ? "\r\n" : "\n"), tolerant_(!requires_crlf) {}
+
+  /// The next line, or nullopt after the last one.
+  std::optional<std::string_view> next() {
+    if (pos_ > raw_.size()) return std::nullopt;
+    std::size_t end = raw_.find(delim_, pos_);
+    if (end == std::string_view::npos) end = raw_.size();
+    std::string_view line = raw_.substr(pos_, end - pos_);
+    pos_ = end + delim_.size();
+    if (tolerant_ && !line.empty() && line.back() == '\r') line.remove_suffix(1);
+    return line;
+  }
+
+ private:
+  std::string_view raw_;
+  std::string_view delim_;
+  bool tolerant_;
+  std::size_t pos_ = 0;
+};
 
 bool method_engages(std::string_view method, const HttpQuirks& q) {
   if (q.method_allowlist.empty()) return !method.empty();
@@ -59,7 +78,7 @@ bool host_word_engages(std::string_view name, const HttpQuirks& q) {
     case HostWordCheck::kExactCaseSensitive:
       return name == "Host";
     case HostWordCheck::kContainsHost:
-      return ascii_lower(name).find("host") != std::string::npos;
+      return icontains(name, "host");
   }
   return false;
 }
@@ -67,43 +86,34 @@ bool host_word_engages(std::string_view name, const HttpQuirks& q) {
 }  // namespace
 
 std::optional<HttpDpiResult> dpi_parse_http(std::string_view raw, const HttpQuirks& q) {
-  std::vector<std::string> lines = dpi_lines(raw, q.requires_crlf);
-  if (lines.size() < 2) return std::nullopt;  // no recognised line delimiter
-  // Under strict CRLF parsing, embedded bare CR/LF inside a "line" means
-  // the sender violated the discipline; the DPI's tokenizer then sees a
-  // garbled request line and disengages.
-  if (q.requires_crlf) {
-    for (const std::string& line : lines) {
-      if (line.find('\n') != std::string::npos || line.find('\r') != std::string::npos) {
-        return std::nullopt;
-      }
-    }
-  }
+  // Fewer than two lines: no recognised line delimiter.
+  if (raw.find(q.requires_crlf ? "\r\n" : "\n") == std::string_view::npos) return std::nullopt;
+  // Under strict CRLF parsing, embedded bare CR/LF inside a "line" (body
+  // included) means the sender violated the discipline; the DPI's
+  // tokenizer then sees a garbled request line and disengages.
+  if (q.requires_crlf && has_bare_cr_or_lf(raw)) return std::nullopt;
+  LineWalker lines(raw, q.requires_crlf);
 
   // Request line: METHOD SP PATH SP VERSION.
-  const std::string& request_line = lines[0];
+  const std::string_view request_line = *lines.next();
   std::size_t sp1 = request_line.find(' ');
-  if (sp1 == std::string::npos) return std::nullopt;
+  if (sp1 == std::string_view::npos) return std::nullopt;
   std::size_t sp2 = request_line.find(' ', sp1 + 1);
-  if (sp2 == std::string::npos) return std::nullopt;
-  std::string_view method = std::string_view(request_line).substr(0, sp1);
-  std::string_view path = std::string_view(request_line).substr(sp1 + 1, sp2 - sp1 - 1);
-  std::string_view version = trim(std::string_view(request_line).substr(sp2 + 1));
+  if (sp2 == std::string_view::npos) return std::nullopt;
+  std::string_view method = request_line.substr(0, sp1);
+  std::string_view path = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
+  std::string_view version = trim(request_line.substr(sp2 + 1));
   if (!method_engages(method, q)) return std::nullopt;
   if (!version_engages(version, q)) return std::nullopt;
 
   // Header scan for the Host keyword.
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    if (line.empty()) break;  // end of header block
-    std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    std::string_view name = trim(std::string_view(line).substr(0, colon));
+  while (const std::optional<std::string_view> line = lines.next()) {
+    if (line->empty()) break;  // end of header block
+    std::size_t colon = line->find(':');
+    if (colon == std::string_view::npos) continue;
+    std::string_view name = trim(line->substr(0, colon));
     if (!host_word_engages(name, q)) continue;
-    HttpDpiResult result;
-    result.host = std::string(trim(std::string_view(line).substr(colon + 1)));
-    result.path = std::string(path);
-    return result;
+    return HttpDpiResult{trim(line->substr(colon + 1)), path};
   }
   return std::nullopt;  // no Host header the DPI recognises
 }

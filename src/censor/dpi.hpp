@@ -17,14 +17,16 @@
 
 namespace cen::censor {
 
+/// Host and path as the HTTP DPI extracted them: views into the parsed
+/// payload, valid as long as its bytes are.
 struct HttpDpiResult {
-  std::string host;
-  std::string path;
+  std::string_view host;
+  std::string_view path;
 };
 
 /// Extract (host, path) under the device's HTTP quirks, or nullopt if the
 /// parser disengages (bad method, bad version token, missing Host, CRLF
-/// violation...).
+/// violation...). Walks the payload in place and allocates nothing.
 std::optional<HttpDpiResult> dpi_parse_http(std::string_view raw, const HttpQuirks& q);
 
 /// Extract the SNI under the device's TLS quirks, or nullopt if the TLS

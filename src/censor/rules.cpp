@@ -15,22 +15,22 @@ std::string_view match_style_name(MatchStyle style) {
 }
 
 bool rule_matches(const DomainRule& rule, std::string_view hostname, bool case_insensitive) {
-  std::string h(hostname);
-  std::string d = rule.domain;
-  if (case_insensitive) {
-    h = ascii_lower(h);
-    d = ascii_lower(d);
-  }
+  // Compared in place: no copies, ASCII-only folding when case-insensitive.
+  const std::string_view h = hostname;
+  const std::string_view d = rule.domain;
+  auto same = [case_insensitive](std::string_view a, std::string_view b) {
+    return case_insensitive ? iequals(a, b) : a == b;
+  };
   switch (rule.style) {
     case MatchStyle::kExact:
-      return h == d;
+      return same(h, d);
     case MatchStyle::kSuffix:
       // "*.domain.tld" semantics: the bare domain or any name ending in it.
-      return h == d || ends_with(h, d);
+      return h.size() >= d.size() && same(h.substr(h.size() - d.size()), d);
     case MatchStyle::kPrefix:
-      return starts_with(h, d);
+      return h.size() >= d.size() && same(h.substr(0, d.size()), d);
     case MatchStyle::kContains:
-      return h.find(d) != std::string::npos;
+      return case_insensitive ? icontains(h, d) : h.find(d) != std::string_view::npos;
   }
   return false;
 }

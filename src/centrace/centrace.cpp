@@ -160,8 +160,7 @@ ProbeResponse classify_tcp(const net::Packet& pkt) {
         return ProbeResponse::kEndpointData;
       }
     }
-    std::string raw = to_string(pkt.payload);
-    if (auto resp = net::HttpResponse::parse(raw)) {
+    if (auto resp = net::HttpResponse::view(as_text(pkt.payload))) {
       if (censor::match_blockpage(resp->body)) return ProbeResponse::kBlockpage;
       return ProbeResponse::kEndpointData;
     }
@@ -685,7 +684,7 @@ void CenTrace::aggregate(CenTraceReport& report) const {
       if (h.ttl == terminating_ttl && h.tcp_packet) {
         report.injected_packet = h.tcp_packet;
         if (*maj_resp == ProbeResponse::kBlockpage) {
-          if (auto resp = net::HttpResponse::parse(to_string(h.tcp_packet->payload))) {
+          if (auto resp = net::HttpResponse::view(as_text(h.tcp_packet->payload))) {
             report.blockpage_vendor = censor::match_blockpage(resp->body);
           }
         }

@@ -40,7 +40,7 @@ EndToEndVerdict classify_events(const std::vector<sim::Event>& events) {
     if (pkt.tcp.has(net::TcpFlags::kRst) || pkt.tcp.has(net::TcpFlags::kFin)) {
       injected = true;
     } else if (!pkt.payload.empty()) {
-      auto resp = net::HttpResponse::parse(to_string(pkt.payload));
+      auto resp = net::HttpResponse::view(as_text(pkt.payload));
       if (resp && censor::match_blockpage(resp->body)) {
         injected = true;
       } else {

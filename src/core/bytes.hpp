@@ -90,5 +90,9 @@ Bytes from_hex(std::string_view hex);
 Bytes to_bytes(std::string_view s);
 /// Interpret bytes as a string (no validation).
 std::string to_string(BytesView data);
+/// The same bytes viewed as characters, without a copy.
+inline std::string_view as_text(BytesView data) {
+  return {reinterpret_cast<const char*>(data.data()), data.size()};
+}
 
 }  // namespace cen

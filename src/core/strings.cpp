@@ -1,34 +1,41 @@
 #include "core/strings.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <cstdio>
 
 namespace cen {
 
+namespace {
+char fold_lower(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c; }
+}  // namespace
+
 std::string ascii_lower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  for (char& c : out) c = fold_lower(c);
   return out;
 }
 
 std::string ascii_upper(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
+  for (char& c : out) {
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+  }
   return out;
 }
 
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (fold_lower(a[i]) != fold_lower(b[i])) return false;
   }
   return true;
+}
+
+bool icontains(std::string_view haystack, std::string_view needle) {
+  if (needle.size() > haystack.size()) return false;
+  for (std::size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
+    if (iequals(haystack.substr(i, needle.size()), needle)) return true;
+  }
+  return false;
 }
 
 std::string_view trim(std::string_view s) {

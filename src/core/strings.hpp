@@ -7,12 +7,17 @@
 
 namespace cen {
 
+// Case folding is ASCII only: A-Z and a-z map onto each other and every
+// other byte, 0x80-0xff included, is left alone, whatever the locale.
+
 /// ASCII lowercase copy.
 std::string ascii_lower(std::string_view s);
 /// ASCII uppercase copy.
 std::string ascii_upper(std::string_view s);
 /// Case-insensitive ASCII equality.
 bool iequals(std::string_view a, std::string_view b);
+/// Case-insensitive ASCII substring test (an empty needle is always found).
+bool icontains(std::string_view haystack, std::string_view needle);
 /// Trim ASCII whitespace (space, \t, \r, \n) from both ends.
 std::string_view trim(std::string_view s);
 /// Split on a delimiter; keeps empty fields.

@@ -82,7 +82,7 @@ double evaluate(sim::Network& network, sim::NodeId client, net::Ipv4Address endp
       return 0.0;  // injected teardown
     }
     if (tcp->packet.payload.empty()) continue;
-    auto resp = net::HttpResponse::parse(to_string(tcp->packet.payload));
+    auto resp = net::HttpResponse::view(as_text(tcp->packet.payload));
     if (!resp) continue;
     if (resp->body.find("Blocked") != std::string::npos) return 0.0;  // blockpage
     std::vector<std::string> labels = split(test_domain, '.');

@@ -1,6 +1,7 @@
 #include "net/http.hpp"
 
 #include <array>
+#include <cstdlib>
 
 #include "core/strings.hpp"
 
@@ -128,10 +129,10 @@ ParsedHttpRequest parse_http_request(std::string_view raw) {
   return out;
 }
 
-HttpResponse HttpResponse::make(int status, std::string reason, std::string body) {
+HttpResponse HttpResponse::make(int status, std::string_view reason, std::string body) {
   HttpResponse r;
   r.status = status;
-  r.reason = std::move(reason);
+  r.reason = std::string(reason);
   r.body = std::move(body);
   r.headers.emplace_back("Content-Type", "text/html");
   r.headers.emplace_back("Content-Length", std::to_string(r.body.size()));
@@ -151,37 +152,59 @@ std::string HttpResponse::serialize() const {
   return out;
 }
 
-std::optional<HttpResponse> HttpResponse::parse(std::string_view raw) {
+std::optional<HttpResponseView> HttpResponse::view(std::string_view raw) {
   if (!starts_with(raw, "HTTP/")) return std::nullopt;
   std::size_t eol = raw.find("\r\n");
   if (eol == std::string_view::npos) return std::nullopt;
-  std::string_view line = raw.substr(0, eol);
-  auto parts = split(line, ' ');
-  if (parts.size() < 2) return std::nullopt;
-  HttpResponse resp;
-  resp.status = std::atoi(parts[1].c_str());
-  if (parts.size() >= 3) {
-    std::vector<std::string> reason_parts(parts.begin() + 2, parts.end());
-    resp.reason = join(reason_parts, " ");
-  }
-  std::size_t pos = eol + 2;
+  // Status line: VERSION SP STATUS [SP REASON], the reason running to the
+  // end of the line spaces and all.
+  const std::string_view line = raw.substr(0, eol);
+  const std::size_t sp1 = line.find(' ');
+  if (sp1 == std::string_view::npos) return std::nullopt;
+  const std::size_t sp2 = line.find(' ', sp1 + 1);
+  HttpResponseView resp;
+  const std::string_view status = line.substr(
+      sp1 + 1, sp2 == std::string_view::npos ? std::string_view::npos : sp2 - sp1 - 1);
+  resp.status = std::atoi(std::string(status).c_str());  // fits the small-string buffer
+  if (sp2 != std::string_view::npos) resp.reason = line.substr(sp2 + 1);
+  // Header lines run to the blank line; an unterminated line is body.
+  const std::size_t headers_start = eol + 2;
+  std::size_t pos = headers_start;
+  std::size_t headers_end = pos;
   while (pos < raw.size()) {
     std::size_t next = raw.find("\r\n", pos);
     if (next == std::string_view::npos) break;
-    std::string_view hline = raw.substr(pos, next - pos);
+    const bool blank = next == pos;
     pos = next + 2;
-    if (hline.empty()) break;  // header/body separator
+    if (blank) break;  // header/body separator
+    headers_end = pos;
+  }
+  resp.headers = raw.substr(headers_start, headers_end - headers_start);
+  resp.body = raw.substr(pos);
+  return resp;
+}
+
+std::optional<HttpResponse> HttpResponse::parse(std::string_view raw) {
+  const std::optional<HttpResponseView> v = view(raw);
+  if (!v) return std::nullopt;
+  HttpResponse resp;
+  resp.status = v->status;
+  resp.reason = std::string(v->reason);
+  for (std::string_view block = v->headers; !block.empty();) {
+    const std::size_t eol = block.find("\r\n");
+    const std::string_view hline = block.substr(0, eol);
+    block.remove_prefix(eol + 2);
     std::size_t colon = hline.find(':');
     if (colon != std::string_view::npos) {
       resp.headers.emplace_back(std::string(trim(hline.substr(0, colon))),
                                 std::string(trim(hline.substr(colon + 1))));
     }
   }
-  resp.body = std::string(raw.substr(pos));
+  resp.body = std::string(v->body);
   return resp;
 }
 
-std::string http_reason(int status) {
+std::string_view http_reason(int status) {
   switch (status) {
     case 200: return "OK";
     case 301: return "Moved Permanently";

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,19 +61,31 @@ bool is_registered_http_method(std::string_view method);
 /// (tolerates bare-LF line endings, case-insensitive header names).
 ParsedHttpRequest parse_http_request(std::string_view raw);
 
+/// A response as views into its serialized bytes (HttpResponse::view).
+struct HttpResponseView {
+  int status = 200;
+  std::string_view reason = "OK";  // "OK" when the status line has no reason field
+  /// The header lines, each ending in "\r\n", without the blank line.
+  std::string_view headers;
+  std::string_view body;
+};
+
 struct HttpResponse {
   int status = 200;
   std::string reason = "OK";
   std::vector<std::pair<std::string, std::string>> headers;
   std::string body;
 
-  static HttpResponse make(int status, std::string reason, std::string body);
+  static HttpResponse make(int status, std::string_view reason, std::string body);
   std::string serialize() const;
+  /// Read a serialized response in place; nullopt if not an HTTP response.
+  /// The one response grammar: parse() is view() plus copies.
+  static std::optional<HttpResponseView> view(std::string_view raw);
   /// Parse a serialized response; returns nullopt if not an HTTP response.
   static std::optional<HttpResponse> parse(std::string_view raw);
 };
 
 /// Standard reason phrase for common status codes ("Not Found" for 404).
-std::string http_reason(int status);
+std::string_view http_reason(int status);
 
 }  // namespace cen::net

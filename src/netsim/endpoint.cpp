@@ -1,6 +1,7 @@
 #include "netsim/endpoint.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "censor/dpi.hpp"
 #include "core/rng.hpp"
@@ -11,8 +12,17 @@
 
 namespace cen::sim {
 
+namespace {
+// The legitimate-content page, around the domain it is served for.
+constexpr std::string_view kContentHead = "<html><body>legitimate content for ";
+constexpr std::string_view kContentTail = "</body></html>";
+}  // namespace
+
 std::string legitimate_content_for(std::string_view domain) {
-  return "<html><body>legitimate content for " + std::string(domain) + "</body></html>";
+  std::string out;
+  out.reserve(kContentHead.size() + domain.size() + kContentTail.size());
+  out.append(kContentHead).append(domain).append(kContentTail);
+  return out;
 }
 
 const std::shared_ptr<const EndpointProfile>& EndpointHost::empty_profile() {
@@ -22,11 +32,13 @@ const std::shared_ptr<const EndpointProfile>& EndpointHost::empty_profile() {
 }
 
 bool EndpointHost::hosts(std::string_view host) const {
-  std::string h = ascii_lower(host);
   for (const std::string& d : profile_->hosted_domains) {
-    std::string dom = ascii_lower(d);
-    if (h == dom) return true;
-    if (profile_->serves_subdomains && ends_with(h, "." + dom)) return true;
+    if (iequals(host, d)) return true;
+    if (profile_->serves_subdomains && host.size() > d.size() &&
+        host[host.size() - d.size() - 1] == '.' &&
+        iequals(host.substr(host.size() - d.size()), d)) {
+      return true;
+    }
   }
   return false;
 }
@@ -40,27 +52,47 @@ LocalFilterAction EndpointHost::local_filter_verdict(BytesView payload) const {
     censor::TlsQuirks lenient;
     name = censor::dpi_parse_sni(payload, lenient);
   } else {
-    net::ParsedHttpRequest req = net::parse_http_request(to_string(payload));
+    net::ParsedHttpRequest req = net::parse_http_request(as_text(payload));
     if (req.host) name = req.host;
   }
   if (name && profile_->local_filter_rules.matches(*name)) return profile_->local_filter;
   return LocalFilterAction::kNone;
 }
 
+namespace {
+
+/// An HTTP reply written straight into the reply bytes: exactly what
+/// HttpResponse::make(status, http_reason(status), body).serialize()
+/// gives, with the body passed in pieces.
+AppReply http_reply(int status, std::initializer_list<std::string_view> body) {
+  std::size_t body_size = 0;
+  for (std::string_view piece : body) body_size += piece.size();
+  const std::string status_text = std::to_string(status);  // short: no allocation
+  const std::string length_text = std::to_string(body_size);
+  const std::string_view head[] = {"HTTP/1.1 ", status_text, " ", net::http_reason(status),
+                                   "\r\nContent-Type: text/html\r\nContent-Length: ",
+                                   length_text, "\r\n\r\n"};
+  std::size_t size = body_size;
+  for (std::string_view piece : head) size += piece.size();
+
+  AppReply r;
+  r.kind = AppReply::Kind::kData;
+  r.data.reserve(size);
+  for (std::string_view piece : head) r.data.insert(r.data.end(), piece.begin(), piece.end());
+  for (std::string_view piece : body) r.data.insert(r.data.end(), piece.begin(), piece.end());
+  return r;
+}
+
+}  // namespace
+
 AppReply EndpointHost::handle_payload(BytesView payload) const {
   if (payload.empty()) return {};
-  if (profile_->static_payload) {
-    AppReply r;
-    r.kind = AppReply::Kind::kData;
-    r.data = to_bytes(
-        net::HttpResponse::make(200, "OK", *profile_->static_payload).serialize());
-    return r;
-  }
+  if (profile_->static_payload) return http_reply(200, {*profile_->static_payload});
   if (censor::looks_like_tls(payload)) return handle_tls(payload);
   if (profile_->is_dns_resolver && net::looks_like_tcp_dns(payload)) {
     return handle_dns(payload);
   }
-  return handle_http(to_string(payload));
+  return handle_http(as_text(payload));
 }
 
 AppReply EndpointHost::handle_udp_payload(BytesView payload, std::uint16_t dst_port) const {
@@ -112,42 +144,35 @@ AppReply EndpointHost::handle_dns(BytesView raw) const {
   return r;
 }
 
-namespace {
-AppReply http_reply(int status, const std::string& body) {
-  AppReply r;
-  r.kind = AppReply::Kind::kData;
-  r.data = to_bytes(net::HttpResponse::make(status, net::http_reason(status), body).serialize());
-  return r;
-}
-}  // namespace
-
 AppReply EndpointHost::handle_http(std::string_view raw) const {
   net::ParsedHttpRequest req = net::parse_http_request(raw);
-  if (!req.parse_ok) return http_reply(400, "<html>Bad Request</html>");
+  if (!req.parse_ok) return http_reply(400, {"<html>Bad Request</html>"});
   if (profile_->strict_http) {
-    if (!req.line_delims_valid) return http_reply(400, "<html>Bad Request</html>");
-    if (!req.method_valid) return http_reply(501, "<html>Not Implemented</html>");
-    if (!req.version_valid) return http_reply(505, "<html>HTTP Version Not Supported</html>");
+    if (!req.line_delims_valid) return http_reply(400, {"<html>Bad Request</html>"});
+    if (!req.method_valid) return http_reply(501, {"<html>Not Implemented</html>"});
+    if (!req.version_valid) return http_reply(505, {"<html>HTTP Version Not Supported</html>"});
   } else {
     // Even lenient servers need a plausible method token.
-    if (req.method.empty()) return http_reply(400, "<html>Bad Request</html>");
+    if (req.method.empty()) return http_reply(400, {"<html>Bad Request</html>"});
   }
   if (!req.host) {
     // HTTP/1.1 requires Host; lenient servers fall back to the default vhost.
-    if (profile_->strict_http) return http_reply(400, "<html>Bad Request: missing Host</html>");
-    return http_reply(200, legitimate_content_for(profile_->hosted_domains.front()));
+    if (profile_->strict_http) {
+      return http_reply(400, {"<html>Bad Request: missing Host</html>"});
+    }
+    return http_reply(200, {kContentHead, profile_->hosted_domains.front(), kContentTail});
   }
   if (hosts(*req.host)) {
     // A non-root path still serves content (distinct page, same marker).
-    return http_reply(200, legitimate_content_for(*req.host));
+    return http_reply(200, {kContentHead, *req.host, kContentTail});
   }
-  if (profile_->reject_unknown_host) return http_reply(403, "<html>Forbidden</html>");
+  if (profile_->reject_unknown_host) return http_reply(403, {"<html>Forbidden</html>"});
   if (profile_->default_vhost_for_unknown) {
-    return http_reply(200, legitimate_content_for(profile_->hosted_domains.front()));
+    return http_reply(200, {kContentHead, profile_->hosted_domains.front(), kContentTail});
   }
   // Default-vhost servers answer 301 to their canonical name, a behaviour
   // the paper observed defeating hostname-mutation circumvention.
-  return http_reply(301, "<html>Moved to " + profile_->hosted_domains.front() + "</html>");
+  return http_reply(301, {"<html>Moved to ", profile_->hosted_domains.front(), "</html>"});
 }
 
 AppReply EndpointHost::handle_tls(BytesView raw) const {

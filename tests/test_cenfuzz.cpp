@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+
 #include "cenfuzz/cenfuzz.hpp"
 #include "censor/vendors.hpp"
 #include "net/http.hpp"
+#include "report/json_report.hpp"
 
 using namespace cen;
 using namespace cen::fuzz;
@@ -240,4 +245,38 @@ TEST(CenFuzz, IssueClassifiesDirectly) {
                                   normal_http_probe("www.example.org"), &body);
   EXPECT_EQ(ok, RequestResult::kOk);
   EXPECT_NE(body.find("HTTP:200:"), std::string::npos);
+}
+
+TEST(CenFuzz, SharedProbeTablesChangeNoByte) {
+  // A run reading prebuilt tables reports exactly what a run building its
+  // own does, and one set serves any number of runs.
+  auto report_json = [](FuzzRunOptions options) {
+    FuzzNet fn(dropper());
+    options.client = fn.client;
+    return report::to_json(fuzz::run(*fn.net, options));
+  };
+  FuzzRunOptions options;
+  options.endpoint = net::Ipv4Address(10, 0, 9, 1);
+  options.test_domain = "www.blocked.example";
+  options.control_domain = "www.example.org";
+  options.common.seed = 5;
+  const std::string own = report_json(options);
+  options.test_probes = std::make_shared<const ProbeSet>(ProbeSet::build(options.test_domain));
+  options.control_probes =
+      std::make_shared<const ProbeSet>(ProbeSet::build(options.control_domain));
+  EXPECT_EQ(options.test_probes->http.size(), 410u);
+  EXPECT_EQ(options.test_probes->tls.size(), 69u);
+  EXPECT_EQ(report_json(options), own);
+  EXPECT_EQ(report_json(options), own);
+}
+
+TEST(CenFuzz, ProbeTableOfAnotherDomainIsRejected) {
+  FuzzNet fn(dropper());
+  FuzzRunOptions options;
+  options.client = fn.client;
+  options.endpoint = net::Ipv4Address(10, 0, 9, 1);
+  options.test_domain = "www.blocked.example";
+  options.control_domain = "www.example.org";
+  options.control_probes = std::make_shared<const ProbeSet>(ProbeSet::build("www.example.com"));
+  EXPECT_THROW(fuzz::run(*fn.net, options), std::invalid_argument);
 }

@@ -24,7 +24,8 @@ std::string get_for(const std::string& host) {
 
 TEST(DpiHttp, NormalRequestExtractsHostAndPath) {
   HttpQuirks q;
-  auto result = dpi_parse_http(get_for("www.blocked.example"), q);
+  const std::string raw = get_for("www.blocked.example");
+  auto result = dpi_parse_http(raw, q);
   ASSERT_TRUE(result);
   EXPECT_EQ(result->host, "www.blocked.example");
   EXPECT_EQ(result->path, "/");
@@ -147,7 +148,8 @@ TEST(DpiHttp, ExtraHeadersIgnored) {
   r.extra_headers.emplace_back("NoColonHeader", "");
   r.extra_headers.emplace_back("Connection", "keep-alive");
   HttpQuirks q;
-  auto result = dpi_parse_http(r.serialize(), q);
+  const std::string raw = r.serialize();
+  auto result = dpi_parse_http(raw, q);
   ASSERT_TRUE(result);
   EXPECT_EQ(result->host, "x.com");
 }
@@ -156,7 +158,8 @@ TEST(DpiHttp, PathReported) {
   net::HttpRequest r = net::HttpRequest::get("x.com");
   r.path = "?";
   HttpQuirks q;
-  auto result = dpi_parse_http(r.serialize(), q);
+  const std::string raw = r.serialize();
+  auto result = dpi_parse_http(raw, q);
   ASSERT_TRUE(result);
   EXPECT_EQ(result->path, "?");
 }

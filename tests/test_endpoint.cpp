@@ -347,3 +347,24 @@ TEST(HttpResponse, ParseCorpus) {
   std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(fp.digest()));
   EXPECT_EQ(fp.digest(), 0xd7d71047de3a55fcULL) << "parse() corpus digest is now " << hex;
 }
+
+TEST(HttpResponse, ViewAgreesWithParse) {
+  // parse() is view() plus copies: the status, reason and body agree on
+  // the whole corpus, and the header block has a line for every parsed
+  // header.
+  for (const std::string& raw : response_corpus()) {
+    const std::optional<net::HttpResponseView> view = net::HttpResponse::view(raw);
+    const std::optional<net::HttpResponse> resp = net::HttpResponse::parse(raw);
+    ASSERT_EQ(view.has_value(), resp.has_value()) << testing::PrintToString(raw);
+    if (!view) continue;
+    EXPECT_EQ(view->status, resp->status) << testing::PrintToString(raw);
+    EXPECT_EQ(view->reason, resp->reason) << testing::PrintToString(raw);
+    EXPECT_EQ(view->body, resp->body) << testing::PrintToString(raw);
+    std::size_t lines = 0;
+    for (std::size_t pos = view->headers.find("\r\n"); pos != std::string_view::npos;
+         pos = view->headers.find("\r\n", pos + 2)) {
+      ++lines;
+    }
+    EXPECT_GE(lines, resp->headers.size()) << testing::PrintToString(raw);
+  }
+}

@@ -16,6 +16,28 @@ TEST(Strings, IEquals) {
   EXPECT_TRUE(iequals("", ""));
 }
 
+TEST(Strings, CaseFoldIsAsciiOnly) {
+  // Only A-Z and a-z fold; every other byte value maps to itself.
+  for (int v = 0; v < 256; ++v) {
+    const char c = static_cast<char>(v);
+    const char lower = v >= 'A' && v <= 'Z' ? static_cast<char>(v + 32) : c;
+    const char upper = v >= 'a' && v <= 'z' ? static_cast<char>(v - 32) : c;
+    const std::string s(1, c);
+    EXPECT_EQ(ascii_lower(s), std::string(1, lower)) << v;
+    EXPECT_EQ(ascii_upper(s), std::string(1, upper)) << v;
+    for (int w = 0; w < 256; ++w) {
+      const char d = static_cast<char>(w);
+      const bool same_letter = (v | 0x20) == (w | 0x20) && (v | 0x20) >= 'a' && (v | 0x20) <= 'z';
+      EXPECT_EQ(iequals(s, std::string(1, d)), v == w || same_letter) << v << " " << w;
+    }
+  }
+  EXPECT_TRUE(icontains("www.ExAmPlE.com", "EXAMPLE"));
+  EXPECT_TRUE(icontains("abc", ""));
+  EXPECT_TRUE(icontains("", ""));
+  EXPECT_FALSE(icontains("ab", "abc"));
+  EXPECT_FALSE(icontains("\xc3\x89xample", "\xc3\xa9xample"));
+}
+
 TEST(Strings, Trim) {
   EXPECT_EQ(trim("  a b \r\n"), "a b");
   EXPECT_EQ(trim(""), "");
