@@ -15,7 +15,7 @@ std::string_view match_style_name(MatchStyle style) {
 }
 
 bool rule_matches(const DomainRule& rule, std::string_view hostname, bool case_insensitive) {
-  // Compared in place: no copies, ASCII-only folding when case-insensitive.
+  // Compared in place; case-insensitive matching folds ASCII letters only.
   const std::string_view h = hostname;
   const std::string_view d = rule.domain;
   auto same = [case_insensitive](std::string_view a, std::string_view b) {

@@ -19,10 +19,7 @@ constexpr std::string_view kContentTail = "</body></html>";
 }  // namespace
 
 std::string legitimate_content_for(std::string_view domain) {
-  std::string out;
-  out.reserve(kContentHead.size() + domain.size() + kContentTail.size());
-  out.append(kContentHead).append(domain).append(kContentTail);
-  return out;
+  return std::string(kContentHead).append(domain).append(kContentTail);
 }
 
 const std::shared_ptr<const EndpointProfile>& EndpointHost::empty_profile() {
@@ -67,7 +64,7 @@ namespace {
 AppReply http_reply(int status, std::initializer_list<std::string_view> body) {
   std::size_t body_size = 0;
   for (std::string_view piece : body) body_size += piece.size();
-  const std::string status_text = std::to_string(status);  // short: no allocation
+  const std::string status_text = std::to_string(status);  // fits the small-string buffer
   const std::string length_text = std::to_string(body_size);
   const std::string_view head[] = {"HTTP/1.1 ", status_text, " ", net::http_reason(status),
                                    "\r\nContent-Type: text/html\r\nContent-Length: ",
