@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -11,6 +12,7 @@
 #include "check/engines.hpp"
 #include "core/fingerprint.hpp"
 #include "core/json.hpp"
+#include "report/epoch_diff.hpp"
 #include "report/from_json.hpp"
 #include "report/json_report.hpp"
 
@@ -751,6 +753,74 @@ TEST(ReportDecoders, PinnedCorpus) {
   expect_pin("probe", probe_pin, 0xf5868e1f121904d6ULL, 720, 294);
   expect_pin("fuzz", fuzz_pin, 0x700d69eae2e399c4ULL, 833, 405);
   expect_pin("ambig", ambig_pin, 0x54cef090f4aac25fULL, 827, 405);
+}
+
+namespace {
+
+std::string random_text(Rng& rng) {
+  static const char* const kText[] = {"", "KZ", "10.0.0.7", "d1.example", "HTTP",
+                                      "RST", "Fortinet", "a\"b\\c", "é😀\n\t"};
+  return kText[rng.index(std::size(kText))];
+}
+
+report::EndpointEpochState random_epoch_state(Rng& rng) {
+  report::EndpointEpochState s;
+  s.site = random_text(rng);
+  s.endpoint = random_text(rng);
+  s.domain = random_text(rng);
+  s.protocol = random_text(rng);
+  s.blocked = rng.chance(0.5);
+  s.blocking_type = random_text(rng);
+  s.vendor = random_text(rng);
+  s.blocking_hop_ttl = static_cast<int>(rng.range(-1, 40));
+  s.endpoint_hop_distance = static_cast<int>(rng.range(-1, 40));
+  return s;
+}
+
+report::EpochDiff random_epoch_diff(Rng& rng) {
+  report::EpochDiff d;
+  d.epoch_from = static_cast<int>(rng.range(-2, 9));
+  d.epoch_to = static_cast<int>(rng.range(-2, 9));
+  for (std::uint64_t n = rng.uniform(4); n > 0; --n) {
+    d.newly_blocked.push_back(random_epoch_state(rng));
+  }
+  for (std::uint64_t n = rng.uniform(3); n > 0; --n) {
+    d.newly_unblocked.push_back(random_epoch_state(rng));
+  }
+  for (std::uint64_t n = rng.uniform(3); n > 0; --n) {
+    d.vendor_changes.push_back({random_text(rng), random_text(rng), random_text(rng)});
+  }
+  for (std::uint64_t n = rng.uniform(3); n > 0; --n) {
+    d.location_moves.push_back({random_text(rng), static_cast<int>(rng.range(-1, 30)),
+                                static_cast<int>(rng.range(-1, 30))});
+  }
+  return d;
+}
+
+}  // namespace
+
+TEST(ReportDecoders, PinnedEpochDiffCorpus) {
+  using Members = std::vector<std::pair<std::string, std::vector<std::string>>>;
+  const Members members = {
+      {"epoch_from", {"7.9", "2147483648", "-1e300"}},
+      {"epoch_to", {"-4"}},
+      {"newly_blocked",
+       {"[5]", "[{}]", "[{},null]", R"([{"site":5,"blocked":"x","vendor":null}])",
+        R"([{"site":"a","site":"b","blocking_hop_ttl":7.9,"blocking_hop_ttl":3,"zzz":[1]}])",
+        R"([{"endpoint":"e","protocol":"p","blocked":true,"blocking_type":"t",)"
+        R"("endpoint_hop_distance":-9,"domain":"d"},"x"])"}},
+      {"newly_unblocked", {R"([{"vendor":"v"},[]])", R"({"a":1})", R"([{"blocked":1}])"}},
+      {"vendor_changes",
+       {R"([{"key":"k","from":1,"to":"t","key":"x"}])", R"(["x"])", "[{}]", "[{},{}]"}},
+      {"location_moves",
+       {R"([{"key":"k","from_ttl":"x","to_ttl":1e300,"from_ttl":2}])", "[3]", "[{}]",
+        R"([{"to_ttl":4.5},true])"}},
+  };
+  const CorpusPin pin = pin_corpus(
+      0x7e57c0de05, random_epoch_diff,
+      [](const std::string& t) { return report::epoch_diff_from_json(t); },
+      [](const report::EpochDiff& d) { return report::to_json(d); }, members);
+  expect_pin("epoch_diff", pin, 0xd70b0143b8abe740ULL, 742, 279);
 }
 
 // ------------------------------------------- integer member saturation --
