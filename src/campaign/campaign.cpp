@@ -617,8 +617,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     // wall domain.
     m.counter("campaign.tasks_executed", obs::Domain::kWall).inc(result.tool_tasks_executed());
     m.counter("campaign.cache_hits", obs::Domain::kWall).inc(result.cache_hits());
-    m.counter("campaign.batches_executed", obs::Domain::kWall)
-        .inc(result.trace.batches + result.probe.batches + result.fuzz.batches);
+    m.counter("campaign.batches_executed", obs::Domain::kWall).inc(result.batches_executed());
   }
   return result;
 }

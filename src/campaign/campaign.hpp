@@ -114,6 +114,9 @@ struct CampaignResult {
   std::size_t cache_hits() const {
     return trace.cache_hits + probe.cache_hits + fuzz.cache_hits + ambig.cache_hits;
   }
+  std::size_t batches_executed() const {
+    return trace.batches + probe.batches + fuzz.batches + ambig.batches;
+  }
 
   /// One line per record, task-identity order — byte-identical across
   /// thread counts, cache states and resume histories (for complete runs).

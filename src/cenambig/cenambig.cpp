@@ -152,17 +152,6 @@ std::vector<sim::SegmentSpec> build_segments(ProbeKind kind,
   return out;
 }
 
-std::string_view probe_outcome_name(ProbeOutcome o) {
-  switch (o) {
-    case ProbeOutcome::kData: return "data";
-    case ProbeOutcome::kRst: return "rst";
-    case ProbeOutcome::kFin: return "fin";
-    case ProbeOutcome::kBlockpage: return "blockpage";
-    case ProbeOutcome::kTimeout: return "timeout";
-  }
-  return "?";
-}
-
 bool outcome_blocked(ProbeOutcome o) { return o != ProbeOutcome::kData; }
 
 std::uint64_t AmbigOptions::fingerprint() const {

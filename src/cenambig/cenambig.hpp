@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/clock.hpp"
+#include "core/strings.hpp"
 #include "netsim/engine.hpp"
 #include "tool/options.hpp"
 
@@ -73,7 +74,11 @@ std::vector<sim::SegmentSpec> build_segments(ProbeKind kind,
 
 /// How one probe attempt terminated at the client.
 enum class ProbeOutcome : std::uint8_t { kData, kRst, kFin, kBlockpage, kTimeout };
-std::string_view probe_outcome_name(ProbeOutcome o);
+inline constexpr std::string_view kProbeOutcomeNames[] = {"data", "rst", "fin", "blockpage",
+                                                          "timeout"};
+constexpr std::string_view probe_outcome_name(ProbeOutcome o) {
+  return enum_name(kProbeOutcomeNames, o);
+}
 bool outcome_blocked(ProbeOutcome o);
 
 struct AmbigOptions {

@@ -25,15 +25,6 @@ std::uint64_t CenFuzzOptions::fingerprint() const {
   return fp.digest();
 }
 
-std::string_view fuzz_outcome_name(FuzzOutcome o) {
-  switch (o) {
-    case FuzzOutcome::kNotSuccessful: return "not-successful";
-    case FuzzOutcome::kSuccessful: return "successful";
-    case FuzzOutcome::kUntestable: return "untestable";
-  }
-  return "?";
-}
-
 bool request_blocked(RequestResult r) {
   return r == RequestResult::kDropTimeout || r == RequestResult::kRst ||
          r == RequestResult::kFin || r == RequestResult::kBlockpage;

@@ -30,13 +30,18 @@
 
 #include "cenfuzz/strategies.hpp"
 #include "core/clock.hpp"
+#include "core/strings.hpp"
 #include "netsim/engine.hpp"
 #include "tool/options.hpp"
 
 namespace cen::fuzz {
 
 enum class FuzzOutcome : std::uint8_t { kNotSuccessful, kSuccessful, kUntestable };
-std::string_view fuzz_outcome_name(FuzzOutcome o);
+inline constexpr std::string_view kFuzzOutcomeNames[] = {"not-successful", "successful",
+                                                         "untestable"};
+constexpr std::string_view fuzz_outcome_name(FuzzOutcome o) {
+  return enum_name(kFuzzOutcomeNames, o);
+}
 
 /// How one request terminated.
 enum class RequestResult : std::uint8_t {

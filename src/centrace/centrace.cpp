@@ -28,71 +28,8 @@ std::uint64_t CenTraceOptions::fingerprint() const {
   return fp.digest();
 }
 
-std::string_view probe_response_name(ProbeResponse r) {
-  switch (r) {
-    case ProbeResponse::kTimeout: return "TIMEOUT";
-    case ProbeResponse::kIcmpTtlExceeded: return "ICMP";
-    case ProbeResponse::kTcpRst: return "RST";
-    case ProbeResponse::kTcpFin: return "FIN";
-    case ProbeResponse::kBlockpage: return "HTTP";
-    case ProbeResponse::kEndpointData: return "DATA";
-  }
-  return "?";
-}
-
-std::string_view blocking_type_name(BlockingType t) {
-  switch (t) {
-    case BlockingType::kNone: return "NONE";
-    case BlockingType::kTimeout: return "TIMEOUT";
-    case BlockingType::kRst: return "RST";
-    case BlockingType::kFin: return "FIN";
-    case BlockingType::kHttpBlockpage: return "HTTP";
-  }
-  return "?";
-}
-
-std::string_view blocking_location_name(BlockingLocation l) {
-  switch (l) {
-    case BlockingLocation::kNotBlocked: return "not-blocked";
-    case BlockingLocation::kOnPathToEndpoint: return "Path(C->E)";
-    case BlockingLocation::kAtEndpoint: return "At E";
-    case BlockingLocation::kPastEndpoint: return "Past E";
-    case BlockingLocation::kNoIcmp: return "No ICMP";
-  }
-  return "?";
-}
-
-std::string_view device_placement_name(DevicePlacement p) {
-  switch (p) {
-    case DevicePlacement::kUnknown: return "unknown";
-    case DevicePlacement::kInPath: return "in-path";
-    case DevicePlacement::kOnPath: return "on-path";
-  }
-  return "?";
-}
-
-std::string_view degradation_mode_name(DegradationMode m) {
-  switch (m) {
-    case DegradationMode::kFull: return "full";
-    case DegradationMode::kIcmpDegraded: return "icmp_degraded";
-    case DegradationMode::kTomography: return "tomography";
-    case DegradationMode::kUnlocalized: return "unlocalized";
-  }
-  return "?";
-}
-
 CenTrace::CenTrace(sim::Network& network, sim::NodeId client, CenTraceOptions options)
     : network_(network), client_(client), options_(options) {}
-
-std::string_view probe_protocol_name(ProbeProtocol p) {
-  switch (p) {
-    case ProbeProtocol::kHttp: return "HTTP";
-    case ProbeProtocol::kHttps: return "TLS";
-    case ProbeProtocol::kDns: return "DNS";
-    case ProbeProtocol::kDnsUdp: return "DNS/UDP";
-  }
-  return "?";
-}
 
 Bytes CenTrace::make_payload(ProbeProtocol protocol, const std::string& domain) {
   switch (protocol) {

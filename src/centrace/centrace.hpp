@@ -26,6 +26,7 @@
 
 #include "centrace/icmp_diff.hpp"
 #include "core/flat_map.hpp"
+#include "core/strings.hpp"
 #include "geo/asdb.hpp"
 #include "netsim/engine.hpp"
 #include "tool/options.hpp"
@@ -41,8 +42,11 @@ enum class ProbeResponse : std::uint8_t {
   kBlockpage,        // HTTP response matching a known blockpage fingerprint
   kEndpointData,     // genuine-looking response (HTTP page / TLS handshake)
 };
-
-std::string_view probe_response_name(ProbeResponse r);
+inline constexpr std::string_view kProbeResponseNames[] = {"TIMEOUT", "ICMP", "RST",
+                                                           "FIN",     "HTTP", "DATA"};
+constexpr std::string_view probe_response_name(ProbeResponse r) {
+  return enum_name(kProbeResponseNames, r);
+}
 
 struct HopObservation {
   int ttl = 0;
@@ -72,7 +76,11 @@ struct SingleTrace {
 };
 
 enum class BlockingType : std::uint8_t { kNone, kTimeout, kRst, kFin, kHttpBlockpage };
-std::string_view blocking_type_name(BlockingType t);
+inline constexpr std::string_view kBlockingTypeNames[] = {"NONE", "TIMEOUT", "RST", "FIN",
+                                                          "HTTP"};
+constexpr std::string_view blocking_type_name(BlockingType t) {
+  return enum_name(kBlockingTypeNames, t);
+}
 
 enum class BlockingLocation : std::uint8_t {
   kNotBlocked,
@@ -81,10 +89,17 @@ enum class BlockingLocation : std::uint8_t {
   kPastEndpoint,      // apparent hop beyond the endpoint ("Past E")
   kNoIcmp,            // cannot localize: neighbouring hops silent ("No ICMP")
 };
-std::string_view blocking_location_name(BlockingLocation l);
+inline constexpr std::string_view kBlockingLocationNames[] = {
+    "not-blocked", "Path(C->E)", "At E", "Past E", "No ICMP"};
+constexpr std::string_view blocking_location_name(BlockingLocation l) {
+  return enum_name(kBlockingLocationNames, l);
+}
 
 enum class DevicePlacement : std::uint8_t { kUnknown, kInPath, kOnPath };
-std::string_view device_placement_name(DevicePlacement p);
+inline constexpr std::string_view kDevicePlacementNames[] = {"unknown", "in-path", "on-path"};
+constexpr std::string_view device_placement_name(DevicePlacement p) {
+  return enum_name(kDevicePlacementNames, p);
+}
 
 /// The degradation ladder: how much localisation a measurement achieved
 /// given the ICMP conditions it found (ISSUE 6 tentpole).
@@ -101,7 +116,11 @@ enum class DegradationMode : std::uint8_t {
   kTomography,
   kUnlocalized,
 };
-std::string_view degradation_mode_name(DegradationMode m);
+inline constexpr std::string_view kDegradationModeNames[] = {"full", "icmp_degraded",
+                                                             "tomography", "unlocalized"};
+constexpr std::string_view degradation_mode_name(DegradationMode m) {
+  return enum_name(kDegradationModeNames, m);
+}
 
 /// One candidate blocking link from the tomography solver, reported by
 /// the IPs of its endpoints (NodeIds are simulator-internal).
@@ -137,7 +156,10 @@ struct DegradationInfo {
 /// subjects; DNS (over TCP, RFC 7766, and over UDP — the injector-race
 /// variant) is the protocol extension §4/§8 anticipate.
 enum class ProbeProtocol : std::uint8_t { kHttp, kHttps, kDns, kDnsUdp };
-std::string_view probe_protocol_name(ProbeProtocol p);
+inline constexpr std::string_view kProbeProtocolNames[] = {"HTTP", "TLS", "DNS", "DNS/UDP"};
+constexpr std::string_view probe_protocol_name(ProbeProtocol p) {
+  return enum_name(kProbeProtocolNames, p);
+}
 
 struct CenTraceOptions {
   int max_ttl = 64;

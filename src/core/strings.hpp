@@ -1,6 +1,8 @@
 // Small string utilities shared across protocol parsers and report printers.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,5 +35,13 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 std::string reversed(std::string_view s);
 /// printf-style float with fixed precision, e.g. fmt_pct(0.4213, 2) == "42.13".
 std::string fmt_fixed(double v, int precision);
+
+/// The name of enum value `e` in `names`, the enum's name array indexed
+/// by value; "?" for a value past its end.
+template <typename E>
+constexpr std::string_view enum_name(std::span<const std::string_view> names, E e) {
+  const auto i = static_cast<std::size_t>(e);
+  return i < names.size() ? names[i] : "?";
+}
 
 }  // namespace cen

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <map>
 
-#include "core/json.hpp"
 #include "report/aggregate.hpp"
+#include "report/wire.hpp"
 
 namespace cen::report {
 
@@ -60,120 +60,12 @@ EpochDiff diff_epochs(const std::vector<EndpointEpochState>& prev,
   return diff;
 }
 
-namespace {
+std::string to_json(const EpochDiff& diff) { return wire::encode(diff); }
 
-void state_to_json(JsonWriter& w, const EndpointEpochState& s) {
-  w.begin_object();
-  w.key("site").value(s.site);
-  w.key("endpoint").value(s.endpoint);
-  w.key("domain").value(s.domain);
-  w.key("protocol").value(s.protocol);
-  w.key("blocked").value(s.blocked);
-  w.key("blocking_type").value(s.blocking_type);
-  w.key("vendor").value(s.vendor);
-  w.key("blocking_hop_ttl").value(s.blocking_hop_ttl);
-  w.key("endpoint_hop_distance").value(s.endpoint_hop_distance);
-  w.end_object();
-}
-
-bool state_from_doc(const JsonValue& doc, EndpointEpochState& s) {
-  if (!doc.is_object()) return false;
-  s.site = doc.get_string("site", "");
-  s.endpoint = doc.get_string("endpoint", "");
-  s.domain = doc.get_string("domain", "");
-  s.protocol = doc.get_string("protocol", "");
-  s.blocked = doc.get_bool("blocked", false);
-  s.blocking_type = doc.get_string("blocking_type", "");
-  s.vendor = doc.get_string("vendor", "");
-  s.blocking_hop_ttl = doc.get_int("blocking_hop_ttl", -1);
-  s.endpoint_hop_distance = doc.get_int("endpoint_hop_distance", -1);
-  return true;
-}
-
-}  // namespace
-
-std::string to_json(const EpochDiff& diff) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("epoch_from").value(diff.epoch_from);
-  w.key("epoch_to").value(diff.epoch_to);
-  w.key("newly_blocked").begin_array();
-  for (const EndpointEpochState& s : diff.newly_blocked) state_to_json(w, s);
-  w.end_array();
-  w.key("newly_unblocked").begin_array();
-  for (const EndpointEpochState& s : diff.newly_unblocked) state_to_json(w, s);
-  w.end_array();
-  w.key("vendor_changes").begin_array();
-  for (const VendorChange& v : diff.vendor_changes) {
-    w.begin_object();
-    w.key("key").value(v.key);
-    w.key("from").value(v.from);
-    w.key("to").value(v.to);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("location_moves").begin_array();
-  for (const LocationMove& m : diff.location_moves) {
-    w.begin_object();
-    w.key("key").value(m.key);
-    w.key("from_ttl").value(m.from_ttl);
-    w.key("to_ttl").value(m.to_ttl);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
-
-std::optional<EpochDiff> epoch_diff_from_doc(const JsonValue& doc,
-                                             std::string* error) {
-  auto fail = [&](std::string_view why) -> std::optional<EpochDiff> {
-    if (error != nullptr) *error = std::string(why);
-    return std::nullopt;
-  };
-  if (!doc.is_object()) return fail("epoch_diff: not a JSON object");
-  EpochDiff diff;
-  diff.epoch_from = doc.get_int("epoch_from", 0);
-  diff.epoch_to = doc.get_int("epoch_to", 0);
-  for (const char* key : {"newly_blocked", "newly_unblocked"}) {
-    const JsonValue* arr = doc.find(key);
-    if (arr == nullptr) continue;
-    if (!arr->is_array()) return fail("epoch_diff: state list not an array");
-    auto& out = std::string_view(key) == "newly_blocked" ? diff.newly_blocked
-                                                         : diff.newly_unblocked;
-    for (const JsonValue& s : arr->array) {
-      EndpointEpochState state;
-      if (!state_from_doc(s, state)) return fail("epoch_diff: malformed state");
-      out.push_back(std::move(state));
-    }
-  }
-  if (const JsonValue* arr = doc.find("vendor_changes")) {
-    if (!arr->is_array()) return fail("epoch_diff: vendor_changes not an array");
-    for (const JsonValue& v : arr->array) {
-      if (!v.is_object()) return fail("epoch_diff: malformed vendor change");
-      diff.vendor_changes.push_back(
-          {v.get_string("key", ""), v.get_string("from", ""), v.get_string("to", "")});
-    }
-  }
-  if (const JsonValue* arr = doc.find("location_moves")) {
-    if (!arr->is_array()) return fail("epoch_diff: location_moves not an array");
-    for (const JsonValue& m : arr->array) {
-      if (!m.is_object()) return fail("epoch_diff: malformed location move");
-      diff.location_moves.push_back(
-          {m.get_string("key", ""), m.get_int("from_ttl", -1), m.get_int("to_ttl", -1)});
-    }
-  }
+std::optional<EpochDiff> epoch_diff_from_json(std::string_view text, std::string* error) {
+  std::optional<EpochDiff> diff = wire::decode<EpochDiff>(text);
+  if (!diff && error != nullptr) *error = "epoch_diff: malformed document";
   return diff;
-}
-
-std::optional<EpochDiff> epoch_diff_from_json(std::string_view text,
-                                              std::string* error) {
-  auto doc = json_parse(text);
-  if (doc == nullptr) {
-    if (error != nullptr) *error = "epoch_diff: invalid JSON";
-    return std::nullopt;
-  }
-  return epoch_diff_from_doc(*doc, error);
 }
 
 }  // namespace cen::report

@@ -15,10 +15,6 @@
 #include <string_view>
 #include <vector>
 
-namespace cen {
-class JsonValue;
-}
-
 namespace cen::report {
 
 /// One measured (site, endpoint, domain, protocol) row at one epoch —
@@ -94,11 +90,11 @@ EpochDiff diff_epochs(const std::vector<EndpointEpochState>& prev,
                       const std::vector<EndpointEpochState>& next,
                       int epoch_from, int epoch_to);
 
-/// Canonical JSON rendering (epoch_diff_from_json(to_json(d)) == d).
+/// Canonical JSON rendering (epoch_diff_from_json(to_json(d)) == d). The
+/// decoder yields nullopt, and sets `*error`, when the text is not an
+/// object or one of its lists is not an array of objects.
 std::string to_json(const EpochDiff& diff);
 std::optional<EpochDiff> epoch_diff_from_json(std::string_view text,
                                               std::string* error = nullptr);
-std::optional<EpochDiff> epoch_diff_from_doc(const JsonValue& doc,
-                                             std::string* error = nullptr);
 
 }  // namespace cen::report

@@ -1,6 +1,7 @@
-// Decoders for the tools' JSON report documents — the inverse of
-// report/json_report.hpp for every field those emitters write (sweep logs
-// excepted; cache records are stored sweep-less).
+// Decoders for the tools' JSON report documents: the inverse of
+// report/json_report.hpp (sweep logs excepted; cache records are stored
+// sweep-less). Both directions walk the field tables of report/wire.hpp,
+// which also states the decoding rules.
 //
 // The campaign engine runs every downstream stage off *decoded* records,
 // whether the record came from a fresh measurement or the incremental
@@ -8,14 +9,6 @@
 // uninterrupted one. That only works if decoding captures everything the
 // later stages consume: device-IP discovery (CenProbe targeting), blocked
 // endpoints (CenFuzz targeting) and the full Table 3 feature inputs.
-//
-// Each decoder reads its document in one pass through JsonReader, with no
-// DOM, under json_parse's rules: the text must be one strict JSON
-// document; the first of duplicate members wins; keys match on their
-// decoded text; a member of the wrong type takes its fallback; unknown
-// members (sweep arrays included) are validated and skipped; integers
-// saturate at their type's range. A missing required member or an
-// unknown enum name yields nullopt.
 #pragma once
 
 #include <optional>

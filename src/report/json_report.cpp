@@ -1,258 +1,34 @@
 #include "report/json_report.hpp"
 
 #include "core/json.hpp"
+#include "report/wire.hpp"
 
 namespace cen::report {
 
-namespace {
-
-void write_optional_ip(JsonWriter& w, const std::optional<net::Ipv4Address>& ip) {
-  if (ip) {
-    w.value(ip->str());
-  } else {
-    w.null();
-  }
-}
-
-void write_sweep(JsonWriter& w, const trace::SingleTrace& sweep) {
-  w.begin_object();
-  w.key("domain").value(sweep.domain);
-  w.key("terminating_ttl").value(sweep.terminating_ttl);
-  w.key("terminating_response")
-      .value(trace::probe_response_name(sweep.terminating_response));
-  w.key("endpoint_reached").value(sweep.endpoint_reached);
-  w.key("hops").begin_array();
-  for (const trace::HopObservation& h : sweep.hops) {
-    w.begin_object();
-    w.key("ttl").value(h.ttl);
-    w.key("response").value(trace::probe_response_name(h.response));
-    w.key("icmp_router");
-    write_optional_ip(w, h.icmp_router);
-    w.key("tcp_and_icmp").value(h.tcp_and_icmp);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-}  // namespace
-
 std::string to_json(const trace::CenTraceReport& report, bool include_sweeps) {
-  // Key order is canonical across all three tools (asserted by
-  // test_json): "tool", the measurement subject ("endpoint" / "ip"),
-  // then "test_domain" / "control_domain", then tool-specific fields in
-  // declaration order. The campaign cache splices these documents
-  // byte-for-byte, so the order must never depend on which tool or code
-  // path produced the record.
   JsonWriter w;
   w.begin_object();
-  w.key("tool").value("centrace");
-  w.key("endpoint").value(report.endpoint.str());
-  w.key("test_domain").value(report.test_domain);
-  w.key("control_domain").value(report.control_domain);
-  w.key("protocol").value(trace::probe_protocol_name(report.protocol));
-  w.key("blocked").value(report.blocked);
-  w.key("blocking_type").value(trace::blocking_type_name(report.blocking_type));
-  w.key("location").value(trace::blocking_location_name(report.location));
-  w.key("placement").value(trace::device_placement_name(report.placement));
-  w.key("blocking_hop_ttl").value(report.blocking_hop_ttl);
-  w.key("blocking_hop_ip");
-  write_optional_ip(w, report.blocking_hop_ip);
-  if (report.blocking_as) {
-    w.key("blocking_as").begin_object();
-    w.key("asn").value(static_cast<std::int64_t>(report.blocking_as->asn));
-    w.key("name").value(report.blocking_as->name);
-    w.key("country").value(report.blocking_as->country);
-    w.end_object();
-  } else {
-    w.key("blocking_as").null();
-  }
-  w.key("endpoint_hop_distance").value(report.endpoint_hop_distance);
-  w.key("ttl_copy_detected").value(report.ttl_copy_detected);
-  if (report.blockpage_vendor) {
-    w.key("blockpage_vendor").value(*report.blockpage_vendor);
-  } else {
-    w.key("blockpage_vendor").null();
-  }
-  // Header fields of the injected packet — the Table 3 clustering
-  // features. Emitting them makes the document round-trippable: a cached
-  // record decodes back into a report that clusters identically.
-  if (report.injected_packet) {
-    const net::Packet& inj = *report.injected_packet;
-    w.key("injected_packet").begin_object();
-    w.key("ip_ttl").value(static_cast<std::int64_t>(inj.ip.ttl));
-    w.key("ip_id").value(static_cast<std::int64_t>(inj.ip.identification));
-    w.key("ip_flags").value(static_cast<std::int64_t>(inj.ip.flags));
-    w.key("ip_tos").value(static_cast<std::int64_t>(inj.ip.tos));
-    w.key("tcp_window").value(static_cast<std::int64_t>(inj.tcp.window));
-    w.key("tcp_flags").value(static_cast<std::int64_t>(inj.tcp.flags));
-    w.end_object();
-  } else {
-    w.key("injected_packet").null();
-  }
-  w.key("confidence").begin_object();
-  w.key("overall").value(report.confidence.overall);
-  w.key("response_agreement").value(report.confidence.response_agreement);
-  w.key("ttl_agreement").value(report.confidence.ttl_agreement);
-  w.key("control_path_stability").value(report.confidence.control_path_stability);
-  w.key("icmp_rate_limited").value(report.confidence.icmp_rate_limited);
-  w.key("path_churn").value(report.confidence.path_churn);
-  w.key("loss_recovered_probes").value(
-      static_cast<std::int64_t>(report.confidence.loss_recovered_probes));
-  w.key("hop_confidence").begin_array();
-  for (double hc : report.confidence.hop_confidence) w.value(hc);
-  w.end_array();
-  w.end_object();
-  w.key("degradation").begin_object();
-  w.key("mode").value(trace::degradation_mode_name(report.degradation.mode));
-  w.key("icmp_answer_rate").value(report.degradation.icmp_answer_rate);
-  w.key("dead_channel_sweeps")
-      .value(static_cast<std::int64_t>(report.degradation.dead_channel_sweeps));
-  w.key("vantage_count").value(static_cast<std::int64_t>(report.degradation.vantage_count));
-  w.key("tomography_observations")
-      .value(static_cast<std::int64_t>(report.degradation.tomography_observations));
-  w.key("tomography_solved").value(report.degradation.tomography_solved);
-  w.key("candidate_links").begin_array();
-  for (const trace::BlamedLink& link : report.degradation.candidate_links) {
-    w.begin_object();
-    w.key("ip_a").value(link.ip_a.str());
-    w.key("ip_b").value(link.ip_b.str());
-    w.key("confidence").value(link.confidence);
-    w.key("blocked_paths").value(static_cast<std::int64_t>(link.blocked_paths));
-    w.key("clean_paths").value(static_cast<std::int64_t>(link.clean_paths));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.key("control_path").begin_array();
-  for (const auto& hop : report.control_path) {
-    write_optional_ip(w, hop);
-  }
-  w.end_array();
-  w.key("quote_diffs").begin_array();
-  for (const trace::QuoteDiff& d : report.quote_diffs) {
-    w.begin_object();
-    w.key("router").value(d.router.str());
-    w.key("parse_ok").value(d.parse_ok);
-    w.key("rfc792_minimal").value(d.rfc792_minimal);
-    w.key("full_tcp_quoted").value(d.full_tcp_quoted);
-    w.key("tos_changed").value(d.tos_changed);
-    w.key("ip_flags_changed").value(d.ip_flags_changed);
-    w.key("ports_match").value(d.ports_match);
-    w.end_object();
-  }
-  w.end_array();
+  wire::write_members(w, report);
   if (include_sweeps) {
-    w.key("control_sweeps").begin_array();
-    for (const trace::SingleTrace& sweep : report.control_traces) write_sweep(w, sweep);
-    w.end_array();
-    w.key("test_sweeps").begin_array();
-    for (const trace::SingleTrace& sweep : report.test_traces) write_sweep(w, sweep);
-    w.end_array();
+    w.key("control_sweeps");
+    wire::write(w, report.control_traces);
+    w.key("test_sweeps");
+    wire::write(w, report.test_traces);
   }
   w.end_object();
   return w.str();
 }
 
-std::string to_json(const fuzz::CenFuzzReport& report) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("tool").value("cenfuzz");
-  w.key("endpoint").value(report.endpoint.str());
-  w.key("test_domain").value(report.test_domain);
-  w.key("control_domain").value(report.control_domain);
-  w.key("http_baseline_blocked").value(report.http_baseline_blocked);
-  w.key("tls_baseline_blocked").value(report.tls_baseline_blocked);
-  w.key("total_requests").value(static_cast<std::uint64_t>(report.total_requests));
-  w.key("skipped_strategies").value(static_cast<std::uint64_t>(report.skipped_strategies));
-  w.key("measurements").begin_array();
-  for (const fuzz::FuzzMeasurement& m : report.measurements) {
-    w.begin_object();
-    w.key("strategy").value(m.strategy);
-    w.key("permutation").value(m.permutation);
-    w.key("https").value(m.https);
-    w.key("outcome").value(fuzz::fuzz_outcome_name(m.outcome));
-    w.key("circumvented").value(m.circumvented);
-    w.key("baseline_failed").value(m.baseline_failed);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
+std::string to_json(const fuzz::CenFuzzReport& report) { return wire::encode(report); }
 
-std::string to_json(const ambig::AmbigReport& report) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("tool").value("cenambig");
-  w.key("endpoint").value(report.endpoint.str());
-  w.key("test_domain").value(report.test_domain);
-  w.key("control_domain").value(report.control_domain);
-  w.key("baseline_blocked").value(report.baseline_blocked);
-  w.key("endpoint_distance").value(static_cast<std::int64_t>(report.endpoint_distance));
-  w.key("insertion_ttl").value(static_cast<std::int64_t>(report.insertion_ttl));
-  w.key("total_probes_sent").value(static_cast<std::uint64_t>(report.total_probes_sent));
-  w.key("probes").begin_array();
-  for (const ambig::AmbigProbeResult& p : report.probes) {
-    w.begin_object();
-    w.key("name").value(p.name);
-    w.key("test_outcome").value(ambig::probe_outcome_name(p.test_outcome));
-    w.key("control_outcome").value(ambig::probe_outcome_name(p.control_outcome));
-    w.key("test_blocked_votes").value(static_cast<std::int64_t>(p.test_blocked_votes));
-    w.key("control_clean_votes").value(static_cast<std::int64_t>(p.control_clean_votes));
-    w.key("repetitions").value(static_cast<std::int64_t>(p.repetitions));
-    w.key("discrepant").value(p.discrepant);
-    w.key("testable").value(p.testable);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
+std::string to_json(const ambig::AmbigReport& report) { return wire::encode(report); }
 
-std::string to_json(const probe::DeviceProbeReport& report) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("tool").value("cenprobe");
-  w.key("ip").value(report.ip.str());
-  w.key("open_ports").begin_array();
-  for (std::uint16_t p : report.open_ports) w.value(static_cast<std::int64_t>(p));
-  w.end_array();
-  w.key("banners").begin_array();
-  for (const probe::BannerGrab& grab : report.banners) {
-    w.begin_object();
-    w.key("port").value(static_cast<std::int64_t>(grab.port));
-    w.key("protocol").value(grab.protocol);
-    w.key("banner").value(grab.banner);
-    w.key("complete").value(grab.complete);
-    w.key("attempts").value(static_cast<std::int64_t>(grab.attempts));
-    w.end_object();
-  }
-  w.end_array();
-  if (report.vendor) {
-    w.key("vendor").value(*report.vendor);
-  } else {
-    w.key("vendor").null();
-  }
-  if (report.stack) {
-    w.key("stack").begin_object();
-    w.key("synack_ttl").value(static_cast<std::int64_t>(report.stack->synack_ttl));
-    w.key("synack_window").value(static_cast<std::int64_t>(report.stack->synack_window));
-    w.key("mss").value(static_cast<std::int64_t>(report.stack->mss));
-    w.key("sack_permitted").value(report.stack->sack_permitted);
-    w.key("rst_ttl").value(static_cast<std::int64_t>(report.stack->rst_ttl));
-    w.end_object();
-  } else {
-    w.key("stack").null();
-  }
-  w.end_object();
-  return w.str();
-}
+std::string to_json(const probe::DeviceProbeReport& report) { return wire::encode(report); }
 
 std::string to_json(const scenario::PipelineResult& result) {
-  // Composed from the per-report serializers (each emits a complete JSON
-  // document spliced in via raw_value), so escaping and comma/structure
-  // bookkeeping all live in JsonWriter — no hand-rolled string assembly.
+  // Composed from the per-report serializers, so escaping and
+  // comma/structure bookkeeping all live in JsonWriter — no hand-rolled
+  // string assembly.
   JsonWriter w;
   w.begin_object();
   w.key("country").value(result.country);
@@ -276,17 +52,9 @@ std::string to_json(const scenario::PipelineResult& result) {
     w.begin_object();
     w.key("endpoint_id").value(m.endpoint_id);
     w.key("fuzz");
-    if (m.fuzz) {
-      w.raw_value(to_json(*m.fuzz));
-    } else {
-      w.null();
-    }
+    wire::write(w, m.fuzz);
     w.key("banner");
-    if (m.banner) {
-      w.raw_value(to_json(*m.banner));
-    } else {
-      w.null();
-    }
+    wire::write(w, m.banner);
     w.end_object();
   }
   w.end_array();

@@ -1,6 +1,9 @@
 // JSON serialization of the measurement tools' reports — the machine-
 // readable output format the open-source CenTrace/CenFuzz/CenProbe tools
 // write (one JSON document per measurement, suitable for JSONL streams).
+// The tool reports are written by the field tables of report/wire.hpp,
+// in table order: that order is canonical, and the campaign cache splices
+// these documents byte for byte.
 #pragma once
 
 #include <string>

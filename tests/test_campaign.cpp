@@ -845,6 +845,24 @@ TEST(Campaign, ExportsCacheLoadAndHitDecodeAsWallCounters) {
   std::remove(cache.c_str());
 }
 
+TEST(Campaign, BatchesExecutedCountsEveryStage) {
+  // Regression: the metric summed the trace, probe and fuzz batches and
+  // left out the ambig stage's, which count against max_batches too.
+  campaign::CampaignSpec spec = small_spec();
+  spec.stages.ambig = true;
+  spec.ambig_max_endpoints = 2;
+  spec.ambig.repetitions = 1;
+  obs::Observer observer;
+  campaign::RunControl control;
+  control.threads = 2;
+  control.observer = &observer;
+  const campaign::CampaignResult r = campaign::run(spec, control);
+  ASSERT_TRUE(r.complete);
+  ASSERT_GT(r.ambig.batches, 0u);
+  EXPECT_EQ(observer.metrics().counter_value("campaign.batches_executed"),
+            r.trace.batches + r.probe.batches + r.fuzz.batches + r.ambig.batches);
+}
+
 TEST(Campaign, FuzzStageIdenticalAcrossThreads) {
   // More fuzz tasks than workers, and test domains that repeat across
   // endpoints, so the workers of one dispatch share the stage's probe

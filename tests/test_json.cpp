@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -821,6 +822,64 @@ TEST(ReportDecoders, PinnedEpochDiffCorpus) {
       [](const std::string& t) { return report::epoch_diff_from_json(t); },
       [](const report::EpochDiff& d) { return report::to_json(d); }, members);
   expect_pin("epoch_diff", pin, 0xd70b0143b8abe740ULL, 742, 279);
+}
+
+// ------------------------------------------------------ enum wire names --
+
+namespace {
+
+/// Every name in `names` differs from the others, and value `e` written
+/// into a report decodes back as `e` (`round_trip` encodes and decodes).
+template <typename E, typename RoundTrip>
+void expect_names_decode(const char* what, std::span<const std::string_view> names,
+                         RoundTrip round_trip) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) EXPECT_NE(names[i], names[j]) << what;
+    const E e = static_cast<E>(i);
+    EXPECT_EQ(round_trip(e), e) << what << " " << names[i];
+  }
+}
+
+}  // namespace
+
+TEST(ReportDecoders, EnumNamesAreDistinctAndDecode) {
+  // Writes e into one member of a default trace report and decodes it back.
+  auto trace_member = [](auto member) {
+    return [member](auto e) {
+      trace::CenTraceReport r;
+      r.*member = e;
+      return report::trace_report_from_json(report::to_json(r)).value().*member;
+    };
+  };
+  expect_names_decode<trace::ProbeProtocol>("protocol", trace::kProbeProtocolNames,
+                                            trace_member(&trace::CenTraceReport::protocol));
+  expect_names_decode<trace::BlockingType>("blocking_type", trace::kBlockingTypeNames,
+                                           trace_member(&trace::CenTraceReport::blocking_type));
+  expect_names_decode<trace::BlockingLocation>("location", trace::kBlockingLocationNames,
+                                               trace_member(&trace::CenTraceReport::location));
+  expect_names_decode<trace::DevicePlacement>("placement", trace::kDevicePlacementNames,
+                                              trace_member(&trace::CenTraceReport::placement));
+  expect_names_decode<trace::DegradationMode>(
+      "degradation.mode", trace::kDegradationModeNames, [](trace::DegradationMode e) {
+        trace::CenTraceReport r;
+        r.degradation.mode = e;
+        return report::trace_report_from_json(report::to_json(r)).value().degradation.mode;
+      });
+  expect_names_decode<fuzz::FuzzOutcome>(
+      "outcome", fuzz::kFuzzOutcomeNames, [](fuzz::FuzzOutcome e) {
+        fuzz::CenFuzzReport r;
+        r.measurements.emplace_back().outcome = e;
+        return report::fuzz_report_from_json(report::to_json(r)).value().measurements.at(0).outcome;
+      });
+  for (auto member : {&ambig::AmbigProbeResult::test_outcome,
+                      &ambig::AmbigProbeResult::control_outcome}) {
+    expect_names_decode<ambig::ProbeOutcome>(
+        "ambig outcome", ambig::kProbeOutcomeNames, [member](ambig::ProbeOutcome e) {
+          ambig::AmbigReport r;
+          r.probes.emplace_back().*member = e;
+          return report::ambig_report_from_json(report::to_json(r)).value().probes.at(0).*member;
+        });
+  }
 }
 
 // ------------------------------------------- integer member saturation --
