@@ -48,7 +48,9 @@ struct Run {
 Run run_once(int threads) {
   scenario::CountryScenario s =
       scenario::make_country(scenario::Country::kKZ, scenario::Scale::kFull);
-  scenario::PipelineOptions o = bench::default_options();
+  scenario::PipelineOptions o;
+  o.centrace_repetitions = 11;  // the paper's path-variance repetition count
+  o.fuzz_max_endpoints = 40;    // sampled evenly across blocked endpoints
   o.threads = threads;
   auto t0 = std::chrono::steady_clock::now();
   scenario::PipelineResult r = scenario::run_country_pipeline(s, o);

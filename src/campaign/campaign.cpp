@@ -456,8 +456,9 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     std::optional<std::vector<probe::DeviceProbeReport>> probed = run_stage(
         ctx, result.probe, "probe", probe_stage, salts::kProbeStage,
         report::probe_report_from_json, [&](sim::Network& worker, std::size_t i) {
-          return report::to_json(
-          probe::run(worker, probe::ProbeRunOptions{net::Ipv4Address(probe_targets[i])}));
+          return report::to_json(probe::run(
+              worker,
+              probe::ProbeRunOptions{.ip = net::Ipv4Address(probe_targets[i]), .common = {}}));
         });
     if (!probed) return result;
     std::map<std::uint32_t, probe::DeviceProbeReport> device_probes;

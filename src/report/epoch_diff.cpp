@@ -62,10 +62,8 @@ EpochDiff diff_epochs(const std::vector<EndpointEpochState>& prev,
 
 std::string to_json(const EpochDiff& diff) { return wire::encode(diff); }
 
-std::optional<EpochDiff> epoch_diff_from_json(std::string_view text, std::string* error) {
-  std::optional<EpochDiff> diff = wire::decode<EpochDiff>(text);
-  if (!diff && error != nullptr) *error = "epoch_diff: malformed document";
-  return diff;
+std::optional<EpochDiff> epoch_diff_from_json(std::string_view text) {
+  return wire::decode<EpochDiff>(text);
 }
 
 }  // namespace cen::report

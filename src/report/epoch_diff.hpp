@@ -91,10 +91,9 @@ EpochDiff diff_epochs(const std::vector<EndpointEpochState>& prev,
                       int epoch_from, int epoch_to);
 
 /// Canonical JSON rendering (epoch_diff_from_json(to_json(d)) == d). The
-/// decoder yields nullopt, and sets `*error`, when the text is not an
-/// object or one of its lists is not an array of objects.
+/// decoder yields nullopt when the text is not an object or one of its
+/// lists is not an array of objects.
 std::string to_json(const EpochDiff& diff);
-std::optional<EpochDiff> epoch_diff_from_json(std::string_view text,
-                                              std::string* error = nullptr);
+std::optional<EpochDiff> epoch_diff_from_json(std::string_view text);
 
 }  // namespace cen::report

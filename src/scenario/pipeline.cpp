@@ -258,7 +258,8 @@ PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
     std::vector<probe::DeviceProbeReport> probes(probe_ips.size());
     merger.run_stage(exec, derive_task_seeds(net.seed(), salts::kProbeStage, probe_keys),
                      "stage:cenprobe", [&](sim::Network& replica, std::size_t i) {
-                       probes[i] = probe::run(replica, probe::ProbeRunOptions{probe_ips[i]});
+                       probes[i] = probe::run(
+                           replica, probe::ProbeRunOptions{.ip = probe_ips[i], .common = {}});
                      });
     for (std::size_t i = 0; i < probe_ips.size(); ++i) {
       result.device_probes.emplace(probe_ips[i].value(), std::move(probes[i]));

@@ -107,7 +107,8 @@ TEST(Fingerprints, CaseInsensitive) {
 
 TEST(ProbeDevice, FullPipelineLabelsVendor) {
   ProbeNet pn;
-  DeviceProbeReport report = run(*pn.net, ProbeRunOptions{net::Ipv4Address(10, 0, 2, 1)});
+  DeviceProbeReport report =
+      run(*pn.net, ProbeRunOptions{.ip = net::Ipv4Address(10, 0, 2, 1), .common = {}});
   EXPECT_TRUE(report.has_any_service());
   EXPECT_EQ(report.banners.size(), 2u);
   ASSERT_TRUE(report.vendor);
@@ -116,14 +117,16 @@ TEST(ProbeDevice, FullPipelineLabelsVendor) {
 
 TEST(ProbeDevice, GenericRouterGetsNoLabel) {
   ProbeNet pn;
-  DeviceProbeReport report = run(*pn.net, ProbeRunOptions{net::Ipv4Address(10, 0, 1, 1)});
+  DeviceProbeReport report =
+      run(*pn.net, ProbeRunOptions{.ip = net::Ipv4Address(10, 0, 1, 1), .common = {}});
   EXPECT_TRUE(report.has_any_service());
   EXPECT_FALSE(report.vendor);
 }
 
 TEST(ProbeDevice, SilentIpHasNothing) {
   ProbeNet pn;
-  DeviceProbeReport report = run(*pn.net, ProbeRunOptions{net::Ipv4Address(9, 9, 9, 9)});
+  DeviceProbeReport report =
+      run(*pn.net, ProbeRunOptions{.ip = net::Ipv4Address(9, 9, 9, 9), .common = {}});
   EXPECT_FALSE(report.has_any_service());
   EXPECT_TRUE(report.banners.empty());
   EXPECT_FALSE(report.vendor);
@@ -138,7 +141,8 @@ TEST(ProbeDevice, EveryCommercialVendorIdentifiable) {
     censor::DeviceConfig cfg = censor::make_vendor_device(vendor, "d");
     cfg.mgmt_ip = net::Ipv4Address(10, 0, 1, 1);
     net.attach_device(0, std::make_shared<censor::Device>(cfg));
-    DeviceProbeReport report = run(net, ProbeRunOptions{net::Ipv4Address(10, 0, 1, 1)});
+    DeviceProbeReport report =
+        run(net, ProbeRunOptions{.ip = net::Ipv4Address(10, 0, 1, 1), .common = {}});
     ASSERT_TRUE(report.vendor) << vendor;
     EXPECT_EQ(*report.vendor, vendor);
   }
@@ -179,7 +183,8 @@ TEST(StackProbe, VendorsDifferOnStack) {
 
 TEST(StackProbe, ReportCarriesStack) {
   ProbeNet pn;
-  DeviceProbeReport report = run(*pn.net, ProbeRunOptions{net::Ipv4Address(10, 0, 2, 1)});
+  DeviceProbeReport report =
+      run(*pn.net, ProbeRunOptions{.ip = net::Ipv4Address(10, 0, 2, 1), .common = {}});
   ASSERT_TRUE(report.stack);
   EXPECT_EQ(report.stack->synack_window, 5840);  // FortiOS
 }

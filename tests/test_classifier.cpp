@@ -64,7 +64,8 @@ ml::EndpointMeasurement measure_lab(const std::string& vendor, bool strip,
   m.fuzz = fuzzer.run(net::Ipv4Address(10, salt, 9, 1), "www.blocked.example",
                       "www.example.org");
   if (m.trace.blocking_hop_ip) {
-    m.banner = probe::run(net, probe::ProbeRunOptions{*m.trace.blocking_hop_ip});
+    m.banner =
+        probe::run(net, probe::ProbeRunOptions{.ip = *m.trace.blocking_hop_ip, .common = {}});
   }
   return m;
 }

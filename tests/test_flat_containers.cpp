@@ -62,7 +62,9 @@ TEST(FlatMap, MatchesStdMapUnderRandomizedOperations) {
           const auto fit = flat.find(key);
           const auto rit = ref.find(key);
           EXPECT_EQ(fit == flat.end(), rit == ref.end());
-          if (fit != flat.end()) EXPECT_EQ(fit->second, rit->second);
+          if (fit != flat.end()) {
+            EXPECT_EQ(fit->second, rit->second);
+          }
           EXPECT_EQ(flat.count(key), ref.count(key));
           break;
         }

@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "malformed IP: %s\n", args.get("ip").c_str());
       return cli::kExitUsage;
     }
-    probe::DeviceProbeReport r = probe::run(*s.network, probe::ProbeRunOptions{*ip}, obs_ptr);
+    probe::DeviceProbeReport r =
+        probe::run(*s.network, probe::ProbeRunOptions{.ip = *ip, .common = {}}, obs_ptr);
     if (common.json) {
       std::printf("%s\n", report::to_json(r).c_str());
     } else {
