@@ -64,7 +64,7 @@ int main() {
   // 3. CenProbe: who makes it?
   if (report.blocking_hop_ip) {
     probe::DeviceProbeReport probe =
-        probe::run(network, probe::ProbeRunOptions{.ip = *report.blocking_hop_ip, .common = {}});
+        probe::run(network, probe::ProbeRunOptions{.ip = *report.blocking_hop_ip});
     std::printf("open ports: %zu, vendor: %s\n", probe.open_ports.size(),
                 probe.vendor ? probe.vendor->c_str() : "(unknown)");
   }

@@ -458,7 +458,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
         report::probe_report_from_json, [&](sim::Network& worker, std::size_t i) {
           return report::to_json(probe::run(
               worker,
-              probe::ProbeRunOptions{.ip = net::Ipv4Address(probe_targets[i]), .common = {}}));
+              probe::ProbeRunOptions{.ip = net::Ipv4Address(probe_targets[i])}));
         });
     if (!probed) return result;
     std::map<std::uint32_t, probe::DeviceProbeReport> device_probes;

@@ -9,13 +9,6 @@ namespace cen::campaign {
 
 namespace {
 
-std::optional<scenario::Country> country_from_code(std::string_view code) {
-  for (scenario::Country c : scenario::all_countries()) {
-    if (scenario::country_code(c) == code) return c;
-  }
-  return std::nullopt;
-}
-
 std::optional<trace::ProbeProtocol> protocol_from_name(std::string_view name) {
   for (int i = 0; i < 4; ++i) {
     auto p = static_cast<trace::ProbeProtocol>(i);
@@ -205,7 +198,7 @@ std::optional<CampaignSpec> spec_from_json(std::string_view text, std::string* e
       return std::nullopt;
     }
     for (const JsonValue& c : cs->array) {
-      auto country = c.is_string() ? country_from_code(c.string) : std::nullopt;
+      auto country = c.is_string() ? scenario::country_from_code(c.string) : std::nullopt;
       if (!country) {
         fail(error, "unknown country code: " + (c.is_string() ? c.string : "<non-string>"));
         return std::nullopt;

@@ -45,7 +45,7 @@ struct ProbeRunOptions {
   net::Ipv4Address ip;
   /// Shared run fields. Probing is a stateless management-plane scan, so
   /// only `seed` (epoch reset before the scan) applies here.
-  tool::CommonRunOptions common;
+  tool::CommonRunOptions common{};
 };
 
 /// Unified entry point (same shape as trace::run / fuzz::run): probe one

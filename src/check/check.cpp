@@ -102,7 +102,7 @@ const std::vector<Engine>& all_engines() {
 }
 
 std::string CheckFailure::repro() const {
-  std::string out = "cencheck --engine ";
+  std::string out = "cen check --engine ";
   out += engine_name(engine);
   append_format(out, " --seed %llu --budget %d --iterations 1",
                 static_cast<unsigned long long>(seed), minimized_budget);

@@ -1,4 +1,4 @@
-// Deterministic self-check subsystem (the `cencheck` tool's engine).
+// Deterministic self-check subsystem (the engine behind `cen check`).
 //
 // Four in-process differential-fuzz / invariant engines hunt for the bug
 // classes that silently corrupt measurement results:
@@ -20,7 +20,7 @@
 //
 // Everything is reproducible: each case derives its RNG from
 // (engine, case seed) alone, so any failure replays from the one-line
-// `cencheck --engine E --seed N` command printed with it, independent of
+// `cen check --engine E --seed N` command printed with it, independent of
 // thread count or which other cases ran. Reports never mention thread
 // count, so output is byte-identical across --threads values.
 #pragma once
@@ -124,7 +124,7 @@ struct CheckReport {
 CheckReport run_checks(const CheckOptions& options);
 
 /// Replay one case — the reproduction entry point behind
-/// `cencheck --engine E --seed N`. Failures are appended to the returned
+/// `cen check --engine E --seed N`. Failures are appended to the returned
 /// vector; when `checks` is non-null the case's check count is added.
 std::vector<CheckFailure> run_case(Engine engine, std::uint64_t case_seed, int budget,
                                    std::uint64_t* checks = nullptr);

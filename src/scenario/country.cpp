@@ -7,14 +7,11 @@
 
 namespace cen::scenario {
 
-std::string_view country_code(Country c) {
-  switch (c) {
-    case Country::kAZ: return "AZ";
-    case Country::kBY: return "BY";
-    case Country::kKZ: return "KZ";
-    case Country::kRU: return "RU";
+std::optional<Country> country_from_code(std::string_view code) {
+  for (std::size_t i = 0; i < std::size(kCountryCodes); ++i) {
+    if (kCountryCodes[i] == code) return static_cast<Country>(i);
   }
-  return "??";
+  return std::nullopt;
 }
 
 std::vector<Country> all_countries() {

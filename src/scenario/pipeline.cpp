@@ -259,7 +259,7 @@ PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
     merger.run_stage(exec, derive_task_seeds(net.seed(), salts::kProbeStage, probe_keys),
                      "stage:cenprobe", [&](sim::Network& replica, std::size_t i) {
                        probes[i] = probe::run(
-                           replica, probe::ProbeRunOptions{.ip = probe_ips[i], .common = {}});
+                           replica, probe::ProbeRunOptions{.ip = probe_ips[i]});
                      });
     for (std::size_t i = 0; i < probe_ips.size(); ++i) {
       result.device_probes.emplace(probe_ips[i].value(), std::move(probes[i]));

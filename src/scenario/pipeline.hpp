@@ -97,7 +97,7 @@ ConsistencyStats localisation_consistency(const PipelineResult& result);
 
 /// CenTrace fan-out over every (endpoint × domain) pair with the same
 /// hermetic per-task seeding as the pipeline's trace stage. Backs
-/// `centrace_cli --threads`: the task seeds depend only on the task
+/// `cen trace`: the task seeds depend only on the task
 /// identity (endpoint, domain, protocol) and the network's construction
 /// seed, so the reports — and, when `observer` is non-null, the merged
 /// sim-domain metrics/spans/journal — are byte-identical for every

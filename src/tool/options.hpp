@@ -5,7 +5,7 @@
 // — and every <Tool>RunOptions embeds one CommonRunOptions. The retry
 // budget, retry backoff and measurement-epoch seed used to be duplicated
 // across the tools under per-tool names; hoisting them here means the
-// CLIs populate them in exactly one place (cli::apply_common) and each
+// CLIs populate them in exactly one place (cli::parse_common) and each
 // run() applies them with one call.
 #pragma once
 

@@ -9,7 +9,7 @@
 // the pair is the complete identity of a world: spec.fingerprint() mixed
 // with the seed keys campaign caches.
 //
-// Specs are JSON-loadable (cenworld --spec, cencampaign "world" object)
+// Specs are JSON-loadable (cen world --spec, cen campaign "world" object)
 // and three built-in scale tiers — "1k", "100k", "1m" endpoints — cover
 // the benchmark ladder without spec files.
 #pragma once

@@ -455,6 +455,21 @@ TEST(Campaign, SpecJsonRoundTrip) {
   EXPECT_FALSE(campaign::spec_from_json("not json", &error).has_value());
 }
 
+TEST(Campaign, CountryCodesRoundTrip) {
+  // One code table serves the spec decoder and `cen --country`; the CLI
+  // upper-cases first (a ctest runs `cen trace --country kz`), the spec
+  // takes upper case only.
+  for (scenario::Country c : scenario::all_countries()) {
+    EXPECT_EQ(scenario::country_from_code(scenario::country_code(c)), c);
+  }
+  EXPECT_EQ(std::size(scenario::kCountryCodes), scenario::all_countries().size());
+  EXPECT_FALSE(scenario::country_from_code("kz").has_value());
+  std::string error;
+  EXPECT_TRUE(campaign::spec_from_json("{\"countries\":[\"KZ\"]}", &error).has_value());
+  EXPECT_FALSE(campaign::spec_from_json("{\"countries\":[\"kz\"]}", &error).has_value());
+  EXPECT_FALSE(campaign::spec_from_json("{\"countries\":[\"XX\"]}", &error).has_value());
+}
+
 TEST(Campaign, SpecNumbersSaturate) {
   // Out-of-range numbers clamp to the member's range; a plain cast of such
   // a double to an integer is undefined behaviour.

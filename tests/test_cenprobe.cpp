@@ -108,7 +108,7 @@ TEST(Fingerprints, CaseInsensitive) {
 TEST(ProbeDevice, FullPipelineLabelsVendor) {
   ProbeNet pn;
   DeviceProbeReport report =
-      run(*pn.net, ProbeRunOptions{.ip = net::Ipv4Address(10, 0, 2, 1), .common = {}});
+      run(*pn.net, ProbeRunOptions{.ip = net::Ipv4Address(10, 0, 2, 1)});
   EXPECT_TRUE(report.has_any_service());
   EXPECT_EQ(report.banners.size(), 2u);
   ASSERT_TRUE(report.vendor);
@@ -118,7 +118,7 @@ TEST(ProbeDevice, FullPipelineLabelsVendor) {
 TEST(ProbeDevice, GenericRouterGetsNoLabel) {
   ProbeNet pn;
   DeviceProbeReport report =
-      run(*pn.net, ProbeRunOptions{.ip = net::Ipv4Address(10, 0, 1, 1), .common = {}});
+      run(*pn.net, ProbeRunOptions{.ip = net::Ipv4Address(10, 0, 1, 1)});
   EXPECT_TRUE(report.has_any_service());
   EXPECT_FALSE(report.vendor);
 }
@@ -126,7 +126,7 @@ TEST(ProbeDevice, GenericRouterGetsNoLabel) {
 TEST(ProbeDevice, SilentIpHasNothing) {
   ProbeNet pn;
   DeviceProbeReport report =
-      run(*pn.net, ProbeRunOptions{.ip = net::Ipv4Address(9, 9, 9, 9), .common = {}});
+      run(*pn.net, ProbeRunOptions{.ip = net::Ipv4Address(9, 9, 9, 9)});
   EXPECT_FALSE(report.has_any_service());
   EXPECT_TRUE(report.banners.empty());
   EXPECT_FALSE(report.vendor);
@@ -142,7 +142,7 @@ TEST(ProbeDevice, EveryCommercialVendorIdentifiable) {
     cfg.mgmt_ip = net::Ipv4Address(10, 0, 1, 1);
     net.attach_device(0, std::make_shared<censor::Device>(cfg));
     DeviceProbeReport report =
-        run(net, ProbeRunOptions{.ip = net::Ipv4Address(10, 0, 1, 1), .common = {}});
+        run(net, ProbeRunOptions{.ip = net::Ipv4Address(10, 0, 1, 1)});
     ASSERT_TRUE(report.vendor) << vendor;
     EXPECT_EQ(*report.vendor, vendor);
   }
@@ -184,7 +184,7 @@ TEST(StackProbe, VendorsDifferOnStack) {
 TEST(StackProbe, ReportCarriesStack) {
   ProbeNet pn;
   DeviceProbeReport report =
-      run(*pn.net, ProbeRunOptions{.ip = net::Ipv4Address(10, 0, 2, 1), .common = {}});
+      run(*pn.net, ProbeRunOptions{.ip = net::Ipv4Address(10, 0, 2, 1)});
   ASSERT_TRUE(report.stack);
   EXPECT_EQ(report.stack->synack_window, 5840);  // FortiOS
 }

@@ -1,7 +1,7 @@
 // The check subsystem's own contract: engines run clean on fixed seeds,
 // failures reproduce exactly from their printed seed, the minimizer
 // shrinks a planted failure to its true threshold, and reports are
-// byte-identical across thread counts (the property `cencheck --threads`
+// byte-identical across thread counts (the property `cen check --threads`
 // is allowed to change wall time, never output).
 #include <gtest/gtest.h>
 
@@ -56,6 +56,9 @@ TEST(Check, SelfTestPlantedBugIsCaught) {
   // The printed repro names the engine and the case seed.
   EXPECT_NE(report.failures[0].repro().find("--engine self-test --seed 123"),
             std::string::npos)
+      << report.failures[0].repro();
+  // ...as a command the `cen` front end runs.
+  EXPECT_EQ(report.failures[0].repro().rfind("cen check --engine ", 0), 0u)
       << report.failures[0].repro();
   // The planted bug fires exactly when the budget reaches 3, and the
   // minimizer must find that threshold.

@@ -65,7 +65,7 @@ ml::EndpointMeasurement measure_lab(const std::string& vendor, bool strip,
                       "www.example.org");
   if (m.trace.blocking_hop_ip) {
     m.banner =
-        probe::run(net, probe::ProbeRunOptions{.ip = *m.trace.blocking_hop_ip, .common = {}});
+        probe::run(net, probe::ProbeRunOptions{.ip = *m.trace.blocking_hop_ip});
   }
   return m;
 }

@@ -441,7 +441,7 @@ FanoutSnapshot fanout(int threads, bool faulty) {
 }  // namespace
 
 TEST(TraceFanout, ByteIdenticalAcrossThreadsIncludingInline) {
-  // The acceptance contract behind `centrace_cli --threads`: reports,
+  // The acceptance contract behind `cen trace --threads`: reports,
   // metric snapshots, span timelines (sim-clock timestamps) and journals
   // identical for threads in {0, 1, 4} — 0 is the poolless inline path.
   for (bool faulty : {false, true}) {

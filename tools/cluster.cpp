@@ -1,41 +1,26 @@
-// cencluster — run the full measurement pipeline over one or more built-in
-// scenarios and cluster the blocked endpoints (paper §7).
-//
-//   cencluster [--countries AZ,BY,KZ,RU] [--fuzz-cap N] [--reps N]
-//              [--top-k 10] [--export features.csv] [common flags]
-#include "cli_common.hpp"
-#include "core/strings.hpp"
+// cen cluster — run the full measurement pipeline over one or more
+// built-in scenarios and cluster the blocked endpoints (paper §7).
+#include "cli.hpp"
 #include "ml/dbscan.hpp"
 #include "ml/random_forest.hpp"
 
 using namespace cen;
+using namespace cli;
 
-int main(int argc, char** argv) {
-  cli::Args args(argc, argv);
-  const cli::CommonOptions common = cli::parse_common(args);
-  if (args.has("help")) {
-    std::printf(
-        "usage: cencluster [--countries AZ,BY,KZ,RU] [--fuzz-cap N] [--reps N]\n"
-        "                  [--top-k K] [--export features.csv] [common flags]\n%s",
-        cli::kCommonUsage);
-    return cli::kExitOk;
-  }
-
-  obs::Observer observer;
-  obs::Observer* obs_ptr = cli::wants_observer(args) ? &observer : nullptr;
-
+int cli::run_cluster(const Context& ctx) {
+  const Args& args = ctx.args;
   scenario::PipelineOptions o;
   o.centrace_repetitions = args.get_int("reps", 5);
   o.fuzz_max_endpoints = args.get_int("fuzz-cap", 40);
-  o.threads = common.threads;
-  o.observer = obs_ptr;
-  o.faults = common.faults;
+  o.threads = ctx.common.threads;
+  o.observer = ctx.observer;
+  o.faults = ctx.common.faults;
 
   std::vector<ml::EndpointMeasurement> all;
   for (const std::string& code :
        split(args.get("countries", "AZ,BY,KZ,RU"), ',')) {
     scenario::CountryScenario s =
-        scenario::make_country(cli::parse_country(code), common.scale);
+        scenario::make_country(parse_country(code), ctx.common.scale);
     scenario::PipelineResult r = run_country_pipeline(s, o);
     std::fprintf(stderr, "%s: %zu blocked endpoints\n", code.c_str(),
                  r.measurements.size());
@@ -45,19 +30,12 @@ int main(int argc, char** argv) {
   }
   if (all.empty()) {
     std::printf("no blocked endpoints with fuzz data — nothing to cluster\n");
-    return obs_ptr != nullptr ? cli::write_observability(args, observer) : 0;
+    return kExitOk;
   }
 
   ml::FeatureMatrix fm = ml::extract_features(all);
   if (args.has("export")) {
-    std::string csv = ml::to_csv(fm);
-    std::FILE* f = std::fopen(args.get("export").c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", args.get("export").c_str());
-      return cli::kExitRuntime;
-    }
-    std::fwrite(csv.data(), 1, csv.size(), f);
-    std::fclose(f);
+    if (!write_file(args.get("export"), ml::to_csv(fm))) return kExitRuntime;
     std::fprintf(stderr, "wrote %zu feature rows to %s\n", fm.n_rows(),
                  args.get("export").c_str());
   }
@@ -105,5 +83,5 @@ int main(int argc, char** argv) {
     for (const auto& [label, n] : by_label) std::printf("  [%s x%d]", label.c_str(), n);
     std::printf("\n");
   }
-  return obs_ptr != nullptr ? cli::write_observability(args, observer) : 0;
+  return kExitOk;
 }

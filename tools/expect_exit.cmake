@@ -1,0 +1,27 @@
+# Runs `cen` and checks its exit code, output and an output file:
+#   cmake -DCEN=<binary> -DARGS=a,b,... -DRC=<code> [-DMATCH=<regex>]
+#         [-DFILE=<path>] -P expect_exit.cmake
+# Passes when `cen ARGS` exits RC, its stdout and stderr together match
+# MATCH, and FILE (removed first) was written non-empty.
+string(REPLACE "," ";" ARGS "${ARGS}")
+string(REPLACE ";" " " command "cen ${ARGS}")
+if(FILE)
+  file(REMOVE ${FILE})
+endif()
+execute_process(COMMAND ${CEN} ${ARGS} RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out ERROR_VARIABLE out)
+if(NOT rc STREQUAL RC)
+  message(FATAL_ERROR "${command} exited ${rc}, expected ${RC}:\n${out}")
+endif()
+if(MATCH AND NOT out MATCHES "${MATCH}")
+  message(FATAL_ERROR "${command} output does not match '${MATCH}':\n${out}")
+endif()
+if(FILE)
+  set(size 0)
+  if(EXISTS ${FILE})
+    file(SIZE ${FILE} size)
+  endif()
+  if(NOT size GREATER 0)
+    message(FATAL_ERROR "${command} left ${FILE} missing or empty")
+  endif()
+endif()

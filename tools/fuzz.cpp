@@ -1,53 +1,28 @@
-// cenfuzz — fuzz a blocked connection against a built-in scenario.
-//
-//   cenfuzz --country KZ [--endpoint N] [--domain D] [--successful-only]
-//           [common flags: --scale/--json/--fault-*/--metrics/...]
+// cen fuzz — fuzz a blocked connection against a built-in scenario.
 //
 // Picks the first test domain and endpoint unless told otherwise; prints a
 // per-strategy summary, permutation detail for evading probes, or JSONL.
-#include "cli_common.hpp"
+#include "cli.hpp"
 
 using namespace cen;
+using namespace cli;
 
-int main(int argc, char** argv) {
-  cli::Args args(argc, argv);
-  const cli::CommonOptions common = cli::parse_common(args);
-  if (args.has("help") || !args.has("country")) {
-    std::printf(
-        "usage: cenfuzz --country AZ|BY|KZ|RU [--endpoint N] [--domain D]\n"
-        "               [--successful-only] [common flags]\n%s",
-        cli::kCommonUsage);
-    return args.has("help") ? cli::kExitOk : cli::kExitUsage;
-  }
-
-  scenario::CountryScenario s =
-      scenario::make_country(cli::parse_country(args.get("country")), common.scale);
-  s.network->set_fault_plan(common.faults);
-
-  int index = args.get_int("endpoint", 0);
-  if (index < 0 || index >= static_cast<int>(s.remote_endpoints.size())) {
-    std::fprintf(stderr, "endpoint index out of range (0..%zu)\n",
-                 s.remote_endpoints.size() - 1);
-    return cli::kExitUsage;
-  }
-  std::string domain = args.get("domain", s.http_test_domains.front());
-
-  obs::Observer observer;
-  obs::Observer* obs_ptr = cli::wants_observer(args) ? &observer : nullptr;
+int cli::run_fuzz(const Context& ctx) {
+  const Args& args = ctx.args;
+  scenario::CountryScenario s = make_site(ctx);
+  const std::string domain = args.get("domain", s.http_test_domains.front());
 
   fuzz::FuzzRunOptions ropts;
   ropts.client = s.remote_client;
-  ropts.endpoint = s.remote_endpoints[static_cast<std::size_t>(index)];
+  ropts.endpoint = select_endpoint(ctx, s);
   ropts.test_domain = domain;
   ropts.control_domain = s.control_domain;
-  ropts.common = common.run;
-  fuzz::CenFuzzReport report = fuzz::run(*s.network, ropts, obs_ptr);
+  ropts.common = ctx.common.run;
+  const fuzz::CenFuzzReport report = fuzz::run(*s.network, ropts, ctx.observer);
 
-  int obs_rc = obs_ptr != nullptr ? cli::write_observability(args, observer) : 0;
-
-  if (common.json) {
+  if (ctx.common.json) {
     std::printf("%s\n", report::to_json(report).c_str());
-    return obs_rc;
+    return kExitOk;
   }
 
   std::printf("endpoint %s, test domain %s\n", report.endpoint.str().c_str(),
@@ -57,7 +32,7 @@ int main(int argc, char** argv) {
               report.tls_baseline_blocked ? "yes" : "no", report.total_requests);
   if (!report.http_baseline_blocked && !report.tls_baseline_blocked) {
     std::printf("nothing to fuzz: the Normal request is not blocked.\n");
-    return obs_rc;
+    return kExitOk;
   }
 
   std::map<std::string, std::array<int, 3>> per_strategy;  // succ / fail / untestable
@@ -79,5 +54,5 @@ int main(int argc, char** argv) {
       std::printf("%-26s %6d %6d %6d\n", strategy.c_str(), row[0], row[1], row[2]);
     }
   }
-  return obs_rc;
+  return kExitOk;
 }

@@ -1,8 +1,4 @@
-// cenworld — generate and inspect synthetic worlds (docs/WORLDGEN.md).
-//
-//   cenworld [--tier 1k|100k|1m] [--spec FILE] [--seed N]
-//            [--stats] [--dump FILE] [--spec-json FILE]
-//            [--json] [--metrics FILE] [--trace FILE] [--journal FILE]
+// cen world — generate and inspect synthetic worlds (docs/WORLDGEN.md).
 //
 // Generates the world described by the built-in tier (default 1k) or a
 // WorldSpec JSON file, then:
@@ -10,7 +6,7 @@
 //   --dump FILE          writes a JSON dump (spec, stats, per-AS table,
 //                        device plans) for offline inspection;
 //   --spec-json FILE     writes the canonical spec JSON (the file
-//                        cencampaign --world and --spec accept back).
+//                        cen campaign --world and --spec accept back).
 //
 // The same (spec, seed) always prints the same fingerprint — that digest
 // is what campaign caches key on.
@@ -18,12 +14,13 @@
 // Exit codes: 0 ok, 1 I/O failure, 2 usage error.
 #include <cinttypes>
 
-#include "cli_common.hpp"
+#include "cli.hpp"
 #include "core/json.hpp"
 #include "worldgen/generate.hpp"
 #include "worldgen/spec.hpp"
 
 using namespace cen;
+using namespace cli;
 
 namespace {
 
@@ -101,53 +98,30 @@ std::string dump_json(const worldgen::World& world) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  cli::Args args(argc, argv);
-  if (args.has("help")) {
-    std::printf(
-        "usage: cenworld [--tier 1k|100k|1m] [--spec FILE] [--seed N]\n"
-        "                [--stats] [--dump FILE] [--spec-json FILE] [--json]\n"
-        "                [--metrics FILE --trace FILE --journal FILE]\n");
-    return cli::kExitOk;
-  }
-
+int cli::run_world(const Context& ctx) {
+  const Args& args = ctx.args;
   worldgen::WorldSpec spec;
   if (args.has("spec")) {
     std::string error;
     auto loaded = worldgen::load_spec_file(args.get("spec"), &error);
-    if (!loaded) {
-      std::fprintf(stderr, "bad spec %s: %s\n", args.get("spec").c_str(), error.c_str());
-      return cli::kExitUsage;
-    }
+    if (!loaded) throw UsageError("bad spec " + args.get("spec") + ": " + error);
     spec = std::move(*loaded);
   } else {
     const std::string tier = args.get("tier", "1k");
     auto built_in = worldgen::WorldSpec::tier(tier);
-    if (!built_in) {
-      std::fprintf(stderr, "unknown tier '%s' (expected 1k, 100k or 1m)\n", tier.c_str());
-      return cli::kExitUsage;
-    }
+    if (!built_in) throw UsageError("unknown tier '" + tier + "' (expected 1k, 100k or 1m)");
     spec = std::move(*built_in);
   }
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
-  obs::Observer observer;
-  obs::Observer* obs_ptr = cli::wants_observer(args) ? &observer : nullptr;
-  worldgen::World world = worldgen::generate(spec, seed, obs_ptr);
+  const worldgen::World world = worldgen::generate(spec, seed, ctx.observer);
 
-  int rc = cli::kExitOk;
-  if (args.has("dump") && !cli::write_file(args.get("dump"), dump_json(world))) {
-    rc = cli::kExitRuntime;
+  int rc = kExitOk;
+  if (args.has("dump") && !write_file(args.get("dump"), dump_json(world))) rc = kExitRuntime;
+  if (args.has("spec-json") && !write_file(args.get("spec-json"), worldgen::to_json(world.spec))) {
+    rc = kExitRuntime;
   }
-  if (args.has("spec-json") &&
-      !cli::write_file(args.get("spec-json"), worldgen::to_json(world.spec))) {
-    rc = cli::kExitRuntime;
-  }
-  if (obs_ptr != nullptr && cli::write_observability(args, observer) != 0) {
-    rc = cli::kExitRuntime;
-  }
-
-  if (args.has("json")) {
+  if (ctx.common.json) {
     std::printf("%s\n", stats_json(world).c_str());
   } else {
     const worldgen::World::Stats st = world.stats();
