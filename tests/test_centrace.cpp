@@ -6,7 +6,10 @@
 
 #include "censor/vendors.hpp"
 #include "centrace/centrace.hpp"
+#include "core/fingerprint.hpp"
 #include "net/http.hpp"
+#include "obs/observer.hpp"
+#include "report/json_report.hpp"
 
 using namespace cen;
 using namespace cen::trace;
@@ -67,6 +70,13 @@ struct TraceNet {
 sim::RouterProfile silent() {
   sim::RouterProfile p;
   p.responds_icmp = false;
+  return p;
+}
+
+/// A router that quotes the whole expired datagram (RFC 1812).
+sim::RouterProfile full_quote() {
+  sim::RouterProfile p;
+  p.quote_policy = net::QuotePolicy::kRfc1812Full;
   return p;
 }
 
@@ -481,4 +491,158 @@ TEST(CenTrace, UnreachableEndpointNotBlocked) {
                                     "www.blocked.example", "www.example.org");
   EXPECT_FALSE(r.blocked);
   EXPECT_EQ(r.endpoint_hop_distance, -1);
+}
+
+// ---- Sweep transcripts, pinned byte for byte. ----
+//
+// Every field a probe records, for every hop of every sweep, hashed over
+// lab networks that cover HTTP, TLS, DNS/UDP, on-path taps, TTL copying,
+// full RFC 1812 quotes and a lossy, ICMP-rate-limited fault plan, plus the
+// metrics, trace and journal of one observed measurement. The probe path
+// may change how it stores or moves packets; it may not change a byte.
+
+namespace {
+
+void mix_bytes(FingerprintBuilder& fp, BytesView b) {
+  fp.mix(static_cast<std::uint64_t>(b.size()));
+  for (std::uint8_t x : b) fp.mix(static_cast<std::uint64_t>(x));
+}
+
+void mix_sweep(FingerprintBuilder& fp, const SingleTrace& t) {
+  fp.mix(t.domain);
+  fp.mix(static_cast<std::uint64_t>(t.terminating_ttl));
+  fp.mix(static_cast<std::uint64_t>(t.terminating_response));
+  fp.mix(t.endpoint_reached);
+  fp.mix(t.connect_failed);
+  fp.mix(t.channel_dead);
+  fp.mix(static_cast<std::uint64_t>(t.hops.size()));
+  for (const HopObservation& h : t.hops) {
+    fp.mix(static_cast<std::uint64_t>(h.ttl));
+    fp.mix(static_cast<std::uint64_t>(h.response));
+    fp.mix(h.icmp_router.has_value());
+    if (h.icmp_router) fp.mix(static_cast<std::uint64_t>(h.icmp_router->value()));
+    fp.mix(h.icmp_quoted.has_value());
+    if (h.icmp_quoted) mix_bytes(fp, *h.icmp_quoted);
+    fp.mix(h.tcp_packet.has_value());
+    if (h.tcp_packet) {
+      mix_bytes(fp, h.tcp_packet->serialize());
+      fp.mix(h.tcp_packet->checksum_ok);
+    }
+    mix_bytes(fp, h.sent.ip.serialize());
+    mix_bytes(fp, h.sent.tcp.serialize());
+    fp.mix(h.tcp_and_icmp);
+  }
+}
+
+std::uint64_t transcript_digest(const CenTraceReport& r) {
+  FingerprintBuilder fp;
+  for (const SingleTrace& t : r.control_traces) mix_sweep(fp, t);
+  for (const SingleTrace& t : r.test_traces) mix_sweep(fp, t);
+  fp.mix(report::to_json(r, /*include_sweeps=*/true));
+  return fp.digest();
+}
+
+CenTraceReport trace_lab(TraceNet& tn, ProbeProtocol protocol, net::Ipv4Address endpoint,
+                         int reps = 3, SimTime backoff = 0) {
+  CenTraceOptions opts;
+  opts.repetitions = reps;
+  opts.protocol = protocol;
+  opts.retry_backoff = backoff;
+  CenTrace tracer(*tn.net, tn.client, opts);
+  return tracer.measure(endpoint, "www.blocked.example", "www.example.org");
+}
+
+const net::Ipv4Address kServer(10, 0, 9, 1);
+
+}  // namespace
+
+TEST(CenTrace, SweepTranscriptsPinned) {
+  struct Pin {
+    const char* name;
+    std::uint64_t expected;
+    std::uint64_t actual;
+  };
+  std::vector<Pin> pins;
+
+  {  // HTTP, on-path RST tap behind a TOS rewriter and a full-quoting router.
+    sim::RouterProfile tos;
+    tos.rewrite_tos = 0x20;
+    sim::RouterProfile full = full_quote();
+    full.clears_df_flag = true;
+    TraceNet tn({tos, full});
+    censor::DeviceConfig cfg;
+    cfg.id = "tap";
+    cfg.on_path = true;
+    cfg.action = censor::BlockAction::kRstInject;
+    tn.attach(cfg, 2);
+    pins.push_back({"http tap", 0x2730bc0b6b27ea2bULL, transcript_digest(trace_lab(tn, ProbeProtocol::kHttp, kServer))});
+  }
+  {  // HTTP blockpage injector in path.
+    TraceNet tn({{}, {}, {}, full_quote()});
+    tn.attach(censor::make_vendor_device("Fortinet", "f1"), 2);
+    pins.push_back(
+        {"http blockpage", 0x7d05a65e4defe17eULL, transcript_digest(trace_lab(tn, ProbeProtocol::kHttp, kServer))});
+  }
+  {  // TLS, TTL-copying RST injector (the "Past E" artefact).
+    TraceNet tn({full_quote()});
+    censor::DeviceConfig cfg;
+    cfg.id = "copier";
+    cfg.action = censor::BlockAction::kRstInject;
+    cfg.injection.copy_ttl_from_trigger = true;
+    tn.attach(cfg, 3);
+    pins.push_back(
+        {"tls ttl-copy", 0x7680d0af189fe090ULL, transcript_digest(trace_lab(tn, ProbeProtocol::kHttps, kServer))});
+  }
+  {  // DNS over UDP to a resolver behind r5, sinkhole injector at hop 2.
+    sim::NodeId resolver = sim::kInvalidNode;
+    TraceNet tn({}, [&](TraceNet& t, sim::CompactTopologyBuilder& b) {
+      resolver = b.add_node("resolver", net::Ipv4Address(10, 0, 9, 53));
+      b.add_link(t.routers[4], resolver);
+    });
+    sim::EndpointProfile profile;
+    profile.hosted_domains = {"resolver.example"};
+    profile.is_dns_resolver = true;
+    tn.net->add_endpoint(resolver, profile);
+    censor::DeviceConfig cfg;
+    cfg.id = "dns-injector";
+    cfg.on_path = true;
+    cfg.action = censor::BlockAction::kBlockpage;
+    cfg.dns_rules.add("blocked.example");
+    cfg.dns_sinkhole = censor::dns_sinkhole_address();
+    tn.net->attach_device(tn.routers[1], std::make_shared<censor::Device>(cfg));
+    pins.push_back({"dns/udp", 0x7a7853fa792079edULL,
+                    transcript_digest(trace_lab(tn, ProbeProtocol::kDnsUdp,
+                                                net::Ipv4Address(10, 0, 9, 53)))});
+  }
+  {  // Loss, duplication, reordering and ICMP rate limiting; observed.
+    TraceNet tn;
+    censor::DeviceConfig cfg;
+    cfg.id = "dropper";
+    cfg.action = censor::BlockAction::kDrop;
+    tn.attach(cfg, 3);
+    sim::FaultPlan plan;
+    plan.default_link.loss = 0.05;
+    plan.default_link.duplicate = 0.05;
+    plan.default_link.reorder = 0.05;
+    plan.default_node.icmp_rate_per_sec = 0.001;
+    plan.default_node.icmp_burst = 1.0;
+    tn.net->set_fault_plan(plan);
+    obs::Observer observer;
+    tn.net->set_observer(&observer);
+    pins.push_back({"faulty", 0x0273db8a8bffff2cULL,
+                    transcript_digest(trace_lab(tn, ProbeProtocol::kHttp, kServer, 5, kSecond))});
+    tn.net->set_observer(nullptr);
+    pins.push_back({"faulty metrics", 0xf6ac9d5a6b9222d0ULL,
+                    FingerprintBuilder().mix(report::to_json(observer)).digest()});
+    pins.push_back({"faulty trace", 0xe38feb71b85eb76cULL,
+                    FingerprintBuilder().mix(observer.tracer().to_chrome_json()).digest()});
+    pins.push_back({"faulty journal", 0x180313f776a0993bULL,
+                    FingerprintBuilder().mix(observer.journal().to_json()).digest()});
+  }
+
+  for (const Pin& p : pins) {
+    char hex[19];
+    std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(p.actual));
+    EXPECT_EQ(p.expected, p.actual) << p.name << " digest is now " << hex;
+  }
 }
