@@ -664,7 +664,7 @@ std::string CampaignResult::summary_json() const {
   }
   w.end_array();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 }  // namespace cen::campaign

@@ -180,7 +180,7 @@ std::string to_json(const CampaignSpec& spec) {
     w.key("evolution_epoch").value(spec.evolution_epoch);
   }
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::optional<CampaignSpec> spec_from_json(std::string_view text, std::string* error) {

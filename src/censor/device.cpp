@@ -60,17 +60,26 @@ bool Device::payload_triggers(BytesView payload) const {
   // The verdict is a pure function of (payload bytes, config): safe to
   // memoize. Exact-bytes match — the hash only narrows the scan; memcmp
   // decides, so fault-mangled payload variants can never alias.
+  auto same_bytes = [&](const DpiCacheEntry& e) {
+    return e.len == payload.size() && std::memcmp(e.data, payload.data(), payload.size()) == 0;
+  };
+  // A sweep re-sends one payload: try the entry that answered last before
+  // hashing at all.
+  if (dpi_last_hit_ < dpi_cache_.size() && same_bytes(dpi_cache_[dpi_last_hit_])) {
+    return dpi_cache_[dpi_last_hit_].triggers;
+  }
   const std::uint64_t hash = fnv1a(payload);
-  for (const DpiCacheEntry& e : dpi_cache_) {
-    if (e.hash == hash && e.len == payload.size() &&
-        std::memcmp(e.data, payload.data(), payload.size()) == 0) {
-      return e.triggers;
+  for (std::size_t i = 0; i < dpi_cache_.size(); ++i) {
+    if (dpi_cache_[i].hash == hash && same_bytes(dpi_cache_[i])) {
+      dpi_last_hit_ = i;
+      return dpi_cache_[i].triggers;
     }
   }
   bool triggers = payload_triggers_uncached(payload);
   if (dpi_cache_.size() < kDpiCacheCap) {
     auto* copy = dpi_arena_.allocate_array<std::uint8_t>(payload.size());
     std::memcpy(copy, payload.data(), payload.size());
+    dpi_last_hit_ = dpi_cache_.size();
     dpi_cache_.push_back(
         {hash, copy, static_cast<std::uint32_t>(payload.size()), triggers});
   }

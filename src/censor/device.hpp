@@ -222,6 +222,8 @@ class Device {
   bool dirty_ = false;
   bool assembled_bypass_ = false;
   mutable std::vector<DpiCacheEntry> dpi_cache_;
+  /// Index of the entry that answered the last lookup (checked first).
+  mutable std::size_t dpi_last_hit_ = 0;
   mutable core::Arena dpi_arena_{4 * 1024};
 };
 

@@ -187,14 +187,14 @@ HopObservation CenTrace::probe(net::Ipv4Address endpoint, const Bytes& payload, 
         }
       }
       bool got_icmp = false, got_answer = false;
-      for (const sim::Event& ev : events) {
-        if (const auto* icmp = std::get_if<sim::IcmpEvent>(&ev)) {
+      for (sim::Event& ev : events) {
+        if (auto* icmp = std::get_if<sim::IcmpEvent>(&ev)) {
           got_icmp = true;
           if (!obs.icmp_router) {
             obs.icmp_router = icmp->router;
-            obs.icmp_quoted = icmp->quoted;
+            obs.icmp_quoted = std::move(icmp->quoted);
           }
-        } else if (const auto* udp = std::get_if<sim::UdpEvent>(&ev)) {
+        } else if (auto* udp = std::get_if<sim::UdpEvent>(&ev)) {
           ProbeResponse r = classify_udp_dns(udp->datagram);
           if (response_rank(r) > response_rank(obs.response)) {
             obs.response = r;
@@ -204,7 +204,7 @@ HopObservation CenTrace::probe(net::Ipv4Address endpoint, const Bytes& payload, 
             carrier.ip = udp->datagram.ip;
             carrier.tcp.src_port = udp->datagram.udp.src_port;
             carrier.tcp.dst_port = udp->datagram.udp.dst_port;
-            carrier.payload = udp->datagram.payload;
+            carrier.payload = std::move(udp->datagram.payload);
             obs.tcp_packet = std::move(carrier);
           }
           got_answer = true;
@@ -251,20 +251,22 @@ HopObservation CenTrace::probe(net::Ipv4Address endpoint, const Bytes& payload, 
     }
 
     obs.sent = conn.last_sent();
+    // The events are scratch, cleared by the next send: what the
+    // observation keeps is moved out of them, not copied.
     bool got_icmp = false;
     bool got_tcp = false;
-    for (const sim::Event& ev : events) {
-      if (const auto* icmp = std::get_if<sim::IcmpEvent>(&ev)) {
+    for (sim::Event& ev : events) {
+      if (auto* icmp = std::get_if<sim::IcmpEvent>(&ev)) {
         got_icmp = true;
         if (!obs.icmp_router) {
           obs.icmp_router = icmp->router;
-          obs.icmp_quoted = icmp->quoted;
+          obs.icmp_quoted = std::move(icmp->quoted);
         }
-      } else if (const auto* tcp = std::get_if<sim::TcpEvent>(&ev)) {
+      } else if (auto* tcp = std::get_if<sim::TcpEvent>(&ev)) {
         ProbeResponse r = classify_tcp(tcp->packet);
         if (response_rank(r) > response_rank(obs.response)) {
           obs.response = r;
-          obs.tcp_packet = tcp->packet;
+          obs.tcp_packet = std::move(tcp->packet);
         }
         got_tcp = true;
       }
@@ -287,8 +289,9 @@ SingleTrace CenTrace::sweep(net::Ipv4Address endpoint, const std::string& domain
   SingleTrace trace;
   trace.domain = domain;
   obs::Observer* o = network_.observer();
+  // The span name is built only when someone records it.
   obs::ScopedSpan span(o != nullptr ? &o->tracer() : nullptr, &network_.clock(),
-                       "sweep:" + domain, "centrace");
+                       o != nullptr ? "sweep:" + domain : std::string(), "centrace");
   const Bytes& payload = payload_for(domain);
 
   int consecutive_timeouts = 0;
@@ -376,7 +379,7 @@ CenTraceReport CenTrace::measure(net::Ipv4Address endpoint, const std::string& t
 
   obs::Observer* o = network_.observer();
   obs::ScopedSpan span(o != nullptr ? &o->tracer() : nullptr, &network_.clock(),
-                       "centrace:" + test_domain, "centrace");
+                       o != nullptr ? "centrace:" + test_domain : std::string(), "centrace");
   if (o != nullptr) o->tools().trace_measurements->inc();
 
   loss_recovered_probes_ = 0;

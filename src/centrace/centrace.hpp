@@ -57,8 +57,8 @@ struct HopObservation {
   std::optional<net::Packet> tcp_packet;
   /// Both an injected TCP response and an ICMP from this TTL (on-path signal).
   bool tcp_and_icmp = false;
-  /// Copy of the probe as sent (baseline for quote diffing).
-  net::Packet sent;
+  /// Headers of the probe as sent (baseline for quote diffing).
+  net::PacketHeaders sent;
 };
 
 /// One full TTL sweep for one domain over fresh per-probe connections.

@@ -2,7 +2,7 @@
 
 namespace cen::trace {
 
-QuoteDiff diff_quote(const net::Packet& sent, BytesView quoted, net::Ipv4Address router) {
+QuoteDiff diff_quote(const net::PacketHeaders& sent, BytesView quoted, net::Ipv4Address router) {
   QuoteDiff d;
   d.router = router;
   bool tcp_complete = false;

@@ -34,6 +34,6 @@ struct QuoteDiff {
 };
 
 /// Compare the sent probe against the quoted bytes from `router`.
-QuoteDiff diff_quote(const net::Packet& sent, BytesView quoted, net::Ipv4Address router);
+QuoteDiff diff_quote(const net::PacketHeaders& sent, BytesView quoted, net::Ipv4Address router);
 
 }  // namespace cen::trace

@@ -231,7 +231,7 @@ std::string CheckReport::to_json() const {
   w.end_array();
   w.key("dropped_failures").value(static_cast<std::uint64_t>(dropped_failures));
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string CheckReport::summary() const {

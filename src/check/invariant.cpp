@@ -154,7 +154,7 @@ SweepOutcome run_sweep(CaseContext& ctx, scenario::CountryScenario& sc,
           try {
             const net::Packet quoted = net::Packet::parse_quoted(icmp->quoted, complete);
             if (!mangling) {
-              const net::Packet& sent = conn.last_sent();
+              const net::PacketHeaders& sent = conn.last_sent();
               ctx.expect(quoted.ip.src == sent.ip.src && quoted.ip.dst == sent.ip.dst,
                          "invariant/icmp-quote-addrs",
                          "quote addresses do not match the probe just sent");

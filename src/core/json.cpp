@@ -77,39 +77,53 @@ bool utf8_valid(std::string_view s) {
   return true;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+void json_escape_into(std::string& out, std::string_view s) {
+  // Bytes that need no escaping are copied in runs, not one at a time.
+  std::size_t run = 0;
   for (std::size_t i = 0; i < s.size();) {
     const unsigned char c = static_cast<unsigned char>(s[i]);
+    const char* escaped = nullptr;
     switch (c) {
-      case '"': out += "\\\""; ++i; continue;
-      case '\\': out += "\\\\"; ++i; continue;
-      case '\b': out += "\\b"; ++i; continue;
-      case '\f': out += "\\f"; ++i; continue;
-      case '\n': out += "\\n"; ++i; continue;
-      case '\r': out += "\\r"; ++i; continue;
-      case '\t': out += "\\t"; ++i; continue;
+      case '"': escaped = "\\\""; break;
+      case '\\': escaped = "\\\\"; break;
+      case '\b': escaped = "\\b"; break;
+      case '\f': escaped = "\\f"; break;
+      case '\n': escaped = "\\n"; break;
+      case '\r': escaped = "\\r"; break;
+      case '\t': escaped = "\\t"; break;
       default: break;
     }
-    if (c < 0x20 || c == 0x7f) {
+    if (escaped == nullptr && c >= 0x20 && c != 0x7f) {
+      if (c < 0x80) {
+        ++i;
+        continue;
+      }
+      const std::size_t len = utf8_sequence_length(s, i);
+      if (len > 0) {
+        i += len;
+        continue;
+      }
+      // Invalid UTF-8 must not leak into a JSON document (RFC 8259 §8.1);
+      // substitute U+FFFD, one replacement per rejected byte.
+      escaped = "\xef\xbf\xbd";
+    }
+    out.append(s.data() + run, i - run);
+    if (escaped != nullptr) {
+      out += escaped;
+    } else {
       char buf[8];
       std::snprintf(buf, sizeof(buf), "\\u%04x", c);
       out += buf;
-      ++i;
-      continue;
     }
-    const std::size_t len = utf8_sequence_length(s, i);
-    if (len == 0) {
-      // Invalid UTF-8 must not leak into a JSON document (RFC 8259 §8.1);
-      // substitute U+FFFD, one replacement per rejected byte.
-      out += "\xef\xbf\xbd";
-      ++i;
-      continue;
-    }
-    out.append(s.data() + i, len);
-    i += len;
+    run = ++i;
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  json_escape_into(out, s);
   return out;
 }
 
@@ -410,6 +424,16 @@ std::unique_ptr<JsonValue> json_parse(std::string_view text) {
   return out;
 }
 
+namespace {
+
+template <typename Int>
+void append_integer(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+}  // namespace
+
 void JsonWriter::pre_value() {
   if (stack_.empty()) {
     if (!out_.empty()) throw std::logic_error("multiple top-level JSON values");
@@ -465,7 +489,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
   }
   if (has_items_.back()) out_ += ',';
   out_ += '"';
-  out_ += json_escape(k);
+  json_escape_into(out_, k);
   out_ += "\":";
   key_pending_ = true;
   has_items_.back() = true;
@@ -475,22 +499,23 @@ JsonWriter& JsonWriter::key(std::string_view k) {
 JsonWriter& JsonWriter::value(std::string_view v) {
   pre_value();
   out_ += '"';
-  out_ += json_escape(v);
+  json_escape_into(out_, v);
   out_ += '"';
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   pre_value();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   pre_value();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   return *this;
 }
+
 
 JsonWriter& JsonWriter::value(double v) {
   pre_value();
@@ -522,9 +547,14 @@ JsonWriter& JsonWriter::raw_value(std::string_view json) {
   return *this;
 }
 
-std::string JsonWriter::str() const {
+std::string JsonWriter::str() const& {
   if (!stack_.empty()) throw std::logic_error("unterminated JSON scopes");
   return out_;
+}
+
+std::string JsonWriter::str() && {
+  if (!stack_.empty()) throw std::logic_error("unterminated JSON scopes");
+  return std::move(out_);
 }
 
 }  // namespace cen

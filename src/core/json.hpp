@@ -21,6 +21,8 @@
 namespace cen {
 
 std::string json_escape(std::string_view s);
+/// Append json_escape(s) to `out` without building a temporary.
+void json_escape_into(std::string& out, std::string_view s);
 
 /// Strict UTF-8 well-formedness check (rejects overlong forms, surrogate
 /// code points and sequences beyond U+10FFFF). Everything json_escape
@@ -197,7 +199,9 @@ class JsonWriter {
   JsonWriter& raw_value(std::string_view json);
 
   /// The finished document; throws if scopes are still open.
-  std::string str() const;
+  std::string str() const&;
+  /// The same, moved out of a writer that is done with it.
+  std::string str() &&;
 
  private:
   enum class Scope : std::uint8_t { kObject, kArray };

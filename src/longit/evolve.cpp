@@ -115,7 +115,7 @@ std::string to_json(const EvolutionPlan& plan) {
   for (const std::string& d : plan.rule_pool) w.value(d);
   w.end_array();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::optional<EvolutionPlan> evolution_from_doc(const JsonValue& doc,

@@ -233,7 +233,7 @@ std::string LongitResult::to_json() const {
   w.end_object();
   w.end_object();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 }  // namespace cen::longit

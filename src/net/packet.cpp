@@ -80,17 +80,27 @@ Packet make_tcp_packet(Ipv4Address src, Ipv4Address dst, std::uint16_t sport,
                        std::uint16_t dport, std::uint8_t flags, std::uint32_t seq,
                        std::uint32_t ack, Bytes payload, std::uint8_t ttl) {
   Packet p;
+  assign_tcp_packet(p, src, dst, sport, dport, flags, seq, ack, {}, ttl);
+  p.payload = std::move(payload);
+  return p;
+}
+
+void assign_tcp_packet(Packet& p, Ipv4Address src, Ipv4Address dst, std::uint16_t sport,
+                       std::uint16_t dport, std::uint8_t flags, std::uint32_t seq,
+                       std::uint32_t ack, BytesView payload, std::uint8_t ttl) {
+  p.ip = Ipv4Header{};
   p.ip.src = src;
   p.ip.dst = dst;
   p.ip.ttl = ttl;
   p.ip.protocol = IpProto::kTcp;
+  p.tcp = TcpHeader{};
   p.tcp.src_port = sport;
   p.tcp.dst_port = dport;
   p.tcp.flags = flags;
   p.tcp.seq = seq;
   p.tcp.ack = ack;
-  p.payload = std::move(payload);
-  return p;
+  p.payload.assign(payload.begin(), payload.end());
+  p.checksum_ok = true;
 }
 
 }  // namespace cen::net

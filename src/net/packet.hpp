@@ -14,6 +14,13 @@
 
 namespace cen::net {
 
+/// The IP and TCP headers of a packet, without its payload: what a
+/// quote diff compares against.
+struct PacketHeaders {
+  Ipv4Header ip;
+  TcpHeader tcp;
+};
+
 struct Packet {
   Ipv4Header ip;
   TcpHeader tcp;
@@ -42,11 +49,21 @@ struct Packet {
   /// always recovers the IP header; recovers as much of the TCP header
   /// and payload as present. Missing parts are zero/absent.
   static Packet parse_quoted(BytesView bytes, bool& tcp_complete);
+
+  PacketHeaders headers() const { return {ip, tcp}; }
 };
 
 /// Build a TCP data packet with common defaults.
 Packet make_tcp_packet(Ipv4Address src, Ipv4Address dst, std::uint16_t sport,
                        std::uint16_t dport, std::uint8_t flags, std::uint32_t seq,
                        std::uint32_t ack, Bytes payload, std::uint8_t ttl = 64);
+
+/// make_tcp_packet into an existing packet: every header field is reset
+/// to the same defaults, and the payload is copied into the packet's own
+/// buffer, whose capacity is kept (a sender reusing one packet allocates
+/// nothing once the buffer has grown).
+void assign_tcp_packet(Packet& p, Ipv4Address src, Ipv4Address dst, std::uint16_t sport,
+                       std::uint16_t dport, std::uint8_t flags, std::uint32_t seq,
+                       std::uint32_t ack, BytesView payload, std::uint8_t ttl = 64);
 
 }  // namespace cen::net

@@ -24,6 +24,21 @@ net::Packet endpoint_reply(const net::Packet& pkt, std::uint8_t flags) {
   r.tcp.window = 65535;
   return r;
 }
+
+/// Hand `ev` to the client: ahead of everything captured so far when it
+/// arrives late, and twice when it is duplicated. Only the duplicate is a
+/// copy.
+template <typename Ev>
+void deliver_event(Ev ev, bool late, bool duplicated, std::vector<Event>& events) {
+  std::optional<Ev> copy;
+  if (duplicated) copy = ev;
+  if (late && !events.empty()) {
+    events.insert(events.begin(), std::move(ev));
+  } else {
+    events.push_back(std::move(ev));
+  }
+  if (copy) events.push_back(std::move(*copy));
+}
 }  // namespace
 
 Network::Network(Topology topology, geo::IpMetadataDb geodb, std::uint64_t seed)
@@ -321,12 +336,7 @@ void Network::reverse_deliver(net::Packet pkt, const std::vector<NodeId>& path,
   // reordering delivers this packet "before" earlier-captured ones.
   bool duplicated = faulty && faults_.duplicate_delivery(path[1], path[0]);
   bool late = faulty && faults_.reorder_delivery(path[1], path[0]);
-  if (late && !events.empty()) {
-    events.insert(events.begin(), TcpEvent{pkt});
-  } else {
-    events.push_back(TcpEvent{pkt});
-  }
-  if (duplicated) events.push_back(TcpEvent{std::move(pkt)});
+  deliver_event(TcpEvent{std::move(pkt)}, late, duplicated, events);
 }
 
 void Network::reverse_deliver_udp(net::UdpDatagram dgram, std::size_t from_index,
@@ -346,12 +356,7 @@ void Network::reverse_deliver_udp(net::UdpDatagram dgram, std::size_t from_index
   if (capture_ != nullptr) capture_->add(clock_.now(), dgram.serialize());
   bool duplicated = faulty && faults_.duplicate_delivery(kInvalidNode, kInvalidNode);
   bool late = faulty && faults_.reorder_delivery(kInvalidNode, kInvalidNode);
-  if (late && !events.empty()) {
-    events.insert(events.begin(), UdpEvent{dgram});
-  } else {
-    events.push_back(UdpEvent{dgram});
-  }
-  if (duplicated) events.push_back(UdpEvent{std::move(dgram)});
+  deliver_event(UdpEvent{std::move(dgram)}, late, duplicated, events);
 }
 
 Network::IcmpDelivery Network::icmp_delivery(const std::vector<NodeId>& path,
@@ -429,13 +434,8 @@ std::vector<Event> Network::send_udp(NodeId client, net::Ipv4Address dst,
             if (ec_ != nullptr) ec_->icmp_quotes->inc();
             net::IcmpTimeExceeded icmp = net::IcmpTimeExceeded::make(
                 nip, dgram.serialize(), np.quote_policy);
-            IcmpEvent ev{nip, std::move(icmp.quoted)};
-            if (d.late && !events.empty()) {
-              events.insert(events.begin(), ev);
-            } else {
-              events.push_back(ev);
-            }
-            if (d.duplicated) events.push_back(std::move(ev));
+            deliver_event(IcmpEvent{nip, std::move(icmp.quoted)}, d.late, d.duplicated,
+                          events);
           }
         }
         return events;
@@ -500,7 +500,7 @@ void Network::deliver_assembled(net::Packet proto, Bytes assembled,
   endpoint_payload_reply(ep_it->second, proto, path, path.size() - 1, events);
 }
 
-bool Network::forward_walk(net::Packet pkt, const std::vector<NodeId>& path,
+bool Network::forward_walk(net::Packet& pkt, const std::vector<NodeId>& path,
                            std::vector<Event>& events, bool payload_phase,
                            net::Packet* delivered) {
   if (path.size() < 2) return false;
@@ -575,13 +575,8 @@ bool Network::forward_walk(net::Packet pkt, const std::vector<NodeId>& path,
             w.raw(icmp_bytes);
             capture_->add(clock_.now(), std::move(w).take());
           }
-          IcmpEvent ev{nip, std::move(icmp.quoted)};
-          if (d.late && !events.empty()) {
-            events.insert(events.begin(), ev);
-          } else {
-            events.push_back(ev);
-          }
-          if (d.duplicated) events.push_back(std::move(ev));
+          deliver_event(IcmpEvent{nip, std::move(icmp.quoted)}, d.late, d.duplicated,
+                        events);
         }
         return false;
       }
@@ -628,6 +623,8 @@ bool Network::forward_walk(net::Packet pkt, const std::vector<NodeId>& path,
 Connection::Connection(Network* net, NodeId client, net::Ipv4Address dst,
                        std::uint16_t dport, std::uint16_t sport)
     : net_(net), client_(client), dst_(dst), dport_(dport), sport_(sport) {
+  static const std::vector<NodeId> kNoPath;
+  path_ = &kNoPath;
   std::optional<NodeId> dst_node = net_->topology_.find_by_ip(dst);
   if (dst_node) {
     const net::Ipv4Address src_ip = net_->topology_.node_ip(client_);
@@ -636,19 +633,21 @@ Connection::Connection(Network* net, NodeId client, net::Ipv4Address dst,
         mix64(static_cast<std::uint64_t>(sport_) << 16 | dport_);
     // Route flapping: the fault layer's epoch salt can swap this flow
     // onto a different equal-cost path than the same 5-tuple rode before.
-    path_ = net_->topology_.route(client_, *dst_node, flow_hash,
-                                  net_->faults_.flow_salt(net_->clock_.now()));
+    path_ = &net_->topology_.route(client_, *dst_node, flow_hash,
+                                   net_->faults_.flow_salt(net_->clock_.now()));
   }
 }
 
 ConnectResult Connection::connect() {
-  if (path_.empty()) return ConnectResult::kTimeout;
+  if (path_->empty()) return ConnectResult::kTimeout;
   const net::Ipv4Address src_ip = net_->topology_.node_ip(client_);
   next_seq_ = 1000;
-  net::Packet syn = net::make_tcp_packet(src_ip, dst_, sport_, dport_,
-                                         net::TcpFlags::kSyn, next_seq_, 0, {}, 64);
-  std::vector<Event> events;
-  bool delivered = net_->forward_walk(std::move(syn), path_, events, /*payload_phase=*/false);
+  net::Packet& syn = net_->send_scratch_;
+  net::assign_tcp_packet(syn, src_ip, dst_, sport_, dport_, net::TcpFlags::kSyn, next_seq_,
+                         0, {}, 64);
+  std::vector<Event>& events = net_->connect_events_;
+  events.clear();
+  net_->forward_walk(syn, *path_, events, /*payload_phase=*/false);
   for (const Event& ev : events) {
     if (const auto* tcp = std::get_if<TcpEvent>(&ev)) {
       if (tcp->packet.tcp.has(net::TcpFlags::kRst)) return ConnectResult::kReset;
@@ -660,7 +659,6 @@ ConnectResult Connection::connect() {
       }
     }
   }
-  (void)delivered;
   return ConnectResult::kTimeout;
 }
 
@@ -675,13 +673,14 @@ void Connection::send_into(const Bytes& payload, std::uint8_t ttl,
   events.clear();
   if (!established_) return;
   const net::Ipv4Address src_ip = net_->topology_.node_ip(client_);
-  net::Packet pkt = net::make_tcp_packet(
-      src_ip, dst_, sport_, dport_, net::TcpFlags::kPsh | net::TcpFlags::kAck, next_seq_,
-      peer_seq_, payload, ttl);
+  net::Packet& pkt = net_->send_scratch_;
+  net::assign_tcp_packet(pkt, src_ip, dst_, sport_, dport_,
+                         net::TcpFlags::kPsh | net::TcpFlags::kAck, next_seq_, peer_seq_,
+                         payload, ttl);
   next_seq_ += static_cast<std::uint32_t>(pkt.payload.size());
-  last_sent_ = pkt;
+  last_sent_ = pkt.headers();
   if (net_->capture_ != nullptr) net_->capture_->add(net_->now(), pkt.serialize());
-  net_->forward_walk(std::move(pkt), path_, events, /*payload_phase=*/true);
+  net_->forward_walk(pkt, *path_, events, /*payload_phase=*/true);
 }
 
 std::vector<Event> Connection::send_segments(const std::vector<SegmentSpec>& segments) {
@@ -707,10 +706,10 @@ std::vector<Event> Connection::send_segments(const std::vector<SegmentSpec>& seg
         src_ip, dst_, sport_, dport_, net::TcpFlags::kPsh | net::TcpFlags::kAck,
         next_seq_ + seg.offset, peer_seq_, seg.bytes, seg.ttl);
     pkt.checksum_ok = !seg.bad_checksum;
-    last_sent_ = pkt;
+    last_sent_ = pkt.headers();
     if (net_->capture_ != nullptr) net_->capture_->add(net_->now(), pkt.serialize());
     net::Packet delivered;
-    bool reached = net_->forward_walk(std::move(pkt), path_, events,
+    bool reached = net_->forward_walk(pkt, *path_, events,
                                       /*payload_phase=*/true, &delivered);
     if (!reached || concluded) continue;
     // Fill with the bytes that actually arrived (faults may have mangled
@@ -724,7 +723,7 @@ std::vector<Event> Connection::send_segments(const std::vector<SegmentSpec>& seg
     }
     if (std::find(filled.begin(), filled.end(), false) == filled.end()) {
       delivered.tcp.seq = next_seq_;  // message base for the reply's ack
-      net_->deliver_assembled(std::move(delivered), assembled, path_, events);
+      net_->deliver_assembled(std::move(delivered), assembled, *path_, events);
       concluded = true;
     }
   }

@@ -108,10 +108,14 @@ class Connection {
   std::vector<Event> send_segments(const std::vector<SegmentSpec>& segments);
 
   std::uint16_t source_port() const { return sport_; }
-  const std::vector<NodeId>& path() const { return path_; }
-  /// The exact packet most recently sent (pre-flight state) — the baseline
-  /// CenTrace diffs quoted ICMP packets against.
-  const net::Packet& last_sent() const { return last_sent_; }
+  /// The ECMP path this flow rides: the route the topology cached, not a
+  /// copy. It stays valid as long as the Network does (the topology never
+  /// drops a cached route); a flow with no route has an empty path.
+  const std::vector<NodeId>& path() const { return *path_; }
+  /// The IP and TCP headers of the packet most recently sent, in their
+  /// pre-flight state: the baseline CenTrace diffs quoted ICMP packets
+  /// against. Headers only; the payload is not kept.
+  const net::PacketHeaders& last_sent() const { return last_sent_; }
 
  private:
   friend class Network;
@@ -123,11 +127,11 @@ class Connection {
   net::Ipv4Address dst_;
   std::uint16_t dport_ = 0;
   std::uint16_t sport_ = 0;
-  std::vector<NodeId> path_;
+  const std::vector<NodeId>* path_ = nullptr;
   bool established_ = false;
   std::uint32_t next_seq_ = 0;
   std::uint32_t peer_seq_ = 0;
-  net::Packet last_sent_;
+  net::PacketHeaders last_sent_;
 };
 
 class Network {
@@ -276,7 +280,8 @@ class Network {
   /// packet (bad-checksum segments are discarded) without invoking the
   /// application — the caller models reassembly and hands the assembled
   /// message back through deliver_assembled().
-  bool forward_walk(net::Packet pkt, const std::vector<NodeId>& path,
+  /// The walk rewrites `pkt` in place (TTL, TOS, DF, mangled payload).
+  bool forward_walk(net::Packet& pkt, const std::vector<NodeId>& path,
                     std::vector<Event>& events, bool payload_phase,
                     net::Packet* delivered = nullptr);
 
@@ -344,6 +349,12 @@ class Network {
   /// path serializes at most the quote cap into this buffer instead of
   /// the whole probe).
   Bytes quote_scratch_;
+  /// The packet Connection sends are built in and walked as; its payload
+  /// keeps its capacity, so a probe loop copies its payload into the same
+  /// buffer every time.
+  net::Packet send_scratch_;
+  /// The events of Connection::connect's handshake, reused across calls.
+  std::vector<Event> connect_events_;
 };
 
 /// RAII observer attachment: installs `obs` on construction (a nullptr

@@ -51,7 +51,7 @@ std::string Journal::to_json() const {
   w.end_array();
   w.key("dropped").value(dropped_);
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 }  // namespace cen::obs

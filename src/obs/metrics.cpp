@@ -258,7 +258,7 @@ std::string Registry::to_json(bool include_wall) const {
   }
   w.end_object();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 }  // namespace cen::obs

@@ -74,7 +74,7 @@ std::string Tracer::to_chrome_json() const {
     w.end_object();
   }
   w.end_array();
-  return w.str();
+  return std::move(w).str();
 }
 
 }  // namespace cen::obs

@@ -23,8 +23,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/strings.hpp"
 #include "geo/asdb.hpp"
 #include "netsim/compact.hpp"
 #include "netsim/endpoint.hpp"
@@ -38,6 +40,8 @@ class Observer;
 namespace cen::worldgen {
 
 enum class AsTier : std::uint8_t { kTransit, kRegional, kStub };
+inline constexpr std::string_view kAsTierNames[] = {"transit", "regional", "stub"};
+constexpr std::string_view as_tier_name(AsTier t) { return enum_name(kAsTierNames, t); }
 
 /// Country index of the measurement AS (it belongs to no regime).
 constexpr std::uint16_t kNoCountry = 0xffff;

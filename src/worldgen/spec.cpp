@@ -177,7 +177,7 @@ std::string to_json(const WorldSpec& spec) {
   }
   w.end_array();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::optional<WorldSpec> spec_from_doc(const JsonValue& doc, std::string* error) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <sstream>
 
 #include "censor/vendors.hpp"
 #include "cenprobe/bannergrab.hpp"
+#include "cenprobe/fingerprints.hpp"
 #include "cenprobe/portscan.hpp"
 #include "net/http.hpp"
 #include "netsim/engine.hpp"
@@ -312,6 +314,35 @@ TEST(FaultMgmt, TruncatedBannersKeptAsPartials) {
     EXPECT_FALSE(g.banner.empty());  // half banner retained
     EXPECT_EQ(g.attempts, 1);
   }
+}
+
+TEST(FaultMgmt, EpochSeedPicksTheBannerRetries) {
+  // probe::run resets the epoch to `common.seed` before scanning, so the
+  // seed decides which grabs the management plane drops: the same seed
+  // replays the same report, and seeds differ in their retries.
+  FaultNet fn;
+  censor::DeviceConfig cfg = censor::make_vendor_device("Fortinet", "f1");
+  cfg.mgmt_ip = net::Ipv4Address(10, 0, 2, 1);
+  fn.net->attach_device(fn.r2, std::make_shared<censor::Device>(cfg));
+  FaultPlan plan;
+  plan.mgmt_drop = 0.5;
+  fn.net->set_fault_plan(plan);
+
+  auto attempts = [&](std::uint64_t seed) {
+    tool::CommonRunOptions common;
+    common.seed = seed;
+    const probe::DeviceProbeReport r =
+        probe::run(*fn.net, probe::ProbeRunOptions{.ip = *cfg.mgmt_ip, .common = common});
+    std::vector<int> out;
+    for (const probe::BannerGrab& g : r.banners) out.push_back(g.attempts);
+    return out;
+  };
+  std::set<std::vector<int>> seen;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    EXPECT_EQ(attempts(seed), attempts(seed)) << "seed " << seed;
+    seen.insert(attempts(seed));
+  }
+  EXPECT_GT(seen.size(), 1u);
 }
 
 // ---- Ephemeral ports (satellite: wrap regression). ----

@@ -21,7 +21,7 @@ TEST(IcmpDiff, Rfc792QuoteDetected) {
   in_flight.ip.ttl = 0;
   net::IcmpTimeExceeded icmp = net::IcmpTimeExceeded::make(
       net::Ipv4Address(10, 0, 1, 1), in_flight.serialize(), net::QuotePolicy::kRfc792);
-  QuoteDiff d = diff_quote(sent, icmp.quoted, net::Ipv4Address(10, 0, 1, 1));
+  QuoteDiff d = diff_quote(sent.headers(), icmp.quoted, net::Ipv4Address(10, 0, 1, 1));
   EXPECT_TRUE(d.parse_ok);
   EXPECT_TRUE(d.rfc792_minimal);
   EXPECT_FALSE(d.full_tcp_quoted);
@@ -34,7 +34,7 @@ TEST(IcmpDiff, Rfc1812FullQuoteDetected) {
   net::Packet sent = probe();
   net::IcmpTimeExceeded icmp = net::IcmpTimeExceeded::make(
       net::Ipv4Address(10, 0, 1, 1), sent.serialize(), net::QuotePolicy::kRfc1812Full);
-  QuoteDiff d = diff_quote(sent, icmp.quoted, net::Ipv4Address(10, 0, 1, 1));
+  QuoteDiff d = diff_quote(sent.headers(), icmp.quoted, net::Ipv4Address(10, 0, 1, 1));
   EXPECT_TRUE(d.parse_ok);
   EXPECT_FALSE(d.rfc792_minimal);
   EXPECT_TRUE(d.full_tcp_quoted);
@@ -47,7 +47,7 @@ TEST(IcmpDiff, TosRewriteDetected) {
   in_flight.ip.tos = 0x60;  // rewritten by an upstream hop
   net::IcmpTimeExceeded icmp = net::IcmpTimeExceeded::make(
       net::Ipv4Address(10, 0, 2, 1), in_flight.serialize(), net::QuotePolicy::kRfc792);
-  QuoteDiff d = diff_quote(sent, icmp.quoted, net::Ipv4Address(10, 0, 2, 1));
+  QuoteDiff d = diff_quote(sent.headers(), icmp.quoted, net::Ipv4Address(10, 0, 2, 1));
   EXPECT_TRUE(d.tos_changed);
   EXPECT_EQ(d.quoted_tos, 0x60);
   EXPECT_FALSE(d.ip_flags_changed);
@@ -59,7 +59,7 @@ TEST(IcmpDiff, FlagRewriteDetected) {
   in_flight.ip.flags = 0;  // DF cleared in flight
   net::IcmpTimeExceeded icmp = net::IcmpTimeExceeded::make(
       net::Ipv4Address(10, 0, 2, 1), in_flight.serialize(), net::QuotePolicy::kRfc792);
-  QuoteDiff d = diff_quote(sent, icmp.quoted, net::Ipv4Address(10, 0, 2, 1));
+  QuoteDiff d = diff_quote(sent.headers(), icmp.quoted, net::Ipv4Address(10, 0, 2, 1));
   EXPECT_TRUE(d.ip_flags_changed);
 }
 
@@ -69,12 +69,12 @@ TEST(IcmpDiff, ForeignQuoteFlagged) {
   other.tcp.src_port = 55555;  // a quote for someone else's probe
   net::IcmpTimeExceeded icmp = net::IcmpTimeExceeded::make(
       net::Ipv4Address(10, 0, 2, 1), other.serialize(), net::QuotePolicy::kRfc792);
-  QuoteDiff d = diff_quote(sent, icmp.quoted, net::Ipv4Address(10, 0, 2, 1));
+  QuoteDiff d = diff_quote(sent.headers(), icmp.quoted, net::Ipv4Address(10, 0, 2, 1));
   EXPECT_FALSE(d.ports_match);
 }
 
 TEST(IcmpDiff, GarbageQuoteNotParsed) {
-  QuoteDiff d = diff_quote(probe(), Bytes{0x01, 0x02}, net::Ipv4Address(1, 1, 1, 1));
+  QuoteDiff d = diff_quote(probe().headers(), Bytes{0x01, 0x02}, net::Ipv4Address(1, 1, 1, 1));
   EXPECT_FALSE(d.parse_ok);
 }
 
@@ -84,7 +84,7 @@ TEST(IcmpDiff, GarbageQuoteNotParsed) {
 TEST(IcmpDiff, TruncatedMidIpHeaderNotParsed) {
   Bytes full = probe().serialize();
   Bytes cut(full.begin(), full.begin() + 12);  // cut inside the IP header
-  QuoteDiff d = diff_quote(probe(), cut, net::Ipv4Address(10, 0, 3, 1));
+  QuoteDiff d = diff_quote(probe().headers(), cut, net::Ipv4Address(10, 0, 3, 1));
   EXPECT_FALSE(d.parse_ok);
   EXPECT_TRUE(d.ports_match);  // stays at its benefit-of-the-doubt default
 }
@@ -93,7 +93,7 @@ TEST(IcmpDiff, IpHeaderOnlyQuoteParsesWithoutPorts) {
   net::Packet sent = probe();
   Bytes full = sent.serialize();
   Bytes cut(full.begin(), full.begin() + 20);  // IP header, zero transport bytes
-  QuoteDiff d = diff_quote(sent, cut, net::Ipv4Address(10, 0, 3, 1));
+  QuoteDiff d = diff_quote(sent.headers(), cut, net::Ipv4Address(10, 0, 3, 1));
   EXPECT_TRUE(d.parse_ok);
   EXPECT_TRUE(d.rfc792_minimal);
   EXPECT_FALSE(d.full_tcp_quoted);
@@ -105,7 +105,7 @@ TEST(IcmpDiff, TruncatedMidTcpHeaderStillMatchesPorts) {
   net::Packet sent = probe();
   Bytes full = sent.serialize();
   Bytes cut(full.begin(), full.begin() + 32);  // ports + seq + ack, no flags
-  QuoteDiff d = diff_quote(sent, cut, net::Ipv4Address(10, 0, 3, 1));
+  QuoteDiff d = diff_quote(sent.headers(), cut, net::Ipv4Address(10, 0, 3, 1));
   EXPECT_TRUE(d.parse_ok);
   EXPECT_FALSE(d.rfc792_minimal);  // longer than the RFC 792 minimum...
   EXPECT_FALSE(d.full_tcp_quoted);  // ...but short of a full TCP header
@@ -117,7 +117,7 @@ TEST(IcmpDiff, TruncatedAfterTcpHeaderDropsPayloadOnly) {
   net::Packet sent = probe();
   Bytes full = sent.serialize();
   Bytes cut(full.begin(), full.begin() + 40);  // full headers, payload clipped
-  QuoteDiff d = diff_quote(sent, cut, net::Ipv4Address(10, 0, 3, 1));
+  QuoteDiff d = diff_quote(sent.headers(), cut, net::Ipv4Address(10, 0, 3, 1));
   EXPECT_TRUE(d.parse_ok);
   EXPECT_TRUE(d.full_tcp_quoted);
   EXPECT_TRUE(d.ports_match);

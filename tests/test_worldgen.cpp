@@ -306,6 +306,14 @@ TEST(WorldGen, TierPresets) {
   EXPECT_FALSE(worldgen::WorldSpec::tier("2k").has_value());
 }
 
+TEST(WorldGen, AsTierNames) {
+  // The names `cen world --dump` prints for each AS tier.
+  EXPECT_EQ(worldgen::as_tier_name(worldgen::AsTier::kTransit), "transit");
+  EXPECT_EQ(worldgen::as_tier_name(worldgen::AsTier::kRegional), "regional");
+  EXPECT_EQ(worldgen::as_tier_name(worldgen::AsTier::kStub), "stub");
+  EXPECT_EQ(std::size(worldgen::kAsTierNames), 3u);
+}
+
 TEST(WorldGen, SpecJsonRoundTrip) {
   worldgen::WorldSpec spec = tiny_spec();
   spec.endpoint_zipf = 1.3;

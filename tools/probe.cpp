@@ -26,7 +26,8 @@ int cli::run_probe(const Context& ctx) {
     auto ip = net::Ipv4Address::parse(args.get("ip"));
     if (!ip) throw UsageError("malformed IP: " + args.get("ip"));
     const probe::DeviceProbeReport r =
-        probe::run(*s.network, probe::ProbeRunOptions{.ip = *ip}, ctx.observer);
+        probe::run(*s.network, probe::ProbeRunOptions{.ip = *ip, .common = ctx.common.run},
+                   ctx.observer);
     if (ctx.common.json) {
       std::printf("%s\n", report::to_json(r).c_str());
     } else {

@@ -24,15 +24,6 @@ using namespace cli;
 
 namespace {
 
-const char* tier_name(worldgen::AsTier tier) {
-  switch (tier) {
-    case worldgen::AsTier::kTransit: return "transit";
-    case worldgen::AsTier::kRegional: return "regional";
-    case worldgen::AsTier::kStub: return "stub";
-  }
-  return "unknown";
-}
-
 std::string stats_json(const worldgen::World& world) {
   const worldgen::World::Stats st = world.stats();
   JsonWriter w;
@@ -52,7 +43,7 @@ std::string stats_json(const worldgen::World& world) {
                  ? 0.0
                  : static_cast<double>(st.bytes) / static_cast<double>(st.endpoints));
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string dump_json(const worldgen::World& world) {
@@ -67,7 +58,7 @@ std::string dump_json(const worldgen::World& world) {
   for (const worldgen::GeneratedAs& as : world.ases) {
     w.begin_object();
     w.key("asn").value(static_cast<std::uint64_t>(as.asn));
-    w.key("tier").value(tier_name(as.tier));
+    w.key("tier").value(worldgen::as_tier_name(as.tier));
     if (as.country != worldgen::kNoCountry) {
       w.key("country").value(world.regimes[as.country].code);
     }
@@ -93,7 +84,7 @@ std::string dump_json(const worldgen::World& world) {
   }
   w.end_array();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 }  // namespace
