@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "campaign/cache.hpp"
@@ -25,6 +24,8 @@
 
 namespace cen::campaign {
 
+namespace dag = scenario::dag;
+
 namespace {
 
 /// Campaign-wide executed-batch budget (RunControl::max_batches).
@@ -38,7 +39,7 @@ struct Budget {
 struct StageTasks {
   std::vector<std::string> ids;        // "<CC>:<stage>:<subject>..."
   std::vector<std::string> cache_keys; // 128-bit content-hash keys
-  std::vector<std::uint64_t> identity; // task_key() for seed derivation
+  std::vector<std::uint64_t> identity; // the DAG's identity key, for seed derivation
 };
 
 /// What every stage of one site runs against.
@@ -234,14 +235,6 @@ class ProbeTables {
   std::map<std::string, Slot> slots_;  // fixed before any worker reads it
 };
 
-std::vector<std::string> sampled(const std::vector<std::string>& all, int cap) {
-  std::vector<std::string> out;
-  for (std::size_t idx : scenario::stride_sample_indices(all.size(), cap)) {
-    out.push_back(all[idx]);
-  }
-  return out;
-}
-
 /// One measurement site: the per-network slice of campaign state the
 /// stage loop runs against. Country campaigns build one site per country;
 /// a world campaign (spec.world) builds a single worldgen-backed site.
@@ -350,15 +343,10 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     StageContext ctx{net, spec, control, cache, budget, code, result.records, nullptr};
 
     // ---- Stage 1: CenTrace over (endpoint × domain × protocol). ----
-    std::vector<net::Ipv4Address> endpoints;
-    for (std::size_t idx : scenario::stride_sample_indices(site.endpoints.size(),
-                                                           spec.max_endpoints)) {
-      endpoints.push_back(site.endpoints[idx]);
-    }
-    const std::vector<std::string> http_domains = sampled(
+    const std::vector<std::string> http_domains = scenario::stride_sample(
         spec.http_domains.empty() ? site.http_domains : spec.http_domains,
         spec.max_domains);
-    const std::vector<std::string> https_domains = sampled(
+    const std::vector<std::string> https_domains = scenario::stride_sample(
         spec.https_domains.empty() ? site.https_domains : spec.https_domains,
         spec.max_domains);
 
@@ -378,54 +366,42 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     const std::uint64_t plan_fp =
         spec.trace_tomography ? degrade_plan.fingerprint() : 0;
 
-    struct TraceTask {
-      net::Ipv4Address endpoint;
-      const std::string* domain = nullptr;
-      std::uint64_t dhash = 0;  // domain_hash(*domain), once per domain
-      const trace::CenTraceOptions* opts = nullptr;
-    };
-    std::vector<TraceTask> trace_tasks;
-    StageTasks trace_stage;
+    std::vector<dag::TraceTask> trace_tasks;
     if (spec.stages.trace) {
-      // Hash each domain once: the stage is endpoints x domains, so the
-      // per-task FNV pass would repeat per endpoint for the same string.
-      std::vector<std::uint64_t> http_hashes, https_hashes;
-      http_hashes.reserve(http_domains.size());
-      for (const std::string& d : http_domains) {
-        http_hashes.push_back(scenario::domain_hash(d));
-      }
-      https_hashes.reserve(https_domains.size());
-      for (const std::string& d : https_domains) {
-        https_hashes.push_back(scenario::domain_hash(d));
-      }
-      for (const net::Ipv4Address& ep : endpoints) {
-        for (std::size_t d = 0; d < http_domains.size(); ++d) {
-          trace_tasks.push_back({ep, &http_domains[d], http_hashes[d], &http_opts});
-        }
-        for (std::size_t d = 0; d < https_domains.size(); ++d) {
-          trace_tasks.push_back({ep, &https_domains[d], https_hashes[d], &https_opts});
-        }
-      }
-      for (const TraceTask& t : trace_tasks) {
-        trace_stage.ids.push_back(code + ":trace:" + t.endpoint.str() + ":" + *t.domain +
-                                  ":" + std::string(trace::probe_protocol_name(t.opts->protocol)));
-        trace_stage.identity.push_back(scenario::task_key_hashed(
-            t.endpoint.value(), t.dhash, static_cast<std::uint64_t>(t.opts->protocol)));
-        trace_stage.cache_keys.push_back(task_cache_key(net_fp, spec.seed, fault_fp, "trace",
-                                                        trace_stage.ids.back(),
-                                                        t.opts->fingerprint() ^ plan_fp));
-      }
+      trace_tasks = dag::trace_tasks(scenario::stride_sample(site.endpoints, spec.max_endpoints),
+                                     {{http_domains, trace::ProbeProtocol::kHttp},
+                                      {https_domains, trace::ProbeProtocol::kHttps}});
+    }
+    auto trace_opts = [&](const dag::TraceTask& t) -> const trace::CenTraceOptions& {
+      return t.protocol == trace::ProbeProtocol::kHttps ? https_opts : http_opts;
+    };
+    // A task's id is "<site>:<stage>:<subject>"; its cache key covers the
+    // network, the campaign seed, the fault plan, the id and its options.
+    auto add_task = [&](StageTasks& tasks, std::string_view stage, const std::string& subject,
+                        std::uint64_t identity, std::uint64_t options_fp) {
+      std::string id = code + ":" + std::string(stage) + ":" + subject;
+      tasks.cache_keys.push_back(
+          task_cache_key(net_fp, spec.seed, fault_fp, stage, id, options_fp));
+      tasks.ids.push_back(std::move(id));
+      tasks.identity.push_back(identity);
+    };
+    StageTasks trace_stage;
+    for (const dag::TraceTask& t : trace_tasks) {
+      add_task(trace_stage, "trace",
+               t.endpoint.str() + ":" + *t.domain + ":" +
+                   std::string(trace::probe_protocol_name(t.protocol)),
+               t.identity, trace_opts(t).fingerprint() ^ plan_fp);
     }
     const std::optional<std::vector<trace::CenTraceReport>> traced = run_stage(
         ctx, result.trace, "trace", trace_stage, salts::kTraceStage,
         report::trace_report_from_json, [&](sim::Network& worker, std::size_t i) {
-          const TraceTask& t = trace_tasks[i];
+          const dag::TraceTask& t = trace_tasks[i];
           trace::TraceRunOptions ropts;
           ropts.client = site.client;
           ropts.endpoint = t.endpoint;
           ropts.test_domain = *t.domain;
           ropts.control_domain = site.control_domain;
-          ropts.trace = *t.opts;
+          ropts.trace = trace_opts(t);
           ropts.degradation = plan;
           return report::to_json(trace::run(worker, ropts));
         });
@@ -435,143 +411,82 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     const std::vector<trace::CenTraceReport>& traces = *traced;
 
     // ---- Stage 2: CenProbe every distinct in-path blocking-hop IP. ----
-    std::set<std::uint32_t> device_ips;
-    for (const trace::CenTraceReport& r : traces) {
-      if (r.blocked && r.blocking_hop_ip &&
-          r.placement != trace::DevicePlacement::kOnPath) {
-        device_ips.insert(r.blocking_hop_ip->value());
-      }
-    }
+    std::vector<dag::DeviceTask> devices;
+    if (spec.stages.probe) devices = dag::device_tasks(traces);
     StageTasks probe_stage;
-    std::vector<std::uint32_t> probe_targets;
-    if (spec.stages.probe) {
-      for (std::uint32_t ip : device_ips) {
-        probe_targets.push_back(ip);
-        probe_stage.ids.push_back(code + ":probe:" + net::Ipv4Address(ip).str());
-        probe_stage.identity.push_back(scenario::task_key(ip, "", 0x10));
-        probe_stage.cache_keys.push_back(
-            task_cache_key(net_fp, spec.seed, fault_fp, "probe", probe_stage.ids.back(), 0));
-      }
+    for (const dag::DeviceTask& t : devices) {
+      add_task(probe_stage, "probe", t.ip.str(), t.identity, 0);
     }
     std::optional<std::vector<probe::DeviceProbeReport>> probed = run_stage(
         ctx, result.probe, "probe", probe_stage, salts::kProbeStage,
         report::probe_report_from_json, [&](sim::Network& worker, std::size_t i) {
-          return report::to_json(probe::run(
-              worker,
-              probe::ProbeRunOptions{.ip = net::Ipv4Address(probe_targets[i])}));
+          return report::to_json(probe::run(worker, probe::ProbeRunOptions{.ip = devices[i].ip}));
         });
     if (!probed) return result;
     std::map<std::uint32_t, probe::DeviceProbeReport> device_probes;
     for (std::size_t i = 0; i < probed->size(); ++i) {
-      device_probes.emplace(probe_targets[i], std::move((*probed)[i]));
+      device_probes.emplace(devices[i].ip.value(), std::move((*probed)[i]));
     }
 
-    // ---- Stage 3: CenFuzz blocked endpoints (first blocked trace per
-    // endpoint is the representative, as in the pipeline). Every task
-    // shares the stage's probe tables. ----
-    std::map<std::uint32_t, const trace::CenTraceReport*> blocked_by_endpoint;
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      if (traces[i].blocked) {
-        blocked_by_endpoint.emplace(trace_tasks[i].endpoint.value(), &traces[i]);
-      }
+    // ---- Stage 3: CenFuzz and CenAmbig blocked endpoints, each through
+    // its representative trace. Every fuzz task shares the stage's probe
+    // tables; CenAmbig fingerprints reassembly ambiguities for deployments
+    // whose banners are dark. ----
+    const dag::Representatives representatives = dag::representatives(trace_tasks, traces);
+    result.blocked_endpoints += representatives.size();
+    std::vector<dag::EndpointTask> fuzz_tasks, ambig_tasks;
+    if (spec.stages.fuzz) fuzz_tasks = dag::fuzz_tasks(representatives, spec.fuzz_max_endpoints);
+    if (spec.stages.ambig) {
+      ambig_tasks = dag::ambig_tasks(representatives, spec.ambig_max_endpoints);
     }
-    result.blocked_endpoints += blocked_by_endpoint.size();
+    auto endpoint_stage = [&](std::string_view stage, const std::vector<dag::EndpointTask>& tasks,
+                              std::uint64_t options_fp) {
+      StageTasks out;
+      for (const dag::EndpointTask& t : tasks) {
+        add_task(out, stage, t.endpoint.str() + ":" + t.trace->test_domain, t.identity,
+                 options_fp);
+      }
+      return out;
+    };
 
-    std::vector<std::uint32_t> blocked_eps;
-    for (const auto& [ip, rep] : blocked_by_endpoint) blocked_eps.push_back(ip);
-    StageTasks fuzz_stage;
-    std::vector<std::uint32_t> fuzz_targets;
-    if (spec.stages.fuzz) {
-      for (std::size_t idx :
-           scenario::stride_sample_indices(blocked_eps.size(), spec.fuzz_max_endpoints)) {
-        fuzz_targets.push_back(blocked_eps[idx]);
-      }
-      for (std::uint32_t ep : fuzz_targets) {
-        const std::string& domain = blocked_by_endpoint.at(ep)->test_domain;
-        fuzz_stage.ids.push_back(code + ":fuzz:" + net::Ipv4Address(ep).str() + ":" + domain);
-        fuzz_stage.identity.push_back(scenario::task_key(ep, domain, 0x20));
-        fuzz_stage.cache_keys.push_back(task_cache_key(
-            net_fp, spec.seed, fault_fp, "fuzz", fuzz_stage.ids.back(), spec.fuzz.fingerprint()));
-      }
-    }
     std::vector<std::string> fuzz_domains{site.control_domain};
-    for (std::uint32_t ep : fuzz_targets) {
-      fuzz_domains.push_back(blocked_by_endpoint.at(ep)->test_domain);
-    }
+    for (const dag::EndpointTask& t : fuzz_tasks) fuzz_domains.push_back(t.trace->test_domain);
     ProbeTables probe_tables(fuzz_domains);
     std::optional<std::vector<fuzz::CenFuzzReport>> fuzzed = run_stage(
-        ctx, result.fuzz, "fuzz", fuzz_stage, salts::kFuzzStage,
-        report::fuzz_report_from_json, [&](sim::Network& worker, std::size_t i) {
-          const trace::CenTraceReport* rep = blocked_by_endpoint.at(fuzz_targets[i]);
+        ctx, result.fuzz, "fuzz", endpoint_stage("fuzz", fuzz_tasks, spec.fuzz.fingerprint()),
+        salts::kFuzzStage, report::fuzz_report_from_json,
+        [&](sim::Network& worker, std::size_t i) {
+          const dag::EndpointTask& t = fuzz_tasks[i];
           fuzz::FuzzRunOptions ropts;
           ropts.client = site.client;
-          ropts.endpoint = net::Ipv4Address(fuzz_targets[i]);
-          ropts.test_domain = rep->test_domain;
+          ropts.endpoint = t.endpoint;
+          ropts.test_domain = t.trace->test_domain;
           ropts.control_domain = site.control_domain;
           ropts.fuzz = spec.fuzz;
-          ropts.test_probes = probe_tables.get(rep->test_domain);
+          ropts.test_probes = probe_tables.get(t.trace->test_domain);
           ropts.control_probes = probe_tables.get(site.control_domain);
           return report::to_json(fuzz::run(worker, ropts));
         });
     if (!fuzzed) return result;
-    std::map<std::uint32_t, fuzz::CenFuzzReport> fuzz_by_endpoint;
-    for (std::size_t i = 0; i < fuzzed->size(); ++i) {
-      fuzz_by_endpoint.emplace(fuzz_targets[i], std::move((*fuzzed)[i]));
-    }
 
-    // ---- Stage 3b: CenAmbig the blocked endpoints — reassembly-ambiguity
-    // fingerprinting for deployments whose banners are dark. ----
-    StageTasks ambig_stage;
-    std::vector<std::uint32_t> ambig_targets;
-    if (spec.stages.ambig) {
-      for (std::size_t idx :
-           scenario::stride_sample_indices(blocked_eps.size(), spec.ambig_max_endpoints)) {
-        ambig_targets.push_back(blocked_eps[idx]);
-      }
-      for (std::uint32_t ep : ambig_targets) {
-        const std::string& domain = blocked_by_endpoint.at(ep)->test_domain;
-        ambig_stage.ids.push_back(code + ":ambig:" + net::Ipv4Address(ep).str() + ":" + domain);
-        ambig_stage.identity.push_back(scenario::task_key(ep, domain, 0x30));
-        ambig_stage.cache_keys.push_back(task_cache_key(
-            net_fp, spec.seed, fault_fp, "ambig", ambig_stage.ids.back(),
-            spec.ambig.fingerprint()));
-      }
-    }
     std::optional<std::vector<ambig::AmbigReport>> ambiguities = run_stage(
-        ctx, result.ambig, "ambig", ambig_stage, salts::kAmbigStage,
+        ctx, result.ambig, "ambig",
+        endpoint_stage("ambig", ambig_tasks, spec.ambig.fingerprint()), salts::kAmbigStage,
         report::ambig_report_from_json, [&](sim::Network& worker, std::size_t i) {
+          const dag::EndpointTask& t = ambig_tasks[i];
           ambig::AmbigRunOptions ropts;
           ropts.client = site.client;
-          ropts.endpoint = net::Ipv4Address(ambig_targets[i]);
-          ropts.test_domain = blocked_by_endpoint.at(ambig_targets[i])->test_domain;
+          ropts.endpoint = t.endpoint;
+          ropts.test_domain = t.trace->test_domain;
           ropts.control_domain = site.control_domain;
           ropts.ambig = spec.ambig;
           return report::to_json(ambig::run(worker, ropts));
         });
     if (!ambiguities) return result;
-    std::map<std::uint32_t, ambig::AmbigReport> ambig_by_endpoint;
-    for (std::size_t i = 0; i < ambiguities->size(); ++i) {
-      ambig_by_endpoint.emplace(ambig_targets[i], std::move((*ambiguities)[i]));
-    }
 
     // ---- Stage 4: bundle one measurement per blocked endpoint. ----
-    for (const auto& [ep, rep] : blocked_by_endpoint) {
-      ml::EndpointMeasurement m;
-      m.endpoint_id = net::Ipv4Address(ep).str();
-      m.country = code;
-      m.trace = *rep;
-      // Each blocked endpoint owns its fuzz and ambig reports (probe
-      // reports are shared by every endpoint behind one device: copied).
-      auto fz = fuzz_by_endpoint.find(ep);
-      if (fz != fuzz_by_endpoint.end()) m.fuzz = std::move(fz->second);
-      auto am = ambig_by_endpoint.find(ep);
-      if (am != ambig_by_endpoint.end()) m.ambig = std::move(am->second);
-      if (rep->blocking_hop_ip) {
-        auto pb = device_probes.find(rep->blocking_hop_ip->value());
-        if (pb != device_probes.end()) m.banner = pb->second;
-      }
-      result.measurements.push_back(std::move(m));
-    }
+    dag::bundle(code, representatives, device_probes, fuzz_tasks, std::move(*fuzzed),
+                ambig_tasks, std::move(*ambiguities), result.measurements);
 
     // Executor overhead + replica path-cache stats for this country's
     // pool (if one was created) — wall domain, --perf-report only.

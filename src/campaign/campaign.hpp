@@ -3,7 +3,8 @@
 // campaign::run() compiles a CampaignSpec into a deterministic task DAG —
 // CenTrace over every (endpoint, domain, protocol), CenProbe over every
 // discovered in-path device IP, CenFuzz over every blocked endpoint (under
-// the fuzz cap), then feature extraction + DBSCAN clustering — and
+// the fuzz cap), then feature extraction + DBSCAN clustering; the per-site
+// stages are planned by scenario/dag.hpp, as the pipeline's are — and
 // executes it over the hermetic ParallelExecutor, one dispatch per stage.
 // Three contracts, all covered by tests/test_campaign.cpp:
 //

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
 
 #include "centrace/degrade.hpp"
 #include "core/seed_salts.hpp"
@@ -24,47 +23,19 @@ double PipelineResult::mean_remote_confidence() const {
   return sum / static_cast<double>(remote_traces.size());
 }
 
-std::vector<std::size_t> stride_sample_indices(std::size_t n, int cap) {
-  std::vector<std::size_t> out;
-  if (cap < 0 || static_cast<std::size_t>(cap) >= n) {
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = i;
-    return out;
-  }
-  out.reserve(static_cast<std::size_t>(cap));
-  const std::uint64_t n64 = n;
-  const std::uint64_t cap64 = static_cast<std::uint64_t>(cap);
-  for (std::uint64_t i = 0; i < cap64; ++i) {
-    // (i*n)/cap is strictly increasing for cap < n, so no index repeats —
-    // the float-stride version this replaces could truncate two i values
-    // onto the same element and silently measure it twice.
-    out.push_back(static_cast<std::size_t>(i * n64 / cap64));
-  }
-  return out;
-}
-
 namespace {
 
-std::vector<net::Ipv4Address> sample(const std::vector<net::Ipv4Address>& v, int cap) {
-  std::vector<net::Ipv4Address> out;
-  for (std::size_t idx : stride_sample_indices(v.size(), cap)) out.push_back(v[idx]);
-  return out;
-}
-
-std::vector<std::string> take(const std::vector<std::string>& v, int cap) {
-  if (cap < 0 || static_cast<int>(v.size()) <= cap) return v;
-  return std::vector<std::string>(v.begin(), v.begin() + cap);
-}
-
+/// What the pipeline measures: a country, or the world scenario (no
+/// in-country vantage point).
 struct PipelineInput {
-  sim::Network* network = nullptr;
-  sim::NodeId remote_client = sim::kInvalidNode;
-  sim::NodeId incountry_client = sim::kInvalidNode;
-  std::vector<net::Ipv4Address> remote_endpoints;
-  std::vector<net::Ipv4Address> foreign_endpoints;  // parallel to all domains
-  std::vector<std::string> http_domains;
-  std::vector<std::string> https_domains;
-  std::string control_domain;
+  sim::Network& network;
+  sim::NodeId remote_client;
+  sim::NodeId incountry_client;
+  const std::vector<net::Ipv4Address>& remote_endpoints;
+  const std::vector<net::Ipv4Address>& foreign_endpoints;  // parallel to all domains
+  const std::vector<std::string>& http_domains;
+  const std::vector<std::string>& https_domains;
+  const std::string& control_domain;
   std::string country;
 };
 
@@ -126,32 +97,13 @@ trace::CenTraceOptions trace_options(const PipelineOptions& options,
   return o;
 }
 
-// ---- Stage 4: bundle. ----
-void bundle(PipelineResult& result, const std::string& country,
-            const std::map<std::uint32_t, const trace::CenTraceReport*>& blocked_by_endpoint,
-            const std::map<std::uint32_t, fuzz::CenFuzzReport>& fuzz_by_endpoint) {
-  for (const auto& [ep, rep] : blocked_by_endpoint) {
-    ml::EndpointMeasurement m;
-    m.endpoint_id = net::Ipv4Address(ep).str();
-    m.country = country;
-    m.trace = *rep;
-    auto fz = fuzz_by_endpoint.find(ep);
-    if (fz != fuzz_by_endpoint.end()) m.fuzz = fz->second;
-    if (rep->blocking_hop_ip) {
-      auto pb = result.device_probes.find(rep->blocking_hop_ip->value());
-      if (pb != result.device_probes.end()) m.banner = pb->second;
-    }
-    result.measurements.push_back(std::move(m));
-  }
-}
-
 /// Every measurement runs as a hermetic executor task on a network reset
 /// to a task-derived epoch, so the merged result is identical for every
 /// worker count, inline (threads = 0) included.
 PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
   PipelineResult result;
   result.country = in.country;
-  sim::Network& net = *in.network;
+  sim::Network& net = in.network;
   // Install the plan on the prototype BEFORE cloning so replicas carry it.
   net.set_fault_plan(options.faults);
   if (options.transient_loss > 0.0) net.set_transient_loss(options.transient_loss);
@@ -165,137 +117,70 @@ PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
   const trace::CenTraceOptions https_opts =
       trace_options(options, trace::ProbeProtocol::kHttps);
 
-  std::vector<std::string> http_domains = take(in.http_domains, options.max_domains);
-  std::vector<std::string> https_domains = take(in.https_domains, options.max_domains);
-
   // ---- Stage 1: remote + in-country CenTrace as one hermetic batch. ----
-  struct TraceTask {
-    sim::NodeId client;
-    net::Ipv4Address endpoint;
-    const std::string* domain;
-    std::uint64_t dhash;  // domain_hash(*domain), computed once per domain
-    const trace::CenTraceOptions* opts;
-    bool incountry;
-  };
-  // Hash each domain once up front: the remote fan-out is endpoints x
-  // domains, so re-hashing the string per task would cost O(E x D) FNV
-  // passes for O(D) distinct strings.
-  std::vector<std::uint64_t> http_hashes, https_hashes;
-  http_hashes.reserve(http_domains.size());
-  for (const std::string& d : http_domains) http_hashes.push_back(domain_hash(d));
-  https_hashes.reserve(https_domains.size());
-  for (const std::string& d : https_domains) https_hashes.push_back(domain_hash(d));
-
-  std::vector<TraceTask> tasks;
-  for (net::Ipv4Address endpoint : sample(in.remote_endpoints, options.max_endpoints)) {
-    for (std::size_t d = 0; d < http_domains.size(); ++d) {
-      tasks.push_back({in.remote_client, endpoint, &http_domains[d], http_hashes[d],
-                       &http_opts, false});
-    }
-    for (std::size_t d = 0; d < https_domains.size(); ++d) {
-      tasks.push_back({in.remote_client, endpoint, &https_domains[d], https_hashes[d],
-                       &https_opts, false});
-    }
-  }
+  const std::vector<std::string> http_domains =
+      stride_sample(in.http_domains, options.max_domains);
+  const std::vector<std::string> https_domains =
+      stride_sample(in.https_domains, options.max_domains);
+  std::vector<dag::TraceTask> tasks =
+      dag::trace_tasks(stride_sample(in.remote_endpoints, options.max_endpoints),
+                       {{http_domains, trace::ProbeProtocol::kHttp},
+                        {https_domains, trace::ProbeProtocol::kHttps}});
   const std::size_t n_remote = tasks.size();
-  if (in.incountry_client != sim::kInvalidNode && !in.foreign_endpoints.empty()) {
-    std::size_t idx = 0;
-    for (const std::string& domain : in.http_domains) {
-      if (idx >= in.foreign_endpoints.size()) break;
-      tasks.push_back({in.incountry_client, in.foreign_endpoints[idx++], &domain,
-                       domain_hash(domain), &http_opts, true});
-    }
-    for (const std::string& domain : in.https_domains) {
-      if (idx >= in.foreign_endpoints.size()) break;
-      tasks.push_back({in.incountry_client, in.foreign_endpoints[idx++], &domain,
-                       domain_hash(domain), &https_opts, true});
-    }
-  }
-
-  std::vector<std::uint64_t> trace_keys;
-  trace_keys.reserve(tasks.size());
-  for (const TraceTask& t : tasks) {
-    std::uint64_t tag = static_cast<std::uint64_t>(t.opts->protocol) |
-                        (t.incountry ? 0x8u : 0x0u);
-    trace_keys.push_back(task_key_hashed(t.endpoint.value(), t.dhash, tag));
+  if (in.incountry_client != sim::kInvalidNode) {
+    dag::append_incountry_tasks(tasks, in.foreign_endpoints,
+                                {{in.http_domains, trace::ProbeProtocol::kHttp},
+                                 {in.https_domains, trace::ProbeProtocol::kHttps}});
   }
   std::vector<trace::CenTraceReport> reports(tasks.size());
-  merger.run_stage(exec, derive_task_seeds(net.seed(), salts::kTraceStage, trace_keys),
-                   "stage:centrace", [&](sim::Network& replica, std::size_t i) {
-                     const TraceTask& t = tasks[i];
-                     trace::CenTrace ct(replica, t.client, *t.opts);
-                     reports[i] = ct.measure(t.endpoint, *t.domain, in.control_domain);
-                   });
+  merger.run_stage(
+      exec, derive_task_seeds(net.seed(), salts::kTraceStage, dag::identities(tasks)),
+      "stage:centrace", [&](sim::Network& replica, std::size_t i) {
+        const dag::TraceTask& t = tasks[i];
+        trace::CenTrace ct(replica, i < n_remote ? in.remote_client : in.incountry_client,
+                           t.protocol == trace::ProbeProtocol::kHttps ? https_opts : http_opts);
+        reports[i] = ct.measure(t.endpoint, *t.domain, in.control_domain);
+      });
   for (std::size_t i = 0; i < reports.size(); ++i) {
     (i < n_remote ? result.remote_traces : result.incountry_traces)
         .push_back(std::move(reports[i]));
   }
-
-  // ---- Representative blocked trace per endpoint. ----
-  std::map<std::uint32_t, const trace::CenTraceReport*> blocked_by_endpoint;
-  for (const trace::CenTraceReport& r : result.remote_traces) {
-    if (r.blocked) blocked_by_endpoint.emplace(r.endpoint.value(), &r);
-  }
+  const dag::Representatives representatives =
+      dag::representatives(tasks, result.remote_traces);
 
   // ---- Stage 2: CenProbe every distinct in-path blocking-hop IP. ----
   if (options.run_banner) {
-    std::vector<net::Ipv4Address> probe_ips;
-    std::set<std::uint32_t> seen;
-    for (const trace::CenTraceReport& r : result.remote_traces) {
-      if (!r.blocked || !r.blocking_hop_ip ||
-          r.placement == trace::DevicePlacement::kOnPath) {
-        continue;
-      }
-      if (seen.insert(r.blocking_hop_ip->value()).second) {
-        probe_ips.push_back(*r.blocking_hop_ip);
-      }
-    }
-    std::vector<std::uint64_t> probe_keys;
-    probe_keys.reserve(probe_ips.size());
-    for (net::Ipv4Address ip : probe_ips) {
-      probe_keys.push_back(task_key(ip.value(), {}, 0x10));
-    }
-    std::vector<probe::DeviceProbeReport> probes(probe_ips.size());
-    merger.run_stage(exec, derive_task_seeds(net.seed(), salts::kProbeStage, probe_keys),
+    const std::vector<dag::DeviceTask> devices = dag::device_tasks(result.remote_traces);
+    std::vector<probe::DeviceProbeReport> probes(devices.size());
+    merger.run_stage(exec,
+                     derive_task_seeds(net.seed(), salts::kProbeStage, dag::identities(devices)),
                      "stage:cenprobe", [&](sim::Network& replica, std::size_t i) {
-                       probes[i] = probe::run(
-                           replica, probe::ProbeRunOptions{.ip = probe_ips[i]});
+                       probes[i] =
+                           probe::run(replica, probe::ProbeRunOptions{.ip = devices[i].ip});
                      });
-    for (std::size_t i = 0; i < probe_ips.size(); ++i) {
-      result.device_probes.emplace(probe_ips[i].value(), std::move(probes[i]));
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+      result.device_probes.emplace(devices[i].ip.value(), std::move(probes[i]));
     }
   }
 
   // ---- Stage 3: CenFuzz blocked endpoints (sampled under the cap). ----
-  std::vector<std::uint32_t> blocked_eps;
-  for (const auto& [ip, report] : blocked_by_endpoint) blocked_eps.push_back(ip);
-  std::map<std::uint32_t, fuzz::CenFuzzReport> fuzz_by_endpoint;
+  std::vector<dag::EndpointTask> fuzz_tasks;
+  std::vector<fuzz::CenFuzzReport> fuzzes;
   if (options.run_fuzz) {
-    std::vector<std::uint32_t> fuzz_targets;
-    for (std::size_t idx :
-         stride_sample_indices(blocked_eps.size(), options.fuzz_max_endpoints)) {
-      fuzz_targets.push_back(blocked_eps[idx]);
-    }
-    std::vector<std::uint64_t> fuzz_keys;
-    fuzz_keys.reserve(fuzz_targets.size());
-    for (std::uint32_t ep : fuzz_targets) {
-      fuzz_keys.push_back(task_key(ep, blocked_by_endpoint.at(ep)->test_domain, 0x20));
-    }
-    std::vector<fuzz::CenFuzzReport> fuzzes(fuzz_targets.size());
-    merger.run_stage(exec, derive_task_seeds(net.seed(), salts::kFuzzStage, fuzz_keys),
-                     "stage:cenfuzz", [&](sim::Network& replica, std::size_t i) {
-                       const trace::CenTraceReport* rep =
-                           blocked_by_endpoint.at(fuzz_targets[i]);
-                       fuzz::CenFuzz fuzzer(replica, in.remote_client);
-                       fuzzes[i] = fuzzer.run(net::Ipv4Address(fuzz_targets[i]),
-                                              rep->test_domain, in.control_domain);
-                     });
-    for (std::size_t i = 0; i < fuzz_targets.size(); ++i) {
-      fuzz_by_endpoint.emplace(fuzz_targets[i], std::move(fuzzes[i]));
-    }
+    fuzz_tasks = dag::fuzz_tasks(representatives, options.fuzz_max_endpoints);
+    fuzzes.resize(fuzz_tasks.size());
+    merger.run_stage(
+        exec, derive_task_seeds(net.seed(), salts::kFuzzStage, dag::identities(fuzz_tasks)),
+        "stage:cenfuzz", [&](sim::Network& replica, std::size_t i) {
+          fuzz::CenFuzz fuzzer(replica, in.remote_client);
+          fuzzes[i] = fuzzer.run(fuzz_tasks[i].endpoint, fuzz_tasks[i].trace->test_domain,
+                                 in.control_domain);
+        });
   }
 
-  bundle(result, in.country, blocked_by_endpoint, fuzz_by_endpoint);
+  // ---- Stage 4: bundle. ----
+  dag::bundle(result.country, representatives, result.device_probes, fuzz_tasks,
+              std::move(fuzzes), {}, {}, result.measurements);
   if (options.observer != nullptr) {
     // What was dispatched is a function of the task lists alone, so these
     // pool counts are sim domain, the same at every worker count.
@@ -314,17 +199,11 @@ PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
 
 PipelineResult run_country_pipeline(CountryScenario& scenario,
                                     const PipelineOptions& options) {
-  PipelineInput in;
-  in.network = scenario.network.get();
-  in.remote_client = scenario.remote_client;
-  in.incountry_client = scenario.incountry_client;
-  in.remote_endpoints = scenario.remote_endpoints;
-  in.foreign_endpoints = scenario.foreign_endpoints;
-  in.http_domains = scenario.http_test_domains;
-  in.https_domains = scenario.https_test_domains;
-  in.control_domain = scenario.control_domain;
-  in.country = std::string(country_code(scenario.country));
-  return run(in, options);
+  return run({*scenario.network, scenario.remote_client, scenario.incountry_client,
+              scenario.remote_endpoints, scenario.foreign_endpoints, scenario.http_test_domains,
+              scenario.https_test_domains, scenario.control_domain,
+              std::string(country_code(scenario.country))},
+             options);
 }
 
 ConsistencyStats localisation_consistency(const PipelineResult& result) {
@@ -368,37 +247,16 @@ std::vector<trace::CenTraceReport> run_trace_fanout(
     const std::vector<std::string>& domains, const std::string& control_domain,
     const trace::CenTraceOptions& trace_opts, int threads, obs::Observer* observer,
     const trace::DegradationPlan* plan) {
-  struct Task {
-    net::Ipv4Address endpoint;
-    const std::string* domain;
-    std::uint64_t dhash;
-  };
-  // One FNV pass per distinct domain, not per (endpoint, domain) pair.
-  std::vector<std::uint64_t> dhashes;
-  dhashes.reserve(domains.size());
-  for (const std::string& d : domains) dhashes.push_back(domain_hash(d));
-
-  std::vector<Task> tasks;
-  tasks.reserve(endpoints.size() * domains.size());
-  for (net::Ipv4Address endpoint : endpoints) {
-    for (std::size_t d = 0; d < domains.size(); ++d) {
-      tasks.push_back({endpoint, &domains[d], dhashes[d]});
-    }
-  }
-
-  // Same key/salt scheme as the pipeline's stage 1, so a fan-out of the
-  // same (endpoint, domain, protocol) set replays the same substreams.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(tasks.size());
-  for (const Task& t : tasks) {
-    keys.push_back(task_key_hashed(t.endpoint.value(), t.dhash,
-                                   static_cast<std::uint64_t>(trace_opts.protocol)));
-  }
+  // The pipeline's stage 1 over one domain list, so a fan-out of the same
+  // (endpoint, domain, protocol) set replays the same substreams.
+  const std::vector<dag::TraceTask> tasks =
+      dag::trace_tasks(endpoints, {{domains, trace_opts.protocol}});
   std::vector<trace::CenTraceReport> reports(tasks.size());
   ParallelExecutor exec(net, threads);
   exec.set_perf_tracking(observer != nullptr);
   ShardMerger(observer).run_stage(
-      exec, derive_task_seeds(net.seed(), salts::kTraceStage, keys), "stage:centrace",
+      exec, derive_task_seeds(net.seed(), salts::kTraceStage, dag::identities(tasks)),
+      "stage:centrace",
       [&](sim::Network& replica, std::size_t i) {
         reports[i] = trace::measure_with_degradation(replica, client, tasks[i].endpoint,
                                                      *tasks[i].domain, control_domain,
@@ -411,15 +269,10 @@ std::vector<trace::CenTraceReport> run_trace_fanout(
 }
 
 PipelineResult run_world_pipeline(WorldScenario& scenario, const PipelineOptions& options) {
-  PipelineInput in;
-  in.network = scenario.network.get();
-  in.remote_client = scenario.client;
-  in.remote_endpoints = scenario.endpoints;
-  in.http_domains = scenario.http_test_domains;
-  in.https_domains = scenario.https_test_domains;
-  in.control_domain = scenario.control_domain;
-  in.country = "WORLD";
-  return run(in, options);
+  return run({*scenario.network, scenario.client, sim::kInvalidNode, scenario.endpoints, {},
+              scenario.http_test_domains, scenario.https_test_domains, scenario.control_domain,
+              "WORLD"},
+             options);
 }
 
 }  // namespace cen::scenario

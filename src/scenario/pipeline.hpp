@@ -1,10 +1,11 @@
-// The full measurement pipeline over a scenario, as the paper runs it:
-//   1. CenTrace every (endpoint, test domain, protocol) pair — remote and,
-//      where a vantage point exists, in-country against the real servers;
-//   2. CenProbe every distinct in-path blocking-hop IP;
-//   3. CenFuzz every endpoint that observed blocking;
-//   4. bundle everything into ml::EndpointMeasurement rows for clustering.
-// Shared by the benches, the examples and the integration tests.
+// The full measurement pipeline over a scenario, as the paper runs it: the
+// per-site DAG of scenario/dag.hpp (CenTrace, CenProbe of the in-path
+// devices, CenFuzz of the blocked endpoints, one ml::EndpointMeasurement
+// row per blocked endpoint), planned exactly as campaign::run plans it,
+// plus in-country CenTrace against the real servers where the scenario
+// has a vantage point. Unlike the campaign it keeps every report in
+// memory, caches nothing and records each task into its own observer
+// shard. Shared by the benches, the examples and the integration tests.
 #pragma once
 
 #include <map>
@@ -13,6 +14,7 @@
 #include "ml/features.hpp"
 #include "netsim/faults.hpp"
 #include "scenario/country.hpp"
+#include "scenario/dag.hpp"
 #include "scenario/world.hpp"
 
 namespace cen::obs {
@@ -26,7 +28,7 @@ struct PipelineOptions {
   /// Cap endpoints measured (-1 = all); capped runs sample with a stride
   /// so every AS keeps representation.
   int max_endpoints = -1;
-  /// Cap domains per protocol (-1 = all).
+  /// Cap domains per protocol (-1 = all), stride-sampled like endpoints.
   int max_domains = -1;
   bool run_banner = true;
   bool run_fuzz = true;
@@ -113,12 +115,5 @@ std::vector<trace::CenTraceReport> run_trace_fanout(
     const std::vector<std::string>& domains, const std::string& control_domain,
     const trace::CenTraceOptions& trace_options, int threads,
     obs::Observer* observer = nullptr, const trace::DegradationPlan* plan = nullptr);
-
-/// Indices of an even stride sample of `cap` items out of [0, n). Pure
-/// integer arithmetic — index i maps to (i*n)/cap — so the indices are
-/// strictly increasing (no duplicates, unlike float-stride truncation)
-/// and spread across the whole range, keeping every AS represented.
-/// cap < 0 or cap >= n returns all n indices.
-std::vector<std::size_t> stride_sample_indices(std::size_t n, int cap);
 
 }  // namespace cen::scenario

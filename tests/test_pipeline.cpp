@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "campaign/campaign.hpp"
 #include "scenario/pipeline.hpp"
 
 using namespace cen;
@@ -38,6 +41,56 @@ TEST(Pipeline, MaxEndpointsSamplesWithStride) {
   std::set<std::uint32_t> endpoints;
   for (const auto& t : r.remote_traces) endpoints.insert(t.endpoint.value());
   EXPECT_EQ(endpoints.size(), 4u);
+}
+
+TEST(Pipeline, PlansTheCampaignDag) {
+  // One DAG definition: under the same caps the pipeline traces the
+  // campaign's (endpoint, domain, protocol) sequence, probes its devices
+  // and fuzzes its endpoints.
+  campaign::CampaignSpec spec;
+  spec.countries = {Country::kKZ};
+  spec.scale = Scale::kSmall;
+  spec.trace.repetitions = 3;
+  spec.max_endpoints = 3;
+  spec.max_domains = 2;
+  spec.fuzz_max_endpoints = 2;
+  campaign::RunControl control;
+  control.threads = 0;
+  const campaign::CampaignResult planned = campaign::run(spec, control);
+  ASSERT_TRUE(planned.complete);
+  std::map<std::string, std::vector<std::string>> campaign_ids;
+  for (const campaign::CampaignRecord& r : planned.records) {
+    campaign_ids[r.stage].push_back(r.task_id);
+  }
+
+  CountryScenario s = make_country(Country::kKZ, Scale::kSmall);
+  PipelineOptions o;
+  o.centrace_repetitions = 3;
+  o.max_endpoints = 3;
+  o.max_domains = 2;
+  o.fuzz_max_endpoints = 2;
+  o.threads = 0;
+  const PipelineResult r = run_country_pipeline(s, o);
+  std::map<std::string, std::vector<std::string>> pipeline_ids;
+  for (const trace::CenTraceReport& t : r.remote_traces) {
+    pipeline_ids["trace"].push_back("KZ:trace:" + t.endpoint.str() + ":" + t.test_domain + ":" +
+                                    std::string(trace::probe_protocol_name(t.protocol)));
+  }
+  for (const auto& [ip, banner] : r.device_probes) {
+    pipeline_ids["probe"].push_back("KZ:probe:" + net::Ipv4Address(ip).str());
+  }
+  for (const ml::EndpointMeasurement& m : r.measurements) {
+    if (m.fuzz) {
+      pipeline_ids["fuzz"].push_back("KZ:fuzz:" + m.endpoint_id + ":" + m.trace.test_domain);
+    }
+  }
+
+  EXPECT_EQ(campaign_ids["trace"].size(), 3u * 2u * 2u);
+  EXPECT_FALSE(campaign_ids["probe"].empty());
+  EXPECT_EQ(campaign_ids["fuzz"].size(), 2u);
+  for (const char* stage : {"trace", "probe", "fuzz"}) {
+    EXPECT_EQ(pipeline_ids[stage], campaign_ids[stage]) << stage;
+  }
 }
 
 TEST(Pipeline, BannerStageOptional) {
