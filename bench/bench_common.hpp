@@ -39,10 +39,7 @@ struct Run {
 /// Hands out each (site, preset) pipeline run, computing it on first use,
 /// so experiments that share a preset share its runs. It holds one
 /// preset's runs at a time: asking for another preset drops them and the
-/// references handed out for them. A run keeps its verdicts but not the
-/// per-probe sweep logs (`control_traces`, `test_traces`), which no
-/// experiment here reads and which hold most of a run's memory (RU's
-/// 11-repetition run: about 1 GB).
+/// references handed out for them.
 class Memo {
  public:
   const Run<scenario::CountryScenario>& country(scenario::Country c, Preset p) {
@@ -51,7 +48,6 @@ class Memo {
       run.reset(new Run<scenario::CountryScenario>{
           scenario::make_country(c, scenario::Scale::kFull), {}});
       run->result = scenario::run_country_pipeline(run->scenario, preset_options(p));
-      drop_sweeps(run->result);
     }
     return *run;
   }
@@ -62,22 +58,11 @@ class Memo {
       run.reset(new Run<scenario::WorldScenario>{
           scenario::make_world(scenario::Scale::kFull), {}});
       run->result = scenario::run_world_pipeline(run->scenario, preset_options(p));
-      drop_sweeps(run->result);
     }
     return *run;
   }
 
  private:
-  static void drop_sweeps(scenario::PipelineResult& r) {
-    auto drop = [](trace::CenTraceReport& t) {
-      t.control_traces = std::vector<trace::SingleTrace>();
-      t.test_traces = std::vector<trace::SingleTrace>();
-    };
-    for (auto& t : r.remote_traces) drop(t);
-    for (auto& t : r.incountry_traces) drop(t);
-    for (auto& m : r.measurements) drop(m.trace);
-  }
-
   Memo& use(Preset p) {
     if (p != preset_) {
       for (auto& run : countries_) run.reset();

@@ -34,12 +34,12 @@ std::string to_json(const scenario::PipelineResult& result) {
   w.key("country").value(result.country);
   w.key("remote_traces").begin_array();
   for (const trace::CenTraceReport& t : result.remote_traces) {
-    w.raw_value(to_json(t, /*include_sweeps=*/true));
+    w.raw_value(to_json(t));
   }
   w.end_array();
   w.key("incountry_traces").begin_array();
   for (const trace::CenTraceReport& t : result.incountry_traces) {
-    w.raw_value(to_json(t, /*include_sweeps=*/true));
+    w.raw_value(to_json(t));
   }
   w.end_array();
   w.key("device_probes").begin_object();

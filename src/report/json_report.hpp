@@ -29,8 +29,8 @@ std::string to_json(const probe::DeviceProbeReport& report);
 /// CenAmbig report: endpoint distance, per-probe verdicts and votes.
 std::string to_json(const ambig::AmbigReport& report);
 
-/// Whole pipeline result: country, every remote/in-country trace (with
-/// per-sweep hop logs), device probes keyed by IP and the per-endpoint
+/// Whole pipeline result: country, every remote/in-country trace (the
+/// pipeline keeps no sweep logs), device probes keyed by IP and the per-endpoint
 /// measurement bundles. This is the canonical golden-file format the
 /// serial-vs-parallel determinism tests byte-compare.
 std::string to_json(const scenario::PipelineResult& result);

@@ -140,6 +140,10 @@ PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
         trace::CenTrace ct(replica, i < n_remote ? in.remote_client : in.incountry_client,
                            t.protocol == trace::ProbeProtocol::kHttps ? https_opts : http_opts);
         reports[i] = ct.measure(t.endpoint, *t.domain, in.control_domain);
+        // No pipeline consumer reads the per-probe sweep logs, and they hold
+        // most of a report's memory (`cen trace --sweeps` keeps them).
+        reports[i].control_traces = std::vector<trace::SingleTrace>();
+        reports[i].test_traces = std::vector<trace::SingleTrace>();
       });
   for (std::size_t i = 0; i < reports.size(); ++i) {
     (i < n_remote ? result.remote_traces : result.incountry_traces)

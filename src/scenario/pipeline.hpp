@@ -62,7 +62,8 @@ struct PipelineOptions {
 
 struct PipelineResult {
   std::string country;
-  /// Every remote CenTrace report (endpoint × domain × protocol).
+  /// Every remote CenTrace report (endpoint × domain × protocol). No
+  /// report keeps its per-probe sweep logs (control_traces, test_traces).
   std::vector<trace::CenTraceReport> remote_traces;
   /// In-country CenTrace reports (foreign servers hosting the domains).
   std::vector<trace::CenTraceReport> incountry_traces;
