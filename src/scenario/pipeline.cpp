@@ -106,7 +106,6 @@ PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
   sim::Network& net = in.network;
   // Install the plan on the prototype BEFORE cloning so replicas carry it.
   net.set_fault_plan(options.faults);
-  if (options.transient_loss > 0.0) net.set_transient_loss(options.transient_loss);
 
   ParallelExecutor exec(net, options.threads);
   exec.set_perf_tracking(options.observer != nullptr);

@@ -35,10 +35,8 @@ struct PipelineOptions {
   /// Cap the endpoints fuzzed (-1 = all blocked endpoints). Fuzzing is the
   /// most request-hungry stage; the cap samples evenly across devices.
   int fuzz_max_endpoints = -1;
-  double transient_loss = 0.0;
   /// Fault plan installed on the network before measuring (the default
-  /// plan is inert — identical to a fault-free run). A non-zero
-  /// `transient_loss` above overrides the plan's own field.
+  /// plan is inert — identical to a fault-free run).
   sim::FaultPlan faults;
   /// CenTrace backoff/adaptive-retry knobs for runs under faults.
   SimTime centrace_retry_backoff = 0;
@@ -58,6 +56,13 @@ struct PipelineOptions {
   /// measurement results obey. nullptr disables all instrumentation
   /// (near-zero cost).
   obs::Observer* observer = nullptr;
+
+  /// Apply the shared --retries / --backoff run options to CenTrace, as
+  /// trace::CenTraceOptions::apply does.
+  void apply(const tool::CommonRunOptions& common) {
+    if (common.retries) centrace_adaptive_retries = *common.retries;
+    if (common.backoff) centrace_retry_backoff = *common.backoff;
+  }
 };
 
 struct PipelineResult {

@@ -285,7 +285,6 @@ PipelineOptions parallel_opts(int threads) {
 
 PipelineOptions faulty_opts(int threads) {
   PipelineOptions o = parallel_opts(threads);
-  o.transient_loss = 0.05;
   o.faults.transient_loss = 0.05;
   o.faults.default_link.duplicate = 0.02;
   o.faults.default_link.reorder = 0.02;

@@ -152,11 +152,11 @@ TEST(Pipeline, TransientLossStillConverges) {
   CountryScenario s = make_country(Country::kAZ, Scale::kSmall);
   PipelineOptions o = fast();
   o.centrace_repetitions = 5;
-  o.transient_loss = 0.03;
+  o.faults.transient_loss = 0.03;
   PipelineResult noisy = run_country_pipeline(s, o);
 
   CountryScenario s2 = make_country(Country::kAZ, Scale::kSmall);
-  o.transient_loss = 0.0;
+  o.faults.transient_loss = 0.0;
   PipelineResult clean = run_country_pipeline(s2, o);
 
   // Allow a small delta in blocked counts between noisy and clean runs.

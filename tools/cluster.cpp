@@ -15,6 +15,7 @@ int cli::run_cluster(const Context& ctx) {
   o.threads = ctx.common.threads;
   o.observer = ctx.observer;
   o.faults = ctx.common.faults;
+  o.apply(ctx.common.run);
 
   std::vector<ml::EndpointMeasurement> all;
   for (const std::string& code :

@@ -1,8 +1,9 @@
 # Runs `cen` and checks its exit code, output and an output file:
 #   cmake -DCEN=<binary> -DARGS=a,b,... -DRC=<code> [-DMATCH=<regex>]
-#         [-DFILE=<path>] -P expect_exit.cmake
+#         [-DFILE=<path> [-DFILE_MATCH=<regex>]] -P expect_exit.cmake
 # Passes when `cen ARGS` exits RC, its stdout and stderr together match
-# MATCH, and FILE (removed first) was written non-empty.
+# MATCH, and FILE (removed first) was written non-empty, its contents
+# matching FILE_MATCH.
 string(REPLACE "," ";" ARGS "${ARGS}")
 string(REPLACE ";" " " command "cen ${ARGS}")
 if(FILE)
@@ -23,5 +24,11 @@ if(FILE)
   endif()
   if(NOT size GREATER 0)
     message(FATAL_ERROR "${command} left ${FILE} missing or empty")
+  endif()
+  if(FILE_MATCH)
+    file(READ ${FILE} contents)
+    if(NOT contents MATCHES "${FILE_MATCH}")
+      message(FATAL_ERROR "${command} wrote ${FILE}, which does not match '${FILE_MATCH}'")
+    endif()
   endif()
 endif()

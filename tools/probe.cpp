@@ -41,6 +41,8 @@ int cli::run_probe(const Context& ctx) {
   o.run_fuzz = false;
   o.threads = ctx.common.threads;
   o.observer = ctx.observer;
+  o.faults = ctx.common.faults;
+  o.apply(ctx.common.run);
   scenario::PipelineResult result = run_country_pipeline(s, o);
   std::fprintf(stderr, "CenTrace: %zu measurements, %zu blocked, %zu device IPs\n",
                result.remote_traces.size(), result.blocked_remote(),
