@@ -320,18 +320,17 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     Site site = world_mode ? build_world_site(spec)
                            : build_country_site(countries[site_index], spec);
     add_wall_ns(observer, "campaign.site_build_ns", build_start);
+    if (!spec.http_domains.empty()) site.http_domains = spec.http_domains;
+    if (!spec.https_domains.empty()) site.https_domains = spec.https_domains;
     sim::Network& net = *site.network;
     if (spec.evolution && spec.evolution_epoch > 0) {
       // Replay censor evolution up to the spec's epoch on the fresh
       // baseline. Device mutations land in the network fingerprint below,
       // so churned sites (and only churned sites) miss the result cache.
-      // Rule adds draw from the *measured* domain lists (spec overrides
-      // win, as in the trace stage) so churn is observable in the diffs.
-      std::vector<std::string> pool =
-          spec.http_domains.empty() ? site.http_domains : spec.http_domains;
-      const std::vector<std::string>& https =
-          spec.https_domains.empty() ? site.https_domains : spec.https_domains;
-      pool.insert(pool.end(), https.begin(), https.end());
+      // Rule adds draw from the *measured* domain lists so churn is
+      // observable in the diffs.
+      std::vector<std::string> pool = site.http_domains;
+      pool.insert(pool.end(), site.https_domains.begin(), site.https_domains.end());
       longit::apply_evolution(net, site.code, *spec.evolution,
                               spec.evolution_epoch, pool);
     }
@@ -343,17 +342,10 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     StageContext ctx{net, spec, control, cache, budget, code, result.records, nullptr};
 
     // ---- Stage 1: CenTrace over (endpoint × domain × protocol). ----
-    const std::vector<std::string> http_domains = scenario::stride_sample(
-        spec.http_domains.empty() ? site.http_domains : spec.http_domains,
-        spec.max_domains);
-    const std::vector<std::string> https_domains = scenario::stride_sample(
-        spec.https_domains.empty() ? site.https_domains : spec.https_domains,
-        spec.max_domains);
-
-    trace::CenTraceOptions http_opts = spec.trace;
-    http_opts.protocol = trace::ProbeProtocol::kHttp;
-    trace::CenTraceOptions https_opts = spec.trace;
-    https_opts.protocol = trace::ProbeProtocol::kHttps;
+    const std::vector<std::string> http_domains =
+        scenario::stride_sample(site.http_domains, spec.max_domains);
+    const std::vector<std::string> https_domains =
+        scenario::stride_sample(site.https_domains, spec.max_domains);
 
     // Degradation plan: escalate unlocalized blocked traces to tomography
     // from the scenario's other clients. The plan fingerprint joins the
@@ -372,8 +364,10 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
                                      {{http_domains, trace::ProbeProtocol::kHttp},
                                       {https_domains, trace::ProbeProtocol::kHttps}});
     }
-    auto trace_opts = [&](const dag::TraceTask& t) -> const trace::CenTraceOptions& {
-      return t.protocol == trace::ProbeProtocol::kHttps ? https_opts : http_opts;
+    auto trace_opts = [&](const dag::TraceTask& t) {
+      trace::CenTraceOptions opts = spec.trace;
+      opts.protocol = t.protocol;
+      return opts;
     };
     // A task's id is "<site>:<stage>:<subject>"; its cache key covers the
     // network, the campaign seed, the fault plan, the id and its options.

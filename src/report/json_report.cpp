@@ -32,16 +32,10 @@ std::string to_json(const scenario::PipelineResult& result) {
   JsonWriter w;
   w.begin_object();
   w.key("country").value(result.country);
-  w.key("remote_traces").begin_array();
-  for (const trace::CenTraceReport& t : result.remote_traces) {
-    w.raw_value(to_json(t));
-  }
-  w.end_array();
-  w.key("incountry_traces").begin_array();
-  for (const trace::CenTraceReport& t : result.incountry_traces) {
-    w.raw_value(to_json(t));
-  }
-  w.end_array();
+  w.key("remote_traces");
+  wire::write(w, result.remote_traces);
+  w.key("incountry_traces");
+  wire::write(w, result.incountry_traces);
   w.key("device_probes").begin_object();
   for (const auto& [ip, rep] : result.device_probes) {
     w.key(net::Ipv4Address(ip).str()).raw_value(to_json(rep));

@@ -1,5 +1,6 @@
 #include "scenario/dag.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <set>
 
@@ -8,21 +9,14 @@
 namespace cen::scenario {
 
 std::vector<std::size_t> stride_sample_indices(std::size_t n, int cap) {
+  // Slot i takes index (i*n)/k: strictly increasing for k <= n, so no index
+  // repeats (a float stride could truncate two slots onto one element and
+  // measure it twice), and k == n takes every index.
+  const std::uint64_t k =
+      cap < 0 ? n : std::min<std::uint64_t>(static_cast<std::uint64_t>(cap), n);
   std::vector<std::size_t> out;
-  if (cap < 0 || static_cast<std::size_t>(cap) >= n) {
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = i;
-    return out;
-  }
-  out.reserve(static_cast<std::size_t>(cap));
-  const std::uint64_t n64 = n;
-  const std::uint64_t cap64 = static_cast<std::uint64_t>(cap);
-  for (std::uint64_t i = 0; i < cap64; ++i) {
-    // (i*n)/cap is strictly increasing for cap < n, so no index repeats —
-    // the float-stride version this replaces could truncate two i values
-    // onto the same element and silently measure it twice.
-    out.push_back(static_cast<std::size_t>(i * n64 / cap64));
-  }
+  out.reserve(static_cast<std::size_t>(k));
+  for (std::uint64_t i = 0; i < k; ++i) out.push_back(static_cast<std::size_t>(i * n / k));
   return out;
 }
 

@@ -51,15 +51,6 @@ static_assert(static_cast<std::uint64_t>(trace::ProbeProtocol::kDnsUdp) < kInCou
                   (kInCountry | 0x7) < kProbe && kProbe < kFuzz && kFuzz < kAmbig,
               "two identity tags overlap");
 
-/// The identity keys of a task list, in task order.
-template <class Task>
-std::vector<std::uint64_t> identities(const std::vector<Task>& tasks) {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(tasks.size());
-  for (const Task& t : tasks) keys.push_back(t.identity);
-  return keys;
-}
-
 /// Test domains measured under one protocol.
 struct DomainList {
   const std::vector<std::string>& domains;

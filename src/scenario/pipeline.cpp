@@ -50,21 +50,26 @@ struct PipelineInput {
 /// exported snapshots byte-identical across worker counts.
 class ShardMerger {
  public:
-  explicit ShardMerger(obs::Observer* sink) : sink_(sink) {}
+  ShardMerger(ParallelExecutor& exec, std::uint64_t network_seed, obs::Observer* sink)
+      : exec_(exec), network_seed_(network_seed), sink_(sink) {}
 
-  /// Run one stage, task(network, i) per seed, on `exec`, then merge the
-  /// task shards under one aggregate stage span named `stage_name`.
-  /// Without a sink the tasks run unobserved.
-  void run_stage(ParallelExecutor& exec, const std::vector<std::uint64_t>& seeds,
-                 const char* stage_name,
+  /// Run one stage of DAG tasks, task(network, i) each, on the executor,
+  /// seeded from the network seed, the stage `salt` and the tasks'
+  /// identities; then merge the task shards under one aggregate stage
+  /// span named `stage_name`. Without a sink the tasks run unobserved.
+  template <class Task>
+  void run_stage(std::uint64_t salt, const std::vector<Task>& tasks, const char* stage_name,
                  const std::function<void(sim::Network&, std::size_t)>& task) {
+    std::vector<std::uint64_t> keys;
+    for (const Task& t : tasks) keys.push_back(t.identity);
+    const std::vector<std::uint64_t> seeds = derive_task_seeds(network_seed_, salt, keys);
     if (sink_ == nullptr) {
-      exec.run(seeds, task);
+      exec_.run(seeds, task);
       return;
     }
     std::vector<obs::Observer> shards(seeds.size());
     std::vector<SimTime> ends(seeds.size(), 0);
-    exec.run(seeds, [&](sim::Network& net, std::size_t i) {
+    exec_.run(seeds, [&](sim::Network& net, std::size_t i) {
       net.set_observer(&shards[i]);
       task(net, i);
       // Every hermetic task starts at sim time 0: its end is its duration.
@@ -82,20 +87,12 @@ class ShardMerger {
   }
 
  private:
+  ParallelExecutor& exec_;
+  std::uint64_t network_seed_;
   obs::Observer* sink_;
   std::uint32_t next_tid_ = 0;
   SimTime offset_ = 0;
 };
-
-trace::CenTraceOptions trace_options(const PipelineOptions& options,
-                                     trace::ProbeProtocol protocol) {
-  trace::CenTraceOptions o;
-  o.repetitions = options.centrace_repetitions;
-  o.retry_backoff = options.centrace_retry_backoff;
-  o.adaptive_max_retries = options.centrace_adaptive_retries;
-  o.protocol = protocol;
-  return o;
-}
 
 /// Every measurement runs as a hermetic executor task on a network reset
 /// to a task-derived epoch, so the merged result is identical for every
@@ -109,12 +106,12 @@ PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
 
   ParallelExecutor exec(net, options.threads);
   exec.set_perf_tracking(options.observer != nullptr);
-  ShardMerger merger(options.observer);
+  ShardMerger merger(exec, net.seed(), options.observer);
 
-  const trace::CenTraceOptions http_opts =
-      trace_options(options, trace::ProbeProtocol::kHttp);
-  const trace::CenTraceOptions https_opts =
-      trace_options(options, trace::ProbeProtocol::kHttps);
+  trace::CenTraceOptions trace_opts;
+  trace_opts.repetitions = options.centrace_repetitions;
+  trace_opts.retry_backoff = options.centrace_retry_backoff;
+  trace_opts.adaptive_max_retries = options.centrace_adaptive_retries;
 
   // ---- Stage 1: remote + in-country CenTrace as one hermetic batch. ----
   const std::vector<std::string> http_domains =
@@ -133,11 +130,11 @@ PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
   }
   std::vector<trace::CenTraceReport> reports(tasks.size());
   merger.run_stage(
-      exec, derive_task_seeds(net.seed(), salts::kTraceStage, dag::identities(tasks)),
-      "stage:centrace", [&](sim::Network& replica, std::size_t i) {
+      salts::kTraceStage, tasks, "stage:centrace", [&](sim::Network& replica, std::size_t i) {
         const dag::TraceTask& t = tasks[i];
-        trace::CenTrace ct(replica, i < n_remote ? in.remote_client : in.incountry_client,
-                           t.protocol == trace::ProbeProtocol::kHttps ? https_opts : http_opts);
+        trace::CenTraceOptions opts = trace_opts;
+        opts.protocol = t.protocol;
+        trace::CenTrace ct(replica, i < n_remote ? in.remote_client : in.incountry_client, opts);
         reports[i] = ct.measure(t.endpoint, *t.domain, in.control_domain);
         // No pipeline consumer reads the per-probe sweep logs, and they hold
         // most of a report's memory (`cen trace --sweeps` keeps them).
@@ -155,9 +152,8 @@ PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
   if (options.run_banner) {
     const std::vector<dag::DeviceTask> devices = dag::device_tasks(result.remote_traces);
     std::vector<probe::DeviceProbeReport> probes(devices.size());
-    merger.run_stage(exec,
-                     derive_task_seeds(net.seed(), salts::kProbeStage, dag::identities(devices)),
-                     "stage:cenprobe", [&](sim::Network& replica, std::size_t i) {
+    merger.run_stage(salts::kProbeStage, devices, "stage:cenprobe",
+                     [&](sim::Network& replica, std::size_t i) {
                        probes[i] =
                            probe::run(replica, probe::ProbeRunOptions{.ip = devices[i].ip});
                      });
@@ -173,8 +169,7 @@ PipelineResult run(const PipelineInput& in, const PipelineOptions& options) {
     fuzz_tasks = dag::fuzz_tasks(representatives, options.fuzz_max_endpoints);
     fuzzes.resize(fuzz_tasks.size());
     merger.run_stage(
-        exec, derive_task_seeds(net.seed(), salts::kFuzzStage, dag::identities(fuzz_tasks)),
-        "stage:cenfuzz", [&](sim::Network& replica, std::size_t i) {
+        salts::kFuzzStage, fuzz_tasks, "stage:cenfuzz", [&](sim::Network& replica, std::size_t i) {
           fuzz::CenFuzz fuzzer(replica, in.remote_client);
           fuzzes[i] = fuzzer.run(fuzz_tasks[i].endpoint, fuzz_tasks[i].trace->test_domain,
                                  in.control_domain);
@@ -257,14 +252,13 @@ std::vector<trace::CenTraceReport> run_trace_fanout(
   std::vector<trace::CenTraceReport> reports(tasks.size());
   ParallelExecutor exec(net, threads);
   exec.set_perf_tracking(observer != nullptr);
-  ShardMerger(observer).run_stage(
-      exec, derive_task_seeds(net.seed(), salts::kTraceStage, dag::identities(tasks)),
-      "stage:centrace",
-      [&](sim::Network& replica, std::size_t i) {
-        reports[i] = trace::measure_with_degradation(replica, client, tasks[i].endpoint,
-                                                     *tasks[i].domain, control_domain,
-                                                     trace_opts, plan);
-      });
+  ShardMerger(exec, net.seed(), observer)
+      .run_stage(salts::kTraceStage, tasks, "stage:centrace",
+                 [&](sim::Network& replica, std::size_t i) {
+                   reports[i] = trace::measure_with_degradation(
+                       replica, client, tasks[i].endpoint, *tasks[i].domain, control_domain,
+                       trace_opts, plan);
+                 });
   // Wall domain only: the fan-out's deterministic snapshots carry no pool
   // counts (their bytes are pinned by the tests).
   if (observer != nullptr) export_exec_perf(*observer, exec);

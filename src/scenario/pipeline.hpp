@@ -103,18 +103,15 @@ struct ConsistencyStats {
 
 ConsistencyStats localisation_consistency(const PipelineResult& result);
 
-/// CenTrace fan-out over every (endpoint × domain) pair with the same
-/// hermetic per-task seeding as the pipeline's trace stage. Backs
-/// `cen trace`: the task seeds depend only on the task
-/// identity (endpoint, domain, protocol) and the network's construction
-/// seed, so the reports — and, when `observer` is non-null, the merged
-/// sim-domain metrics/spans/journal — are byte-identical for every
-/// `threads` value (same semantics as PipelineOptions::threads).
-/// `plan` (optional) enables degradation-aware measurement: every task
-/// runs through trace::measure_with_degradation, escalating unlocalized
-/// blocked verdicts to multi-vantage tomography. The plan participates in
-/// each task's work (not its seed), so identity across `threads` holds
-/// for any fixed plan.
+/// CenTrace fan-out over every (endpoint × domain) pair, planned and
+/// seeded as the pipeline's trace stage (dag::trace_tasks with one domain
+/// list). Backs `cen trace`: the reports — and, when `observer` is
+/// non-null, the merged sim-domain metrics/spans/journal — are
+/// byte-identical for every `threads` value (as PipelineOptions::threads).
+/// `plan` (optional) runs every task through
+/// trace::measure_with_degradation, escalating unlocalized blocked
+/// verdicts to multi-vantage tomography; it shapes each task's work, not
+/// its seed.
 std::vector<trace::CenTraceReport> run_trace_fanout(
     sim::Network& net, sim::NodeId client,
     const std::vector<net::Ipv4Address>& endpoints,
