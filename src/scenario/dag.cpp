@@ -24,6 +24,17 @@ namespace dag {
 
 namespace {
 
+// Identity tags, folded into task_key() beside the endpoint and domain. A
+// trace task's tag is its protocol (0..3), plus kInCountry for in-country
+// vantage points.
+constexpr std::uint64_t kInCountry = 0x8;
+constexpr std::uint64_t kProbe = 0x10;
+constexpr std::uint64_t kFuzz = 0x20;
+constexpr std::uint64_t kAmbig = 0x30;
+static_assert(static_cast<std::uint64_t>(trace::ProbeProtocol::kDnsUdp) < kInCountry &&
+                  (kInCountry | 0x7) < kProbe && kProbe < kFuzz && kFuzz < kAmbig,
+              "two identity tags overlap");
+
 std::vector<EndpointTask> endpoint_tasks(const Representatives& representatives, int cap,
                                          std::uint64_t tag) {
   std::vector<EndpointTask> blocked;
@@ -48,21 +59,25 @@ std::optional<Report> take(const std::vector<EndpointTask>& tasks, std::vector<R
 
 std::vector<TraceTask> trace_tasks(const std::vector<net::Ipv4Address>& endpoints,
                                    std::initializer_list<DomainList> lists) {
-  // One row per (domain, protocol), its identity field holding the domain
-  // hash: each domain is hashed once, not once per endpoint.
-  std::vector<TraceTask> row;
+  // Each domain is hashed once, not once per endpoint.
+  struct Column {
+    const std::string* domain;
+    trace::ProbeProtocol protocol;
+    std::uint64_t dhash;
+  };
+  std::vector<Column> columns;
   for (const DomainList& list : lists) {
     for (const std::string& d : list.domains) {
-      row.push_back({{}, &d, list.protocol, domain_hash(d)});
+      columns.push_back({&d, list.protocol, domain_hash(d)});
     }
   }
   std::vector<TraceTask> tasks;
-  tasks.reserve(endpoints.size() * row.size());
+  tasks.reserve(endpoints.size() * columns.size());
   for (net::Ipv4Address endpoint : endpoints) {
-    for (const TraceTask& r : row) {
-      tasks.push_back({endpoint, r.domain, r.protocol,
-                       task_key_hashed(endpoint.value(), r.identity,
-                                       static_cast<std::uint64_t>(r.protocol))});
+    for (const Column& c : columns) {
+      tasks.push_back({endpoint, c.domain, c.protocol,
+                       task_key_hashed(endpoint.value(), c.dhash,
+                                       static_cast<std::uint64_t>(c.protocol))});
     }
   }
   return tasks;

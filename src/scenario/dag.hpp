@@ -40,17 +40,6 @@ std::vector<T> stride_sample(const std::vector<T>& all, int cap) {
 
 namespace dag {
 
-// Identity tags, folded into task_key() beside the endpoint and domain. A
-// trace task's tag is its protocol (0..3), plus kInCountry for in-country
-// vantage points.
-inline constexpr std::uint64_t kInCountry = 0x8;
-inline constexpr std::uint64_t kProbe = 0x10;
-inline constexpr std::uint64_t kFuzz = 0x20;
-inline constexpr std::uint64_t kAmbig = 0x30;
-static_assert(static_cast<std::uint64_t>(trace::ProbeProtocol::kDnsUdp) < kInCountry &&
-                  (kInCountry | 0x7) < kProbe && kProbe < kFuzz && kFuzz < kAmbig,
-              "two identity tags overlap");
-
 /// Test domains measured under one protocol.
 struct DomainList {
   const std::vector<std::string>& domains;
@@ -68,9 +57,9 @@ struct TraceTask {
 std::vector<TraceTask> trace_tasks(const std::vector<net::Ipv4Address>& endpoints,
                                    std::initializer_list<DomainList> lists);
 
-/// In-country traces: the i-th foreign endpoint measures the i-th domain
-/// of the lists until either runs out. Appended after the remote tasks,
-/// so those keep their positions and seeds.
+/// In-country traces (their own identity tag): the i-th foreign endpoint
+/// measures the i-th domain of the lists until either runs out. Appended
+/// after the remote tasks, so those keep their positions and seeds.
 void append_incountry_tasks(std::vector<TraceTask>& tasks,
                             const std::vector<net::Ipv4Address>& foreign_endpoints,
                             std::initializer_list<DomainList> lists);
