@@ -6,8 +6,9 @@
 // engine (campaign.hpp) compiles it into a deterministic task DAG
 // (CenTrace → CenProbe on discovered device IPs → CenFuzz per blocked
 // endpoint → feature extraction/clustering). Specs are constructible
-// programmatically or loadable from a JSON file (schema in
-// docs/CAMPAIGN.md); both paths produce identical campaigns.
+// programmatically or loadable from a JSON file whose schema is the field
+// table of report/wire.hpp (docs/CAMPAIGN.md shows it); both paths
+// produce identical campaigns.
 #pragma once
 
 #include <cstdint>
@@ -76,19 +77,16 @@ struct CampaignSpec {
   /// Synthetic-world campaign: when set, the campaign measures one
   /// worldgen world (generated from this spec + `seed`) instead of the
   /// hand-built country scenarios — `countries` and `scale` are ignored.
-  /// The world's fingerprint joins the spec digest only when present, so
-  /// existing country-campaign cache keys are unaffected.
   std::optional<worldgen::WorldSpec> world;
 
   /// Censor-policy evolution (see longit/evolve.hpp): when set, every
   /// site's devices are mutated through `evolution_epoch` churn epochs
   /// after the scenario is built and before anything is measured. The
   /// mutations flow into each site's network fingerprint, so the
-  /// incremental cache re-executes exactly the churned sites; the plan
-  /// fingerprint and epoch join the spec digest only when present, so
-  /// existing cache keys are unaffected.
+  /// incremental cache re-executes exactly the churned sites.
   std::optional<longit::EvolutionPlan> evolution;
-  /// Which epoch this campaign measures (0 = untouched baseline).
+  /// Which epoch this campaign measures (0 = untouched baseline); only
+  /// read beside an `evolution` plan.
   int evolution_epoch = 0;
 
   /// Tool tasks per execution batch. The result cache is flushed after
@@ -97,18 +95,15 @@ struct CampaignSpec {
 
   /// Countries with the empty-means-all default applied.
   std::vector<scenario::Country> effective_countries() const;
-  /// Digest over every knob that selects or parameterizes tasks
-  /// (campaign cache-key component, alongside the per-network and
-  /// per-tool-option fingerprints).
-  std::uint64_t fingerprint() const;
 };
 
 /// Canonical JSON rendering of a spec (the same schema spec_from_json
-/// accepts — load(to_json(s)) == s).
+/// accepts — load(to_json(s)) == s). Numbers are exact, and the country
+/// lists are written expanded (effective_countries()).
 std::string to_json(const CampaignSpec& spec);
 
 /// Parse a spec document. On failure returns nullopt and, when `error`
-/// is non-null, stores a one-line description of the offending field.
+/// is non-null, stores a one-line description naming the offending key.
 std::optional<CampaignSpec> spec_from_json(std::string_view text,
                                            std::string* error = nullptr);
 

@@ -21,6 +21,7 @@
 #include "check/engines.hpp"
 #include "core/bytes.hpp"
 #include "core/json.hpp"
+#include "core/strings.hpp"
 
 namespace cen::check {
 
@@ -47,17 +48,6 @@ struct Golden {
   std::string cache_text;  // the pristine cache file the cold run wrote
   bool ok = false;
 };
-
-std::string read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::string text;
-  char buf[1 << 14];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return text;
-}
 
 bool write_file(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -86,7 +76,7 @@ const Golden& golden() {
     const campaign::CampaignResult cold = campaign::run(golden_spec(), control);
     g.jsonl = cold.to_jsonl();
     g.summary = cold.summary_json();
-    g.cache_text = read_file(path);
+    g.cache_text = read_file(path).value_or("");
     g.ok = cold.complete && !g.cache_text.empty();
     std::remove(path.c_str());
   });

@@ -149,13 +149,32 @@ bool JsonReader::read_number(double& out) {
   if (!expect(JsonValue::Type::kNumber)) return false;
   const std::size_t start = pos_;
   if (!number_token()) return false;
+  out = number_value(start);
+  return true;
+}
+
+bool JsonReader::read_number(std::uint64_t& out) {
+  if (!expect(JsonValue::Type::kNumber)) return false;
+  const std::size_t start = pos_;
+  if (!number_token()) return false;
+  if (numbers_ == JsonNumbers::kExact) {
+    const char* last = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(text_.data() + start, last, out);
+    if (ec == std::errc() && end == last) return true;
+  }
+  out = saturate_cast<std::uint64_t>(number_value(start));
+  return true;
+}
+
+double JsonReader::number_value(std::size_t start) const {
   const char* first = text_.data() + start;
   const char* last = text_.data() + pos_;
+  double out = 0;
   if (std::from_chars(first, last, out).ec != std::errc()) {
     // Out of double's range: strtod's ±HUGE_VAL or underflowed value.
     out = std::strtod(std::string(first, last).c_str(), nullptr);
   }
-  return true;
+  return out;
 }
 
 bool JsonReader::read_bool(bool& out) {
@@ -180,6 +199,17 @@ bool JsonReader::skip() {
     case 'n': return literal("null");
     default: return number_token();
   }
+}
+
+void JsonReader::fail(std::string_view why) {
+  if (!failed_) why_ = why;
+  failed_ = true;
+}
+
+void JsonReader::blame(std::string_view key) {
+  if (!failed_ || why_.empty()) return;
+  why_.insert(0, std::string(key) + (blamed_ ? "." : ": "));
+  blamed_ = true;
 }
 
 bool JsonReader::finish() {
@@ -397,26 +427,6 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-bool JsonValue::get_bool(std::string_view key, bool fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->is_bool() ? v->boolean : fallback;
-}
-
-double JsonValue::get_number(std::string_view key, double fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
-}
-
-int JsonValue::get_int(std::string_view key, int fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->is_number() ? saturate_cast<int>(v->number) : fallback;
-}
-
-std::string JsonValue::get_string(std::string_view key, std::string_view fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->is_string() ? v->string : std::string(fallback);
-}
-
 std::unique_ptr<JsonValue> json_parse(std::string_view text) {
   auto out = std::make_unique<JsonValue>();
   JsonReader in(text);
@@ -523,8 +533,12 @@ JsonWriter& JsonWriter::value(double v) {
     out_ += "null";
     return *this;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  char buf[32];
+  int precision = 6;
+  std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+  while (numbers_ == JsonNumbers::kExact && precision < 17 && std::strtod(buf, nullptr) != v) {
+    std::snprintf(buf, sizeof(buf), "%.*g", ++precision, v);
+  }
   out_ += buf;
   return *this;
 }

@@ -47,6 +47,14 @@ Int saturate_cast(double d) {
   return static_cast<Int>(d);
 }
 
+/// How numbers cross the wire. kRounded is the report format: doubles are
+/// written with six significant digits and unsigned 64-bit integers are
+/// read through double. kExact is the config format: each double is
+/// written in the shortest form that reads back to it, and an unsigned
+/// 64-bit integer token is read digit for digit, so a spec reloads to
+/// itself.
+enum class JsonNumbers : std::uint8_t { kRounded, kExact };
+
 /// Parsed JSON document node. Objects keep their members in source order
 /// (the canonical-key-order tests and the campaign cache depend on it);
 /// lookups are linear, which is fine for the small documents the tools
@@ -72,12 +80,6 @@ class JsonValue {
 
   /// Member lookup on an object; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;
-  /// Typed member accessors with fallbacks for optional spec fields.
-  /// A member that is present but of the wrong type returns the fallback.
-  bool get_bool(std::string_view key, bool fallback) const;
-  double get_number(std::string_view key, double fallback) const;
-  int get_int(std::string_view key, int fallback) const;
-  std::string get_string(std::string_view key, std::string_view fallback) const;
 };
 
 /// Parse one strict JSON document (same grammar json_valid accepts).
@@ -95,7 +97,8 @@ std::unique_ptr<JsonValue> json_parse(std::string_view text);
 /// false, so a decoder checks once, at finish().
 class JsonReader {
  public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
+  explicit JsonReader(std::string_view text, JsonNumbers numbers = JsonNumbers::kRounded)
+      : text_(text), numbers_(numbers) {}
 
   /// The type of the next value, judged by its first byte. Anything that
   /// starts no value, the end of the text included, reads as a number,
@@ -106,6 +109,9 @@ class JsonReader {
   /// decoded into scratch storage that the next string read reuses.
   bool read_string(std::string_view& out);
   bool read_number(double& out);
+  /// Any number, saturated to the range as saturate_cast does. Under
+  /// kExact an integer token that fits is read exactly.
+  bool read_number(std::uint64_t& out);
   bool read_bool(bool& out);
   bool read_null();
   /// Validate and skip one value.
@@ -123,7 +129,14 @@ class JsonReader {
   bool array(OnElement&& on_element);
 
   /// Reject the text for a caller's own reason (an unknown enum name, say).
-  void fail() { failed_ = true; }
+  /// The first failure's reason is the one kept.
+  void fail(std::string_view why = {});
+  /// Name the member whose value failed the text for a reason: nested
+  /// members read "outer.inner: reason".
+  void blame(std::string_view key);
+  /// The reason the text was rejected, behind the member that gave it;
+  /// empty when nothing failed for a reason (a syntax error, say).
+  const std::string& why() const { return why_; }
   /// True when everything read was well formed and only whitespace is left.
   bool finish();
 
@@ -139,12 +152,17 @@ class JsonReader {
   bool string_token(std::string_view* out, std::string& scratch);
   bool escape(std::string* out);
   bool number_token();
+  /// The double the number token at text_[start, pos_) spells.
+  double number_value(std::size_t start) const;
   bool literal(std::string_view word);
 
   std::string_view text_;
+  JsonNumbers numbers_;
   std::size_t pos_ = 0;
   int depth_ = 0;
   bool failed_ = false;
+  bool blamed_ = false;
+  std::string why_;
   std::string key_scratch_;
   std::string value_scratch_;
 };
@@ -178,6 +196,8 @@ bool JsonReader::array(OnElement&& on_element) {
 
 class JsonWriter {
  public:
+  explicit JsonWriter(JsonNumbers numbers = JsonNumbers::kRounded) : numbers_(numbers) {}
+
   JsonWriter& begin_object();
   JsonWriter& end_object();
   JsonWriter& begin_array();
@@ -190,6 +210,7 @@ class JsonWriter {
   JsonWriter& value(std::int64_t v);
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(std::uint64_t v);
+  /// Digits as JsonNumbers says; a value that is not finite writes null.
   JsonWriter& value(double v);
   JsonWriter& value(bool v);
   JsonWriter& null();
@@ -209,6 +230,7 @@ class JsonWriter {
   void open(Scope s, char c);
   void close(Scope s, char c);
 
+  JsonNumbers numbers_;
   std::string out_;
   std::vector<Scope> stack_;
   std::vector<bool> has_items_;

@@ -94,6 +94,17 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 
 std::string reversed(std::string_view s) { return std::string(s.rbegin(), s.rend()); }
 
+std::optional<std::string> read_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return std::nullopt;
+  std::string text;
+  char buf[1 << 14];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  return text;
+}
+
 std::string fmt_fixed(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -33,6 +34,9 @@ bool ends_with(std::string_view s, std::string_view suffix);
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// Reverse a string ("abc" -> "cba").
 std::string reversed(std::string_view s);
+/// The whole content of the file at `path`; nullopt when it cannot be
+/// opened.
+std::optional<std::string> read_file(const std::string& path);
 /// printf-style float with fixed precision, e.g. fmt_pct(0.4213, 2) == "42.13".
 std::string fmt_fixed(double v, int precision);
 

@@ -5,8 +5,8 @@
 
 #include "censor/vendors.hpp"
 #include "core/fingerprint.hpp"
-#include "core/json.hpp"
 #include "core/rng.hpp"
+#include "report/wire.hpp"
 
 namespace cen::longit {
 
@@ -85,81 +85,28 @@ bool EvolutionPlan::churn_epoch(int epoch) const {
   return (epoch - start_epoch) % period == 0;
 }
 
-std::uint64_t EvolutionPlan::fingerprint() const {
-  FingerprintBuilder fp;
-  fp.mix(seed);
-  fp.mix(static_cast<std::uint64_t>(start_epoch));
-  fp.mix(static_cast<std::uint64_t>(period));
-  fp.mix(rule_add_prob);
-  fp.mix(rule_remove_prob);
-  fp.mix(vendor_upgrade_prob);
-  fp.mix(blockpage_swap_prob);
-  fp.mix(coverage_drift_prob);
-  fp.mix(static_cast<std::uint64_t>(rule_pool.size()));
-  for (const std::string& d : rule_pool) fp.mix(d);
-  return fp.digest();
-}
-
 std::string to_json(const EvolutionPlan& plan) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("seed").value(plan.seed);
-  w.key("start_epoch").value(plan.start_epoch);
-  w.key("period").value(plan.period);
-  w.key("rule_add_prob").value(plan.rule_add_prob);
-  w.key("rule_remove_prob").value(plan.rule_remove_prob);
-  w.key("vendor_upgrade_prob").value(plan.vendor_upgrade_prob);
-  w.key("blockpage_swap_prob").value(plan.blockpage_swap_prob);
-  w.key("coverage_drift_prob").value(plan.coverage_drift_prob);
-  w.key("rule_pool").begin_array();
-  for (const std::string& d : plan.rule_pool) w.value(d);
-  w.end_array();
-  w.end_object();
-  return std::move(w).str();
+  return report::wire::encode(plan, JsonNumbers::kExact);
 }
 
-std::optional<EvolutionPlan> evolution_from_doc(const JsonValue& doc,
-                                                std::string* error) {
-  auto fail = [&](std::string_view why) -> std::optional<EvolutionPlan> {
-    if (error != nullptr) *error = std::string(why);
-    return std::nullopt;
+bool check_evolution(const EvolutionPlan& plan, std::string* error) {
+  auto fail = [&](std::string_view why) {
+    if (error != nullptr) *error = why;
+    return false;
   };
-  if (!doc.is_object()) return fail("evolution: not a JSON object");
-  EvolutionPlan plan;
-  plan.seed = saturate_cast<std::uint64_t>(doc.get_number("seed", 1.0));
-  plan.start_epoch = doc.get_int("start_epoch", 1);
-  plan.period = doc.get_int("period", 1);
-  plan.rule_add_prob = doc.get_number("rule_add_prob", 0.0);
-  plan.rule_remove_prob = doc.get_number("rule_remove_prob", 0.0);
-  plan.vendor_upgrade_prob = doc.get_number("vendor_upgrade_prob", 0.0);
-  plan.blockpage_swap_prob = doc.get_number("blockpage_swap_prob", 0.0);
-  plan.coverage_drift_prob = doc.get_number("coverage_drift_prob", 0.0);
-  for (double p : {plan.rule_add_prob, plan.rule_remove_prob,
-                   plan.vendor_upgrade_prob, plan.blockpage_swap_prob,
-                   plan.coverage_drift_prob}) {
-    if (!(p >= 0.0 && p <= 1.0)) {
-      return fail("evolution: probability outside [0, 1]");
-    }
+  for (double p : {plan.rule_add_prob, plan.rule_remove_prob, plan.vendor_upgrade_prob,
+                   plan.blockpage_swap_prob, plan.coverage_drift_prob}) {
+    if (!(p >= 0.0 && p <= 1.0)) return fail("probabilities must be in [0, 1]");
   }
-  if (plan.start_epoch < 0) return fail("evolution: start_epoch < 0");
-  if (const JsonValue* pool = doc.find("rule_pool")) {
-    if (!pool->is_array()) return fail("evolution: rule_pool not an array");
-    for (const JsonValue& d : pool->array) {
-      if (!d.is_string()) return fail("evolution: rule_pool entry not a string");
-      plan.rule_pool.push_back(d.string);
-    }
-  }
-  return plan;
+  if (plan.start_epoch < 0) return fail("start_epoch must be >= 0");
+  return true;
 }
 
-std::optional<EvolutionPlan> evolution_from_json(std::string_view text,
-                                                 std::string* error) {
-  auto doc = json_parse(text);
-  if (doc == nullptr) {
-    if (error != nullptr) *error = "evolution: not a JSON object";
-    return std::nullopt;
-  }
-  return evolution_from_doc(*doc, error);
+std::optional<EvolutionPlan> evolution_from_json(std::string_view text, std::string* error) {
+  std::optional<EvolutionPlan> plan =
+      report::wire::decode<EvolutionPlan>(text, JsonNumbers::kExact, error);
+  if (plan && !check_evolution(*plan, error)) return std::nullopt;
+  return plan;
 }
 
 const std::vector<std::string>& builtin_rule_pool() {

@@ -23,10 +23,6 @@
 
 #include "netsim/engine.hpp"
 
-namespace cen {
-class JsonValue;
-}
-
 namespace cen::longit {
 
 /// Per-epoch, per-device mutation probabilities plus the churn schedule.
@@ -67,21 +63,19 @@ struct EvolutionPlan {
   bool inert() const;
   /// Does this plan churn at `epoch`?
   bool churn_epoch(int epoch) const;
-  /// Digest over every field (campaign cache-key component).
-  std::uint64_t fingerprint() const;
 
   bool operator==(const EvolutionPlan&) const = default;
 };
 
-/// Canonical JSON rendering (evolution_from_json(to_json(p)) == p).
+/// Canonical JSON rendering with exact numbers
+/// (evolution_from_json(to_json(p)) == p).
 std::string to_json(const EvolutionPlan& plan);
+/// The range checks a decoded plan must pass (probabilities in [0, 1],
+/// start_epoch >= 0); false with `error` set.
+bool check_evolution(const EvolutionPlan& plan, std::string* error = nullptr);
 /// Parse a plan object. nullopt + error description on malformed input.
 std::optional<EvolutionPlan> evolution_from_json(std::string_view text,
                                                  std::string* error = nullptr);
-/// Parse from an already-parsed JSON node (the campaign spec's
-/// "evolution" member; same validation as evolution_from_json).
-std::optional<EvolutionPlan> evolution_from_doc(const JsonValue& doc,
-                                                std::string* error = nullptr);
 
 /// Ground truth: what happened to one device in one churn epoch.
 struct DeviceChurn {

@@ -1,30 +1,41 @@
-// The report wire format, described once: one field table per report
-// object, and one walker that both encodes and decodes by it.
+// The wire formats of the reports and the configs, described once: one
+// field table per object, and one walker that both encodes and decodes by
+// it.
 //
 // A table lists an object's members in canonical key order. Each entry
-// names the key, the member and its Rule; an enum entry names the enum's
-// wire-name array instead and is required. The kind of a member (bool,
-// double, saturating integer, string, address, enum, nested or optional
-// object, array) follows from its C++ type. write() emits the members
-// in table order, and that is the key order the campaign cache splices
-// byte for byte. read() decodes in one pass through JsonReader, with no DOM:
+// names the key, the member and its Rule; an enum entry (or a list of
+// enums) also names the enum's wire-name array. The kind of a member
+// (bool, double, saturating integer, string, address, enum, nested or
+// optional object, array) follows from its C++ type. A Section entry is a
+// nested JSON object whose members belong to the enclosing object (the
+// campaign's "trace" object mixes CenTraceOptions and campaign members).
+// write() emits the members in table order, and that is the key order the
+// campaign cache splices byte for byte. read() decodes in one pass through
+// JsonReader, with no DOM:
 //   - keys match on their decoded text, and the first of duplicate keys
 //     wins: a later duplicate is skipped like an unknown member;
 //   - unknown members (sweep arrays included) are validated and skipped;
 //   - a member of the wrong type keeps its fallback, the value it holds
 //     when the read starts; integers saturate at their type's range;
 //   - an unknown enum name, or a required member that is missing or holds
-//     no valid value, rejects the document;
+//     no valid value, rejects the document; so does a kStrict member that
+//     is present with no valid value;
 //   - an array keeps the elements that read as its element type and drops
-//     the others (a kStrict list rejects the document instead); an
-//     optional element (a control-path hop) is always kept;
+//     the others, and replaces the fallback's elements; an optional
+//     element (a control-path hop) is always kept;
 //   - an optional object starts from initial<T>() when present.
+// A kStrict optional is left out when it holds nothing, and a member
+// declared beside() an optional is written only when that optional
+// holds a value. Reports and configs differ only in their numbers (see
+// JsonNumbers). A rejected document's reason names the member path that
+// rejected it (JsonReader::why()).
 // The walker is a fold over the table at compile time: no map, no
 // function object and no allocation per member.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -37,6 +48,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/spec.hpp"
 #include "cenambig/cenambig.hpp"
 #include "cenfuzz/cenfuzz.hpp"
 #include "cenprobe/fingerprints.hpp"
@@ -50,17 +62,22 @@ namespace cen::report::wire {
 enum class Rule : std::uint8_t {
   kOptional,  // may be absent; a value of the wrong type keeps the fallback
   kRequired,  // must be present with a valid value
-  kStrict,    // may be absent; a list must be an array of valid elements
+  kStrict,    // may be absent; when present, must hold a valid value
 };
 
+/// An enum's wire names, indexed by value; empty for every other kind.
+using Names = std::span<const std::string_view>;
+
 /// One member of an object: its key, how to reach it from the object, an
-/// enum's wire names (indexed by value) and its rule.
-template <typename Get>
+/// enum's wire names, its rule, and the optional member it is written
+/// beside (nullptr: always written).
+template <typename Get, typename With = std::nullptr_t>
 struct Field {
   std::string_view key;
   Get get;
-  std::span<const std::string_view> names;
+  Names names;
   Rule rule;
+  With with = nullptr;
 };
 
 /// The required member naming the tool that wrote the document.
@@ -70,28 +87,46 @@ struct Tag {
   static constexpr Rule rule = Rule::kRequired;
 };
 
+/// A nested object of the enclosing object's own members, listed by the
+/// table kFields<S> of the tag type S.
+template <typename S>
+struct Section {
+  std::string_view key;
+  static constexpr Rule rule = Rule::kOptional;
+};
+
 template <typename T, typename M>
 constexpr Field<M T::*> field(std::string_view key, M T::*member,
                               Rule rule = Rule::kOptional) {
   return {key, member, {}, rule};
 }
 
-/// An enum member, always required: its wire names, indexed by value.
+/// An enum member, or a list of enums: its wire names, indexed by value.
 template <typename T, typename E, std::size_t N>
 constexpr Field<E T::*> field(std::string_view key, E T::*member,
-                              const std::string_view (&names)[N]) {
-  return {key, member, names, Rule::kRequired};
+                              const std::string_view (&names)[N],
+                              Rule rule = Rule::kRequired) {
+  return {key, member, names, rule};
 }
 
-/// A member of a member: the header fields of a packet.
+/// A member of a member: the header fields of a packet, the campaign's
+/// tracer options.
 template <typename T, typename M, typename V>
-constexpr auto field(std::string_view key, M T::*outer, V M::*inner) {
+constexpr auto field(std::string_view key, M T::*outer, V M::*inner, Names names = {},
+                     Rule rule = Rule::kOptional) {
   auto get = [=](auto& obj) -> auto& { return obj.*outer.*inner; };
-  return Field<decltype(get)>{key, get, {}, Rule::kOptional};
+  return Field<decltype(get)>{key, get, names, rule};
 }
 
-/// The field table of T, a std::tuple of Fields and Tags. Types without
-/// one are not objects on the wire.
+/// A member written only when the optional member `with` holds a value.
+template <typename T, typename M, typename O>
+constexpr Field<M T::*, std::optional<O> T::*> beside(std::string_view key, M T::*member,
+                                                       std::optional<O> T::*with) {
+  return {key, member, {}, Rule::kOptional, with};
+}
+
+/// The field table of T, a std::tuple of Fields, Tags and Sections. Types
+/// without one are not objects on the wire.
 template <typename T>
 inline constexpr auto kFields = nullptr;
 
@@ -127,34 +162,52 @@ concept Vector = std::is_same_v<V, std::vector<typename V::value_type>>;
 // ------------------------------------------------------------- encoding --
 
 template <typename V>
-void write(JsonWriter& w, const V& v);
+void write(JsonWriter& w, const V& v, Names names = {});
 
 template <typename T>
 void write_member(JsonWriter& w, const T&, const Tag& tag) {
   w.key(tag.key).value(tag.value);
 }
 
-template <typename T, typename Get>
-void write_member(JsonWriter& w, const T& obj, const Field<Get>& f) {
+template <typename T, typename Get, typename With>
+void write_member(JsonWriter& w, const T& obj, const Field<Get, With>& f) {
   const auto& v = std::invoke(f.get, obj);
-  w.key(f.key);
-  if constexpr (std::is_enum_v<std::remove_cvref_t<decltype(v)>>) {
-    w.value(enum_name(f.names, v));
-  } else {
-    write(w, v);
+  if constexpr (!std::is_null_pointer_v<With>) {
+    if (!std::invoke(f.with, obj)) return;
   }
+  if constexpr (Optional<std::remove_cvref_t<decltype(v)>>) {
+    if (f.rule == Rule::kStrict && !v) return;
+  }
+  w.key(f.key);
+  write(w, v, f.names);
+}
+
+/// The members of `obj` in the table of S, into an object the caller
+/// opened.
+template <typename S, typename T>
+void write_fields(JsonWriter& w, const T& obj) {
+  std::apply([&](const auto&... f) { (write_member(w, obj, f), ...); }, table_of<S>());
+}
+
+template <typename T, typename S>
+void write_member(JsonWriter& w, const T& obj, const Section<S>& s) {
+  w.key(s.key).begin_object();
+  write_fields<S>(w, obj);
+  w.end_object();
 }
 
 /// The members of `obj`, in table order, into an object the caller opened.
 template <Object T>
 void write_members(JsonWriter& w, const T& obj) {
-  std::apply([&](const auto&... f) { (write_member(w, obj, f), ...); }, table_of<T>());
+  write_fields<T>(w, obj);
 }
 
 template <typename V>
-void write(JsonWriter& w, const V& v) {
-  if constexpr (std::is_same_v<V, bool> || std::is_same_v<V, double> ||
-                std::is_same_v<V, std::string>) {
+void write(JsonWriter& w, const V& v, Names names) {
+  if constexpr (std::is_enum_v<V>) {
+    w.value(enum_name(names, v));
+  } else if constexpr (std::is_same_v<V, bool> || std::is_same_v<V, double> ||
+                       std::is_same_v<V, std::string>) {
     w.value(v);
   } else if constexpr (std::is_signed_v<V>) {
     w.value(static_cast<std::int64_t>(v));
@@ -164,13 +217,13 @@ void write(JsonWriter& w, const V& v) {
     w.value(v.str());
   } else if constexpr (Optional<V>) {
     if (v) {
-      write(w, *v);
+      write(w, *v, names);
     } else {
       w.null();
     }
   } else if constexpr (Vector<V>) {
     w.begin_array();
-    for (const auto& x : v) write(w, x);
+    for (const auto& x : v) write(w, x, names);
     w.end_array();
   } else {
     w.begin_object();
@@ -180,10 +233,10 @@ void write(JsonWriter& w, const V& v) {
 }
 
 template <Object T>
-std::string encode(const T& obj) {
-  JsonWriter w;
+std::string encode(const T& obj, JsonNumbers numbers = JsonNumbers::kRounded) {
+  JsonWriter w(numbers);
   write(w, obj);
-  return w.str();
+  return w.str();  // a copy, sized to fit: cached records keep it
 }
 
 // ------------------------------------------------------------- decoding --
@@ -191,20 +244,20 @@ std::string encode(const T& obj) {
 /// Read one value into `out`; whether it was valid for out's kind. An
 /// invalid value leaves `out` at its fallback.
 template <typename V>
-bool read(JsonReader& in, V& out);
+bool read(JsonReader& in, V& out, Names names = {});
 
-/// Any miss fails the reader.
+/// A string that names no value fails the reader.
 template <typename E>
-bool read_enum(JsonReader& in, E& out, std::span<const std::string_view> names) {
+bool read_enum(JsonReader& in, E& out, Names names) {
   std::string_view name;
-  in.read_string(name);
+  if (!in.read_string(name)) return false;
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (names[i] == name) {
       out = static_cast<E>(i);
       return true;
     }
   }
-  in.fail();
+  in.fail("unknown name \"" + std::string(name) + "\"");
   return false;
 }
 
@@ -216,52 +269,62 @@ bool read_member(JsonReader& in, T&, const Tag& tag) {
   return false;
 }
 
-template <typename T, typename Get>
-bool read_member(JsonReader& in, T& obj, const Field<Get>& f) {
-  auto& v = std::invoke(f.get, obj);
-  if constexpr (std::is_enum_v<std::remove_cvref_t<decltype(v)>>) {
-    return read_enum(in, v, f.names);
-  } else {
-    return read(in, v);
-  }
+template <typename T, typename Get, typename With>
+bool read_member(JsonReader& in, T& obj, const Field<Get, With>& f) {
+  return read(in, std::invoke(f.get, obj), f.names);
 }
 
-/// Valid when an object holding every required member.
-template <Object T>
+template <typename S, typename T>
+bool read_object(JsonReader& in, T& obj);
+
+template <typename T, typename S>
+bool read_member(JsonReader& in, T& obj, const Section<S>&) {
+  return read_object<S>(in, obj);
+}
+
+/// Valid when an object holding every required member of S's table, read
+/// into `obj`.
+template <typename S, typename T>
 bool read_object(JsonReader& in, T& obj) {
-  constexpr std::size_t n = std::tuple_size_v<std::remove_cvref_t<decltype(table_of<T>())>>;
+  constexpr const auto& table = table_of<S>();
+  constexpr std::size_t n = std::tuple_size_v<std::remove_cvref_t<decltype(table)>>;
   return [&]<std::size_t... I>(std::index_sequence<I...>) {
     constexpr std::uint64_t required =
-        ((std::uint64_t{std::get<I>(kFields<T>).rule == Rule::kRequired} << I) | ...);
+        ((std::uint64_t{std::get<I>(table).rule == Rule::kRequired} << I) | ...);
     std::uint64_t seen = 0;
     std::uint64_t valid = 0;
     auto member = [&]<std::size_t J>(std::integral_constant<std::size_t, J>) {
-      constexpr const auto& f = std::get<J>(kFields<T>);
+      constexpr const auto& f = std::get<J>(table);
       if ((seen >> J & 1) != 0) return;
       seen |= std::uint64_t{1} << J;
       if (read_member(in, obj, f)) {
         valid |= std::uint64_t{1} << J;
-      } else if constexpr (f.rule == Rule::kStrict) {
-        in.fail();
+        return;
       }
+      if constexpr (f.rule == Rule::kStrict) in.fail("not a valid value");
+      in.blame(f.key);
     };
     const bool object = in.object([&](std::string_view key) {
-      (void)((key == std::get<I>(kFields<T>).key &&
+      (void)((key == std::get<I>(table).key &&
               (member(std::integral_constant<std::size_t, I>{}), true)) ||
              ...);
     });
     if (!object) return false;
     if ((valid & required) == required) return true;
-    in.fail();
+    constexpr std::array keys = {std::get<I>(table).key...};
+    in.fail("missing, or not a valid value");
+    in.blame(keys[std::countr_zero(required & ~valid)]);
     return false;
   }(std::make_index_sequence<n>{});
 }
 
 template <typename V>
-bool read(JsonReader& in, V& out) {
-  if constexpr (std::is_same_v<V, bool>) {
+bool read(JsonReader& in, V& out, Names names) {
+  if constexpr (std::is_enum_v<V>) {
+    return read_enum(in, out, names);
+  } else if constexpr (std::is_same_v<V, bool>) {
     return in.read_bool(out);
-  } else if constexpr (std::is_same_v<V, double>) {
+  } else if constexpr (std::is_same_v<V, double> || std::is_same_v<V, std::uint64_t>) {
     return in.read_number(out);
   } else if constexpr (std::is_integral_v<V>) {
     double d = 0;
@@ -281,36 +344,48 @@ bool read(JsonReader& in, V& out) {
     if (ip) out = *ip;
     return ip.has_value();
   } else if constexpr (Optional<V>) {
-    // Always valid: a value that is not a valid element reads as nullopt.
+    // Valid when the value is a valid element; out is left alone otherwise.
     typename V::value_type x = initial<typename V::value_type>();
-    if (read(in, x)) out = std::move(x);
+    if (!read(in, x, names)) return false;
+    out = std::move(x);
     return true;
   } else if constexpr (Vector<V>) {
     // Valid when an array whose every element was valid; the invalid
-    // elements are dropped.
+    // elements are dropped, an invalid optional one is kept as nullopt.
+    using E = typename V::value_type;
     bool every = true;
+    V xs;
     const bool array = in.array([&] {
-      typename V::value_type x{};
-      if (read(in, x)) {
-        out.push_back(std::move(x));
+      E x{};
+      if (read(in, x, names) || Optional<E>) {
+        xs.push_back(std::move(x));
       } else {
         every = false;
       }
     });
+    if (array) out = std::move(xs);
     return array && every;
   } else {
-    return read_object(in, out);
+    return read_object<V>(in, out);
   }
 }
 
-/// One document holding one T; nullopt when it is not valid JSON, not
-/// an object, or misses a required member.
+/// One document holding one T; nullopt when it is not valid JSON, not an
+/// object, or rejected by T's table, with the reason in `error`.
 template <Object T>
-std::optional<T> decode(std::string_view text) {
-  JsonReader in(text);
+std::optional<T> decode(std::string_view text, JsonNumbers numbers = JsonNumbers::kRounded,
+                        std::string* error = nullptr) {
+  JsonReader in(text, numbers);
   T obj;
-  if (!read(in, obj) || !in.finish()) return std::nullopt;
-  return obj;
+  const bool object = read(in, obj);
+  const bool finished = in.finish();
+  if (object && finished) return obj;
+  if (error != nullptr) {
+    *error = !in.why().empty() ? in.why()
+             : finished        ? "not a JSON object"
+                               : "not valid JSON";
+  }
+  return std::nullopt;
 }
 
 // --------------------------------------------------------------- tables --
@@ -534,6 +609,141 @@ template <> inline constexpr auto kFields<EpochDiff> = std::tuple{
     field("newly_unblocked", &EpochDiff::newly_unblocked, Rule::kStrict),
     field("vendor_changes", &EpochDiff::vendor_changes, Rule::kStrict),
     field("location_moves", &EpochDiff::location_moves, Rule::kStrict),
+};
+
+// ------------------------------------------------------- config tables --
+// A config reloads to itself: its codecs pass JsonNumbers::kExact. The
+// range checks a table cannot state (batch_size >= 1, say) run after
+// decoding, in each config's from_json.
+
+template <> inline constexpr auto kFields<worldgen::CountryRegimeSpec> = std::tuple{
+    field("code", &worldgen::CountryRegimeSpec::code, Rule::kRequired),
+    field("weight", &worldgen::CountryRegimeSpec::weight),
+    field("censored", &worldgen::CountryRegimeSpec::censored),
+    field("vendors", &worldgen::CountryRegimeSpec::vendors, Rule::kStrict),
+    field("deploy_coverage", &worldgen::CountryRegimeSpec::deploy_coverage),
+    field("on_path_share", &worldgen::CountryRegimeSpec::on_path_share),
+};
+
+template <> inline constexpr auto kFields<worldgen::WorldSpec> = std::tuple{
+    field("name", &worldgen::WorldSpec::name),
+    field("transit_ases", &worldgen::WorldSpec::transit_ases),
+    field("regional_ases", &worldgen::WorldSpec::regional_ases),
+    field("stub_ases", &worldgen::WorldSpec::stub_ases),
+    field("routers_per_transit", &worldgen::WorldSpec::routers_per_transit),
+    field("routers_per_regional", &worldgen::WorldSpec::routers_per_regional),
+    field("routers_per_stub", &worldgen::WorldSpec::routers_per_stub),
+    field("endpoints", &worldgen::WorldSpec::endpoints),
+    field("endpoint_zipf", &worldgen::WorldSpec::endpoint_zipf),
+    field("profile_templates", &worldgen::WorldSpec::profile_templates),
+    field("http_test_domains", &worldgen::WorldSpec::http_test_domains, Rule::kStrict),
+    field("https_test_domains", &worldgen::WorldSpec::https_test_domains, Rule::kStrict),
+    field("control_domain", &worldgen::WorldSpec::control_domain),
+    field("countries", &worldgen::WorldSpec::countries, Rule::kStrict),
+};
+
+template <> inline constexpr auto kFields<longit::EvolutionPlan> = std::tuple{
+    field("seed", &longit::EvolutionPlan::seed),
+    field("start_epoch", &longit::EvolutionPlan::start_epoch),
+    field("period", &longit::EvolutionPlan::period),
+    field("rule_add_prob", &longit::EvolutionPlan::rule_add_prob),
+    field("rule_remove_prob", &longit::EvolutionPlan::rule_remove_prob),
+    field("vendor_upgrade_prob", &longit::EvolutionPlan::vendor_upgrade_prob),
+    field("blockpage_swap_prob", &longit::EvolutionPlan::blockpage_swap_prob),
+    field("coverage_drift_prob", &longit::EvolutionPlan::coverage_drift_prob),
+    field("rule_pool", &longit::EvolutionPlan::rule_pool, Rule::kStrict),
+};
+
+template <> inline constexpr auto kFields<campaign::StageToggles> = std::tuple{
+    field("trace", &campaign::StageToggles::trace),
+    field("probe", &campaign::StageToggles::probe),
+    field("fuzz", &campaign::StageToggles::fuzz),
+    field("ambig", &campaign::StageToggles::ambig),
+    field("cluster", &campaign::StageToggles::cluster),
+};
+
+/// The campaign's "trace" object: the tracer's options beside the
+/// campaign's tomography members.
+struct CampaignTrace;
+
+template <> inline constexpr auto kFields<CampaignTrace> = std::tuple{
+    field("max_ttl", &campaign::CampaignSpec::trace, &trace::CenTraceOptions::max_ttl),
+    field("retries", &campaign::CampaignSpec::trace, &trace::CenTraceOptions::retries),
+    field("repetitions", &campaign::CampaignSpec::trace, &trace::CenTraceOptions::repetitions),
+    field("timeout_run_stop", &campaign::CampaignSpec::trace,
+          &trace::CenTraceOptions::timeout_run_stop),
+    field("protocol", &campaign::CampaignSpec::trace, &trace::CenTraceOptions::protocol,
+          trace::kProbeProtocolNames, Rule::kStrict),
+    field("retry_backoff_ms", &campaign::CampaignSpec::trace,
+          &trace::CenTraceOptions::retry_backoff),
+    field("adaptive_max_retries", &campaign::CampaignSpec::trace,
+          &trace::CenTraceOptions::adaptive_max_retries),
+    field("silent_channel_abort", &campaign::CampaignSpec::trace,
+          &trace::CenTraceOptions::silent_channel_abort),
+    field("tomography", &campaign::CampaignSpec::trace_tomography),
+    field("vantages", &campaign::CampaignSpec::trace_vantages),
+};
+
+template <> inline constexpr auto kFields<fuzz::CenFuzzOptions> = std::tuple{
+    field("retries", &fuzz::CenFuzzOptions::retries),
+    field("run_http", &fuzz::CenFuzzOptions::run_http),
+    field("run_tls", &fuzz::CenFuzzOptions::run_tls),
+    field("baseline_attempts", &fuzz::CenFuzzOptions::baseline_attempts),
+};
+
+template <> inline constexpr auto kFields<ambig::AmbigOptions> = std::tuple{
+    field("repetitions", &ambig::AmbigOptions::repetitions),
+    field("retries", &ambig::AmbigOptions::retries),
+    field("wait_after_blocked_ms", &ambig::AmbigOptions::wait_after_blocked),
+    field("wait_after_ok_ms", &ambig::AmbigOptions::wait_after_ok),
+    field("retry_backoff_ms", &ambig::AmbigOptions::retry_backoff),
+    field("max_distance_ttl", &ambig::AmbigOptions::max_distance_ttl),
+    field("order_salt", &ambig::AmbigOptions::order_salt),
+};
+
+/// The default link and node profiles of a fault plan; per-link and
+/// per-node overrides are not configurable from a spec.
+template <> inline constexpr auto kFields<sim::FaultPlan> = std::tuple{
+    field("transient_loss", &sim::FaultPlan::transient_loss),
+    field("link_loss", &sim::FaultPlan::default_link, &sim::FaultProfile::loss),
+    field("link_duplicate", &sim::FaultPlan::default_link, &sim::FaultProfile::duplicate),
+    field("link_reorder", &sim::FaultPlan::default_link, &sim::FaultProfile::reorder),
+    field("link_truncate", &sim::FaultPlan::default_link, &sim::FaultProfile::truncate),
+    field("link_corrupt", &sim::FaultPlan::default_link, &sim::FaultProfile::corrupt),
+    field("icmp_blackhole", &sim::FaultPlan::default_node,
+          &sim::NodeFaultProfile::icmp_blackhole),
+    field("icmp_rate_per_sec", &sim::FaultPlan::default_node,
+          &sim::NodeFaultProfile::icmp_rate_per_sec),
+    field("icmp_burst", &sim::FaultPlan::default_node, &sim::NodeFaultProfile::icmp_burst),
+    field("route_flap_period_ms", &sim::FaultPlan::route_flap_period),
+    field("mgmt_drop", &sim::FaultPlan::mgmt_drop),
+    field("banner_truncate", &sim::FaultPlan::banner_truncate),
+};
+
+/// A campaign's countries and a world's regimes are written expanded
+/// (effective_countries()), so the caller hands in a copy that holds them.
+template <> inline constexpr auto kFields<campaign::CampaignSpec> = std::tuple{
+    field("name", &campaign::CampaignSpec::name),
+    field("countries", &campaign::CampaignSpec::countries, scenario::kCountryCodes,
+          Rule::kStrict),
+    field("scale", &campaign::CampaignSpec::scale, scenario::kScaleNames, Rule::kOptional),
+    field("seed", &campaign::CampaignSpec::seed),
+    field("max_endpoints", &campaign::CampaignSpec::max_endpoints),
+    field("max_domains", &campaign::CampaignSpec::max_domains),
+    field("fuzz_max_endpoints", &campaign::CampaignSpec::fuzz_max_endpoints),
+    field("ambig_max_endpoints", &campaign::CampaignSpec::ambig_max_endpoints),
+    field("batch_size", &campaign::CampaignSpec::batch_size),
+    field("http_domains", &campaign::CampaignSpec::http_domains, Rule::kStrict),
+    field("https_domains", &campaign::CampaignSpec::https_domains, Rule::kStrict),
+    field("stages", &campaign::CampaignSpec::stages),
+    Section<CampaignTrace>{"trace"},
+    field("fuzz", &campaign::CampaignSpec::fuzz),
+    field("ambig", &campaign::CampaignSpec::ambig),
+    field("faults", &campaign::CampaignSpec::faults, Rule::kStrict),
+    field("world", &campaign::CampaignSpec::world, Rule::kStrict),
+    field("evolution", &campaign::CampaignSpec::evolution, Rule::kStrict),
+    beside("evolution_epoch", &campaign::CampaignSpec::evolution_epoch,
+           &campaign::CampaignSpec::evolution),
 };
 
 }  // namespace cen::report::wire

@@ -40,6 +40,7 @@ std::optional<Country> country_from_code(std::string_view code);
 /// Scale factor for endpoint counts: kFull reproduces Table 1's endpoint
 /// populations (29 / 123 / 95 / 1291); kSmall divides by ~8 for tests.
 enum class Scale : std::uint8_t { kFull, kSmall };
+inline constexpr std::string_view kScaleNames[] = {"full", "small"};
 
 struct DeviceTruth {
   std::string device_id;

@@ -1,38 +1,10 @@
 #include "worldgen/spec.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "core/fingerprint.hpp"
-#include "core/json.hpp"
+#include "core/strings.hpp"
+#include "report/wire.hpp"
 
 namespace cen::worldgen {
-
-namespace {
-
-bool fail(std::string* error, std::string_view what) {
-  if (error != nullptr) *error = std::string(what);
-  return false;
-}
-
-bool parse_strings(const JsonValue& doc, std::string_view key,
-                   std::vector<std::string>& out, std::string* error) {
-  const JsonValue* v = doc.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_array()) return fail(error, std::string(key) + " must be an array");
-  out.clear();
-  for (const JsonValue& d : v->array) {
-    if (!d.is_string()) return fail(error, std::string(key) + " entries must be strings");
-    out.push_back(d.string);
-  }
-  return true;
-}
-
-std::uint32_t get_u32(const JsonValue& doc, std::string_view key, std::uint32_t fallback) {
-  return saturate_cast<std::uint32_t>(doc.get_number(key, static_cast<double>(fallback)));
-}
-
-}  // namespace
 
 std::optional<WorldSpec> WorldSpec::tier(std::string_view name) {
   WorldSpec s;
@@ -127,153 +99,49 @@ std::uint64_t WorldSpec::fingerprint() const {
   return fp.digest();
 }
 
-namespace {
-
-/// Shortest decimal that parses back to exactly `v` (JsonWriter's default
-/// %.6g is lossy; spec fingerprints must survive a JSON round-trip).
-std::string lossless_double(double v) {
-  char buf[64];
-  for (int precision = 6; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-}  // namespace
-
 std::string to_json(const WorldSpec& spec) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("name").value(spec.name);
-  w.key("transit_ases").value(static_cast<std::uint64_t>(spec.transit_ases));
-  w.key("regional_ases").value(static_cast<std::uint64_t>(spec.regional_ases));
-  w.key("stub_ases").value(static_cast<std::uint64_t>(spec.stub_ases));
-  w.key("routers_per_transit").value(static_cast<std::uint64_t>(spec.routers_per_transit));
-  w.key("routers_per_regional").value(static_cast<std::uint64_t>(spec.routers_per_regional));
-  w.key("routers_per_stub").value(static_cast<std::uint64_t>(spec.routers_per_stub));
-  w.key("endpoints").value(spec.endpoints);
-  w.key("endpoint_zipf").raw_value(lossless_double(spec.endpoint_zipf));
-  w.key("profile_templates").value(static_cast<std::uint64_t>(spec.profile_templates));
-  w.key("http_test_domains").begin_array();
-  for (const std::string& d : spec.http_test_domains) w.value(d);
-  w.end_array();
-  w.key("https_test_domains").begin_array();
-  for (const std::string& d : spec.https_test_domains) w.value(d);
-  w.end_array();
-  w.key("control_domain").value(spec.control_domain);
-  w.key("countries").begin_array();
-  for (const CountryRegimeSpec& c : spec.effective_countries()) {
-    w.begin_object();
-    w.key("code").value(c.code);
-    w.key("weight").raw_value(lossless_double(c.weight));
-    w.key("censored").value(c.censored);
-    w.key("vendors").begin_array();
-    for (const std::string& v : c.vendors) w.value(v);
-    w.end_array();
-    w.key("deploy_coverage").raw_value(lossless_double(c.deploy_coverage));
-    w.key("on_path_share").raw_value(lossless_double(c.on_path_share));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return std::move(w).str();
+  WorldSpec expanded = spec;
+  expanded.countries = spec.effective_countries();
+  return report::wire::encode(expanded, JsonNumbers::kExact);
 }
 
-std::optional<WorldSpec> spec_from_doc(const JsonValue& doc, std::string* error) {
-  if (!doc.is_object()) {
-    fail(error, "world spec must be a JSON object");
-    return std::nullopt;
-  }
-  WorldSpec spec;
-  spec.name = doc.get_string("name", spec.name);
-  spec.transit_ases = get_u32(doc, "transit_ases", spec.transit_ases);
-  spec.regional_ases = get_u32(doc, "regional_ases", spec.regional_ases);
-  spec.stub_ases = get_u32(doc, "stub_ases", spec.stub_ases);
-  spec.routers_per_transit = get_u32(doc, "routers_per_transit", spec.routers_per_transit);
-  spec.routers_per_regional = get_u32(doc, "routers_per_regional", spec.routers_per_regional);
-  spec.routers_per_stub = get_u32(doc, "routers_per_stub", spec.routers_per_stub);
-  spec.endpoints = saturate_cast<std::uint64_t>(
-      doc.get_number("endpoints", static_cast<double>(spec.endpoints)));
-  spec.endpoint_zipf = doc.get_number("endpoint_zipf", spec.endpoint_zipf);
-  spec.profile_templates = get_u32(doc, "profile_templates", spec.profile_templates);
+bool check_spec(const WorldSpec& spec, std::string* error) {
+  auto fail = [&](std::string_view why) {
+    if (error != nullptr) *error = why;
+    return false;
+  };
   if (spec.transit_ases == 0 || spec.stub_ases == 0) {
-    fail(error, "world spec needs at least one transit and one stub AS");
-    return std::nullopt;
+    return fail("transit_ases and stub_ases must be >= 1");
   }
   if (spec.routers_per_transit == 0 || spec.routers_per_regional == 0 ||
       spec.routers_per_stub == 0) {
-    fail(error, "routers_per_* must be >= 1");
-    return std::nullopt;
+    return fail("routers_per_* must be >= 1");
   }
-  if (spec.profile_templates == 0) {
-    fail(error, "profile_templates must be >= 1");
-    return std::nullopt;
-  }
-  if (!parse_strings(doc, "http_test_domains", spec.http_test_domains, error)) {
-    return std::nullopt;
-  }
-  if (!parse_strings(doc, "https_test_domains", spec.https_test_domains, error)) {
-    return std::nullopt;
-  }
+  if (spec.profile_templates == 0) return fail("profile_templates must be >= 1");
   if (spec.http_test_domains.empty() || spec.https_test_domains.empty()) {
-    fail(error, "http/https test domain lists must be non-empty");
-    return std::nullopt;
+    return fail("http_test_domains and https_test_domains must be non-empty");
   }
-  spec.control_domain = doc.get_string("control_domain", spec.control_domain);
-
-  if (const JsonValue* cs = doc.find("countries"); cs != nullptr) {
-    if (!cs->is_array()) {
-      fail(error, "countries must be an array of regime objects");
-      return std::nullopt;
-    }
-    for (const JsonValue& cv : cs->array) {
-      if (!cv.is_object()) {
-        fail(error, "countries entries must be objects");
-        return std::nullopt;
-      }
-      CountryRegimeSpec c;
-      c.code = cv.get_string("code", "");
-      if (c.code.empty()) {
-        fail(error, "country regime needs a non-empty code");
-        return std::nullopt;
-      }
-      c.weight = cv.get_number("weight", c.weight);
-      if (!(c.weight > 0.0)) {
-        fail(error, "country weight must be > 0");
-        return std::nullopt;
-      }
-      c.censored = cv.get_bool("censored", c.censored);
-      if (!parse_strings(cv, "vendors", c.vendors, error)) return std::nullopt;
-      c.deploy_coverage = cv.get_number("deploy_coverage", c.deploy_coverage);
-      c.on_path_share = cv.get_number("on_path_share", c.on_path_share);
-      spec.countries.push_back(std::move(c));
-    }
+  for (const CountryRegimeSpec& c : spec.countries) {
+    if (c.code.empty()) return fail("countries.code must be non-empty");
+    if (!(c.weight > 0.0)) return fail("countries.weight must be > 0");
   }
-  return spec;
+  return true;
 }
 
 std::optional<WorldSpec> spec_from_json(std::string_view text, std::string* error) {
-  auto doc = json_parse(text);
-  if (doc == nullptr) {
-    if (error != nullptr) *error = "not valid JSON";
-    return std::nullopt;
-  }
-  return spec_from_doc(*doc, error);
+  std::optional<WorldSpec> spec =
+      report::wire::decode<WorldSpec>(text, JsonNumbers::kExact, error);
+  if (spec && !check_spec(*spec, error)) return std::nullopt;
+  return spec;
 }
 
 std::optional<WorldSpec> load_spec_file(const std::string& path, std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  const std::optional<std::string> text = read_file(path);
+  if (!text) {
     if (error != nullptr) *error = "cannot open world spec file: " + path;
     return std::nullopt;
   }
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return spec_from_json(text, error);
+  return spec_from_json(*text, error);
 }
 
 }  // namespace cen::worldgen

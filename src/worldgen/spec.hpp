@@ -6,12 +6,13 @@
 // and which censorship regimes govern which countries (vendor mixtures,
 // deployment coverage, in-path vs on-path shares). Everything else is
 // drawn deterministically from `(spec, seed)` by worldgen::generate(), so
-// the pair is the complete identity of a world: spec.fingerprint() mixed
-// with the seed keys campaign caches.
+// the pair is the complete identity of a world: World::fingerprint() mixes
+// spec.fingerprint() with the seed.
 //
-// Specs are JSON-loadable (cen world --spec, cen campaign "world" object)
-// and three built-in scale tiers — "1k", "100k", "1m" endpoints — cover
-// the benchmark ladder without spec files.
+// Specs are JSON-loadable (cen world --spec, cen campaign "world" object;
+// the schema is the field table of report/wire.hpp) and three built-in
+// scale tiers — "1k", "100k", "1m" endpoints — cover the benchmark ladder
+// without spec files.
 #pragma once
 
 #include <cstdint>
@@ -19,10 +20,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-namespace cen {
-class JsonValue;
-}
 
 namespace cen::worldgen {
 
@@ -75,14 +72,18 @@ struct WorldSpec {
   /// The regimes in effect: `countries`, or the default mixture when empty.
   std::vector<CountryRegimeSpec> effective_countries() const;
 
-  /// Structural digest over every field (campaign cache-key component).
+  /// Structural digest over every field: the spec's part of a world's
+  /// identity (`cen world` prints it).
   std::uint64_t fingerprint() const;
 };
 
+/// Canonical JSON rendering, exact numbers and the regimes expanded
+/// (effective_countries()); spec_from_json reads it back to the same spec.
 std::string to_json(const WorldSpec& spec);
-/// Parse a spec out of an already-parsed JSON object (the campaign spec's
-/// embedded "world" object re-uses this).
-std::optional<WorldSpec> spec_from_doc(const JsonValue& doc, std::string* error = nullptr);
+/// The range checks a decoded spec must pass (at least one transit and
+/// stub AS, router and template counts >= 1, non-empty domain lists,
+/// regimes with a code and a positive weight); false with `error` set.
+bool check_spec(const WorldSpec& spec, std::string* error = nullptr);
 std::optional<WorldSpec> spec_from_json(std::string_view text, std::string* error = nullptr);
 std::optional<WorldSpec> load_spec_file(const std::string& path, std::string* error = nullptr);
 

@@ -46,15 +46,12 @@ std::string temp_cache(const std::string& name) {
   return path;
 }
 
-std::string read_file(const std::string& path) {
-  std::string text;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return text;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return text;
+std::string file_text(const std::string& path) { return read_file(path).value_or(""); }
+
+/// A string member of a DOM object; "" when absent or not a string.
+std::string string_member(const JsonValue& doc, std::string_view key) {
+  const JsonValue* v = doc.find(key);
+  return v != nullptr && v->is_string() ? v->string : "";
 }
 
 /// The first `lines` newline-terminated lines of `text`.
@@ -91,12 +88,12 @@ std::map<std::string, std::string> reference_load(std::string_view text, std::si
     if (line.empty()) continue;
     auto doc = json_parse(line);
     if (doc == nullptr || !doc->is_object()) continue;
-    std::string key = doc->get_string("key", "");
+    std::string key = string_member(*doc, "key");
     const JsonValue* result = doc->find("result");
     if (key.size() != 32 || result == nullptr || !result->is_object()) continue;
     std::string result_text(campaign::member_value_span(line, "result"));
     if (result_text.empty()) continue;
-    if (doc->get_string("sum", "") != campaign::record_sum(key, result_text)) continue;
+    if (string_member(*doc, "sum") != campaign::record_sum(key, result_text)) continue;
     records[key] = std::move(result_text);
     ++loaded;
   }
@@ -447,7 +444,8 @@ TEST(Campaign, SpecJsonRoundTrip) {
   auto loaded = campaign::spec_from_json(doc, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(campaign::to_json(*loaded), doc);
-  EXPECT_EQ(loaded->fingerprint(), spec.fingerprint());
+  EXPECT_EQ(loaded->http_domains, spec.http_domains);
+  EXPECT_EQ(loaded->trace.protocol, spec.trace.protocol);
 
   EXPECT_FALSE(campaign::spec_from_json("{\"countries\":[\"XX\"]}", &error).has_value());
   EXPECT_NE(error.find("XX"), std::string::npos);
@@ -531,7 +529,7 @@ TEST(Campaign, CacheLoadAcceptsWhatTheDomRuleAccepts) {
     writer.flush();
   }
   const std::vector<CacheLine> corpus = cache_line_corpus();
-  ASSERT_EQ(read_file(path), corpus.front().line + "\n");
+  ASSERT_EQ(file_text(path), corpus.front().line + "\n");
 
   for (const CacheLine& row : corpus) {
     SCOPED_TRACE(row.what);
@@ -622,7 +620,7 @@ TEST(Campaign, CorruptedResultBytesAreInvalidatedBySum) {
 
   // Tamper with one record: change one digit inside its result value. The
   // line still parses as JSON — only the digest can catch this.
-  std::string text = read_file(cache);
+  std::string text = file_text(cache);
   ASSERT_FALSE(text.empty());
   bool tampered = false;
   std::size_t line_start = 0;
@@ -675,7 +673,7 @@ TEST(Campaign, CacheFileBytesIdenticalAcrossThreads) {
     control.threads = threads[t];
     control.cache_path = cache;
     ASSERT_TRUE(campaign::run(spec, control).complete);
-    bytes[t] = read_file(cache);
+    bytes[t] = file_text(cache);
     std::remove(cache.c_str());
   }
   EXPECT_FALSE(bytes[0].empty());
@@ -691,7 +689,7 @@ TEST(Campaign, BudgetStopLeavesExactlyTheFirstBatches) {
   full_control.cache_path = full_path;
   const campaign::CampaignResult golden = campaign::run(spec, full_control);
   ASSERT_TRUE(golden.complete);
-  const std::string full = read_file(full_path);
+  const std::string full = file_text(full_path);
   std::remove(full_path.c_str());
 
   // k batches fit inside the first stage (trace), whose tasks all miss on
@@ -709,7 +707,7 @@ TEST(Campaign, BudgetStopLeavesExactlyTheFirstBatches) {
   EXPECT_FALSE(stopped.complete);
   EXPECT_EQ(stopped.trace.batches, static_cast<std::size_t>(k));
   EXPECT_EQ(stopped.trace.executed, static_cast<std::size_t>(k * spec.batch_size));
-  const std::string partial = read_file(cache);
+  const std::string partial = file_text(cache);
   EXPECT_EQ(count_lines(partial), static_cast<std::size_t>(k * spec.batch_size));
   EXPECT_EQ(partial, first_lines(full, static_cast<std::size_t>(k * spec.batch_size)));
 
@@ -721,7 +719,7 @@ TEST(Campaign, BudgetStopLeavesExactlyTheFirstBatches) {
   EXPECT_EQ(resumed.trace.cache_hits, static_cast<std::size_t>(k * spec.batch_size));
   EXPECT_EQ(resumed.to_jsonl(), golden.to_jsonl());
   EXPECT_EQ(resumed.summary_json(), golden.summary_json());
-  EXPECT_EQ(read_file(cache), full);
+  EXPECT_EQ(file_text(cache), full);
   std::remove(cache.c_str());
 }
 
@@ -743,7 +741,7 @@ TEST(Campaign, ThrowingTaskLeavesEarlierBatchesDurable) {
     control.threads = threads[t];
     control.cache_path = cache;
     EXPECT_ANY_THROW(campaign::run(spec, control)) << threads[t] << " threads";
-    bytes[t] = read_file(cache);
+    bytes[t] = file_text(cache);
     campaign::ResultCache reloaded(cache);
     EXPECT_EQ(reloaded.load(), 3u) << threads[t] << " threads";
     std::remove(cache.c_str());
@@ -785,7 +783,7 @@ TEST(Campaign, DuplicateTasksFollowBatchOrder) {
       EXPECT_EQ(r.trace.tasks, 6u);
       EXPECT_EQ(r.trace.executed, c.executed) << "batch size " << c.batch_size;
       EXPECT_EQ(r.trace.cache_hits, 6u - c.executed) << "batch size " << c.batch_size;
-      bytes[t] = read_file(cache);
+      bytes[t] = file_text(cache);
       jsonl[t] = r.to_jsonl();
       std::remove(cache.c_str());
     }
@@ -905,7 +903,7 @@ TEST(Campaign, FuzzStageIdenticalAcrossThreads) {
     }
     EXPECT_LT(test_domains.size(), r.fuzz.executed);
     jsonl[i] = r.to_jsonl();
-    bytes[i] = read_file(cache);
+    bytes[i] = file_text(cache);
     std::remove(cache.c_str());
   }
   EXPECT_FALSE(jsonl[0].empty());

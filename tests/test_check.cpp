@@ -89,8 +89,12 @@ TEST(Check, ReportJsonIsValid) {
   EXPECT_TRUE(json_valid(report.to_json())) << report.to_json();
   auto doc = json_parse(report.to_json());
   ASSERT_NE(doc, nullptr);
-  EXPECT_EQ(doc->get_string("tool", ""), "cencheck");
-  EXPECT_FALSE(doc->get_bool("ok", true));
+  const JsonValue* tool = doc->find("tool");
+  ASSERT_TRUE(tool != nullptr && tool->is_string());
+  EXPECT_EQ(tool->string, "cencheck");
+  const JsonValue* ok = doc->find("ok");
+  ASSERT_TRUE(ok != nullptr && ok->is_bool());
+  EXPECT_FALSE(ok->boolean);
 }
 
 TEST(Check, EngineNamesRoundTrip) {

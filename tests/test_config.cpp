@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -283,4 +284,50 @@ TEST(ConfigCodecs, PinnedCorpus) {
   for (const Pinned& p : corpus()) {
     EXPECT_EQ(outcome(p.codec, p.doc), p.outcome) << p.doc;
   }
+}
+
+TEST(ConfigCodecs, RoundTripIsExact) {
+  // Integers past double's 53-bit mantissa and doubles past six digits.
+  const std::uint64_t past_mantissa = (std::uint64_t{1} << 53) + 1;
+  longit::EvolutionPlan plan;
+  plan.seed = past_mantissa;
+  plan.rule_add_prob = 0.1234567;
+  plan.coverage_drift_prob = 0.1 + 0.2;
+  worldgen::WorldSpec world;
+  world.endpoints = past_mantissa;
+  world.endpoint_zipf = 0.1234567;
+
+  campaign::CampaignSpec spec;
+  spec.seed = past_mantissa;
+  spec.ambig.order_salt = (std::uint64_t{1} << 60) + 3;
+  spec.trace.retry_backoff = std::numeric_limits<SimTime>::max();
+  spec.faults.default_link.loss = 0.1234567;
+  spec.faults.transient_loss = 5e-324;
+  spec.faults.default_node.icmp_rate_per_sec = std::numeric_limits<double>::max();
+  spec.world = world;
+  spec.evolution = plan;
+  spec.evolution_epoch = 3;
+
+  std::string error;
+  auto loaded = campaign::spec_from_json(campaign::to_json(spec), &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->seed, spec.seed);
+  EXPECT_EQ(loaded->ambig.order_salt, spec.ambig.order_salt);
+  EXPECT_EQ(loaded->trace.retry_backoff, spec.trace.retry_backoff);
+  EXPECT_EQ(loaded->faults.default_link.loss, spec.faults.default_link.loss);
+  EXPECT_EQ(loaded->faults.transient_loss, spec.faults.transient_loss);
+  EXPECT_EQ(loaded->faults.default_node.icmp_rate_per_sec,
+            spec.faults.default_node.icmp_rate_per_sec);
+  EXPECT_EQ(loaded->evolution, spec.evolution);
+  EXPECT_EQ(loaded->evolution_epoch, 3);
+  ASSERT_TRUE(loaded->world.has_value());
+  EXPECT_EQ(loaded->world->endpoints, world.endpoints);
+  EXPECT_EQ(loaded->world->fingerprint(), world.fingerprint());
+  EXPECT_EQ(campaign::to_json(*loaded), campaign::to_json(spec));
+
+  EXPECT_EQ(longit::evolution_from_json(longit::to_json(plan)), plan);
+  auto world_loaded = worldgen::spec_from_json(worldgen::to_json(world));
+  ASSERT_TRUE(world_loaded.has_value());
+  EXPECT_EQ(world_loaded->endpoints, world.endpoints);
+  EXPECT_EQ(world_loaded->fingerprint(), world.fingerprint());
 }

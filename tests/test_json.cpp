@@ -454,9 +454,9 @@ TEST(JsonParse, NestingDepthBoundary) {
 TEST(JsonParse, IntClampAtExtremes) {
   auto doc = json_parse(R"({"big":1e300,"small":-1e300,"fit":42})");
   ASSERT_NE(doc, nullptr);
-  EXPECT_EQ(doc->get_int("big", 0), std::numeric_limits<int>::max());
-  EXPECT_EQ(doc->get_int("small", 0), std::numeric_limits<int>::min());
-  EXPECT_EQ(doc->get_int("fit", 0), 42);
+  EXPECT_EQ(saturate_cast<int>(doc->find("big")->number), std::numeric_limits<int>::max());
+  EXPECT_EQ(saturate_cast<int>(doc->find("small")->number), std::numeric_limits<int>::min());
+  EXPECT_EQ(saturate_cast<int>(doc->find("fit")->number), 42);
 }
 
 // ------------------------------------------------ decoder corpus pin --

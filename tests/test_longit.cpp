@@ -176,18 +176,18 @@ TEST(Longit, EvolutionJoinsSpecFingerprintAndJson) {
   plain.evolution.reset();
   campaign::CampaignSpec evolved = small_spec().base;
 
-  // The plan and the epoch both join the digest.
-  EXPECT_NE(plain.fingerprint(), evolved.fingerprint());
+  // The plan and the epoch both join the spec's JSON.
+  EXPECT_NE(campaign::to_json(plain), campaign::to_json(evolved));
   campaign::CampaignSpec later = evolved;
   later.evolution_epoch = 2;
-  EXPECT_NE(evolved.fingerprint(), later.fingerprint());
+  EXPECT_NE(campaign::to_json(evolved), campaign::to_json(later));
 
   // And both survive the spec JSON round-trip.
   auto loaded = campaign::spec_from_json(campaign::to_json(later));
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->evolution, later.evolution);
   EXPECT_EQ(loaded->evolution_epoch, 2);
-  EXPECT_EQ(loaded->fingerprint(), later.fingerprint());
+  EXPECT_EQ(campaign::to_json(*loaded), campaign::to_json(later));
 }
 
 // ----------------------------------------------------------- epoch diff
