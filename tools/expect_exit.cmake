@@ -1,9 +1,10 @@
 # Runs `cen` and checks its exit code, output and an output file:
 #   cmake -DCEN=<binary> -DARGS=a,b,... -DRC=<code> [-DMATCH=<regex>]
-#         [-DFILE=<path> [-DFILE_MATCH=<regex>]] -P expect_exit.cmake
+#         [-DFILE=<path> [-DFILE_MATCH=<regex>] [-DFILE_SAME=<path>]]
+#         -P expect_exit.cmake
 # Passes when `cen ARGS` exits RC, its stdout and stderr together match
 # MATCH, and FILE (removed first) was written non-empty, its contents
-# matching FILE_MATCH.
+# matching FILE_MATCH and equal to FILE_SAME byte for byte.
 string(REPLACE "," ";" ARGS "${ARGS}")
 string(REPLACE ";" " " command "cen ${ARGS}")
 if(FILE)
@@ -29,6 +30,13 @@ if(FILE)
     file(READ ${FILE} contents)
     if(NOT contents MATCHES "${FILE_MATCH}")
       message(FATAL_ERROR "${command} wrote ${FILE}, which does not match '${FILE_MATCH}'")
+    endif()
+  endif()
+  if(FILE_SAME)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${FILE} ${FILE_SAME}
+                    RESULT_VARIABLE differ)
+    if(differ)
+      message(FATAL_ERROR "${command} wrote ${FILE}, which differs from ${FILE_SAME}")
     endif()
   endif()
 endif()
