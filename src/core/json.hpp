@@ -134,8 +134,9 @@ class JsonReader {
   /// Name the member whose value failed the text for a reason: nested
   /// members read "outer.inner: reason".
   void blame(std::string_view key);
-  /// The reason the text was rejected, behind the member that gave it;
-  /// empty when nothing failed for a reason (a syntax error, say).
+  /// The reason the text was rejected, prefixed by the path of the member
+  /// that gave it; empty when nothing failed for a reason (a syntax error,
+  /// say).
   const std::string& why() const { return why_; }
   /// True when everything read was well formed and only whitespace is left.
   bool finish();
