@@ -8,7 +8,7 @@ namespace cen::report {
 std::string to_json(const trace::CenTraceReport& report, bool include_sweeps) {
   JsonWriter w;
   w.begin_object();
-  wire::write_members(w, report);
+  wire::write_members<trace::CenTraceReport>(w, report);
   if (include_sweeps) {
     w.key("control_sweeps");
     wire::write(w, report.control_traces);

@@ -182,24 +182,18 @@ void write_member(JsonWriter& w, const T& obj, const Field<Get, With>& f) {
   write(w, v, f.names);
 }
 
-/// The members of `obj` in the table of S, into an object the caller
-/// opened.
+/// The members of `obj` in the table of S, in table order, into an object
+/// the caller opened.
 template <typename S, typename T>
-void write_fields(JsonWriter& w, const T& obj) {
+void write_members(JsonWriter& w, const T& obj) {
   std::apply([&](const auto&... f) { (write_member(w, obj, f), ...); }, table_of<S>());
 }
 
 template <typename T, typename S>
 void write_member(JsonWriter& w, const T& obj, const Section<S>& s) {
   w.key(s.key).begin_object();
-  write_fields<S>(w, obj);
+  write_members<S>(w, obj);
   w.end_object();
-}
-
-/// The members of `obj`, in table order, into an object the caller opened.
-template <Object T>
-void write_members(JsonWriter& w, const T& obj) {
-  write_fields<T>(w, obj);
 }
 
 template <typename V>
@@ -227,7 +221,7 @@ void write(JsonWriter& w, const V& v, Names names) {
     w.end_array();
   } else {
     w.begin_object();
-    write_members(w, v);
+    write_members<V>(w, v);
     w.end_object();
   }
 }
