@@ -6,7 +6,7 @@
 // correctly escaped JSON without a DOM. Scopes are validated: mismatched
 // end_*() or a value without a pending key inside an object throw.
 // JsonReader is the only grammar: json_valid, json_parse and the report
-// decoders (report/from_json.hpp) all read through it.
+// and config decoders (report/wire.hpp) all read through it.
 #pragma once
 
 #include <cstdint>
