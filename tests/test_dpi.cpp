@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -12,6 +13,7 @@
 #include "core/strings.hpp"
 #include "net/http.hpp"
 #include "net/tls.hpp"
+#include "tls_corpus.hpp"
 
 using namespace cen;
 using namespace cen::censor;
@@ -411,6 +413,158 @@ TEST(DpiHttp, MatchesLineSplitReference) {
     }
   }
   EXPECT_GT(checked, 100000u);
+  EXPECT_GT(engaged, checked / 10);  // the corpus exercises both outcomes
+  EXPECT_LT(engaged, checked - checked / 10);
+}
+
+// ------------------------------------------------ DOM-based reference SNI
+//
+// The TLS DPI parse as it was written before it read the hello in place:
+// parse the record into a ClientHello with owned extensions, then ask it
+// for its versions and SNI. The parse and the two accessors are copied
+// here verbatim too, so the reference stands apart from net/tls.cpp.
+
+namespace {
+
+struct ReferenceHello {
+  net::TlsVersion legacy_version = net::TlsVersion::kTls12;
+  std::vector<std::uint16_t> cipher_suites;
+  std::vector<net::TlsExtension> extensions;
+
+  static ReferenceHello parse(BytesView bytes) {
+    ByteReader r(bytes);
+    std::uint8_t record_type = r.u8();
+    if (record_type != 22) throw ParseError("not a TLS handshake record");
+    ReferenceHello ch;
+    (void)r.u16();
+    std::uint16_t record_len = r.u16();
+    if (record_len != r.remaining()) throw ParseError("TLS record length mismatch");
+    std::uint8_t hs_type = r.u8();
+    if (hs_type != 1) throw ParseError("not a ClientHello");
+    std::uint32_t hs_len = r.u24();
+    if (hs_len != r.remaining()) throw ParseError("handshake length mismatch");
+    ch.legacy_version = static_cast<net::TlsVersion>(r.u16());
+    (void)r.raw(32);
+    std::uint8_t sid_len = r.u8();
+    (void)r.raw(sid_len);
+    std::uint16_t cs_len = r.u16();
+    if (cs_len % 2 != 0) throw ParseError("odd cipher-suite list length");
+    for (int i = 0; i < cs_len; i += 2) ch.cipher_suites.push_back(r.u16());
+    std::uint8_t cm_len = r.u8();
+    (void)r.raw(cm_len);
+    if (r.remaining() > 0) {
+      std::uint16_t ext_len = r.u16();
+      if (ext_len != r.remaining()) throw ParseError("extensions length mismatch");
+      while (r.remaining() > 0) {
+        net::TlsExtension ext;
+        ext.type = r.u16();
+        std::uint16_t len = r.u16();
+        ext.data = r.raw(len);
+        ch.extensions.push_back(std::move(ext));
+      }
+    }
+    return ch;
+  }
+
+  std::optional<std::string> sni() const {
+    for (const net::TlsExtension& ext : extensions) {
+      if (ext.type != net::TlsExtensionType::kServerName) continue;
+      try {
+        ByteReader r(ext.data);
+        std::uint16_t list_len = r.u16();
+        (void)list_len;
+        std::uint8_t name_type = r.u8();
+        if (name_type != 0) return std::nullopt;
+        std::uint16_t len = r.u16();
+        return r.str(len);
+      } catch (const ParseError&) {
+        return std::nullopt;
+      }
+    }
+    return std::nullopt;
+  }
+
+  std::vector<net::TlsVersion> supported_versions() const {
+    for (const net::TlsExtension& ext : extensions) {
+      if (ext.type != net::TlsExtensionType::kSupportedVersions) continue;
+      try {
+        ByteReader r(ext.data);
+        std::uint8_t len = r.u8();
+        if (len % 2 != 0 || len != r.remaining()) break;
+        std::vector<net::TlsVersion> out;
+        while (r.remaining() > 0) out.push_back(static_cast<net::TlsVersion>(r.u16()));
+        return out;
+      } catch (const ParseError&) {
+        break;
+      }
+    }
+    return {legacy_version};
+  }
+};
+
+std::optional<std::string> reference_dpi_parse_sni(BytesView raw, const TlsQuirks& q) {
+  ReferenceHello ch;
+  try {
+    ch = ReferenceHello::parse(raw);
+  } catch (const ParseError&) {
+    return std::nullopt;
+  }
+
+  std::vector<net::TlsVersion> advertised = ch.supported_versions();
+  advertised.push_back(ch.legacy_version);
+  bool version_ok = std::any_of(advertised.begin(), advertised.end(), [&](net::TlsVersion v) {
+    return std::find(q.parses_versions.begin(), q.parses_versions.end(), v) !=
+           q.parses_versions.end();
+  });
+  if (!version_ok) return std::nullopt;
+
+  if (ch.cipher_suites.size() == 1 && !q.blind_cipher_suites.empty()) {
+    if (std::find(q.blind_cipher_suites.begin(), q.blind_cipher_suites.end(),
+                  ch.cipher_suites[0]) != q.blind_cipher_suites.end()) {
+      return std::nullopt;
+    }
+  }
+
+  if (q.breaks_on_padding_extension) {
+    for (const net::TlsExtension& ext : ch.extensions) {
+      if (ext.type == net::TlsExtensionType::kPadding) return std::nullopt;
+    }
+  }
+
+  return ch.sni();
+}
+
+}  // namespace
+
+TEST(DpiTls, MatchesDomReference) {
+  std::vector<TlsQuirks> quirks = {TlsQuirks{}};
+  for (const std::string& vendor : known_vendors()) {
+    quirks.push_back(make_vendor_device(vendor, "ref").tls_quirks);
+  }
+  TlsQuirks picky;
+  picky.parses_versions = {net::TlsVersion::kTls13};
+  picky.blind_cipher_suites = {0x0005, 0xeeee};
+  picky.breaks_on_padding_extension = true;
+  quirks.push_back(picky);
+  TlsQuirks deaf;
+  deaf.parses_versions.clear();
+  quirks.push_back(deaf);
+
+  std::size_t engaged = 0;
+  std::size_t checked = 0;
+  for (const Bytes& raw : testing_tls::hello_corpus()) {
+    for (const TlsQuirks& q : quirks) {
+      const auto expected = reference_dpi_parse_sni(raw, q);
+      const auto actual = dpi_parse_sni(raw, q);
+      ASSERT_EQ(expected.has_value(), actual.has_value()) << to_hex(raw);
+      if (expected) {
+        EXPECT_EQ(*expected, *actual) << to_hex(raw);
+        ++engaged;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 10000u);
   EXPECT_GT(engaged, checked / 10);  // the corpus exercises both outcomes
   EXPECT_LT(engaged, checked - checked / 10);
 }

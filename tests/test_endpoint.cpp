@@ -12,6 +12,7 @@
 #include "net/http.hpp"
 #include "net/tls.hpp"
 #include "netsim/endpoint.hpp"
+#include "tls_corpus.hpp"
 
 using namespace cen;
 using namespace cen::sim;
@@ -367,4 +368,142 @@ TEST(HttpResponse, ViewAgreesWithParse) {
     }
     EXPECT_GE(lines, resp->headers.size()) << testing::PrintToString(raw);
   }
+}
+
+// -------------------------------------------------- TLS reply-byte pins
+//
+// Every handle_tls reply path, with the exact bytes the endpoint must
+// send: what ServerHello{version, suite, certificate}.serialize() or
+// TlsAlert{description}.serialize() gives. The replies over the whole
+// ClientHello corpus are pinned by digest.
+
+namespace {
+
+struct TlsReplyPath {
+  const char* name;
+  EndpointProfile profile;
+  Bytes hello;
+  Bytes expected;
+};
+
+std::vector<TlsReplyPath> tls_reply_paths() {
+  using net::ClientHello;
+  using net::ServerHello;
+  using net::TlsAlert;
+  using net::TlsVersion;
+  EndpointProfile plain;
+  plain.hosted_domains = {"www.example.org", "example.net"};
+  EndpointProfile wildcard = plain;
+  wildcard.serves_subdomains = true;
+  EndpointProfile reject = plain;
+  reject.reject_unknown_sni = true;
+
+  auto hello = [](const std::string& sni, auto&& edit) {
+    ClientHello ch = ClientHello::make(sni);
+    edit(ch);
+    return ch.serialize();
+  };
+  auto as_is = [](ClientHello&) {};
+  auto server_hello = [](TlsVersion v, std::uint16_t suite, const std::string& cert) {
+    return ServerHello{v, suite, cert}.serialize();
+  };
+  auto alert = [](std::uint8_t description) { return TlsAlert{description}.serialize(); };
+  Bytes malformed = ClientHello::make("www.example.org").serialize();
+  malformed[4] = static_cast<std::uint8_t>(malformed[4] + 1);
+
+  return {
+      {"hosted SNI", plain, hello("www.example.org", as_is),
+       server_hello(TlsVersion::kTls13, 0x1301, "www.example.org")},
+      {"hosted SNI, second vhost, mixed case", reject, hello("Example.NET", as_is),
+       server_hello(TlsVersion::kTls13, 0x1301, "Example.NET")},
+      {"subdomain", wildcard, hello("wiki.example.net", as_is),
+       server_hello(TlsVersion::kTls13, 0x1301, "wiki.example.net")},
+      {"subdomain without wildcard", plain, hello("wiki.example.net", as_is),
+       server_hello(TlsVersion::kTls13, 0x1301, "www.example.org")},
+      {"unknown SNI, reject", reject, hello("other.com", as_is),
+       alert(TlsAlert::kUnrecognizedName)},
+      {"unknown SNI, default vhost", plain, hello("other.com", as_is),
+       server_hello(TlsVersion::kTls13, 0x1301, "www.example.org")},
+      {"no SNI", reject, hello("www.example.org", [](ClientHello& ch) { ch.remove_sni(); }),
+       server_hello(TlsVersion::kTls13, 0x1301, "www.example.org")},
+      {"empty SNI", reject, hello("", as_is),
+       server_hello(TlsVersion::kTls13, 0x1301, "www.example.org")},
+      {"malformed hello", plain, malformed, alert(TlsAlert::kDecodeError)},
+      {"legacy version only", plain,
+       hello("www.example.org",
+             [](ClientHello& ch) {
+               ch.extensions.erase(ch.extensions.begin());
+               ch.legacy_version = TlsVersion::kTls11;
+             }),
+       server_hello(TlsVersion::kTls11, 0x1301, "www.example.org")},
+      {"highest version in range", plain,
+       hello("www.example.org",
+             [](ClientHello& ch) {
+               ch.set_supported_versions({TlsVersion::kTls10, static_cast<TlsVersion>(0x7f17),
+                                          TlsVersion::kTls12, static_cast<TlsVersion>(0x0300)});
+             }),
+       server_hello(TlsVersion::kTls12, 0x1301, "www.example.org")},
+      {"no version in range", plain,
+       hello("www.example.org",
+             [](ClientHello& ch) {
+               ch.set_supported_versions(
+                   {static_cast<TlsVersion>(0x0300), static_cast<TlsVersion>(0x7f17)});
+             }),
+       alert(TlsAlert::kProtocolVersion)},
+      {"empty version list", plain,
+       hello("www.example.org", [](ClientHello& ch) { ch.set_supported_versions({}); }),
+       alert(TlsAlert::kProtocolVersion)},
+      {"malformed version list", plain,
+       hello("www.example.org",
+             [](ClientHello& ch) {
+               ch.extensions.front().data = {0x03, 0x03, 0x04, 0x03};
+               ch.legacy_version = TlsVersion::kTls10;
+             }),
+       server_hello(TlsVersion::kTls10, 0x1301, "www.example.org")},
+      {"first usable suite", plain,
+       hello("www.example.org",
+             [](ClientHello& ch) { ch.cipher_suites = {0xeeee, 0x0004, 0x0035, 0x1301}; }),
+       server_hello(TlsVersion::kTls13, 0x0035, "www.example.org")},
+      {"RC4-MD5 only", plain,
+       hello("www.example.org", [](ClientHello& ch) { ch.cipher_suites = {0x0004}; }),
+       alert(TlsAlert::kHandshakeFailure)},
+      {"unknown suites only", plain,
+       hello("www.example.org", [](ClientHello& ch) { ch.cipher_suites = {0xeeee, 0x0001}; }),
+       alert(TlsAlert::kHandshakeFailure)},
+      {"no suites", plain,
+       hello("www.example.org", [](ClientHello& ch) { ch.cipher_suites.clear(); }),
+       alert(TlsAlert::kHandshakeFailure)},
+  };
+}
+
+}  // namespace
+
+TEST(EndpointHost, TlsReplyBytesPinned) {
+  for (const TlsReplyPath& p : tls_reply_paths()) {
+    const AppReply reply = make_host(p.profile).handle_payload(p.hello);
+    ASSERT_EQ(reply.kind, AppReply::Kind::kData) << p.name;
+    EXPECT_EQ(to_hex(reply.data), to_hex(p.expected)) << p.name;
+  }
+
+  EndpointProfile reject;
+  reject.hosted_domains = {"www.blocked.example", "example.org"};
+  reject.serves_subdomains = true;
+  reject.reject_unknown_sni = true;
+  EndpointProfile lenient = reject;
+  lenient.serves_subdomains = false;
+  lenient.reject_unknown_sni = false;
+  FingerprintBuilder fp;
+  std::size_t replies = 0;
+  for (const Bytes& hello : testing_tls::hello_corpus()) {
+    for (const EndpointProfile* profile : {&reject, &lenient}) {
+      const AppReply reply = make_host(*profile).handle_payload(hello);
+      fp.mix(static_cast<std::uint64_t>(reply.kind));
+      fp.mix(to_hex(reply.data));
+      ++replies;
+    }
+  }
+  EXPECT_GT(replies, 1000u);
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(fp.digest()));
+  EXPECT_EQ(fp.digest(), 0xd0d11fdd79877facULL) << "TLS reply corpus digest is now " << hex;
 }

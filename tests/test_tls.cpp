@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "core/fingerprint.hpp"
 #include "net/tls.hpp"
+#include "tls_corpus.hpp"
 
 using namespace cen;
 using namespace cen::net;
@@ -170,3 +177,43 @@ TEST_P(SingleSuiteHello, RoundTrips) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSuites, SingleSuiteHello, ::testing::Range<std::size_t>(0, 25));
+
+// What ClientHello::parse and its accessors make of the shared corpus
+// (tls_corpus.hpp): every field of every accepted hello, pinned by digest.
+TEST(ClientHello, ParseCorpus) {
+  FingerprintBuilder fp;
+  std::size_t parsed = 0;
+  const std::vector<Bytes> corpus = testing_tls::hello_corpus();
+  for (const Bytes& raw : corpus) {
+    std::optional<ClientHello> ch;
+    try {
+      ch = ClientHello::parse(raw);
+    } catch (const ParseError&) {
+    }
+    fp.mix(ch.has_value());
+    if (!ch) continue;
+    ++parsed;
+    fp.mix(static_cast<std::uint64_t>(ch->record_version));
+    fp.mix(static_cast<std::uint64_t>(ch->legacy_version));
+    fp.mix(to_hex(BytesView(ch->random.data(), ch->random.size())));
+    fp.mix(to_hex(ch->session_id));
+    fp.mix(static_cast<std::uint64_t>(ch->cipher_suites.size()));
+    for (std::uint16_t cs : ch->cipher_suites) fp.mix(static_cast<std::uint64_t>(cs));
+    fp.mix(to_hex(ch->compression_methods));
+    fp.mix(static_cast<std::uint64_t>(ch->extensions.size()));
+    for (const TlsExtension& ext : ch->extensions) {
+      fp.mix(static_cast<std::uint64_t>(ext.type)).mix(to_hex(ext.data));
+    }
+    const std::optional<std::string> sni = ch->sni();
+    fp.mix(sni.has_value());
+    if (sni) fp.mix(*sni);
+    const std::vector<TlsVersion> versions = ch->supported_versions();
+    fp.mix(static_cast<std::uint64_t>(versions.size()));
+    for (TlsVersion v : versions) fp.mix(static_cast<std::uint64_t>(v));
+  }
+  EXPECT_GT(parsed, corpus.size() / 10);  // the corpus exercises both outcomes
+  EXPECT_LT(parsed, corpus.size() / 2);
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(fp.digest()));
+  EXPECT_EQ(fp.digest(), 0xc9ef53a619b88390ULL) << "parse() corpus digest is now " << hex;
+}
