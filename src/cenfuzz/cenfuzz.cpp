@@ -39,7 +39,9 @@ namespace {
 std::string describe_reply(BytesView payload, const std::optional<net::HttpResponseView>& http) {
   if (http) return "HTTP:" + std::to_string(http->status) + ":" + std::string(http->body);
   if (payload.empty()) return {};
-  if (auto sh = net::ServerHello::parse(payload)) return "TLSCERT:" + sh->certificate_domain;
+  if (const auto sh = net::ServerHello::view(payload)) {
+    return std::string("TLSCERT:").append(sh->certificate_domain);
+  }
   if (net::TlsAlert::parse(payload)) return "TLSALERT";
   return {};
 }
@@ -92,8 +94,8 @@ RequestResult CenFuzz::issue(net::Ipv4Address endpoint, const FuzzProbe& probe,
   for (int attempt = 0; attempt <= options_.retries; ++attempt) {
     sim::Connection conn = network_.open_connection(client_, endpoint, port);
     if (conn.connect() != sim::ConnectResult::kEstablished) continue;
-    std::vector<sim::Event> events = conn.send(probe.payload, 64);
-    if (events.empty()) continue;
+    conn.send_into(probe.payload, 64, events_);
+    if (events_.empty()) continue;
 
     RequestResult result = RequestResult::kOk;
     int best_rank = -1;
@@ -107,7 +109,7 @@ RequestResult CenFuzz::issue(net::Ipv4Address endpoint, const FuzzProbe& probe,
       }
       return 0;
     };
-    for (const sim::Event& ev : events) {
+    for (const sim::Event& ev : events_) {
       const auto* tcp = std::get_if<sim::TcpEvent>(&ev);
       if (tcp == nullptr) continue;
       const BytesView payload = tcp->packet.payload;

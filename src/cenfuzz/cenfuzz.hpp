@@ -19,9 +19,11 @@
 // Every device gets the same permutation tables (Table 2), so a caller
 // that fuzzes many endpoints builds one ProbeSet per domain and passes it
 // to each run (FuzzRunOptions::test_probes / control_probes); without
-// one, a run builds its own. A request costs its packet walk: replies are
-// classified in place (HttpResponse::view), and only Test requests, whose
-// content decides circumvention, describe their reply as a string.
+// one, a run builds its own. A request costs its packet walk: it is sent
+// from the probe table's bytes into an event buffer the runner reuses
+// across requests, replies are classified in place (HttpResponse::view,
+// ServerHello::view), and only Test requests, whose content decides
+// circumvention, describe their reply as a string.
 #pragma once
 
 #include <memory>
@@ -125,6 +127,9 @@ class CenFuzz {
   sim::Network& network_;
   sim::NodeId client_;
   CenFuzzOptions options_;
+  /// What the client receives for a request: cleared and refilled by each
+  /// send, its capacity kept across requests.
+  std::vector<sim::Event> events_;
 };
 
 /// One complete CenFuzz invocation for the unified tool API.

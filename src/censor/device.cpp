@@ -22,7 +22,7 @@ std::string_view block_action_name(BlockAction a) {
 bool Device::payload_triggers_uncached(BytesView payload) const {
   if (payload.empty()) return false;
   if (looks_like_tls(payload)) {
-    std::optional<std::string> sni = dpi_parse_sni(payload, config_->tls_quirks);
+    const std::optional<std::string_view> sni = dpi_parse_sni(payload, config_->tls_quirks);
     return sni && config_->sni_rules.matches(*sni);
   }
   if (net::looks_like_tcp_dns(payload)) {

@@ -4,6 +4,7 @@
 
 #include "core/strings.hpp"
 #include "net/http.hpp"
+#include "net/tls.hpp"
 
 namespace cen::censor {
 
@@ -118,40 +119,33 @@ std::optional<HttpDpiResult> dpi_parse_http(std::string_view raw, const HttpQuir
   return std::nullopt;  // no Host header the DPI recognises
 }
 
-std::optional<std::string> dpi_parse_sni(BytesView raw, const TlsQuirks& q) {
-  net::ClientHello ch;
-  try {
-    ch = net::ClientHello::parse(raw);
-  } catch (const ParseError&) {
-    return std::nullopt;
-  }
+std::optional<std::string_view> dpi_parse_sni(BytesView raw, const TlsQuirks& q) {
+  const std::optional<net::ClientHelloView> ch = net::ClientHelloView::parse(raw);
+  if (!ch) return std::nullopt;
 
   // Version tolerance: the hello must advertise at least one version the
   // DPI's parser understands (legacy field or supported_versions ext).
-  std::vector<net::TlsVersion> advertised = ch.supported_versions();
-  advertised.push_back(ch.legacy_version);
-  bool version_ok = std::any_of(advertised.begin(), advertised.end(), [&](net::TlsVersion v) {
+  auto understood = [&](net::TlsVersion v) {
     return std::find(q.parses_versions.begin(), q.parses_versions.end(), v) !=
            q.parses_versions.end();
-  });
+  };
+  bool version_ok = understood(ch->legacy_version);
+  ch->for_each_version([&](net::TlsVersion v) { version_ok = version_ok || understood(v); });
   if (!version_ok) return std::nullopt;
 
   // Blind cipher lists: a hello offering only a cipher the device cannot
   // classify is not recognised as web traffic.
-  if (ch.cipher_suites.size() == 1 && !q.blind_cipher_suites.empty()) {
-    if (std::find(q.blind_cipher_suites.begin(), q.blind_cipher_suites.end(),
-                  ch.cipher_suites[0]) != q.blind_cipher_suites.end()) {
-      return std::nullopt;
-    }
+  if (ch->cipher_suite_count() == 1 &&
+      std::find(q.blind_cipher_suites.begin(), q.blind_cipher_suites.end(),
+                ch->cipher_suite(0)) != q.blind_cipher_suites.end()) {
+    return std::nullopt;
   }
 
-  if (q.breaks_on_padding_extension) {
-    for (const net::TlsExtension& ext : ch.extensions) {
-      if (ext.type == net::TlsExtensionType::kPadding) return std::nullopt;
-    }
+  if (q.breaks_on_padding_extension && ch->extension(net::TlsExtensionType::kPadding)) {
+    return std::nullopt;
   }
 
-  return ch.sni();
+  return ch->sni();
 }
 
 bool looks_like_tls(BytesView payload) { return !payload.empty() && payload[0] == 0x16; }

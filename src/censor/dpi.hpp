@@ -31,8 +31,9 @@ std::optional<HttpDpiResult> dpi_parse_http(std::string_view raw, const HttpQuir
 
 /// Extract the SNI under the device's TLS quirks, or nullopt if the TLS
 /// parser disengages (malformed record, unsupported version, blinding
-/// cipher list, padding confusion) or no SNI is present.
-std::optional<std::string> dpi_parse_sni(BytesView raw, const TlsQuirks& q);
+/// cipher list, padding confusion) or no SNI is present. The SNI is a view
+/// into `raw`, read in place (net::ClientHelloView): nothing is allocated.
+std::optional<std::string_view> dpi_parse_sni(BytesView raw, const TlsQuirks& q);
 
 /// Quick classification of a payload: does it look like the start of a TLS
 /// record (first byte 0x16) vs plaintext?

@@ -34,6 +34,137 @@ ClientHello ClientHello::make(const std::string& sni_host) {
 
 namespace {
 
+/// A bounds-checked big-endian cursor that reports a short read instead
+/// of throwing: the ClientHello and ServerHello grammars run on it. (A
+/// throw allocates, and the DPI reads malformed fuzz hellos constantly.)
+class Cursor {
+ public:
+  explicit Cursor(BytesView data) : rest_(data) {}
+
+  bool take(std::size_t n, BytesView& out) {
+    if (n > rest_.size()) return false;
+    out = rest_.first(n);
+    rest_ = rest_.subspan(n);
+    return true;
+  }
+  bool skip(std::size_t n) {
+    BytesView unused;
+    return take(n, unused);
+  }
+  bool u8(std::uint8_t& v) {
+    BytesView b;
+    if (!take(1, b)) return false;
+    v = b[0];
+    return true;
+  }
+  bool u16(std::uint16_t& v) {
+    BytesView b;
+    if (!take(2, b)) return false;
+    v = static_cast<std::uint16_t>(b[0] << 8 | b[1]);
+    return true;
+  }
+  bool u24(std::uint32_t& v) {
+    BytesView b;
+    if (!take(3, b)) return false;
+    v = static_cast<std::uint32_t>(b[0]) << 16 | static_cast<std::uint32_t>(b[1]) << 8 | b[2];
+    return true;
+  }
+  std::size_t remaining() const { return rest_.size(); }
+  BytesView rest() const { return rest_; }
+
+ private:
+  BytesView rest_;
+};
+
+/// Calls `f(type, data)` for each extension of an extension block, in
+/// order, until `f` returns true. False if the block ends inside an
+/// extension.
+template <typename F>
+bool walk_extensions(BytesView block, F&& f) {
+  Cursor c(block);
+  while (c.remaining() > 0) {
+    std::uint16_t type = 0;
+    std::uint16_t len = 0;
+    BytesView data;
+    if (!c.u16(type) || !c.u16(len) || !c.take(len, data)) return false;
+    if (f(type, data)) return true;
+  }
+  return true;
+}
+
+/// The host_name of a server_name extension body; nullopt when the body
+/// is truncated or its first name is not a host_name. Bytes after the
+/// name are ignored.
+std::optional<std::string_view> host_name_in(BytesView data) {
+  Cursor c(data);
+  std::uint16_t list_len = 0;
+  std::uint8_t name_type = 0;
+  std::uint16_t len = 0;
+  BytesView name;
+  if (!c.u16(list_len) || !c.u8(name_type) || name_type != 0 || !c.u16(len) ||
+      !c.take(len, name)) {
+    return std::nullopt;
+  }
+  return as_text(name);
+}
+
+/// The version bytes of a supported_versions extension body. A malformed
+/// body (truncated list, odd length, trailing bytes) yields nullopt rather
+/// than a partial list that misrepresents the offer: the legacy_version
+/// field then governs, as for no extension.
+std::optional<BytesView> version_list_in(BytesView data) {
+  if (data.empty()) return std::nullopt;
+  const std::size_t len = data[0];
+  if (len % 2 != 0 || len != data.size() - 1) return std::nullopt;
+  return data.subspan(1);
+}
+
+/// The ClientHello grammar: fills `out` and returns nullptr, or returns
+/// why the record is not a well-formed ClientHello.
+const char* read_client_hello(BytesView bytes, ClientHelloView& out) {
+  constexpr const char* kTruncated = "truncated TLS ClientHello";
+  Cursor c(bytes);
+  std::uint8_t record_type = 0;
+  if (!c.u8(record_type)) return kTruncated;
+  if (record_type != 22) return "not a TLS handshake record";
+  std::uint16_t record_version = 0;
+  std::uint16_t record_len = 0;
+  if (!c.u16(record_version) || !c.u16(record_len)) return kTruncated;
+  if (record_len != c.remaining()) return "TLS record length mismatch";
+  std::uint8_t hs_type = 0;
+  if (!c.u8(hs_type)) return kTruncated;
+  if (hs_type != 1) return "not a ClientHello";
+  std::uint32_t hs_len = 0;
+  if (!c.u24(hs_len)) return kTruncated;
+  if (hs_len != c.remaining()) return "handshake length mismatch";
+  std::uint16_t legacy_version = 0;
+  std::uint8_t sid_len = 0;
+  std::uint16_t cs_len = 0;
+  if (!c.u16(legacy_version) || !c.take(32, out.random) || !c.u8(sid_len) ||
+      !c.take(sid_len, out.session_id) || !c.u16(cs_len)) {
+    return kTruncated;
+  }
+  if (cs_len % 2 != 0) return "odd cipher-suite list length";
+  std::uint8_t cm_len = 0;
+  if (!c.take(cs_len, out.cipher_suite_bytes) || !c.u8(cm_len) ||
+      !c.take(cm_len, out.compression_methods)) {
+    return kTruncated;
+  }
+  out.record_version = static_cast<TlsVersion>(record_version);
+  out.legacy_version = static_cast<TlsVersion>(legacy_version);
+  out.extensions = {};
+  if (c.remaining() > 0) {
+    std::uint16_t ext_len = 0;
+    if (!c.u16(ext_len)) return kTruncated;
+    if (ext_len != c.remaining()) return "extensions length mismatch";
+    out.extensions = c.rest();
+    if (!walk_extensions(out.extensions, [](std::uint16_t, BytesView) { return false; })) {
+      return kTruncated;
+    }
+  }
+  return nullptr;
+}
+
 Bytes encode_sni(const std::string& hostname) {
   if (hostname.size() > 0xfffc) throw ParseError("SNI hostname too long");
   ByteWriter w;
@@ -66,17 +197,9 @@ void ClientHello::remove_sni() {
 std::optional<std::string> ClientHello::sni() const {
   for (const TlsExtension& ext : extensions) {
     if (ext.type != TlsExtensionType::kServerName) continue;
-    try {
-      ByteReader r(ext.data);
-      std::uint16_t list_len = r.u16();
-      (void)list_len;
-      std::uint8_t name_type = r.u8();
-      if (name_type != 0) return std::nullopt;
-      std::uint16_t len = r.u16();
-      return r.str(len);
-    } catch (const ParseError&) {
-      return std::nullopt;
-    }
+    const std::optional<std::string_view> name = host_name_in(ext.data);
+    if (!name) return std::nullopt;
+    return std::string(*name);
   }
   return std::nullopt;
 }
@@ -101,19 +224,13 @@ void ClientHello::set_supported_versions(const std::vector<TlsVersion>& versions
 std::vector<TlsVersion> ClientHello::supported_versions() const {
   for (const TlsExtension& ext : extensions) {
     if (ext.type != TlsExtensionType::kSupportedVersions) continue;
-    // A malformed extension (truncated list, odd length, trailing bytes)
-    // must not yield a partial version list that misrepresents the offer;
-    // treat it as absent so legacy_version governs, as for no extension.
-    try {
-      ByteReader r(ext.data);
-      std::uint8_t len = r.u8();
-      if (len % 2 != 0 || len != r.remaining()) break;
-      std::vector<TlsVersion> out;
-      while (r.remaining() > 0) out.push_back(static_cast<TlsVersion>(r.u16()));
-      return out;
-    } catch (const ParseError&) {
-      break;
+    const std::optional<BytesView> list = version_list_in(ext.data);
+    if (!list) break;
+    std::vector<TlsVersion> out;
+    for (std::size_t i = 0; i < list->size(); i += 2) {
+      out.push_back(static_cast<TlsVersion>((*list)[i] << 8 | (*list)[i + 1]));
     }
+    return out;
   }
   // No (usable) extension: the legacy_version field governs.
   return {legacy_version};
@@ -175,40 +292,51 @@ void ClientHello::serialize_into(Bytes& out) const {
 }
 
 ClientHello ClientHello::parse(BytesView bytes) {
-  ByteReader r(bytes);
-  std::uint8_t record_type = r.u8();
-  if (record_type != 22) throw ParseError("not a TLS handshake record");
+  ClientHelloView view;
+  if (const char* error = read_client_hello(bytes, view)) throw ParseError(error);
   ClientHello ch;
-  ch.record_version = static_cast<TlsVersion>(r.u16());
-  std::uint16_t record_len = r.u16();
-  if (record_len != r.remaining()) throw ParseError("TLS record length mismatch");
-  std::uint8_t hs_type = r.u8();
-  if (hs_type != 1) throw ParseError("not a ClientHello");
-  std::uint32_t hs_len = r.u24();
-  if (hs_len != r.remaining()) throw ParseError("handshake length mismatch");
-  ch.legacy_version = static_cast<TlsVersion>(r.u16());
-  Bytes rnd = r.raw(32);
-  std::copy(rnd.begin(), rnd.end(), ch.random.begin());
-  std::uint8_t sid_len = r.u8();
-  ch.session_id = r.raw(sid_len);
-  std::uint16_t cs_len = r.u16();
-  if (cs_len % 2 != 0) throw ParseError("odd cipher-suite list length");
-  ch.cipher_suites.clear();
-  for (int i = 0; i < cs_len; i += 2) ch.cipher_suites.push_back(r.u16());
-  std::uint8_t cm_len = r.u8();
-  ch.compression_methods = r.raw(cm_len);
-  if (r.remaining() > 0) {
-    std::uint16_t ext_len = r.u16();
-    if (ext_len != r.remaining()) throw ParseError("extensions length mismatch");
-    while (r.remaining() > 0) {
-      TlsExtension ext;
-      ext.type = r.u16();
-      std::uint16_t len = r.u16();
-      ext.data = r.raw(len);
-      ch.extensions.push_back(std::move(ext));
-    }
+  ch.record_version = view.record_version;
+  ch.legacy_version = view.legacy_version;
+  std::copy(view.random.begin(), view.random.end(), ch.random.begin());
+  ch.session_id.assign(view.session_id.begin(), view.session_id.end());
+  ch.cipher_suites.reserve(view.cipher_suite_count());
+  for (std::size_t i = 0; i < view.cipher_suite_count(); ++i) {
+    ch.cipher_suites.push_back(view.cipher_suite(i));
   }
+  ch.compression_methods.assign(view.compression_methods.begin(),
+                                view.compression_methods.end());
+  walk_extensions(view.extensions, [&](std::uint16_t type, BytesView data) {
+    ch.extensions.push_back({type, Bytes(data.begin(), data.end())});
+    return false;
+  });
   return ch;
+}
+
+std::optional<ClientHelloView> ClientHelloView::parse(BytesView bytes) {
+  ClientHelloView view;
+  if (read_client_hello(bytes, view) != nullptr) return std::nullopt;
+  return view;
+}
+
+std::optional<BytesView> ClientHelloView::extension(std::uint16_t type) const {
+  std::optional<BytesView> found;
+  walk_extensions(extensions, [&](std::uint16_t t, BytesView data) {
+    if (t == type) found = data;
+    return found.has_value();
+  });
+  return found;
+}
+
+std::optional<std::string_view> ClientHelloView::sni() const {
+  const std::optional<BytesView> data = extension(TlsExtensionType::kServerName);
+  if (!data) return std::nullopt;
+  return host_name_in(*data);
+}
+
+std::optional<BytesView> ClientHelloView::supported_version_list() const {
+  const std::optional<BytesView> data = extension(TlsExtensionType::kSupportedVersions);
+  if (!data) return std::nullopt;
+  return version_list_in(*data);
 }
 
 const std::vector<CipherSuite>& standard_cipher_suites() {
@@ -250,60 +378,62 @@ std::string cipher_suite_name(std::uint16_t code) {
                                      static_cast<std::uint8_t>(code)});
 }
 
-Bytes ServerHello::serialize() const {
-  ByteWriter body;
-  body.u16(static_cast<std::uint16_t>(version));
-  for (int i = 0; i < 32; ++i) body.u8(static_cast<std::uint8_t>(0xa5 ^ i));
-  body.u8(0);  // empty session id
-  body.u16(cipher_suite);
-  body.u8(0);  // null compression
-  ByteWriter rec;
-  rec.u8(22);
-  rec.u16(static_cast<std::uint16_t>(TlsVersion::kTls12));
-  rec.u16(static_cast<std::uint16_t>(body.size() + 4 + 2 + certificate_domain.size()));
-  rec.u8(2);  // server_hello
-  rec.u24(static_cast<std::uint32_t>(body.size()));
-  rec.raw(body.bytes());
+Bytes ServerHello::encode(TlsVersion version, std::uint16_t cipher_suite,
+                          std::string_view certificate_domain) {
+  // Version, random, empty session id, suite, null compression.
+  constexpr std::size_t kBody = 2 + 32 + 1 + 2 + 1;
+  Bytes out;
+  out.reserve(5 + 4 + kBody + 2 + certificate_domain.size());
+  ByteWriter w(std::move(out));
+  w.u8(22);
+  w.u16(static_cast<std::uint16_t>(TlsVersion::kTls12));
+  w.u16(static_cast<std::uint16_t>(kBody + 4 + 2 + certificate_domain.size()));
+  w.u8(2);  // server_hello
+  w.u24(static_cast<std::uint32_t>(kBody));
+  w.u16(static_cast<std::uint16_t>(version));
+  for (int i = 0; i < 32; ++i) w.u8(static_cast<std::uint8_t>(0xa5 ^ i));
+  w.u8(0);  // empty session id
+  w.u16(cipher_suite);
+  w.u8(0);  // null compression
   // Simulation shortcut: certificate domain appended as length-prefixed blob.
-  rec.u16(static_cast<std::uint16_t>(certificate_domain.size()));
-  rec.raw(certificate_domain);
-  return std::move(rec).take();
+  w.u16(static_cast<std::uint16_t>(certificate_domain.size()));
+  w.raw(certificate_domain);
+  return std::move(w).take();
+}
+
+std::optional<ServerHelloView> ServerHello::view(BytesView bytes) {
+  Cursor c(bytes);
+  std::uint8_t record_type = 0;
+  std::uint8_t hs_type = 0;
+  std::uint32_t body_len = 0;
+  std::uint16_t version = 0;
+  std::uint8_t sid = 0;
+  ServerHelloView sh;
+  if (!c.u8(record_type) || record_type != 22 || !c.skip(4) ||  // record version, length
+      !c.u8(hs_type) || hs_type != 2 || !c.u24(body_len) || !c.u16(version) ||
+      !c.skip(32) || !c.u8(sid) || !c.skip(sid) || !c.u16(sh.cipher_suite) ||
+      !c.skip(1)) {  // compression
+    return std::nullopt;
+  }
+  sh.version = static_cast<TlsVersion>(version);
+  if (c.remaining() >= 2) {
+    std::uint16_t dom_len = 0;
+    BytesView domain;
+    if (!c.u16(dom_len) || !c.take(dom_len, domain)) return std::nullopt;
+    sh.certificate_domain = as_text(domain);
+  }
+  return sh;
 }
 
 std::optional<ServerHello> ServerHello::parse(BytesView bytes) {
-  try {
-    ByteReader r(bytes);
-    if (r.u8() != 22) return std::nullopt;
-    r.skip(2);  // record version
-    r.skip(2);  // record length
-    if (r.u8() != 2) return std::nullopt;
-    std::uint32_t body_len = r.u24();
-    ServerHello sh;
-    sh.version = static_cast<TlsVersion>(r.u16());
-    r.skip(32);  // random
-    std::uint8_t sid = r.u8();
-    r.skip(sid);
-    sh.cipher_suite = r.u16();
-    r.skip(1);  // compression
-    (void)body_len;
-    if (r.remaining() >= 2) {
-      std::uint16_t dom_len = r.u16();
-      sh.certificate_domain = r.str(dom_len);
-    }
-    return sh;
-  } catch (const ParseError&) {
-    return std::nullopt;
-  }
+  const std::optional<ServerHelloView> view = ServerHello::view(bytes);
+  if (!view) return std::nullopt;
+  return ServerHello{view->version, view->cipher_suite, std::string(view->certificate_domain)};
 }
 
 Bytes TlsAlert::serialize() const {
-  ByteWriter w;
-  w.u8(21);  // alert record
-  w.u16(static_cast<std::uint16_t>(TlsVersion::kTls12));
-  w.u16(2);
-  w.u8(2);  // fatal
-  w.u8(description);
-  return std::move(w).take();
+  // Alert record, TLS 1.2, two bytes: fatal, description.
+  return Bytes{21, 0x03, 0x03, 0x00, 0x02, 2, description};
 }
 
 std::optional<TlsAlert> TlsAlert::parse(BytesView bytes) {

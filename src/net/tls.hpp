@@ -5,12 +5,17 @@
 // compression methods, extensions). CenFuzz's eight TLS strategies mutate
 // the version fields, cipher-suite list, and SNI extension; DPI models
 // parse the resulting bytes with per-vendor tolerance quirks.
+//
+// One grammar reads a ClientHello: ClientHelloView::parse, which walks the
+// record in place and allocates nothing. The DPI and the endpoint read
+// hellos through it; ClientHello::parse is the view plus copies.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/bytes.hpp"
@@ -76,7 +81,52 @@ struct ClientHello {
   /// buffers — producing bytes identical to serialize().
   void serialize_into(Bytes& out) const;
   /// Parse full record bytes; throws ParseError on malformed input.
+  /// ClientHelloView::parse plus copies.
   static ClientHello parse(BytesView bytes);
+};
+
+/// A ClientHello read in place: views into the record bytes, valid as long
+/// as they are. parse() accepts exactly what ClientHello::parse accepts,
+/// and the accessors answer as ClientHello's do.
+struct ClientHelloView {
+  TlsVersion record_version = TlsVersion::kTls10;
+  TlsVersion legacy_version = TlsVersion::kTls12;
+  BytesView random;               // 32 bytes
+  BytesView session_id;
+  BytesView cipher_suite_bytes;   // two bytes per suite
+  BytesView compression_methods;
+  BytesView extensions;           // the extension block after its length
+
+  /// Read full record bytes; nullopt where ClientHello::parse throws.
+  static std::optional<ClientHelloView> parse(BytesView bytes);
+
+  std::size_t cipher_suite_count() const { return cipher_suite_bytes.size() / 2; }
+  std::uint16_t cipher_suite(std::size_t i) const {
+    return static_cast<std::uint16_t>(cipher_suite_bytes[2 * i] << 8 |
+                                      cipher_suite_bytes[2 * i + 1]);
+  }
+  /// The data of the first extension of `type`, or nullopt.
+  std::optional<BytesView> extension(std::uint16_t type) const;
+  /// ClientHello::sni() without the copy.
+  std::optional<std::string_view> sni() const;
+  /// Calls `f(TlsVersion)` for each version ClientHello::supported_versions()
+  /// would list, in order, without building the list.
+  template <typename F>
+  void for_each_version(F&& f) const {
+    const std::optional<BytesView> list = supported_version_list();
+    if (!list) {
+      f(legacy_version);
+      return;
+    }
+    for (std::size_t i = 0; i < list->size(); i += 2) {
+      f(static_cast<TlsVersion>((*list)[i] << 8 | (*list)[i + 1]));
+    }
+  }
+
+ private:
+  /// The version bytes of a well-formed supported_versions extension, or
+  /// nullopt when the legacy version governs.
+  std::optional<BytesView> supported_version_list() const;
 };
 
 /// Named cipher suite (IANA code + name string).
@@ -90,6 +140,13 @@ struct CipherSuite {
 const std::vector<CipherSuite>& standard_cipher_suites();
 std::string cipher_suite_name(std::uint16_t code);
 
+/// A ServerHello read in place (ServerHello::view).
+struct ServerHelloView {
+  TlsVersion version = TlsVersion::kTls12;
+  std::uint16_t cipher_suite = 0;
+  std::string_view certificate_domain;
+};
+
 struct ServerHello {
   TlsVersion version = TlsVersion::kTls12;
   std::uint16_t cipher_suite = 0;
@@ -97,7 +154,14 @@ struct ServerHello {
   /// shortcut; a real stack would carry a Certificate message).
   std::string certificate_domain;
 
-  Bytes serialize() const;
+  Bytes serialize() const { return encode(version, cipher_suite, certificate_domain); }
+  /// The bytes serialize() gives for these fields, written at their exact
+  /// size without a ServerHello (or a copy of the domain) in between.
+  static Bytes encode(TlsVersion version, std::uint16_t cipher_suite,
+                      std::string_view certificate_domain);
+  /// Read a serialized ServerHello in place; nullopt if it is not one.
+  /// The one ServerHello grammar: parse() is view() plus a copy.
+  static std::optional<ServerHelloView> view(BytesView bytes);
   static std::optional<ServerHello> parse(BytesView bytes);
 };
 

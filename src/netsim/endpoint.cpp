@@ -44,16 +44,16 @@ LocalFilterAction EndpointHost::local_filter_verdict(BytesView payload) const {
   if (profile_->local_filter == LocalFilterAction::kNone || payload.empty()) {
     return LocalFilterAction::kNone;
   }
-  std::optional<std::string> name;
+  bool matches = false;
   if (censor::looks_like_tls(payload)) {
-    censor::TlsQuirks lenient;
-    name = censor::dpi_parse_sni(payload, lenient);
+    static const censor::TlsQuirks kLenient;
+    const std::optional<std::string_view> sni = censor::dpi_parse_sni(payload, kLenient);
+    matches = sni && profile_->local_filter_rules.matches(*sni);
   } else {
-    net::ParsedHttpRequest req = net::parse_http_request(as_text(payload));
-    if (req.host) name = req.host;
+    const net::ParsedHttpRequest req = net::parse_http_request(as_text(payload));
+    matches = req.host && profile_->local_filter_rules.matches(*req.host);
   }
-  if (name && profile_->local_filter_rules.matches(*name)) return profile_->local_filter;
-  return LocalFilterAction::kNone;
+  return matches ? profile_->local_filter : LocalFilterAction::kNone;
 }
 
 namespace {
@@ -78,6 +78,18 @@ AppReply http_reply(int status, std::initializer_list<std::string_view> body) {
   for (std::string_view piece : head) r.data.insert(r.data.end(), piece.begin(), piece.end());
   for (std::string_view piece : body) r.data.insert(r.data.end(), piece.begin(), piece.end());
   return r;
+}
+
+/// A TLS reply: the record bytes, written at their exact size.
+AppReply tls_reply(Bytes record) {
+  AppReply r;
+  r.kind = AppReply::Kind::kData;
+  r.data = std::move(record);
+  return r;
+}
+
+AppReply tls_alert(std::uint8_t description) {
+  return tls_reply(net::TlsAlert{description}.serialize());
 }
 
 }  // namespace
@@ -173,71 +185,45 @@ AppReply EndpointHost::handle_http(std::string_view raw) const {
 }
 
 AppReply EndpointHost::handle_tls(BytesView raw) const {
-  AppReply r;
-  r.kind = AppReply::Kind::kData;
-
-  net::ClientHello ch;
-  try {
-    ch = net::ClientHello::parse(raw);
-  } catch (const ParseError&) {
-    r.data = net::TlsAlert{net::TlsAlert::kDecodeError}.serialize();
-    return r;
-  }
+  const std::optional<net::ClientHelloView> ch = net::ClientHelloView::parse(raw);
+  if (!ch) return tls_alert(net::TlsAlert::kDecodeError);
 
   // Version negotiation: endpoints here speak TLS 1.0–1.3.
-  std::vector<net::TlsVersion> offered = ch.supported_versions();
   net::TlsVersion chosen = net::TlsVersion::kTls10;
   bool any = false;
-  for (net::TlsVersion v : offered) {
-    if (static_cast<std::uint16_t>(v) < static_cast<std::uint16_t>(net::TlsVersion::kTls10) ||
-        static_cast<std::uint16_t>(v) > static_cast<std::uint16_t>(net::TlsVersion::kTls13)) {
-      continue;
-    }
-    if (!any || static_cast<std::uint16_t>(v) > static_cast<std::uint16_t>(chosen)) {
+  ch->for_each_version([&](net::TlsVersion v) {
+    if (v < net::TlsVersion::kTls10 || v > net::TlsVersion::kTls13) return;
+    if (!any || v > chosen) {
       chosen = v;
       any = true;
     }
-  }
-  if (!any) {
-    r.data = net::TlsAlert{net::TlsAlert::kProtocolVersion}.serialize();
-    return r;
-  }
+  });
+  if (!any) return tls_alert(net::TlsAlert::kProtocolVersion);
 
   // Cipher negotiation: endpoints accept the standard suite list except
   // export-grade RC4-MD5, which modern servers refuse.
   std::uint16_t suite = 0;
-  for (std::uint16_t cs : ch.cipher_suites) {
+  for (std::size_t i = 0; i < ch->cipher_suite_count() && suite == 0; ++i) {
+    const std::uint16_t cs = ch->cipher_suite(i);
     if (cs == 0x0004) continue;  // TLS_RSA_WITH_RC4_128_MD5
-    bool known = std::any_of(net::standard_cipher_suites().begin(),
-                             net::standard_cipher_suites().end(),
-                             [&](const net::CipherSuite& s) { return s.code == cs; });
-    if (known) {
+    const std::vector<net::CipherSuite>& standard = net::standard_cipher_suites();
+    if (std::any_of(standard.begin(), standard.end(),
+                    [&](const net::CipherSuite& s) { return s.code == cs; })) {
       suite = cs;
-      break;
     }
   }
-  if (suite == 0) {
-    r.data = net::TlsAlert{net::TlsAlert::kHandshakeFailure}.serialize();
-    return r;
-  }
+  if (suite == 0) return tls_alert(net::TlsAlert::kHandshakeFailure);
 
-  std::optional<std::string> sni = ch.sni();
-  std::string cert_domain = profile_->hosted_domains.front();
+  const std::optional<std::string_view> sni = ch->sni();
+  std::string_view cert_domain = profile_->hosted_domains.front();
   if (sni && !sni->empty()) {
     if (hosts(*sni)) {
       cert_domain = *sni;
     } else if (profile_->reject_unknown_sni) {
-      r.data = net::TlsAlert{net::TlsAlert::kUnrecognizedName}.serialize();
-      return r;
+      return tls_alert(net::TlsAlert::kUnrecognizedName);
     }
   }
-
-  net::ServerHello sh;
-  sh.version = chosen;
-  sh.cipher_suite = suite;
-  sh.certificate_domain = cert_domain;
-  r.data = sh.serialize();
-  return r;
+  return tls_reply(net::ServerHello::encode(chosen, suite, cert_domain));
 }
 
 }  // namespace cen::sim

@@ -237,6 +237,8 @@ std::uint16_t Network::allocate_ephemeral_port() {
 
 void Network::attach_device(NodeId at, std::shared_ptr<censor::Device> device) {
   attachments_[at].push_back({at, device});
+  if (at >= has_device_.size()) has_device_.resize(static_cast<std::size_t>(at) + 1);
+  has_device_[at] = true;
   devices_.push_back(std::move(device));
   device_nodes_.push_back(at);
 }
@@ -406,9 +408,8 @@ std::vector<Event> Network::send_udp(NodeId client, net::Ipv4Address dst,
       if (faults_.lose_on_link(path[i - 1], nid)) return events;
       faults_.mangle_payload(path[i - 1], nid, dgram.payload);
     }
-    auto att_it = attachments_.find(nid);
-    if (att_it != attachments_.end()) {
-      for (const Attachment& att : att_it->second) {
+    if (has_device(nid)) {
+      for (const Attachment& att : attachments_.find(nid)->second) {
         censor::UdpVerdict v = att.device->inspect_udp(dgram, clock_.now());
         if (ec_ != nullptr && !v.inject_to_client.empty()) {
           ec_->injections->inc(v.inject_to_client.size());
@@ -525,9 +526,8 @@ bool Network::forward_walk(net::Packet& pkt, const std::vector<NodeId>& path,
     }
 
     // Devices deployed on the link entering this node inspect first.
-    auto att_it = attachments_.find(nid);
-    if (att_it != attachments_.end()) {
-      for (const Attachment& att : att_it->second) {
+    if (has_device(nid)) {
+      for (const Attachment& att : attachments_.find(nid)->second) {
         censor::Verdict v = att.device->inspect(pkt, clock_.now());
         if (ec_ != nullptr && !v.inject_to_client.empty()) {
           ec_->injections->inc(v.inject_to_client.size());

@@ -263,6 +263,10 @@ class Network {
     std::shared_ptr<censor::Device> device;
   };
 
+  /// Is a device deployed on the link entering `node`? (attachments_
+  /// then has its entry.)
+  bool has_device(NodeId node) const { return node < has_device_.size() && has_device_[node]; }
+
   /// Tag-dispatched replica constructor backing clone() and clone_with():
   /// shares immutable structure, re-creates mutable runtime state fresh.
   struct CloneTag {};
@@ -337,6 +341,11 @@ class Network {
   obs::EngineCounters* ec_ = nullptr;
   std::uint16_t next_ephemeral_port_ = kEphemeralPortFloor;
   core::FlatMap<NodeId, std::vector<Attachment>> attachments_;
+  /// One bit per node id: set by attach_device where attachments_ has an
+  /// entry. Almost every hop of a walk has no device, so forward_walk and
+  /// send_udp test the bit and search attachments_ only where it is set.
+  /// Sized to the highest deployment node (about 125 KB on a 1m world).
+  std::vector<bool> has_device_;
   /// Endpoint hosts by IP value. Copy-on-write shared across replicas:
   /// EndpointHost is stateless (all handlers const), so concurrent reads
   /// of the shared map are race-free; any writer detaches first.

@@ -1,6 +1,7 @@
-// Allocation guard: after warm-up, a CenTrace probe costs its packet walk
-// and nothing more. The probe's payload, its route and the packets it
-// receives are never copied on the way from send to report.
+// Allocation guard: after warm-up, a CenTrace probe or a CenFuzz request
+// costs its packet walk and nothing more. The payload, its route and the
+// packets it receives are never copied on the way from send to report,
+// and the TLS DPI reads a ClientHello without allocating.
 //
 // This executable replaces the global operator new with a counting one,
 // which is why it is a suite of its own. It counts calls and times
@@ -11,7 +12,10 @@
 #include <cstdlib>
 #include <new>
 
+#include "cenfuzz/cenfuzz.hpp"
+#include "censor/dpi.hpp"
 #include "centrace/centrace.hpp"
+#include "net/tls.hpp"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -104,4 +108,38 @@ TEST(AllocationBudget, EndpointProbeAllocatesOnlyTheReply) {
   const std::size_t reply = allocations_of([&] { host.handle_payload(payload); });
   ASSERT_GT(reply, 0u);
   EXPECT_EQ(lab.sweep_cost(6) - lab.sweep_cost(5), reply);
+}
+
+TEST(AllocationBudget, TlsDpiParseAllocatesNothing) {
+  // The SNI is a view into the payload: no hello DOM, no extension
+  // buffers, no copy of the name.
+  const Bytes hello = net::ClientHello::make(kDomain).serialize();
+  const censor::TlsQuirks quirks;
+  std::optional<std::string_view> sni = censor::dpi_parse_sni(hello, quirks);
+  EXPECT_EQ(allocations_of([&] { sni = censor::dpi_parse_sni(hello, quirks); }), 0u);
+  ASSERT_TRUE(sni);
+  EXPECT_EQ(*sni, kDomain);
+}
+
+TEST(AllocationBudget, FuzzRequestAllocatesOnlyTheReply) {
+  // On a device-free path a warm request costs what the web server
+  // allocates to answer it: the request is sent from the probe's bytes
+  // into the runner's event buffer, and its reply is classified in place.
+  CleanLab lab;
+  const sim::EndpointHost host(kServer, lab.profile);
+  fuzz::CenFuzz fuzzer(*lab.net, lab.client);
+  for (const fuzz::FuzzProbe& probe :
+       {fuzz::normal_http_probe(kDomain), fuzz::normal_tls_probe(kDomain)}) {
+    host.handle_payload(probe.payload);
+    const std::size_t reply = allocations_of([&] { host.handle_payload(probe.payload); });
+    if (probe.https) {
+      EXPECT_EQ(reply, 1u);  // the ServerHello, at its exact size
+    }
+    ASSERT_GT(reply, 0u);
+    for (int warm = 0; warm < 2; ++warm) fuzzer.issue(kServer, probe);
+    fuzz::RequestResult result = fuzz::RequestResult::kDropTimeout;
+    EXPECT_EQ(allocations_of([&] { result = fuzzer.issue(kServer, probe); }), reply)
+        << probe.permutation;
+    EXPECT_EQ(result, fuzz::RequestResult::kOk);
+  }
 }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/fingerprint.hpp"
@@ -216,4 +217,72 @@ TEST(ClientHello, ParseCorpus) {
   char hex[19];
   std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(fp.digest()));
   EXPECT_EQ(fp.digest(), 0xc9ef53a619b88390ULL) << "parse() corpus digest is now " << hex;
+}
+
+TEST(ClientHello, ViewAgreesWithParse) {
+  // parse() is the view plus copies: the view accepts exactly what parse()
+  // accepts, and its fields, SNI, versions and extension lookups agree.
+  for (const Bytes& raw : testing_tls::hello_corpus()) {
+    const std::optional<ClientHelloView> view = ClientHelloView::parse(raw);
+    std::optional<ClientHello> ch;
+    try {
+      ch = ClientHello::parse(raw);
+    } catch (const ParseError&) {
+    }
+    ASSERT_EQ(view.has_value(), ch.has_value()) << to_hex(raw);
+    if (!view) continue;
+    EXPECT_EQ(view->record_version, ch->record_version) << to_hex(raw);
+    EXPECT_EQ(view->legacy_version, ch->legacy_version) << to_hex(raw);
+    EXPECT_EQ(to_hex(view->random), to_hex(BytesView(ch->random.data(), ch->random.size())));
+    EXPECT_EQ(to_hex(view->session_id), to_hex(ch->session_id)) << to_hex(raw);
+    EXPECT_EQ(to_hex(view->compression_methods), to_hex(ch->compression_methods));
+    std::vector<std::uint16_t> suites;
+    for (std::size_t i = 0; i < view->cipher_suite_count(); ++i) {
+      suites.push_back(view->cipher_suite(i));
+    }
+    EXPECT_EQ(suites, ch->cipher_suites) << to_hex(raw);
+    const std::optional<std::string_view> sni = view->sni();
+    ASSERT_EQ(sni.has_value(), ch->sni().has_value()) << to_hex(raw);
+    if (sni) {
+      EXPECT_EQ(*sni, *ch->sni()) << to_hex(raw);
+    }
+    std::vector<TlsVersion> versions;
+    view->for_each_version([&](TlsVersion v) { versions.push_back(v); });
+    EXPECT_EQ(versions, ch->supported_versions()) << to_hex(raw);
+    for (std::uint16_t type : {TlsExtensionType::kServerName, TlsExtensionType::kSupportedVersions,
+                               TlsExtensionType::kPadding, TlsExtensionType::kKeyShare}) {
+      const std::optional<BytesView> data = view->extension(type);
+      const TlsExtension* first = nullptr;
+      for (const TlsExtension& ext : ch->extensions) {
+        if (ext.type == type) {
+          first = &ext;
+          break;
+        }
+      }
+      ASSERT_EQ(data.has_value(), first != nullptr) << to_hex(raw);
+      if (data) {
+        EXPECT_EQ(to_hex(*data), to_hex(first->data)) << to_hex(raw);
+      }
+    }
+  }
+}
+
+TEST(ServerHello, ParseTruncations) {
+  // The fixed part is 47 bytes; the certificate domain's length prefix is
+  // read only when both of its bytes are there, and then the whole domain
+  // must be. Bytes after the domain are ignored.
+  const ServerHello sh{TlsVersion::kTls13, 0x1302, "www.example.org"};
+  Bytes wire = sh.serialize();
+  ASSERT_EQ(wire.size(), 47u + 2 + sh.certificate_domain.size());
+  for (std::size_t n = 0; n <= wire.size(); ++n) {
+    const std::optional<ServerHello> parsed = ServerHello::parse(BytesView(wire).first(n));
+    const bool whole = n == wire.size();
+    ASSERT_EQ(parsed.has_value(), (n >= 47 && n < 49) || whole) << n;
+    if (!parsed) continue;
+    EXPECT_EQ(parsed->cipher_suite, 0x1302);
+    EXPECT_EQ(parsed->certificate_domain, whole ? sh.certificate_domain : "") << n;
+  }
+  wire.push_back(0x7f);
+  ASSERT_TRUE(ServerHello::parse(wire));
+  EXPECT_EQ(ServerHello::view(wire)->certificate_domain, sh.certificate_domain);
 }
