@@ -37,7 +37,7 @@ ambig::AmbigRunOptions run_options(const Context& ctx, sim::NodeId client,
   ropts.common = ctx.common.run;
   ropts.ambig.repetitions = ctx.args.get_int("reps", ropts.ambig.repetitions);
   if (ctx.args.has("order-salt")) {
-    ropts.ambig.order_salt = static_cast<std::uint64_t>(ctx.args.get_int("order-salt", 0));
+    ropts.ambig.order_salt = ctx.args.get_u64("order-salt", 0);
   }
   return ropts;
 }

@@ -32,7 +32,7 @@ campaign::CampaignSpec cli::campaign_spec(const Context& ctx) {
     }
   }
   if (args.has("scale")) spec.scale = ctx.common.scale;
-  if (args.has("seed")) spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  spec.seed = args.get_u64("seed", spec.seed);
   spec.max_endpoints = args.get_int("max-endpoints", spec.max_endpoints);
   spec.max_domains = args.get_int("max-domains", spec.max_domains);
   spec.fuzz_max_endpoints = args.get_int("fuzz-cap", spec.fuzz_max_endpoints);
@@ -54,6 +54,8 @@ campaign::RunControl cli::run_control(const Context& ctx) {
 
 int cli::run_campaign(const Context& ctx) {
   const Args& args = ctx.args;
+  const std::string out = args.output_path("out");
+  const std::string summary = args.output_path("summary");
   campaign::CampaignSpec spec = campaign_spec(ctx);
   if (args.has("world")) {
     // Synthetic-world campaign: a built-in tier name or a WorldSpec file.
@@ -81,10 +83,8 @@ int cli::run_campaign(const Context& ctx) {
   const campaign::CampaignResult result = campaign::run(spec, run_control(ctx));
 
   int rc = kExitOk;
-  if (args.has("out") && !write_file(args.get("out"), result.to_jsonl())) rc = kExitRuntime;
-  if (args.has("summary") && !write_file(args.get("summary"), result.summary_json())) {
-    rc = kExitRuntime;
-  }
+  if (!out.empty() && !write_file(out, result.to_jsonl())) rc = kExitRuntime;
+  if (!summary.empty() && !write_file(summary, result.summary_json())) rc = kExitRuntime;
   if (ctx.common.json) {
     std::printf("%s", result.to_jsonl().c_str());
     std::printf("%s\n", result.summary_json().c_str());

@@ -17,6 +17,7 @@ using namespace cli;
 
 int cli::run_check(const Context& ctx) {
   const Args& args = ctx.args;
+  const std::string out = args.output_path("out");
   check::CheckOptions options;
   if (args.has("engine")) {
     for (const std::string& name : split(args.get("engine"), ',')) {
@@ -29,14 +30,14 @@ int cli::run_check(const Context& ctx) {
   const int budget = args.get_int("budget", 8);
   if (iterations < 1 || budget < 1) throw UsageError("--iterations and --budget must be >= 1");
   options.iterations = static_cast<std::uint64_t>(iterations);
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  options.seed = args.get_u64("seed", 1);
   options.mutation_budget = budget;
   options.minimize = !args.has("no-minimize");
   // CheckOptions::threads counts workers, with 0 meaning the hardware's.
   options.threads = ctx.common.threads < 0 ? 0 : std::max(ctx.common.threads, 1);
 
   const check::CheckReport report = check::run_checks(options);
-  if (args.has("out") && !write_file(args.get("out"), report.to_json())) return kExitRuntime;
+  if (!out.empty() && !write_file(out, report.to_json())) return kExitRuntime;
   if (ctx.common.json) {
     std::printf("%s\n", report.to_json().c_str());
   } else {

@@ -66,8 +66,19 @@ class Args {
     return it == named_.end() ? fallback : it->second;
   }
   int get_int(const std::string& name, int fallback) const { return number(name, fallback); }
+  /// Seeds and salts: the whole unsigned 64-bit range; a sign is malformed.
+  std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const {
+    return number(name, fallback);
+  }
   double get_double(const std::string& name, double fallback) const {
     return number(name, fallback);
+  }
+  /// An output file flag (--out FILE): "" when absent. A bare flag is a
+  /// usage error, so subcommands read these before doing any work.
+  std::string output_path(const std::string& name) const {
+    const std::string path = get(name);
+    if (has(name) && path.empty()) throw UsageError("--" + name + " expects a FILE");
+    return path;
   }
 
  private:
@@ -187,9 +198,7 @@ inline CommonOptions parse_common(const Args& args) {
   // field means "keep the tool's own default".
   if (args.has("retries")) o.run.retries = args.get_int("retries", 0);
   if (args.has("backoff")) o.run.backoff = static_cast<cen::SimTime>(args.get_int("backoff", 0));
-  if (args.has("seed")) {
-    o.run.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  }
+  if (args.has("seed")) o.run.seed = args.get_u64("seed", 1);
   o.json = args.has("json");
   o.faults = parse_fault_plan(args);
   return o;

@@ -19,6 +19,7 @@ using namespace cli;
 
 int cli::run_longit(const Context& ctx) {
   const Args& args = ctx.args;
+  const std::string out = args.output_path("out");
   longit::LongitSpec spec;
   spec.base = campaign_spec(ctx);
   spec.epochs = args.get_int("epochs", spec.epochs);
@@ -35,8 +36,7 @@ int cli::run_longit(const Context& ctx) {
   if (evolve_flags) {
     longit::EvolutionPlan plan =
         spec.base.evolution ? *spec.base.evolution : longit::EvolutionPlan{};
-    plan.seed = static_cast<std::uint64_t>(
-        args.get_int("evolve-seed", static_cast<int>(plan.seed)));
+    plan.seed = args.get_u64("evolve-seed", plan.seed);
     plan.start_epoch = args.get_int("evolve-start", plan.start_epoch);
     plan.period = args.get_int("evolve-period", plan.period);
     plan.rule_add_prob = args.get_double("evolve-add", plan.rule_add_prob);
@@ -57,7 +57,7 @@ int cli::run_longit(const Context& ctx) {
   const longit::LongitResult result = longit::run(spec, run_control(ctx));
 
   int rc = kExitOk;
-  if (args.has("out") && !write_file(args.get("out"), result.to_json())) rc = kExitRuntime;
+  if (!out.empty() && !write_file(out, result.to_json())) rc = kExitRuntime;
   if (ctx.common.json) {
     std::printf("%s\n", result.to_json().c_str());
   } else {

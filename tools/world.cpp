@@ -103,7 +103,7 @@ int cli::run_world(const Context& ctx) {
     if (!built_in) throw UsageError("unknown tier '" + tier + "' (expected 1k, 100k or 1m)");
     spec = std::move(*built_in);
   }
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::uint64_t seed = args.get_u64("seed", 1);
 
   const worldgen::World world = worldgen::generate(spec, seed, ctx.observer);
 
