@@ -202,11 +202,11 @@ AppReply EndpointHost::handle_tls(BytesView raw) const {
 
   // Cipher negotiation: endpoints accept the standard suite list except
   // export-grade RC4-MD5, which modern servers refuse.
+  const std::vector<net::CipherSuite>& standard = net::standard_cipher_suites();
   std::uint16_t suite = 0;
   for (std::size_t i = 0; i < ch->cipher_suite_count() && suite == 0; ++i) {
     const std::uint16_t cs = ch->cipher_suite(i);
     if (cs == 0x0004) continue;  // TLS_RSA_WITH_RC4_128_MD5
-    const std::vector<net::CipherSuite>& standard = net::standard_cipher_suites();
     if (std::any_of(standard.begin(), standard.end(),
                     [&](const net::CipherSuite& s) { return s.code == cs; })) {
       suite = cs;

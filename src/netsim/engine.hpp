@@ -344,7 +344,7 @@ class Network {
   /// One bit per node id: set by attach_device where attachments_ has an
   /// entry. Almost every hop of a walk has no device, so forward_walk and
   /// send_udp test the bit and search attachments_ only where it is set.
-  /// Sized to the highest deployment node (about 125 KB on a 1m world).
+  /// Sized to the highest deployment node: at most 125 KB on a 1m world.
   std::vector<bool> has_device_;
   /// Endpoint hosts by IP value. Copy-on-write shared across replicas:
   /// EndpointHost is stateless (all handlers const), so concurrent reads
