@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "campaign/cache.hpp"
 #include "core/fingerprint.hpp"
 #include "core/rng.hpp"
 #include "core/seed_salts.hpp"
@@ -159,6 +162,79 @@ TEST(HashKnownAnswers, StageSaltTaskSeeds) {
   EXPECT_EQ(seeds(salts::kProbeStage), (Seeds{0x6207bb6db9ad6365ULL, 0x3482b5980ce9a238ULL}));
   EXPECT_EQ(seeds(salts::kFuzzStage), (Seeds{0x6b8092d60a0ec236ULL, 0x5867867584b29831ULL}));
   EXPECT_EQ(seeds(salts::kAmbigStage), (Seeds{0x189ed11eeab2ae48ULL, 0x942fcae2630d2f2bULL}));
+}
+
+namespace {
+
+/// detail::mix_string as it was first written: each word built one byte
+/// at a time. Any faster packing must feed a sink exactly these words.
+template <class Sink>
+void mix_string_bytes(Sink& sink, std::string_view s) {
+  sink.mix(static_cast<std::uint64_t>(s.size()));
+  std::uint64_t word = 0;
+  int n = 0;
+  for (char c : s) {
+    word = (word << 8) | static_cast<unsigned char>(c);
+    if (++n == 8) {
+      sink.mix(word);
+      word = 0;
+      n = 0;
+    }
+  }
+  if (n > 0) sink.mix(word);
+}
+
+/// A sink that records the words it is fed.
+struct WordLog {
+  std::vector<std::uint64_t> words;
+  WordLog& mix(std::uint64_t v) {
+    words.push_back(v);
+    return *this;
+  }
+};
+
+}  // namespace
+
+TEST(Fingerprint, StringWordsMatchTheByteLoop) {
+  // Every length 0..64 at every start offset 0..7 of two buffers: one that
+  // mixes bytes below and above 0x80, one of 0xff bytes only.
+  std::string mixed(72, '\0');
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    mixed[i] = static_cast<char>(i * 151 + 0x5a);
+  }
+  std::string high(72, '\xff');
+  for (const std::string* buf : {&mixed, &high}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t len = 0; len <= 64; ++len) {
+        SCOPED_TRACE("offset " + std::to_string(offset) + " length " + std::to_string(len));
+        const std::string_view s(buf->data() + offset, len);
+        WordLog got, want;
+        detail::mix_string(got, s);
+        mix_string_bytes(want, s);
+        ASSERT_EQ(got.words, want.words);
+
+        FingerprintBuilder fb_got, fb_want;
+        fb_got.mix(std::uint64_t{7}).mix(s);
+        mix_string_bytes(fb_want.mix(std::uint64_t{7}), s);
+        ASSERT_EQ(fb_got.digest(), fb_want.digest());
+
+        LaneFingerprint lf_got, lf_want;
+        lf_got.mix(std::uint64_t{offset}).mix(s);
+        mix_string_bytes(lf_want.mix(std::uint64_t{offset}), s);
+        ASSERT_EQ(lf_got.digest(), lf_want.digest());
+      }
+    }
+  }
+  // The cache's own digests over fixed inputs, non-ASCII bytes included.
+  EXPECT_EQ(campaign::task_cache_key(1, 2, 3, "trace", "KZ:trace:t", 4),
+            "04824a007afb4297f317f4f68d09fc32");
+  EXPECT_EQ(campaign::task_cache_key(0xffffffffffffffffULL, 0, 9, "fuzz",
+                                     "RU:fuzz:\xc3\xa9xample.com", 0x8000000000000000ULL),
+            "aed1a9f50c3673603827ddd9eeef0769");
+  EXPECT_EQ(campaign::record_sum(campaign::task_cache_key(1, 2, 3, "trace", "KZ:trace:t", 4),
+                                 R"({"tool":"centrace","note":"a\"b )" "\xc3\xa9\xff" R"("})"),
+            "9724d3b33f85e982");
+  EXPECT_EQ(campaign::record_sum("", "{}"), "a70f97d0bf5369d9");
 }
 
 TEST(LaneFingerprint, LaneAndOrderSensitive) {
