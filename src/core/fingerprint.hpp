@@ -16,6 +16,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 
 #include "core/rng.hpp"
@@ -25,20 +26,22 @@ namespace cen {
 namespace detail {
 /// Feed a string to `sink` as its length, then its bytes packed big-endian
 /// into 64-bit words (a short tail word is left-padded with zero bytes).
+/// Each whole word is one 8-byte load.
 template <class Sink>
 void mix_string(Sink& sink, std::string_view s) {
   sink.mix(static_cast<std::uint64_t>(s.size()));
-  std::uint64_t word = 0;
-  int n = 0;
-  for (char c : s) {
-    word = (word << 8) | static_cast<unsigned char>(c);
-    if (++n == 8) {
-      sink.mix(word);
-      word = 0;
-      n = 0;
-    }
+  const char* p = s.data();
+  std::size_t left = s.size();
+  for (; left >= 8; p += 8, left -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    if constexpr (std::endian::native == std::endian::little) word = __builtin_bswap64(word);
+    sink.mix(word);
   }
-  if (n > 0) sink.mix(word);
+  if (left == 0) return;
+  std::uint64_t word = 0;
+  for (; left > 0; --left) word = (word << 8) | static_cast<unsigned char>(*p++);
+  sink.mix(word);
 }
 }  // namespace detail
 
