@@ -1,10 +1,15 @@
 #include "campaign/cache.hpp"
 
 #include <cstdio>
+#include <functional>
 #include <optional>
+#include <vector>
 
 #include "core/fingerprint.hpp"
 #include "core/json.hpp"
+#include "core/strings.hpp"
+#include "core/thread_pool.hpp"
+#include "scenario/executor.hpp"
 
 namespace cen::campaign {
 
@@ -17,10 +22,10 @@ void append_hex64(std::string& out, std::uint64_t v) {
   }
 }
 
-/// The text a JSON string token denotes, or nullopt when `token` (a value
-/// span from a validated line, possibly with trailing whitespace; empty
-/// when the member is absent) is not a string. The text is copied into
-/// `storage`, which the caller reuses from line to line.
+/// The text a JSON string token denotes, or nullopt when `token` (a raw
+/// value span from a valid line; empty when the member is absent) is not
+/// a string. The text is copied into `storage`, which the caller reuses
+/// from line to line.
 std::optional<std::string_view> string_token(std::string_view token, std::string& storage) {
   JsonReader in(token);
   std::string_view text;
@@ -29,85 +34,59 @@ std::optional<std::string_view> string_token(std::string_view token, std::string
   return std::string_view(storage);
 }
 
-}  // namespace
+/// A line's verdict: a valid record's key and result bytes, or an empty
+/// key.
+struct Record {
+  std::string key;
+  std::string result;
+};
+/// A line's decoded key and sum, reused from line to line.
+struct Scratch {
+  std::string key;
+  std::string sum;
+};
 
-// A member name written with escape sequences is treated as absent: the
-// loader then skips the record (a re-execution, never a wrong answer).
-// Searching for the literal `"name":` substring is NOT safe here: the same
-// bytes can occur inside an earlier string value (e.g. a task id), and
-// members may appear in any order.
-std::string_view member_value_span(std::string_view line, std::string_view name) {
-  auto skip_ws = [&](std::size_t& p) {
-    while (p < line.size() && (line[p] == ' ' || line[p] == '\t' ||
-                               line[p] == '\n' || line[p] == '\r')) {
-      ++p;
-    }
+/// Check one durable line against the acceptance rules (docs/CAMPAIGN.md)
+/// and fill `out` when it is a valid record.
+void check_line(std::string_view line, Record& out, Scratch& scratch) {
+  // One walk validates the line and takes the first top-level `key`,
+  // `sum` and `result` as raw spans: the stored result must be the exact
+  // bytes the emitter produced (it is spliced verbatim into campaign
+  // output). A member name spelled with escapes matches nothing — the
+  // reader decodes it into its own scratch, so it is no slice of the line
+  // — and its record is skipped (a re-execution, never a wrong answer).
+  const char* const first = line.data();
+  const char* const last = first + line.size();
+  const std::less<const char*> before;
+  std::string_view key, sum, result;
+  JsonReader in(line);
+  auto take = [&](std::string_view name) {
+    if (before(name.data(), first) || !before(name.data(), last)) return;
+    std::string_view* slot = name == "key"      ? &key
+                             : name == "sum"    ? &sum
+                             : name == "result" ? &result
+                                                : nullptr;
+    if (slot != nullptr && slot->empty()) in.skip(*slot);
   };
-  auto skip_string = [&](std::size_t& p) {  // p at the opening quote
-    ++p;
-    while (p < line.size()) {
-      if (line[p] == '\\') {
-        p += 2;
-        continue;
-      }
-      if (line[p] == '"') {
-        ++p;
-        return;
-      }
-      ++p;
-    }
-  };
-  std::size_t p = 0;
-  skip_ws(p);
-  if (p >= line.size() || line[p] != '{') return {};
-  ++p;
-  for (;;) {
-    skip_ws(p);
-    if (p >= line.size() || line[p] == '}') return {};  // member absent
-    const std::size_t key_start = p;
-    skip_string(p);
-    const std::string_view key = line.substr(key_start, p - key_start);
-    skip_ws(p);
-    if (p >= line.size() || line[p] != ':') return {};
-    ++p;
-    skip_ws(p);
-    const std::size_t val_start = p;
-    // Walk exactly one value: balance braces/brackets outside strings.
-    int depth = 0;
-    while (p < line.size()) {
-      const char c = line[p];
-      if (c == '"') {
-        skip_string(p);
-        continue;
-      }
-      if (c == '{' || c == '[') {
-        ++depth;
-        ++p;
-        continue;
-      }
-      if (c == '}' || c == ']') {
-        if (depth == 0) break;  // closes the enclosing object
-        --depth;
-        ++p;
-        continue;
-      }
-      if (c == ',' && depth == 0) break;
-      ++p;
-    }
-    std::size_t val_end = p;
-    while (val_end > val_start &&
-           (line[val_end - 1] == ' ' || line[val_end - 1] == '\t')) {
-      --val_end;
-    }
-    if (key.size() == name.size() + 2 && key.front() == '"' && key.back() == '"' &&
-        key.substr(1, name.size()) == name) {
-      return line.substr(val_start, val_end - val_start);
-    }
-    skip_ws(p);
-    if (p >= line.size() || line[p] != ',') return {};  // was the last member
-    ++p;
+  if (!in.object(take) || !in.finish() || result.empty() || result.front() != '{') return;
+  // The stored bytes run on over the whitespace after the value up to its
+  // last CR: trailing spaces and tabs are dropped, a CR is kept.
+  const char* end = result.data() + result.size();
+  for (const char* p = end; p < last && (*p == ' ' || *p == '\t' || *p == '\r'); ++p) {
+    if (*p == '\r') end = p + 1;
   }
+  result = std::string_view(result.data(), static_cast<std::size_t>(end - result.data()));
+  const std::optional<std::string_view> key_text = string_token(key, scratch.key);
+  if (!key_text || key_text->size() != 32) return;
+  // Verify the record's integrity digest; records without one (older
+  // cache files) or with a stale one are invalidated, never served.
+  const std::optional<std::string_view> sum_text = string_token(sum, scratch.sum);
+  if (!sum_text || *sum_text != record_sum(*key_text, result)) return;
+  out.key.assign(*key_text);
+  out.result.assign(result);
 }
+
+}  // namespace
 
 /// Integrity digest binding a record's key to its result bytes. Cache
 /// files live on disk between runs; a record whose result bytes were
@@ -151,49 +130,37 @@ std::string task_cache_key(std::uint64_t network_fingerprint, std::uint64_t camp
   return key;
 }
 
-std::size_t ResultCache::load() {
+std::size_t ResultCache::load(int threads) {
   if (path_.empty()) return 0;
-  std::FILE* f = std::fopen(path_.c_str(), "rb");
-  if (f == nullptr) return 0;
-  // One sized read: the buffer is allocated once at the file's length
-  // instead of doubling through appends.
-  std::string text;
-  if (std::fseek(f, 0, SEEK_END) == 0) {
-    const long size = std::ftell(f);
-    if (size > 0 && std::fseek(f, 0, SEEK_SET) == 0) {
-      text.resize(static_cast<std::size_t>(size));
-      text.resize(std::fread(text.data(), 1, text.size(), f));
-    }
+  const std::string text = read_file(path_).value_or("");
+  // A record is only durable once its newline hit the disk: a trailing
+  // line without one is the torn tail of a crash mid-write — skip it.
+  std::vector<std::string_view> lines;
+  for (std::size_t pos = 0, eol; (eol = text.find('\n', pos)) != std::string::npos;
+       pos = eol + 1) {
+    lines.emplace_back(text.data() + pos, eol - pos);
   }
-  std::fclose(f);
-
+  // Lines are checked independently, on the workers when there are any;
+  // records then enter the map in file order, so the last valid line for
+  // a key wins at every thread count.
+  std::vector<Record> checked(lines.size());
+  auto check_range = [&](std::size_t begin, std::size_t end) {
+    Scratch scratch;
+    for (std::size_t i = begin; i < end; ++i) check_line(lines[i], checked[i], scratch);
+  };
+  const int workers = scenario::resolve_threads(threads);
+  if (workers == 0) {
+    check_range(0, lines.size());
+  } else if (!lines.empty()) {
+    ThreadPool pool(workers);
+    pool.parallel_for_chunked(
+        lines.size(), scenario::dispatch_chunk(lines.size(), workers),
+        [&](int, std::size_t begin, std::size_t end) { check_range(begin, end); });
+  }
   std::size_t loaded = 0;
-  std::size_t pos = 0;
-  std::string key_storage;
-  std::string sum_storage;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    // A record is only durable once its newline hit the disk: a trailing
-    // line without one is the torn tail of a crash mid-write — skip it.
-    if (eol == std::string::npos) break;
-    std::string_view line(text.data() + pos, eol - pos);
-    pos = eol + 1;
-    // Validate without building a DOM, then take the three members as raw
-    // spans: the stored result must be the exact bytes the emitter
-    // produced (it is spliced verbatim into campaign output). A stage that
-    // serves the hit decodes the record in one more pass, again without a
-    // DOM (report/from_json.hpp).
-    if (line.empty() || !json_valid(line)) continue;
-    const std::optional<std::string_view> key =
-        string_token(member_value_span(line, "key"), key_storage);
-    const std::string_view result = member_value_span(line, "result");
-    if (!key || key->size() != 32 || result.empty() || result.front() != '{') continue;
-    // Verify the record's integrity digest; records without one (older
-    // cache files) or with a stale one are invalidated, never served.
-    const std::optional<std::string_view> sum =
-        string_token(member_value_span(line, "sum"), sum_storage);
-    if (!sum || *sum != record_sum(*key, result)) continue;
-    records_.insert_or_assign(std::string(*key), std::string(result));
+  for (Record& record : checked) {
+    if (record.key.empty()) continue;
+    records_.insert_or_assign(std::move(record.key), std::move(record.result));
     ++loaded;
   }
   return loaded;

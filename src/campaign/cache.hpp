@@ -37,12 +37,6 @@ std::string task_cache_key(std::uint64_t network_fingerprint, std::uint64_t camp
 /// binds its key to its exact result bytes.
 std::string record_sum(std::string_view key, std::string_view result_json);
 
-/// The exact bytes of the value of top-level member `name` in a JSON
-/// object line that already passed json_valid; empty when the member is
-/// absent. The first of duplicate members counts. Names match on their
-/// raw token, so a name spelled with escape sequences is absent.
-std::string_view member_value_span(std::string_view line, std::string_view name);
-
 class ResultCache {
  public:
   /// A cache over `path` (empty = in-memory only: no persistence, but
@@ -52,8 +46,13 @@ class ResultCache {
   /// Load existing records from the file. Lines that are not a valid
   /// record (a crash's truncated tail, stray garbage, a stale "sum") are
   /// skipped, not fatal; docs/CAMPAIGN.md lists the acceptance rules.
-  /// Builds no DOM. Returns the number of records loaded.
-  std::size_t load();
+  /// Each line is checked in one JsonReader walk, with no DOM. `threads`
+  /// reads as RunControl::threads: 0 checks the lines inline, otherwise a
+  /// pool of that many workers (-1: one per hardware thread) checks them
+  /// and the records enter the cache in file order, so the last valid
+  /// line for a key wins and the result is the same at every count.
+  /// Returns the number of records loaded.
+  std::size_t load(int threads = 0);
 
   /// The cached result document for a key, or nullptr.
   const std::string* find(const std::string& key) const;

@@ -299,7 +299,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
   obs::Observer* observer = control.observer;
   ResultCache cache(control.cache_path);
   const auto load_start = std::chrono::steady_clock::now();
-  const std::size_t preloaded = cache.load();
+  const std::size_t preloaded = cache.load(control.threads);
   add_wall_ns(observer, "campaign.cache_load_ns", load_start);
   Budget budget{control.max_batches, 0};
   if (observer != nullptr) {

@@ -151,15 +151,24 @@ void corrupt(std::string& text, Rng& rng) {
       const std::size_t begin = line_starts[rng.index(line_starts.size())];
       const std::size_t end = std::min(text.find('\n', begin), text.size());
       const std::string_view line(text.data() + begin, end - begin);
-      if (!json_valid(line)) break;
+      static constexpr std::string_view kOrder[] = {"result", "key", "sum", "stage", "task"};
+      std::string_view values[std::size(kOrder)];
+      JsonReader in(line);
+      const bool valid = in.object([&](std::string_view name) {
+                           const std::size_t i = static_cast<std::size_t>(
+                               std::find(std::begin(kOrder), std::end(kOrder), name) -
+                               std::begin(kOrder));
+                           if (i < std::size(kOrder) && values[i].empty()) in.skip(values[i]);
+                         }) &&
+                         in.finish();
+      if (!valid) break;
       std::string reordered;
-      for (const char* name : {"result", "key", "sum", "stage", "task"}) {
-        const std::string_view value = campaign::member_value_span(line, name);
-        if (value.empty()) return;
-        reordered += reordered.empty() ? "{\"" : ",\"";
-        reordered += name;
+      for (std::size_t i = 0; i < std::size(kOrder); ++i) {
+        if (values[i].empty()) return;
+        reordered += i == 0 ? "{\"" : ",\"";
+        reordered += kOrder[i];
         reordered += "\":";
-        reordered += value;
+        reordered += values[i];
       }
       text.replace(begin, end - begin, reordered + "}");
       break;
@@ -197,8 +206,11 @@ void run_cache_replay_case(CaseContext& ctx) {
   }
 
   try {
+    // Half the cases (by seed) load the damaged cache and re-execute on a
+    // small pool, so corruptions reach both the inline and the threaded
+    // load.
     campaign::RunControl control;
-    control.threads = 0;
+    control.threads = ctx.case_seed % 2 == 0 ? 0 : 2;
     control.cache_path = path;
     const campaign::CampaignResult warm = campaign::run(golden_spec(), control);
     ctx.expect(warm.complete, "cache-replay/complete",

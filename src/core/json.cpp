@@ -201,6 +201,14 @@ bool JsonReader::skip() {
   }
 }
 
+bool JsonReader::skip(std::string_view& raw) {
+  skip_ws();
+  const std::size_t start = pos_;
+  if (!skip()) return false;
+  raw = text_.substr(start, pos_ - start);
+  return true;
+}
+
 void JsonReader::fail(std::string_view why) {
   if (!failed_) why_ = why;
   failed_ = true;

@@ -116,6 +116,9 @@ class JsonReader {
   bool read_null();
   /// Validate and skip one value.
   bool skip();
+  /// The same, setting `raw` to the value's exact bytes (no whitespace
+  /// around them), a slice of the input.
+  bool skip(std::string_view& raw);
 
   /// Read an object, calling `on_member(key)` with the reader at each
   /// member's value. A callback that reads nothing has the value skipped

@@ -97,7 +97,16 @@ std::string reversed(std::string_view s) { return std::string(s.rbegin(), s.rend
 std::optional<std::string> read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::nullopt;
+  // One sized read when the file tells its length (a warm campaign cache
+  // is megabytes), then whatever is left: the whole of a stream that
+  // cannot seek.
   std::string text;
+  const long size = std::fseek(f, 0, SEEK_END) == 0 ? std::ftell(f) : -1;
+  std::rewind(f);
+  if (size > 0) {
+    text.resize(static_cast<std::size_t>(size));
+    text.resize(std::fread(text.data(), 1, text.size(), f));
+  }
   char buf[1 << 14];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);

@@ -69,6 +69,84 @@ std::size_t count_lines(const std::string& text) {
   return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
 }
 
+/// The exact bytes of the value of top-level member `name` in a JSON
+/// object line that already passed json_valid; empty when the member is
+/// absent. The first of duplicate members counts; names match on their raw
+/// token, so a name spelled with escape sequences is absent. The value
+/// runs to the next top-level ',' or '}', less trailing spaces and tabs.
+std::string_view member_value_span(std::string_view line, std::string_view name) {
+  auto skip_ws = [&](std::size_t& p) {
+    while (p < line.size() && (line[p] == ' ' || line[p] == '\t' ||
+                               line[p] == '\n' || line[p] == '\r')) {
+      ++p;
+    }
+  };
+  auto skip_string = [&](std::size_t& p) {  // p at the opening quote
+    ++p;
+    while (p < line.size()) {
+      if (line[p] == '\\') {
+        p += 2;
+        continue;
+      }
+      if (line[p] == '"') {
+        ++p;
+        return;
+      }
+      ++p;
+    }
+  };
+  std::size_t p = 0;
+  skip_ws(p);
+  if (p >= line.size() || line[p] != '{') return {};
+  ++p;
+  for (;;) {
+    skip_ws(p);
+    if (p >= line.size() || line[p] == '}') return {};  // member absent
+    const std::size_t key_start = p;
+    skip_string(p);
+    const std::string_view key = line.substr(key_start, p - key_start);
+    skip_ws(p);
+    if (p >= line.size() || line[p] != ':') return {};
+    ++p;
+    skip_ws(p);
+    const std::size_t val_start = p;
+    // Walk exactly one value: balance braces/brackets outside strings.
+    int depth = 0;
+    while (p < line.size()) {
+      const char c = line[p];
+      if (c == '"') {
+        skip_string(p);
+        continue;
+      }
+      if (c == '{' || c == '[') {
+        ++depth;
+        ++p;
+        continue;
+      }
+      if (c == '}' || c == ']') {
+        if (depth == 0) break;  // closes the enclosing object
+        --depth;
+        ++p;
+        continue;
+      }
+      if (c == ',' && depth == 0) break;
+      ++p;
+    }
+    std::size_t val_end = p;
+    while (val_end > val_start &&
+           (line[val_end - 1] == ' ' || line[val_end - 1] == '\t')) {
+      --val_end;
+    }
+    if (key.size() == name.size() + 2 && key.front() == '"' && key.back() == '"' &&
+        key.substr(1, name.size()) == name) {
+      return line.substr(val_start, val_end - val_start);
+    }
+    skip_ws(p);
+    if (p >= line.size() || line[p] != ',') return {};  // was the last member
+    ++p;
+  }
+}
+
 /// The rule ResultCache::load applied before it validated lines without a
 /// DOM: json_parse every durable line, read key and sum through the DOM
 /// (member names and string values decoded), take the result's exact
@@ -91,7 +169,7 @@ std::map<std::string, std::string> reference_load(std::string_view text, std::si
     std::string key = string_member(*doc, "key");
     const JsonValue* result = doc->find("result");
     if (key.size() != 32 || result == nullptr || !result->is_object()) continue;
-    std::string result_text(campaign::member_value_span(line, "result"));
+    std::string result_text(member_value_span(line, "result"));
     if (result_text.empty()) continue;
     if (string_member(*doc, "sum") != campaign::record_sum(key, result_text)) continue;
     records[key] = std::move(result_text);
@@ -586,6 +664,55 @@ TEST(Campaign, CacheLoadMatchesTheDomRuleOverOneFile) {
     const std::string* got = cache.find(k);
     ASSERT_NE(got, nullptr) << k;
     EXPECT_EQ(*got, bytes) << k;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Campaign, CacheLoadSameAtEveryThreadCount) {
+  // The corpus (less the escaped-name rows, the one allowed difference
+  // from the reference rule), then 96 records over 24 keys: record i
+  // writes key i*s mod 24, s cycling through 1, 7, 13 and 29, so a key
+  // repeats both a few lines and many lines apart, within a chunk and
+  // across chunk boundaries at every pool size. Every third record has a
+  // stale sum, so which write wins depends on file order. Then a torn tail.
+  std::string text;
+  for (const CacheLine& row : cache_line_corpus()) {
+    if (!row.escaped_name) text += row.line + "\n";
+  }
+  std::vector<std::string> keys;
+  for (std::uint64_t k = 0; k < 24; ++k) {
+    keys.push_back(campaign::task_cache_key(k, 1, 2, "fuzz", "KZ:fuzz:" + std::to_string(k), 3));
+  }
+  for (std::size_t i = 0; i < 96; ++i) {
+    const std::size_t stride[] = {1, 7, 13, 29};
+    const std::string& key = keys[(i * stride[i % 4]) % keys.size()];
+    const std::string result = "{\"n\":" + std::to_string(i) + "}";
+    const std::string sum = campaign::record_sum(key, i % 3 == 2 ? "{}" : result);
+    text += "{\"key\":\"" + key + "\",\"sum\":\"" + sum + "\",\"result\":" + result + "}\n";
+  }
+  text += "{\"key\":\"" + keys[0] + "\",\"sum\":\"" +
+          campaign::record_sum(keys[0], "{\"torn\":1}") + "\",\"result\":{\"torn\":1}}";
+
+  std::size_t ref_loaded = 0;
+  const std::map<std::string, std::string> ref = reference_load(text, ref_loaded);
+  ASSERT_GE(ref_loaded, 64u);
+  ASSERT_EQ(ref.at(keys[0]).find("torn"), std::string::npos);
+
+  const std::string path = temp_cache("threads");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  for (int threads : {0, 1, 2, 3, 4, -1}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    campaign::ResultCache cache(path);
+    EXPECT_EQ(cache.load(threads), ref_loaded);
+    EXPECT_EQ(cache.size(), ref.size());
+    for (const auto& [key, bytes] : ref) {
+      const std::string* got = cache.find(key);
+      ASSERT_NE(got, nullptr) << key;
+      EXPECT_EQ(*got, bytes) << key;
+    }
   }
   std::remove(path.c_str());
 }
