@@ -129,6 +129,10 @@ int main(int argc, char** argv) {
       print_usage(stdout, *sub);
       return cli::kExitOk;
     }
+    // Sink files are named before any work: a bare flag is a usage error,
+    // not a file that cannot be written after the run (a bare
+    // --perf-report prints to stdout).
+    for (const char* sink : {"metrics", "trace", "journal"}) args.output_path(sink);
     cen::obs::Observer observer;
     const bool sinks = args.has("metrics") || args.has("trace") || args.has("journal") ||
                        args.has("perf-report");

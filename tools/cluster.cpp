@@ -9,6 +9,7 @@ using namespace cli;
 
 int cli::run_cluster(const Context& ctx) {
   const Args& args = ctx.args;
+  const std::string export_path = args.output_path("export");
   scenario::PipelineOptions o;
   o.centrace_repetitions = args.get_int("reps", 5);
   o.fuzz_max_endpoints = args.get_int("fuzz-cap", 40);
@@ -35,10 +36,9 @@ int cli::run_cluster(const Context& ctx) {
   }
 
   ml::FeatureMatrix fm = ml::extract_features(all);
-  if (args.has("export")) {
-    if (!write_file(args.get("export"), ml::to_csv(fm))) return kExitRuntime;
-    std::fprintf(stderr, "wrote %zu feature rows to %s\n", fm.n_rows(),
-                 args.get("export").c_str());
+  if (!export_path.empty()) {
+    if (!write_file(export_path, ml::to_csv(fm))) return kExitRuntime;
+    std::fprintf(stderr, "wrote %zu feature rows to %s\n", fm.n_rows(), export_path.c_str());
   }
   ml::impute_median(fm);
 

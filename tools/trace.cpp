@@ -58,6 +58,7 @@ void print_text(const trace::CenTraceReport& r) {
 
 int cli::run_trace(const Context& ctx) {
   const Args& args = ctx.args;
+  const std::string pcap = args.output_path("pcap");
   scenario::CountryScenario s = make_site(ctx);
 
   trace::CenTraceOptions opts;
@@ -66,7 +67,7 @@ int cli::run_trace(const Context& ctx) {
   opts.apply(ctx.common.run);
 
   net::PcapWriter capture;
-  if (args.has("pcap")) s.network->set_capture(&capture);
+  if (!pcap.empty()) s.network->set_capture(&capture);
 
   std::vector<std::string> domains = opts.protocol == trace::ProbeProtocol::kHttps
                                          ? s.https_test_domains
@@ -81,7 +82,7 @@ int cli::run_trace(const Context& ctx) {
 
   const std::vector<trace::CenTraceReport> reports = scenario::run_trace_fanout(
       *s.network, s.remote_client, endpoints, domains, s.control_domain, opts,
-      args.has("pcap") ? 0 : ctx.common.threads, ctx.observer,
+      pcap.empty() ? ctx.common.threads : 0, ctx.observer,
       plan.tomography ? &plan : nullptr);
   for (const trace::CenTraceReport& r : reports) {
     if (ctx.common.json) {
@@ -91,14 +92,13 @@ int cli::run_trace(const Context& ctx) {
     }
   }
 
-  if (args.has("pcap")) {
+  if (!pcap.empty()) {
     s.network->set_capture(nullptr);
-    if (!capture.write_file(args.get("pcap"))) {
-      std::fprintf(stderr, "failed to write %s\n", args.get("pcap").c_str());
+    if (!capture.write_file(pcap)) {
+      std::fprintf(stderr, "failed to write %s\n", pcap.c_str());
       return kExitRuntime;
     }
-    std::fprintf(stderr, "wrote %zu packets to %s\n", capture.size(),
-                 args.get("pcap").c_str());
+    std::fprintf(stderr, "wrote %zu packets to %s\n", capture.size(), pcap.c_str());
   }
   for (const trace::CenTraceReport& r : reports) {
     if (plan.tomography && r.blocked &&

@@ -91,6 +91,8 @@ std::string dump_json(const worldgen::World& world) {
 
 int cli::run_world(const Context& ctx) {
   const Args& args = ctx.args;
+  const std::string dump = args.output_path("dump");
+  const std::string spec_json = args.output_path("spec-json");
   worldgen::WorldSpec spec;
   if (args.has("spec")) {
     std::string error;
@@ -108,8 +110,8 @@ int cli::run_world(const Context& ctx) {
   const worldgen::World world = worldgen::generate(spec, seed, ctx.observer);
 
   int rc = kExitOk;
-  if (args.has("dump") && !write_file(args.get("dump"), dump_json(world))) rc = kExitRuntime;
-  if (args.has("spec-json") && !write_file(args.get("spec-json"), worldgen::to_json(world.spec))) {
+  if (!dump.empty() && !write_file(dump, dump_json(world))) rc = kExitRuntime;
+  if (!spec_json.empty() && !write_file(spec_json, worldgen::to_json(world.spec))) {
     rc = kExitRuntime;
   }
   if (ctx.common.json) {
