@@ -16,7 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "check/engines.hpp"
 #include "core/bytes.hpp"
@@ -154,14 +153,11 @@ void corrupt(std::string& text, Rng& rng) {
       static constexpr std::string_view kOrder[] = {"result", "key", "sum", "stage", "task"};
       std::string_view values[std::size(kOrder)];
       JsonReader in(line);
-      const bool valid = in.object([&](std::string_view name) {
-                           const std::size_t i = static_cast<std::size_t>(
-                               std::find(std::begin(kOrder), std::end(kOrder), name) -
-                               std::begin(kOrder));
-                           if (i < std::size(kOrder) && values[i].empty()) in.skip(values[i]);
-                         }) &&
-                         in.finish();
-      if (!valid) break;
+      auto take = [&](std::string_view name) {  // the first of each member
+        const std::string_view* it = std::find(std::begin(kOrder), std::end(kOrder), name);
+        if (it != std::end(kOrder) && values[it - kOrder].empty()) in.skip(values[it - kOrder]);
+      };
+      if (!in.object(take) || !in.finish()) break;
       std::string reordered;
       for (std::size_t i = 0; i < std::size(kOrder); ++i) {
         if (values[i].empty()) return;

@@ -33,7 +33,7 @@ void mix_string(Sink& sink, std::string_view s) {
   const char* p = s.data();
   std::size_t left = s.size();
   for (; left >= 8; p += 8, left -= 8) {
-    std::uint64_t word;
+    std::uint64_t word = 0;
     std::memcpy(&word, p, 8);
     if constexpr (std::endian::native == std::endian::little) word = __builtin_bswap64(word);
     sink.mix(word);

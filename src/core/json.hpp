@@ -31,8 +31,7 @@ bool utf8_valid(std::string_view s);
 
 /// Strict syntax validation of one JSON document (JsonReader's grammar:
 /// skip one value, then expect the end of input). Used by tests to
-/// certify everything the report serializers and CLIs emit, and by the
-/// campaign cache loader per line.
+/// certify everything the report serializers and CLIs emit.
 bool json_valid(std::string_view text);
 
 /// A decoded JSON number as an integer of type Int: truncated toward zero
