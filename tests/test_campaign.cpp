@@ -19,6 +19,7 @@
 #include "campaign/campaign.hpp"
 #include "core/json.hpp"
 #include "obs/observer.hpp"
+#include "report/from_json.hpp"
 #include "report/json_report.hpp"
 #include "scenario/country.hpp"
 #include "scenario/pipeline.hpp"
@@ -178,14 +179,18 @@ std::map<std::string, std::string> reference_load(std::string_view text, std::si
   return records;
 }
 
+/// Replace the file at `path` with `text`.
+void write_text(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return;
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+}
+
 /// Write `text` as the cache file at `path` and load it.
 campaign::ResultCache load_text(const std::string& path, const std::string& text,
                                 std::size_t& loaded) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f != nullptr) {
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  }
+  write_text(path, text);
   campaign::ResultCache cache(path);
   loaded = cache.load();
   return cache;
@@ -782,6 +787,84 @@ TEST(Campaign, CorruptedResultBytesAreInvalidatedBySum) {
   // The re-executed task is deterministic, so output is unchanged.
   EXPECT_EQ(warm.to_jsonl(), cold.to_jsonl());
   EXPECT_EQ(warm.summary_json(), cold.summary_json());
+  std::remove(cache.c_str());
+}
+
+TEST(Campaign, WarmRunSameAtEveryThreadCount) {
+  // A warm run serves every task from the cache; the hits are decoded on
+  // the run's workers when it has any. Output, hit count and cache file
+  // must not depend on the thread count (the TSan preset runs this suite).
+  const campaign::CampaignSpec spec = small_spec();
+  ASSERT_TRUE(spec.stages.fuzz);
+  const std::string cache = temp_cache("warm_threads");
+  campaign::RunControl control;
+  control.threads = 2;
+  control.cache_path = cache;
+  const campaign::CampaignResult cold = campaign::run(spec, control);
+  ASSERT_TRUE(cold.complete);
+  ASSERT_GT(cold.fuzz.executed, 0u);
+  const std::size_t total = cold.trace.tasks + cold.probe.tasks + cold.fuzz.tasks;
+  const std::string bytes = file_text(cache);
+
+  for (int threads : {0, 1, 2, 3, 4, -1}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    control.threads = threads;
+    const campaign::CampaignResult warm = campaign::run(spec, control);
+    ASSERT_TRUE(warm.complete);
+    EXPECT_EQ(warm.tool_tasks_executed(), 0u);
+    EXPECT_EQ(warm.cache_hits(), total);
+    EXPECT_EQ(warm.to_jsonl(), cold.to_jsonl());
+    EXPECT_EQ(warm.summary_json(), cold.summary_json());
+    EXPECT_EQ(file_text(cache), bytes);
+  }
+  std::remove(cache.c_str());
+}
+
+TEST(Campaign, UndecodableHitIsReexecuted) {
+  // A hit counts only when its record still decodes. One trace record's
+  // result becomes valid JSON that the trace decoder rejects, under a sum
+  // recomputed so the load accepts the line: that task must re-execute.
+  const campaign::CampaignSpec spec = small_spec();
+  const std::string cache = temp_cache("undecodable");
+  campaign::RunControl control;
+  control.threads = 2;
+  control.cache_path = cache;
+  const campaign::CampaignResult cold = campaign::run(spec, control);
+  ASSERT_TRUE(cold.complete);
+  const std::size_t total = cold.trace.tasks + cold.probe.tasks + cold.fuzz.tasks;
+
+  const std::string text = file_text(cache);
+  const std::size_t eol = text.find('\n');
+  ASSERT_NE(eol, std::string::npos);
+  const auto first = json_parse(std::string_view(text).substr(0, eol));
+  ASSERT_NE(first, nullptr);
+  ASSERT_EQ(string_member(*first, "stage"), "trace");
+  const std::string key = string_member(*first, "key");
+  const std::string bad = "{\"test_domain\":7}";
+  ASSERT_FALSE(report::trace_report_from_json(bad).has_value());
+  JsonWriter w;
+  w.begin_object();
+  w.key("key").value(key);
+  w.key("sum").value(campaign::record_sum(key, bad));
+  w.key("stage").value("trace");
+  w.key("task").value(string_member(*first, "task"));
+  w.key("result").raw_value(bad);
+  w.end_object();
+  const std::string damaged = w.str() + text.substr(eol);
+
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    write_text(cache, damaged);
+    campaign::ResultCache check(cache);
+    ASSERT_EQ(check.load(), cold.tool_tasks_executed());  // the damaged line loads
+    control.threads = threads;
+    const campaign::CampaignResult warm = campaign::run(spec, control);
+    ASSERT_TRUE(warm.complete);
+    EXPECT_EQ(warm.tool_tasks_executed(), 1u);
+    EXPECT_EQ(warm.cache_hits(), total - 1);
+    EXPECT_EQ(warm.to_jsonl(), cold.to_jsonl());
+    EXPECT_EQ(warm.summary_json(), cold.summary_json());
+  }
   std::remove(cache.c_str());
 }
 
