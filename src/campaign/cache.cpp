@@ -130,7 +130,7 @@ std::string task_cache_key(std::uint64_t network_fingerprint, std::uint64_t camp
   return key;
 }
 
-std::size_t ResultCache::load(int threads) {
+std::size_t ResultCache::load(ThreadPool* pool) {
   if (path_.empty()) return 0;
   const std::string text = read_file(path_).value_or("");
   // A record is only durable once its newline hit the disk: a trailing
@@ -148,13 +148,11 @@ std::size_t ResultCache::load(int threads) {
     Scratch scratch;
     for (std::size_t i = begin; i < end; ++i) check_line(lines[i], checked[i], scratch);
   };
-  const int workers = scenario::resolve_threads(threads);
-  if (workers == 0) {
+  if (pool == nullptr) {
     check_range(0, lines.size());
-  } else if (!lines.empty()) {
-    ThreadPool pool(workers);
-    pool.parallel_for_chunked(
-        lines.size(), scenario::dispatch_chunk(lines.size(), workers),
+  } else {
+    pool->parallel_for_chunked(
+        lines.size(), scenario::dispatch_chunk(lines.size(), pool->size()),
         [&](int, std::size_t begin, std::size_t end) { check_range(begin, end); });
   }
   std::size_t loaded = 0;

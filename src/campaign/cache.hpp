@@ -24,6 +24,10 @@
 #include <string>
 #include <string_view>
 
+namespace cen {
+class ThreadPool;
+}
+
 namespace cen::campaign {
 
 /// 128-bit cache key (32 hex chars) over the task's full determining
@@ -46,13 +50,13 @@ class ResultCache {
   /// Load existing records from the file. Lines that are not a valid
   /// record (a crash's truncated tail, stray garbage, a stale "sum") are
   /// skipped, not fatal; docs/CAMPAIGN.md lists the acceptance rules.
-  /// Each line is checked in one JsonReader walk, with no DOM. `threads`
-  /// reads as RunControl::threads: 0 checks the lines inline, otherwise a
-  /// pool of that many workers (-1: one per hardware thread) checks them
-  /// and the records enter the cache in file order, so the last valid
-  /// line for a key wins and the result is the same at every count.
-  /// Returns the number of records loaded.
-  std::size_t load(int threads = 0);
+  /// Each line is checked in one JsonReader walk, with no DOM. With a
+  /// `pool` (borrowed, e.g. the campaign run's) its workers check the
+  /// lines; null checks them inline. Either way the records enter the
+  /// cache in file order, so the last valid line for a key wins and the
+  /// result is the same at every pool size. Returns the number of records
+  /// loaded.
+  std::size_t load(ThreadPool* pool = nullptr);
 
   /// The cached result document for a key, or nullptr.
   const std::string* find(const std::string& key) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
@@ -13,6 +14,7 @@
 #include "centrace/degrade.hpp"
 #include "core/json.hpp"
 #include "core/seed_salts.hpp"
+#include "core/thread_pool.hpp"
 #include "ml/dbscan.hpp"
 #include "obs/observer.hpp"
 #include "report/from_json.hpp"
@@ -42,12 +44,38 @@ struct StageTasks {
   std::vector<std::uint64_t> identity; // the DAG's identity key, for seed derivation
 };
 
+/// The run's pool for the work it does beside the executors: checking
+/// cache lines and decoding hits. It is made on first use, so a run that
+/// never needs it (a cold one) starts no threads for it; null when the
+/// run is inline (RunControl::threads == 0).
+class RunPool {
+ public:
+  explicit RunPool(int threads) : workers_(scenario::resolve_threads(threads)) {}
+
+  ThreadPool* get() {
+    if (workers_ > 0 && pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(workers_);
+    return pool_.get();
+  }
+
+ private:
+  int workers_;
+  std::unique_ptr<ThreadPool> pool_;
+};
+
+/// Whether `path` names a file that is not empty.
+bool has_bytes(const std::string& path) {
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  return !error && size > 0;
+}
+
 /// What every stage of one site runs against.
 struct StageContext {
   sim::Network& net;
   const CampaignSpec& spec;
   const RunControl& control;
   ResultCache& cache;
+  RunPool& pool;
   Budget& budget;
   const std::string& code;
   std::vector<CampaignRecord>& records;
@@ -83,9 +111,12 @@ void add_wall_ns(obs::Observer* observer, const char* name,
 /// Run one stage and return every task's decoded report in task order,
 /// cache hits and fresh results alike (each decoded exactly once).
 ///
-/// The stage is cut into checkpoint batches of spec.batch_size tasks. A
-/// planning pass walks them in order, serves cache hits, and stops at the
-/// first batch with uncached work that the batch budget no longer allows.
+/// Every cache hit is decoded first, in one pass on the run's pool when the
+/// stage has two hits or more; each task writes only its own slots. The
+/// stage is then cut into checkpoint batches of spec.batch_size tasks. A
+/// serial planning pass walks them in order, serves the hits that decoded,
+/// and stops at the first batch with uncached work that the batch budget
+/// no longer allows.
 /// Every uncached task of the planned batches then runs in ONE executor
 /// dispatch, so every worker stays busy. Workers encode and decode their
 /// own results; a batch is put + flushed by the worker that completes it,
@@ -106,17 +137,43 @@ std::optional<std::vector<Report>> run_stage(
   std::vector<std::string> docs(n);
   std::vector<Report> reports(n);
 
-  // Plan. A task is a hit when the cache holds a record for its key that
-  // still decodes (a hand-edited or damaged record is re-executed), or
-  // when an earlier planned batch executes the same key: its result is
-  // copied over after the dispatch, as a batch-at-a-time loop would have
-  // found it in the cache.
+  // Decode the hits. A task is served from the cache only when its record
+  // still decodes (a hand-edited or damaged record is re-executed).
+  const auto decode_start = std::chrono::steady_clock::now();
+  std::vector<std::pair<std::size_t, const std::string*>> hits;  // (task, cached result)
+  for (std::size_t i = 0; i < n; ++i) {
+    if (const std::string* doc = ctx.cache.find(tasks.cache_keys[i])) hits.emplace_back(i, doc);
+  }
+  std::vector<char> served(n, 0);  // 1: a hit that decoded into docs/reports
+  auto decode_hits = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t h = begin; h < end; ++h) {
+      const auto [i, doc] = hits[h];
+      std::optional<Report> rep = decode(*doc);
+      if (!rep) continue;
+      docs[i] = *doc;
+      reports[i] = std::move(*rep);
+      served[i] = 1;
+    }
+  };
+  ThreadPool* pool = hits.size() >= 2 ? ctx.pool.get() : nullptr;
+  if (pool == nullptr) {
+    decode_hits(0, hits.size());
+  } else {
+    pool->parallel_for_chunked(
+        hits.size(), scenario::dispatch_chunk(hits.size(), pool->size()),
+        [&](int, std::size_t begin, std::size_t end) { decode_hits(begin, end); });
+  }
+  add_wall_ns(ctx.control.observer, "campaign.hit_decode_ns", decode_start);
+
+  // Plan. A task is a hit when its record decoded above, or when an
+  // earlier planned batch executes the same key: its result is copied
+  // over after the dispatch, as a batch-at-a-time loop would have found it
+  // in the cache.
   std::vector<std::size_t> pending;    // uncached task indices, batch by batch
   std::vector<std::size_t> batch_end;  // end offset in `pending` per planned batch
   std::vector<std::pair<std::size_t, std::size_t>> copies;  // (task, executed task)
   std::map<std::string_view, std::size_t> planned;           // key -> last executed task
   bool stopped = false;
-  std::chrono::steady_clock::duration hit_decode{};  // campaign.hit_decode_ns
   const auto batch = static_cast<std::size_t>(ctx.spec.batch_size);
   for (std::size_t start = 0; start < n; start += batch) {
     const std::size_t end = std::min(start + batch, n);
@@ -128,16 +185,7 @@ std::optional<std::vector<Report>> run_stage(
         ++stats.cache_hits;
         continue;
       }
-      const std::string* hit = ctx.cache.find(tasks.cache_keys[i]);
-      std::optional<Report> rep;
-      if (hit != nullptr) {
-        const auto decode_start = std::chrono::steady_clock::now();
-        rep = decode(*hit);
-        hit_decode += std::chrono::steady_clock::now() - decode_start;
-      }
-      if (rep) {
-        docs[i] = *hit;
-        reports[i] = std::move(*rep);
+      if (served[i] != 0) {
         ++stats.cache_hits;
       } else {
         pending.push_back(i);
@@ -157,7 +205,6 @@ std::optional<std::vector<Report>> run_stage(
     ++stats.batches;
     stats.executed += pending.size() - first;
   }
-  add_wall_ns(ctx.control.observer, "campaign.hit_decode_ns", hit_decode);
 
   if (!pending.empty()) {
     // Seeds always derive over the FULL task list: the cache state must
@@ -298,8 +345,11 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
 
   obs::Observer* observer = control.observer;
   ResultCache cache(control.cache_path);
+  RunPool run_pool(control.threads);
   const auto load_start = std::chrono::steady_clock::now();
-  const std::size_t preloaded = cache.load(control.threads);
+  // A missing or empty cache file has no lines to check: no pool for it.
+  const std::size_t preloaded =
+      cache.load(has_bytes(control.cache_path) ? run_pool.get() : nullptr);
   add_wall_ns(observer, "campaign.cache_load_ns", load_start);
   Budget budget{control.max_batches, 0};
   if (observer != nullptr) {
@@ -339,7 +389,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     const std::uint64_t net_fp = net.fingerprint();
     add_wall_ns(observer, "campaign.fingerprint_ns", fingerprint_start);
     const std::string& code = site.code;
-    StageContext ctx{net, spec, control, cache, budget, code, result.records, nullptr};
+    StageContext ctx{net, spec, control, cache, run_pool, budget, code, result.records, nullptr};
 
     // ---- Stage 1: CenTrace over (endpoint × domain × protocol). ----
     const std::vector<std::string> http_domains =

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -18,10 +19,12 @@
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "core/json.hpp"
+#include "core/thread_pool.hpp"
 #include "obs/observer.hpp"
 #include "report/from_json.hpp"
 #include "report/json_report.hpp"
 #include "scenario/country.hpp"
+#include "scenario/executor.hpp"
 #include "scenario/pipeline.hpp"
 
 using namespace cen;
@@ -710,8 +713,11 @@ TEST(Campaign, CacheLoadSameAtEveryThreadCount) {
   std::fclose(f);
   for (int threads : {0, 1, 2, 3, 4, -1}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
+    const int workers = scenario::resolve_threads(threads);
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
     campaign::ResultCache cache(path);
-    EXPECT_EQ(cache.load(threads), ref_loaded);
+    EXPECT_EQ(cache.load(pool.get()), ref_loaded);
     EXPECT_EQ(cache.size(), ref.size());
     for (const auto& [key, bytes] : ref) {
       const std::string* got = cache.find(key);
