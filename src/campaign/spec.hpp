@@ -102,14 +102,13 @@ struct CampaignSpec {
 /// lists are written expanded (effective_countries()).
 std::string to_json(const CampaignSpec& spec);
 
+/// The range checks a decoded or flag-overridden spec must pass (batch_size
+/// >= 1, the world's and the plan's own); false with `error` set.
+bool check_spec(const CampaignSpec& spec, std::string* error = nullptr);
+
 /// Parse a spec document. On failure returns nullopt and, when `error`
 /// is non-null, stores a one-line description naming the offending key.
 std::optional<CampaignSpec> spec_from_json(std::string_view text,
-                                           std::string* error = nullptr);
-
-/// Load a spec from a JSON file (nullopt + error on unreadable file or
-/// malformed document).
-std::optional<CampaignSpec> load_spec_file(const std::string& path,
                                            std::string* error = nullptr);
 
 }  // namespace cen::campaign

@@ -8,6 +8,7 @@
 #include "core/json.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
+#include "scenario/executor.hpp"
 
 namespace cen::check {
 
@@ -153,8 +154,7 @@ CheckReport run_checks(const CheckOptions& options) {
 
   const std::vector<Engine>& engines =
       options.engines.empty() ? all_engines() : options.engines;
-  const int threads =
-      options.threads == 0 ? ThreadPool::hardware_threads() : options.threads;
+  const int workers = scenario::resolve_threads(options.threads);
 
   for (Engine engine : engines) {
     const std::uint64_t cases = engine_case_count(engine, options.iterations);
@@ -165,10 +165,10 @@ CheckReport run_checks(const CheckOptions& options) {
       const std::uint64_t case_seed = options.seed + index;
       results[index] = execute_case(engine, case_seed, options.mutation_budget);
     };
-    if (threads <= 1) {
+    if (workers == 0) {
       for (std::size_t i = 0; i < cases; ++i) one(0, i);
     } else {
-      ThreadPool pool(threads);
+      ThreadPool pool(workers);
       pool.parallel_for(cases, one);
     }
 

@@ -92,9 +92,9 @@ struct CheckOptions {
   /// engine_case_count) because their cases cost orders of magnitude more.
   std::uint64_t iterations = 1000;
   std::uint64_t seed = 1;
-  /// Worker threads: 0 = one per hardware thread. Forbidden from
-  /// influencing results — only wall time.
-  int threads = 1;
+  /// Workers as scenario::resolve_threads reads them (-1 hardware, 0
+  /// inline, N a pool of N). Forbidden from influencing results.
+  int threads = 0;
   /// Mutations applied per mutational sub-check (and the planted
   /// self-test threshold's ceiling).
   int mutation_budget = 8;

@@ -91,6 +91,7 @@ struct Tag {
 /// table kFields<S> of the tag type S.
 template <typename S>
 struct Section {
+  using Table = S;
   std::string_view key;
   static constexpr Rule rule = Rule::kOptional;
 };
@@ -382,6 +383,41 @@ std::optional<T> decode(std::string_view text, JsonNumbers numbers = JsonNumbers
   return std::nullopt;
 }
 
+// ------------------------------------------------------------ key paths --
+
+template <typename V>
+concept OptionalObject = Optional<V> && Object<typename V::value_type>;
+
+/// fn(member, names) for the member of `obj` at a dotted key path through
+/// S's config table and those nested in it: "seed", "trace.repetitions"
+/// (a Section), "evolution.seed" (an optional object, made from initial<T>()
+/// when empty). False when the path names no member. With a null `obj`, fn
+/// gets a null pointer of the member's type: a path checks at compile time.
+template <typename S, typename T, typename Fn>
+constexpr bool at_path(T* obj, std::string_view path, Fn&& fn) {
+  const std::size_t dot = std::min(path.find('.'), path.size());
+  const std::string_view rest = path.substr(std::min(dot + 1, path.size()));
+  auto member = [&]<typename F>(const F& f) -> bool {
+    if constexpr (requires { typename F::Table; }) {
+      return at_path<typename F::Table>(obj, rest, fn);  // a Section
+    } else {
+      using V = std::remove_cvref_t<decltype(std::invoke(f.get, *obj))>;
+      V* v = obj == nullptr ? nullptr : &std::invoke(f.get, *obj);
+      if (rest.empty()) return fn(v, f.names);
+      if constexpr (OptionalObject<V>) {
+        using E = typename V::value_type;
+        return at_path<E>(v == nullptr ? nullptr : *v ? &**v : &v->emplace(initial<E>()), rest, fn);
+      } else if constexpr (Object<V>) {
+        return at_path<V>(v, rest, fn);
+      }
+      return false;
+    }
+  };
+  return std::apply(
+      [&](const auto&... f) { return ((f.key == path.substr(0, dot) && member(f)) || ...); },
+      table_of<S>());
+}
+
 // --------------------------------------------------------------- tables --
 
 template <> inline constexpr auto kFields<geo::AsInfo> = std::tuple{
@@ -608,7 +644,8 @@ template <> inline constexpr auto kFields<EpochDiff> = std::tuple{
 // ------------------------------------------------------- config tables --
 // A config reloads to itself: its codecs pass JsonNumbers::kExact. The
 // range checks a table cannot state (batch_size >= 1, say) run after
-// decoding, in each config's from_json.
+// decoding, in each config's from_json; the campaign's run again after
+// `cen` flags set members by key path (campaign::check_spec).
 
 template <> inline constexpr auto kFields<worldgen::CountryRegimeSpec> = std::tuple{
     field("code", &worldgen::CountryRegimeSpec::code, Rule::kRequired),

@@ -7,13 +7,6 @@
 
 namespace cen::scenario {
 
-std::optional<Country> country_from_code(std::string_view code) {
-  for (std::size_t i = 0; i < std::size(kCountryCodes); ++i) {
-    if (kCountryCodes[i] == code) return static_cast<Country>(i);
-  }
-  return std::nullopt;
-}
-
 std::vector<Country> all_countries() {
   return {Country::kAZ, Country::kBY, Country::kKZ, Country::kRU};
 }

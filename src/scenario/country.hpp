@@ -34,8 +34,6 @@ namespace cen::scenario {
 enum class Country : std::uint8_t { kAZ, kBY, kKZ, kRU };
 inline constexpr std::string_view kCountryCodes[] = {"AZ", "BY", "KZ", "RU"};
 constexpr std::string_view country_code(Country c) { return enum_name(kCountryCodes, c); }
-/// The country whose code is exactly `code` (upper case only).
-std::optional<Country> country_from_code(std::string_view code);
 
 /// Scale factor for endpoint counts: kFull reproduces Table 1's endpoint
 /// populations (29 / 123 / 95 / 1291); kSmall divides by ~8 for tests.

@@ -1,7 +1,6 @@
 #include "worldgen/spec.hpp"
 
 #include "core/fingerprint.hpp"
-#include "core/strings.hpp"
 #include "report/wire.hpp"
 
 namespace cen::worldgen {
@@ -133,15 +132,6 @@ std::optional<WorldSpec> spec_from_json(std::string_view text, std::string* erro
       report::wire::decode<WorldSpec>(text, JsonNumbers::kExact, error);
   if (spec && !check_spec(*spec, error)) return std::nullopt;
   return spec;
-}
-
-std::optional<WorldSpec> load_spec_file(const std::string& path, std::string* error) {
-  const std::optional<std::string> text = read_file(path);
-  if (!text) {
-    if (error != nullptr) *error = "cannot open world spec file: " + path;
-    return std::nullopt;
-  }
-  return spec_from_json(*text, error);
 }
 
 }  // namespace cen::worldgen

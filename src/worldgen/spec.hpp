@@ -85,6 +85,5 @@ std::string to_json(const WorldSpec& spec);
 /// regimes with a code and a positive weight); false with `error` set.
 bool check_spec(const WorldSpec& spec, std::string* error = nullptr);
 std::optional<WorldSpec> spec_from_json(std::string_view text, std::string* error = nullptr);
-std::optional<WorldSpec> load_spec_file(const std::string& path, std::string* error = nullptr);
 
 }  // namespace cen::worldgen

@@ -27,10 +27,10 @@ TEST(Check, AllEnginesSmokeClean) {
 }
 
 TEST(Check, ReportIdenticalAcrossThreadCounts) {
-  std::string json[3];
-  std::string summary[3];
-  const int threads[3] = {1, 4, 8};
-  for (int i = 0; i < 3; ++i) {
+  std::string json[5];
+  std::string summary[5];
+  const int threads[5] = {0, -1, 1, 4, 8};
+  for (int i = 0; i < 5; ++i) {
     CheckOptions options;
     options.iterations = 60;
     options.seed = 5;
@@ -39,10 +39,10 @@ TEST(Check, ReportIdenticalAcrossThreadCounts) {
     json[i] = report.to_json();
     summary[i] = report.summary();
   }
-  EXPECT_EQ(json[0], json[1]);
-  EXPECT_EQ(json[0], json[2]);
-  EXPECT_EQ(summary[0], summary[1]);
-  EXPECT_EQ(summary[0], summary[2]);
+  for (int i = 1; i < 5; ++i) {
+    EXPECT_EQ(json[0], json[i]) << "threads " << threads[i];
+    EXPECT_EQ(summary[0], summary[i]) << "threads " << threads[i];
+  }
 }
 
 TEST(Check, SelfTestPlantedBugIsCaught) {

@@ -35,10 +35,7 @@ ambig::AmbigRunOptions run_options(const Context& ctx, sim::NodeId client,
   ropts.client = client;
   ropts.control_domain = std::move(control_domain);
   ropts.common = ctx.common.run;
-  ropts.ambig.repetitions = ctx.args.get_int("reps", ropts.ambig.repetitions);
-  if (ctx.args.has("order-salt")) {
-    ropts.ambig.order_salt = ctx.args.get_u64("order-salt", 0);
-  }
+  ctx.args.apply(ropts.ambig, "ambig.");
   return ropts;
 }
 
@@ -48,7 +45,7 @@ int cli::run_ambig(const Context& ctx) {
   const Args& args = ctx.args;
   if (args.has("vendor-lab")) {
     scenario::AmbigScenarioOptions sopts;
-    sopts.deployments_per_vendor = args.get_int("per-vendor", 2);
+    sopts.deployments_per_vendor = args.value("per-vendor", 2);
     scenario::AmbigScenario s = scenario::make_ambig(sopts);
     s.network->set_fault_plan(ctx.common.faults);
 

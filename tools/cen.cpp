@@ -2,72 +2,98 @@
 //
 //   cen <subcommand> [flags]      cen <subcommand> --help      cen --help
 //
-// The subcommands come from the table below. The front end parses the
-// common flags once (cli.hpp), builds the observer when any sink is
-// requested, runs the subcommand, then writes --metrics / --trace /
-// --journal / --perf-report. Exit code: 1 when a sink cannot be
-// written, otherwise the subcommand's own (see cli::ExitCode); a usage
-// error exits 2 and writes nothing.
+// The subcommands and their flag rows come from the tables below, plus
+// cli::kCommonFlags for every subcommand; --help prints the rows. The front
+// end parses the command line against the rows (cli::Args), builds the
+// observer when any sink is requested, runs the subcommand, then writes
+// --metrics / --trace / --journal / --perf-report. Exit code: 1 when a sink
+// cannot be written, otherwise the subcommand's own (cli::ExitCode); a
+// usage error, such as an unknown or bare flag, exits 2 and writes nothing.
 #include <string_view>
 
 #include "cli.hpp"
 
 namespace {
 
+using cli::Flag;
+
 struct Subcommand {
   std::string_view name;
   std::string_view summary;
-  std::string_view usage;
+  std::span<const Flag> flags;
   int (*run)(const cli::Context&);
 };
 
-constexpr Subcommand kSubcommands[] = {
-    {"trace", "censorship traceroutes against a built-in scenario (CenTrace)",
-     "--country AZ|BY|KZ|RU [--protocol http|https|dns|dns-udp]\n"
-     "    [--endpoint N] [--domain D] [--reps N] [--sweeps]\n"
-     "    [--tomography] [--vantages N] [--pcap FILE]\n",
-     cli::run_trace},
-    {"fuzz", "fuzz a blocked connection (CenFuzz)",
-     "--country AZ|BY|KZ|RU [--endpoint N] [--domain D] [--successful-only]\n",
-     cli::run_fuzz},
-    {"probe", "locate devices with CenTrace, then banner-grab them (CenProbe)",
-     "--country AZ|BY|KZ|RU [--reps N] [--ip A.B.C.D]\n", cli::run_probe},
-    {"ambig", "fingerprint a DPI device by its reassembly ambiguities",
-     "--country AZ|BY|KZ|RU [--endpoint N] [--domain D] [--reps N] [--order-salt N]\n"
-     "    | --vendor-lab [--per-vendor N] [--reps N] [--order-salt N]\n",
-     cli::run_ambig},
-    {"cluster", "measure scenarios and cluster the blocked endpoints",
-     "[--countries AZ,BY,KZ,RU] [--fuzz-cap N] [--reps N] [--top-k K]\n"
-     "    [--export features.csv]\n",
-     cli::run_cluster},
-    {"campaign", "a declarative campaign with a result cache and resume",
-     "[--spec FILE] [--countries AZ,BY,KZ,RU] [--world 1k|100k|1m|FILE]\n"
-     "    [--max-endpoints N] [--max-domains N] [--fuzz-cap N]\n"
-     "    [--ambig] [--ambig-cap N] [--ambig-reps N]\n"
-     "    [--reps N] [--tomography] [--vantages N]\n"
-     "    [--batch N] [--max-batches N]\n"
-     "    [--cache FILE] [--out FILE] [--summary FILE]\n",
-     cli::run_campaign},
-    {"longit", "a campaign re-run over epochs of censor evolution",
-     "[--spec FILE] [--countries AZ,BY,KZ,RU] [--epochs N]\n"
-     "    [--evolve-seed N] [--evolve-start N] [--evolve-period N]\n"
-     "    [--evolve-add P] [--evolve-remove P] [--evolve-upgrade P]\n"
-     "    [--evolve-swap P] [--evolve-drift P] [--no-churn]\n"
-     "    [--max-endpoints N] [--max-domains N] [--fuzz-cap N]\n"
-     "    [--reps N] [--batch N] [--max-batches N] [--cache FILE]\n"
-     "    [--out FILE]\n",
-     cli::run_longit},
-    {"world", "generate and inspect a synthetic world",
-     "[--tier 1k|100k|1m] [--spec FILE] [--stats] [--dump FILE]\n"
-     "    [--spec-json FILE]\n",
-     cli::run_world},
-    {"check", "the deterministic self-check harness",
-     "[--all | --engine NAME[,NAME...]] [--iterations N] [--budget N]\n"
-     "    [--no-minimize] [--out FILE]\n"
-     "  engines: roundtrip, invariant, cache-replay, ml-oracle, worldgen,\n"
-     "  ambig, longit (--all, the default, runs every one)\n",
-     cli::run_check},
+constexpr Flag kTraceFlags[] = {
+    {"country", "AZ|BY|KZ|RU"}, {"protocol", "http|https|dns|dns-udp"}, {"endpoint", "N"},
+    {"domain", "DOMAIN"}, {"reps", "N"}, {"sweeps"}, {"tomography"}, {"vantages", "N"},
+    {"pcap", "FILE"},
 };
+constexpr Flag kFuzzFlags[] = {
+    {"country", "AZ|BY|KZ|RU"}, {"endpoint", "N"}, {"domain", "DOMAIN"}, {"successful-only"},
+};
+constexpr Flag kProbeFlags[] = {{"country", "AZ|BY|KZ|RU"}, {"reps", "N"}, {"ip", "A.B.C.D"}};
+constexpr Flag kAmbigFlags[] = {
+    {"country", "AZ|BY|KZ|RU"}, {"endpoint", "N"}, {"domain", "DOMAIN"},
+    {"reps", "N", "ambig.repetitions"}, {"order-salt", "N", "ambig.order_salt"}, {"vendor-lab"},
+    {"per-vendor", "N"},
+};
+constexpr Flag kClusterFlags[] = {
+    {"countries", "AZ,BY,KZ,RU"}, {"fuzz-cap", "N"}, {"reps", "N"}, {"top-k", "K"},
+    {"export", "FILE"},
+};
+constexpr Flag kCampaignFlags[] = {
+    {"spec", "FILE"}, {"countries", "AZ,BY,KZ,RU", "countries"}, {"world", "1k|100k|1m|FILE"},
+    {"max-endpoints", "N", "max_endpoints"}, {"max-domains", "N", "max_domains"},
+    {"fuzz-cap", "N", "fuzz_max_endpoints"}, {"ambig", "", "stages.ambig"},
+    {"ambig-cap", "N", "ambig_max_endpoints"}, {"ambig-reps", "N", "ambig.repetitions"},
+    {"reps", "N", "trace.repetitions"}, {"tomography", "", "trace.tomography"},
+    {"vantages", "N", "trace.vantages"}, {"batch", "N", "batch_size"}, {"max-batches", "N"},
+    {"cache", "FILE"}, {"out", "FILE"}, {"summary", "FILE"},
+};
+constexpr Flag kLongitFlags[] = {
+    {"spec", "FILE"}, {"countries", "AZ,BY,KZ,RU", "countries"}, {"epochs", "N"},
+    {"evolve-seed", "N", "evolution.seed"}, {"evolve-start", "N", "evolution.start_epoch"},
+    {"evolve-period", "N", "evolution.period"}, {"evolve-add", "P", "evolution.rule_add_prob"},
+    {"evolve-remove", "P", "evolution.rule_remove_prob"},
+    {"evolve-upgrade", "P", "evolution.vendor_upgrade_prob"},
+    {"evolve-swap", "P", "evolution.blockpage_swap_prob"},
+    {"evolve-drift", "P", "evolution.coverage_drift_prob"}, {"no-churn"},
+    {"max-endpoints", "N", "max_endpoints"}, {"max-domains", "N", "max_domains"},
+    {"fuzz-cap", "N", "fuzz_max_endpoints"}, {"reps", "N", "trace.repetitions"},
+    {"batch", "N", "batch_size"}, {"max-batches", "N"}, {"cache", "FILE"}, {"out", "FILE"},
+};
+// --stats is the default output: the row keeps documented command lines valid.
+constexpr Flag kWorldFlags[] = {
+    {"tier", "1k|100k|1m"}, {"spec", "FILE"}, {"stats"}, {"dump", "FILE"}, {"spec-json", "FILE"},
+};
+// --all is the default: every engine runs unless --engine names some.
+constexpr Flag kCheckFlags[] = {
+    {"all"}, {"engine", "NAME[,NAME...]"}, {"iterations", "N"}, {"budget", "N"}, {"no-minimize"},
+    {"out", "FILE"},
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"trace", "censorship traceroutes against a built-in scenario (CenTrace)", kTraceFlags,
+     cli::run_trace},
+    {"fuzz", "fuzz a blocked connection (CenFuzz)", kFuzzFlags, cli::run_fuzz},
+    {"probe", "locate devices with CenTrace, then banner-grab them (CenProbe)", kProbeFlags,
+     cli::run_probe},
+    {"ambig", "fingerprint a DPI device by its reassembly ambiguities", kAmbigFlags,
+     cli::run_ambig},
+    {"cluster", "measure scenarios and cluster the blocked endpoints", kClusterFlags,
+     cli::run_cluster},
+    {"campaign", "a declarative campaign with a result cache and resume", kCampaignFlags,
+     cli::run_campaign},
+    {"longit", "a campaign re-run over epochs of censor evolution", kLongitFlags,
+     cli::run_longit},
+    {"world", "generate and inspect a synthetic world", kWorldFlags, cli::run_world},
+    {"check", "the deterministic self-check harness", kCheckFlags, cli::run_check},
+};
+
+static_assert(std::ranges::all_of(kSubcommands,
+                                  [](const Subcommand& s) { return cli::valid_rows(s.flags); }),
+              "a subcommand spells a flag twice, or a key path names no member its row can set");
 
 void print_table(std::FILE* out) {
   std::fprintf(out, "usage: cen <subcommand> [flags]   (cen <subcommand> --help)\n\n");
@@ -77,10 +103,21 @@ void print_table(std::FILE* out) {
   }
 }
 
+/// `head`, then `[--name METAVAR]` for each row, three to a line.
+void print_rows(std::FILE* out, const std::string& head, std::span<const Flag> rows) {
+  std::fputs(head.c_str(), out);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::fprintf(out, "%s [--%.*s%s%.*s]", i % 3 == 0 ? "\n   " : "",
+                 static_cast<int>(rows[i].name.size()), rows[i].name.data(),
+                 rows[i].metavar.empty() ? "" : " ", static_cast<int>(rows[i].metavar.size()),
+                 rows[i].metavar.data());
+  }
+  std::fprintf(out, "\n");
+}
+
 void print_usage(std::FILE* out, const Subcommand& sub) {
-  std::fprintf(out, "usage: cen %.*s %.*s%s", static_cast<int>(sub.name.size()),
-               sub.name.data(), static_cast<int>(sub.usage.size()), sub.usage.data(),
-               cli::kCommonUsage);
+  print_rows(out, "usage: cen " + std::string(sub.name) + " [flags]", sub.flags);
+  print_rows(out, "common flags:", cli::kCommonFlags);
 }
 
 /// Write every requested sink; false when any could not be written.
@@ -124,15 +161,11 @@ int main(int argc, char** argv) {
     return help ? cli::kExitOk : cli::kExitUsage;
   }
   try {
-    const cli::Args args(argc - 2, argv + 2);
+    const cli::Args args(sub->flags, argc - 2, argv + 2);
     if (args.has("help")) {
       print_usage(stdout, *sub);
       return cli::kExitOk;
     }
-    // Sink files are named before any work: a bare flag is a usage error,
-    // not a file that cannot be written after the run (a bare
-    // --perf-report prints to stdout).
-    for (const char* sink : {"metrics", "trace", "journal"}) args.output_path(sink);
     cen::obs::Observer observer;
     const bool sinks = args.has("metrics") || args.has("trace") || args.has("journal") ||
                        args.has("perf-report");

@@ -3,12 +3,10 @@
 //
 // Every failure prints a one-line `cen check --engine E --seed N` command
 // that replays exactly that case. --threads changes wall time only,
-// never output: -1 (the default) is one worker per hardware thread, and
-// 0 (inline) and 1 both run one worker.
+// never output: -1 (the default) is one worker per hardware thread, 0
+// runs the cases inline and N on a pool of N.
 //
 // Exit codes: 0 all checks passed, 1 failures found, 2 usage error.
-#include <algorithm>
-
 #include "check/check.hpp"
 #include "cli.hpp"
 
@@ -17,7 +15,6 @@ using namespace cli;
 
 int cli::run_check(const Context& ctx) {
   const Args& args = ctx.args;
-  const std::string out = args.output_path("out");
   check::CheckOptions options;
   if (args.has("engine")) {
     for (const std::string& name : split(args.get("engine"), ',')) {
@@ -26,18 +23,17 @@ int cli::run_check(const Context& ctx) {
       options.engines.push_back(*engine);
     }
   }
-  const int iterations = args.get_int("iterations", 1000);
-  const int budget = args.get_int("budget", 8);
-  if (iterations < 1 || budget < 1) throw UsageError("--iterations and --budget must be >= 1");
-  options.iterations = static_cast<std::uint64_t>(iterations);
-  options.seed = args.get_u64("seed", 1);
-  options.mutation_budget = budget;
+  options.iterations = args.value<std::uint64_t>("iterations", 1000);
+  options.mutation_budget = args.value("budget", 8);
+  if (options.iterations < 1 || options.mutation_budget < 1) {
+    throw UsageError("--iterations and --budget must be >= 1");
+  }
+  options.seed = ctx.common.run.seed.value_or(1);
   options.minimize = !args.has("no-minimize");
-  // CheckOptions::threads counts workers, with 0 meaning the hardware's.
-  options.threads = ctx.common.threads < 0 ? 0 : std::max(ctx.common.threads, 1);
+  options.threads = ctx.common.threads;
 
   const check::CheckReport report = check::run_checks(options);
-  if (!out.empty() && !write_file(out, report.to_json())) return kExitRuntime;
+  if (args.has("out") && !write_file(args.get("out"), report.to_json())) return kExitRuntime;
   if (ctx.common.json) {
     std::printf("%s\n", report.to_json().c_str());
   } else {

@@ -14,6 +14,7 @@
 #include "core/strings.hpp"
 #include "obs/observer.hpp"
 #include "report/json_report.hpp"
+#include "report/wire.hpp"
 #include "scenario/pipeline.hpp"
 #include "tool/options.hpp"
 
@@ -23,8 +24,9 @@ namespace cli {
 ///   0  success;
 ///   1  runtime / I/O failure (unwritable output or sink, failed
 ///      measurement);
-///   2  usage error (unknown subcommand or flag value, malformed number,
-///      missing required argument) — nothing is written;
+///   2  usage error (unknown subcommand or flag, a value flag given bare,
+///      a value after a boolean flag, a malformed or out-of-range value,
+///      a missing required argument) — nothing is written;
 ///   3  campaign checkpoint incomplete (campaign / longit: the batch
 ///      budget ran out — re-run with the same --cache to resume);
 ///   4  measurement degraded (trace --tomography only: at least one
@@ -44,60 +46,143 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// `--name value` pairs; a flag not followed by a value is boolean.
+/// One flag of a subcommand: its name; its metavar, empty for a boolean
+/// flag and bracketed when the value may be left out; and, for a flag that
+/// sets a config field, the field's key path in the CampaignSpec table.
+struct Flag {
+  std::string_view name;
+  std::string_view metavar = {};
+  std::string_view key = {};
+};
+
+/// The flags every subcommand accepts. The keyed ones set the spec of
+/// `campaign` and `longit`; the fault rows also make CommonOptions::faults.
+inline constexpr Flag kCommonFlags[] = {
+    {"help"}, {"json"}, {"scale", "full|small", "scale"}, {"threads", "N"}, {"seed", "N", "seed"},
+    {"retries", "N", "trace.adaptive_max_retries"}, {"backoff", "MS", "trace.retry_backoff_ms"},
+    {"loss", "P", "faults.transient_loss"}, {"fault-loss", "P", "faults.link_loss"},
+    {"fault-dup", "P", "faults.link_duplicate"}, {"fault-reorder", "P", "faults.link_reorder"},
+    {"fault-icmp-rate", "R", "faults.icmp_rate_per_sec"},
+    {"metrics", "FILE"}, {"trace", "FILE"}, {"journal", "FILE"}, {"perf-report", "[FILE]"},
+};
+
+namespace wire = cen::report::wire;
+
+/// What a value row can set: a number, an enum or a list of enums.
+template <typename V>
+concept FlagValue = (std::is_arithmetic_v<V> && !std::is_same_v<V, bool>) || std::is_enum_v<V> ||
+                    (wire::Vector<V> && std::is_enum_v<typename V::value_type>);
+
+/// Whether a subcommand's rows and the common rows spell each flag once,
+/// and each config row's key path names a member the row can set: a bool
+/// for a boolean row, a FlagValue for a value row.
+constexpr bool valid_rows(std::span<const Flag> rows) {
+  std::vector<Flag> all(rows.begin(), rows.end());
+  all.insert(all.end(), std::begin(kCommonFlags), std::end(kCommonFlags));
+  std::ranges::sort(all, {}, &Flag::name);
+  return std::ranges::adjacent_find(all, {}, &Flag::name) == all.end() &&
+         std::ranges::all_of(all, [](const Flag& row) {
+           return row.key.empty() ||
+                  wire::at_path<cen::campaign::CampaignSpec>(
+                      static_cast<cen::campaign::CampaignSpec*>(nullptr), row.key,
+                      [&]<typename V>(V*, wire::Names) {
+                        return row.metavar.empty() ? std::is_same_v<V, bool> : FlagValue<V>;
+                      });
+         });
+}
+
+/// `text` as a V: a whole number in V's range, one of `names` (an
+/// upper-cased match counts: `kz` is KZ), or a comma-separated list of them.
+template <typename V>
+bool parse_value(std::string_view text, V& out, wire::Names names) {
+  if constexpr (wire::Vector<V>) {
+    V list;
+    for (const std::string& item : cen::split(text, ',')) {
+      if (!parse_value(item, list.emplace_back(), names)) return false;
+    }
+    out = std::move(list);
+    return true;
+  } else if constexpr (std::is_enum_v<V>) {
+    const auto it = std::ranges::find_if(
+        names, [&](std::string_view n) { return n == text || n == cen::ascii_upper(text); });
+    if (it != names.end()) out = static_cast<V>(it - names.begin());
+    return it != names.end();
+  } else {
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
+    return !text.empty() && ec == std::errc() && end == text.data() + text.size();
+  }
+}
+
+/// A subcommand's command line, parsed against its rows and the common
+/// rows before any work: a flag in no row, a value row given bare (or an
+/// empty value) and a value after a boolean row are usage errors. A value
+/// row takes the next argument unless it starts with `--`; a repeated
+/// flag's last value wins.
 class Args {
  public:
-  Args(int argc, char** argv) {
+  Args(std::span<const Flag> rows, int argc, char** argv) {
     for (int i = 0; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) throw UsageError("unexpected positional argument: " + arg);
-      std::string name = arg.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        named_[name] = argv[++i];
-      } else {
-        named_[name] = "";
+      const std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0) {
+        // Only the first argument or one after a boolean flag gets here.
+        throw UsageError("unexpected argument '" + arg + "'" +
+                         (i > 0 ? " after " + std::string(argv[i - 1]) : ""));
       }
+      const Flag* row = nullptr;
+      for (std::span<const Flag> table : {rows, std::span<const Flag>(kCommonFlags)}) {
+        for (const Flag& r : table) row = r.name == arg.substr(2) ? &r : row;
+      }
+      if (row == nullptr) throw UsageError("unknown flag '" + arg + "'");
+      const bool valued = !row->metavar.empty();
+      std::string value;
+      if (valued && i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) value = argv[++i];
+      if (valued && value.empty() && row->metavar.front() != '[') {
+        throw UsageError(arg + " expects " +
+                         (row->metavar == "FILE" ? "a FILE" : std::string(row->metavar)));
+      }
+      named_[std::string(row->name)] = {row, std::move(value)};
     }
   }
 
   bool has(const std::string& name) const { return named_.count(name) != 0; }
   std::string get(const std::string& name, const std::string& fallback = "") const {
     auto it = named_.find(name);
-    return it == named_.end() ? fallback : it->second;
+    return it == named_.end() ? fallback : it->second.value;
   }
-  int get_int(const std::string& name, int fallback) const { return number(name, fallback); }
-  /// Seeds and salts: the whole unsigned 64-bit range; a sign is malformed.
-  std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const {
-    return number(name, fallback);
+
+  /// The flag's value as a V (parse_value), or `fallback` when it is not
+  /// given; anything else (`four`, `3x`, `-1` for an unsigned V, out of
+  /// range, no such name) is a usage error naming the flag.
+  template <typename V>
+  V value(const std::string& name, V fallback, wire::Names names = {}) const {
+    auto it = named_.find(name);
+    if (it == named_.end() || parse_value(it->second.value, fallback, names)) return fallback;
+    std::string expected = names.empty() ? "a number" : "";
+    for (std::string_view n : names) expected += (expected.empty() ? "" : "|") + std::string(n);
+    throw UsageError("--" + name + " expects " + expected + ", got '" + it->second.value + "'");
   }
-  double get_double(const std::string& name, double fallback) const {
-    return number(name, fallback);
-  }
-  /// An output file flag (--out FILE): "" when absent. A bare flag is a
-  /// usage error, so subcommands read these before doing any work.
-  std::string output_path(const std::string& name) const {
-    const std::string path = get(name);
-    if (has(name) && path.empty()) throw UsageError("--" + name + " expects a FILE");
-    return path;
+
+  /// Writes each given config row whose key path starts with `section`
+  /// into `obj`, at the rest of the path in T's table.
+  template <typename T>
+  void apply(T& obj, std::string_view section = {}) const {
+    for (const auto& [name, given] : named_) {
+      if (given.row->key.empty() || !given.row->key.starts_with(section)) continue;
+      wire::at_path<T>(&obj, given.row->key.substr(section.size()),
+                       [&]<typename V>(V* member, wire::Names names) {
+                         if constexpr (std::is_same_v<V, bool>) *member = true;
+                         if constexpr (FlagValue<V>) *member = value(name, *member, names);
+                         return true;
+                       });
+    }
   }
 
  private:
-  /// The flag's whole value as a T; anything else (`four`, `3x`, a bare
-  /// flag, out of range) is a usage error naming the flag.
-  template <typename T>
-  T number(const std::string& name, T fallback) const {
-    auto it = named_.find(name);
-    if (it == named_.end()) return fallback;
-    const std::string& text = it->second;
-    T value{};
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (text.empty() || ec != std::errc() || end != text.data() + text.size()) {
-      throw UsageError("--" + name + " expects a number, got '" + text + "'");
-    }
-    return value;
-  }
-
-  std::map<std::string, std::string> named_;
+  struct Given {
+    const Flag* row;
+    std::string value;
+  };
+  std::map<std::string, Given> named_;
 };
 
 inline bool write_file(const std::string& path, const std::string& contents) {
@@ -111,40 +196,24 @@ inline bool write_file(const std::string& path, const std::string& contents) {
   return true;
 }
 
-/// Fault-plan knobs (inert unless a flag is passed):
-///   --loss P              whole-walk transient loss (engine RNG — the
-///                         legacy knob);
-///   --fault-loss P        per-link packet loss on every link;
-///   --fault-dup P         reply duplication probability;
-///   --fault-reorder P     late-delivery (reordering) probability;
-///   --fault-icmp-rate R   token-bucket ICMP rate limit per router (msgs/s).
-inline cen::sim::FaultPlan parse_fault_plan(const Args& args) {
-  cen::sim::FaultPlan plan;
-  plan.transient_loss = args.get_double("loss", 0.0);
-  plan.default_link.loss = args.get_double("fault-loss", 0.0);
-  plan.default_link.duplicate = args.get_double("fault-dup", 0.0);
-  plan.default_link.reorder = args.get_double("fault-reorder", 0.0);
-  plan.default_node.icmp_rate_per_sec = args.get_double("fault-icmp-rate", 0.0);
-  return plan;
-}
-
-/// True when any fault-plan flag was passed (the plan is inert otherwise).
-inline bool has_fault_flags(const Args& args) {
-  return args.has("loss") || args.has("fault-loss") || args.has("fault-dup") ||
-         args.has("fault-reorder") || args.has("fault-icmp-rate");
+/// The spec in the file a flag names, decoded by `from_json`; a file that
+/// cannot be read or decoded is a usage error with the reason.
+template <typename FromJson>
+auto load_spec(const std::string& path, FromJson from_json) {
+  const std::optional<std::string> text = cen::read_file(path);
+  std::string error = "cannot open spec file: " + path;
+  auto spec = text ? from_json(*text, &error) : std::nullopt;
+  if (!spec) throw UsageError("bad spec " + path + ": " + error);
+  return std::move(*spec);
 }
 
 /// A country code in either case (`kz` or `KZ`).
 inline cen::scenario::Country parse_country(const std::string& code) {
-  const auto country = cen::scenario::country_from_code(cen::ascii_upper(code));
-  if (!country) throw UsageError("unknown country '" + code + "' (expected AZ, BY, KZ or RU)");
-  return *country;
-}
-
-inline cen::scenario::Scale parse_scale(const std::string& scale) {
-  if (scale == "small") return cen::scenario::Scale::kSmall;
-  if (scale == "full" || scale.empty()) return cen::scenario::Scale::kFull;
-  throw UsageError("unknown scale '" + scale + "' (expected full or small)");
+  cen::scenario::Country country{};
+  if (!parse_value(code, country, cen::scenario::kCountryCodes)) {
+    throw UsageError("unknown country '" + code + "' (expected AZ, BY, KZ or RU)");
+  }
+  return country;
 }
 
 inline cen::trace::ProbeProtocol parse_protocol(const std::string& proto) {
@@ -169,38 +238,21 @@ struct CommonOptions {
   /// `opts.apply(common.run)` or `run_options.common = common.run`.
   cen::tool::CommonRunOptions run;
   bool json = false;
-  /// Fault plan assembled from the --loss / --fault-* knobs; inert when
-  /// none was passed (see has_fault_flags).
+  /// The fault plan of the --loss / --fault-* rows; inert by default.
   cen::sim::FaultPlan faults;
 };
 
-/// Usage text for the shared flags — printed after each subcommand's own.
-inline constexpr const char* kCommonUsage =
-    "common flags (each subcommand reads the ones it uses):\n"
-    "  --scale full|small    scenario size (default full)\n"
-    "  --threads N           workers: -1 hardware (default), N pool,\n"
-    "                        0 inline: no pool, same output\n"
-    "  --retries N           adaptive retry budget under faults (default 6)\n"
-    "  --backoff MS          simulated retry backoff (default 0)\n"
-    "  --seed N              deterministic measurement-epoch seed\n"
-    "  --json                machine-readable JSON output\n"
-    "  --loss P --fault-loss P --fault-dup P --fault-reorder P\n"
-    "  --fault-icmp-rate R   fault-plan knobs (inert by default)\n"
-    "  --metrics FILE --trace FILE --journal FILE\n"
-    "                        observability sinks (.prom for Prometheus text)\n"
-    "  --perf-report [FILE]  wall-domain perf counters JSON (stdout if bare)\n";
-
 inline CommonOptions parse_common(const Args& args) {
   CommonOptions o;
-  o.scale = parse_scale(args.get("scale"));
-  o.threads = args.get_int("threads", -1);
+  o.scale = args.value("scale", o.scale, cen::scenario::kScaleNames);
+  o.threads = args.value("threads", -1);
   // Only explicitly-passed flags reach the shared run options: an unset
   // field means "keep the tool's own default".
-  if (args.has("retries")) o.run.retries = args.get_int("retries", 0);
-  if (args.has("backoff")) o.run.backoff = static_cast<cen::SimTime>(args.get_int("backoff", 0));
-  if (args.has("seed")) o.run.seed = args.get_u64("seed", 1);
+  if (args.has("retries")) o.run.retries = args.value("retries", 0);
+  if (args.has("backoff")) o.run.backoff = args.value<cen::SimTime>("backoff", 0);
+  if (args.has("seed")) o.run.seed = args.value<std::uint64_t>("seed", 1);
   o.json = args.has("json");
-  o.faults = parse_fault_plan(args);
+  args.apply(o.faults, "faults.");
   return o;
 }
 
@@ -226,7 +278,7 @@ inline cen::scenario::CountryScenario make_site(const Context& ctx) {
 /// --endpoint N (default 0): the scenario's N-th remote endpoint.
 inline cen::net::Ipv4Address select_endpoint(const Context& ctx,
                                               const cen::scenario::CountryScenario& s) {
-  const int index = ctx.args.get_int("endpoint", 0);
+  const int index = ctx.args.value("endpoint", 0);
   if (index < 0 || index >= static_cast<int>(s.remote_endpoints.size())) {
     throw UsageError("endpoint index out of range (0.." +
                      std::to_string(s.remote_endpoints.size() - 1) + ")");
@@ -235,8 +287,8 @@ inline cen::net::Ipv4Address select_endpoint(const Context& ctx,
 }
 
 /// The campaign spec of `campaign` and `longit`: --spec FILE (or the
-/// defaults), overridden by --countries, --scale, --seed, --max-endpoints,
-/// --max-domains, --fuzz-cap, --reps, --batch (>= 1) and the fault flags.
+/// defaults), overridden by the subcommand's config rows, then checked
+/// (campaign::check_spec).
 cen::campaign::CampaignSpec campaign_spec(const Context& ctx);
 /// --threads, --cache, --max-batches and the observer.
 cen::campaign::RunControl run_control(const Context& ctx);

@@ -9,10 +9,10 @@ using namespace cli;
 
 int cli::run_cluster(const Context& ctx) {
   const Args& args = ctx.args;
-  const std::string export_path = args.output_path("export");
+  const std::string export_path = args.get("export");
   scenario::PipelineOptions o;
-  o.centrace_repetitions = args.get_int("reps", 5);
-  o.fuzz_max_endpoints = args.get_int("fuzz-cap", 40);
+  o.centrace_repetitions = args.value("reps", 5);
+  o.fuzz_max_endpoints = args.value("fuzz-cap", 40);
   o.threads = ctx.common.threads;
   o.observer = ctx.observer;
   o.faults = ctx.common.faults;
@@ -43,7 +43,7 @@ int cli::run_cluster(const Context& ctx) {
   ml::impute_median(fm);
 
   // Supervised top-k feature selection when enough labels exist.
-  std::size_t top_k = static_cast<std::size_t>(args.get_int("top-k", 10));
+  std::size_t top_k = static_cast<std::size_t>(args.value("top-k", 10));
   std::vector<std::size_t> labelled;
   for (std::size_t i = 0; i < fm.n_rows(); ++i) {
     if (!fm.labels[i].empty()) labelled.push_back(i);

@@ -37,7 +37,7 @@ int cli::run_probe(const Context& ctx) {
   }
 
   scenario::PipelineOptions o;
-  o.centrace_repetitions = args.get_int("reps", 5);
+  o.centrace_repetitions = args.value("reps", 5);
   o.run_fuzz = false;
   o.threads = ctx.common.threads;
   o.observer = ctx.observer;

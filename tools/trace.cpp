@@ -1,9 +1,7 @@
 // cen trace — run censorship traceroutes against a built-in scenario.
 //
-// Measures every (endpoint, test domain) pair by default; --endpoint
-// restricts to one endpoint index and --domain to one test domain. With
-// --json, one JSON document per measurement is written to stdout (JSONL);
-// --pcap stores the raw client-side capture of the whole run.
+// Measures every (endpoint, test domain) pair unless --endpoint / --domain
+// pick one; --json prints JSONL, --pcap writes the client-side capture.
 //
 // Every task is seeded from its (endpoint, domain, protocol) identity, so
 // the reports and the sinks are byte-identical for every --threads value,
@@ -58,11 +56,11 @@ void print_text(const trace::CenTraceReport& r) {
 
 int cli::run_trace(const Context& ctx) {
   const Args& args = ctx.args;
-  const std::string pcap = args.output_path("pcap");
+  const std::string pcap = args.get("pcap");
   scenario::CountryScenario s = make_site(ctx);
 
   trace::CenTraceOptions opts;
-  opts.repetitions = args.get_int("reps", 11);
+  opts.repetitions = args.value("reps", 11);
   opts.protocol = parse_protocol(args.get("protocol"));
   opts.apply(ctx.common.run);
 
@@ -78,7 +76,7 @@ int cli::run_trace(const Context& ctx) {
 
   trace::DegradationPlan plan;
   plan.tomography = args.has("tomography");
-  plan.vantages = scenario::tomography_vantages(s, args.get_int("vantages", 2));
+  plan.vantages = scenario::tomography_vantages(s, args.value("vantages", 2));
 
   const std::vector<trace::CenTraceReport> reports = scenario::run_trace_fanout(
       *s.network, s.remote_client, endpoints, domains, s.control_domain, opts,

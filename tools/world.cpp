@@ -1,17 +1,10 @@
 // cen world — generate and inspect synthetic worlds (docs/WORLDGEN.md).
 //
-// Generates the world described by the built-in tier (default 1k) or a
-// WorldSpec JSON file, then:
-//   (default / --stats)  prints generation stats + the world fingerprint;
-//   --dump FILE          writes a JSON dump (spec, stats, per-AS table,
-//                        device plans) for offline inspection;
-//   --spec-json FILE     writes the canonical spec JSON (the file
-//                        cen campaign --world and --spec accept back).
-//
-// The same (spec, seed) always prints the same fingerprint — that digest
-// is what campaign caches key on.
-//
-// Exit codes: 0 ok, 1 I/O failure, 2 usage error.
+// Generates the world of a built-in tier (default 1k) or a WorldSpec
+// file and prints its stats and fingerprint; --dump writes the whole world
+// as JSON and --spec-json the canonical spec, which `cen campaign --world`
+// and `cen world --spec` read back. The same (spec, seed) always prints
+// the same fingerprint: that digest is what campaign caches key on.
 #include <cinttypes>
 
 #include "cli.hpp"
@@ -91,27 +84,19 @@ std::string dump_json(const worldgen::World& world) {
 
 int cli::run_world(const Context& ctx) {
   const Args& args = ctx.args;
-  const std::string dump = args.output_path("dump");
-  const std::string spec_json = args.output_path("spec-json");
-  worldgen::WorldSpec spec;
+  const std::string tier = args.get("tier", "1k");
+  std::optional<worldgen::WorldSpec> spec = worldgen::WorldSpec::tier(tier);
   if (args.has("spec")) {
-    std::string error;
-    auto loaded = worldgen::load_spec_file(args.get("spec"), &error);
-    if (!loaded) throw UsageError("bad spec " + args.get("spec") + ": " + error);
-    spec = std::move(*loaded);
-  } else {
-    const std::string tier = args.get("tier", "1k");
-    auto built_in = worldgen::WorldSpec::tier(tier);
-    if (!built_in) throw UsageError("unknown tier '" + tier + "' (expected 1k, 100k or 1m)");
-    spec = std::move(*built_in);
+    spec = load_spec(args.get("spec"), worldgen::spec_from_json);
+  } else if (!spec) {
+    throw UsageError("unknown tier '" + tier + "' (expected 1k, 100k or 1m)");
   }
-  const std::uint64_t seed = args.get_u64("seed", 1);
-
-  const worldgen::World world = worldgen::generate(spec, seed, ctx.observer);
+  const worldgen::World world =
+      worldgen::generate(*spec, ctx.common.run.seed.value_or(1), ctx.observer);
 
   int rc = kExitOk;
-  if (!dump.empty() && !write_file(dump, dump_json(world))) rc = kExitRuntime;
-  if (!spec_json.empty() && !write_file(spec_json, worldgen::to_json(world.spec))) {
+  if (args.has("dump") && !write_file(args.get("dump"), dump_json(world))) rc = kExitRuntime;
+  if (args.has("spec-json") && !write_file(args.get("spec-json"), worldgen::to_json(world.spec))) {
     rc = kExitRuntime;
   }
   if (ctx.common.json) {
