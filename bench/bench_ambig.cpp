@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     ropts.endpoint = d.endpoint;
     ropts.test_domain = s.test_domain;
     ropts.control_domain = s.control_domain;
-    ropts.common.seed = 11;
+    ropts.seed = 11;
     ambig::AmbigReport report = ambig::run(*s.network, ropts);
     baselines_ok &= report.baseline_blocked;
     probes_sent += report.total_probes_sent;

@@ -352,10 +352,8 @@ AmbigReport CenAmbig::run(net::Ipv4Address endpoint, const std::string& test_dom
 AmbigReport run(sim::Network& network, const AmbigRunOptions& options,
                 obs::Observer* observer) {
   sim::ScopedObserver guard(network, observer);
-  if (options.common.seed) network.reset_epoch(*options.common.seed);
-  AmbigOptions ambig = options.ambig;
-  ambig.apply(options.common);
-  CenAmbig tool(network, options.client, ambig);
+  if (options.seed) network.reset_epoch(*options.seed);
+  CenAmbig tool(network, options.client, options.ambig);
   return tool.run(options.endpoint, options.test_domain, options.control_domain);
 }
 

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,7 +28,6 @@
 #include "core/clock.hpp"
 #include "core/strings.hpp"
 #include "netsim/engine.hpp"
-#include "tool/options.hpp"
 
 namespace cen::ambig {
 
@@ -101,12 +101,6 @@ struct AmbigOptions {
 
   /// Digest over every option (campaign cache-key component).
   std::uint64_t fingerprint() const;
-
-  /// Apply the shared run fields (retries + backoff). Inert when unset.
-  void apply(const tool::CommonRunOptions& common) {
-    if (common.retries) retries = *common.retries;
-    if (common.backoff) retry_backoff = *common.backoff;
-  }
 };
 
 /// Verdict for one catalogue probe.
@@ -175,8 +169,8 @@ struct AmbigRunOptions {
   std::string test_domain;
   std::string control_domain;
   AmbigOptions ambig;
-  /// Shared run fields, applied by run() on top of `ambig`.
-  tool::CommonRunOptions common;
+  /// When set, run() resets the network to this epoch before probing.
+  std::optional<std::uint64_t> seed;
 };
 
 /// Unified entry point (same shape as trace::run / probe::run / fuzz::run):

@@ -261,10 +261,8 @@ CenFuzzReport CenFuzz::run(net::Ipv4Address endpoint, const std::string& test_do
 CenFuzzReport run(sim::Network& network, const FuzzRunOptions& options,
                   obs::Observer* observer) {
   sim::ScopedObserver guard(network, observer);
-  if (options.common.seed) network.reset_epoch(*options.common.seed);
-  CenFuzzOptions fuzz = options.fuzz;
-  fuzz.apply(options.common);
-  CenFuzz tool(network, options.client, fuzz);
+  if (options.seed) network.reset_epoch(*options.seed);
+  CenFuzz tool(network, options.client, options.fuzz);
   return tool.run(options.endpoint, options.test_domain, options.control_domain,
                   options.test_probes.get(), options.control_probes.get());
 }

@@ -26,7 +26,9 @@
 // circumvention, describe their reply as a string.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,7 +36,6 @@
 #include "core/clock.hpp"
 #include "core/strings.hpp"
 #include "netsim/engine.hpp"
-#include "tool/options.hpp"
 
 namespace cen::fuzz {
 
@@ -82,12 +83,6 @@ struct CenFuzzOptions {
 
   /// Digest over every option (campaign cache-key component).
   std::uint64_t fingerprint() const;
-
-  /// Apply the shared run fields: `retries` sets the per-request retry
-  /// budget (CenFuzz has no backoff notion). Inert when unset.
-  void apply(const tool::CommonRunOptions& common) {
-    if (common.retries) retries = *common.retries;
-  }
 };
 
 struct CenFuzzReport {
@@ -139,8 +134,8 @@ struct FuzzRunOptions {
   std::string test_domain;
   std::string control_domain;
   CenFuzzOptions fuzz;
-  /// Shared run fields, applied by run() on top of `fuzz`.
-  tool::CommonRunOptions common;
+  /// When set, run() resets the network to this epoch before fuzzing.
+  std::optional<std::uint64_t> seed;
   /// Probe tables for test_domain and control_domain, shared read-only
   /// between runs (ProbeSet::build). Null = build them for this run.
   std::shared_ptr<const ProbeSet> test_probes;

@@ -78,19 +78,20 @@ FuzzProbe tls_probe(const std::string& strategy, const std::string& permutation,
 
 using ProbeList = std::vector<FuzzProbe>;
 
-// Each generator expands one Table 2 row.
+// Each generator expands one Table 2 row; its probes carry the row's name
+// as their `strategy`.
 
-ProbeList get_word_alt(const std::string& domain) {
+ProbeList get_word_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const char* method : {"POST", "PUT", "PATCH", "DELETE", "HEAD", ""}) {
     net::HttpRequest r = net::HttpRequest::get(domain);
     r.method = method;
-    out.push_back(http_probe("Get Word Alt.", method[0] ? method : "<empty>", r));
+    out.push_back(http_probe(strategy, method[0] ? method : "<empty>", r));
   }
   return out;
 }
 
-ProbeList http_word_alt(const std::string& domain) {
+ProbeList http_word_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const char* version :
        {"HTTP/1.0", "HTTP/0.9", "HTTP/2", "HTTP/3", "HTTP/9", "HTTP/1.2", "HTTP/ 1.1",
@@ -98,34 +99,34 @@ ProbeList http_word_alt(const std::string& domain) {
         "HTTP/11", "HTTP/1.1.1", ""}) {
     net::HttpRequest r = net::HttpRequest::get(domain);
     r.version = version;
-    out.push_back(http_probe("Http Word Alt.", version[0] ? version : "<empty>", r));
+    out.push_back(http_probe(strategy, version[0] ? version : "<empty>", r));
   }
   return out;
 }
 
-ProbeList host_word_alt(const std::string& domain) {
+ProbeList host_word_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const char* word : {"HostHeader: ", "XXXX: ", "Hostname: ", "Host; ", "Host ",
                            "H0st: ", "x-host: "}) {
     net::HttpRequest r = net::HttpRequest::get(domain);
     r.host_word = word;
-    out.push_back(http_probe("Host Word Alt.", word, r));
+    out.push_back(http_probe(strategy, word, r));
   }
   return out;
 }
 
-ProbeList path_alt(const std::string& domain) {
+ProbeList path_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const char* path : {"?", "z", "/index.html", "//", "/.", "/abc/def", "*",
                            "/z?q=1"}) {
     net::HttpRequest r = net::HttpRequest::get(domain);
     r.path = path;
-    out.push_back(http_probe("Path Alt.", path, r));
+    out.push_back(http_probe(strategy, path, r));
   }
   return out;
 }
 
-ProbeList hostname_alt(const std::string& domain) {
+ProbeList hostname_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   const std::vector<std::pair<std::string, std::string>> perms = {
       {"<empty>", ""},
@@ -136,30 +137,30 @@ ProbeList hostname_alt(const std::string& domain) {
   };
   for (const auto& [name, host] : perms) {
     net::HttpRequest r = net::HttpRequest::get(host);
-    out.push_back(http_probe("Hostname Alt.", name, r));
+    out.push_back(http_probe(strategy, name, r));
   }
   return out;
 }
 
-ProbeList hostname_tld_alt(const std::string& domain) {
+ProbeList hostname_tld_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const std::string& tld : alt_tlds()) {
     net::HttpRequest r = net::HttpRequest::get(with_tld(domain, tld));
-    out.push_back(http_probe("Hostname TLD Alt.", "." + tld, r));
+    out.push_back(http_probe(strategy, "." + tld, r));
   }
   return out;
 }
 
-ProbeList hostname_subdomain_alt(const std::string& domain) {
+ProbeList hostname_subdomain_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const std::string& sub : alt_subdomains()) {
     net::HttpRequest r = net::HttpRequest::get(with_subdomain(domain, sub));
-    out.push_back(http_probe("Host. Subdomain Alt.", sub + ".", r));
+    out.push_back(http_probe(strategy, sub + ".", r));
   }
   return out;
 }
 
-ProbeList header_alt(const std::string& domain) {
+ProbeList header_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   static const char* kNames[] = {"Connection",      "User-Agent", "Accept",
                                  "Accept-Language", "Accept-Encoding", "Referer",
@@ -170,97 +171,95 @@ ProbeList header_alt(const std::string& domain) {
     for (const char* value : kValues) {
       net::HttpRequest r = net::HttpRequest::get(domain);
       r.extra_headers.emplace_back(name, value);
-      out.push_back(
-          http_probe("Header Alt.", std::string(name) + ": " + value, r));
+      out.push_back(http_probe(strategy, std::string(name) + ": " + value, r));
     }
   }
   // Three malformed header lines (56 + 3 = 59, Table 2).
   for (const char* raw : {"X-:", "   :   ", "NoColonHeader"}) {
     net::HttpRequest r = net::HttpRequest::get(domain);
     r.extra_headers.emplace_back(raw, "");
-    out.push_back(http_probe("Header Alt.", raw, r));
+    out.push_back(http_probe(strategy, raw, r));
   }
   return out;
 }
 
-ProbeList get_word_cap(const std::string& domain) {
+ProbeList get_word_cap(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const std::string& m : case_permutations("GET")) {
     net::HttpRequest r = net::HttpRequest::get(domain);
     r.method = m;
-    out.push_back(http_probe("Get Word Cap.", m, r));
+    out.push_back(http_probe(strategy, m, r));
   }
   return out;
 }
 
-ProbeList http_word_cap(const std::string& domain) {
+ProbeList http_word_cap(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const std::string& h : case_permutations("HTTP")) {
     net::HttpRequest r = net::HttpRequest::get(domain);
     r.version = h + "/1.1";
-    out.push_back(http_probe("Http Word Cap.", r.version, r));
+    out.push_back(http_probe(strategy, r.version, r));
   }
   return out;
 }
 
-ProbeList host_word_cap(const std::string& domain) {
+ProbeList host_word_cap(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const std::string& h : case_permutations("Host")) {
     net::HttpRequest r = net::HttpRequest::get(domain);
     r.host_word = h + ": ";
-    out.push_back(http_probe("Host Word Cap.", r.host_word, r));
+    out.push_back(http_probe(strategy, r.host_word, r));
   }
   return out;
 }
 
-ProbeList get_word_rem(const std::string& domain) {
+ProbeList get_word_rem(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const std::string& m : removal_permutations("GET", 7)) {
     net::HttpRequest r = net::HttpRequest::get(domain);
     r.method = m;
-    out.push_back(http_probe("Get Word Rem.", m.empty() ? "<empty>" : m, r));
+    out.push_back(http_probe(strategy, m.empty() ? "<empty>" : m, r));
   }
   return out;
 }
 
-ProbeList http_word_rem(const std::string& domain) {
+ProbeList http_word_rem(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const std::string& v : removal_permutations("HTTP/1.1", 167)) {
     net::HttpRequest r = net::HttpRequest::get(domain);
     r.version = v;
-    out.push_back(http_probe("Http Word Rem.", v.empty() ? "<empty>" : v, r));
+    out.push_back(http_probe(strategy, v.empty() ? "<empty>" : v, r));
   }
   return out;
 }
 
-ProbeList host_word_rem(const std::string& domain) {
+ProbeList host_word_rem(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const std::string& w : removal_permutations("Host: ", 63)) {
     net::HttpRequest r = net::HttpRequest::get(domain);
     r.host_word = w;
-    out.push_back(http_probe("Host Word Rem.", w.empty() ? "<empty>" : w, r));
+    out.push_back(http_probe(strategy, w.empty() ? "<empty>" : w, r));
   }
   return out;
 }
 
-ProbeList http_delimiter_rem(const std::string& domain) {
+ProbeList http_delimiter_rem(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   const std::vector<std::pair<std::string, std::string>> perms = {
       {"\\r", "\r"}, {"\\n", "\n"}, {"<empty>", ""}};
   for (const auto& [name, delim] : perms) {
     net::HttpRequest r = net::HttpRequest::get(domain);
     r.request_line_delim = delim;
-    out.push_back(http_probe("Http Delimiter Rem.", name, r));
+    out.push_back(http_probe(strategy, name, r));
   }
   return out;
 }
 
-ProbeList hostname_pad(const std::string& domain) {
+ProbeList hostname_pad(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const auto& [lead, trail] : pad_combos()) {
     net::HttpRequest r = net::HttpRequest::get(padded(domain, lead, trail));
-    out.push_back(http_probe("Hostname Pad.",
-                             std::to_string(lead) + "*host*" + std::to_string(trail), r));
+    out.push_back(http_probe(strategy, std::to_string(lead) + "*host*" + std::to_string(trail), r));
   }
   return out;
 }
@@ -274,7 +273,7 @@ const std::vector<net::TlsVersion>& all_versions() {
   return kAll;
 }
 
-ProbeList min_version_alt(const std::string& domain) {
+ProbeList min_version_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (net::TlsVersion min : all_versions()) {
     net::ClientHello ch = net::ClientHello::make(domain);
@@ -286,12 +285,12 @@ ProbeList min_version_alt(const std::string& domain) {
     }
     ch.legacy_version = min;
     ch.set_supported_versions(offered);
-    out.push_back(tls_probe("Min Version Alt.", net::tls_version_name(min), ch));
+    out.push_back(tls_probe(strategy, net::tls_version_name(min), ch));
   }
   return out;
 }
 
-ProbeList max_version_alt(const std::string& domain) {
+ProbeList max_version_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (net::TlsVersion max : all_versions()) {
     net::ClientHello ch = net::ClientHello::make(domain);
@@ -303,22 +302,22 @@ ProbeList max_version_alt(const std::string& domain) {
     }
     ch.legacy_version = std::min(max, net::TlsVersion::kTls12);
     ch.set_supported_versions(offered);
-    out.push_back(tls_probe("Max Version Alt.", net::tls_version_name(max), ch));
+    out.push_back(tls_probe(strategy, net::tls_version_name(max), ch));
   }
   return out;
 }
 
-ProbeList cipher_suite_alt(const std::string& domain) {
+ProbeList cipher_suite_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const net::CipherSuite& cs : net::standard_cipher_suites()) {
     net::ClientHello ch = net::ClientHello::make(domain);
     ch.cipher_suites = {cs.code};
-    out.push_back(tls_probe("CipherSuite Alt.", std::string(cs.name), ch));
+    out.push_back(tls_probe(strategy, std::string(cs.name), ch));
   }
   return out;
 }
 
-ProbeList client_certificate_alt(const std::string& domain) {
+ProbeList client_certificate_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   const std::vector<std::pair<std::string, std::optional<std::string>>> perms = {
       {"CN=" + domain, domain},
@@ -327,54 +326,65 @@ ProbeList client_certificate_alt(const std::string& domain) {
   };
   for (const auto& [name, cn] : perms) {
     net::ClientHello ch = net::ClientHello::make(domain);
-    FuzzProbe p = tls_probe("Client Certificate Alt.", name, ch);
+    FuzzProbe p = tls_probe(strategy, name, ch);
     p.client_cert_cn = cn;
     out.push_back(std::move(p));
   }
   return out;
 }
 
-ProbeList sni_alt(const std::string& domain) {
+ProbeList sni_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   {
     net::ClientHello ch = net::ClientHello::make(domain);
     ch.remove_sni();
-    out.push_back(tls_probe("SNI Alt.", "<omitted>", ch));
+    out.push_back(tls_probe(strategy, "<omitted>", ch));
   }
   for (const auto& [name, sni] :
        std::vector<std::pair<std::string, std::string>>{{"<empty>", ""},
                                                         {"reversed", reversed(domain)},
                                                         {"doubled", domain + domain}}) {
     net::ClientHello ch = net::ClientHello::make(sni);
-    out.push_back(tls_probe("SNI Alt.", name, ch));
+    out.push_back(tls_probe(strategy, name, ch));
   }
   return out;
 }
 
-ProbeList sni_tld_alt(const std::string& domain) {
+ProbeList sni_tld_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const std::string& tld : alt_tlds()) {
     net::ClientHello ch = net::ClientHello::make(with_tld(domain, tld));
-    out.push_back(tls_probe("SNI TLD Alt.", "." + tld, ch));
+    out.push_back(tls_probe(strategy, "." + tld, ch));
   }
   return out;
 }
 
-ProbeList sni_subdomain_alt(const std::string& domain) {
+ProbeList sni_subdomain_alt(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const std::string& sub : alt_subdomains()) {
     net::ClientHello ch = net::ClientHello::make(with_subdomain(domain, sub));
-    out.push_back(tls_probe("SNI Subdomain Alt.", sub + ".", ch));
+    out.push_back(tls_probe(strategy, sub + ".", ch));
   }
   return out;
 }
 
-ProbeList sni_pad(const std::string& domain) {
+ProbeList sni_pad(const std::string& strategy, const std::string& domain) {
   ProbeList out;
   for (const auto& [lead, trail] : pad_combos()) {
     net::ClientHello ch = net::ClientHello::make(padded(domain, lead, trail));
-    out.push_back(tls_probe("SNI Pad.",
-                            std::to_string(lead) + "*sni*" + std::to_string(trail), ch));
+    out.push_back(tls_probe(strategy, std::to_string(lead) + "*sni*" + std::to_string(trail), ch));
+  }
+  return out;
+}
+
+/// Every HTTP (or every TLS) row's probes, in catalogue order.
+std::vector<FuzzProbe> catalogue_probes(bool https, const std::string& domain) {
+  std::vector<FuzzProbe> out;
+  for (const StrategyInfo& info : strategy_catalogue()) {
+    if (info.https != https) continue;
+    std::vector<FuzzProbe> probes = info.expand(info.name, domain);
+    out.insert(out.end(), std::make_move_iterator(probes.begin()),
+               std::make_move_iterator(probes.end()));
   }
   return out;
 }
@@ -439,83 +449,48 @@ std::vector<std::string> removal_permutations(const std::string& word, std::size
 
 const std::vector<StrategyInfo>& strategy_catalogue() {
   static const std::vector<StrategyInfo> kCatalogue = {
-      {"Alternate", "Get Word Alt.", 6, false},
-      {"Alternate", "Http Word Alt.", 16, false},
-      {"Alternate", "Host Word Alt.", 7, false},
-      {"Alternate", "Path Alt.", 8, false},
-      {"Alternate", "Hostname Alt.", 5, false},
-      {"Alternate", "Hostname TLD Alt.", 10, false},
-      {"Alternate", "Host. Subdomain Alt.", 10, false},
-      {"Alternate", "Header Alt.", 59, false},
-      {"Capitalize", "Get Word Cap.", 8, false},
-      {"Capitalize", "Http Word Cap.", 16, false},
-      {"Capitalize", "Host Word Cap.", 16, false},
-      {"Remove", "Get Word Rem.", 7, false},
-      {"Remove", "Http Word Rem.", 167, false},
-      {"Remove", "Host Word Rem.", 63, false},
-      {"Remove", "Http Delimiter Rem.", 3, false},
-      {"Pad", "Hostname Pad.", 9, false},
-      {"Alternate", "Min Version Alt.", 4, true},
-      {"Alternate", "Max Version Alt.", 4, true},
-      {"Alternate", "CipherSuite Alt.", 25, true},
-      {"Alternate", "Client Certificate Alt.", 3, true},
-      {"Alternate", "SNI Alt.", 4, true},
-      {"Alternate", "SNI TLD Alt.", 10, true},
-      {"Alternate", "SNI Subdomain Alt.", 10, true},
-      {"Pad", "SNI Pad.", 9, true},
+      {"Alternate", "Get Word Alt.", 6, false, get_word_alt},
+      {"Alternate", "Http Word Alt.", 16, false, http_word_alt},
+      {"Alternate", "Host Word Alt.", 7, false, host_word_alt},
+      {"Alternate", "Path Alt.", 8, false, path_alt},
+      {"Alternate", "Hostname Alt.", 5, false, hostname_alt},
+      {"Alternate", "Hostname TLD Alt.", 10, false, hostname_tld_alt},
+      {"Alternate", "Host. Subdomain Alt.", 10, false, hostname_subdomain_alt},
+      {"Alternate", "Header Alt.", 59, false, header_alt},
+      {"Capitalize", "Get Word Cap.", 8, false, get_word_cap},
+      {"Capitalize", "Http Word Cap.", 16, false, http_word_cap},
+      {"Capitalize", "Host Word Cap.", 16, false, host_word_cap},
+      {"Remove", "Get Word Rem.", 7, false, get_word_rem},
+      {"Remove", "Http Word Rem.", 167, false, http_word_rem},
+      {"Remove", "Host Word Rem.", 63, false, host_word_rem},
+      {"Remove", "Http Delimiter Rem.", 3, false, http_delimiter_rem},
+      {"Pad", "Hostname Pad.", 9, false, hostname_pad},
+      {"Alternate", "Min Version Alt.", 4, true, min_version_alt},
+      {"Alternate", "Max Version Alt.", 4, true, max_version_alt},
+      {"Alternate", "CipherSuite Alt.", 25, true, cipher_suite_alt},
+      {"Alternate", "Client Certificate Alt.", 3, true, client_certificate_alt},
+      {"Alternate", "SNI Alt.", 4, true, sni_alt},
+      {"Alternate", "SNI TLD Alt.", 10, true, sni_tld_alt},
+      {"Alternate", "SNI Subdomain Alt.", 10, true, sni_subdomain_alt},
+      {"Pad", "SNI Pad.", 9, true, sni_pad},
   };
   return kCatalogue;
 }
 
 std::vector<FuzzProbe> probes_for_strategy(const std::string& name,
                                            const std::string& domain) {
-  if (name == "Get Word Alt.") return get_word_alt(domain);
-  if (name == "Http Word Alt.") return http_word_alt(domain);
-  if (name == "Host Word Alt.") return host_word_alt(domain);
-  if (name == "Path Alt.") return path_alt(domain);
-  if (name == "Hostname Alt.") return hostname_alt(domain);
-  if (name == "Hostname TLD Alt.") return hostname_tld_alt(domain);
-  if (name == "Host. Subdomain Alt.") return hostname_subdomain_alt(domain);
-  if (name == "Header Alt.") return header_alt(domain);
-  if (name == "Get Word Cap.") return get_word_cap(domain);
-  if (name == "Http Word Cap.") return http_word_cap(domain);
-  if (name == "Host Word Cap.") return host_word_cap(domain);
-  if (name == "Get Word Rem.") return get_word_rem(domain);
-  if (name == "Http Word Rem.") return http_word_rem(domain);
-  if (name == "Host Word Rem.") return host_word_rem(domain);
-  if (name == "Http Delimiter Rem.") return http_delimiter_rem(domain);
-  if (name == "Hostname Pad.") return hostname_pad(domain);
-  if (name == "Min Version Alt.") return min_version_alt(domain);
-  if (name == "Max Version Alt.") return max_version_alt(domain);
-  if (name == "CipherSuite Alt.") return cipher_suite_alt(domain);
-  if (name == "Client Certificate Alt.") return client_certificate_alt(domain);
-  if (name == "SNI Alt.") return sni_alt(domain);
-  if (name == "SNI TLD Alt.") return sni_tld_alt(domain);
-  if (name == "SNI Subdomain Alt.") return sni_subdomain_alt(domain);
-  if (name == "SNI Pad.") return sni_pad(domain);
+  for (const StrategyInfo& info : strategy_catalogue()) {
+    if (info.name == name) return info.expand(info.name, domain);
+  }
   throw std::invalid_argument("unknown strategy: " + name);
 }
 
 std::vector<FuzzProbe> http_probes(const std::string& domain) {
-  std::vector<FuzzProbe> out;
-  for (const StrategyInfo& info : strategy_catalogue()) {
-    if (info.https) continue;
-    std::vector<FuzzProbe> probes = probes_for_strategy(info.name, domain);
-    out.insert(out.end(), std::make_move_iterator(probes.begin()),
-               std::make_move_iterator(probes.end()));
-  }
-  return out;
+  return catalogue_probes(false, domain);
 }
 
 std::vector<FuzzProbe> tls_probes(const std::string& domain) {
-  std::vector<FuzzProbe> out;
-  for (const StrategyInfo& info : strategy_catalogue()) {
-    if (!info.https) continue;
-    std::vector<FuzzProbe> probes = probes_for_strategy(info.name, domain);
-    out.insert(out.end(), std::make_move_iterator(probes.begin()),
-               std::make_move_iterator(probes.end()));
-  }
-  return out;
+  return catalogue_probes(true, domain);
 }
 
 ProbeSet ProbeSet::build(const std::string& domain) {

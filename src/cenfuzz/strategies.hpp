@@ -34,6 +34,10 @@ struct StrategyInfo {
   std::string name;
   int permutations = 0;
   bool https = false;
+  /// The row's generator: its probes for a domain, each carrying `name`
+  /// as its strategy.
+  std::vector<FuzzProbe> (*expand)(const std::string& strategy, const std::string& domain) =
+      nullptr;
 };
 
 /// The full Table 2 catalogue, in paper order.

@@ -71,7 +71,7 @@ DeviceProbeReport probe_device_impl(const sim::Network& network, net::Ipv4Addres
 DeviceProbeReport run(sim::Network& network, const ProbeRunOptions& options,
                       obs::Observer* observer) {
   sim::ScopedObserver guard(network, observer);
-  if (options.common.seed) network.reset_epoch(*options.common.seed);
+  if (options.seed) network.reset_epoch(*options.seed);
   return probe_device_impl(network, options.ip);
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "cenprobe/bannergrab.hpp"
-#include "tool/options.hpp"
 
 namespace cen::probe {
 
@@ -43,9 +42,8 @@ struct DeviceProbeReport {
 /// subject is just the device IP.
 struct ProbeRunOptions {
   net::Ipv4Address ip;
-  /// Shared run fields. Probing is a stateless management-plane scan, so
-  /// only `seed` (epoch reset before the scan) applies here.
-  tool::CommonRunOptions common{};
+  /// When set, run() resets the network to this epoch before the scan.
+  std::optional<std::uint64_t> seed{};
 };
 
 /// Unified entry point (same shape as trace::run / fuzz::run): probe one

@@ -700,12 +700,10 @@ void CenTrace::aggregate(CenTraceReport& report) const {
 CenTraceReport run(sim::Network& network, const TraceRunOptions& options,
                    obs::Observer* observer) {
   sim::ScopedObserver guard(network, observer);
-  if (options.common.seed) network.reset_epoch(*options.common.seed);
-  CenTraceOptions trace = options.trace;
-  trace.apply(options.common);
+  if (options.seed) network.reset_epoch(*options.seed);
   return measure_with_degradation(network, options.client, options.endpoint,
                                   options.test_domain, options.control_domain,
-                                  trace, options.degradation);
+                                  options.trace, options.degradation);
 }
 
 }  // namespace cen::trace

@@ -29,7 +29,6 @@
 #include "core/strings.hpp"
 #include "geo/asdb.hpp"
 #include "netsim/engine.hpp"
-#include "tool/options.hpp"
 
 namespace cen::trace {
 
@@ -191,13 +190,6 @@ struct CenTraceOptions {
 
   /// Digest over every option (campaign cache-key component).
   std::uint64_t fingerprint() const;
-
-  /// Apply the shared run fields: `retries` caps the adaptive budget,
-  /// `backoff` sets the retry backoff. Inert when the fields are unset.
-  void apply(const tool::CommonRunOptions& common) {
-    if (common.retries) adaptive_max_retries = *common.retries;
-    if (common.backoff) retry_backoff = *common.backoff;
-  }
 };
 
 /// Reliability annotations for a CenTrace verdict, computed from the
@@ -334,9 +326,9 @@ struct TraceRunOptions {
   std::string test_domain;
   std::string control_domain;
   CenTraceOptions trace;
-  /// Shared run fields (retry budget, backoff, epoch seed), applied by
-  /// run() on top of `trace`. Unset fields keep the tool defaults.
-  tool::CommonRunOptions common;
+  /// When set, run() resets the network to this epoch
+  /// (Network::reset_epoch) before measuring.
+  std::optional<std::uint64_t> seed;
   /// Optional degradation/escalation plan (multi-vantage tomography when
   /// ICMP localisation fails). Null = plain CenTrace, prior behaviour.
   const DegradationPlan* degradation = nullptr;

@@ -86,7 +86,7 @@ void run_ambig_case(CaseContext& ctx) {
   ropts.control_domain = s.control_domain;
   ropts.ambig.repetitions = 1;  // keep one check case cheap
   ropts.ambig.retries = 0;
-  ropts.common.seed = ctx.rng.next();
+  ropts.seed = ctx.rng.next();
 
   ambig::AmbigReport first = ambig::run(*s.network, ropts);
   ambig::AmbigReport replay = ambig::run(*s.network, ropts);

@@ -56,13 +56,6 @@ struct PipelineOptions {
   /// measurement results obey. nullptr disables all instrumentation
   /// (near-zero cost).
   obs::Observer* observer = nullptr;
-
-  /// Apply the shared --retries / --backoff run options to CenTrace, as
-  /// trace::CenTraceOptions::apply does.
-  void apply(const tool::CommonRunOptions& common) {
-    if (common.retries) centrace_adaptive_retries = *common.retries;
-    if (common.backoff) centrace_retry_backoff = *common.backoff;
-  }
 };
 
 struct PipelineResult {

@@ -84,7 +84,7 @@ std::map<std::string, ambig::AmbigReport> run_vendor_lab(int per_vendor,
     ropts.endpoint = d.endpoint;
     ropts.test_domain = s.test_domain;
     ropts.control_domain = s.control_domain;
-    ropts.common.seed = tool_seed;
+    ropts.seed = tool_seed;
     out.emplace(d.device_id, ambig::run(*s.network, ropts));
   }
   return out;
@@ -275,7 +275,7 @@ TEST(AmbigScenario, GoldenVendorVectors) {
     ropts.endpoint = d.endpoint;
     ropts.test_domain = s.test_domain;
     ropts.control_domain = s.control_domain;
-    ropts.common.seed = 77;
+    ropts.seed = 77;
     ambig::AmbigReport report = ambig::run(*s.network, ropts);
     EXPECT_TRUE(report.baseline_blocked) << d.device_id;
     EXPECT_GT(report.endpoint_distance, 1) << d.device_id;
@@ -394,7 +394,7 @@ TEST(AmbigClustering, RecoversVendorPartitionWithDarkBanners) {
     ropts.endpoint = d.endpoint;
     ropts.test_domain = s.test_domain;
     ropts.control_domain = s.control_domain;
-    ropts.common.seed = 7;
+    ropts.seed = 7;
     ml::EndpointMeasurement em;
     em.endpoint_id = d.endpoint.str();
     em.country = "LAB";

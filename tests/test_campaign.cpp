@@ -12,14 +12,19 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
+#include "cenambig/cenambig.hpp"
+#include "cenfuzz/cenfuzz.hpp"
+#include "centrace/degrade.hpp"
 #include "core/json.hpp"
 #include "core/thread_pool.hpp"
+#include "netsim/faults.hpp"
 #include "obs/observer.hpp"
 #include "report/from_json.hpp"
 #include "report/json_report.hpp"
@@ -516,6 +521,131 @@ TEST(Campaign, CacheInvalidationPerKeyComponent) {
     EXPECT_GT(r.trace.executed, 0u);
   }
   std::remove(cache.c_str());
+}
+
+namespace {
+
+/// Converts to any member type: T{AnyMember{}...} tells how many members
+/// an aggregate T has.
+struct AnyMember {
+  template <typename M>
+  operator M() const;
+};
+
+template <typename T, typename... Members>
+constexpr std::size_t member_count() {
+  if constexpr (requires { T{Members{}..., AnyMember{}}; }) {
+    return member_count<T, Members..., AnyMember>();
+  } else {
+    return sizeof...(Members);
+  }
+}
+
+/// One member of T, changed from its default.
+template <typename T>
+struct Knob {
+  const char* member;
+  void (*change)(T&);
+};
+
+/// Changing any one knob moves T's digest, each to its own value.
+template <typename T>
+void expect_every_knob_moves(std::span<const Knob<T>> knobs) {
+  const std::uint64_t base = T{}.fingerprint();
+  std::set<std::uint64_t> seen = {base};
+  for (const Knob<T>& knob : knobs) {
+    T changed{};
+    knob.change(changed);
+    EXPECT_TRUE(seen.insert(changed.fingerprint()).second) << knob.member;
+  }
+}
+
+}  // namespace
+
+// The cache key holds each tool's fingerprint(), a hand-written digest that
+// restates its struct: a member it misses would serve a stale cache line
+// after that member changed. Each struct's member count is pinned beside
+// its knobs, so a new member fails here until it has a knob.
+TEST(Campaign, EveryToolOptionMovesItsFingerprint) {
+  using trace::CenTraceOptions;
+  static_assert(member_count<CenTraceOptions>() == 9);
+  constexpr Knob<CenTraceOptions> kTrace[] = {
+      {"max_ttl", [](CenTraceOptions& o) { ++o.max_ttl; }},
+      {"retries", [](CenTraceOptions& o) { ++o.retries; }},
+      {"repetitions", [](CenTraceOptions& o) { ++o.repetitions; }},
+      {"inter_probe_wait", [](CenTraceOptions& o) { ++o.inter_probe_wait; }},
+      {"timeout_run_stop", [](CenTraceOptions& o) { ++o.timeout_run_stop; }},
+      {"protocol", [](CenTraceOptions& o) { o.protocol = trace::ProbeProtocol::kHttps; }},
+      {"retry_backoff", [](CenTraceOptions& o) { ++o.retry_backoff; }},
+      {"adaptive_max_retries", [](CenTraceOptions& o) { ++o.adaptive_max_retries; }},
+      {"silent_channel_abort", [](CenTraceOptions& o) { ++o.silent_channel_abort; }},
+  };
+  expect_every_knob_moves<CenTraceOptions>(kTrace);
+
+  using fuzz::CenFuzzOptions;
+  static_assert(member_count<CenFuzzOptions>() == 6);
+  constexpr Knob<CenFuzzOptions> kFuzz[] = {
+      {"retries", [](CenFuzzOptions& o) { ++o.retries; }},
+      {"wait_after_blocked", [](CenFuzzOptions& o) { ++o.wait_after_blocked; }},
+      {"wait_after_ok", [](CenFuzzOptions& o) { ++o.wait_after_ok; }},
+      {"run_http", [](CenFuzzOptions& o) { o.run_http = false; }},
+      {"run_tls", [](CenFuzzOptions& o) { o.run_tls = false; }},
+      {"baseline_attempts", [](CenFuzzOptions& o) { ++o.baseline_attempts; }},
+  };
+  expect_every_knob_moves<CenFuzzOptions>(kFuzz);
+
+  using ambig::AmbigOptions;
+  static_assert(member_count<AmbigOptions>() == 7);
+  constexpr Knob<AmbigOptions> kAmbig[] = {
+      {"repetitions", [](AmbigOptions& o) { ++o.repetitions; }},
+      {"retries", [](AmbigOptions& o) { ++o.retries; }},
+      {"wait_after_blocked", [](AmbigOptions& o) { ++o.wait_after_blocked; }},
+      {"wait_after_ok", [](AmbigOptions& o) { ++o.wait_after_ok; }},
+      {"retry_backoff", [](AmbigOptions& o) { ++o.retry_backoff; }},
+      {"max_distance_ttl", [](AmbigOptions& o) { ++o.max_distance_ttl; }},
+      {"order_salt", [](AmbigOptions& o) { ++o.order_salt; }},
+  };
+  expect_every_knob_moves<AmbigOptions>(kAmbig);
+
+  // The plan's scalars, its default link and node profiles, and one
+  // override of each.
+  using sim::FaultPlan;
+  static_assert(member_count<FaultPlan>() == 8);
+  static_assert(member_count<sim::FaultProfile>() == 5);
+  static_assert(member_count<sim::NodeFaultProfile>() == 3);
+  constexpr Knob<FaultPlan> kFaults[] = {
+      {"transient_loss", [](FaultPlan& p) { p.transient_loss = 0.01; }},
+      {"default_link.loss", [](FaultPlan& p) { p.default_link.loss = 0.01; }},
+      {"default_link.duplicate", [](FaultPlan& p) { p.default_link.duplicate = 0.01; }},
+      {"default_link.reorder", [](FaultPlan& p) { p.default_link.reorder = 0.01; }},
+      {"default_link.truncate", [](FaultPlan& p) { p.default_link.truncate = 0.01; }},
+      {"default_link.corrupt", [](FaultPlan& p) { p.default_link.corrupt = 0.01; }},
+      {"link_overrides", [](FaultPlan& p) { p.set_link(1, 2, {.loss = 0.01}); }},
+      {"default_node.icmp_blackhole", [](FaultPlan& p) { p.default_node.icmp_blackhole = true; }},
+      {"default_node.icmp_rate_per_sec",
+       [](FaultPlan& p) { p.default_node.icmp_rate_per_sec = 1.0; }},
+      {"default_node.icmp_burst", [](FaultPlan& p) { p.default_node.icmp_burst = 5.0; }},
+      {"node_overrides", [](FaultPlan& p) { p.node_overrides[1].icmp_blackhole = true; }},
+      {"route_flap_period", [](FaultPlan& p) { p.route_flap_period = 1; }},
+      {"mgmt_drop", [](FaultPlan& p) { p.mgmt_drop = 0.01; }},
+      {"banner_truncate", [](FaultPlan& p) { p.banner_truncate = 0.01; }},
+  };
+  expect_every_knob_moves<FaultPlan>(kFaults);
+
+  using trace::DegradationPlan;
+  static_assert(member_count<DegradationPlan>() == 6);
+  static_assert(member_count<tomo::SolverOptions>() == 3);
+  constexpr Knob<DegradationPlan> kDegradation[] = {
+      {"tomography", [](DegradationPlan& p) { p.tomography = true; }},
+      {"vantages", [](DegradationPlan& p) { p.vantages = {1}; }},
+      {"rounds", [](DegradationPlan& p) { ++p.rounds; }},
+      {"round_spacing", [](DegradationPlan& p) { ++p.round_spacing; }},
+      {"control_path_retries", [](DegradationPlan& p) { ++p.control_path_retries; }},
+      {"solver.max_cover_size", [](DegradationPlan& p) { ++p.solver.max_cover_size; }},
+      {"solver.max_candidates", [](DegradationPlan& p) { ++p.solver.max_candidates; }},
+      {"solver.max_suspects", [](DegradationPlan& p) { ++p.solver.max_suspects; }},
+  };
+  expect_every_knob_moves<DegradationPlan>(kDegradation);
 }
 
 TEST(Campaign, SpecJsonRoundTrip) {

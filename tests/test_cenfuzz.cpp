@@ -259,7 +259,7 @@ TEST(CenFuzz, SharedProbeTablesChangeNoByte) {
   options.endpoint = net::Ipv4Address(10, 0, 9, 1);
   options.test_domain = "www.blocked.example";
   options.control_domain = "www.example.org";
-  options.common.seed = 5;
+  options.seed = 5;
   const std::string own = report_json(options);
   options.test_probes = std::make_shared<const ProbeSet>(ProbeSet::build(options.test_domain));
   options.control_probes =

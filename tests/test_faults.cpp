@@ -317,7 +317,7 @@ TEST(FaultMgmt, TruncatedBannersKeptAsPartials) {
 }
 
 TEST(FaultMgmt, EpochSeedPicksTheBannerRetries) {
-  // probe::run resets the epoch to `common.seed` before scanning, so the
+  // probe::run resets the epoch to its `seed` before scanning, so the
   // seed decides which grabs the management plane drops: the same seed
   // replays the same report, and seeds differ in their retries.
   FaultNet fn;
@@ -329,10 +329,8 @@ TEST(FaultMgmt, EpochSeedPicksTheBannerRetries) {
   fn.net->set_fault_plan(plan);
 
   auto attempts = [&](std::uint64_t seed) {
-    tool::CommonRunOptions common;
-    common.seed = seed;
     const probe::DeviceProbeReport r =
-        probe::run(*fn.net, probe::ProbeRunOptions{.ip = *cfg.mgmt_ip, .common = common});
+        probe::run(*fn.net, probe::ProbeRunOptions{.ip = *cfg.mgmt_ip, .seed = seed});
     std::vector<int> out;
     for (const probe::BannerGrab& g : r.banners) out.push_back(g.attempts);
     return out;

@@ -523,7 +523,7 @@ TEST(PinnedDigests, FuzzReports) {
       ropts.test_domain = s.http_test_domains[i % s.http_test_domains.size()];
       ropts.control_domain = s.control_domain;
       ropts.fuzz = options;
-      ropts.common.seed = 0xf022 + i;
+      ropts.seed = 0xf022 + i;
       const fuzz::CenFuzzReport r = fuzz::run(*s.network, ropts);
       if (!r.http_baseline_blocked && !r.tls_baseline_blocked) continue;
       ++blocked;

@@ -34,7 +34,9 @@ ambig::AmbigRunOptions run_options(const Context& ctx, sim::NodeId client,
   ambig::AmbigRunOptions ropts;
   ropts.client = client;
   ropts.control_domain = std::move(control_domain);
-  ropts.common = ctx.common.run;
+  ropts.seed = ctx.common.seed;
+  ropts.ambig.retries = ctx.args.value("retries", ropts.ambig.retries);
+  ropts.ambig.retry_backoff = ctx.args.value("backoff", ropts.ambig.retry_backoff);
   ctx.args.apply(ropts.ambig, "ambig.");
   return ropts;
 }

@@ -28,7 +28,7 @@ int cli::run_check(const Context& ctx) {
   if (options.iterations < 1 || options.mutation_budget < 1) {
     throw UsageError("--iterations and --budget must be >= 1");
   }
-  options.seed = ctx.common.run.seed.value_or(1);
+  options.seed = ctx.common.seed.value_or(1);
   options.minimize = !args.has("no-minimize");
   options.threads = ctx.common.threads;
 

@@ -16,7 +16,6 @@
 #include "report/json_report.hpp"
 #include "report/wire.hpp"
 #include "scenario/pipeline.hpp"
-#include "tool/options.hpp"
 
 namespace cli {
 
@@ -56,7 +55,10 @@ struct Flag {
 };
 
 /// The flags every subcommand accepts. The keyed ones set the spec of
-/// `campaign` and `longit`; the fault rows also make CommonOptions::faults.
+/// `campaign` and `longit`; the fault rows also make CommonOptions::faults,
+/// and the trace.* rows also set the tracer's options of `trace`. The
+/// other subcommands write --retries and --backoff into their own tools'
+/// options, or ignore them where the tool has no such knob (docs/TOOLS.md).
 inline constexpr Flag kCommonFlags[] = {
     {"help"}, {"json"}, {"scale", "full|small", "scale"}, {"threads", "N"}, {"seed", "N", "seed"},
     {"retries", "N", "trace.adaptive_max_retries"}, {"backoff", "MS", "trace.retry_backoff_ms"},
@@ -231,12 +233,9 @@ struct CommonOptions {
   /// --threads N: -1 = one worker per hardware thread; 0 = inline (no
   /// pool, the same output); >= 1 = pool of N.
   int threads = -1;
-  /// The shared run fields of the unified tool API, populated here once
-  /// (--retries N: CenTrace's adaptive retry budget under faults;
-  /// --backoff MS: the simulated retry backoff; --seed) so every
-  /// subcommand maps the same flags to every tool the same way:
-  /// `opts.apply(common.run)` or `run_options.common = common.run`.
-  cen::tool::CommonRunOptions run;
+  /// --seed N: the epoch `fuzz`, `ambig` and `probe --ip` reset the
+  /// network to before each run, and the seed of `world` and `check`.
+  std::optional<std::uint64_t> seed;
   bool json = false;
   /// The fault plan of the --loss / --fault-* rows; inert by default.
   cen::sim::FaultPlan faults;
@@ -246,11 +245,11 @@ inline CommonOptions parse_common(const Args& args) {
   CommonOptions o;
   o.scale = args.value("scale", o.scale, cen::scenario::kScaleNames);
   o.threads = args.value("threads", -1);
-  // Only explicitly-passed flags reach the shared run options: an unset
-  // field means "keep the tool's own default".
-  if (args.has("retries")) o.run.retries = args.value("retries", 0);
-  if (args.has("backoff")) o.run.backoff = args.value<cen::SimTime>("backoff", 0);
-  if (args.has("seed")) o.run.seed = args.value<std::uint64_t>("seed", 1);
+  // The subcommands read --retries and --backoff into their tools'
+  // options; a malformed value is a usage error in every subcommand.
+  args.value("retries", 0);
+  args.value<cen::SimTime>("backoff", 0);
+  if (args.has("seed")) o.seed = args.value<std::uint64_t>("seed", 1);
   o.json = args.has("json");
   args.apply(o.faults, "faults.");
   return o;
@@ -273,6 +272,19 @@ inline cen::scenario::CountryScenario make_site(const Context& ctx) {
       cen::scenario::make_country(parse_country(ctx.args.get("country")), ctx.common.scale);
   s.network->set_fault_plan(ctx.common.faults);
   return s;
+}
+
+/// The pipeline of `probe` and `cluster`: --reps sweeps per domain (default
+/// 5), --retries and --backoff for CenTrace, the common threads and faults.
+inline cen::scenario::PipelineOptions pipeline_options(const Context& ctx) {
+  cen::scenario::PipelineOptions o;
+  o.centrace_repetitions = ctx.args.value("reps", 5);
+  o.centrace_adaptive_retries = ctx.args.value("retries", o.centrace_adaptive_retries);
+  o.centrace_retry_backoff = ctx.args.value("backoff", o.centrace_retry_backoff);
+  o.threads = ctx.common.threads;
+  o.observer = ctx.observer;
+  o.faults = ctx.common.faults;
+  return o;
 }
 
 /// --endpoint N (default 0): the scenario's N-th remote endpoint.

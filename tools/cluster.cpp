@@ -10,13 +10,8 @@ using namespace cli;
 int cli::run_cluster(const Context& ctx) {
   const Args& args = ctx.args;
   const std::string export_path = args.get("export");
-  scenario::PipelineOptions o;
-  o.centrace_repetitions = args.value("reps", 5);
+  scenario::PipelineOptions o = pipeline_options(ctx);
   o.fuzz_max_endpoints = args.value("fuzz-cap", 40);
-  o.threads = ctx.common.threads;
-  o.observer = ctx.observer;
-  o.faults = ctx.common.faults;
-  o.apply(ctx.common.run);
 
   std::vector<ml::EndpointMeasurement> all;
   for (const std::string& code :

@@ -17,7 +17,8 @@ int cli::run_fuzz(const Context& ctx) {
   ropts.endpoint = select_endpoint(ctx, s);
   ropts.test_domain = domain;
   ropts.control_domain = s.control_domain;
-  ropts.common = ctx.common.run;
+  ropts.fuzz.retries = args.value("retries", ropts.fuzz.retries);
+  ropts.seed = ctx.common.seed;
   const fuzz::CenFuzzReport report = fuzz::run(*s.network, ropts, ctx.observer);
 
   if (ctx.common.json) {

@@ -26,7 +26,7 @@ int cli::run_probe(const Context& ctx) {
     auto ip = net::Ipv4Address::parse(args.get("ip"));
     if (!ip) throw UsageError("malformed IP: " + args.get("ip"));
     const probe::DeviceProbeReport r =
-        probe::run(*s.network, probe::ProbeRunOptions{.ip = *ip, .common = ctx.common.run},
+        probe::run(*s.network, probe::ProbeRunOptions{.ip = *ip, .seed = ctx.common.seed},
                    ctx.observer);
     if (ctx.common.json) {
       std::printf("%s\n", report::to_json(r).c_str());
@@ -36,13 +36,8 @@ int cli::run_probe(const Context& ctx) {
     return kExitOk;
   }
 
-  scenario::PipelineOptions o;
-  o.centrace_repetitions = args.value("reps", 5);
+  scenario::PipelineOptions o = pipeline_options(ctx);
   o.run_fuzz = false;
-  o.threads = ctx.common.threads;
-  o.observer = ctx.observer;
-  o.faults = ctx.common.faults;
-  o.apply(ctx.common.run);
   scenario::PipelineResult result = run_country_pipeline(s, o);
   std::fprintf(stderr, "CenTrace: %zu measurements, %zu blocked, %zu device IPs\n",
                result.remote_traces.size(), result.blocked_remote(),

@@ -59,10 +59,13 @@ int cli::run_trace(const Context& ctx) {
   const std::string pcap = args.get("pcap");
   scenario::CountryScenario s = make_site(ctx);
 
-  trace::CenTraceOptions opts;
-  opts.repetitions = args.value("reps", 11);
-  opts.protocol = parse_protocol(args.get("protocol"));
-  opts.apply(ctx.common.run);
+  // The tracer's options where a campaign spec holds them, so --retries
+  // and --backoff reach them through their trace.* rows.
+  campaign::CampaignSpec spec;
+  spec.trace.repetitions = args.value("reps", 11);
+  spec.trace.protocol = parse_protocol(args.get("protocol"));
+  args.apply(spec);
+  const trace::CenTraceOptions& opts = spec.trace;
 
   net::PcapWriter capture;
   if (!pcap.empty()) s.network->set_capture(&capture);

@@ -92,7 +92,7 @@ int cli::run_world(const Context& ctx) {
     throw UsageError("unknown tier '" + tier + "' (expected 1k, 100k or 1m)");
   }
   const worldgen::World world =
-      worldgen::generate(*spec, ctx.common.run.seed.value_or(1), ctx.observer);
+      worldgen::generate(*spec, ctx.common.seed.value_or(1), ctx.observer);
 
   int rc = kExitOk;
   if (args.has("dump") && !write_file(args.get("dump"), dump_json(world))) rc = kExitRuntime;
