@@ -158,7 +158,12 @@ std::size_t ResultCache::load(ThreadPool* pool) {
   std::size_t loaded = 0;
   for (Record& record : checked) {
     if (record.key.empty()) continue;
-    records_.insert_or_assign(std::move(record.key), std::move(record.result));
+    auto [it, added] = records_.try_emplace(std::move(record.key));
+    if (added) {
+      it->second = &docs_.emplace_back(std::move(record.result));
+    } else {
+      *it->second = std::move(record.result);  // a later line for the key wins
+    }
     ++loaded;
   }
   return loaded;
@@ -166,11 +171,11 @@ std::size_t ResultCache::load(ThreadPool* pool) {
 
 const std::string* ResultCache::find(const std::string& key) const {
   auto it = records_.find(key);
-  return it == records_.end() ? nullptr : &it->second;
+  return it == records_.end() ? nullptr : it->second;
 }
 
-void ResultCache::put(const std::string& key, std::string_view stage,
-                      std::string_view task_id, std::string result_json) {
+const std::string& ResultCache::put(const std::string& key, std::string_view stage,
+                                    std::string_view task_id, std::string result_json) {
   JsonWriter w;
   w.begin_object();
   w.key("key").value(key);
@@ -179,9 +184,16 @@ void ResultCache::put(const std::string& key, std::string_view stage,
   w.key("task").value(task_id);
   w.key("result").raw_value(result_json);
   w.end_object();
-  pending_ += w.str();
+  pending_ += std::move(w).str();
   pending_ += '\n';
-  records_[key] = std::move(result_json);
+  std::string& stored = docs_.emplace_back(std::move(result_json));
+  records_.insert_or_assign(key, &stored);
+  return stored;
+}
+
+std::string ResultCache::release(const std::string* doc) {
+  // Every document is an element of docs_, which find() hands out const.
+  return std::move(*const_cast<std::string*>(doc));
 }
 
 void ResultCache::flush() {

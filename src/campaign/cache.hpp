@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <map>
 #include <string>
 #include <string_view>
@@ -47,6 +48,13 @@ class ResultCache {
   /// within-run dedup still works).
   explicit ResultCache(std::string path) : path_(std::move(path)) {}
 
+  // A copy's key map would point into the source's documents. A move
+  // keeps them where they are (std::deque moves its blocks).
+  ResultCache(const ResultCache&) = delete;
+  ResultCache& operator=(const ResultCache&) = delete;
+  ResultCache(ResultCache&&) = default;
+  ResultCache& operator=(ResultCache&&) = default;
+
   /// Load existing records from the file. Lines that are not a valid
   /// record (a crash's truncated tail, stray garbage, a stale "sum") are
   /// skipped, not fatal; docs/CAMPAIGN.md lists the acceptance rules.
@@ -54,29 +62,44 @@ class ResultCache {
   /// `pool` (borrowed, e.g. the campaign run's) its workers check the
   /// lines; null checks them inline. Either way the records enter the
   /// cache in file order, so the last valid line for a key wins and the
-  /// result is the same at every pool size. Returns the number of records
+  /// result is the same at every pool size. A key on several lines keeps
+  /// one document, overwritten in place, so call load() before handing
+  /// out any find() or put() document. Returns the number of records
   /// loaded.
   std::size_t load(ThreadPool* pool = nullptr);
 
-  /// The cached result document for a key, or nullptr.
+  /// The cached result document for a key, or nullptr. The cache owns
+  /// every document it stores, and neither moves nor changes one it has
+  /// handed out before release(): the pointer stays valid, with the same
+  /// bytes, for the cache's life. A later put() of the key stores a new document beside
+  /// it, which find() returns from then on.
   const std::string* find(const std::string& key) const;
 
-  /// Record a fresh result (also visible to find() immediately). The
+  /// Record a fresh result (also visible to find() immediately) and
+  /// return the stored document, under the same guarantee as find(). The
   /// record is buffered until the next flush().
-  void put(const std::string& key, std::string_view stage, std::string_view task_id,
-           std::string result_json);
+  const std::string& put(const std::string& key, std::string_view stage,
+                         std::string_view task_id, std::string result_json);
+
+  /// Move the bytes of `doc`, a document find() or put() returned, out of
+  /// the cache, leaving it empty: for a run's last read of it.
+  std::string release(const std::string* doc);
 
   /// Append buffered records to the file and fflush, making them
   /// crash-durable. No-op for an in-memory cache.
   void flush();
 
   std::size_t size() const { return records_.size(); }
+  /// Documents held: one per key, plus one for each put() of a key the
+  /// cache already held.
+  std::size_t documents() const { return docs_.size(); }
   const std::string& path() const { return path_; }
 
  private:
   std::string path_;
-  std::map<std::string, std::string> records_;  // key -> result document
-  std::string pending_;                         // lines not yet on disk
+  std::deque<std::string> docs_;                 // every document stored or loaded
+  std::map<std::string, std::string*> records_;  // key -> its latest document
+  std::string pending_;                          // lines not yet on disk
 };
 
 }  // namespace cen::campaign

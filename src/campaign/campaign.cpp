@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "campaign/cache.hpp"
@@ -79,6 +80,8 @@ struct StageContext {
   Budget& budget;
   const std::string& code;
   std::vector<CampaignRecord>& records;
+  /// Each record's result bytes, owned by the cache until hand_over().
+  std::vector<const std::string*>& record_docs;
   std::unique_ptr<scenario::ParallelExecutor> exec;  // lazy, shared by stages
 };
 
@@ -124,6 +127,9 @@ void add_wall_ns(obs::Observer* observer, const char* name,
 /// therefore receives the same bytes in the same order at every thread
 /// count, and a killed run loses only the batches still in flight.
 ///
+/// A task's result bytes live in the cache alone: the stage holds a
+/// pointer per task, and a duplicate task shares its source's.
+///
 /// Returns nullopt when the budget ran out with work still pending (the
 /// campaign must stop; the planned batches are durable). On success the
 /// stage's records are appended to the site's output.
@@ -134,7 +140,7 @@ std::optional<std::vector<Report>> run_stage(
     const std::function<std::string(sim::Network&, std::size_t)>& execute) {
   const std::size_t n = tasks.ids.size();
   stats.tasks += n;
-  std::vector<std::string> docs(n);
+  std::vector<const std::string*> docs(n, nullptr);  // set: served or executed
   std::vector<Report> reports(n);
 
   // Decode the hits. A task is served from the cache only when its record
@@ -144,15 +150,13 @@ std::optional<std::vector<Report>> run_stage(
   for (std::size_t i = 0; i < n; ++i) {
     if (const std::string* doc = ctx.cache.find(tasks.cache_keys[i])) hits.emplace_back(i, doc);
   }
-  std::vector<char> served(n, 0);  // 1: a hit that decoded into docs/reports
   auto decode_hits = [&](std::size_t begin, std::size_t end) {
     for (std::size_t h = begin; h < end; ++h) {
       const auto [i, doc] = hits[h];
       std::optional<Report> rep = decode(*doc);
       if (!rep) continue;
-      docs[i] = *doc;
+      docs[i] = doc;
       reports[i] = std::move(*rep);
-      served[i] = 1;
     }
   };
   ThreadPool* pool = hits.size() >= 2 ? ctx.pool.get() : nullptr;
@@ -185,7 +189,7 @@ std::optional<std::vector<Report>> run_stage(
         ++stats.cache_hits;
         continue;
       }
-      if (served[i] != 0) {
+      if (docs[i] != nullptr) {
         ++stats.cache_hits;
       } else {
         pending.push_back(i);
@@ -217,19 +221,20 @@ std::optional<std::vector<Report>> run_stage(
       unfinished[b] = batch_end[b] - p;
       for (; p < batch_end[b]; ++p) batch_of[p] = b;
     }
+    std::vector<std::string> fresh(pending.size());  // executed, not yet put
     std::mutex write_mu;
     std::size_t written = 0;  // batches durable on disk, in order
     auto run_task = [&](sim::Network& worker, std::size_t p) {
       const std::size_t i = pending[p];
-      docs[i] = execute(worker, i);
-      reports[i] = decode(docs[i]).value();
+      fresh[p] = execute(worker, i);
+      reports[i] = decode(fresh[p]).value();
       std::lock_guard<std::mutex> lock(write_mu);
       if (--unfinished[batch_of[p]] != 0) return;
       for (; written < batch_end.size() && unfinished[written] == 0; ++written) {
         for (std::size_t q = written == 0 ? 0 : batch_end[written - 1]; q < batch_end[written];
              ++q) {
           const std::size_t t = pending[q];
-          ctx.cache.put(tasks.cache_keys[t], stage, tasks.ids[t], docs[t]);
+          docs[t] = &ctx.cache.put(tasks.cache_keys[t], stage, tasks.ids[t], std::move(fresh[q]));
         }
         ctx.cache.flush();  // batch boundary == crash-checkpoint boundary
       }
@@ -250,10 +255,30 @@ std::optional<std::vector<Report>> run_stage(
     reports[i] = reports[src];
   }
   for (std::size_t i = 0; i < n; ++i) {
-    ctx.records.push_back({std::string(stage), tasks.ids[i], ctx.code, std::move(docs[i])});
+    ctx.records.push_back({std::string(stage), tasks.ids[i], ctx.code, {}});
   }
+  ctx.record_docs.insert(ctx.record_docs.end(), docs.begin(), docs.end());
   stage_span(ctx.control.observer, ctx.code, stage, n);
   return reports;
+}
+
+/// Give each record its result bytes, which the cache held until now:
+/// moved out on a document's last use and copied before it (a repeated
+/// site or a duplicate task shares a document).
+void hand_over(ResultCache& cache, const std::vector<const std::string*>& docs,
+               std::vector<CampaignRecord>& records) {
+  std::unordered_map<const std::string*, std::size_t> last_use;
+  last_use.reserve(docs.size());
+  for (std::size_t i = 0; i < docs.size(); ++i) last_use[docs[i]] = i;
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    // Not `?:`: with a const lvalue on one side, its type is a const
+    // string, and assigning that copies.
+    if (last_use[docs[i]] == i) {
+      records[i].json = cache.release(docs[i]);
+    } else {
+      records[i].json = *docs[i];
+    }
+  }
 }
 
 /// The fuzz stage's probe tables, one per distinct domain. The first task
@@ -361,6 +386,12 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
   }
 
   const std::uint64_t fault_fp = spec.faults.fingerprint();
+  // Every exit hands the records their bytes from the cache.
+  std::vector<const std::string*> record_docs;
+  auto finish = [&] {
+    hand_over(cache, record_docs, result.records);
+    return std::move(result);
+  };
 
   const std::size_t site_count = world_mode ? 1 : countries.size();
   for (std::size_t site_index = 0; site_index < site_count; ++site_index) {
@@ -389,7 +420,8 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     const std::uint64_t net_fp = net.fingerprint();
     add_wall_ns(observer, "campaign.fingerprint_ns", fingerprint_start);
     const std::string& code = site.code;
-    StageContext ctx{net, spec, control, cache, run_pool, budget, code, result.records, nullptr};
+    StageContext ctx{net, spec, control, cache, run_pool, budget, code, result.records,
+                     record_docs, nullptr};
 
     // ---- Stage 1: CenTrace over (endpoint × domain × protocol). ----
     const std::vector<std::string> http_domains =
@@ -449,7 +481,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
           ropts.degradation = plan;
           return report::to_json(trace::run(worker, ropts));
         });
-    if (!traced) return result;  // budget exhausted: incomplete, resume via the cache
+    if (!traced) return finish();  // budget exhausted: incomplete, resume via the cache
     // Every downstream decision runs off DECODED records — identical
     // whether the record was fresh or cached.
     const std::vector<trace::CenTraceReport>& traces = *traced;
@@ -466,7 +498,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
         report::probe_report_from_json, [&](sim::Network& worker, std::size_t i) {
           return report::to_json(probe::run(worker, probe::ProbeRunOptions{.ip = devices[i].ip}));
         });
-    if (!probed) return result;
+    if (!probed) return finish();
     std::map<std::uint32_t, probe::DeviceProbeReport> device_probes;
     for (std::size_t i = 0; i < probed->size(); ++i) {
       device_probes.emplace(devices[i].ip.value(), std::move((*probed)[i]));
@@ -511,7 +543,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
           ropts.control_probes = probe_tables.get(site.control_domain);
           return report::to_json(fuzz::run(worker, ropts));
         });
-    if (!fuzzed) return result;
+    if (!fuzzed) return finish();
 
     std::optional<std::vector<ambig::AmbigReport>> ambiguities = run_stage(
         ctx, result.ambig, "ambig",
@@ -526,7 +558,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
           ropts.ambig = spec.ambig;
           return report::to_json(ambig::run(worker, ropts));
         });
-    if (!ambiguities) return result;
+    if (!ambiguities) return finish();
 
     // ---- Stage 4: bundle one measurement per blocked endpoint. ----
     dag::bundle(code, representatives, device_probes, fuzz_tasks, std::move(*fuzzed),
@@ -579,7 +611,7 @@ CampaignResult run(const CampaignSpec& spec, const RunControl& control) {
     m.counter("campaign.cache_hits", obs::Domain::kWall).inc(result.cache_hits());
     m.counter("campaign.batches_executed", obs::Domain::kWall).inc(result.batches_executed());
   }
-  return result;
+  return finish();
 }
 
 std::string CampaignResult::to_jsonl() const {

@@ -852,6 +852,7 @@ TEST(Campaign, CacheLoadSameAtEveryThreadCount) {
     campaign::ResultCache cache(path);
     EXPECT_EQ(cache.load(pool.get()), ref_loaded);
     EXPECT_EQ(cache.size(), ref.size());
+    EXPECT_EQ(cache.documents(), ref.size()) << "a superseded line is still held";
     for (const auto& [key, bytes] : ref) {
       const std::string* got = cache.find(key);
       ASSERT_NE(got, nullptr) << key;
@@ -1260,4 +1261,142 @@ TEST(Campaign, FuzzStageIdenticalAcrossThreads) {
   EXPECT_EQ(jsonl[0], jsonl[2]);
   EXPECT_EQ(bytes[0], bytes[1]);
   EXPECT_EQ(bytes[0], bytes[2]);
+}
+
+// ------------------------------------------------ record bytes hand-over
+
+namespace {
+
+/// The records of the `index`-th site of `r` (sites run in list order,
+/// each with a contiguous run of records).
+std::vector<campaign::CampaignRecord> site_records(const campaign::CampaignResult& r,
+                                                   std::size_t index) {
+  std::vector<campaign::CampaignRecord> out;
+  std::size_t site = 0;
+  for (std::size_t i = 0; i < r.records.size(); ++i) {
+    if (i > 0 && r.records[i].country != r.records[i - 1].country) ++site;
+    if (site == index) out.push_back(r.records[i]);
+  }
+  return out;
+}
+
+bool same_record(const campaign::CampaignRecord& a, const campaign::CampaignRecord& b) {
+  return a.stage == b.stage && a.task_id == b.task_id && a.country == b.country &&
+         a.json == b.json;
+}
+
+}  // namespace
+
+TEST(Campaign, RepeatedCountryIsServedWithinTheRun) {
+  // A country listed twice builds the same network twice, so its second
+  // site's tasks carry the keys the first site put: every one is served
+  // from the cache within the run, and both sites' records hold the bytes
+  // the cache owns once.
+  campaign::CampaignSpec spec = small_spec();
+  spec.countries = {scenario::Country::kKZ, scenario::Country::kAZ};
+  const campaign::CampaignResult pair = campaign::run(spec, {});
+  ASSERT_TRUE(pair.complete);
+  spec.countries.push_back(scenario::Country::kKZ);
+
+  std::string jsonl[2];
+  std::string summary[2];
+  const int threads[2] = {0, 4};
+  for (int t = 0; t < 2; ++t) {
+    SCOPED_TRACE("threads " + std::to_string(threads[t]));
+    const std::string cache = temp_cache("repeated_" + std::to_string(threads[t]));
+    campaign::RunControl control;
+    control.threads = threads[t];
+    control.cache_path = cache;
+    const campaign::CampaignResult cold = campaign::run(spec, control);
+    ASSERT_TRUE(cold.complete);
+    // The third site executes nothing: the run executes what {KZ, AZ} does.
+    EXPECT_EQ(cold.tool_tasks_executed(), pair.tool_tasks_executed());
+    EXPECT_EQ(cold.batches_executed(), pair.batches_executed());
+    const std::vector<campaign::CampaignRecord> first = site_records(cold, 0);
+    const std::vector<campaign::CampaignRecord> third = site_records(cold, 2);
+    ASSERT_FALSE(first.empty());
+    ASSERT_EQ(third.size(), first.size());
+    EXPECT_EQ(cold.records.size(), pair.records.size() + first.size());
+    EXPECT_EQ(cold.cache_hits(), pair.cache_hits() + first.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      EXPECT_TRUE(same_record(third[i], first[i])) << first[i].task_id;
+    }
+    jsonl[t] = cold.to_jsonl();
+    summary[t] = cold.summary_json();
+
+    const std::string bytes = file_text(cache);
+    const campaign::CampaignResult warm = campaign::run(spec, control);
+    ASSERT_TRUE(warm.complete);
+    EXPECT_EQ(warm.tool_tasks_executed(), 0u);
+    EXPECT_EQ(warm.to_jsonl(), jsonl[t]);
+    EXPECT_EQ(file_text(cache), bytes);
+    std::remove(cache.c_str());
+  }
+  EXPECT_EQ(jsonl[0], jsonl[1]);
+  EXPECT_EQ(summary[0], summary[1]);
+}
+
+TEST(Campaign, BudgetStopKeepsRecordBytes) {
+  // A budget-stopped run returns early from whichever stage ran out, and
+  // its records must still hold their bytes: they are the complete run's
+  // first records. A repeated country puts hits served within the run
+  // among them.
+  campaign::CampaignSpec spec = small_spec();
+  spec.countries = {scenario::Country::kKZ, scenario::Country::kAZ, scenario::Country::kKZ};
+  const campaign::CampaignResult golden = campaign::run(spec, {});
+  ASSERT_TRUE(golden.complete);
+  const int batches = static_cast<int>(golden.batches_executed());
+  ASSERT_GT(batches, 8);
+  std::set<std::size_t> lengths;
+  for (int k : {1, batches / 4, batches / 2, 3 * batches / 4, batches - 1}) {
+    SCOPED_TRACE("max_batches " + std::to_string(k));
+    campaign::RunControl control;
+    control.threads = 4;
+    control.max_batches = k;
+    const campaign::CampaignResult stopped = campaign::run(spec, control);
+    EXPECT_FALSE(stopped.complete);
+    ASSERT_LE(stopped.records.size(), golden.records.size());
+    for (std::size_t i = 0; i < stopped.records.size(); ++i) {
+      ASSERT_TRUE(same_record(stopped.records[i], golden.records[i])) << i;
+    }
+    lengths.insert(stopped.records.size());
+  }
+  EXPECT_GE(lengths.size(), 3u) << "the budgets should stop in different stages";
+}
+
+TEST(Campaign, SameBatchDuplicatesKeepTheirOwnBytes) {
+  // Duplicate tasks that share a batch both execute, each under its own
+  // seed, and the journal gets both lines; the later one wins the cache.
+  // Each record must still hold the bytes its own task produced: under
+  // loss, the two runs of a duplicate differ.
+  campaign::CampaignSpec spec = small_spec();
+  spec.max_endpoints = 4;
+  spec.max_domains = -1;
+  spec.http_domains = {"dup.example", "dup.example"};
+  spec.https_domains = {};
+  spec.batch_size = 64;
+  spec.stages.probe = spec.stages.fuzz = false;
+  spec.faults.transient_loss = 0.3;
+  const std::string cache = temp_cache("same_batch_dup");
+  campaign::RunControl control;
+  control.threads = 4;
+  control.cache_path = cache;
+  const campaign::CampaignResult r = campaign::run(spec, control);
+  ASSERT_TRUE(r.complete);
+  ASSERT_EQ(r.trace.executed, r.trace.tasks);
+  const std::string text = file_text(cache);
+  std::vector<std::string> results;
+  for (std::size_t pos = 0, eol; (eol = text.find('\n', pos)) != std::string::npos;
+       pos = eol + 1) {
+    results.emplace_back(member_value_span(std::string_view(text).substr(pos, eol - pos),
+                                           "result"));
+  }
+  ASSERT_EQ(results.size(), r.records.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(r.records[i].json, results[i]) << r.records[i].task_id;
+    if (i % 2 == 1 && results[i] != results[i - 1]) ++differing;
+  }
+  EXPECT_GT(differing, 0u) << "no duplicate pair ran differently";
+  std::remove(cache.c_str());
 }
