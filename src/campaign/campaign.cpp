@@ -170,29 +170,36 @@ std::optional<std::vector<Report>> run_stage(
   add_wall_ns(ctx.control.observer, "campaign.hit_decode_ns", decode_start);
 
   // Plan. A task is a hit when its record decoded above, or when an
-  // earlier planned batch executes the same key: its result is copied
-  // over after the dispatch, as a batch-at-a-time loop would have found it
-  // in the cache.
+  // earlier task of this or an earlier planned batch executes the same key:
+  // its result is copied over after the dispatch, as a task-at-a-time loop
+  // would have found it in the cache. So each key executes once, under the
+  // seed of its first task, whatever the batch size.
   std::vector<std::size_t> pending;    // uncached task indices, batch by batch
   std::vector<std::size_t> batch_end;  // end offset in `pending` per planned batch
   std::vector<std::pair<std::size_t, std::size_t>> copies;  // (task, executed task)
-  std::map<std::string_view, std::size_t> planned;           // key -> last executed task
+  std::map<std::string_view, std::size_t> planned;           // key -> executed task
   bool stopped = false;
   const auto batch = static_cast<std::size_t>(ctx.spec.batch_size);
   for (std::size_t start = 0; start < n; start += batch) {
     const std::size_t end = std::min(start + batch, n);
     const std::size_t first = pending.size();
+    std::size_t batch_copies = 0;  // hits once this batch is planned
     for (std::size_t i = start; i < end; ++i) {
       auto src = planned.find(tasks.cache_keys[i]);
       if (src != planned.end()) {
         copies.emplace_back(i, src->second);
-        ++stats.cache_hits;
+        if (src->second < start) {
+          ++stats.cache_hits;
+        } else {
+          ++batch_copies;
+        }
         continue;
       }
       if (docs[i] != nullptr) {
         ++stats.cache_hits;
       } else {
         pending.push_back(i);
+        planned.emplace(tasks.cache_keys[i], i);
       }
     }
     if (pending.size() == first) continue;
@@ -201,9 +208,7 @@ std::optional<std::vector<Report>> run_stage(
       stopped = true;
       break;
     }
-    for (std::size_t p = first; p < pending.size(); ++p) {
-      planned[tasks.cache_keys[pending[p]]] = pending[p];
-    }
+    stats.cache_hits += batch_copies;
     batch_end.push_back(pending.size());
     ++ctx.budget.used;
     ++stats.batches;

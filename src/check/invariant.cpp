@@ -264,7 +264,7 @@ void run_invariant_case(CaseContext& ctx) {
 
   // Clone identity: a clone() replica reset to the same epoch must emit a
   // byte-identical transcript — the contract the parallel executor rests
-  // on. The replica shares the prototype's topology paths, endpoint map,
+  // on. The replica shares the prototype's topology paths, endpoint table,
   // geo database and device configs copy-on-write, so any state leaking
   // through those shared structures (or any divergence in the rebuilt
   // per-replica device/RNG state) shows up here as a transcript diff.

@@ -1,6 +1,7 @@
 #include "netsim/compact.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "core/fingerprint.hpp"
@@ -14,6 +15,11 @@ const std::vector<censor::ServiceBanner>& CompactTopology::services(NodeId id) c
 }
 
 std::optional<NodeId> CompactTopology::find_by_ip(net::Ipv4Address ip) const {
+  if (ip_index_.empty()) {  // ips_ ascends: a node's id is its rank
+    auto it = std::lower_bound(ips_.begin(), ips_.end(), ip.value());
+    if (it == ips_.end() || *it != ip.value()) return std::nullopt;
+    return static_cast<NodeId>(it - ips_.begin());
+  }
   auto it = std::lower_bound(
       ip_index_.begin(), ip_index_.end(),
       std::pair<std::uint32_t, NodeId>{ip.value(), 0});
@@ -178,10 +184,15 @@ std::shared_ptr<const CompactTopology> CompactTopologyBuilder::build() {
   }
   topo->links_ = std::move(links_);
 
+  // Worldgen adds nodes in ascending ip order, and then ips_ is its own
+  // index. Otherwise sort (ip, id) pairs: lower_bound then lands on the
+  // earliest-added node for a duplicated ip.
+  const auto& ips = topo->ips_;
+  if (std::adjacent_find(ips.begin(), ips.end(), std::greater_equal<>()) == ips.end()) {
+    return topo;
+  }
   topo->ip_index_.reserve(n);
-  for (NodeId id = 0; id < n; ++id) topo->ip_index_.emplace_back(topo->ips_[id], id);
-  // Sort by (ip, id): lower_bound then lands on the earliest-added node
-  // for a duplicated ip.
+  for (NodeId id = 0; id < n; ++id) topo->ip_index_.emplace_back(ips[id], id);
   std::sort(topo->ip_index_.begin(), topo->ip_index_.end());
   return topo;
 }

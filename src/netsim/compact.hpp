@@ -102,7 +102,8 @@ class CompactTopology {
   std::vector<std::pair<NodeId, NodeId>> links_;
   /// Sparse management services (FlatMap: sorted, shareable, cheap to copy).
   core::FlatMap<NodeId, std::vector<censor::ServiceBanner>> services_;
-  /// (ip, id) sorted by ip then id; the first entry per ip wins.
+  /// (ip, id) sorted by ip then id; the first entry per ip wins. Empty
+  /// when ips_ strictly ascends with id: find_by_ip then searches ips_.
   std::vector<std::pair<std::uint32_t, NodeId>> ip_index_;
 };
 

@@ -66,21 +66,17 @@ struct AppReply {
 
 class EndpointHost {
  public:
-  EndpointHost() : profile_(empty_profile()) {}
-  EndpointHost(net::Ipv4Address ip, EndpointProfile profile)
-      : ip_(ip),
-        profile_(std::make_shared<const EndpointProfile>(std::move(profile))) {}
+  explicit EndpointHost(EndpointProfile profile)
+      : profile_(std::make_shared<const EndpointProfile>(std::move(profile))) {}
   /// Shared-profile constructor: worldgen endpoints draw from a small set
   /// of profile templates, so a million hosts share a handful of profiles
   /// instead of carrying a deep copy each.
-  EndpointHost(net::Ipv4Address ip, std::shared_ptr<const EndpointProfile> profile)
-      : ip_(ip), profile_(std::move(profile)) {
+  explicit EndpointHost(std::shared_ptr<const EndpointProfile> profile)
+      : profile_(std::move(profile)) {
     if (profile_ == nullptr) profile_ = empty_profile();
   }
 
-  net::Ipv4Address ip() const { return ip_; }
   const EndpointProfile& profile() const { return *profile_; }
-  const std::shared_ptr<const EndpointProfile>& profile_ptr() const { return profile_; }
 
   /// Does the local filter (if any) engage on this payload?
   LocalFilterAction local_filter_verdict(BytesView payload) const;
@@ -97,10 +93,9 @@ class EndpointHost {
   AppReply handle_dns(BytesView raw) const;
   /// Is `host` served here (exact, or subdomain when wildcarding)?
   bool hosts(std::string_view host) const;
-  /// Shared default-constructed profile backing default-constructed hosts.
+  /// Shared default-constructed profile backing hosts given a null profile.
   static const std::shared_ptr<const EndpointProfile>& empty_profile();
 
-  net::Ipv4Address ip_;
   std::shared_ptr<const EndpointProfile> profile_;
 };
 

@@ -1,6 +1,6 @@
 #include "netsim/engine.hpp"
 #include <algorithm>
-#include <unordered_map>
+#include <stdexcept>
 
 #include "core/fingerprint.hpp"
 #include "core/seed_salts.hpp"
@@ -80,11 +80,28 @@ std::unique_ptr<Network> Network::clone_with(Topology topology) const {
   return std::unique_ptr<Network>(new Network(*this, std::move(topology), CloneTag{}));
 }
 
-Network::EndpointMap& Network::mutable_endpoints() {
+Network::EndpointTable& Network::mutable_endpoints() {
   if (endpoints_.use_count() > 1) {
-    endpoints_ = std::make_shared<EndpointMap>(*endpoints_);
+    endpoints_ = std::make_shared<EndpointTable>(*endpoints_);
   }
   return *endpoints_;
+}
+
+const EndpointHost* Network::EndpointTable::find(std::uint32_t ip) const {
+  auto it = std::lower_bound(ips.begin(), ips.end(), ip);
+  if (it == ips.end() || *it != ip) return nullptr;
+  return &hosts[slots[static_cast<std::size_t>(it - ips.begin())]];
+}
+
+bool Network::EndpointTable::insert(std::uint32_t ip, std::uint32_t slot) {
+  auto at = ips.end();
+  if (!ips.empty() && ip <= ips.back()) {
+    at = std::lower_bound(ips.begin(), ips.end(), ip);
+    if (*at == ip) return false;
+  }
+  slots.insert(slots.begin() + (at - ips.begin()), slot);
+  ips.insert(at, ip);
+  return true;
 }
 
 namespace {
@@ -184,20 +201,20 @@ std::uint64_t profile_digest(const EndpointProfile& p) {
   return fp.digest();
 }
 
-/// The endpoint table as (ip, profile digest) per host. A profile is
-/// digested once per distinct shared_ptr; the digest reads content only,
-/// so a host holding an equal copy hashes like one holding the shared
+/// The endpoint table as (ip, profile digest) per address, in ascending
+/// ip order. Each host is digested once; the digest reads content only, so
+/// a host holding an equal copy hashes like one holding the shared
 /// template, and no pointer value reaches the result.
-template <class EndpointMap>
-std::uint64_t endpoints_digest(const EndpointMap& endpoints) {
-  std::unordered_map<const EndpointProfile*, std::uint64_t> digests;
+template <class EndpointTable>
+std::uint64_t endpoints_digest(const EndpointTable& endpoints) {
+  std::vector<std::uint64_t> digests;
+  digests.reserve(endpoints.hosts.size());
+  for (const EndpointHost& host : endpoints.hosts) digests.push_back(profile_digest(host.profile()));
   LaneFingerprint fp;
-  fp.mix(static_cast<std::uint64_t>(endpoints.size()));
-  for (const auto& [ip, host] : endpoints) {
-    auto [it, fresh] = digests.try_emplace(host.profile_ptr().get(), 0);
-    if (fresh) it->second = profile_digest(host.profile());
-    fp.mix(static_cast<std::uint64_t>(ip));
-    fp.mix(it->second);
+  fp.mix(static_cast<std::uint64_t>(endpoints.ips.size()));
+  for (std::size_t i = 0; i < endpoints.ips.size(); ++i) {
+    fp.mix(static_cast<std::uint64_t>(endpoints.ips[i]));
+    fp.mix(digests[endpoints.slots[i]]);
   }
   return fp.digest();
 }
@@ -265,16 +282,32 @@ void Network::replace_device_config(std::size_t index, censor::DeviceConfig conf
 }
 
 void Network::add_endpoint(NodeId node, EndpointProfile profile) {
-  add_endpoint_shared(node, std::make_shared<const EndpointProfile>(std::move(profile)));
+  EndpointTable& table = mutable_endpoints();
+  if (table.insert(topology_.node_ip(node).value(),
+                   static_cast<std::uint32_t>(table.hosts.size()))) {
+    table.hosts.emplace_back(std::move(profile));
+  }
 }
 
-void Network::add_endpoint_shared(NodeId node,
-                                  std::shared_ptr<const EndpointProfile> profile) {
-  const net::Ipv4Address ip = topology_.node_ip(node);
-  mutable_endpoints().emplace(ip.value(), EndpointHost(ip, std::move(profile)));
+void Network::add_endpoints(std::span<const NodeId> nodes,
+                            std::span<const std::uint16_t> profile_of,
+                            std::span<const std::shared_ptr<const EndpointProfile>> profiles) {
+  if (nodes.size() != profile_of.size()) {
+    throw std::invalid_argument("add_endpoints: nodes and profile_of differ in length");
+  }
+  if (!profile_of.empty() && *std::max_element(profile_of.begin(), profile_of.end()) >=
+                                 profiles.size()) {
+    throw std::out_of_range("add_endpoints: profile index past the profiles");
+  }
+  EndpointTable& table = mutable_endpoints();
+  const auto base = static_cast<std::uint32_t>(table.hosts.size());
+  for (const auto& profile : profiles) table.hosts.emplace_back(profile);
+  table.ips.reserve(table.ips.size() + nodes.size());
+  table.slots.reserve(table.slots.size() + nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    table.insert(topology_.node_ip(nodes[i]).value(), base + profile_of[i]);
+  }
 }
-
-void Network::reserve_endpoints(std::size_t n) { mutable_endpoints().reserve(n); }
 
 Connection Network::open_connection(NodeId client, net::Ipv4Address dst,
                                     std::uint16_t dst_port) {
@@ -445,9 +478,9 @@ std::vector<Event> Network::send_udp(NodeId client, net::Ipv4Address dst,
       continue;
     }
 
-    auto ep_it = endpoints_->find(dgram.ip.dst.value());
-    if (ep_it == endpoints_->end()) return events;
-    AppReply reply = ep_it->second.handle_udp_payload(dgram.payload, dst_port);
+    const EndpointHost* ep = endpoints_->find(dgram.ip.dst.value());
+    if (ep == nullptr) return events;
+    AppReply reply = ep->handle_udp_payload(dgram.payload, dst_port);
     if (reply.kind == AppReply::Kind::kData) {
       net::UdpDatagram answer = net::make_udp_datagram(
           dgram.ip.dst, dgram.ip.src, dst_port, sport, std::move(reply.data), 64);
@@ -495,10 +528,10 @@ void Network::deliver_assembled(net::Packet proto, Bytes assembled,
                                 const std::vector<NodeId>& path,
                                 std::vector<Event>& events) {
   if (path.size() < 2) return;
-  auto ep_it = endpoints_->find(proto.ip.dst.value());
-  if (ep_it == endpoints_->end()) return;
+  const EndpointHost* ep = endpoints_->find(proto.ip.dst.value());
+  if (ep == nullptr) return;
   proto.payload = std::move(assembled);
-  endpoint_payload_reply(ep_it->second, proto, path, path.size() - 1, events);
+  endpoint_payload_reply(*ep, proto, path, path.size() - 1, events);
 }
 
 bool Network::forward_walk(net::Packet& pkt, const std::vector<NodeId>& path,
@@ -586,9 +619,9 @@ bool Network::forward_walk(net::Packet& pkt, const std::vector<NodeId>& path,
     }
 
     // Final hop: the endpoint host.
-    auto ep_it = endpoints_->find(pkt.ip.dst.value());
-    if (ep_it == endpoints_->end()) return false;  // no listener: silence
-    const EndpointHost& ep = ep_it->second;
+    const EndpointHost* host = endpoints_->find(pkt.ip.dst.value());
+    if (host == nullptr) return false;  // no listener: silence
+    const EndpointHost& ep = *host;
 
     if (!payload_phase) {
       // Handshake: SYN → SYN/ACK on open ports, RST on closed ones.

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -143,7 +144,7 @@ class Network {
   /// instances (no inherited flow/residual state), a rewound clock, a
   /// reset ephemeral-port pool and no capture sink. Replicas never share
   /// *mutable* state with the original; immutable data — the topology,
-  /// the geo DB, the endpoint map, device configurations and the frozen
+  /// the geo DB, the endpoint table, device configurations and the frozen
   /// ECMP path cache — is shared by reference, which makes cloning cheap
   /// enough to pay per worker without flattening the scaling curve. A
   /// replica that later mutates shared structure (add_endpoint) detaches
@@ -170,7 +171,7 @@ class Network {
   /// network: topology, IP metadata (geodb), construction seed,
   /// endpoints, deployed devices and the installed fault plan. Clones
   /// fingerprint identically to the original; runtime state (clock,
-  /// ports, observers) is excluded. Each distinct endpoint profile is
+  /// ports, observers) is excluded. Each registered endpoint profile is
   /// digested once, so a million hosts sharing a few templates cost one
   /// (ip, profile digest) pair each.
   std::uint64_t fingerprint() const;
@@ -190,13 +191,18 @@ class Network {
   /// between epochs through this, which flows straight into fingerprint().
   /// Throws std::out_of_range on a bad index.
   void replace_device_config(std::size_t index, censor::DeviceConfig config);
-  /// Register a web-server endpoint at a topology node.
+  /// Register a web-server endpoint at a topology node. The first
+  /// registration of an address wins; a later one is ignored.
   void add_endpoint(NodeId node, EndpointProfile profile);
-  /// Shared-profile variant: worldgen populations register a million hosts
-  /// against a handful of shared profile templates (no per-host deep copy).
-  void add_endpoint_shared(NodeId node, std::shared_ptr<const EndpointProfile> profile);
-  /// Pre-size the endpoint map before a bulk registration pass.
-  void reserve_endpoints(std::size_t n);
+  /// Register many endpoints in one call: endpoint i sits at `nodes[i]`
+  /// and serves `profiles[profile_of[i]]`, as if each were added in turn
+  /// (first registration of an address wins). Worldgen populations register
+  /// a million hosts against a handful of shared templates this way: one
+  /// host per profile, no per-host copy. Throws std::invalid_argument when
+  /// the two columns differ in length and std::out_of_range on a profile
+  /// index past `profiles`, before registering anything.
+  void add_endpoints(std::span<const NodeId> nodes, std::span<const std::uint16_t> profile_of,
+                     std::span<const std::shared_ptr<const EndpointProfile>> profiles);
 
   /// Open a TCP connection; a fresh ephemeral source port is assigned.
   Connection open_connection(NodeId client, net::Ipv4Address dst,
@@ -272,10 +278,23 @@ class Network {
   struct CloneTag {};
   Network(const Network& other, Topology topology, CloneTag);
 
-  using EndpointMap = core::FlatMap<std::uint32_t, EndpointHost>;
-  /// Copy-on-write access: detaches a private copy when the map is shared
+  /// The endpoint hosts as columns: `ips` ascends, `slots[i]` is the host
+  /// serving `ips[i]`, and `hosts` holds one EndpointHost per registered
+  /// profile, so hosts sharing a template share one entry.
+  struct EndpointTable {
+    std::vector<std::uint32_t> ips;
+    std::vector<std::uint32_t> slots;
+    std::vector<EndpointHost> hosts;
+
+    /// The host serving `ip`, or null.
+    const EndpointHost* find(std::uint32_t ip) const;
+    /// Map `ip` to host `slot` unless `ip` is already registered (first
+    /// wins). An address past the last one appends in O(1).
+    bool insert(std::uint32_t ip, std::uint32_t slot);
+  };
+  /// Copy-on-write access: detaches a private copy when the table is shared
   /// with other replicas (endpoints added after cloning stay replica-local).
-  EndpointMap& mutable_endpoints();
+  EndpointTable& mutable_endpoints();
 
   /// Walk a client→endpoint packet along `path`; fills `events` with
   /// everything delivered back to the client. Returns true if the packet
@@ -348,8 +367,8 @@ class Network {
   std::vector<bool> has_device_;
   /// Endpoint hosts by IP value. Copy-on-write shared across replicas:
   /// EndpointHost is stateless (all handlers const), so concurrent reads
-  /// of the shared map are race-free; any writer detaches first.
-  std::shared_ptr<EndpointMap> endpoints_ = std::make_shared<EndpointMap>();
+  /// of the shared table are race-free; any writer detaches first.
+  std::shared_ptr<EndpointTable> endpoints_ = std::make_shared<EndpointTable>();
   std::vector<std::shared_ptr<censor::Device>> devices_;
   /// Deployment node of devices_[i] (clone() rebuilds attachments in the
   /// original deployment order so device iteration order is preserved).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "core/fingerprint.hpp"
@@ -447,15 +448,10 @@ GeneratedScenario instantiate(const World& world, std::int64_t max_endpoints) {
       max_endpoints < 0
           ? total
           : std::min<std::uint64_t>(total, static_cast<std::uint64_t>(max_endpoints));
-  network->reserve_endpoints(n);
-  s.endpoints.reserve(n);
-  // Ascending-IP order by construction: every registration is an O(1)
-  // append into the endpoint FlatMap.
-  for (std::uint64_t e = 0; e < n; ++e) {
-    network->add_endpoint_shared(world.endpoint_nodes[e],
-                                 world.templates[world.endpoint_template[e]]);
-    s.endpoints.emplace_back(world.endpoint_ips[e]);
-  }
+  network->add_endpoints(std::span(world.endpoint_nodes).first(n),
+                         std::span(world.endpoint_template).first(n), world.templates);
+  s.endpoints = std::vector<net::Ipv4Address>(
+      world.endpoint_ips.begin(), world.endpoint_ips.begin() + static_cast<std::ptrdiff_t>(n));
 
   std::vector<std::string> all_domains = world.spec.http_test_domains;
   all_domains.insert(all_domains.end(), world.spec.https_test_domains.begin(),

@@ -103,7 +103,7 @@ TEST(AllocationBudget, EndpointProbeAllocatesOnlyTheReply) {
   // its reply, and nothing on the way back to the report.
   CleanLab lab;
   const Bytes payload = CenTrace::make_payload(ProbeProtocol::kHttp, kDomain);
-  const sim::EndpointHost host(kServer, lab.profile);
+  const sim::EndpointHost host(lab.profile);
   host.handle_payload(payload);
   const std::size_t reply = allocations_of([&] { host.handle_payload(payload); });
   ASSERT_GT(reply, 0u);
@@ -126,7 +126,7 @@ TEST(AllocationBudget, FuzzRequestAllocatesOnlyTheReply) {
   // allocates to answer it: the request is sent from the probe's bytes
   // into the runner's event buffer, and its reply is classified in place.
   CleanLab lab;
-  const sim::EndpointHost host(kServer, lab.profile);
+  const sim::EndpointHost host(lab.profile);
   fuzz::CenFuzz fuzzer(*lab.net, lab.client);
   for (const fuzz::FuzzProbe& probe :
        {fuzz::normal_http_probe(kDomain), fuzz::normal_tls_probe(kDomain)}) {

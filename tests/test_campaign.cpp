@@ -1100,49 +1100,6 @@ TEST(Campaign, ThrowingTaskLeavesEarlierBatchesDurable) {
   EXPECT_EQ(bytes[0], bytes[1]);
 }
 
-TEST(Campaign, DuplicateTasksFollowBatchOrder) {
-  // A task whose key repeats (a domain listed twice) hits the cache when
-  // an earlier checkpoint batch executed it, and executes again when the
-  // duplicate shares its batch — the semantics of running one batch at a
-  // time, kept although the whole stage is one dispatch.
-  campaign::CampaignSpec spec = small_spec();
-  spec.max_endpoints = 2;
-  spec.max_domains = -1;
-  spec.http_domains = {"dup.example", "dup.example"};
-  spec.https_domains = {"other.example"};
-  spec.stages.probe = spec.stages.fuzz = false;
-  struct Case {
-    int batch_size;
-    std::size_t executed;
-  };
-  // Trace tasks per endpoint: dup, dup, other. Batch size 1: each second
-  // dup is a hit. Batch size 2: [dup dup] [other dup] [dup other] — the
-  // first pair both execute, the last dup hits the one executed before it.
-  for (const Case c : {Case{1, 4}, Case{2, 5}}) {
-    spec.batch_size = c.batch_size;
-    std::string bytes[2];
-    std::string jsonl[2];
-    const int threads[2] = {0, 4};
-    for (int t = 0; t < 2; ++t) {
-      const std::string cache = temp_cache("dup_" + std::to_string(threads[t]));
-      campaign::RunControl control;
-      control.threads = threads[t];
-      control.cache_path = cache;
-      const campaign::CampaignResult r = campaign::run(spec, control);
-      ASSERT_TRUE(r.complete);
-      EXPECT_EQ(r.trace.tasks, 6u);
-      EXPECT_EQ(r.trace.executed, c.executed) << "batch size " << c.batch_size;
-      EXPECT_EQ(r.trace.cache_hits, 6u - c.executed) << "batch size " << c.batch_size;
-      bytes[t] = file_text(cache);
-      jsonl[t] = r.to_jsonl();
-      std::remove(cache.c_str());
-    }
-    EXPECT_EQ(count_lines(bytes[0]), c.executed);
-    EXPECT_EQ(bytes[0], bytes[1]);
-    EXPECT_EQ(jsonl[0], jsonl[1]);
-  }
-}
-
 TEST(Campaign, SharesOneObserverWithThePipeline) {
   // Regression: the pipeline exported perf.* / pathcache.* as gauges and
   // the campaign as counters under the same names, so one registry fed by
@@ -1364,39 +1321,59 @@ TEST(Campaign, BudgetStopKeepsRecordBytes) {
   EXPECT_GE(lengths.size(), 3u) << "the budgets should stop in different stages";
 }
 
-TEST(Campaign, SameBatchDuplicatesKeepTheirOwnBytes) {
-  // Duplicate tasks that share a batch both execute, each under its own
-  // seed, and the journal gets both lines; the later one wins the cache.
-  // Each record must still hold the bytes its own task produced: under
-  // loss, the two runs of a duplicate differ.
+TEST(Campaign, DuplicateKeysRunOnceAtEveryBatchSize) {
+  // A task whose key repeats (a domain listed twice) executes once, under
+  // the first task's seed, whether the duplicate shares its checkpoint
+  // batch or comes in a later one; the other task is a hit. So the journal
+  // holds one line per key, a warm run serves the bytes the cold run
+  // returned, and nothing moves with batch_size or the thread count. Under
+  // loss a second execution of a duplicate would differ.
   campaign::CampaignSpec spec = small_spec();
   spec.max_endpoints = 4;
   spec.max_domains = -1;
   spec.http_domains = {"dup.example", "dup.example"};
-  spec.https_domains = {};
-  spec.batch_size = 64;
+  spec.https_domains = {"other.example"};
   spec.stages.probe = spec.stages.fuzz = false;
   spec.faults.transient_loss = 0.3;
-  const std::string cache = temp_cache("same_batch_dup");
-  campaign::RunControl control;
-  control.threads = 4;
-  control.cache_path = cache;
-  const campaign::CampaignResult r = campaign::run(spec, control);
-  ASSERT_TRUE(r.complete);
-  ASSERT_EQ(r.trace.executed, r.trace.tasks);
-  const std::string text = file_text(cache);
-  std::vector<std::string> results;
-  for (std::size_t pos = 0, eol; (eol = text.find('\n', pos)) != std::string::npos;
-       pos = eol + 1) {
-    results.emplace_back(member_value_span(std::string_view(text).substr(pos, eol - pos),
-                                           "result"));
+  std::string expected_jsonl;
+  std::string expected_journal;
+  // Batch size 2 cuts each endpoint's tasks (dup, dup, other) across
+  // batches both ways: [dup dup] [other dup] [dup other] ...
+  for (int batch : {1, 2, 64}) {
+    for (int threads : {0, 4}) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + ", threads " + std::to_string(threads));
+      spec.batch_size = batch;
+      const std::string cache = temp_cache("dup_keys");
+      campaign::RunControl control;
+      control.threads = threads;
+      control.cache_path = cache;
+      const campaign::CampaignResult cold = campaign::run(spec, control);
+      ASSERT_TRUE(cold.complete);
+      EXPECT_EQ(cold.trace.tasks, 12u);
+      EXPECT_EQ(cold.trace.executed, 8u);
+      EXPECT_EQ(cold.trace.cache_hits, 4u);
+      const std::string text = file_text(cache);
+      std::set<std::string> keys;
+      for (std::size_t pos = 0, eol; (eol = text.find('\n', pos)) != std::string::npos;
+           pos = eol + 1) {
+        const std::string key(
+            member_value_span(std::string_view(text).substr(pos, eol - pos), "key"));
+        EXPECT_TRUE(keys.insert(key).second) << "two journal lines for " << key;
+      }
+      EXPECT_EQ(keys.size(), 8u);
+
+      const campaign::CampaignResult warm = campaign::run(spec, control);
+      ASSERT_TRUE(warm.complete);
+      EXPECT_EQ(warm.tool_tasks_executed(), 0u);
+      EXPECT_EQ(warm.to_jsonl(), cold.to_jsonl());
+      EXPECT_EQ(file_text(cache), text);
+      if (expected_jsonl.empty()) {
+        expected_jsonl = cold.to_jsonl();
+        expected_journal = text;
+      }
+      EXPECT_EQ(cold.to_jsonl(), expected_jsonl);
+      EXPECT_EQ(text, expected_journal);
+      std::remove(cache.c_str());
+    }
   }
-  ASSERT_EQ(results.size(), r.records.size());
-  std::size_t differing = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(r.records[i].json, results[i]) << r.records[i].task_id;
-    if (i % 2 == 1 && results[i] != results[i - 1]) ++differing;
-  }
-  EXPECT_GT(differing, 0u) << "no duplicate pair ran differently";
-  std::remove(cache.c_str());
 }

@@ -152,7 +152,7 @@ TEST(DnsResolver, AnswersFromZone) {
   p.hosted_domains = {"resolver.example"};
   p.is_dns_resolver = true;
   p.dns_zone = {{"www.known.org", Ipv4Address(192, 0, 2, 10)}};
-  sim::EndpointHost host(Ipv4Address(10, 0, 9, 1), p);
+  sim::EndpointHost host(p);
 
   sim::AppReply r = host.handle_payload(make_dns_query("WWW.KNOWN.ORG").serialize_tcp());
   ASSERT_EQ(r.kind, sim::AppReply::Kind::kData);
@@ -165,7 +165,7 @@ TEST(DnsResolver, PublicResolverBehaviourIsDeterministic) {
   sim::EndpointProfile p;
   p.hosted_domains = {"resolver.example"};
   p.is_dns_resolver = true;
-  sim::EndpointHost host(Ipv4Address(10, 0, 9, 1), p);
+  sim::EndpointHost host(p);
   auto resolve = [&](const std::string& name) {
     sim::AppReply r = host.handle_payload(make_dns_query(name).serialize_tcp());
     return DnsMessage::parse_tcp(r.data).answers.at(0).address;
@@ -178,7 +178,7 @@ TEST(DnsResolver, PublicResolverBehaviourIsDeterministic) {
 TEST(DnsResolver, NonResolverTreatsDnsAsHttpGarbage) {
   sim::EndpointProfile p;
   p.hosted_domains = {"www.example.org"};
-  sim::EndpointHost host(Ipv4Address(10, 0, 9, 1), p);
+  sim::EndpointHost host(p);
   sim::AppReply r = host.handle_payload(make_dns_query("x.org").serialize_tcp());
   // A web server answers binary junk with a 400, not a DNS message.
   EXPECT_EQ(r.kind, sim::AppReply::Kind::kData);

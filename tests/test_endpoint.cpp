@@ -20,7 +20,7 @@ using namespace cen::sim;
 namespace {
 
 EndpointHost make_host(EndpointProfile profile) {
-  return EndpointHost(net::Ipv4Address(10, 0, 9, 1), std::move(profile));
+  return EndpointHost(std::move(profile));
 }
 
 int http_status(const AppReply& reply) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "censor/vendors.hpp"
@@ -360,34 +364,70 @@ EndpointProfile template_profile(const std::string& domain) {
 
 NodeId leaf(int i) { return static_cast<NodeId>(i + 1); }
 
+using ProfilePtr = std::shared_ptr<const EndpointProfile>;
+
+/// Every leaf in one add_endpoints call: leaf i serves profiles[profile_of[i]].
+void add_leaves(Network& net, const std::vector<std::uint16_t>& profile_of,
+                const std::vector<ProfilePtr>& profiles) {
+  std::vector<NodeId> nodes;
+  for (std::size_t i = 0; i < profile_of.size(); ++i) nodes.push_back(leaf(static_cast<int>(i)));
+  net.add_endpoints(nodes, profile_of, profiles);
+}
+
+/// A profile listening on port 8000 + i only, so a connect shows which
+/// host answers an address.
+EndpointProfile port_profile(int i) {
+  EndpointProfile p;
+  p.hosted_domains = {"host" + std::to_string(i) + ".example"};
+  p.open_ports = {static_cast<std::uint16_t>(8000 + i)};
+  return p;
+}
+
+/// Which of the port_profile ports leaf i's address accepts, as a digit
+/// string over hosts 0..kStarHosts-1 ('1' established, '0' otherwise).
+std::string accepted_ports(Network& net, int i) {
+  std::string out;
+  for (int j = 0; j < kStarHosts; ++j) {
+    Connection c = net.open_connection(
+        0, net::Ipv4Address(10, 0, 1, static_cast<std::uint8_t>(i + 1)),
+        static_cast<std::uint16_t>(8000 + j));
+    out += c.connect() == ConnectResult::kEstablished ? '1' : '0';
+  }
+  return out;
+}
+
 }  // namespace
 
 TEST(NetworkFingerprint, SharedTemplateEqualsEqualCopies) {
+  // One template shared by every host, an equal copy per host, and two
+  // equal templates taken in turn all digest alike.
   auto tpl = std::make_shared<const EndpointProfile>(template_profile("tpl.example"));
+  auto twin = std::make_shared<const EndpointProfile>(*tpl);
   auto shared = star_network();
   auto copies = star_network();
+  auto twins = star_network();
+  add_leaves(*shared, std::vector<std::uint16_t>(kStarHosts, 0), {tpl});
+  std::vector<std::uint16_t> alternate;
   for (int i = 0; i < kStarHosts; ++i) {
-    shared->add_endpoint_shared(leaf(i), tpl);
     copies->add_endpoint(leaf(i), *tpl);
+    alternate.push_back(static_cast<std::uint16_t>(i % 2));
   }
+  add_leaves(*twins, alternate, {tpl, twin});
   EXPECT_EQ(shared->fingerprint(), copies->fingerprint());
+  EXPECT_EQ(twins->fingerprint(), copies->fingerprint());
   EXPECT_EQ(shared->clone()->fingerprint(), shared->fingerprint());
 }
 
 TEST(NetworkFingerprint, OneHostProfileFieldMovesIt) {
   auto tpl = std::make_shared<const EndpointProfile>(template_profile("tpl.example"));
+  EndpointProfile changed = *tpl;
+  changed.strict_http = true;
   auto base = star_network();
   auto edited = star_network();
-  for (int i = 0; i < kStarHosts; ++i) {
-    base->add_endpoint_shared(leaf(i), tpl);
-    if (i == 3) {
-      EndpointProfile changed = *tpl;
-      changed.strict_http = true;
-      edited->add_endpoint(leaf(i), changed);
-    } else {
-      edited->add_endpoint_shared(leaf(i), tpl);
-    }
-  }
+  std::vector<std::uint16_t> profile_of(kStarHosts, 0);
+  add_leaves(*base, profile_of, {tpl});
+  profile_of[3] = 1;
+  add_leaves(*edited, profile_of, {tpl, std::make_shared<const EndpointProfile>(changed)});
   EXPECT_NE(base->fingerprint(), edited->fingerprint());
 }
 
@@ -396,11 +436,77 @@ TEST(NetworkFingerprint, SwappingTwoHostsProfilesMovesIt) {
   auto b = std::make_shared<const EndpointProfile>(template_profile("b.example"));
   auto base = star_network();
   auto swapped = star_network();
-  for (int i = 0; i < kStarHosts; ++i) {
-    base->add_endpoint_shared(leaf(i), i == 1 ? b : a);
-    swapped->add_endpoint_shared(leaf(i), i == 2 ? b : a);
-  }
+  std::vector<std::uint16_t> profile_of(kStarHosts, 0);
+  profile_of[1] = 1;
+  add_leaves(*base, profile_of, {a, b});
+  std::swap(profile_of[1], profile_of[2]);
+  add_leaves(*swapped, profile_of, {a, b});
   EXPECT_NE(base->fingerprint(), swapped->fingerprint());
+}
+
+TEST(NetworkFingerprint, FirstRegistrationOfAnAddressWins) {
+  // A second registration of an address is ignored, per host and in bulk:
+  // the network answers and digests as if only the first were made.
+  auto first = std::make_shared<const EndpointProfile>(port_profile(0));
+  auto second = std::make_shared<const EndpointProfile>(port_profile(1));
+  auto single = star_network();
+  single->add_endpoint(leaf(0), *first);
+  auto per_host = star_network();
+  per_host->add_endpoint(leaf(0), *first);
+  per_host->add_endpoint(leaf(0), *second);
+  auto bulk = star_network();
+  bulk->add_endpoints(std::vector<NodeId>{leaf(0), leaf(0)}, std::vector<std::uint16_t>{0, 1},
+                      std::vector<ProfilePtr>{first, second});
+  auto mixed = star_network();
+  mixed->add_endpoint(leaf(0), *first);
+  mixed->add_endpoints(std::vector<NodeId>{leaf(0)}, std::vector<std::uint16_t>{0},
+                       std::vector<ProfilePtr>{second});
+  for (Network* net : {per_host.get(), bulk.get(), mixed.get()}) {
+    EXPECT_EQ(net->fingerprint(), single->fingerprint());
+    EXPECT_EQ(accepted_ports(*net, 0), "100000");
+  }
+}
+
+TEST(NetworkFingerprint, RegistrationOrderIsInvisible) {
+  // Hosts registered against descending addresses are found and digested
+  // as when registered ascending; the pin was taken before the endpoint
+  // table became ip/host columns.
+  auto ascending = star_network();
+  auto descending = star_network();
+  auto bulk = star_network();
+  std::vector<NodeId> nodes;
+  std::vector<std::uint16_t> profile_of;
+  std::vector<ProfilePtr> profiles;
+  for (int i = 0; i < kStarHosts; ++i) {
+    ascending->add_endpoint(leaf(i), port_profile(i));
+    descending->add_endpoint(leaf(kStarHosts - 1 - i), port_profile(kStarHosts - 1 - i));
+    nodes.push_back(leaf(kStarHosts - 1 - i));
+    profile_of.push_back(static_cast<std::uint16_t>(i));
+    profiles.push_back(std::make_shared<const EndpointProfile>(port_profile(kStarHosts - 1 - i)));
+  }
+  bulk->add_endpoints(nodes, profile_of, profiles);
+  EXPECT_EQ(ascending->fingerprint(), 0x45e5e798e234e721ULL);
+  for (Network* net : {descending.get(), bulk.get()}) {
+    EXPECT_EQ(net->fingerprint(), ascending->fingerprint());
+    for (int i = 0; i < kStarHosts; ++i) {
+      std::string want(kStarHosts, '0');
+      want[static_cast<std::size_t>(i)] = '1';
+      EXPECT_EQ(accepted_ports(*net, i), want) << "leaf " << i;
+    }
+  }
+}
+
+TEST(NetworkFingerprint, BulkRegistrationRejectsBadColumns) {
+  auto tpl = std::make_shared<const EndpointProfile>(template_profile("tpl.example"));
+  auto net = star_network();
+  const std::uint64_t empty = net->fingerprint();
+  EXPECT_THROW(net->add_endpoints(std::vector<NodeId>{leaf(0), leaf(1)},
+                                  std::vector<std::uint16_t>{0}, std::vector<ProfilePtr>{tpl}),
+               std::invalid_argument);
+  EXPECT_THROW(net->add_endpoints(std::vector<NodeId>{leaf(0)}, std::vector<std::uint16_t>{1},
+                                  std::vector<ProfilePtr>{tpl}),
+               std::out_of_range);
+  EXPECT_EQ(net->fingerprint(), empty);
 }
 
 TEST(NetworkFingerprint, Regression_GeodbAsNameMovesIt) {

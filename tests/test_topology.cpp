@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <string>
@@ -200,11 +201,35 @@ TEST(Topology, EcmpCapHolds) {
 }
 
 TEST(Topology, FindByIp) {
+  // Ips that ascend with node id are their own index; others (out of
+  // order, or repeated) get a sorted one, where the earliest-added node
+  // of a repeated ip wins.
   Topology t = line(3);
   auto id = t.find_by_ip(net::Ipv4Address(10, 0, 0, 2));
   ASSERT_TRUE(id);
   EXPECT_EQ(*id, 1u);
   EXPECT_FALSE(t.find_by_ip(net::Ipv4Address(10, 0, 0, 99)));
+  EXPECT_FALSE(t.find_by_ip(net::Ipv4Address(10, 0, 0, 0)));
+
+  auto built = [](std::initializer_list<std::uint8_t> last_octets) {
+    CompactTopologyBuilder b;
+    for (std::uint8_t o : last_octets) b.add_node("", net::Ipv4Address(10, 0, 0, o));
+    return Topology(b.build());
+  };
+  const Topology shuffled = built({3, 1, 4, 2});
+  for (NodeId n = 0; n < 4; ++n) {
+    EXPECT_EQ(shuffled.find_by_ip(shuffled.node_ip(n)), n);
+  }
+  EXPECT_FALSE(shuffled.find_by_ip(net::Ipv4Address(10, 0, 0, 5)));
+
+  const Topology repeated = built({5, 7, 9, 7, 5});
+  EXPECT_EQ(repeated.find_by_ip(net::Ipv4Address(10, 0, 0, 5)), 0u);
+  EXPECT_EQ(repeated.find_by_ip(net::Ipv4Address(10, 0, 0, 7)), 1u);
+  EXPECT_EQ(repeated.find_by_ip(net::Ipv4Address(10, 0, 0, 9)), 2u);
+  EXPECT_FALSE(repeated.find_by_ip(net::Ipv4Address(10, 0, 0, 6)));
+  // A repeat right after its first node is not an ascent either.
+  const Topology adjacent = built({1, 2, 2});
+  EXPECT_EQ(adjacent.find_by_ip(net::Ipv4Address(10, 0, 0, 2)), 1u);
 }
 
 TEST(Topology, BadLinkThrows) {

@@ -387,6 +387,23 @@ TEST(WorldGen, MakeWorldSpecOverloadMatchesInstantiate) {
   EXPECT_EQ(s.devices.size(), gen.devices.size());
 }
 
+TEST(WorldGen, NetworkFingerprintPinned) {
+  // Campaign cache keys hash the network fingerprint. Pinned before the
+  // endpoint table became ip/host columns registered in one bulk call and
+  // before ascending topologies dropped their ip index.
+  const worldgen::WorldSpec spec = *worldgen::WorldSpec::tier("1k");
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {
+      {3, 0x5d29b7f85996a5ddULL},
+      {11, 0x283cc56428c07dd8ULL},
+  };
+  for (const auto& [seed, expected] : pins) {
+    EXPECT_EQ(scenario::make_world(spec, seed).network->fingerprint(), expected)
+        << "seed " << seed;
+  }
+  const worldgen::World world = worldgen::generate(spec, 3);
+  EXPECT_EQ(worldgen::instantiate(world, 17).network->fingerprint(), 0xb3445a72d6bbef26ULL);
+}
+
 // ---------------------------------------------------------------------------
 // Campaign integration: a world-backed campaign is byte-identical across
 // thread counts and keyed separately from country campaigns.
