@@ -26,18 +26,18 @@ net::Packet endpoint_reply(const net::Packet& pkt, std::uint8_t flags) {
 }
 
 /// Hand `ev` to the client: ahead of everything captured so far when it
-/// arrives late, and twice when it is duplicated. Only the duplicate is a
-/// copy.
+/// arrives late, and twice when it is duplicated (the duplicate last).
+/// Only the duplicate is a copy, taken from `ev` itself, never from an
+/// element a later emplace could move.
 template <typename Ev>
 void deliver_event(Ev ev, bool late, bool duplicated, std::vector<Event>& events) {
-  std::optional<Ev> copy;
-  if (duplicated) copy = ev;
-  if (late && !events.empty()) {
-    events.insert(events.begin(), std::move(ev));
-  } else {
-    events.push_back(std::move(ev));
+  const auto at = late && !events.empty() ? events.begin() : events.end();
+  if (!duplicated) {
+    events.emplace(at, std::in_place_type<Ev>, std::move(ev));
+    return;
   }
-  if (copy) events.push_back(std::move(*copy));
+  events.emplace(at, std::in_place_type<Ev>, ev);
+  events.emplace_back(std::in_place_type<Ev>, std::move(ev));
 }
 }  // namespace
 
@@ -67,12 +67,12 @@ Network::Network(const Network& other, Topology topology, CloneTag)
 }
 
 std::unique_ptr<Network> Network::clone() const {
-  // Publish the prototype's computed ECMP paths and shortest-path trees
-  // as an immutable snapshot, so every replica starts warm instead of
-  // deep-copying the caches or re-running a BFS for a source the
-  // prototype has already seen.
+  // Publish the prototype's computed ECMP path lists as an immutable
+  // snapshot, so every replica starts warm instead of deep-copying them.
   topology_.freeze_paths();
-  // The copy shares the network and the frozen ECMP paths and trees.
+  // The copy shares the network, the frozen path lists and the network's
+  // shortest-path tree cache: a tree any copy has built, or is building,
+  // is never built again.
   return std::unique_ptr<Network>(new Network(*this, topology_, CloneTag{}));
 }
 

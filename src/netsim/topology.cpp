@@ -1,15 +1,28 @@
 #include "netsim/topology.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 
 #include "core/rng.hpp"
 
 namespace cen::sim {
 
+/// One slot per source asked for. A null slot is a tree some copy is
+/// building: others wait on `published` instead of running a second BFS.
+/// A published tree is never mutated or replaced, so the reference
+/// source_tree() returns is read without the lock.
+class Topology::TreeCache {
+ public:
+  std::mutex mu;
+  std::condition_variable published;
+  core::FlatMap<NodeId, std::shared_ptr<const SourceTree>> trees;
+};
+
 Topology::Topology(std::shared_ptr<const CompactTopology> compact)
-    : compact_(std::move(compact)) {
+    : compact_(std::move(compact)), trees_(std::make_shared<TreeCache>()) {
   if (compact_ == nullptr) throw std::invalid_argument("Topology: null network");
 }
 
@@ -41,33 +54,44 @@ bool bfs_depths(const Topology& t, NodeId src, std::vector<Dist>& dist) {
 }  // namespace
 
 void Topology::freeze_paths() const {
-  if (local_paths_.empty() && local_trees_.empty() && frozen_ != nullptr) return;
-  auto merged = std::make_shared<Snapshot>();
-  if (frozen_ != nullptr) *merged = *frozen_;
-  merged->paths.reserve(merged->paths.size() + local_paths_.size());
-  for (const auto& [key, paths] : local_paths_) merged->paths.insert_or_assign(key, paths);
-  for (const auto& [src, tree] : local_trees_) merged->trees.insert_or_assign(src, tree);
+  if (local_paths_.empty()) return;
+  auto merged = frozen_ != nullptr ? std::make_shared<PathMap>(*frozen_)
+                                   : std::make_shared<PathMap>();
+  merged->reserve(merged->size() + local_paths_.size());
+  for (const auto& [key, paths] : local_paths_) merged->insert_or_assign(key, paths);
   frozen_ = std::move(merged);
   local_paths_.clear();
-  local_trees_.clear();
 }
 
 const Topology::SourceTree& Topology::source_tree(NodeId src) const {
-  if (frozen_ != nullptr) {
-    auto it = frozen_->trees.find(src);
-    if (it != frozen_->trees.end()) return *it->second;
+  TreeCache& cache = *trees_;
+  std::unique_lock lock(cache.mu);
+  for (;;) {
+    const auto [slot, claimed] = cache.trees.emplace(src, nullptr);
+    if (claimed) break;
+    if (slot->second != nullptr) return *slot->second;
+    cache.published.wait(lock);
   }
-  auto it = local_trees_.find(src);
-  if (it != local_trees_.end()) return *it->second;
+  lock.unlock();
 
   auto tree = std::make_shared<SourceTree>();
-  if (!bfs_depths(*this, src, tree->narrow)) {
-    std::vector<std::uint16_t>().swap(tree->narrow);
-    bfs_depths(*this, src, tree->wide);
+  try {
+    if (!bfs_depths(*this, src, tree->narrow)) {
+      std::vector<std::uint16_t>().swap(tree->narrow);
+      bfs_depths(*this, src, tree->wide);
+    }
+  } catch (...) {
+    // Free the slot so a waiter builds the tree instead of waiting forever.
+    lock.lock();
+    cache.trees.erase(src);
+    cache.published.notify_all();
+    throw;
   }
   ++path_trees_built_;
   const SourceTree& ref = *tree;
-  local_trees_.emplace(src, std::move(tree));
+  lock.lock();
+  cache.trees.find(src)->second = std::move(tree);
+  cache.published.notify_all();
   return ref;
 }
 
@@ -75,8 +99,8 @@ const std::vector<std::vector<NodeId>>& Topology::equal_cost_paths(NodeId src,
                                                                    NodeId dst) const {
   const PathKey key{src, dst};
   if (frozen_ != nullptr) {
-    auto it = frozen_->paths.find(key);
-    if (it != frozen_->paths.end()) {
+    auto it = frozen_->find(key);
+    if (it != frozen_->end()) {
       ++path_cache_hits_;
       return *it->second;
     }

@@ -8,9 +8,12 @@
 //
 // The network itself is a shared immutable CompactTopology
 // (netsim/compact.hpp), built once through CompactTopologyBuilder; a
-// Topology always wraps one. What a Topology adds is the ECMP path cache,
-// which is memoization: copying a Topology (a worker replica) shares the
-// network by refcount and the frozen path snapshot by reference.
+// Topology always wraps one. What a Topology adds is ECMP memoization in
+// two layers: per-source shortest-path trees, one per source per network
+// in a thread-safe cache every copy shares, and per-(src, dst) path lists,
+// which each copy keeps for itself. Copying a Topology (a worker replica)
+// shares the network by refcount, the tree cache by reference and the
+// frozen path snapshot by reference.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +57,9 @@ class Topology {
   /// All shortest paths src→dst (inclusive of both), capped at
   /// kMaxEcmpPaths, in a deterministic order. Cached per (src, dst). A
   /// miss walks the predecessors of dst in src's shortest-path tree: one
-  /// BFS per source, built on the source's first miss and kept, so every
-  /// later destination from the same source costs only the walk.
+  /// BFS per source per network, built on the first miss of any copy of
+  /// this topology and kept, so every later destination from the same
+  /// source, on any copy, costs only the walk.
   const std::vector<std::vector<NodeId>>& equal_cost_paths(NodeId src, NodeId dst) const;
 
   /// Pick the path a given flow hash rides.
@@ -70,15 +74,14 @@ class Topology {
   /// keys use.
   std::uint64_t fingerprint() const { return compact_->fingerprint(); }
 
-  /// Promote every locally cached (src, dst) path list and every
-  /// per-source shortest-path tree into an immutable shared snapshot.
-  /// Copies of this topology (worker replicas) then share the snapshot by
-  /// reference instead of deep-copying the caches, and never rebuild a
-  /// tree the snapshot holds. Logically const: both caches are
-  /// memoization, not topology state. Safe to share across threads
-  /// because the snapshot and its trees are never mutated after creation;
-  /// paths and trees computed *after* the freeze land in the
-  /// instance-local caches.
+  /// Promote every locally cached (src, dst) path list into an immutable
+  /// shared snapshot. Copies of this topology (worker replicas) then share
+  /// the snapshot by reference instead of deep-copying the cache.
+  /// Logically const: the path cache is memoization, not topology state.
+  /// Safe to share across threads because the snapshot is never mutated
+  /// after creation; paths computed *after* the freeze land in the
+  /// instance-local cache. Trees need no freeze: every copy already shares
+  /// them.
   void freeze_paths() const;
 
   /// Path-cache effectiveness counters (host-scheduling dependent on
@@ -87,11 +90,14 @@ class Topology {
   std::uint64_t path_cache_hits() const { return path_cache_hits_; }
   std::uint64_t path_cache_misses() const { return path_cache_misses_; }
   /// Shortest-path trees (full BFS runs) this instance has built; a copy
-  /// starts from its original's count. Same wall-domain caveat.
+  /// starts from its original's count. A tree another copy built, or is
+  /// building, is not counted again, so copies taken before any tree
+  /// exists sum to the distinct trees built for the network. Same
+  /// wall-domain caveat.
   std::uint64_t path_trees_built() const { return path_trees_built_; }
   /// Path lists in the shared frozen snapshot (0 before the first freeze).
   std::size_t frozen_path_entries() const {
-    return frozen_ != nullptr ? frozen_->paths.size() : 0;
+    return frozen_ != nullptr ? frozen_->size() : 0;
   }
 
  private:
@@ -115,23 +121,20 @@ class Topology {
       return narrow[v] == 0xffffu ? kUnreached : narrow[v];
     }
   };
-  using TreeMap = core::FlatMap<NodeId, std::shared_ptr<const SourceTree>>;
-  /// What freeze_paths() publishes.
-  struct Snapshot {
-    PathMap paths;
-    TreeMap trees;
-  };
+  /// Every source's tree over one network (topology.cpp): made by the
+  /// constructor, shared by every copy, locked only on a path-cache miss.
+  class TreeCache;
 
-  /// src's shortest-path tree: from the snapshot, the local cache, or a
-  /// fresh BFS (counted in path_trees_built_).
+  /// src's shortest-path tree from the shared cache; on the network's
+  /// first request for src, a fresh BFS (counted in path_trees_built_).
   const SourceTree& source_tree(NodeId src) const;
 
   std::shared_ptr<const CompactTopology> compact_;
+  std::shared_ptr<TreeCache> trees_;
   /// Immutable shared snapshot (read-only, shareable across replicas).
-  mutable std::shared_ptr<const Snapshot> frozen_;
+  mutable std::shared_ptr<const PathMap> frozen_;
   /// Instance-local additions since the last freeze.
   mutable PathMap local_paths_;
-  mutable TreeMap local_trees_;
   mutable std::uint64_t path_cache_hits_ = 0;
   mutable std::uint64_t path_cache_misses_ = 0;
   mutable std::uint64_t path_trees_built_ = 0;

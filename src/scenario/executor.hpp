@@ -111,6 +111,8 @@ class ParallelExecutor {
   std::uint64_t path_cache_hits() const;
   std::uint64_t path_cache_misses() const;
   /// Shortest-path trees (one full BFS each) built on those networks.
+  /// The replicas share the prototype's tree cache, so a tree one of them
+  /// built is not counted again for another.
   std::uint64_t path_trees_built() const;
 
   /// Run one hermetic task per seed: task i executes fn(network, i) on a
@@ -137,8 +139,9 @@ class ParallelExecutor {
 
 /// Export the executor's accounting as wall-domain series: overhead
 /// counters (perf.clone_ns, perf.reset_ns, perf.tasks, perf.batches),
-/// path-cache traffic (pathcache.hits, pathcache.misses, pathcache.trees)
-/// and dispatch gauges (pool.workers, pool.busy_ns, pool.wall_ns). Every
+/// path-cache traffic (pathcache.hits, pathcache.misses), the distinct
+/// shortest-path trees built per network (pathcache.trees) and dispatch
+/// gauges (pool.workers, pool.busy_ns, pool.wall_ns). Every
 /// caller exports through here, so one registry can see pipeline, fan-out
 /// and campaign executors without a metric kind clash; repeated exports
 /// accumulate.

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <deque>
 #include <initializer_list>
+#include <latch>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -336,4 +338,43 @@ TEST(Topology, NetworkCloneReusesThePrototypeTree) {
     expect_reference_paths(rt, w.client, *rt.find_by_ip(w.endpoints[i]));
   }
   EXPECT_EQ(rt.path_trees_built(), built);
+}
+
+TEST(Topology, ConcurrentReplicasBuildOneTree) {
+  // Replicas cloned before any tree exists, all asking for the same
+  // source at once: one of them runs the BFS, the rest wait for it.
+  const scenario::WorldScenario w = scenario::make_world(*worldgen::WorldSpec::tier("1k"), 11);
+  ASSERT_EQ(w.network->topology().path_trees_built(), 0u);
+  constexpr std::size_t kReplicas = 4;
+  constexpr std::size_t kEndpoints = 40;
+  std::vector<std::unique_ptr<Network>> replicas;
+  for (std::size_t r = 0; r < kReplicas; ++r) replicas.push_back(w.network->clone());
+  std::vector<NodeId> dsts;
+  for (std::size_t i = 0; i < kEndpoints; ++i) {
+    dsts.push_back(*w.network->topology().find_by_ip(w.endpoints[i]));
+  }
+
+  std::latch start(kReplicas);
+  std::vector<std::thread> threads;
+  for (std::size_t r = 0; r < kReplicas; ++r) {
+    threads.emplace_back([&, r] {
+      const Topology& t = replicas[r]->topology();
+      start.arrive_and_wait();
+      for (NodeId dst : dsts) t.equal_cost_paths(w.client, dst);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::uint64_t built = 0;
+  for (const auto& replica : replicas) {
+    const Topology& t = replica->topology();
+    built += t.path_trees_built();
+    EXPECT_EQ(t.path_cache_misses(), kEndpoints);
+    // Each replica's own path lists, read back from its cache.
+    for (NodeId dst : dsts) expect_reference_paths(t, w.client, dst);
+  }
+  EXPECT_EQ(built, 1u);
+  // The prototype shares the same cache.
+  w.network->topology().equal_cost_paths(w.client, dsts.front());
+  EXPECT_EQ(w.network->topology().path_trees_built(), 0u);
 }
